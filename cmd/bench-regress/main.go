@@ -1,7 +1,8 @@
 // Command bench-regress guards the perf trajectory: it compares a fresh
 // `paradice-bench -json` run against the committed baseline
-// (BENCH_5.json, BENCH_6.json, BENCH_7.json, BENCH_9.json) and fails when
-// a guarded row drifted past its tolerance in the bad direction.
+// (BENCH_5.json, BENCH_6.json, BENCH_7.json, BENCH_9.json, BENCH_10.json)
+// and fails when a guarded row drifted past its tolerance in the bad
+// direction.
 //
 // Guarded rows are the ones the evaluation hangs on:
 //
@@ -28,7 +29,10 @@
 //   - the adaptive experiment's envelope — the per-transport p50 rows, the
 //     two envelope ratios (adaptive against the better static mode at both
 //     ends of the load sweep), the zero-baseline excess-spin row (any idle
-//     spin fails), and the batched doorbell count at every level.
+//     spin fails), and the batched doorbell count at every level;
+//   - the multivm experiment's Figure 7 scaling curve — the aggregate
+//     throughput and scaling-efficiency rows are higher-is-better and gate
+//     downward drift, the worst per-guest p99 rows gate upward drift.
 //
 // The simulation is deterministic, so the expected drift is exactly zero —
 // the tolerances exist so an intentional cost-model recalibration shows up
@@ -40,6 +44,8 @@
 //	bench-regress -baseline BENCH_5.json -current current.json
 //	paradice-bench -json -exp tail > current6.json
 //	bench-regress -baseline BENCH_6.json -current current6.json
+//	paradice-bench -json -exp multivm > current10.json
+//	bench-regress -baseline BENCH_10.json -current current10.json
 package main
 
 import (

@@ -41,12 +41,6 @@ func (m *Machine) AddGuest(name string, flavor kernel.Flavor) (*Guest, error) {
 		return nil, err
 	}
 	k := kernel.New(name, flavor, m.Env, vm.Space, m.cfg.GuestRAM)
-	// Each guest VM gets its own event lane: its tasks' calendar entries
-	// live in a per-machine partition merged deterministically with every
-	// other lane (sim.Env), so scale-out runs schedule many guests without
-	// one global calendar hot-spot — and in exactly the order the seed's
-	// flat calendar would have produced.
-	k.Lane = m.Env.AllocLane()
 	k.WakePenalty = perf.CostVMExitIRQ
 	grants, err := cvd.NewGuestGrantTable(m.HV, vm, k)
 	if err != nil {

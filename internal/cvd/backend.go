@@ -299,7 +299,7 @@ func newBackendWith(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *h
 	// The "@<driver>" suffix attributes the proc to its driver-VM shard: a
 	// sharded machine runs one supervisor per shard, each consuming only the
 	// panics of its own backends (supervise.Config.OwnsProc).
-	driverK.Env.SpawnLane(driverK.Lane, "cvd-dispatch-"+guestVM.Name+"@"+driverK.Name, b.dispatch)
+	driverK.Env.Spawn("cvd-dispatch-"+guestVM.Name+"@"+driverK.Name, b.dispatch)
 	return b
 }
 
@@ -581,11 +581,9 @@ func (b *Backend) oldestPosted() (int, bool) {
 // worker pool attached (Config.Workers > 0) the dispatcher enqueues to the
 // pool instead and a bounded worker calls handle directly.
 func (b *Backend) spawnHandler(req request) {
-	b.driverK.Env.SpawnLane(b.driverK.Lane,
-		fmt.Sprintf("cvd-op-%s-%d@%s", b.guestVM.Name, req.seq, b.driverK.Name),
-		func(sp *sim.Proc) {
-			b.handle(sp, req)
-		})
+	b.driverK.Env.Spawn(fmt.Sprintf("cvd-op-%s-%d@%s", b.guestVM.Name, req.seq, b.driverK.Name), func(sp *sim.Proc) {
+		b.handle(sp, req)
+	})
 }
 
 // handle executes one forwarded operation on the calling proc — either a

@@ -30,7 +30,6 @@ func newPoolRig(t *testing.T, workers, quantum int) *poolRig {
 		t.Fatal(err)
 	}
 	driverK := kernel.New("driver", kernel.Linux, env, driverVM.Space, driverVM.RAM)
-	driverK.Lane = env.AllocLane()
 	drv := &testDriver{k: driverK, wq: driverK.NewWaitQueue("testdrv")}
 	driverK.RegisterDevice("/dev/testdev", drv, drv)
 	pool := NewPool(driverK, workers, quantum)
@@ -42,7 +41,6 @@ func newPoolRig(t *testing.T, workers, quantum int) *poolRig {
 			t.Fatal(err)
 		}
 		k := kernel.New(name, kernel.Linux, env, vm.Space, vm.RAM)
-		k.Lane = env.AllocLane()
 		fe, be, err := Connect(Config{
 			HV: h, GuestVM: vm, GuestK: k,
 			DriverVM: driverVM, DriverK: driverK,

@@ -38,7 +38,7 @@ func TestPollingTimeoutRespectsDeadlineExactly(t *testing.T) {
 		name     string
 		deadline sim.Duration
 	}{
-		{"deadline-above-window", sim.Millisecond},      // spin the window, then wait the rest
+		{"deadline-above-window", sim.Millisecond},       // spin the window, then wait the rest
 		{"deadline-below-window", 100 * sim.Microsecond}, // the spin itself is truncated
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,11 +41,6 @@ type Kernel struct {
 	Env    *sim.Env
 	Space  *mem.GuestSpace // this VM's guest-physical view (EPT-backed)
 
-	// Lane is the calendar lane this VM's tasks queue on (sim.AllocLane).
-	// Zero — the default lane — is always valid; the machine layer assigns
-	// one lane per VM so a large fleet's timer traffic stays partitioned.
-	Lane int
-
 	ramSize   uint64
 	nextFrame mem.GuestPhys
 	freeList  []mem.GuestPhys

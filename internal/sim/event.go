@@ -17,9 +17,6 @@ func (e *Env) NewEvent(name string) *Event {
 	return &Event{env: e, name: name}
 }
 
-// Fired reports whether the event has been triggered.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Trigger fires the event now, waking all waiters at the current time.
 // Triggering an already-fired event is a no-op.
 func (ev *Event) Trigger() {
@@ -35,11 +32,6 @@ func (ev *Event) Trigger() {
 		ev.env.At(ev.env.now, fn)
 	}
 	ev.callbacks = nil
-}
-
-// TriggerAfter fires the event d from now.
-func (ev *Event) TriggerAfter(d Duration) {
-	ev.env.After(d, ev.Trigger)
 }
 
 // Reset re-arms a fired event so it can be waited on and triggered again.

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -374,5 +377,81 @@ func TestProcPanicTrapsToRunCaller(t *testing.T) {
 	}()
 	if got.Proc != "bomb" || got.Value != "boom" || len(got.Stack) == 0 {
 		t.Fatalf("trap = {Proc:%q Value:%v stack %d bytes}", got.Proc, got.Value, len(got.Stack))
+	}
+}
+
+// mixedWorkload drives a deterministic mix of timers, same-instant ties,
+// WaitTimeout races that leave stale resumes behind, cross-proc event wake-ups
+// and callbacks scheduled from process context, and returns the execution log.
+func mixedWorkload() []string {
+	e := NewEnv()
+	var log []string
+	ev := e.NewEvent("mixed")
+	for i := 0; i < 4; i++ {
+		i := i
+		e.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
+			rng := rand.New(rand.NewSource(int64(42 + i)))
+			for step := 0; step < 40; step++ {
+				switch rng.Intn(4) {
+				case 0:
+					p.Sleep(Duration(rng.Intn(5)) * Microsecond)
+				case 1:
+					// Same-instant tie with sibling workers.
+					p.Yield()
+				case 2:
+					if !p.WaitTimeout(ev, Duration(1+rng.Intn(3))*Microsecond) {
+						log = append(log, fmt.Sprintf("t=%v w%d timeout", p.Now(), i))
+					}
+				case 3:
+					ev.Trigger()
+					ev.Reset()
+				}
+				log = append(log, fmt.Sprintf("t=%v w%d step%d", p.Now(), i, step))
+				p.Env().After(Duration(rng.Intn(3))*Microsecond, func() {
+					log = append(log, fmt.Sprintf("t=%v cb from w%d", e.Now(), i))
+				})
+			}
+		})
+	}
+	e.Run()
+	return log
+}
+
+// TestMixedWorkloadDeterminism runs the mixed workload twice and requires
+// identical logs — the property every stress sweep leans on.
+func TestMixedWorkloadDeterminism(t *testing.T) {
+	a := mixedWorkload()
+	b := mixedWorkload()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("mixed workload not deterministic across runs")
+	}
+}
+
+// TestManyProcsDrain runs a fleet-sized number of processes with interleaved
+// timers, checking the clock advances monotonically and every process drains.
+func TestManyProcsDrain(t *testing.T) {
+	e := NewEnv()
+	const procs = 128
+	var last Time
+	var ran int
+	for i := 0; i < procs; i++ {
+		i := i
+		e.Spawn(fmt.Sprintf("vm%d", i), func(p *Proc) {
+			for s := 0; s < 20; s++ {
+				p.Sleep(Duration(1+(i*7+s*3)%11) * Microsecond)
+				if p.Now() < last {
+					t.Errorf("clock went backwards: %v after %v", p.Now(), last)
+				}
+				last = p.Now()
+				ran++
+			}
+		})
+	}
+	e.Run()
+	if ran != procs*20 {
+		t.Fatalf("ran %d steps, want %d", ran, procs*20)
+	}
+	if dl := e.Deadlocked(); dl != nil {
+		t.Fatalf("deadlocked procs: %v", dl)
 	}
 }

@@ -499,9 +499,7 @@ func (m *Machine) runDriverBootHooks(k *kernel.Kernel) error {
 // successor boots side-by-side while the predecessor — still the shard's
 // VM, still owning its devices — keeps serving. Shard 0 keeps the seed's
 // "driver" name (its generations are byte-compatible with the unsharded
-// machine); shard i > 0 is "driver<i+1>". Every generation gets its own
-// event lane, so a sharded machine's shards interleave through the
-// deterministic lane merge.
+// machine); shard i > 0 is "driver<i+1>".
 func (m *Machine) newShardVM(i int) (*hv.VM, *kernel.Kernel, error) {
 	name := "driver"
 	if i > 0 {
@@ -512,7 +510,6 @@ func (m *Machine) newShardVM(i int) (*hv.VM, *kernel.Kernel, error) {
 		return nil, nil, err
 	}
 	drvK := kernel.New(name, kernel.Linux, m.Env, drvVM.Space, m.cfg.DriverRAM)
-	drvK.Lane = m.Env.AllocLane()
 	if m.Kind != KindNative {
 		// Threads in a VM pay the vCPU-kick penalty on wake-ups.
 		drvK.WakePenalty = perf.CostVMExitIRQ
