@@ -401,9 +401,6 @@ func TestFastPathDisabledGolden(t *testing.T) {
 		// golden bit for bit — the dormancy guarantee that makes Adaptive
 		// safe to configure fleet-wide.
 		{"adaptive-dormant", paradice.Config{Mode: paradice.Adaptive}, noopGoldenInterrupts},
-		// BatchSize without CoalesceWindow is inert by contract: no deadline
-		// exists to bound a partial batch, so both sides bypass batching.
-		{"adaptive-batchsize-inert", paradice.Config{Mode: paradice.Adaptive, BatchSize: 8}, noopGoldenInterrupts},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, gk := guestKernel(t, c.cfg, paradice.PathGPU)

@@ -82,7 +82,6 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 			MapCache:        g.M.cfg.MapCache,
 			MapThreshold:    g.M.cfg.MapThreshold,
 			CoalesceWindow:  g.M.cfg.CoalesceWindow,
-			BatchSize:       g.M.cfg.BatchSize,
 			TLB:             g.M.cfg.TLB,
 			GrantBatch:      g.M.cfg.GrantBatch,
 			Admission:       g.M.cfg.Admission,
@@ -130,14 +129,17 @@ func (g *Guest) installDevInfo(path string) {
 	}
 }
 
+// diPartitions is how many guests share the GPU memory under data
+// isolation: each gets half the VRAM, as in §6.
+const diPartitions = 2
+
 // enableGPURegion gives this guest its protected memory region: an equal
 // VRAM partition plus the per-region system page pool (§5.3).
 func (g *Guest) enableGPURegion(be *cvd.Backend) error {
-	parts := uint64(g.M.cfg.DIPartitions)
-	if uint64(g.index) >= parts {
-		return fmt.Errorf("paradice: guest %d exceeds the %d VRAM partitions", g.index, parts)
+	if g.index >= diPartitions {
+		return fmt.Errorf("paradice: guest %d exceeds the %d VRAM partitions", g.index, diPartitions)
 	}
-	share := g.M.GPU.VRAMSize() / parts
+	share := g.M.GPU.VRAMSize() / diPartitions
 	lo := uint64(g.index) * share
 	return g.M.DRM.AddGuestRegion(be.Proc(), g.VM, lo, lo+share)
 }

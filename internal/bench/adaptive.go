@@ -57,7 +57,6 @@ var adaptiveConfigs = []struct {
 	{"interrupts+batch", paradice.Config{
 		Mode:           paradice.Interrupts,
 		CoalesceWindow: 20 * sim.Microsecond,
-		BatchSize:      8,
 	}},
 	{"polling", paradice.Config{Mode: paradice.Polling}},
 	{"adaptive", paradice.Config{Mode: paradice.Adaptive}},

@@ -16,7 +16,7 @@ import (
 // rate, across the three transports. The machine under test is the sharded
 // scale-out configuration: the per-guest devices are pinned round-robin
 // across four driver-VM shards and each shard serves its channels through a
-// bounded worker pool with DRR fairness — the tentpole machinery this
+// bounded round-robin worker pool — the tentpole machinery this
 // experiment exists to measure.
 //
 // The headline series is scaling efficiency: aggregate throughput at N

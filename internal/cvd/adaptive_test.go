@@ -102,14 +102,13 @@ func TestAdaptiveQuiescentMatchesInterruptsExactly(t *testing.T) {
 	}
 }
 
-// Completion batching: with BatchSize set, up to BatchSize completions share
-// one response IRQ under the size+deadline policy, mirroring the submission
-// side. Execution order is untouched — batching delays notification, never
-// reorders work.
+// Completion batching: with CoalesceWindow set, up to CoalesceBatch
+// completions share one response IRQ under the size+deadline policy,
+// mirroring the submission side. Execution order is untouched — batching
+// delays notification, never reorders work.
 func TestCompletionBatchingSharesResponseIRQ(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 50 * sim.Microsecond
-		c.BatchSize = 8
 	})
 	app, _ := r.guestK.NewProcess("app")
 	opened := r.env.NewEvent("opened")
@@ -118,8 +117,7 @@ func TestCompletionBatchingSharesResponseIRQ(t *testing.T) {
 		fd, _ = tk.Open("/dev/testdev", devfile.OWrOnly)
 		opened.Trigger()
 	})
-	const writers = 8
-	for i := 0; i < writers; i++ {
+	for i := 0; i < CoalesceBatch; i++ {
 		i := i
 		app.SpawnTask("writer", func(tk *kernel.Task) {
 			tk.Sim().Wait(opened)
@@ -149,7 +147,6 @@ func TestCompletionBatchingSharesResponseIRQ(t *testing.T) {
 func TestHeartbeatBypassesCompletionBatch(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 500 * sim.Microsecond
-		c.BatchSize = 32
 	})
 	ok := false
 	r.env.Spawn("watchdog", func(p *sim.Proc) {

@@ -105,8 +105,8 @@ type Backend struct {
 	mapc *mapCache
 	// pool, when non-nil, is the driver VM's shared worker pool: the
 	// dispatcher enqueues operations there instead of spawning an unbounded
-	// handler thread each, and bounded workers serve channels under deficit
-	// round-robin. See pool.go.
+	// handler thread each, and bounded workers serve channels round-robin.
+	// See pool.go.
 	pool *Pool
 	// onDeath, when set, is invoked once if the backend dies abnormally —
 	// an injected driver-VM crash or an explicit Kill — but NOT on an
@@ -124,13 +124,11 @@ type Backend struct {
 	notifyGate func() bool
 
 	// Completion batching (mirror of the frontend's doorbell batching).
-	// With batchSize and batchWait set, interrupt-path completions
-	// accumulate and share one response IRQ, flushed by the same
-	// size+deadline policy; respGen invalidates an armed deadline timer
-	// once a size-triggered flush has run. Heartbeat acks and the polled
-	// path bypass it — watchdog latency and spinning requesters are never
-	// delayed by the batch window.
-	batchSize   int
+	// With batchWait set, interrupt-path completions accumulate and share
+	// one response IRQ, flushed by the same size+deadline policy; respGen
+	// invalidates an armed deadline timer once a size-triggered flush has
+	// run. Heartbeat acks and the polled path bypass it — watchdog latency
+	// and spinning requesters are never delayed by the batch window.
 	batchWait   sim.Duration
 	respPending int
 	respGen     uint64
@@ -671,9 +669,9 @@ func (b *Backend) complete(rid uint64, hb bool) {
 		})
 		return
 	}
-	if b.batchSize > 0 && b.batchWait > 0 && !hb {
+	if b.batchWait > 0 && !hb {
 		b.respPending++
-		if b.respPending >= b.batchSize {
+		if b.respPending >= CoalesceBatch {
 			b.flushResp()
 			return
 		}

@@ -58,20 +58,15 @@ type Config struct {
 	// the "Bulk transfer" section of EXPERIMENTS.md). Zero selects
 	// DefaultMapThreshold. Ignored unless MapCache is set.
 	MapThreshold int
-	// CoalesceWindow batches doorbells in interrupt mode: request slots
-	// posted within the window of the first share its inter-VM IRQ — one
-	// CostInterVMIRQ per batch instead of per post — at the price of up to
-	// the window in added latency per request. Zero disables coalescing.
-	// The polling path and watchdog heartbeats are unaffected.
+	// CoalesceWindow batches notifications in interrupt mode under a
+	// size+deadline policy. The frontend flushes a multi-entry submission
+	// descriptor, with one inter-VM IRQ for the batch, as soon as
+	// CoalesceBatch slots are pending or the window after the first has
+	// elapsed; the backend mirrors it on the completion side, so up to
+	// CoalesceBatch responses share one response IRQ. The price is up to the
+	// window in added latency per request. Zero disables batching. The
+	// polling path and watchdog heartbeats are unaffected.
 	CoalesceWindow sim.Duration
-	// BatchSize turns the coalescing window into a size+deadline batcher:
-	// the frontend flushes a multi-entry submission descriptor as soon as
-	// BatchSize slots are pending (instead of waiting out the window), and
-	// the backend mirrors it on the completion side — up to BatchSize
-	// responses share one response IRQ, flushed after at most
-	// CoalesceWindow. Requires CoalesceWindow > 0 to have any effect; zero
-	// keeps pure deadline-driven flushing (the PR-4 behavior).
-	BatchSize int
 	// TLB arms the hypervisor's software TLB (internal/hv/tlb.go): per-VM
 	// caches of guest-VA→system-PA translations consulted by the assisted
 	// copy and buffer-mapping paths before the full two-level walk of §5.2,
@@ -105,6 +100,11 @@ type Config struct {
 // cost model (CostMapPage amortization vs CostCopyPerPage/CostCopyPerKB at
 // small reuse counts).
 const DefaultMapThreshold = 2048
+
+// CoalesceBatch is the size trigger of CoalesceWindow batching: how many
+// pending submissions (or completions) flush at once without waiting out the
+// window.
+const CoalesceBatch = 8
 
 // Connect builds a CVD channel: a shared ring page between the guest and
 // driver VMs, interrupt vectors in both directions, the backend dispatcher
@@ -161,7 +161,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	be.batchSize = cfg.BatchSize
 	be.batchWait = cfg.CoalesceWindow
 	if cfg.Pool != nil {
 		cfg.Pool.Join(be)
@@ -185,7 +184,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		backend:      be,
 		deadline:     cfg.RequestDeadline,
 		coalesce:     cfg.CoalesceWindow,
-		batchSize:    cfg.BatchSize,
 		grantBatch:   cfg.GrantBatch,
 		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.GuestPath),
 		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.GuestPath),

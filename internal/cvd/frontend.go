@@ -84,7 +84,7 @@ type Frontend struct {
 	// Doorbell batching. With coalesce > 0 (interrupt-stance posts only),
 	// posts accumulate in a pending set sharing one inter-VM IRQ, flushed by
 	// a size+deadline policy: the first pending post arms a flush timer for
-	// the coalesce window (the deadline), and reaching batchSize posts
+	// the coalesce window (the deadline), and reaching CoalesceBatch posts
 	// flushes immediately. The flush publishes a submission batch descriptor
 	// (hdrSubCount + hdrSubBits) and rings once, attributed to the oldest
 	// still-posted member's CURRENT rid — never to a RID whose slot was
@@ -92,7 +92,6 @@ type Frontend struct {
 	// armed deadline timer once a size-triggered flush has already run.
 	// The polling path never comes through here.
 	coalesce   sim.Duration
-	batchSize  int
 	pending    []int
 	pendingRID [slotCount]uint64
 	inPending  [slotCount]bool
@@ -234,7 +233,7 @@ func (fe *Frontend) kickBackend(rid uint64) {
 // postDoorbell notifies the backend of a newly posted request slot. With
 // batching configured (coalesce > 0) and the channel in interrupt stance,
 // the slot joins the pending set instead of kicking: the first member arms
-// a flush timer for the coalesce deadline, reaching batchSize flushes at
+// a flush timer for the coalesce deadline, reaching CoalesceBatch flushes at
 // once, and the whole set shares the single inter-VM IRQ the flush sends
 // (one CostInterVMIRQ for the batch). The polling path is untouched — a
 // spinning backend observes the page directly, IRQ-free — and watchdog
@@ -257,7 +256,7 @@ func (fe *Frontend) postDoorbell(rid uint64, slot int) {
 	fe.pendingRID[slot] = rid
 	fe.inPending[slot] = true
 	fe.pending = append(fe.pending, slot)
-	if fe.batchSize > 0 && len(fe.pending) >= fe.batchSize {
+	if len(fe.pending) >= CoalesceBatch {
 		// Size trigger: the batch is full, flush now. Bumping flushGen (done
 		// inside flushPending) invalidates the armed deadline timer.
 		fe.flushPending(fe.backend)

@@ -177,7 +177,6 @@ func FuzzBatchDescriptorHostileWords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newRig(t, Adaptive, kernel.Linux, func(c *Config) {
 			c.CoalesceWindow = 20 * sim.Microsecond
-			c.BatchSize = 8
 		})
 		// A legitimate operation first, so slots exist in realistic states
 		// when the hostile words land.

@@ -184,7 +184,6 @@ func CompleteHandover(fe *Frontend, prep *HandoverPrep, driverVM *hv.VM, driverK
 	be := newBackendWith(prep.proc, fe.hv, driverVM, fe.guestVM, driverK, node,
 		prep.beGPA, fe.mode, fe.window, vecToBackend, fe.vecResp, fe.vecNotif)
 	// Successors keep the channel's batching behavior across the switch.
-	be.batchSize = fe.batchSize
 	be.batchWait = fe.coalesce
 	if fe.mapCache {
 		be.enableMapCache(fe.grants)

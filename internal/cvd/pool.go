@@ -13,10 +13,10 @@ import (
 // pool each forwarded operation gets its own thread (spawnHandler), which is
 // faithful to the paper but lets one hot guest consume unbounded driver-VM
 // threads; with a pool, per-channel dispatchers enqueue operations into
-// per-channel FIFO queues and the workers drain them under deficit
-// round-robin, so a guest at open-loop overload gets at most its round share
-// of workers while a quiet guest's operations are picked up within one
-// quantum cycle.
+// per-channel FIFO queues and the workers drain them round-robin, one
+// operation per channel per turn, so a guest at open-loop overload gets at
+// most its round share of workers while a quiet guest's operations are picked
+// up within one round.
 //
 // Ordering contract: operations of one channel are *started* in post order
 // (the queue is FIFO and workers dequeue under a single scheduler token), the
@@ -31,12 +31,11 @@ import (
 type Pool struct {
 	driverK  *kernel.Kernel
 	workers  int
-	quantum  int
 	doorbell *sim.Event
 	stopped  bool
 
 	channels []*poolChan
-	rr       int // deficit-round-robin cursor into channels
+	rr       int // round-robin cursor into channels
 
 	// onServe, when set, observes every dequeue in service order (test hook
 	// for the per-channel FIFO contract). Runs in worker context before the
@@ -50,30 +49,21 @@ type Pool struct {
 	MaxDepth int    // high-water mark of total queued operations
 }
 
-// poolChan is one channel's slice of the pool: its FIFO backlog and its
-// deficit-round-robin account.
+// poolChan is one channel's slice of the pool: its FIFO backlog.
 type poolChan struct {
-	b       *Backend
-	q       []request
-	deficit int
+	b *Backend
+	q []request
 }
 
 // NewPool creates a worker pool of the given size on the driver VM kernel
-// and starts its workers. quantum is the
-// deficit-round-robin quantum — how many consecutive operations one channel
-// may be served before the cursor moves on; values < 1 mean 1, strict
-// per-operation round-robin.
-func NewPool(driverK *kernel.Kernel, workers, quantum int) *Pool {
+// and starts its workers.
+func NewPool(driverK *kernel.Kernel, workers int) *Pool {
 	if workers < 1 {
 		workers = 1
-	}
-	if quantum < 1 {
-		quantum = 1
 	}
 	pl := &Pool{
 		driverK:  driverK,
 		workers:  workers,
-		quantum:  quantum,
 		doorbell: driverK.Env.NewEvent("cvd-pool-" + driverK.Name),
 	}
 	for i := 0; i < workers; i++ {
@@ -161,33 +151,20 @@ func (pl *Pool) depth() int {
 	return n
 }
 
-// next pops the next operation under deficit round-robin, or reports none
-// pending. A channel's deficit refills with the quantum when the cursor
-// reaches it with work queued, and the cursor stays until the deficit or the
-// queue runs out — so one channel gets at most quantum consecutive services
-// while others wait, and an empty channel forfeits its turn (and any saved
-// deficit) immediately.
+// next pops the next operation in round-robin order, or reports none
+// pending: the first channel at or after the cursor with work queued serves
+// one operation, and the cursor moves past it — so while others wait, no
+// channel is served twice in a row, and an empty channel forfeits its turn.
 func (pl *Pool) next() (*Backend, request, bool) {
 	n := len(pl.channels)
-	for scanned := 0; scanned < n; {
+	for i := 0; i < n; i++ {
 		c := pl.channels[pl.rr]
-		if len(c.q) == 0 {
-			c.deficit = 0
-			pl.rr = (pl.rr + 1) % n
-			scanned++
-			continue
+		pl.rr = (pl.rr + 1) % n
+		if len(c.q) > 0 {
+			req := c.q[0]
+			c.q = c.q[1:]
+			return c.b, req, true
 		}
-		if c.deficit == 0 {
-			c.deficit = pl.quantum
-		}
-		req := c.q[0]
-		c.q = c.q[1:]
-		c.deficit--
-		if c.deficit == 0 || len(c.q) == 0 {
-			c.deficit = 0
-			pl.rr = (pl.rr + 1) % n
-		}
-		return c.b, req, true
 	}
 	return nil, request{}, false
 }

@@ -21,7 +21,7 @@ type poolRig struct {
 	bes     [2]*Backend
 }
 
-func newPoolRig(t *testing.T, workers, quantum int) *poolRig {
+func newPoolRig(t *testing.T, workers int) *poolRig {
 	t.Helper()
 	env := sim.NewEnv()
 	h := hv.New(env, 256<<20)
@@ -32,7 +32,7 @@ func newPoolRig(t *testing.T, workers, quantum int) *poolRig {
 	driverK := kernel.New("driver", kernel.Linux, env, driverVM.Space, driverVM.RAM)
 	drv := &testDriver{k: driverK, wq: driverK.NewWaitQueue("testdrv")}
 	driverK.RegisterDevice("/dev/testdev", drv, drv)
-	pool := NewPool(driverK, workers, quantum)
+	pool := NewPool(driverK, workers)
 
 	r := &poolRig{env: env, pool: pool, driverK: driverK}
 	for i, name := range []string{"guest0", "guest1"} {
@@ -61,7 +61,7 @@ func newPoolRig(t *testing.T, workers, quantum int) *poolRig {
 // order). seq is the frontend's monotonic post counter, so the serve-order
 // trace per backend must be strictly increasing.
 func TestPoolPerChannelFIFO(t *testing.T) {
-	r := newPoolRig(t, 3, 2)
+	r := newPoolRig(t, 3)
 	type serve struct {
 		be  *Backend
 		seq uint32
@@ -115,12 +115,11 @@ func TestPoolPerChannelFIFO(t *testing.T) {
 	}
 }
 
-// Deficit round-robin: with both channels backlogged and quantum q, the
-// serve trace must never run more than q consecutive operations from one
-// channel — the hot channel cannot monopolize the workers.
-func TestPoolQuantumBound(t *testing.T) {
-	const quantum = 2
-	r := newPoolRig(t, 1, quantum) // one worker: the serve trace is the schedule
+// Round-robin: with both channels backlogged, the serve trace must not run
+// consecutive operations from one channel — the hot channel cannot
+// monopolize the workers.
+func TestPoolRoundRobinBound(t *testing.T) {
+	r := newPoolRig(t, 1) // one worker: the serve trace is the schedule
 	var trace []*Backend
 	r.pool.onServe = func(b *Backend, seq uint32) { trace = append(trace, b) }
 
@@ -151,9 +150,9 @@ func TestPoolQuantumBound(t *testing.T) {
 	r.env.Run()
 
 	// Only the steady middle of the trace is load-bearing: while BOTH
-	// channels hold backlog, runs are bounded by the quantum. (Head and
+	// channels hold backlog, runs are bounded by the round. (Head and
 	// tail, where one channel hasn't started or has finished, are exempt —
-	// DRR lets a lone channel run freely.)
+	// a lone channel runs freely.)
 	both := map[*Backend]bool{}
 	firstBoth, lastBoth := -1, -1
 	for i, b := range trace {
@@ -179,12 +178,11 @@ func TestPoolQuantumBound(t *testing.T) {
 			maxRun = run
 		}
 	}
-	// A channel's queue can drain mid-run and refill (pacing gaps), which
-	// legally restarts its deficit; allow one extra quantum of slack but
-	// catch monopolization.
-	if maxRun > 2*quantum {
-		t.Fatalf("max consecutive serves from one channel = %d, want <= %d (quantum %d)",
-			maxRun, 2*quantum, quantum)
+	// The other channel's queue can drain mid-run and refill (pacing
+	// gaps), which legally hands its turn back; allow one serve of slack
+	// but catch monopolization.
+	if maxRun > 2 {
+		t.Fatalf("max consecutive serves from one channel = %d, want <= 2", maxRun)
 	}
 	if r.pool.MaxDepth == 0 {
 		t.Fatal("queues never backed up — the bound was not exercised")
@@ -194,7 +192,7 @@ func TestPoolQuantumBound(t *testing.T) {
 // Leave drops a departing channel's backlog and the stats stay coherent:
 // everything enqueued is eventually served or dropped, never lost.
 func TestPoolLeaveDropsBacklog(t *testing.T) {
-	r := newPoolRig(t, 1, 1)
+	r := newPoolRig(t, 1)
 	p, err := r.guests[0].NewProcess("app")
 	if err != nil {
 		t.Fatal(err)

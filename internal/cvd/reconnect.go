@@ -62,10 +62,9 @@ func Reconnect(fe *Frontend, h *hv.Hypervisor, driverVM *hv.VM, driverK *kernel.
 	if err != nil {
 		return nil, err
 	}
-	// The successor inherits the channel's batching knobs: the frontend keeps
-	// flushing submission descriptors, so the new backend must keep consuming
-	// (and completion-batching) them.
-	be.batchSize = fe.batchSize
+	// The successor inherits the channel's batching window: the frontend
+	// keeps flushing submission descriptors, so the new backend must keep
+	// consuming (and completion-batching) them.
 	be.batchWait = fe.coalesce
 	if fe.mapCache {
 		// The successor starts with a cold map cache, re-subscribed to the

@@ -468,7 +468,6 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	if adaptive {
 		// Batching rides the adaptive arm: multi-entry submission doorbells
 		// and shared response IRQs under every fault the plan can throw.
-		cfg.BatchSize = 8
 		cfg.CoalesceWindow = 20 * sim.Microsecond
 	}
 	fe, be, err := cvd.Connect(cfg)
@@ -693,7 +692,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 			var succVM *hv.VM
 			var succK *kernel.Kernel
 			var prep *cvd.HandoverPrep
-			hoEp, hoErr = handover.Run(env, handover.Config{DrainDeadline: 2 * sim.Millisecond}, handover.Hooks{
+			hoEp, hoErr = handover.Run(env, handover.Hooks{
 				Prepare: func() error {
 					vm, err := h.CreateVM(fmt.Sprintf("driver-h%d", seed), vmRAM)
 					if err != nil {

@@ -58,25 +58,16 @@ var (
 	ErrSwitch       = errors.New("handover: switch failed")
 )
 
-// Config tunes one handover run.
-type Config struct {
-	// DrainDeadline bounds the quiesce stage: if in-flight operations have
-	// not finished this long after BeginDrain, the handover aborts back to
-	// the predecessor rather than hold new posts parked indefinitely. Zero
-	// selects DefaultDrainDeadline.
-	DrainDeadline sim.Duration
-	// DrainQuantum is how often the quiesce stage re-checks for idleness.
-	// Zero selects DefaultDrainQuantum.
-	DrainQuantum sim.Duration
-}
-
-// Defaults for Config's zero values. The deadline comfortably covers any
-// request a healthy backend will answer (the supervision-era request deadline
-// is shorter); only a wedged predecessor — which should be restarted, not
-// handed over — runs into it.
+// The quiesce stage's timing. DrainDeadline bounds it: if in-flight
+// operations have not finished this long after BeginDrain, the handover
+// aborts back to the predecessor rather than hold new posts parked
+// indefinitely. The deadline comfortably covers any request a healthy backend
+// will answer (the supervision-era request deadline is shorter); only a
+// wedged predecessor — which should be restarted, not handed over — runs into
+// it. drainQuantum is how often the stage re-checks for idleness.
 const (
-	DefaultDrainDeadline = 2 * sim.Millisecond
-	DefaultDrainQuantum  = 20 * sim.Microsecond
+	DrainDeadline = 2 * sim.Millisecond
+	drainQuantum  = 20 * sim.Microsecond
 )
 
 // Hooks are the stage implementations the engine drives. BeginDrain,
@@ -121,7 +112,7 @@ type Episode struct {
 // maintenance request itself is refused); "handover.drain.timeout" forces the
 // quiesce stage to give up immediately; "handover.warm.fail" is consulted by
 // the CVD prepare path and surfaces here as a Prepare error.
-func Run(env *sim.Env, cfg Config, h Hooks) (Episode, error) {
+func Run(env *sim.Env, h Hooks) (Episode, error) {
 	tr := trace.Get(env)
 	tr.Add("machine.handover.attempts", 1)
 	ep := Episode{Start: env.Now()}
@@ -141,7 +132,7 @@ func Run(env *sim.Env, cfg Config, h Hooks) (Episode, error) {
 	ep.Stage = StageQuiesce
 	drainStart := env.Now()
 	h.BeginDrain()
-	idle := waitIdle(env, cfg, h)
+	idle := waitIdle(env, h)
 	ep.DrainWait = env.Now().Sub(drainStart)
 	if !idle {
 		h.EndDrain()
@@ -170,17 +161,9 @@ func Run(env *sim.Env, cfg Config, h Hooks) (Episode, error) {
 // The "handover.drain.timeout" fault point, consulted once on entry, forces
 // an immediate give-up — the injected form of a predecessor that never goes
 // idle, without having to wedge a real backend.
-func waitIdle(env *sim.Env, cfg Config, h Hooks) bool {
+func waitIdle(env *sim.Env, h Hooks) bool {
 	if faults.Point(env, "handover.drain.timeout") != nil {
 		return false
-	}
-	deadline := cfg.DrainDeadline
-	if deadline <= 0 {
-		deadline = DefaultDrainDeadline
-	}
-	quantum := cfg.DrainQuantum
-	if quantum <= 0 {
-		quantum = DefaultDrainQuantum
 	}
 	p := env.CurrentProc()
 	if p == nil {
@@ -188,12 +171,12 @@ func waitIdle(env *sim.Env, cfg Config, h Hooks) bool {
 		// the ring is as idle now as it will ever be.
 		return h.DrainIdle()
 	}
-	limit := env.Now().Add(deadline)
+	limit := env.Now().Add(DrainDeadline)
 	for !h.DrainIdle() {
 		if env.Now() >= limit {
 			return false
 		}
-		p.Sleep(quantum)
+		p.Sleep(drainQuantum)
 	}
 	return true
 }

@@ -153,7 +153,7 @@ func quietGuestP99(t *testing.T, withHot bool) sim.Duration {
 	t.Helper()
 	m, err := paradice.New(paradice.Config{
 		Mode:    paradice.Polling,
-		Workers: 2, // small pool: the hot guest WOULD monopolize it without DRR
+		Workers: 2, // small pool: the hot guest WOULD monopolize it without round-robin
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,16 +221,16 @@ func quietGuestP99(t *testing.T, withHot bool) sim.Duration {
 
 // TestPoolFairnessQuietGuestP99 is the scale-out isolation property: a
 // guest flooding the shared worker pool at open-loop overload must not move
-// a quiet guest's p99 beyond a bounded factor — deficit round-robin caps
-// the hot channel at its round share, so the quiet guest waits at most one
-// quantum cycle, not the hot backlog.
+// a quiet guest's p99 beyond a bounded factor — round-robin caps the hot
+// channel at its round share, so the quiet guest waits at most one round,
+// not the hot backlog.
 func TestPoolFairnessQuietGuestP99(t *testing.T) {
 	alone := quietGuestP99(t, false)
 	contended := quietGuestP99(t, true)
 	t.Logf("quiet p99 alone = %v, under hot-guest overload = %v (x%.2f)",
 		alone, contended, float64(contended)/float64(alone))
-	// The bound: one quantum cycle of the pool ahead of every quiet
-	// operation, plus scheduler noise. Without DRR (FIFO through a shared
+	// The bound: one round of the pool ahead of every quiet operation,
+	// plus scheduler noise. Without round-robin (FIFO through a shared
 	// queue) the quiet p99 rides the hot backlog and blows past this by
 	// orders of magnitude.
 	if contended > 10*alone {

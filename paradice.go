@@ -87,21 +87,13 @@ func (k Kind) String() string {
 type Config struct {
 	// HostRAM is total system memory (default 512 MiB).
 	HostRAM uint64
-	// DriverRAM is the driver VM's (or the native machine's) memory
-	// (default 64 MiB).
-	DriverRAM uint64
 	// GuestRAM is each guest VM's memory (default 64 MiB).
 	GuestRAM uint64
-	// VRAM is GPU device memory (default 1 GiB, lazily backed).
-	VRAM uint64
 	// Mode selects the CVD transport (default Interrupts).
 	Mode Mode
 	// DataIsolation enables the §4.2/§5.3 device data isolation
 	// configuration for the GPU.
 	DataIsolation bool
-	// DIPartitions is how many guests share the GPU memory under data
-	// isolation (default 2, giving each half the VRAM as in §6).
-	DIPartitions int
 	// GPUModel selects the card (Table 1: "hd6450" (default), "hd4650",
 	// "x1300", "gm965"). Device data isolation requires the Evergreen-class
 	// hd6450 (§5.3).
@@ -137,17 +129,13 @@ type Config struct {
 	// map cache; zero selects cvd.DefaultMapThreshold (2 KB, from the cost
 	// model). Ignored unless MapCache is set.
 	MapThreshold int
-	// CoalesceWindow batches CVD doorbells in interrupt mode: slots posted
-	// within the window of the first share one inter-VM IRQ. Zero disables
-	// coalescing. Polling mode and watchdog heartbeats are unaffected.
+	// CoalesceWindow batches CVD notifications in interrupt mode: the
+	// frontend flushes one multi-entry submission doorbell as soon as
+	// cvd.CoalesceBatch slots are pending or the window elapses, whichever is
+	// first, and the backend batches completions per response IRQ under the
+	// same policy. Zero disables batching. Polling mode and watchdog
+	// heartbeats are unaffected.
 	CoalesceWindow sim.Duration
-	// BatchSize upgrades doorbell coalescing to multi-entry batches: the
-	// frontend flushes a submission descriptor as soon as BatchSize slots
-	// are pending (or CoalesceWindow elapses, whichever is first), and the
-	// backend batches up to BatchSize completions per response IRQ under
-	// the same deadline. Requires CoalesceWindow > 0; zero keeps the
-	// deadline-only coalescing behavior.
-	BatchSize int
 	// TLB arms the hypervisor's software TLB: per-VM caches of
 	// guest-VA→system-PA translations consulted by the assisted-copy and
 	// buffer-mapping paths before the full per-page walks of §5.2, with
@@ -168,11 +156,6 @@ type Config struct {
 	// admitted until the ring is full (EBUSY). Applied to every frontend a
 	// guest paravirtualizes. nil disables admission control (the default).
 	Admission map[uint8]int
-	// HandoverDrain bounds the quiesce stage of a planned driver-VM handover
-	// (HandoverDriverVM): if in-flight operations have not completed this
-	// long after the frontends enter drain mode, the handover aborts back to
-	// the still-live predecessor. Zero selects handover.DefaultDrainDeadline.
-	HandoverDrain sim.Duration
 	// DriverShards partitions the machine's devices across N driver VMs
 	// (default 1 — the paper's single driver VM of Figure 1(c)). The standard
 	// devices are placed round-robin across shards at boot; harness devices
@@ -184,38 +167,21 @@ type Config struct {
 	DriverShards int
 	// Workers sizes each driver-VM shard's shared backend worker pool
 	// (cvd.Pool): per-channel dispatchers enqueue forwarded operations into
-	// per-channel FIFO queues drained by this many worker threads under
-	// deficit round-robin, bounding driver-VM thread count and isolating
-	// quiet guests from a hot one. Zero keeps the paper's thread-per-
-	// operation behavior.
+	// per-channel FIFO queues drained round-robin by this many worker
+	// threads, bounding driver-VM thread count and isolating quiet guests
+	// from a hot one. Zero keeps the paper's thread-per-operation behavior.
 	Workers int
-	// FairQuantum is the worker pool's deficit-round-robin quantum: how many
-	// consecutive operations one channel may be served before the scheduler
-	// moves on (default 1 — strict round-robin). Ignored unless Workers > 0.
-	FairQuantum int
 }
 
 func (c Config) withDefaults() Config {
 	if c.HostRAM == 0 {
 		c.HostRAM = 512 << 20
 	}
-	if c.DriverRAM == 0 {
-		c.DriverRAM = 64 << 20
-	}
 	if c.GuestRAM == 0 {
 		c.GuestRAM = 64 << 20
 	}
-	if c.VRAM == 0 {
-		c.VRAM = 1 << 30
-	}
-	if c.DIPartitions == 0 {
-		c.DIPartitions = 2
-	}
 	if c.DriverShards < 1 {
 		c.DriverShards = 1
-	}
-	if c.FairQuantum < 1 {
-		c.FairQuantum = 1
 	}
 	return c
 }
@@ -300,6 +266,9 @@ type Machine struct {
 // of host RAM.
 const vramBase = 0x8_0000_0000
 
+// driverRAM is each driver VM's (or the native machine's) memory.
+const driverRAM = 64 << 20
+
 // New builds a Paradice machine: hypervisor, driver VM with all five device
 // classes assigned, drivers loaded, ready for AddGuest.
 func New(cfg Config) (*Machine, error) { return build(KindParadice, cfg) }
@@ -325,17 +294,13 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 	m := &Machine{Kind: kind, Env: env, HV: h, cfg: cfg}
 
 	// Create the devices once — they are hardware and survive driver VM
-	// restarts. An explicit Config.VRAM overrides the model's memory size.
-	model, err0 := drm.LookupModel(cfg.GPUModel)
-	if err0 != nil {
-		return nil, err0
+	// restarts. The GPU's memory size is the model's.
+	var err error
+	m.gpuModel, err = drm.LookupModel(cfg.GPUModel)
+	if err != nil {
+		return nil, err
 	}
-	vram := cfg.VRAM
-	if cfg.VRAM == 1<<30 && model.VRAM != 0 {
-		vram = model.VRAM
-	}
-	m.cfg.VRAM = vram
-	m.GPU = gpu.New(env, h.Phys, vramBase, vram)
+	m.GPU = gpu.New(env, h.Phys, vramBase, m.gpuModel.VRAM)
 	m.NIC = nic.New(env)
 	mouseLat := perf.CostVMExitIRQ
 	if kind == KindNative {
@@ -346,11 +311,6 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 	m.Camera = camera.New(env)
 	m.Audio = audio.New(env)
 
-	var err error
-	m.gpuModel, err = drm.LookupModel(cfg.GPUModel)
-	if err != nil {
-		return nil, err
-	}
 	m.drmSpec, err = drm.AnalyzedSpecs()
 	if err != nil {
 		return nil, err
@@ -431,7 +391,7 @@ func (m *Machine) bootShard(i int) error {
 		return err
 	}
 	if m.cfg.Workers > 0 && m.Kind == KindParadice {
-		sh.Pool = cvd.NewPool(drvK, m.cfg.Workers, m.cfg.FairQuantum)
+		sh.Pool = cvd.NewPool(drvK, m.cfg.Workers)
 	}
 	return nil
 }
@@ -505,11 +465,11 @@ func (m *Machine) newShardVM(i int) (*hv.VM, *kernel.Kernel, error) {
 	if i > 0 {
 		name = fmt.Sprintf("driver%d", i+1)
 	}
-	drvVM, err := m.HV.CreateVM(name, m.cfg.DriverRAM)
+	drvVM, err := m.HV.CreateVM(name, driverRAM)
 	if err != nil {
 		return nil, nil, err
 	}
-	drvK := kernel.New(name, kernel.Linux, m.Env, drvVM.Space, m.cfg.DriverRAM)
+	drvK := kernel.New(name, kernel.Linux, m.Env, drvVM.Space, driverRAM)
 	if m.Kind != KindNative {
 		// Threads in a VM pay the vCPU-kick penalty on wake-ups.
 		drvK.WakePenalty = perf.CostVMExitIRQ
@@ -538,7 +498,7 @@ func (m *Machine) attachDrivers(drvVM *hv.VM, drvK *kernel.Kernel, shard int) er
 
 	// GPU + DRM.
 	if owns(PathGPU) {
-		bars := []hv.BAR{{Name: "gpu-vram", SPA: vramBase, Size: m.cfg.VRAM}}
+		bars := []hv.BAR{{Name: "gpu-vram", SPA: vramBase, Size: m.GPU.VRAMSize()}}
 		assign := m.HV.AssignDevice
 		if m.cfg.DataIsolation {
 			assign = m.HV.AssignDeviceIsolated
