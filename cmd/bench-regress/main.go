@@ -1,51 +1,28 @@
-// Command bench-regress guards the perf trajectory: it compares a fresh
-// `paradice-bench -json` run against the committed baseline
-// (BENCH_5.json, BENCH_6.json, BENCH_7.json, BENCH_9.json, BENCH_10.json)
-// and fails when a guarded row drifted past its tolerance in the bad
-// direction.
+// Command bench-regress gates a fresh `paradice-bench -json` run against the
+// latest committed snapshot: the BENCH_<n>.json with the highest n in the
+// working directory. Every row of every measured experiment is guarded.
+// Rows are keyed by experiment/Series/X and must carry exactly the
+// snapshot's Value; a changed, missing or extra row fails, and so does an
+// experiment that errored. Table experiments (bench.Experiment.IsTable) are
+// skipped, since table1 and table2 count this repository's own source lines.
 //
-// Guarded rows are the ones the evaluation hangs on:
+// The simulation is deterministic, so a change that keeps the cost model
+// leaves every row bit-identical, and one that changes it shows up as a
+// reviewed new snapshot.
 //
-//   - the §6.1.1 no-op forwarding latencies (both transports) and the
-//     Figure 5 order-500 matrix-multiplication times — lower is better,
-//     only upward drift fails;
-//   - the tail experiment's per-class p99 rows at every load level —
-//     lower is better, gated at 10% so a tail regression under open-loop
-//     load fails the build even when the means stay flat;
-//   - the tail experiment's critical-path attribution rows
-//     ("attr <class> <hop> p99", from the flight recorder's per-hop
-//     digests) — same " p99" suffix, same gate, so a regression that
-//     moves the p99 *between* hops without moving the end-to-end number
-//     still shows up, hop by hop;
-//   - the tail experiment's max-sustained-throughput row — HIGHER is
-//     better, so it fails on downward drift (tolerance 5%: the sweep is
-//     quantized to the swept rates, so any real capacity loss shows up as
-//     a whole-level drop, far beyond 5%);
-//   - the handover experiment's contract rows — "failed"/handover (baseline
-//     exactly 0, so any loss reads as 100% drift and fails), the handover
-//     downtime (lower is better), and the queued-replay and warm-state
-//     counters (higher is better: dropping toward zero means the successor
-//     came up cold or parked posts were lost);
-//   - the adaptive experiment's envelope — the per-transport p50 rows, the
-//     two envelope ratios (adaptive against the better static mode at both
-//     ends of the load sweep), the zero-baseline excess-spin row (any idle
-//     spin fails), and the batched doorbell count at every level;
-//   - the multivm experiment's Figure 7 scaling curve — the aggregate
-//     throughput and scaling-efficiency rows are higher-is-better and gate
-//     downward drift, the worst per-guest p99 rows gate upward drift.
+// The current run is one or more files, merged. Run each experiment in its
+// own process: a single all-experiments process is OOM-killed, because fig2
+// alone peaks near 4 GiB RSS.
 //
-// The simulation is deterministic, so the expected drift is exactly zero —
-// the tolerances exist so an intentional cost-model recalibration shows up
-// as a reviewed baseline update, not a red herring.
+//	go build -o paradice-bench ./cmd/paradice-bench
+//	for id in $(./paradice-bench -list | cut -d' ' -f1); do
+//		./paradice-bench -json -exp "$id" > "cur-$id.json"
+//	done
+//	go run ./cmd/bench-regress cur-*.json
 //
-// Usage:
-//
-//	paradice-bench -json -exp noop,fig5 > current.json
-//	bench-regress -baseline BENCH_5.json -current current.json
-//	paradice-bench -json -exp tail > current6.json
-//	bench-regress -baseline BENCH_6.json -current current6.json
-//	paradice-bench -json -exp multivm > current10.json
-//	bench-regress -baseline BENCH_10.json -current current10.json
+// A new snapshot is the same files merged in -list order, for example
+// `jq -s add $(./paradice-bench -list | awk '{print "cur-" $1 ".json"}')
+// > BENCH_<n+1>.json`.
 package main
 
 import (
@@ -53,216 +30,123 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+
+	"paradice/internal/bench"
 )
 
-type row struct {
-	Series string
-	X      string
-	Value  float64
-	Unit   string
-}
-
 type result struct {
-	ID    string `json:"id"`
-	Rows  []row  `json:"rows"`
-	Error string `json:"error"`
+	ID    string      `json:"id"`
+	Rows  []bench.Row `json:"rows"`
+	Error string      `json:"error"`
 }
 
-// rule is one guarded row's gate: its drift tolerance in percent and the
-// direction that counts as a regression.
-type rule struct {
-	tol            float64 // allowed drift in percent (0: the -max-drift default)
-	higherIsBetter bool    // fail on downward drift instead of upward
-}
-
-// ruleFor returns the gate rule for a row, or false when the row is not
-// guarded.
-func ruleFor(id string, r row) (rule, bool) {
-	switch id {
-	case "noop":
-		if r.X == "no-op fileop" {
-			return rule{}, true
-		}
-	case "fig5":
-		if r.X == "order=500" {
-			return rule{}, true
-		}
-	case "tail":
-		if strings.HasSuffix(r.Series, " p99") {
-			return rule{}, true
-		}
-		if r.Series == "max-sustained" {
-			return rule{tol: 5, higherIsBetter: true}, true
-		}
-	case "adaptive":
-		// The adaptive-transport envelope. The per-transport p50 rows gate
-		// like latencies (lower is better, default tolerance). The envelope
-		// ratio rows have baselines near 1.0, so a stance-machinery
-		// regression that drags adaptive away from the better static mode
-		// at either end of the sweep shows up directly. "excess-spin" at
-		// low load has a baseline of exactly 0 — ANY spin burned by an
-		// adaptive channel under sparse load reads as 100% drift and fails;
-		// zero idle spin is a hard gate, not a tolerance.
-		if strings.HasPrefix(r.Series, "p50 ") {
-			return rule{}, true
-		}
-		if r.Series == "envelope" {
-			return rule{}, true
-		}
-		if r.Series == "excess-spin" {
-			return rule{}, true
-		}
-		// Batching's reason to exist: the batched config must keep sending
-		// FEWER doorbells than load posts — a drop in amortization shows up
-		// as this count rising toward one IRQ per post.
-		if r.Series == "doorbells interrupts+batch" {
-			return rule{}, true
-		}
-	case "handover":
-		// The planned handover's contract rows. "failed"/handover has a
-		// baseline of exactly 0, so ANY nonzero current value reports as
-		// 100% drift and fails — zero-loss is a hard gate, not a tolerance.
-		// Downtime (the ring pause) gates like a latency; the warm/replay
-		// counters gate downward (a warm-transfer regression shows up as
-		// these dropping toward zero, which reads as cold successor state).
-		if r.Series == "failed" && r.X == "handover" {
-			return rule{}, true
-		}
-		if r.Series == "downtime" && r.X == "handover" {
-			return rule{}, true
-		}
-		if r.Series == "warm map hits" || r.Series == "queued-replayed" || r.Series == "warm reopens" {
-			return rule{tol: 5, higherIsBetter: true}, true
-		}
-	case "multivm":
-		// The Figure 7 scaling curve. Aggregate throughput and scaling
-		// efficiency gate upward — a worker-pool or shard-routing regression
-		// shows up as lost throughput at the high guest counts long before
-		// it breaks a functional test. The worst per-guest p99 rows gate
-		// like latencies (lower is better): a fairness regression reads as
-		// one guest's tail blowing out the max.
-		if strings.HasPrefix(r.Series, "tput ") || strings.HasPrefix(r.Series, "efficiency ") {
-			return rule{tol: 5, higherIsBetter: true}, true
-		}
-		if strings.HasPrefix(r.Series, "p99 ") {
-			return rule{tol: 5}, true
+// latest returns the highest-numbered BENCH_<n>.json in dir.
+func latest(dir string) (string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return "", err
+	}
+	best, bestN := "", -1
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err == nil && n > bestN {
+			best, bestN = p, n
 		}
 	}
-	return rule{}, false
+	if best == "" {
+		return "", fmt.Errorf("no BENCH_<n>.json in %s", dir)
+	}
+	return best, nil
 }
 
-// entry is one guarded value with its gate rule.
-type entry struct {
-	val  float64
-	rule rule
-}
-
-func parse(path string, data []byte) (map[string]entry, error) {
+func decode(path string) ([]result, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	var results []result
 	if err := json.Unmarshal(data, &results); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	vals := make(map[string]entry)
-	for _, res := range results {
-		if res.Error != "" {
-			return nil, fmt.Errorf("%s: experiment %s errored: %s", path, res.ID, res.Error)
+	return results, nil
+}
+
+// load merges the gated rows of the given files into one map keyed by
+// experiment/Series/X. An errored experiment or a repeated key is an error.
+func load(paths ...string) (map[string]float64, error) {
+	vals := make(map[string]float64)
+	for _, path := range paths {
+		results, err := decode(path)
+		if err != nil {
+			return nil, err
 		}
-		for _, r := range res.Rows {
-			if ru, ok := ruleFor(res.ID, r); ok {
-				vals[res.ID+"/"+r.Series+"/"+r.X] = entry{val: r.Value, rule: ru}
+		for _, res := range results {
+			if res.Error != "" {
+				return nil, fmt.Errorf("%s: experiment %s errored: %s", path, res.ID, res.Error)
+			}
+			if e, ok := bench.Find(res.ID); ok && e.IsTable {
+				continue
+			}
+			for _, r := range res.Rows {
+				key := res.ID + "/" + r.Series + "/" + r.X
+				if _, dup := vals[key]; dup {
+					return nil, fmt.Errorf("%s: row %s repeated", path, key)
+				}
+				vals[key] = r.Value
 			}
 		}
 	}
 	return vals, nil
 }
 
-func load(path string) (map[string]entry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return parse(path, data)
-}
-
-// compare gates every baseline row against the current run. It returns the
-// per-row report lines and the failures; maxDrift is the tolerance for
-// rows whose rule carries none of their own.
-func compare(base, cur map[string]entry, maxDrift float64) (report, failures []string) {
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		want := base[key]
+// compare returns one line per changed, missing or extra row, sorted.
+func compare(base, cur map[string]float64) []string {
+	var diffs []string
+	for key, want := range base {
 		got, ok := cur[key]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%-40s missing from current run", key))
-			continue
+			diffs = append(diffs, fmt.Sprintf("%s: missing (baseline %v)", key, want))
+		} else if got != want {
+			diffs = append(diffs, fmt.Sprintf("%s: %v -> %v", key, want, got))
 		}
-		tol := want.rule.tol
-		if tol == 0 {
-			tol = maxDrift
-		}
-		drift := 0.0
-		if want.val != 0 {
-			drift = 100 * (got.val - want.val) / want.val
-		} else if got.val != 0 {
-			drift = 100 // from zero to nonzero: report as full drift
-		}
-		bad := drift > tol
-		dir := ">"
-		if want.rule.higherIsBetter {
-			bad = drift < -tol
-			dir = "<-"
-		}
-		status := "ok"
-		if bad {
-			status = "REGRESSED"
-			failures = append(failures, fmt.Sprintf("%-40s %.3f -> %.3f (%+.1f%% %s %.0f%%)",
-				key, want.val, got.val, drift, dir, tol))
-		}
-		report = append(report, fmt.Sprintf("  %-40s baseline %12.3f  current %12.3f  %+7.1f%%  %s",
-			key, want.val, got.val, drift, status))
 	}
-	return report, failures
+	for key, got := range cur {
+		if _, ok := base[key]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: extra (current %v)", key, got))
+		}
+	}
+	sort.Strings(diffs)
+	return diffs
 }
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_5.json", "committed baseline JSON")
-	current := flag.String("current", "", "fresh paradice-bench -json output")
-	maxDrift := flag.Float64("max-drift", 10, "default allowed drift in percent")
+	flag.Usage = func() { fmt.Fprintln(os.Stderr, "usage: bench-regress CURRENT.json...") }
 	flag.Parse()
-	if *current == "" {
-		fmt.Fprintln(os.Stderr, "bench-regress: -current is required")
+	if flag.NArg() == 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
+	check := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench-regress:", err)
+			os.Exit(2)
+		}
+	}
+	baseline, err := latest(".")
+	check(err)
+	base, err := load(baseline)
+	check(err)
+	cur, err := load(flag.Args()...)
+	check(err)
 
-	base, err := load(*baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench-regress:", err)
-		os.Exit(2)
-	}
-	cur, err := load(*current)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench-regress:", err)
-		os.Exit(2)
-	}
-	if len(base) == 0 {
-		fmt.Fprintln(os.Stderr, "bench-regress: baseline has no guarded rows")
-		os.Exit(2)
-	}
-
-	report, failures := compare(base, cur, *maxDrift)
-	for _, line := range report {
-		fmt.Println(line)
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\nbench-regress: %d guarded row(s) regressed:\n  %s\n",
-			len(failures), strings.Join(failures, "\n  "))
+	if diffs := compare(base, cur); len(diffs) > 0 {
+		fmt.Fprintf(os.Stderr, "bench-regress: %d row(s) differ from %s:\n  %s\n",
+			len(diffs), baseline, strings.Join(diffs, "\n  "))
 		os.Exit(1)
 	}
-	fmt.Printf("bench-regress: %d guarded rows within tolerance of %s\n", len(base), *baseline)
+	fmt.Printf("bench-regress: %d rows identical to %s\n", len(base), baseline)
 }

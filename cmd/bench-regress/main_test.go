@@ -2,143 +2,184 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"paradice/internal/bench"
 )
 
-// fixture builds a paradice-bench -json document with one noop row, two
-// tail p99 rows, one per-hop attribution p99 row, and the tail
-// max-sustained row, at the given values.
-func fixture(noop, rtP99, bulkP99, sustained float64) []byte {
-	return fixtureAttr(noop, rtP99, bulkP99, 4.0, sustained)
-}
-
-func fixtureAttr(noop, rtP99, bulkP99, attrP99, sustained float64) []byte {
-	return []byte(fmt.Sprintf(`[
+// fixture is a paradice-bench -json document with two measured rows and
+// one table row, at the given values.
+func fixture(noop, rtP99, loc float64) string {
+	return fmt.Sprintf(`[
   {"id": "noop", "title": "no-op", "rows": [
-    {"Series": "Paradice(P)", "X": "no-op fileop", "Value": %g, "Unit": "µs"},
-    {"Series": "Paradice(P)", "X": "unguarded", "Value": 999, "Unit": "µs"}
+    {"Series": "Paradice(P)", "X": "no-op fileop", "Value": %v, "Unit": "µs"}
   ]},
   {"id": "tail", "title": "tail", "rows": [
-    {"Series": "rt p99", "X": "load=60k/s", "Value": %g, "Unit": "µs"},
-    {"Series": "bulk p99", "X": "load=60k/s", "Value": %g, "Unit": "µs"},
-    {"Series": "attr rt backend p99", "X": "load=60k/s", "Value": %g, "Unit": "µs"},
-    {"Series": "rt p50", "X": "load=60k/s", "Value": 5.0, "Unit": "µs"},
-    {"Series": "max-sustained", "X": "goodput>=97%%", "Value": %g, "Unit": "kops/s"}
+    {"Series": "rt p99", "X": "load=60k/s", "Value": %v, "Unit": "µs"}
+  ]},
+  {"id": "table2", "title": "code breakdown", "rows": [
+    {"Series": "Generic", "X": "CVD", "Value": %v, "Unit": "LoC"}
   ]}
-]`, noop, rtP99, bulkP99, attrP99, sustained))
+]`, noop, rtP99, loc)
 }
 
-func mustParse(t *testing.T, data []byte) map[string]entry {
+// write stores each document in its own file and returns the paths.
+func write(t *testing.T, docs ...string) []string {
 	t.Helper()
-	vals, err := parse("fixture", data)
+	dir := t.TempDir()
+	var paths []string
+	for i, doc := range docs {
+		p := filepath.Join(dir, fmt.Sprintf("cur-%d.json", i))
+		if err := os.WriteFile(p, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	return paths
+}
+
+func mustLoad(t *testing.T, docs ...string) map[string]float64 {
+	t.Helper()
+	vals, err := load(write(t, docs...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return vals
 }
 
-// Only guarded rows participate: the noop latency, the p99 rows, and the
-// max-sustained row — not the unguarded latency or the p50.
+// Every row of a measured experiment is gated; table rows are not.
 func TestParseGuardedRows(t *testing.T) {
-	vals := mustParse(t, fixture(35.3, 11.8, 13.4, 240))
-	want := []string{
-		"noop/Paradice(P)/no-op fileop",
-		"tail/rt p99/load=60k/s",
-		"tail/bulk p99/load=60k/s",
-		"tail/attr rt backend p99/load=60k/s",
-		"tail/max-sustained/goodput>=97%",
+	vals := mustLoad(t, fixture(35.309, 11.8, 2039))
+	want := map[string]float64{
+		"noop/Paradice(P)/no-op fileop": 35.309,
+		"tail/rt p99/load=60k/s":        11.8,
 	}
 	if len(vals) != len(want) {
-		t.Fatalf("%d guarded rows, want %d: %v", len(vals), len(want), vals)
+		t.Fatalf("gated rows = %v, want %v", vals, want)
 	}
-	for _, k := range want {
-		if _, ok := vals[k]; !ok {
-			t.Errorf("missing guarded row %q", k)
+	for k, v := range want {
+		if vals[k] != v {
+			t.Errorf("%s = %v, want %v", k, vals[k], v)
 		}
-	}
-	ms := vals["tail/max-sustained/goodput>=97%"]
-	if !ms.rule.higherIsBetter || ms.rule.tol != 5 {
-		t.Errorf("max-sustained rule = %+v, want higher-is-better at 5%%", ms.rule)
 	}
 }
 
-// Identical runs pass; a small in-tolerance drift passes; and a latency
-// IMPROVEMENT (downward) passes however large.
+// An identical run passes, also when it is split over several files.
 func TestComparePass(t *testing.T) {
-	base := mustParse(t, fixture(35.3, 11.8, 13.4, 240))
-	for _, cur := range [][]byte{
-		fixture(35.3, 11.8, 13.4, 240), // identical
-		fixture(36.0, 12.5, 13.9, 235), // few percent, inside tolerance
-		fixture(20.0, 6.0, 7.0, 300),   // big improvement in the good direction
-	} {
-		_, failures := compare(base, mustParse(t, cur), 10)
-		if len(failures) != 0 {
-			t.Errorf("unexpected failures for %s:\n%s", cur, strings.Join(failures, "\n"))
+	base := mustLoad(t, fixture(35.309, 11.8, 2039))
+	split := mustLoad(t,
+		`[{"id": "noop", "rows": [{"Series": "Paradice(P)", "X": "no-op fileop", "Value": 35.309}]}]`,
+		`[{"id": "tail", "rows": [{"Series": "rt p99", "X": "load=60k/s", "Value": 11.8}]}]`)
+	for _, cur := range []map[string]float64{mustLoad(t, fixture(35.309, 11.8, 2039)), split} {
+		if diffs := compare(base, cur); len(diffs) != 0 {
+			t.Errorf("identical run reported: %v", diffs)
 		}
 	}
 }
 
-// A >10% p99 regression fails even when every mean-level row is flat.
-func TestCompareP99Drift(t *testing.T) {
-	base := mustParse(t, fixture(35.3, 11.8, 13.4, 240))
-	cur := mustParse(t, fixture(35.3, 13.2, 13.4, 240)) // rt p99 +11.9%
-	_, failures := compare(base, cur, 10)
-	if len(failures) != 1 || !strings.Contains(failures[0], "rt p99") {
-		t.Fatalf("failures = %v, want exactly the rt p99 row", failures)
+// A one-ulp change of any gated row fails, up or down.
+func TestCompareOneULP(t *testing.T) {
+	base := mustLoad(t, fixture(35.309, 11.8, 2039))
+	for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
+		for _, cur := range []string{
+			fixture(math.Nextafter(35.309, dir), 11.8, 2039),
+			fixture(35.309, math.Nextafter(11.8, dir), 2039),
+		} {
+			if diffs := compare(base, mustLoad(t, cur)); len(diffs) != 1 {
+				t.Errorf("one-ulp change toward %v: diffs = %v, want exactly one", dir, diffs)
+			}
+		}
 	}
 }
 
-// An attribution row regressing past tolerance fails on its own, even when
-// the end-to-end p99s are flat — a hop-level shift is caught hop by hop.
-func TestCompareAttrDrift(t *testing.T) {
-	base := mustParse(t, fixtureAttr(35.3, 11.8, 13.4, 4.0, 240))
-	cur := mustParse(t, fixtureAttr(35.3, 11.8, 13.4, 4.8, 240)) // attr +20%
-	_, failures := compare(base, cur, 10)
-	if len(failures) != 1 || !strings.Contains(failures[0], "attr rt backend p99") {
-		t.Fatalf("failures = %v, want exactly the attr row", failures)
-	}
-}
-
-// A guarded row missing from the current run fails.
+// A row missing from the current run fails.
 func TestCompareMissingRow(t *testing.T) {
-	base := mustParse(t, fixture(35.3, 11.8, 13.4, 240))
-	cur := mustParse(t, []byte(`[{"id": "noop", "title": "no-op", "rows": [
-    {"Series": "Paradice(P)", "X": "no-op fileop", "Value": 35.3, "Unit": "µs"}]}]`))
-	_, failures := compare(base, cur, 10)
-	if len(failures) != 4 {
-		t.Fatalf("failures = %v, want the four missing tail rows", failures)
+	base := mustLoad(t, fixture(35.309, 11.8, 2039))
+	cur := mustLoad(t, `[{"id": "noop", "rows": [{"Series": "Paradice(P)", "X": "no-op fileop", "Value": 35.309}]}]`)
+	diffs := compare(base, cur)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "tail/rt p99/load=60k/s: missing") {
+		t.Fatalf("diffs = %v, want the tail row missing", diffs)
 	}
-	for _, f := range failures {
-		if !strings.Contains(f, "missing") {
-			t.Errorf("failure %q does not report a missing row", f)
+}
+
+// A row the snapshot does not have fails too: new rows need a new snapshot.
+func TestCompareExtraRow(t *testing.T) {
+	base := mustLoad(t, fixture(35.309, 11.8, 2039))
+	cur := mustLoad(t, fixture(35.309, 11.8, 2039),
+		`[{"id": "fig5", "rows": [{"Series": "Native", "X": "order=500", "Value": 1.5}]}]`)
+	diffs := compare(base, cur)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "fig5/Native/order=500: extra") {
+		t.Fatalf("diffs = %v, want the fig5 row extra", diffs)
+	}
+}
+
+// Table experiments count source lines, so their rows never gate.
+func TestCompareTableRowsIgnored(t *testing.T) {
+	base := mustLoad(t, fixture(35.309, 11.8, 2039))
+	cur := mustLoad(t, fixture(35.309, 11.8, 2062),
+		`[{"id": "table1", "rows": [{"Series": "GPU", "X": "LoC", "Value": 7}]}]`)
+	if diffs := compare(base, cur); len(diffs) != 0 {
+		t.Fatalf("table rows gated: %v", diffs)
+	}
+}
+
+// An errored experiment fails the load, table or not.
+func TestParseErroredExperiment(t *testing.T) {
+	for _, id := range []string{"tail", "table2"} {
+		_, err := load(write(t, fixture(35.309, 11.8, 2039), `[{"id": "`+id+`", "error": "boom"}]`)...)
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("%s: err = %v, want the experiment error surfaced", id, err)
 		}
 	}
 }
 
-// max-sustained is higher-is-better: a drop beyond 5% fails, a rise never
-// does — the exact opposite of the latency rows.
-func TestCompareThroughputDirection(t *testing.T) {
-	base := mustParse(t, fixture(35.3, 11.8, 13.4, 240))
-
-	cur := mustParse(t, fixture(35.3, 11.8, 13.4, 180)) // -25% capacity
-	_, failures := compare(base, cur, 10)
-	if len(failures) != 1 || !strings.Contains(failures[0], "max-sustained") {
-		t.Fatalf("failures = %v, want exactly the max-sustained row", failures)
+// The baseline is the highest-numbered snapshot, compared as a number.
+func TestLatestSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_9.json", "BENCH_14.json", "BENCH_x.json", "BENCH_5.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("[]"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	cur = mustParse(t, fixture(35.3, 11.8, 13.4, 300)) // +25% capacity: fine
-	_, failures = compare(base, cur, 10)
-	if len(failures) != 0 {
-		t.Fatalf("capacity gain flagged as regression: %v", failures)
+	got, err := latest(dir)
+	if err != nil || filepath.Base(got) != "BENCH_14.json" {
+		t.Fatalf("latest = %q, %v; want BENCH_14.json", got, err)
+	}
+	if _, err := latest(t.TempDir()); err == nil {
+		t.Fatal("empty directory yielded a snapshot")
 	}
 }
 
-// An errored experiment in either file is a hard parse error, not a silent
-// skip.
-func TestParseErroredExperiment(t *testing.T) {
-	_, err := parse("fixture", []byte(`[{"id": "tail", "error": "boom", "rows": []}]`))
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want the experiment error surfaced", err)
+// The committed snapshot covers every registered experiment, none errored,
+// and every measured one has rows: adding or renaming an experiment fails
+// here until the snapshot is regenerated.
+func TestSnapshotCoverage(t *testing.T) {
+	path, err := latest(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := decode(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]result)
+	for _, res := range results {
+		if res.Error != "" {
+			t.Errorf("%s: experiment %s errored: %s", path, res.ID, res.Error)
+		}
+		byID[res.ID] = res
+	}
+	for _, e := range bench.All() {
+		res, ok := byID[e.ID]
+		switch {
+		case !ok:
+			t.Errorf("%s: experiment %s missing", path, e.ID)
+		case !e.IsTable && len(res.Rows) == 0:
+			t.Errorf("%s: measured experiment %s has no rows", path, e.ID)
+		}
 	}
 }

@@ -9,21 +9,19 @@ import (
 	"paradice/internal/sim"
 )
 
-// The multi-guest scale-out experiment — this reproduction's Figure 7. The
-// paper scales the number of guest VMs sharing one driver VM and reports
-// aggregate throughput; here the sweep runs 1→32 guests, each with its own
-// sink device and its own open-loop Poisson source at a fixed per-guest
-// rate, across the three transports. The machine under test is the sharded
-// scale-out configuration: the per-guest devices are pinned round-robin
-// across four driver-VM shards and each shard serves its channels through a
-// bounded round-robin worker pool — the tentpole machinery this
-// experiment exists to measure.
+// The multi-guest scale-out experiment, this reproduction's addition: the
+// paper's evaluation ends at Figure 6, guest VMs sharing one GPU. The sweep
+// runs 1→32 guests, each with its own sink device and its own open-loop
+// Poisson source at a fixed per-guest rate, across the three transports.
+// The machine under test is the sharded scale-out configuration: the
+// per-guest devices are pinned round-robin across four driver-VM shards and
+// each shard serves its channels through a bounded round-robin worker pool
+// — the tentpole machinery this experiment exists to measure.
 //
 // The headline series is scaling efficiency: aggregate throughput at N
-// guests divided by N times the single-guest baseline. The gate (enforced
-// here and pinned by bench-regress against BENCH_10.json) is that the
-// adaptive transport sustains ≥ 0.85 efficiency at 8 guests — aggregate
-// throughput at least 6.8× the 1-guest baseline.
+// guests divided by N times the single-guest baseline. The gate, enforced
+// here, is that the adaptive transport sustains ≥ 0.85 efficiency at 8
+// guests — aggregate throughput at least 6.8× the 1-guest baseline.
 //
 // Throughput is measured over the makespan (virtual time of the last event,
 // which includes draining any backlog past the offered window), so a
@@ -182,7 +180,7 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 func init() {
 	extraExperiments = append(extraExperiments, Experiment{
 		ID:    "multivm",
-		Title: "Figure 7: multi-guest scale-out across sharded driver VMs with the backend worker pool",
+		Title: "Multi-guest scale-out across sharded driver VMs with the backend worker pool",
 		Run:   RunMultiVM,
 	})
 }

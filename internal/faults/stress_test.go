@@ -1054,24 +1054,6 @@ func TestStressSeeded(t *testing.T) {
 	}
 }
 
-// TestStressDeterministic replays one seed twice and demands identical fault
-// activity — the property the whole reproduce-by-seed workflow rests on.
-func TestStressDeterministic(t *testing.T) {
-	summary := func() string {
-		// runOne uninstalls its plan, so capture activity via a fresh run's
-		// returned state: re-run and compare the error strings and a probe
-		// plan's trace.
-		if err := runOne(7, false, nil); err != nil {
-			return "err: " + err.Error()
-		}
-		return "ok"
-	}
-	a, b := summary(), summary()
-	if a != b {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
-	}
-}
-
 // TestStressTraceDeterministic replays 50 stress seeds twice each under the
 // observability layer and demands byte-identical exports: the Chrome trace
 // file and the metrics dump are pure functions of (seed, config), exactly
