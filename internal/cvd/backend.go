@@ -560,12 +560,13 @@ func (b *Backend) OnDeath(fn func()) {
 }
 
 func (b *Backend) oldestPosted() (int, bool) {
+	v := b.ring.view()
 	best, bestSeq, found := -1, uint32(0), false
 	for s := 0; s < slotCount; s++ {
-		if b.ring.slotState(s) != slotPosted {
+		if v.slotState(s) != slotPosted {
 			continue
 		}
-		seq := b.ring.readU32(slotOff(s) + sSeq)
+		seq := v.u32(slotOff(s) + sSeq)
 		if !found || seq < bestSeq {
 			best, bestSeq, found = s, seq, true
 		}

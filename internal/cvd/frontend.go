@@ -445,8 +445,9 @@ func (fe *Frontend) pollNow() bool {
 const slotClaimed = 4
 
 func (fe *Frontend) allocSlot() (int, bool) {
+	v := fe.ring.view()
 	for s := 0; s < slotCount; s++ {
-		if fe.ring.slotState(s) == slotFree {
+		if v.slotState(s) == slotFree {
 			fe.ring.setSlotState(s, slotClaimed)
 			return s, true
 		}
@@ -659,9 +660,9 @@ func (fe *Frontend) SetAdmission(limits map[uint8]int) {
 // posted, running, or completed-but-uncollected) — the queue depth the
 // admission limits are compared against.
 func (fe *Frontend) Occupancy() int {
-	n := 0
+	v, n := fe.ring.view(), 0
 	for s := 0; s < slotCount; s++ {
-		if fe.ring.slotState(s) != slotFree {
+		if v.slotState(s) != slotFree {
 			n++
 		}
 	}

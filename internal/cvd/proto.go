@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 
 	"paradice/internal/grant"
+	"paradice/internal/mem"
 )
 
 // Op codes of forwarded file operations.
@@ -100,20 +101,36 @@ const (
 	notifSIGIO    = 1 << 1 // kill_fasync fired; deliver SIGIO
 )
 
-// page wraps a grant.Accessor (either side's view of the shared frame) with
-// typed field access. All channel state crosses the VM boundary through
-// these bytes and nothing else.
+// page wraps one side's view of the shared frame — a guest-physical
+// accessor through that VM's EPT — with typed field access. All channel
+// state crosses the VM boundary through these bytes and nothing else. The
+// accessor is concrete, not a grant.Accessor, so the small buffers of
+// writeU32 and writeU64 stay on the stack.
 type page struct {
-	acc grant.Accessor
+	acc *grant.GuestAccessor
 }
 
-func (p page) readU32(off int) uint32 {
-	var b [4]byte
-	if err := p.acc.ReadAt(off, b[:]); err != nil {
+// view is one scan's read-only window onto the ring page: a single EPT
+// translation, then plain loads. It aliases the live frame, so writes made
+// through the page show in it. Take a fresh view per scan and never hold
+// one across a yield (Sleep, Advance, Wait), where the peer may rewrite the
+// page or the hypervisor may revoke the driver VM's mapping.
+type view struct{ b *[mem.PageSize]byte }
+
+func (p page) view() view {
+	b, err := p.acc.Page()
+	if err != nil {
 		panic("cvd: ring page inaccessible: " + err.Error())
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	return view{b}
 }
+
+func (v view) u32(off int) uint32 { return binary.LittleEndian.Uint32(v.b[off:]) }
+func (v view) u64(off int) uint64 { return binary.LittleEndian.Uint64(v.b[off:]) }
+
+func (v view) slotState(slot int) uint32 { return v.u32(slotOff(slot) + sState) }
+
+func (p page) readU32(off int) uint32 { return p.view().u32(off) }
 
 func (p page) writeU32(off int, v uint32) {
 	var b [4]byte
@@ -121,14 +138,6 @@ func (p page) writeU32(off int, v uint32) {
 	if err := p.acc.WriteAt(off, b[:]); err != nil {
 		panic("cvd: ring page inaccessible: " + err.Error())
 	}
-}
-
-func (p page) readU64(off int) uint64 {
-	var b [8]byte
-	if err := p.acc.ReadAt(off, b[:]); err != nil {
-		panic("cvd: ring page inaccessible: " + err.Error())
-	}
-	return binary.LittleEndian.Uint64(b[:])
 }
 
 func (p page) writeU64(off int, v uint64) {
@@ -172,19 +181,19 @@ func (p page) writeRequest(slot int, r request) {
 }
 
 func (p page) readRequest(slot int) request {
-	base := slotOff(slot)
-	opFile := p.readU32(base + sOp)
+	v, base := p.view(), slotOff(slot)
+	opFile := v.u32(base + sOp)
 	return request{
 		slot:   slot,
 		op:     uint8(opFile),
 		flags:  uint8(opFile >> 8),
 		fileID: uint16(opFile >> 16),
-		ref:    p.readU32(base + sRef),
-		seq:    p.readU32(base + sSeq),
-		arg0:   p.readU64(base + sArg0),
-		arg1:   p.readU64(base + sArg1),
-		arg2:   uint64(p.readU32(base + sRet)),
-		rid:    p.readU32(base + sErrno),
+		ref:    v.u32(base + sRef),
+		seq:    v.u32(base + sSeq),
+		arg0:   v.u64(base + sArg0),
+		arg1:   v.u64(base + sArg1),
+		arg2:   uint64(v.u32(base + sRet)),
+		rid:    v.u32(base + sErrno),
 	}
 }
 
@@ -202,8 +211,8 @@ func (p page) writeResponse(slot int, ret int32, errno int32) {
 }
 
 func (p page) readResponse(slot int) (ret int32, errno int32) {
-	base := slotOff(slot)
-	return int32(p.readU32(base + sRet)), int32(p.readU32(base + sErrno))
+	v, base := p.view(), slotOff(slot)
+	return int32(v.u32(base + sRet)), int32(v.u32(base + sErrno))
 }
 
 // recycleSlot returns a slot to the free pool, scrubbing the response words
@@ -219,7 +228,7 @@ func (p page) recycleSlot(slot int) {
 	p.writeU32(base+sState, slotFree)
 }
 
-func (p page) slotState(slot int) uint32 { return p.readU32(slotOff(slot) + sState) }
+func (p page) slotState(slot int) uint32 { return p.view().slotState(slot) }
 func (p page) setSlotState(slot int, st uint32) {
 	p.writeU32(slotOff(slot)+sState, st)
 }

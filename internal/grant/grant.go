@@ -70,20 +70,31 @@ const Slots = slotCount
 
 // Accessor is how one side of the boundary reads and writes the shared page.
 type Accessor interface {
-	ReadAt(off int, b []byte) error
+	// Page returns the whole page for reading, checked and translated once,
+	// so a scan of its fields costs one translation rather than one per
+	// field. The view aliases the live frame: writes made through WriteAt
+	// show in it at once. Hold it only within one scan — never across a
+	// Sleep, Advance or Wait, where the peer may rewrite the page or the
+	// hypervisor may revoke the mapping — and never write through it.
+	Page() (*[mem.PageSize]byte, error)
 	WriteAt(off int, b []byte) error
 }
 
 // GuestAccessor accesses the page through a guest-physical address — the
-// frontend's view.
+// frontend's view. GPA is the page's base.
 type GuestAccessor struct {
 	Space *mem.GuestSpace
 	GPA   mem.GuestPhys
 }
 
-// ReadAt implements Accessor.
-func (a *GuestAccessor) ReadAt(off int, b []byte) error {
-	return a.Space.Read(a.GPA+mem.GuestPhys(off), b)
+// Page implements Accessor: the EPT must grant the VM read access, and the
+// frame must be backed, exactly as for a read through Space.
+func (a *GuestAccessor) Page() (*[mem.PageSize]byte, error) {
+	spa, err := a.Space.EPT.Translate(a.GPA, mem.PermRead)
+	if err != nil {
+		return nil, err
+	}
+	return frame(a.Space.Phys, spa)
 }
 
 // WriteAt implements Accessor.
@@ -92,20 +103,34 @@ func (a *GuestAccessor) WriteAt(off int, b []byte) error {
 }
 
 // PhysAccessor accesses the page through its system-physical address — the
-// hypervisor's view.
+// hypervisor's view. SPA is the page's base.
 type PhysAccessor struct {
 	Phys *mem.PhysMem
 	SPA  mem.SysPhys
 }
 
-// ReadAt implements Accessor.
-func (a *PhysAccessor) ReadAt(off int, b []byte) error {
-	return a.Phys.Read(a.SPA+mem.SysPhys(off), b)
+// Page implements Accessor.
+func (a *PhysAccessor) Page() (*[mem.PageSize]byte, error) {
+	return frame(a.Phys, a.SPA)
 }
 
 // WriteAt implements Accessor.
 func (a *PhysAccessor) WriteAt(off int, b []byte) error {
 	return a.Phys.Write(a.SPA+mem.SysPhys(off), b)
+}
+
+// frame returns the frame backing spa, or the bus error a read of it raises.
+func frame(phys *mem.PhysMem, spa mem.SysPhys) (*[mem.PageSize]byte, error) {
+	f := phys.FrameBytes(spa)
+	if f == nil {
+		return nil, &mem.BusError{Addr: spa, Op: "read"}
+	}
+	return f, nil
+}
+
+// slotRef returns the reference number of slot in pg.
+func slotRef(pg *[mem.PageSize]byte, slot int) uint32 {
+	return binary.LittleEndian.Uint32(pg[slot*slotSize+offRef:])
 }
 
 // Table is the frontend's handle for declaring and revoking grants.
@@ -144,13 +169,13 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 	if t.nextRef == 0 { // refs must stay nonzero
 		t.nextRef = 1
 	}
+	pg, err := t.acc.Page()
+	if err != nil {
+		return 0, err
+	}
 	written := 0
 	for slot := 0; slot < slotCount && written < len(ops); slot++ {
-		var refB [4]byte
-		if err := t.acc.ReadAt(slot*slotSize+offRef, refB[:]); err != nil {
-			return 0, err
-		}
-		if binary.LittleEndian.Uint32(refB[:]) != 0 {
+		if slotRef(pg, slot) != 0 {
 			continue
 		}
 		if err := writeSlot(t.acc, slot, ref, ptRoot, ops[written]); err != nil {
@@ -208,15 +233,18 @@ func writeSlot(acc Accessor, slot int, ref uint32, ptRoot mem.GuestPhys, op Op) 
 	return acc.WriteAt(slot*slotSize, buf[:])
 }
 
+// zeroSlot is what revoke writes over a freed slot. Package-level so the
+// write does not allocate.
+var zeroSlot [slotSize]byte
+
 func revoke(acc Accessor, ref uint32) error {
-	var zero [slotSize]byte
+	pg, err := acc.Page()
+	if err != nil {
+		return err
+	}
 	for slot := 0; slot < slotCount; slot++ {
-		var refB [4]byte
-		if err := acc.ReadAt(slot*slotSize+offRef, refB[:]); err != nil {
-			return err
-		}
-		if binary.LittleEndian.Uint32(refB[:]) == ref {
-			if err := acc.WriteAt(slot*slotSize, zero[:]); err != nil {
+		if slotRef(pg, slot) == ref {
+			if err := acc.WriteAt(slot*slotSize, zeroSlot[:]); err != nil {
 				return err
 			}
 		}
@@ -232,13 +260,13 @@ func FindRef(acc Accessor, ref uint32) (mem.GuestPhys, bool, error) {
 	if ref == 0 {
 		return 0, false, nil
 	}
+	pg, err := acc.Page()
+	if err != nil {
+		return 0, false, err
+	}
 	for slot := 0; slot < slotCount; slot++ {
-		var buf [slotSize]byte
-		if err := acc.ReadAt(slot*slotSize, buf[:]); err != nil {
-			return 0, false, err
-		}
-		if binary.LittleEndian.Uint32(buf[offRef:]) == ref {
-			return mem.GuestPhys(binary.LittleEndian.Uint64(buf[offPTRoot:])), true, nil
+		if slotRef(pg, slot) == ref {
+			return mem.GuestPhys(binary.LittleEndian.Uint64(pg[slot*slotSize+offPTRoot:])), true, nil
 		}
 	}
 	return 0, false, nil
@@ -267,11 +295,12 @@ func Validate(acc Accessor, ref uint32, kind Kind, va mem.GuestVirt, n uint64) (
 	if ref == 0 {
 		return 0, &DeniedError{Ref: ref, Kind: kind, VA: va, Len: n}
 	}
+	pg, err := acc.Page()
+	if err != nil {
+		return 0, err
+	}
 	for slot := 0; slot < slotCount; slot++ {
-		var buf [slotSize]byte
-		if err := acc.ReadAt(slot*slotSize, buf[:]); err != nil {
-			return 0, err
-		}
+		buf := pg[slot*slotSize : (slot+1)*slotSize]
 		if binary.LittleEndian.Uint32(buf[offRef:]) != ref {
 			continue
 		}

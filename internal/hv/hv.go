@@ -62,7 +62,7 @@ type VM struct {
 
 	hv       *Hypervisor
 	isr      map[int]func()
-	grantSPA mem.SysPhys // registered grant-table page (0 = none)
+	grantAcc *grant.PhysAccessor // registered grant-table page (nil = none)
 	barNext  mem.GuestPhys
 	nextVec  int
 
@@ -233,7 +233,7 @@ func (h *Hypervisor) RegisterGrantTable(vm *VM, gpa mem.GuestPhys) error {
 	if err != nil {
 		return err
 	}
-	vm.grantSPA = mem.SysPhys(mem.PageBase(uint64(spa)))
+	vm.grantAcc = &grant.PhysAccessor{Phys: h.Phys, SPA: mem.SysPhys(mem.PageBase(uint64(spa)))}
 	return nil
 }
 

@@ -156,6 +156,29 @@ func TestCopyToGuestValidated(t *testing.T) {
 	}
 }
 
+// TestGrantAccessorPerVM: every validation against one guest reads through
+// the accessor made when its grant table was registered.
+func TestGrantAccessorPerVM(t *testing.T) {
+	h := New(sim.NewEnv(), 64<<20)
+	g := newGuestRig(t, h, "guest")
+	first, err := g.vm.grantAccessor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if acc, _ := g.vm.grantAccessor(); acc != first {
+			t.Fatal("grantAccessor returned a fresh accessor")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("grantAccessor allocates %v times per call, want 0", allocs)
+	}
+	bare, _ := h.CreateVM("bare", 4<<20)
+	if _, err := bare.grantAccessor(); err == nil {
+		t.Fatal("grantAccessor succeeded for a VM with no registered grant table")
+	}
+}
+
 func TestCopyFromGuestValidated(t *testing.T) {
 	h := New(sim.NewEnv(), 64<<20)
 	g := newGuestRig(t, h, "guest")
