@@ -702,17 +702,11 @@ func (fe *Frontend) EndDrain() {
 	fe.drainEvent.Trigger()
 }
 
-// Draining reports whether the frontend is parking new posts.
-func (fe *Frontend) Draining() bool { return fe.draining }
-
 // SetDegraded enters or leaves degraded mode: every subsequent operation
 // fails immediately with ENODEV. The supervisor degrades a device when its
 // restart budget is exhausted; a later successful driver-VM restart clears
 // the flag.
 func (fe *Frontend) SetDegraded(on bool) { fe.degraded = on }
-
-// Degraded reports whether the device is in degraded (fail-fast) mode.
-func (fe *Frontend) Degraded() bool { return fe.degraded }
 
 // Heartbeat posts one watchdog heartbeat — a cheap ring no-op that consumes
 // no request slot — and waits up to timeout for the backend to echo it.

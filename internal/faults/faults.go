@@ -142,15 +142,6 @@ func (p *Plan) Hits(point string) int { return p.hits[point] }
 // Injected reports how many times point actually fired.
 func (p *Plan) Injected(point string) int { return p.injected[point] }
 
-// TotalInjected sums fired injections across all points.
-func (p *Plan) TotalInjected() int {
-	n := 0
-	for _, v := range p.injected {
-		n += v
-	}
-	return n
-}
-
 // String summarizes the plan's activity — handy in failure messages.
 func (p *Plan) String() string {
 	var names []string

@@ -19,22 +19,24 @@ package faults_test
 //
 // Every 4th seed additionally arms one optional subsystem (driver-VM
 // supervision, the bulk-transfer fast path, the translation caches, or the
-// open-loop load generator — residues 3/1/2/0; force one everywhere with
-// the matching -stress.* flag), so injected faults land on each feature in
-// a quarter of the sweep without losing the plain-configuration coverage.
-// The flight recorder rides the open-loop residue (or every seed with
-// -stress.flightrec): its digests, attribution, and outlier captures are
-// part of the byte-identical replay contract, and on invariant failure a
-// forensics replay writes them to a temp artifact directory.
+// open-loop load generator — residues 3/1/2/0; -stress.arms=<arm> forces
+// one everywhere), so injected faults land on each feature in a quarter of
+// the sweep without losing the plain-configuration coverage. The flight
+// recorder rides the open-loop residue (or every seed with
+// -stress.arms=flightrec): its digests, attribution, and outlier captures
+// are part of the byte-identical replay contract, and on invariant failure
+// a forensics replay writes them to a temp artifact directory. The arm
+// table (stressArms) holds every arming rule.
 //
-// With -stress.multivm, every seed additionally hosts two extra guest VMs —
-// own kernels, own processes, own ungranted canaries — whose channels share
-// the driver VM with the main guest; their workloads are rng-free functions
-// of the seed, so the flag never perturbs the base run's fault schedule, and
-// the isolation invariants become per-guest.
+// With -stress.arms=multivm, every seed additionally hosts two extra guest
+// VMs — own kernels, own processes, own ungranted canaries — whose channels
+// share the driver VM with the main guest; their workloads are rng-free
+// functions of the seed, so the arm never perturbs the base run's fault
+// schedule, and the isolation invariants become per-guest.
 //
 // On failure the reproducing seed is printed; re-run with
-// -stress.seed=<seed> to replay the exact simulation.
+// -stress.seed=<seed> (and the same -stress.arms) to replay the exact
+// simulation.
 
 import (
 	"bytes"
@@ -43,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,17 +63,89 @@ import (
 )
 
 var (
-	stressSeeds      = flag.Int("stress.seeds", 1000, "number of seeds TestStressSeeded sweeps")
-	stressSeed       = flag.Int64("stress.seed", -1, "replay a single stress seed (reproduction)")
-	stressSupervised = flag.Bool("stress.supervised", false, "run every seed under driver-VM supervision (default: every 4th seed)")
-	stressFastpath   = flag.Bool("stress.fastpath", false, "run every seed with the bulk-transfer fast path armed (default: every 4th seed)")
-	stressWalkcache  = flag.Bool("stress.walkcache", false, "run every seed with the software TLB and batched grant hypercalls armed (default: every 4th seed)")
-	stressOpenloop   = flag.Bool("stress.openloop", false, "run every seed with the open-loop load generator armed (default: every 4th seed)")
-	stressHandover   = flag.Bool("stress.handover", false, "perform a planned driver-VM handover mid-run on every 4th seed (dormant unless set)")
-	stressFlightrec  = flag.Bool("stress.flightrec", false, "arm the flight recorder on every seed (default: every 4th seed)")
-	stressAdaptive   = flag.Bool("stress.adaptive", false, "run every seed on the adaptive transport with submission/completion batching armed (dormant unless set)")
-	stressMultiVM    = flag.Bool("stress.multivm", false, "add two extra guest VMs with their own channels, workloads, and canaries on every seed (dormant unless set)")
+	stressSeeds = flag.Int("stress.seeds", 1000, "number of seeds TestStressSeeded sweeps")
+	stressSeed  = flag.Int64("stress.seed", -1, "replay a single stress seed (reproduction)")
+	forcedArms  = armSet{}
 )
+
+func init() {
+	flag.Func("stress.arms", "comma-separated stress arms to force ("+armNames()+")", forcedArms.force)
+}
+
+// stressArm is one optional subsystem a seed can run with. armed reports
+// whether seed runs with it, given whether -stress.arms forced it. Arming
+// is a function of the seed alone, so -stress.seed replay stays exact.
+type stressArm struct {
+	name  string
+	armed func(seed int64, forced bool) bool
+}
+
+// everyFourth arms on the seeds of one residue mod 4, or on every seed when
+// forced.
+func everyFourth(residue int64) func(int64, bool) bool {
+	return func(seed int64, forced bool) bool { return forced || seed%4 == residue }
+}
+
+// dormant arms on every seed when forced and on none otherwise, so the
+// default sweep (and its byte-identical trace exports) is untouched.
+func dormant(_ int64, forced bool) bool { return forced }
+
+// stressArms is the arm table: what each arm does is in runOne, when it is
+// armed is here. The four residue arms put one subsystem on every 4th seed
+// of the default sweep, each on its own residue so that forcing one crosses
+// it with the other three. The flight recorder rides the open-loop residue.
+// The planned handover, when forced, also takes the open-loop residue, so
+// its quiesce stage drains a ring the generator keeps refilling.
+var stressArms = []stressArm{
+	{"supervised", everyFourth(3)},
+	{"fastpath", everyFourth(1)},
+	{"walkcache", everyFourth(2)},
+	{"openloop", everyFourth(0)},
+	{"flightrec", everyFourth(0)},
+	{"handover", func(seed int64, forced bool) bool { return forced && seed%4 == 0 }},
+	{"adaptive", dormant},
+	{"multivm", dormant},
+}
+
+// armNames lists the table's arm names, comma-separated.
+func armNames() string {
+	names := make([]string, len(stressArms))
+	for i, a := range stressArms {
+		names[i] = a.name
+	}
+	return strings.Join(names, ",")
+}
+
+// armSet is a set of arm names.
+type armSet map[string]bool
+
+// force adds each comma-separated arm name to s. A name the table does not
+// have fails the run rather than being silently ignored.
+func (s armSet) force(list string) error {
+	for _, name := range strings.Split(list, ",") {
+		if !slices.ContainsFunc(stressArms, func(a stressArm) bool { return a.name == name }) {
+			return fmt.Errorf("unknown stress arm %q (have %s)", name, armNames())
+		}
+		s[name] = true
+	}
+	return nil
+}
+
+// armedArms resolves the arm table for one seed under the forced set.
+// Supervised seeds never hand over: the harness-level handover and the
+// supervisor would be two lifecycle managers fighting over one channel.
+func armedArms(seed int64, forced armSet) armSet {
+	on := armSet{}
+	for _, a := range stressArms {
+		if a.armed(seed, forced[a.name]) {
+			on[a.name] = true
+		}
+	}
+	if on["supervised"] {
+		delete(on, "handover")
+	}
+	return on
+}
 
 const (
 	stressPath = "/dev/stressdev"
@@ -322,32 +397,34 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		}()
 	}
 
-	// Every 4th seed (or all of them under -stress.supervised) runs with the
-	// driver-VM supervisor armed: deaths the plan injects are then healed
-	// automatically, under fire, while the workload keeps issuing operations.
-	// Derived from the seed alone so -stress.seed replay stays exact.
-	supervised := !weaken && (*stressSupervised || seed%4 == 3)
+	// The weakened run arms nothing: its point is the evil copy slipping
+	// past a broken grant check, which every arm would obscure.
+	arms := armSet{}
+	if !weaken {
+		arms = armedArms(seed, forcedArms)
+	}
 
-	// Every 4th seed (a different residue, so the two features also cross
-	// under the -stress.* flags) arms the bulk-transfer fast path: the
-	// grant-map cache at a threshold low enough that the tiny stress
-	// read/write payloads route through it, plus doorbell coalescing in
-	// interrupt mode. The isolation invariants below (canary, honest errnos,
+	// The supervised arm runs with the driver-VM supervisor: deaths the plan
+	// injects are then healed automatically, under fire, while the workload
+	// keeps issuing operations.
+	supervised := arms["supervised"]
+
+	// The fastpath arm enables the bulk-transfer fast path: the grant-map
+	// cache at a threshold low enough that the tiny stress read/write
+	// payloads route through it, plus doorbell coalescing in interrupt
+	// mode. The isolation invariants below (canary, honest errnos,
 	// liveness) must hold with cached mappings and batched doorbells exactly
-	// as they do on the per-request assisted-copy path. The weakened run
-	// stays on the copy path — its point is the evil copy slipping past a
-	// broken grant check, which the map path would obscure.
-	fastpath := !weaken && (*stressFastpath || seed%4 == 1)
+	// as they do on the per-request assisted-copy path.
+	fastpath := arms["fastpath"]
 
-	// A third residue arms the translation caches: the hypervisor's software
-	// TLB plus batched grant hypercalls. Injected faults land on warm caches
-	// here — a denied validation, a dropped copy, or a mid-burst driver death
-	// must behave identically whether the translation was walked or cached,
-	// and the canary stays untouchable either way. The weakened run again
-	// stays dormant so the broken-check canary signal is unobscured.
-	walkcache := !weaken && (*stressWalkcache || seed%4 == 2)
+	// The walkcache arm enables the translation caches: the hypervisor's
+	// software TLB plus batched grant hypercalls. Injected faults land on
+	// warm caches here — a denied validation, a dropped copy, or a mid-burst
+	// driver death must behave identically whether the translation was
+	// walked or cached, and the canary stays untouchable either way.
+	walkcache := arms["walkcache"]
 
-	// The fourth residue arms the open-loop load generator: a second
+	// The openloop arm starts the open-loop load generator: a second
 	// paravirtualized device (the load sink) shares the same guest and
 	// driver VMs, and a seeded open-loop client mix — two QoS classes, the
 	// bulk class admission-limited — floods it while the fault plan fires
@@ -355,17 +432,16 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	// phase-2 recovery: its per-request deadline is what must keep the
 	// generator's clients live when the plan kills that backend, and every
 	// outcome the clients observe must still be an honest errno.
-	openloop := !weaken && (*stressOpenloop || seed%4 == 0)
+	openloop := arms["openloop"]
 
-	// The flight recorder rides the open-loop residue (or every seed under
-	// -stress.flightrec): always-on digests over the very runs that flood the
-	// ring, with the injected errnos, sheds, and restart episodes landing as
-	// tail-based outlier captures. On a plain sweep (no traceCapture) a
-	// retention-free tracer carries the digests so a 4 ms flood stays
-	// O(ring capacity); a capturing run reuses its full tracer, and the dump
-	// joins the byte-identical replay contract. Weakened runs stay dark so
-	// the canary signal is unobscured.
-	flightrec := !weaken && (*stressFlightrec || seed%4 == 0 || (cap != nil && cap.forceFlight))
+	// The flightrec arm (or a forensics replay) arms the flight recorder:
+	// always-on digests over the very runs that flood the ring, with the
+	// injected errnos, sheds, and restart episodes landing as tail-based
+	// outlier captures. On a plain sweep (no traceCapture) a retention-free
+	// tracer carries the digests so a 4 ms flood stays O(ring capacity); a
+	// capturing run reuses its full tracer, and the dump joins the
+	// byte-identical replay contract.
+	flightrec := !weaken && (arms["flightrec"] || (cap != nil && cap.forceFlight))
 	if flightrec {
 		tr := trace.Get(env)
 		if tr == nil {
@@ -379,30 +455,24 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		})
 	}
 
-	// With -stress.handover, every 4th seed — the open-loop residue, so the
-	// quiesce stage drains a ring that the generator keeps refilling —
-	// additionally performs a planned driver-VM handover mid-run, with the
-	// handover's own fault points armed so the sweep exercises every abort
-	// path. Dormant unless the flag is set, so the default sweep (and its
-	// byte-identical trace exports) is untouched. Supervised seeds skip it:
-	// the harness-level handover and the supervisor would be two lifecycle
-	// managers fighting over one channel.
-	handoverArmed := !weaken && !supervised && *stressHandover && seed%4 == 0
+	// The handover arm performs a planned driver-VM handover mid-run, with
+	// the handover's own fault points armed so the sweep exercises every
+	// abort path.
+	handoverArmed := arms["handover"]
 
-	// The multi-VM arm (dormant unless -stress.multivm): two extra guest VMs
-	// join the deployment, each with its own kernel, process, ungranted
-	// canary, and CVD channel to the same stress device in the shared driver
-	// VM. Their workloads are derived from the seed by plain arithmetic, not
-	// the plan's rng, so arming the flag changes NOTHING in the base run's
-	// random sequence — the same seed produces the same fault schedule with
-	// or without the extra guests. The invariants become per-guest: every
+	// The multivm arm: two extra guest VMs join the deployment, each with
+	// its own kernel, process, ungranted canary, and CVD channel to the same
+	// stress device in the shared driver VM. Their workloads are derived
+	// from the seed by plain arithmetic, not the plan's rng, so arming it
+	// changes NOTHING in the base run's random sequence — the same seed
+	// produces the same fault schedule with or without the extra guests. The invariants become per-guest: every
 	// extra guest's tasks stay live on per-request deadlines alone (their
 	// channels are deliberately left out of the phase-2 recovery, like the
 	// sink channel), they observe only honest errnos, and each guest's canary
 	// — memory no operation from ANY guest ever granted — is byte-identical
 	// after the run, however the shared driver VM died, restarted, or
 	// scribbled.
-	multivm := !weaken && *stressMultiVM
+	multivm := arms["multivm"]
 
 	h := hv.New(env, 64<<20)
 	driverVM, err := h.CreateVM("driver", vmRAM)
@@ -440,7 +510,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	// The adaptive arm overrides the transport AFTER the rng draw above, so
 	// the rest of the seed's random sequence — and thus its fault schedule —
 	// is identical to the static-mode run of the same seed.
-	adaptive := !weaken && *stressAdaptive
+	adaptive := arms["adaptive"]
 	if adaptive {
 		mode = cvd.Adaptive
 	}
@@ -517,7 +587,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 
 	// The extra guests of the multi-VM arm. Setup consumes no rng: workload
 	// shapes are pure arithmetic on (seed, guest, task, op), so reproduction
-	// by seed is exact under the flag too.
+	// by seed is exact under the arm too.
 	type xguest struct {
 		app      *kernel.Process
 		canary   []byte
@@ -1062,7 +1132,7 @@ func TestStressSeeded(t *testing.T) {
 // regenerates it bit for bit.
 func TestStressTraceDeterministic(t *testing.T) {
 	n := int64(50)
-	if *stressAdaptive || *stressMultiVM {
+	if forcedArms["adaptive"] || forcedArms["multivm"] {
 		// The adaptive and multi-VM arms sweep wider: stance switching and
 		// batch flush timing (adaptive) and cross-guest interleavings over
 		// the shared driver VM (multivm) add schedules the base runs never
@@ -1113,4 +1183,49 @@ func TestHarnessCatchesWeakenedGrantCheck(t *testing.T) {
 		t.Fatalf("weakened grant check detected, but not via the canary: %v", err)
 	}
 	t.Logf("caught as intended (seed 4242): %v", err)
+}
+
+// TestStressArmTable pins the arm table: for the default sweep, for each arm
+// forced alone, and for supervised+handover, seeds 0-7 must arm exactly the
+// sets listed here (per seed%4, sorted). An edit to the table that re-arms
+// the default sweep, or moves an arm to another residue, fails here.
+func TestStressArmTable(t *testing.T) {
+	cases := []struct {
+		forced string
+		want   [4]string
+	}{
+		{"", [4]string{"flightrec,openloop", "fastpath", "walkcache", "supervised"}},
+		{"supervised", [4]string{"flightrec,openloop,supervised", "fastpath,supervised", "supervised,walkcache", "supervised"}},
+		{"fastpath", [4]string{"fastpath,flightrec,openloop", "fastpath", "fastpath,walkcache", "fastpath,supervised"}},
+		{"walkcache", [4]string{"flightrec,openloop,walkcache", "fastpath,walkcache", "walkcache", "supervised,walkcache"}},
+		{"openloop", [4]string{"flightrec,openloop", "fastpath,openloop", "openloop,walkcache", "openloop,supervised"}},
+		{"flightrec", [4]string{"flightrec,openloop", "fastpath,flightrec", "flightrec,walkcache", "flightrec,supervised"}},
+		{"handover", [4]string{"flightrec,handover,openloop", "fastpath", "walkcache", "supervised"}},
+		{"adaptive", [4]string{"adaptive,flightrec,openloop", "adaptive,fastpath", "adaptive,walkcache", "adaptive,supervised"}},
+		{"multivm", [4]string{"flightrec,multivm,openloop", "fastpath,multivm", "multivm,walkcache", "multivm,supervised"}},
+		{"supervised,handover", [4]string{"flightrec,openloop,supervised", "fastpath,supervised", "supervised,walkcache", "supervised"}},
+	}
+	for _, c := range cases {
+		forced := armSet{}
+		if c.forced != "" {
+			if err := forced.force(c.forced); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for seed := int64(0); seed < 8; seed++ {
+			var got []string
+			for name := range armedArms(seed, forced) {
+				got = append(got, name)
+			}
+			slices.Sort(got)
+			if g := strings.Join(got, ","); g != c.want[seed%4] {
+				t.Errorf("forced %q, seed %d: armed %q, want %q", c.forced, seed, g, c.want[seed%4])
+			}
+		}
+	}
+	for _, bad := range []string{"bogus", "fastpath,bogus", "", "fastpath,"} {
+		if err := (armSet{}).force(bad); err == nil {
+			t.Errorf("-stress.arms=%q accepted, want an unknown-arm error", bad)
+		}
+	}
 }

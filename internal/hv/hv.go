@@ -283,14 +283,3 @@ func (h *Hypervisor) assignDevice(vm *VM, dev string, bars []BAR, blanketDMA boo
 	}
 	return dom, gpas, nil
 }
-
-// Hypercall runs fn in hypervisor context, charging one VM transition.
-// Drivers modified for device data isolation use this for accesses the
-// hypervisor has revoked from the driver VM (§5.3).
-func (h *Hypervisor) Hypercall(fn func()) {
-	tr, rid := h.tracer()
-	start := tr.Now()
-	perf.Charge(h.Env, perf.CostHypercall)
-	tr.Span(rid, "hv", trace.LayerHV, "hypercall", start, tr.Now())
-	fn()
-}

@@ -36,15 +36,6 @@ func (h *Hypervisor) CreateRegion(owner *VM) iommu.RegionID {
 	return id
 }
 
-// RegionOwner returns the guest VM that owns a region.
-func (h *Hypervisor) RegionOwner(id iommu.RegionID) (VMID, bool) {
-	r, ok := h.regions[id]
-	if !ok {
-		return 0, false
-	}
-	return r.Owner, true
-}
-
 // RegionAddSysPage moves the driver VM page at pfn into a protected region:
 // the driver VM's EPT permissions for the page are removed entirely (§5.3
 // change iv: x86 has no write-only mappings, so both read and write go),
@@ -158,7 +149,7 @@ func (h *Hypervisor) ProtectDeviceRange(driver *VM, id iommu.RegionID, gpa mem.G
 
 // Gate guards an MMIO register page the hypervisor has taken away from the
 // driver VM (§5.3 change iii: the GPU memory-controller registers). Once
-// revoked, driver accesses fault; the driver must go through Hypercall.
+// revoked, driver accesses fault; the driver must go through HypercallAccess.
 type Gate struct {
 	name    string
 	revoked bool

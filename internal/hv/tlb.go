@@ -181,9 +181,6 @@ func (h *Hypervisor) EnableTLB() {
 	}
 }
 
-// TLBEnabled reports whether the software TLB is armed.
-func (h *Hypervisor) TLBEnabled() bool { return h.tlbEnabled }
-
 // armTLB creates vm's TLB and subscribes it to both translation levels.
 func (h *Hypervisor) armTLB(vm *VM) {
 	if vm.tlb != nil {

@@ -213,8 +213,5 @@ func (d *Domain) Translate(bus BusAddr, access mem.Perm) (mem.SysPhys, error) {
 	return e.spa + mem.SysPhys(mem.PageOffset(uint64(bus))), nil
 }
 
-// RegionPages returns how many pages are staged in a region (diagnostics).
-func (d *Domain) RegionPages(region RegionID) int { return len(d.regions[region]) }
-
 // LivePages returns the size of the live table (diagnostics).
 func (d *Domain) LivePages() int { return len(d.live) }

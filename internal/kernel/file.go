@@ -8,8 +8,8 @@ import (
 // FileOps is the file-operations table a device driver implements — the
 // boundary Paradice paravirtualizes. Handlers receive user-space addresses
 // and must touch user memory only through the kio functions (CopyToUser,
-// CopyFromUser, InsertPFN, UnmapPFN), which is what lets the wrapper stubs
-// redirect a marked task's memory operations to the hypervisor unmodified.
+// CopyFromUser, InsertPFN), which is what lets the wrapper stubs redirect a
+// marked task's memory operations to the hypervisor unmodified.
 type FileOps interface {
 	// Open is called when a process opens the device file. The handler may
 	// set c.File.Priv to per-open state.

@@ -129,9 +129,6 @@ func (k *Kernel) RegisterDevice(path string, ops FileOps, drv any) *DeviceNode {
 	return n
 }
 
-// UnregisterDevice removes a device file.
-func (k *Kernel) UnregisterDevice(path string) { delete(k.devfs, path) }
-
 // LookupDevice returns the devfs node for path, if present.
 func (k *Kernel) LookupDevice(path string) (*DeviceNode, bool) {
 	n, ok := k.devfs[path]

@@ -56,15 +56,3 @@ func InsertPFN(c *FopCtx, va mem.GuestVirt, pfn mem.GuestPhys) error {
 	}
 	return nil
 }
-
-// UnmapPFN removes the user mapping at va previously created by InsertPFN.
-// In the native flow the process kernel has already torn down its page
-// table entry during munmap, so the local case is a no-op; in the remote
-// flow the hypervisor must still destroy the EPT mapping (§5.2).
-func UnmapPFN(c *FopCtx, va mem.GuestVirt) error {
-	t := c.Task
-	if t.Marked {
-		return t.Remote.UnmapPage(va)
-	}
-	return nil
-}

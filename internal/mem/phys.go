@@ -59,11 +59,6 @@ func (m *PhysMem) Populate(pa SysPhys) {
 	}
 }
 
-// Backed reports whether the page containing pa has a frame.
-func (m *PhysMem) Backed(pa SysPhys) bool {
-	return m.frames[Frame(uint64(pa))] != nil
-}
-
 // FrameBytes returns the backing frame for the page containing pa, or nil.
 func (m *PhysMem) FrameBytes(pa SysPhys) *[PageSize]byte {
 	return m.frames[Frame(uint64(pa))]
@@ -181,9 +176,3 @@ func (a *Allocator) AllocPages(n int) (SysPhys, error) {
 	}
 	return base, nil
 }
-
-// Range returns the range this allocator draws from.
-func (a *Allocator) Range() PhysRange { return a.r }
-
-// Used returns the number of bytes allocated so far.
-func (a *Allocator) Used() uint64 { return uint64(a.next - a.r.Base) }

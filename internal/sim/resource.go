@@ -31,15 +31,6 @@ func (r *Resource) Acquire(p *Proc) {
 	// Release granted the unit to us before resuming.
 }
 
-// TryAcquire takes a unit if one is immediately available.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns a unit, handing it to the longest-waiting process if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {

@@ -327,20 +327,6 @@ func (s *Supervisor) setState(st State, reason string) {
 	}
 }
 
-// NoteAlert records an out-of-band alert — an SLO burn, typically — in the
-// state-change log without changing state: the supervision log stays the
-// one chronological record of everything that went wrong, planned or
-// measured. Also emitted as a trace instant and counted.
-func (s *Supervisor) NoteAlert(reason string) {
-	s.changes = append(s.changes, Change{At: s.env.Now(), State: s.state, Reason: "alert: " + reason, Attempt: s.restarts})
-	tr := trace.Get(s.env)
-	if tr == nil {
-		return
-	}
-	tr.Instant(0, "driver-vm", trace.LayerSupervisor, "alert", reason)
-	tr.Add("supervise.alerts", 1)
-}
-
 // run is the watchdog proc: sleep one heartbeat period (or less, if a death
 // notification kicks), sweep every channel, heal on failure, stop when
 // degraded.

@@ -322,10 +322,9 @@ func (fr *FlightRecorder) finalize(root Event) {
 	fr.push(d)
 }
 
-// Push ingests an already-built digest: the seam the SLO watchdog tests use
-// and the path finalize funnels through. The ring and the per-class
-// aggregates are updated; outlier capture is finalize's job (Push has no
-// span tree to keep).
+// Push ingests an already-built digest: the seam tests use to feed the ring
+// directly. The ring and the per-class aggregates are updated; outlier
+// capture is finalize's job (Push has no span tree to keep).
 func (fr *FlightRecorder) Push(d Digest) {
 	if fr == nil {
 		return

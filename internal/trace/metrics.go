@@ -154,30 +154,6 @@ func (r *Registry) Counter(name string) uint64 {
 	return r.counters[name]
 }
 
-// Gauge returns the current value of a gauge (0 if never set).
-func (r *Registry) Gauge(name string) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
-}
-
-// Histogram returns the named histogram, or nil.
-func (r *Registry) Histogram(name string) *Hist {
-	if r == nil {
-		return nil
-	}
-	return r.hists[name]
-}
-
-// CountHist returns the named count histogram, or nil.
-func (r *Registry) CountHist(name string) *Hist {
-	if r == nil {
-		return nil
-	}
-	return r.counts[name]
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -239,123 +239,152 @@ func TestPoolFairnessQuietGuestP99(t *testing.T) {
 	}
 }
 
-// TestShardRestartIsolation: on a sharded machine, restarting one shard is
-// invisible to channels served by the others — shard 0's file descriptors
-// keep working THROUGH shard 1's restart, while shard 1's channels observe
-// the usual crash-restart contract (EREMOTE, reopen, resume).
+// TestShardRestartIsolation: on a sharded machine, restarting or handing
+// over one shard is invisible to channels served by the others — shard 0's
+// file descriptors keep working THROUGH shard 1's lifecycle operation. A
+// restart gives shard 1's channels the usual crash-restart contract
+// (EREMOTE, reopen, resume); a planned handover keeps them serving with no
+// errno and no reopen.
 func TestShardRestartIsolation(t *testing.T) {
-	m, err := paradice.New(paradice.Config{
-		Mode:         paradice.Polling,
-		DriverShards: 2,
-		Workers:      2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(m.Shards()); got != 2 {
-		t.Fatalf("shards = %d, want 2", got)
-	}
-	sink0 := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
-	sink1 := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
-	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
-		k.RegisterDevice("/dev/shard0dev", sink0, sink0)
-		k.RegisterDevice("/dev/shard1dev", sink1, sink1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.PinDevice("/dev/shard0dev", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.PinDevice("/dev/shard1dev", 1); err != nil {
-		t.Fatal(err)
-	}
-	g, err := m.AddGuest("guest", paradice.Linux)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Paravirtualize("/dev/shard0dev", "/dev/shard1dev"); err != nil {
-		t.Fatal(err)
-	}
-	if m.ShardFor("/dev/shard0dev").Index != 0 || m.ShardFor("/dev/shard1dev").Index != 1 {
-		t.Fatal("pins did not route the devices to their shards")
-	}
+	for _, tc := range []struct {
+		name    string
+		cycle   func(*paradice.Machine) error
+		planned bool
+	}{
+		{"restart", func(m *paradice.Machine) error { return m.RestartDriverShard(1) }, false},
+		{"handover", func(m *paradice.Machine) error { return m.HandoverDriverShard(1) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := paradice.New(paradice.Config{
+				Mode:         paradice.Polling,
+				DriverShards: 2,
+				Workers:      2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(m.Shards()); got != 2 {
+				t.Fatalf("shards = %d, want 2", got)
+			}
+			sink0 := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
+			sink1 := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
+			if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+				k.RegisterDevice("/dev/shard0dev", sink0, sink0)
+				k.RegisterDevice("/dev/shard1dev", sink1, sink1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.PinDevice("/dev/shard0dev", 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.PinDevice("/dev/shard1dev", 1); err != nil {
+				t.Fatal(err)
+			}
+			g, err := m.AddGuest("guest", paradice.Linux)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Paravirtualize("/dev/shard0dev", "/dev/shard1dev"); err != nil {
+				t.Fatal(err)
+			}
+			if m.ShardFor("/dev/shard0dev").Index != 0 || m.ShardFor("/dev/shard1dev").Index != 1 {
+				t.Fatal("pins did not route the devices to their shards")
+			}
 
-	vm0 := m.Shards()[0].VM
-	var fd0, fd1 int
-	var err0a, err1a, err1b, err0b, errReopen error
-	phase := 0
-	p, _ := g.NewProcess("app")
-	p.SpawnTask("main", func(tk *kernel.Task) {
-		buf, _ := p.Alloc(64)
-		fd0, err0a = tk.Open("/dev/shard0dev", devfile.ORdWr)
-		if err0a != nil {
-			return
-		}
-		fd1, err1a = tk.Open("/dev/shard1dev", devfile.ORdWr)
-		if err1a != nil {
-			return
-		}
-		if _, err := tk.Write(fd0, buf, 64); err != nil {
-			err0a = err
-			return
-		}
-		if _, err := tk.Write(fd1, buf, 64); err != nil {
-			err1a = err
-			return
-		}
-		phase = 1
-		// Park until the host context has restarted shard 1.
-		for phase == 1 {
-			tk.Sim().Sleep(sim.Millisecond)
-		}
-		// Shard 0's fd survives shard 1's restart untouched.
-		_, err0b = tk.Write(fd0, buf, 64)
-		// Shard 1's fd is stale — its driver VM is gone.
-		_, err1b = tk.Write(fd1, buf, 64)
-		// The §8 contract: reopen and resume.
-		fd, err := tk.Open("/dev/shard1dev", devfile.ORdWr)
-		if err != nil {
-			errReopen = err
-			return
-		}
-		_, errReopen = tk.Write(fd, buf, 64)
-		phase = 3
-	})
+			vm0, vm1 := m.Shards()[0].VM, m.Shards()[1].VM
+			var fd0, fd1 int
+			var err0a, err1a, err1b, err0b, errReopen error
+			phase := 0
+			p, _ := g.NewProcess("app")
+			p.SpawnTask("main", func(tk *kernel.Task) {
+				buf, _ := p.Alloc(64)
+				fd0, err0a = tk.Open("/dev/shard0dev", devfile.ORdWr)
+				if err0a != nil {
+					return
+				}
+				fd1, err1a = tk.Open("/dev/shard1dev", devfile.ORdWr)
+				if err1a != nil {
+					return
+				}
+				if _, err := tk.Write(fd0, buf, 64); err != nil {
+					err0a = err
+					return
+				}
+				if _, err := tk.Write(fd1, buf, 64); err != nil {
+					err1a = err
+					return
+				}
+				phase = 1
+				// Park until the host context has cycled shard 1.
+				for phase == 1 {
+					tk.Sim().Sleep(sim.Millisecond)
+				}
+				// Shard 0's fd survives shard 1's lifecycle operation untouched.
+				_, err0b = tk.Write(fd0, buf, 64)
+				// Shard 1's fd is stale after a restart, live after a handover.
+				_, err1b = tk.Write(fd1, buf, 64)
+				if !tc.planned {
+					// The §8 contract: reopen and resume.
+					fd, err := tk.Open("/dev/shard1dev", devfile.ORdWr)
+					if err != nil {
+						errReopen = err
+						return
+					}
+					_, errReopen = tk.Write(fd, buf, 64)
+				}
+				phase = 3
+			})
 
-	m.RunUntil(m.Env.Now().Add(20 * sim.Millisecond))
-	if phase != 1 {
-		t.Fatalf("setup phase did not complete: open0=%v open1=%v", err0a, err1a)
-	}
-	if err := m.RestartDriverShard(1); err != nil {
-		t.Fatal(err)
-	}
-	if m.Shards()[0].VM != vm0 {
-		t.Fatal("restarting shard 1 replaced shard 0's driver VM")
-	}
-	phase = 2
-	m.RunUntil(m.Env.Now().Add(200 * sim.Millisecond))
-	if phase != 3 {
-		t.Fatal("post-restart phase did not complete")
-	}
-	if err0b != nil {
-		t.Fatalf("shard 0 write after shard 1 restart: %v, want success (isolation)", err0b)
-	}
-	if err1b == nil {
-		t.Fatal("shard 1 write on a pre-restart fd succeeded, want an honest errno")
-	}
-	// The §8 stale-fd contract (usrlib.IsStaleDevice): EREMOTE for an
-	// operation the dead backend never answered, EINVAL for an fd the
-	// successor has no file state for.
-	if !kernel.IsErrno(err1b, kernel.EREMOTE) && !kernel.IsErrno(err1b, kernel.EINVAL) &&
-		!kernel.IsErrno(err1b, kernel.ENODEV) {
-		t.Fatalf("shard 1 stale-fd write: %v, want EREMOTE/EINVAL/ENODEV", err1b)
-	}
-	if errReopen != nil {
-		t.Fatalf("shard 1 reopen+write after restart: %v, want success", errReopen)
-	}
-	if m.RestartEpoch() != 1 {
-		t.Fatalf("restart epoch = %d, want 1", m.RestartEpoch())
+			m.RunUntil(m.Env.Now().Add(20 * sim.Millisecond))
+			if phase != 1 {
+				t.Fatalf("setup phase did not complete: open0=%v open1=%v", err0a, err1a)
+			}
+			if err := tc.cycle(m); err != nil {
+				t.Fatal(err)
+			}
+			if m.Shards()[0].VM != vm0 {
+				t.Fatalf("%s of shard 1 replaced shard 0's driver VM", tc.name)
+			}
+			if m.Shards()[1].VM == vm1 {
+				t.Fatalf("%s of shard 1 kept its predecessor driver VM", tc.name)
+			}
+			phase = 2
+			m.RunUntil(m.Env.Now().Add(200 * sim.Millisecond))
+			if phase != 3 {
+				t.Fatalf("post-%s phase did not complete", tc.name)
+			}
+			if err0b != nil {
+				t.Fatalf("shard 0 write after shard 1 %s: %v, want success (isolation)", tc.name, err0b)
+			}
+			if tc.planned {
+				// The planned-handover contract: the pre-handover fd keeps
+				// serving on the successor, no errno, no reopen.
+				if err1b != nil {
+					t.Fatalf("shard 1 write on the pre-handover fd: %v, want success", err1b)
+				}
+				if got := m.Handovers(); len(got) != 1 || got[0].Aborted {
+					t.Fatalf("handover episodes = %+v, want one committed", got)
+				}
+			} else {
+				if err1b == nil {
+					t.Fatal("shard 1 write on a pre-restart fd succeeded, want an honest errno")
+				}
+				// The §8 stale-fd contract (usrlib.IsStaleDevice): EREMOTE for
+				// an operation the dead backend never answered, EINVAL for an
+				// fd the successor has no file state for.
+				if !kernel.IsErrno(err1b, kernel.EREMOTE) && !kernel.IsErrno(err1b, kernel.EINVAL) &&
+					!kernel.IsErrno(err1b, kernel.ENODEV) {
+					t.Fatalf("shard 1 stale-fd write: %v, want EREMOTE/EINVAL/ENODEV", err1b)
+				}
+				if errReopen != nil {
+					t.Fatalf("shard 1 reopen+write after restart: %v, want success", errReopen)
+				}
+			}
+			if m.RestartEpoch() != 1 {
+				t.Fatalf("restart epoch = %d, want 1", m.RestartEpoch())
+			}
+		})
 	}
 }
 

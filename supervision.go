@@ -16,11 +16,6 @@ import (
 // machine), or nil when Config.Supervision is off.
 func (m *Machine) Supervisor() *supervise.Supervisor { return m.supervisor }
 
-// Supervisors returns the per-shard supervisors (length 1 unless
-// Config.DriverShards asked for more), or nil when Config.Supervision is
-// off.
-func (m *Machine) Supervisors() []*supervise.Supervisor { return m.supervisors }
-
 // shardTarget adapts one driver-VM shard to supervise.Target: the shard's
 // supervisor sweeps only the channels its shard serves and heals by
 // restarting only its shard. With a single shard this is the whole machine —
