@@ -10,19 +10,13 @@
 // leaves every row bit-identical, and one that changes it shows up as a
 // reviewed new snapshot.
 //
-// The current run is one or more files, merged. Run each experiment in its
-// own process: a single all-experiments process is OOM-killed, because fig2
-// alone peaks near 4 GiB RSS.
+// The current run is one or more files, merged:
 //
 //	go build -o paradice-bench ./cmd/paradice-bench
-//	for id in $(./paradice-bench -list | cut -d' ' -f1); do
-//		./paradice-bench -json -exp "$id" > "cur-$id.json"
-//	done
-//	go run ./cmd/bench-regress cur-*.json
+//	./paradice-bench -json > cur.json
+//	go run ./cmd/bench-regress cur.json
 //
-// A new snapshot is the same files merged in -list order, for example
-// `jq -s add $(./paradice-bench -list | awk '{print "cur-" $1 ".json"}')
-// > BENCH_<n+1>.json`.
+// An all-experiments cur.json is itself a new snapshot, BENCH_<n+1>.json.
 package main
 
 import (

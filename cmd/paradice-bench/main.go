@@ -23,6 +23,7 @@ import (
 
 	"paradice"
 	"paradice/internal/bench"
+	"paradice/internal/trace"
 )
 
 func main() {
@@ -57,15 +58,16 @@ func main() {
 	// With -trace, every machine an experiment builds gets a tracer; the
 	// trace and metrics of machine N of experiment E land in
 	// DIR/E-NN.trace.json and DIR/E-NN.metrics.txt after the experiment.
-	var traced []*paradice.Machine
+	// The tracers are kept, not the machines: experiments close their
+	// machines, which detaches the tracers but leaves them readable.
+	var traced []*trace.Tracer
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		bench.OnMachine = func(m *paradice.Machine) {
-			m.StartTrace()
-			traced = append(traced, m)
+			traced = append(traced, m.StartTrace())
 		}
 	}
 
@@ -94,8 +96,8 @@ func main() {
 				fmt.Println()
 			}
 		}
-		for i, m := range traced {
-			if err := dumpTrace(m, *traceDir, e.ID, i); err != nil {
+		for i, tr := range traced {
+			if err := dumpTrace(tr, *traceDir, e.ID, i); err != nil {
 				fmt.Fprintf(os.Stderr, "  trace export: %v\n", err)
 				failed = true
 			}
@@ -116,13 +118,8 @@ func main() {
 	}
 }
 
-// dumpTrace writes one traced machine's Chrome trace and metrics dump and
-// detaches the tracer.
-func dumpTrace(m *paradice.Machine, dir, exp string, n int) error {
-	tr := m.StopTrace()
-	if tr == nil {
-		return nil
-	}
+// dumpTrace writes one traced machine's Chrome trace and metrics dump.
+func dumpTrace(tr *trace.Tracer, dir, exp string, n int) error {
 	base := filepath.Join(dir, fmt.Sprintf("%s-%02d", exp, n))
 	if err := writeFile(base+".trace.json", tr.WriteChrome); err != nil {
 		return err

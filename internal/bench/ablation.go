@@ -62,6 +62,7 @@ func RunAblation(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		rt, err := noopRoundTrip(m, k, noopIters)
+		m.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -73,6 +74,7 @@ func RunAblation(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		res, err := workload.RunPktGen(m.Env, k, 4, pkts, 64)
+		m.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -85,6 +87,7 @@ func RunAblation(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		mres, err := workload.RunMouseLatency(m.Env, k, m.Mouse, mouseSamples)
+		m.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -104,6 +104,7 @@ func adaptiveLevel(cfg paradice.Config, rate float64, quick bool) (adaptiveOutco
 	if err != nil {
 		return adaptiveOutcome{}, err
 	}
+	defer m.Close()
 	sink := load.NewSink(m.Env, adaptiveSinkBase, adaptiveSinkPerKB)
 	m.DriverK.RegisterDevice(load.SinkPath, sink, sink)
 	g, err := m.AddGuest("guest1", kernel.Linux)

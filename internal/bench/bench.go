@@ -176,6 +176,7 @@ func RunNoop(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		rt, err := noopRoundTrip(m, k, iters)
+		m.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -250,6 +251,7 @@ func RunFig2(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			res, err := workload.RunPktGen(m.Env, k, b, npkts, 64)
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s batch %d: %w", c.name, b, err)
 			}
@@ -294,6 +296,7 @@ func RunFig3(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			res, err := workload.RunGL(m.Env, k, spec, frames)
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", c.name, spec.Name, err)
 			}
@@ -326,6 +329,7 @@ func RunFig4(quick bool) ([]Row, error) {
 					return nil, err
 				}
 				res, err := workload.RunGL(m.Env, k, game.GL(r), frames)
+				m.Close()
 				if err != nil {
 					return nil, fmt.Errorf("%s %s %s: %w", c.name, game.Name, r, err)
 				}
@@ -356,6 +360,7 @@ func RunFig5(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			res, err := workload.RunMatmul(m.Env, k, n, int64(n))
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s order %d: %w", c.name, n, err)
 			}
@@ -405,6 +410,7 @@ func RunFig6(quick bool) ([]Row, error) {
 		}
 		built(m)
 		m.Run()
+		m.Close()
 		for i := range slots {
 			var total sim.Duration
 			for r := 0; r < runs; r++ {
@@ -456,6 +462,7 @@ func RunMouse(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		res, err := workload.RunMouseLatency(m.Env, k, m.Mouse, samples)
+		m.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
@@ -489,6 +496,7 @@ func RunCamera(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			res, err := workload.RunCamera(m.Env, k, r, frames)
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s %dx%d: %w", c.name, r.W, r.H, err)
 			}
@@ -527,6 +535,7 @@ func RunAudio(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		res, err := workload.RunAudio(m.Env, k, seconds)
+		m.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}

@@ -98,6 +98,7 @@ func RunBulk(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			per, err := bulkWriteLoop(m, k, size, sweepReuse, rotations)
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s size %d: %w", c.series, size, err)
 			}
@@ -121,6 +122,7 @@ func RunBulk(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			per, err := bulkWriteLoop(m, k, sweepSize, r, rotations)
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s reuse %d: %w", c.series, r, err)
 			}
@@ -140,7 +142,9 @@ func RunBulk(quick bool) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := burstWriters(m, k, 8); err != nil {
+		err = burstWriters(m, k, 8)
+		m.Close()
+		if err != nil {
 			return nil, fmt.Errorf("coalesce %s: %w", label, err)
 		}
 		fe := g.Frontends[bulkPath]

@@ -193,6 +193,7 @@ func RunHandover(quick bool) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ho.m.Close()
 	var hoErr error
 	ho.m.Env.Spawn("handover-driver", func(p *sim.Proc) {
 		p.Sleep(hoKickAt)
@@ -229,6 +230,7 @@ func RunHandover(quick bool) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer rst.m.Close()
 	var rstErr error
 	var rstDown sim.Duration
 	rst.m.Env.Spawn("restart-driver", func(p *sim.Proc) {

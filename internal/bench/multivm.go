@@ -110,6 +110,7 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 	if err != nil {
 		return multivmOutcome{}, err
 	}
+	defer m.Close()
 	// Each guest gets a private sink, installed in every shard's kernel (the
 	// boot hook runs everywhere) and pinned round-robin so the shards split
 	// the channel population evenly.

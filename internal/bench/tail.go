@@ -87,6 +87,7 @@ func tailLevel(rate float64, quick bool) (*load.Result, *trace.FlightRecorder, e
 	if err != nil {
 		return nil, nil, err
 	}
+	defer m.Close()
 	sink := load.NewSink(m.Env, tailSinkBase, tailSinkPerKB)
 	m.DriverK.RegisterDevice(load.SinkPath, sink, sink)
 	g, err := m.AddGuest("guest1", kernel.Linux)
@@ -106,7 +107,6 @@ func tailLevel(rate float64, quick bool) (*load.Result, *trace.FlightRecorder, e
 		// Chrome export still works, and just arm the recorder on it.
 		tr = m.StartTrace()
 		tr.SetEventRetention(false)
-		defer m.StopTrace()
 	}
 	fr := tr.ArmFlightRecorder(trace.FlightConfig{ClassThresholds: profile.Thresholds()})
 	gen, err := load.NewGenerator(profile)

@@ -10,6 +10,7 @@ import (
 	"paradice/internal/kernel"
 	"paradice/internal/mem"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // The translation-cache experiment: how much of a small operation's latency
@@ -77,6 +78,16 @@ func echoGuest(cfg paradice.Config) (*paradice.Machine, *kernel.Kernel, error) {
 	return built(m), g.K, nil
 }
 
+// traceOn returns the tracer on m, installing one unless OnMachine already
+// did, so an experiment that reads trace metrics shares the tracer
+// paradice-bench -trace exports.
+func traceOn(m *paradice.Machine) *trace.Tracer {
+	if tr := m.Tracer(); tr != nil {
+		return tr
+	}
+	return m.StartTrace()
+}
+
 // RunWalkcache produces the cold/warm small-op sweep, the steady-state TLB
 // hit rate, and the batched-declare crossing counts.
 func RunWalkcache(quick bool) ([]Row, error) {
@@ -105,6 +116,7 @@ func RunWalkcache(quick bool) ([]Row, error) {
 				return nil, err
 			}
 			last, err := echoLoop(m, k, size, iters)
+			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s size %d: %w", c.series, size, err)
 			}
@@ -120,11 +132,12 @@ func RunWalkcache(quick bool) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr := m.StartTrace()
-		if _, err := echoLoop(m, k, 1024, iters); err != nil {
+		tr := traceOn(m)
+		_, err = echoLoop(m, k, 1024, iters)
+		m.Close()
+		if err != nil {
 			return nil, fmt.Errorf("hit-rate loop: %w", err)
 		}
-		m.StopTrace()
 		hits := tr.Metrics().Counter("hv.tlb.hit")
 		misses := tr.Metrics().Counter("hv.tlb.miss")
 		if hits+misses > 0 {
@@ -210,6 +223,7 @@ func csDeclareCrossings(cfg paradice.Config) (uint64, error) {
 		return 0, err
 	}
 	m = built(m)
+	defer m.Close()
 
 	const nchunks = 8
 	var before, after uint64
@@ -218,8 +232,7 @@ func csDeclareCrossings(cfg paradice.Config) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tr := m.StartTrace()
-	defer m.StopTrace()
+	tr := traceOn(m)
 	p.SpawnTask("submit", func(t *kernel.Task) {
 		fd, err := t.Open(paradice.PathGPU, 2)
 		if err != nil {

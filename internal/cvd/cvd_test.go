@@ -205,6 +205,7 @@ type rig struct {
 func newRig(t testing.TB, mode Mode, guestFlavor kernel.Flavor, opts ...func(*Config)) *rig {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	h := hv.New(env, 256<<20)
 	driverVM, err := h.CreateVM("driver", 32<<20)
 	if err != nil {

@@ -24,6 +24,7 @@ type poolRig struct {
 func newPoolRig(t *testing.T, workers int) *poolRig {
 	t.Helper()
 	env := sim.NewEnv()
+	t.Cleanup(env.Close)
 	h := hv.New(env, 256<<20)
 	driverVM, err := h.CreateVM("driver", 32<<20)
 	if err != nil {

@@ -362,17 +362,19 @@ type traceCapture struct {
 // error naming the canary; that self-test is what makes the green runs
 // trustworthy.
 func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
+	env := sim.NewEnv()
 	defer func() {
 		if r := recover(); r != nil {
 			// A sim process panicking anywhere (backend included) is itself
-			// an invariant violation; sim traps it to this goroutine.
-			retErr = fmt.Errorf("invariant: simulation panicked: %v", r)
+			// an invariant violation; sim traps it to this goroutine, and
+			// FaultStack keeps the panic site when it was a process's.
+			retErr = fmt.Errorf("invariant: simulation panicked: %v\n%s", r, env.FaultStack())
 		}
 	}()
 
 	plan := faults.New(seed)
 	rng := plan.Rand()
-	env := sim.NewEnv()
+	defer env.Close()
 	var fr *trace.FlightRecorder
 	if cap != nil {
 		tr := trace.New()

@@ -83,6 +83,39 @@ func TestCreateVMBacksRAM(t *testing.T) {
 	}
 }
 
+// Guest RAM is backed on first touch, and the first touch is free in
+// virtual time: a copy from a never-written page reads zeros and takes
+// exactly as long as the same copy once the page is backed.
+func TestLazyGuestRAMFirstTouchIsFree(t *testing.T) {
+	env := sim.NewEnv()
+	h := New(env, 64<<20)
+	g := newGuestRig(t, h, "guest")
+	va := mem.GuestVirt(0x40000000)
+	g.mapUserPage(t, va)
+	ref, err := g.grants.Declare(g.pt.Root(), []grant.Op{{Kind: grant.KindCopyFrom, VA: va, Len: mem.PageSize}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var took [2]sim.Duration
+	env.RunFunc("copier", func(p *sim.Proc) {
+		for i := range took {
+			buf := bytes.Repeat([]byte{0xAA}, mem.PageSize)
+			start := p.Now()
+			if err := h.CopyFromGuest(g.vm, ref, va, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			took[i] = p.Now().Sub(start)
+			if !bytes.Equal(buf, make([]byte, mem.PageSize)) {
+				t.Errorf("copy %d of an untouched guest page is not all zeros", i)
+			}
+		}
+	})
+	if took[0] == 0 || took[0] != took[1] {
+		t.Fatalf("first-touch copy took %v, backed copy %v; want equal and nonzero", took[0], took[1])
+	}
+}
+
 func TestInterruptDeliveryLatency(t *testing.T) {
 	env := sim.NewEnv()
 	h := New(env, 64<<20)

@@ -7,11 +7,13 @@ import (
 )
 
 // PhysMem is the machine's system physical memory: a sparse collection of
-// 4 KiB frames. Frames come into existence when an Allocator hands them out
-// or when a device exposes its memory at a physical range (a BAR); touching
-// an unbacked address is a BusError.
+// 4 KiB frames. A page an Allocator has handed out is backed by a zeroed
+// frame on first touch, so an allocation costs host memory only for the
+// pages actually used; a device exposes its memory at a physical range (a
+// BAR) by populating it. Touching an unbacked address is a BusError.
 type PhysMem struct {
 	frames map[uint64]*[PageSize]byte
+	allocs []*Allocator // their handed-out pages are backed on first touch
 	ranges []PhysRange
 }
 
@@ -61,7 +63,24 @@ func (m *PhysMem) Populate(pa SysPhys) {
 
 // FrameBytes returns the backing frame for the page containing pa, or nil.
 func (m *PhysMem) FrameBytes(pa SysPhys) *[PageSize]byte {
-	return m.frames[Frame(uint64(pa))]
+	return m.frame(Frame(uint64(pa)))
+}
+
+// frame returns the backing frame for frame number f. The first touch of an
+// allocated page backs it with a zeroed frame; any other unbacked frame
+// returns nil.
+func (m *PhysMem) frame(f uint64) *[PageSize]byte {
+	if fr := m.frames[f]; fr != nil {
+		return fr
+	}
+	for _, a := range m.allocs {
+		if Frame(uint64(a.r.Base)) <= f && f < Frame(uint64(a.next)) {
+			fr := new([PageSize]byte)
+			m.frames[f] = fr
+			return fr
+		}
+	}
+	return nil
 }
 
 // Read copies len(buf) bytes starting at pa into buf, crossing page
@@ -78,7 +97,7 @@ func (m *PhysMem) Write(pa SysPhys, data []byte) error {
 func (m *PhysMem) access(pa SysPhys, buf []byte, write bool) error {
 	addr := uint64(pa)
 	for len(buf) > 0 {
-		frame := m.frames[Frame(addr)]
+		frame := m.frame(Frame(addr))
 		if frame == nil {
 			op := "read"
 			if write {
@@ -149,30 +168,27 @@ type Allocator struct {
 // allocator over it.
 func (m *PhysMem) NewAllocator(name string, base SysPhys, size uint64) *Allocator {
 	r := m.AddRange(name, base, size)
-	return &Allocator{mem: m, r: r, next: base}
+	a := &Allocator{mem: m, r: r, next: base}
+	m.allocs = append(m.allocs, a)
+	return a
 }
 
 // AllocPage returns the physical address of a fresh zeroed page.
 func (a *Allocator) AllocPage() (SysPhys, error) {
-	if uint64(a.next) >= uint64(a.r.Base)+a.r.Size {
-		return 0, fmt.Errorf("mem: range %s exhausted", a.r.Name)
-	}
-	pa := a.next
-	a.next += PageSize
-	a.mem.Populate(pa)
-	return pa, nil
+	return a.AllocPages(1)
 }
 
 // AllocPages returns the base address of n fresh contiguous zeroed pages.
+// The pages are backed when first touched.
 func (a *Allocator) AllocPages(n int) (SysPhys, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mem: AllocPages(%d)", n)
 	}
 	base := a.next
-	for i := 0; i < n; i++ {
-		if _, err := a.AllocPage(); err != nil {
-			return 0, err
-		}
+	end := uint64(base) + uint64(n)*PageSize
+	if end > uint64(a.r.Base)+a.r.Size {
+		return 0, fmt.Errorf("mem: range %s exhausted", a.r.Name)
 	}
+	a.next = SysPhys(end)
 	return base, nil
 }

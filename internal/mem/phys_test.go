@@ -77,6 +77,55 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 }
 
+// Allocated pages cost no frame until touched and read as zeros when first
+// touched; pages of the range not yet handed out, and addresses outside every
+// range, stay unbacked.
+func TestAllocPagesBackOnFirstTouch(t *testing.T) {
+	m := NewPhysMem()
+	a := m.NewAllocator("ram", 0, 8*PageSize)
+	base, err := a.AllocPages(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.frames) != 0 {
+		t.Fatalf("AllocPages backed %d frames, want 0", len(m.frames))
+	}
+	buf := bytes.Repeat([]byte{0xAA}, 16)
+	if err := m.Read(base+2*PageSize+8, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, 16)) {
+		t.Fatalf("untouched allocated page reads %x, want zeros", buf)
+	}
+	if len(m.frames) != 1 || m.FrameBytes(base+3*PageSize) == nil || len(m.frames) != 2 {
+		t.Fatalf("first touches backed %d frames, want 2", len(m.frames))
+	}
+	if m.FrameBytes(base+4*PageSize) != nil {
+		t.Fatal("FrameBytes backed a page not yet allocated")
+	}
+	next, err := a.AllocPage()
+	if err != nil || next != base+4*PageSize {
+		t.Fatalf("AllocPage after AllocPages = %v, %v; want %v", next, err, base+4*PageSize)
+	}
+	if m.FrameBytes(next) == nil {
+		t.Fatal("FrameBytes did not back a freshly allocated page")
+	}
+	if _, err := a.AllocPages(4); err == nil {
+		t.Fatal("allocating past the range end succeeded")
+	}
+	if got, err := a.AllocPages(3); err != nil || got != base+5*PageSize {
+		t.Fatalf("AllocPages after a failed one = %v, %v; want %v", got, err, base+5*PageSize)
+	}
+	if err := m.Read(8*PageSize, buf); err == nil {
+		t.Fatal("read past every range succeeded")
+	} else if _, ok := err.(*BusError); !ok {
+		t.Fatalf("read past every range: err = %v, want BusError", err)
+	}
+	if m.FrameBytes(8*PageSize) != nil {
+		t.Fatal("FrameBytes backed a page outside every range")
+	}
+}
+
 func TestRangeOverlapPanics(t *testing.T) {
 	m := NewPhysMem()
 	m.AddRange("a", 0, 4*PageSize)

@@ -20,25 +20,51 @@ type Proc struct {
 // Spawn creates a process running fn, scheduled to start now.
 // fn receives the process handle for sleeping and waiting.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
+	if e.closed {
+		panic("sim: Spawn after Close")
+	}
 	p := &Proc{env: e, name: name, wake: make(chan struct{})}
 	e.nprocs++
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.wake // wait for first resume
-		defer func() {
-			p.finished = true
-			if r := recover(); r != nil {
-				// Capture the panic for the scheduler to re-raise on the
-				// Run caller's goroutine (see Env.resume); the channel send
-				// orders the write before the scheduler's read.
-				e.trap = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			e.yield <- yieldDone
-		}()
-		fn(p)
-	}()
+	e.threads.Add(1)
+	go p.run(fn)
 	p.scheduleResume(e.now)
 	return p
+}
+
+// closedError is the kill token: the panic Close unwinds a parked process
+// with, and what any blocking call raises once its Env is closed.
+type closedError struct{ proc string }
+
+func (c closedError) Error() string { return "sim: " + c.proc + " blocked after Close" }
+
+// run is the process goroutine: it waits for the first resume, runs fn, then
+// passes the token on. The pass-on is deferred so it also happens when fn
+// panics or exits through runtime.Goexit (a t.FailNow in a test's process
+// body).
+func (p *Proc) run(fn func(*Proc)) {
+	e := p.env
+	defer e.threads.Done()
+	<-p.wake // wait for first resume
+	defer func() {
+		// While the Env is closing, a panic (the kill token or anything the
+		// unwind raises) just ends the process; otherwise it goes to the
+		// scheduler with the stack at the panic site.
+		var trap *ProcPanic
+		if r := recover(); r != nil && !e.closed {
+			trap = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+		p.finished = true
+		if e.closed {
+			e.home <- struct{}{}
+			return
+		}
+		e.nprocs--
+		e.handoff(p, trap)
+	}()
+	if !e.closed {
+		fn(p)
+	}
 }
 
 // RunFunc spawns fn as a process and runs the environment until the calendar
@@ -63,13 +89,24 @@ func (p *Proc) scheduleResume(at Time) {
 	p.env.schedule(&item{at: at, p: p, gen: p.resumeGen})
 }
 
-// block yields control to the scheduler and returns when resumed.
+// block gives up the token and returns when p is resumed. The calendar loop
+// runs right here on p's goroutine: if p itself is the next process due it
+// just returns; otherwise p wakes the next one (or the Run caller) and parks.
 func (p *Proc) block() {
-	if p.env.current != p {
-		panic(fmt.Sprintf("sim: %s yielding while not current", p.name))
+	e := p.env
+	if e.closed {
+		panic(closedError{p.name})
 	}
-	p.env.yield <- yieldBlocked
+	if e.current != p {
+		panic(fmt.Sprintf("sim: %s blocking while not current", p.name))
+	}
+	if e.handoff(p, nil) {
+		return
+	}
 	<-p.wake
+	if e.closed {
+		panic(closedError{p.name})
+	}
 }
 
 // Sleep suspends the process for d of simulated time.

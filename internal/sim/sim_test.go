@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -383,8 +386,10 @@ func TestProcPanicTrapsToRunCaller(t *testing.T) {
 // mixedWorkload drives a deterministic mix of timers, same-instant ties,
 // WaitTimeout races that leave stale resumes behind, cross-proc event wake-ups
 // and callbacks scheduled from process context, and returns the execution log.
-func mixedWorkload() []string {
+// obs, when non-nil, observes the scheduling decisions.
+func mixedWorkload(obs SchedObserver) []string {
 	e := NewEnv()
+	e.Observer = obs
 	var log []string
 	ev := e.NewEvent("mixed")
 	for i := 0; i < 4; i++ {
@@ -417,13 +422,209 @@ func mixedWorkload() []string {
 	return log
 }
 
+// schedLog records scheduling decisions compactly: "@<µs>" when the clock
+// moves, then "c" per callback or the last character of the resumed
+// process's name.
+type schedLog struct {
+	b    strings.Builder
+	last Time
+}
+
+func (l *schedLog) at(t Time) {
+	if t != l.last {
+		fmt.Fprintf(&l.b, "@%d", int64(t)/int64(Microsecond))
+		l.last = t
+	}
+}
+
+func (l *schedLog) SchedCallback(at Time) { l.at(at); l.b.WriteByte('c') }
+
+func (l *schedLog) SchedResume(at Time, proc string) { l.at(at); l.b.WriteByte(proc[len(proc)-1]) }
+
+// mixedSchedOrder is mixedWorkload's scheduling order, recorded from the
+// channel ping-pong scheduler the token hand-off replaced: handing the token
+// straight from process to process must not reorder a single decision.
+const mixedSchedOrder = "01230230230c3cc3@1cccccc@2cc3@3003c33c3c3c@412ccc@5cc31cccc31c@60cc230c2@7ccc2" +
+	"@81ccc0cc00c@93c2ccccc03cc2c0c20c2c2@10ccccccc0c@111ccc2cc01cc22@12cccc2cc@133ccc23c2@14c3cc" +
+	"@1501c23cc123c12c2c@160cccc0c32c0@17cccc1cccc11@18cc@1930ccc1cc3ccc@202ccc03203c0@21cccc" +
+	"@22ccccccc3c@23120333@24ccccc@25c2c10c1ccc@26ccc@27c11@28cc1@292c1cc1c@31c@32111cc11c@332cc" +
+	"@34cc@35c@361111@37ccc1c@38cc1@40c"
+
 // TestMixedWorkloadDeterminism runs the mixed workload twice and requires
-// identical logs — the property every stress sweep leans on.
+// identical logs — the property every stress sweep leans on — and the
+// recorded scheduling order.
 func TestMixedWorkloadDeterminism(t *testing.T) {
-	a := mixedWorkload()
-	b := mixedWorkload()
+	var obs schedLog
+	a := mixedWorkload(&obs)
+	b := mixedWorkload(nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("mixed workload not deterministic across runs")
+	}
+	if got := obs.b.String(); got != mixedSchedOrder {
+		t.Fatalf("scheduling order changed:\n got %s\nwant %s", got, mixedSchedOrder)
+	}
+}
+
+// runPanic runs fn and returns what it panicked with, or nil.
+func runPanic(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// A callback dispatched on a process goroutine (here: the one a blocking
+// Sleep hands the token off from) runs with no current process, and its
+// panic surfaces from Run with its raw value. The parked process survives:
+// a later Run resumes it.
+func TestCallbackPanicOnProcGoroutineReraisedFromRun(t *testing.T) {
+	e := NewEnv()
+	var during *Proc
+	var done Time = -1
+	e.Spawn("a", func(p *Proc) {
+		p.Env().After(0, func() {
+			during = e.CurrentProc()
+			panic("callback boom")
+		})
+		p.Sleep(Microsecond)
+		done = p.Now()
+	})
+	if r := runPanic(e.Run); r != "callback boom" {
+		t.Fatalf("Run panicked with %v (%T), want the raw callback value", r, r)
+	}
+	if during != nil {
+		t.Fatalf("CurrentProc() = %s inside the callback, want nil", during.Name())
+	}
+	if e.CurrentProc() != nil {
+		t.Fatal("CurrentProc() is set after the panic reached Run")
+	}
+	if st := string(e.FaultStack()); !strings.Contains(st, "ReraisedFromRun.func1.1(") {
+		t.Fatalf("FaultStack does not show the panicking callback:\n%s", st)
+	}
+	e.Run()
+	if done != Time(Microsecond) {
+		t.Fatalf("parked process finished at %v after the second Run, want 1µs", done)
+	}
+	if e.FaultStack() != nil {
+		t.Fatal("FaultStack still set after a Run that did not panic")
+	}
+}
+
+// OnProcPanic returning true consumes a process panic: the handler sees no
+// current process and the run carries on with the other processes.
+func TestOnProcPanicConsumedRunContinues(t *testing.T) {
+	e := NewEnv()
+	var caught []string
+	e.OnProcPanic = func(pp *ProcPanic) bool {
+		if e.CurrentProc() != nil {
+			t.Errorf("CurrentProc() = %s in OnProcPanic, want nil", e.CurrentProc().Name())
+		}
+		caught = append(caught, fmt.Sprintf("%s:%v", pp.Proc, pp.Value))
+		return true
+	}
+	var end Time
+	e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("oops")
+	})
+	e.Spawn("survivor", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		end = p.Now()
+	})
+	e.Run()
+	if len(caught) != 1 || caught[0] != "bomb:oops" {
+		t.Fatalf("OnProcPanic saw %v, want [bomb:oops]", caught)
+	}
+	if end != Time(5*Microsecond) {
+		t.Fatalf("survivor finished at %v, want 5µs", end)
+	}
+	if e.Deadlocked() != nil {
+		t.Fatalf("deadlocked: %v", e.Deadlocked())
+	}
+}
+
+// Blocking on a process that does not hold the token is a clear panic, both
+// from another process's body and from outside Run.
+func TestBlockWhileNotCurrentPanics(t *testing.T) {
+	e := NewEnv()
+	idle := e.Spawn("idle", func(p *Proc) {})
+	e.Spawn("thief", func(p *Proc) { idle.Sleep(Microsecond) })
+	r := runPanic(e.Run)
+	pp, ok := r.(*ProcPanic)
+	if !ok || pp.Proc != "thief" || !strings.Contains(fmt.Sprint(pp.Value), "idle blocking while not current") {
+		t.Fatalf("Run panicked with %v, want thief's ProcPanic naming idle", r)
+	}
+	r = runPanic(func() { idle.Sleep(Microsecond) })
+	if !strings.Contains(fmt.Sprint(r), "idle blocking while not current") {
+		t.Fatalf("Sleep outside Run panicked with %v", r)
+	}
+}
+
+// waitGoroutines waits briefly for the goroutine count to fall to n: a
+// process goroutine passes the token on just before it exits.
+func waitGoroutines(n int) int {
+	for i := 0; i < 1000 && runtime.NumGoroutine() > n; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// Close unwinds every process still parked — blocked on an event that never
+// fires, queued on a resource, or never started — running their deferred
+// calls, and lets each goroutine exit. A blocking call inside the unwind
+// panics at once instead of dispatching.
+func TestCloseUnwindsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	never := e.NewEvent("never")
+	r := e.NewResource("r", 1)
+	var unwound []string
+	e.Spawn("holder", func(p *Proc) {
+		r.Acquire(p)
+		defer func() {
+			r.Release()
+			unwound = append(unwound, "holder")
+			p.Sleep(Microsecond) // must panic, not run the calendar
+			unwound = append(unwound, "holder slept")
+		}()
+		p.Wait(never)
+	})
+	e.Spawn("queued", func(p *Proc) {
+		defer func() { unwound = append(unwound, "queued") }()
+		r.Acquire(p)
+	})
+	e.Spawn("finished", func(p *Proc) {})
+	e.Run()
+	e.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	if got := len(e.Deadlocked()); got != 2 {
+		t.Fatalf("Deadlocked() = %v, want holder and queued", e.Deadlocked())
+	}
+	e.Close()
+	e.Close()
+	if want := []string{"holder", "queued"}; !reflect.DeepEqual(unwound, want) {
+		t.Fatalf("unwound %v, want %v", unwound, want)
+	}
+	if got := waitGoroutines(base); got > base {
+		t.Fatalf("%d goroutines left after Close, want %d", got, base)
+	}
+	if e.Deadlocked() != nil {
+		t.Fatalf("Deadlocked() after Close = %v", e.Deadlocked())
+	}
+}
+
+// After Close, Run, Spawn and blocking calls panic with a clear message.
+func TestUseAfterClosePanics(t *testing.T) {
+	e := NewEnv()
+	var p0 *Proc
+	e.RunFunc("p0", func(p *Proc) { p0 = p })
+	e.Close()
+	for name, fn := range map[string]func(){
+		"Run":   e.Run,
+		"Spawn": func() { e.Spawn("late", func(*Proc) {}) },
+		"Sleep": func() { p0.Sleep(Microsecond) },
+	} {
+		if r := runPanic(fn); !strings.Contains(fmt.Sprint(r), "after Close") {
+			t.Errorf("%s after Close panicked with %v, want a message naming Close", name, r)
+		}
 	}
 }
 

@@ -592,8 +592,8 @@ func (m *Machine) Guests() []*Guest { return m.guests }
 // and metrics into it from then on; export with trace.WriteChrome /
 // WriteMetrics. Tracing reads the virtual clock but never advances it, so a
 // traced run's timings are bit-identical to an untraced run of the same
-// seed. Call StopTrace when done (tests must, or the tracer registry pins
-// the environment for the process lifetime).
+// seed. Call StopTrace or Close when done (tests must, or the tracer
+// registry pins the environment for the process lifetime).
 func (m *Machine) StartTrace() *trace.Tracer {
 	t := trace.New()
 	trace.Install(m.Env, t)
@@ -616,6 +616,15 @@ func (m *Machine) Run() { m.Env.Run() }
 
 // RunUntil drives the simulation up to the given time.
 func (m *Machine) RunUntil(t sim.Time) { m.Env.RunUntil(t) }
+
+// Close releases the machine: it detaches any tracer and unwinds every
+// simulation process still parked, so their goroutines exit and nothing
+// pins the machine's memory. The machine cannot run again afterwards;
+// closing twice is a no-op.
+func (m *Machine) Close() {
+	trace.Uninstall(m.Env)
+	m.Env.Close()
+}
 
 // Errors.
 var errNotParadice = fmt.Errorf("paradice: guests exist only on a Paradice machine")

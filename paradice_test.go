@@ -17,6 +17,7 @@ func guestKernel(t testing.TB, cfg paradice.Config, paths ...string) (*paradice.
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(m.Close)
 	g, err := m.AddGuest("guest1", paradice.Linux)
 	if err != nil {
 		t.Fatal(err)
