@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	"paradice"
 	"paradice/internal/workload"
@@ -105,7 +106,8 @@ func dumpText(m *paradice.Machine, g *paradice.Guest) {
 	}
 
 	fmt.Println("\n=== channel statistics ===")
-	for p, be := range g.Backends {
+	for _, p := range backendPaths(g) {
+		be := g.Backends[p]
 		fmt.Printf("  %-22s ops=%d notifs=%d dropped=%d wake-irqs=%d polled=%d\n",
 			p, be.OpsHandled, be.NotifsSent, be.NotifsDropped, be.WakeIRQs, be.PolledPosts)
 	}
@@ -157,7 +159,8 @@ func dumpJSON(m *paradice.Machine, g *paradice.Guest) {
 	for _, vm := range m.HV.VMs() {
 		out.VMs = append(out.VMs, vmInfo{Name: vm.Name, ID: int(vm.ID), RAMMiB: vm.RAM >> 20, EPTEntries: vm.EPT.Count()})
 	}
-	for p, be := range g.Backends {
+	for _, p := range backendPaths(g) {
+		be := g.Backends[p]
 		out.Channels = append(out.Channels, channelInfo{
 			Path: p, Ops: be.OpsHandled, Notifs: be.NotifsSent, NotifsDropped: be.NotifsDropped,
 			WakeIRQs: be.WakeIRQs, PolledPosts: be.PolledPosts,
@@ -168,6 +171,17 @@ func dumpJSON(m *paradice.Machine, g *paradice.Guest) {
 	if err := enc.Encode(out); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// backendPaths returns the paths of g's backends, sorted, so the dump is the
+// same on every run.
+func backendPaths(g *paradice.Guest) []string {
+	paths := make([]string, 0, len(g.Backends))
+	for p := range g.Backends {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
 }
 
 func mcLo(m *paradice.Machine) uint64 { lo, _ := m.GPU.MCBounds(); return lo }

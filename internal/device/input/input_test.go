@@ -39,10 +39,8 @@ func newEvRig(t testing.TB, irqLatency sim.Duration) *evRig {
 		t.Fatal(err)
 	}
 	ept := mem.NewEPT()
-	for off := uint64(0); off < ram; off += mem.PageSize {
-		if err := ept.Map(mem.GuestPhys(off), base+mem.SysPhys(off), mem.PermRW); err != nil {
-			t.Fatal(err)
-		}
+	if err := ept.MapRange(0, base, ram/mem.PageSize, mem.PermRW); err != nil {
+		t.Fatal(err)
 	}
 	space := &mem.GuestSpace{Phys: phys, EPT: ept}
 	k := kernel.New("testvm", kernel.Linux, env, space, ram)

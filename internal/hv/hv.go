@@ -117,10 +117,8 @@ func (h *Hypervisor) CreateVM(name string, ram uint64) (*VM, error) {
 		return nil, err
 	}
 	ept := mem.NewEPT()
-	for off := uint64(0); off < ram; off += mem.PageSize {
-		if err := ept.Map(mem.GuestPhys(off), base+mem.SysPhys(off), mem.PermRW); err != nil {
-			return nil, err
-		}
+	if err := ept.MapRange(0, base, int(ram/mem.PageSize), mem.PermRW); err != nil {
+		return nil, err
 	}
 	vm := &VM{
 		ID:      VMID(len(h.vms) + 1),
@@ -274,8 +272,8 @@ func (h *Hypervisor) assignDevice(vm *VM, dev string, bars []BAR, blanketDMA boo
 		}
 		gpa := vm.barNext
 		vm.barNext += mem.GuestPhys(b.Size)
-		for off := uint64(0); off < b.Size; off += mem.PageSize {
-			if err := vm.EPT.Map(gpa+mem.GuestPhys(off), b.SPA+mem.SysPhys(off), mem.PermRW); err != nil {
+		if b.Size > 0 {
+			if err := vm.EPT.MapRange(gpa, b.SPA, int(b.Size/mem.PageSize), mem.PermRW); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -49,7 +49,11 @@ type Domain struct {
 	name    string
 	live    map[uint64]entry              // bus frame -> entry, currently active
 	regions map[RegionID]map[uint64]entry // staged per-region mappings
-	active  RegionID
+	// spans holds the RegionGlobal ranges MapRange installs, one run each
+	// however many pages it covers, keyed by bus address. They are always
+	// live; a page carved out of a span leaves it.
+	spans  *mem.EPT
+	active RegionID
 	// onUnmapLive, when set, runs for every page leaving the live table
 	// during a region switch — the hypervisor hooks this to zero pages.
 	onUnmapLive func(bus BusAddr, spa mem.SysPhys)
@@ -61,6 +65,7 @@ func NewDomain(name string) *Domain {
 		name:    name,
 		live:    make(map[uint64]entry),
 		regions: map[RegionID]map[uint64]entry{RegionGlobal: {}},
+		spans:   mem.NewEPT(),
 	}
 }
 
@@ -72,14 +77,30 @@ func frame(a BusAddr) uint64 { return uint64(a) >> mem.PageShift }
 // MapRange installs identity-permission mappings for a contiguous run of
 // pages, bus -> spa. This is plain device assignment: "the hypervisor
 // programs the IOMMU to allow the device to DMA to all physical addresses in
-// the driver VM". The pages land in RegionGlobal and the live table.
+// the driver VM". The run is one RegionGlobal span, live at once, installed
+// all-or-nothing; its pages collide with AddPage and GrantPages like pages
+// added one by one.
 func (d *Domain) MapRange(bus BusAddr, spa mem.SysPhys, npages int, perm mem.Perm) error {
-	for i := 0; i < npages; i++ {
-		b := bus + BusAddr(i*mem.PageSize)
-		s := spa + mem.SysPhys(i*mem.PageSize)
-		if err := d.AddPage(RegionGlobal, b, s, perm); err != nil {
-			return err
+	if npages <= 0 {
+		return nil
+	}
+	if !mem.PageAligned(uint64(bus)) || !mem.PageAligned(uint64(spa)) {
+		return fmt.Errorf("iommu: unaligned MapRange bus:%#x -> %v", uint64(bus), spa)
+	}
+	lo, hi := frame(bus), frame(bus)+uint64(npages)
+	hit, hitRegion := hi, RegionGlobal
+	for id, r := range d.regions {
+		for f := range r {
+			if f >= lo && f < hit {
+				hit, hitRegion = f, id
+			}
 		}
+	}
+	if hit < hi {
+		return fmt.Errorf("iommu: bus:%#x already mapped in region %d", hit<<mem.PageShift, hitRegion)
+	}
+	if err := d.spans.MapRange(mem.GuestPhys(bus), spa, npages, perm); err != nil {
+		return fmt.Errorf("iommu: bus:%#x+%d pages overlaps a mapping in region %d", uint64(bus), npages, RegionGlobal)
 	}
 	return nil
 }
@@ -98,6 +119,9 @@ func (d *Domain) AddPage(region RegionID, bus BusAddr, spa mem.SysPhys, perm mem
 	f := frame(bus)
 	if _, ok := r[f]; ok {
 		return fmt.Errorf("iommu: bus:%#x already mapped in region %d", uint64(bus), region)
+	}
+	if d.spans.Mapped(mem.GuestPhys(bus)) {
+		return fmt.Errorf("iommu: bus:%#x already mapped in region %d", uint64(bus), RegionGlobal)
 	}
 	// A bus frame must belong to exactly one region, or live-table entries
 	// would be ambiguous.
@@ -137,12 +161,14 @@ func (d *Domain) GrantPages(bus BusAddr, spas []mem.SysPhys, perm mem.Perm) erro
 // install or a region teardown must still succeed.
 func (d *Domain) RevokePages(bus BusAddr, npages int) error {
 	for i := 0; i < npages; i++ {
-		f := frame(bus + BusAddr(i*mem.PageSize))
-		if _, ok := d.regions[RegionGlobal][f]; !ok {
-			continue
+		b := bus + BusAddr(i*mem.PageSize)
+		f := frame(b)
+		if _, ok := d.regions[RegionGlobal][f]; ok {
+			delete(d.regions[RegionGlobal], f)
+			delete(d.live, f)
+		} else if d.spans.Mapped(mem.GuestPhys(b)) {
+			_ = d.spans.Unmap(mem.GuestPhys(b))
 		}
-		delete(d.regions[RegionGlobal], f)
-		delete(d.live, f)
 	}
 	return nil
 }
@@ -155,6 +181,9 @@ func (d *Domain) RemovePage(region RegionID, bus BusAddr) error {
 		return fmt.Errorf("iommu: unknown region %d", region)
 	}
 	if _, ok := r[f]; !ok {
+		if region == RegionGlobal && d.spans.Mapped(mem.GuestPhys(bus)) {
+			return d.spans.Unmap(mem.GuestPhys(bus))
+		}
 		return fmt.Errorf("iommu: bus:%#x not mapped in region %d", uint64(bus), region)
 	}
 	delete(r, f)
@@ -205,6 +234,9 @@ func (d *Domain) SetUnmapHook(fn func(bus BusAddr, spa mem.SysPhys)) {
 func (d *Domain) Translate(bus BusAddr, access mem.Perm) (mem.SysPhys, error) {
 	e, ok := d.live[frame(bus)]
 	if !ok {
+		e.spa, e.perm, ok = d.spans.Lookup(mem.GuestPhys(bus))
+	}
+	if !ok {
 		return 0, &DMAFault{Addr: bus, Access: access}
 	}
 	if !e.perm.Allows(access) {
@@ -213,5 +245,6 @@ func (d *Domain) Translate(bus BusAddr, access mem.Perm) (mem.SysPhys, error) {
 	return e.spa + mem.SysPhys(mem.PageOffset(uint64(bus))), nil
 }
 
-// LivePages returns the size of the live table (diagnostics).
-func (d *Domain) LivePages() int { return len(d.live) }
+// LivePages returns the number of pages the device can reach right now,
+// span pages included (diagnostics).
+func (d *Domain) LivePages() int { return len(d.live) + d.spans.Count() }

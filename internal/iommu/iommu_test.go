@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"paradice/internal/mem"
@@ -304,5 +305,112 @@ func TestRevokePagesIdempotent(t *testing.T) {
 	// Over-length revoke (covers pages never granted) also succeeds.
 	if err := d.RevokePages(0x80000, 8); err != nil {
 		t.Fatal("revoke past the granted run failed")
+	}
+}
+
+// MapRange installs one RegionGlobal span. Its frames behave like pages added
+// one by one: AddPage and GrantPages collide with them, RemovePage and
+// RevokePages carve them out, Translate works up to both edges, and
+// LivePages counts them.
+func TestMapRangeSpanBehavesPerPage(t *testing.T) {
+	d := NewDomain("gpu")
+	const base, spa, n = BusAddr(0x100000), mem.SysPhys(0x4000000), 16
+	if err := d.MapRange(base, spa, n, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LivePages(); got != n {
+		t.Fatalf("LivePages = %d, want %d", got, n)
+	}
+	last := base + (n-1)*mem.PageSize
+	for bus, want := range map[BusAddr]mem.SysPhys{
+		base:                  spa,
+		last + 0xFFF:          spa + (n-1)*mem.PageSize + 0xFFF,
+		base + 5*mem.PageSize: spa + 5*mem.PageSize,
+	} {
+		if got, err := d.Translate(bus, mem.PermWrite); err != nil || got != want {
+			t.Fatalf("Translate(%#x) = %v, %v; want %v", uint64(bus), got, err, want)
+		}
+	}
+	for _, bus := range []BusAddr{base - 1, last + mem.PageSize} {
+		var f *DMAFault
+		if _, err := d.Translate(bus, mem.PermRead); !errors.As(err, &f) || f.Mapped {
+			t.Fatalf("Translate(%#x) past the span edge: err = %v, want unmapped DMAFault", uint64(bus), err)
+		}
+	}
+	for _, region := range []RegionID{RegionGlobal, 3} {
+		err := d.AddPage(region, base+2*mem.PageSize, 0x900000, mem.PermRW)
+		if err == nil || !strings.Contains(err.Error(), "already mapped in region 0") {
+			t.Fatalf("AddPage(region %d) into the span: err = %v, want already mapped in region 0", region, err)
+		}
+	}
+	if err := d.GrantPages(last, []mem.SysPhys{0x900000, 0x901000}, mem.PermRW); err == nil {
+		t.Fatal("GrantPages over the span's last page succeeded")
+	}
+	if _, err := d.Translate(last+mem.PageSize, mem.PermRead); err == nil {
+		t.Fatal("a failed GrantPages left a page behind")
+	}
+
+	// Carve page 4 with RemovePage and pages 9-10 with RevokePages.
+	if err := d.RemovePage(RegionGlobal, base+4*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RemovePage(RegionGlobal, base+4*mem.PageSize); err == nil {
+		t.Fatal("second RemovePage of a carved span page succeeded")
+	}
+	if err := d.RevokePages(base+9*mem.PageSize, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LivePages(); got != n-3 {
+		t.Fatalf("LivePages after carving 3 pages = %d, want %d", got, n-3)
+	}
+	for i := 0; i < n; i++ {
+		bus := base + BusAddr(i*mem.PageSize)
+		got, err := d.Translate(bus, mem.PermRead)
+		if carved := i == 4 || i == 9 || i == 10; carved {
+			if err == nil {
+				t.Fatalf("carved page %d still translates", i)
+			}
+		} else if err != nil || got != spa+mem.SysPhys(i*mem.PageSize) {
+			t.Fatalf("page %d: Translate = %v, %v; want %v", i, got, err, spa+mem.SysPhys(i*mem.PageSize))
+		}
+	}
+	// A carved frame is free again.
+	if err := d.AddPage(1, base+4*mem.PageSize, 0x900000, mem.PermRW); err != nil {
+		t.Fatalf("AddPage into a carved frame: %v", err)
+	}
+	// Another region cannot remove a span page.
+	if err := d.RemovePage(1, base); err == nil {
+		t.Fatal("RemovePage(region 1) of a span page succeeded")
+	}
+	// A region switch leaves the span live.
+	if err := d.Switch(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LivePages(); got != n-2 {
+		t.Fatalf("LivePages with region 1 active = %d, want %d", got, n-2)
+	}
+	if _, err := d.Translate(base, mem.PermWrite); err != nil {
+		t.Fatalf("span evicted by a region switch: %v", err)
+	}
+}
+
+// MapRange over a staged page fails without installing anything.
+func TestMapRangeCollisionInstallsNothing(t *testing.T) {
+	d := NewDomain("gpu")
+	if err := d.AddPage(2, 0x13000, 0x900000, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	err := d.MapRange(0x10000, 0x400000, 8, mem.PermRW)
+	if err == nil || !strings.Contains(err.Error(), "bus:0x13000 already mapped in region 2") {
+		t.Fatalf("err = %v, want bus:0x13000 already mapped in region 2", err)
+	}
+	if _, err := d.Translate(0x10000, mem.PermRead); err == nil {
+		t.Fatal("failed MapRange left a mapping behind")
+	}
+	if err := d.MapRange(0x20000, 0x400000, 8, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MapRange(0x24000, 0x500000, 8, mem.PermRW); err == nil {
+		t.Fatal("overlapping MapRange succeeded")
 	}
 }

@@ -13,6 +13,7 @@ package kernel
 
 import (
 	"fmt"
+	"sort"
 
 	"paradice/internal/mem"
 	"paradice/internal/sim"
@@ -135,12 +136,13 @@ func (k *Kernel) LookupDevice(path string) (*DeviceNode, bool) {
 	return n, ok
 }
 
-// DevicePaths returns all registered device paths (order unspecified).
+// DevicePaths returns all registered device paths, sorted.
 func (k *Kernel) DevicePaths() []string {
 	var out []string
 	for p := range k.devfs {
 		out = append(out, p)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -21,10 +21,8 @@ func newTestKernel(t testing.TB, flavor Flavor) *Kernel {
 		t.Fatal(err)
 	}
 	ept := mem.NewEPT()
-	for off := uint64(0); off < ram; off += mem.PageSize {
-		if err := ept.Map(mem.GuestPhys(off), base+mem.SysPhys(off), mem.PermRW); err != nil {
-			t.Fatal(err)
-		}
+	if err := ept.MapRange(0, base, ram/mem.PageSize, mem.PermRW); err != nil {
+		t.Fatal(err)
 	}
 	space := &mem.GuestSpace{Phys: phys, EPT: ept}
 	return New("testvm", flavor, env, space, ram)
@@ -450,6 +448,28 @@ func TestSysInfo(t *testing.T) {
 	}
 	if _, ok := k.SysInfo("missing"); ok {
 		t.Fatal("missing key reported present")
+	}
+}
+
+// DevicePaths lists devfs in sorted order, so whatever prints it prints the
+// same thing on every run.
+func TestDevicePathsSorted(t *testing.T) {
+	k := newTestKernel(t, Linux)
+	want := []string{"/dev/a", "/dev/b", "/dev/dri/card0", "/dev/m", "/dev/snd/pcm", "/dev/z"}
+	for _, i := range []int{3, 5, 0, 2, 4, 1} {
+		d := &echoDriver{}
+		k.RegisterDevice(want[i], d, d)
+	}
+	for run := 0; run < 20; run++ {
+		got := k.DevicePaths()
+		if len(got) != len(want) {
+			t.Fatalf("DevicePaths() = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("DevicePaths() = %v, want %v", got, want)
+			}
+		}
 	}
 }
 

@@ -22,10 +22,8 @@ func newTestKernel(t testing.TB, ram uint64) (*kernel.Kernel, *Sink) {
 		t.Fatal(err)
 	}
 	ept := mem.NewEPT()
-	for off := uint64(0); off < ram; off += mem.PageSize {
-		if err := ept.Map(mem.GuestPhys(off), base+mem.SysPhys(off), mem.PermRW); err != nil {
-			t.Fatal(err)
-		}
+	if err := ept.MapRange(0, base, int(ram/mem.PageSize), mem.PermRW); err != nil {
+		t.Fatal(err)
 	}
 	space := &mem.GuestSpace{Phys: phys, EPT: ept}
 	k := kernel.New("loadvm", kernel.Linux, env, space, ram)

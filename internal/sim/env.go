@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -25,7 +24,7 @@ type Env struct {
 	running bool
 	closed  bool
 	nprocs  int            // live (not yet finished) processes
-	procs   []*Proc        // all spawned processes, for Deadlocked reporting and Close
+	procs   []*Proc        // in spawn order, for Deadlocked and Close; Spawn drops finished ones
 	threads sync.WaitGroup // process goroutines that have not yet exited
 
 	// Observer, when non-nil, receives a structured event per scheduling
@@ -66,6 +65,7 @@ func (e *Env) Now() Time { return e.now }
 // nil when called from scheduler/callback context.
 func (e *Env) CurrentProc() *Proc { return e.current }
 
+// item is one calendar entry, held by value so scheduling allocates nothing.
 type item struct {
 	at  Time
 	seq uint64
@@ -74,39 +74,72 @@ type item struct {
 	gen uint64 // resume generation; stale if != p.resumeGen when popped
 }
 
-type calendar []*item
+// before is the calendar order: by time, then by scheduling sequence. Every
+// item has its own seq, so the order is total and pops are deterministic.
+func (a *item) before(b *item) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (c calendar) Len() int { return len(c) }
-func (c calendar) Less(i, j int) bool {
-	if c[i].at != c[j].at {
-		return c[i].at < c[j].at
+// calendar is a binary min-heap of items in before order.
+type calendar []item
+
+// push adds it, sifting the hole it fills up from the bottom.
+func (c *calendar) push(it item) {
+	h := append(*c, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return c[i].seq < c[j].seq
-}
-func (c calendar) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c *calendar) Push(x any)   { *c = append(*c, x.(*item)) }
-func (c *calendar) Pop() any {
-	old := *c
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*c = old[:n-1]
-	return it
+	h[i] = it
+	*c = h
 }
 
-func (e *Env) schedule(it *item) {
+// pop removes the earliest item, sifting the last one down from the root.
+func (c *calendar) pop() {
+	h := *c
+	n := len(h) - 1
+	last := h[n]
+	h[n] = item{} // drop the callback and process references
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && h[r].before(&h[m]) {
+				m = r
+			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	*c = h
+}
+
+func (e *Env) schedule(it item) {
 	if it.at < e.now {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < %v", it.at, e.now))
 	}
 	it.seq = e.seq
 	e.seq++
-	heap.Push(&e.cal, it)
+	e.cal.push(it)
 }
 
 // At schedules fn to run at absolute time t in scheduler context.
 // fn must not block or advance time; to do timed work, spawn a process.
 func (e *Env) At(t Time, fn func()) {
-	e.schedule(&item{at: t, fn: fn})
+	e.schedule(item{at: t, fn: fn})
 }
 
 // After schedules fn to run d from now in scheduler context.
@@ -163,18 +196,18 @@ func (e *Env) FaultStack() []byte { return e.stack }
 // returns the next process to resume, or nil when nothing is due. It runs on
 // whichever goroutine holds the token, with no process current.
 func (e *Env) next() *Proc {
-	for e.cal.Len() > 0 {
+	for len(e.cal) > 0 {
 		it := e.cal[0]
 		if it.p != nil && (it.p.finished || it.gen != it.p.resumeGen) {
 			// Stale resume (dead process or superseded wake-up): discard
 			// without letting it advance the clock.
-			heap.Pop(&e.cal)
+			e.cal.pop()
 			continue
 		}
 		if it.at > e.limit {
 			break
 		}
-		heap.Pop(&e.cal)
+		e.cal.pop()
 		e.now = it.at
 		if it.fn != nil {
 			if e.Observer != nil {

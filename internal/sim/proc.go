@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 )
 
 // Proc is a simulation process: a goroutine that runs only while it holds the
@@ -24,6 +25,12 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		panic("sim: Spawn after Close")
 	}
 	p := &Proc{env: e, name: name, wake: make(chan struct{})}
+	if len(e.procs) == cap(e.procs) && e.nprocs <= len(e.procs)/2 {
+		// At least half the list has finished: drop those instead of
+		// growing, so a run that spawns a process per request keeps only
+		// the live ones. The survivors stay in spawn order.
+		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.finished })
+	}
 	e.nprocs++
 	e.procs = append(e.procs, p)
 	e.threads.Add(1)
@@ -86,7 +93,7 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) scheduleResume(at Time) {
 	p.queued = true
 	p.resumeGen++
-	p.env.schedule(&item{at: at, p: p, gen: p.resumeGen})
+	p.env.schedule(item{at: at, p: p, gen: p.resumeGen})
 }
 
 // block gives up the token and returns when p is resumed. The calendar loop

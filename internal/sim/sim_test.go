@@ -656,3 +656,97 @@ func TestManyProcsDrain(t *testing.T) {
 		t.Fatalf("deadlocked procs: %v", dl)
 	}
 }
+
+// The calendar pops items in (at, seq) order under any interleaving of
+// pushes and pops, including many items due at the same instant.
+func TestCalendarPopsInOrder(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var c calendar
+		var seq uint64
+		var last item
+		popped := 0
+		for op := 0; op < 2000; op++ {
+			if len(c) == 0 || rng.Intn(3) > 0 {
+				// Never earlier than the last pop, as Env.schedule enforces.
+				c.push(item{at: last.at + Time(rng.Intn(8)), seq: seq})
+				seq++
+				continue
+			}
+			top := c[0]
+			for i := range c {
+				if c[i].before(&top) {
+					t.Fatalf("seed %d: top %+v is not the earliest, %+v is", seed, top, c[i])
+				}
+			}
+			c.pop()
+			if popped > 0 && !last.before(&top) {
+				t.Fatalf("seed %d: popped %+v after %+v", seed, top, last)
+			}
+			last = top
+			popped++
+		}
+	}
+}
+
+// Steady-state scheduling allocates nothing: a callback scheduled and
+// dispatched, and a process sleeping and being resumed.
+func TestSchedulingAllocatesNothing(t *testing.T) {
+	e := NewEnv()
+	fn := func() {}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(Microsecond, fn)
+		e.Run()
+	}); n != 0 {
+		t.Errorf("After + dispatch: %v allocs, want 0", n)
+	}
+	var sleeps float64
+	e.RunFunc("sleeper", func(p *Proc) {
+		sleeps = testing.AllocsPerRun(1000, func() { p.Sleep(Microsecond) })
+	})
+	if sleeps != 0 {
+		t.Errorf("Sleep resume: %v allocs, want 0", sleeps)
+	}
+}
+
+// Finished processes are dropped from the process list, but Deadlocked still
+// names the blocked ones in spawn order and Close still unwinds them.
+func TestFinishedProcsDropped(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	never := e.NewEvent("never")
+	var blocked, unwound []string
+	block := func(name string) {
+		blocked = append(blocked, name)
+		e.Spawn(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			p.Wait(never)
+		})
+	}
+	block("first")
+	for i := 0; i < 10000; i++ {
+		e.Spawn(fmt.Sprintf("op%d", i), func(p *Proc) { p.Sleep(Microsecond) })
+		if i%2500 == 0 {
+			block(fmt.Sprintf("blocked%d", i))
+		}
+		if i%100 == 0 {
+			e.Run()
+		}
+	}
+	block("last")
+	e.Run()
+	// At most about 106 processes were ever live at once.
+	if len(e.procs) > 256 {
+		t.Errorf("%d processes kept after 10000 finished, %d live", len(e.procs), e.nprocs)
+	}
+	if got := e.Deadlocked(); !reflect.DeepEqual(got, blocked) {
+		t.Fatalf("Deadlocked() = %v, want %v", got, blocked)
+	}
+	e.Close()
+	if !reflect.DeepEqual(unwound, blocked) {
+		t.Fatalf("Close unwound %v, want %v", unwound, blocked)
+	}
+	if got := waitGoroutines(base); got > base {
+		t.Fatalf("%d goroutines left after Close, want %d", got, base)
+	}
+}

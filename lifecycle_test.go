@@ -9,7 +9,7 @@ import (
 	"paradice/internal/workload"
 )
 
-// TestMachineCloseCycles builds, runs and closes a machine 100 times in one
+// TestMachineCloseCycles builds, runs and closes a machine 1000 times in one
 // process. Close must unwind every parked simulation process, so the
 // goroutine count returns to its baseline and the live heap stays flat.
 func TestMachineCloseCycles(t *testing.T) {
@@ -21,7 +21,8 @@ func TestMachineCloseCycles(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	var warm uint64
-	for i := 0; i < 100; i++ {
+	const cycles = 1000
+	for i := 0; i < cycles; i++ {
 		m, err := paradice.New(paradice.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -46,9 +47,9 @@ func TestMachineCloseCycles(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines after 100 closed machines, baseline %d", got, base)
+		t.Fatalf("%d goroutines after %d closed machines, baseline %d", got, cycles, base)
 	}
 	if grew := int64(heapInuse()) - int64(warm); grew > 8<<20 {
-		t.Fatalf("live heap grew %d KiB over 90 closed machines", grew>>10)
+		t.Fatalf("live heap grew %d KiB over %d closed machines", grew>>10, cycles-10)
 	}
 }
