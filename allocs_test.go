@@ -15,7 +15,7 @@ import (
 // It counts heap allocations across 5000 warm ops from inside the process
 // body, where nothing else runs.
 func TestForwardedIoctlAllocs(t *testing.T) {
-	const warm, ops, maxPerOp = 200, 5000, 24
+	const warm, ops, maxPerOp = 200, 5000, 16
 	m, gk := guestKernel(t, paradice.Config{}, paradice.PathGPU)
 	p, err := gk.NewProcess("allocs")
 	if err != nil {

@@ -1,7 +1,7 @@
 package cvd
 
 import (
-	"fmt"
+	"strconv"
 
 	"paradice/internal/faults"
 	"paradice/internal/grant"
@@ -580,7 +580,8 @@ func (b *Backend) oldestPosted() (int, bool) {
 // worker pool attached (Config.Workers > 0) the dispatcher enqueues to the
 // pool instead and a bounded worker calls handle directly.
 func (b *Backend) spawnHandler(req request) {
-	b.driverK.Env.Spawn(fmt.Sprintf("cvd-op-%s-%d@%s", b.guestVM.Name, req.seq, b.driverK.Name), func(sp *sim.Proc) {
+	name := "cvd-op-" + b.guestVM.Name + "-" + strconv.FormatUint(uint64(req.seq), 10) + "@" + b.driverK.Name
+	b.driverK.Env.Spawn(name, func(sp *sim.Proc) {
 		b.handle(sp, req)
 	})
 }
@@ -601,7 +602,7 @@ func (b *Backend) handle(sp *sim.Proc, req request) {
 		dstart := tr.Now()
 		sp.Advance(perf.CostPost) // deserialize the request
 		tr.Span(rid, b.driverVM.Name, trace.LayerBE, "dispatch", dstart, tr.Now())
-		task := b.proc.AdoptTask(fmt.Sprintf("op%d", req.seq), sp)
+		task := b.proc.AdoptTask("op"+strconv.FormatUint(uint64(req.seq), 10), sp)
 		conduit := &remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}
 		if b.mapc != nil && req.flags&reqFlagMapHint != 0 {
 			// The frontend kept this data buffer's grant alive across

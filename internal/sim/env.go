@@ -25,6 +25,7 @@ type Env struct {
 	closed  bool
 	nprocs  int            // live (not yet finished) processes
 	procs   []*Proc        // in spawn order, for Deadlocked and Close; Spawn drops finished ones
+	idle    []*thread      // parked goroutines Spawn reuses, last parked first
 	threads sync.WaitGroup // process goroutines that have not yet exited
 
 	// Observer, when non-nil, receives a structured event per scheduling
@@ -229,19 +230,20 @@ func (e *Env) next() *Proc {
 // carrying p's panic if it died of one. It runs due callbacks on p's
 // goroutine, then wakes the next process due or, when none is due by the
 // limit, sends the token home to the Run caller. It reports whether the next
-// process due is p itself, which then simply keeps running.
+// process due runs on p's goroutine — p itself, or a process a callback just
+// spawned onto the goroutine p finished on — which then simply keeps running.
 func (e *Env) handoff(p *Proc, trap *ProcPanic) bool {
 	e.current = nil
-	switch q := e.dispatch(trap); q {
-	case nil:
+	q := e.dispatch(trap)
+	if q == nil {
 		e.home <- struct{}{}
-	case p:
-		e.current = p
-		return true
-	default:
-		e.current = q
-		q.wake <- struct{}{}
+		return false
 	}
+	e.current = q
+	if q.wake == p.wake {
+		return true
+	}
+	q.wake <- struct{}{}
 	return false
 }
 
@@ -269,8 +271,9 @@ func (e *Env) dispatch(trap *ProcPanic) (q *Proc) {
 // Close unwinds every unfinished process so its goroutine exits and no
 // longer pins the environment. A parked process panics a kill token out of
 // the call that blocked it, running its deferred calls; a process that never
-// started just exits. Close must not be called during Run; afterwards Run,
-// Spawn and any blocking call panic. Closing twice is a no-op.
+// started just exits, and so does every idle goroutine. Close must not be
+// called during Run; afterwards Run, Spawn and any blocking call panic.
+// Closing twice is a no-op.
 func (e *Env) Close() {
 	if e.running {
 		panic("sim: Close during Run")
@@ -285,7 +288,10 @@ func (e *Env) Close() {
 			<-e.home
 		}
 	}
-	e.cal, e.procs, e.nprocs = nil, nil, 0
+	for _, t := range e.idle {
+		close(t.wake)
+	}
+	e.cal, e.procs, e.nprocs, e.idle = nil, nil, 0, nil
 	// A process goroutine passes the token on just before it exits; wait out
 	// the last few steps of any still on their way, so none outlives Close.
 	e.threads.Wait()

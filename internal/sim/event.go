@@ -27,7 +27,10 @@ func (ev *Event) Trigger() {
 	for _, p := range ev.waiters {
 		p.scheduleResume(ev.env.now)
 	}
-	ev.waiters = nil
+	// Keep the slice for the next round of waiters; no process runs here,
+	// so nothing can append to it meanwhile.
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0]
 	for _, fn := range ev.callbacks {
 		ev.env.At(ev.env.now, fn)
 	}

@@ -6,13 +6,14 @@ import (
 	"slices"
 )
 
-// Proc is a simulation process: a goroutine that runs only while it holds the
-// scheduler's hand-off token. At most one Proc executes at any instant, so
-// process bodies may freely mutate shared simulation state without locks.
+// Proc is a simulation process: a body that runs on a process goroutine only
+// while it holds the scheduler's hand-off token. At most one Proc executes at
+// any instant, so process bodies may freely mutate shared simulation state
+// without locks.
 type Proc struct {
 	env       *Env
 	name      string
-	wake      chan struct{}
+	wake      chan struct{} // its goroutine's (thread.wake)
 	finished  bool
 	queued    bool   // has a pending calendar resume entry
 	resumeGen uint64 // bumped per scheduled resume; stale entries are skipped
@@ -24,7 +25,18 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn after Close")
 	}
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
+	var t *thread
+	if n := len(e.idle); n > 0 {
+		t = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		t = &thread{wake: make(chan struct{})}
+		e.threads.Add(1)
+		go t.loop(e)
+	}
+	p := &Proc{env: e, name: name, wake: t.wake}
+	t.p, t.fn = p, fn
 	if len(e.procs) == cap(e.procs) && e.nprocs <= len(e.procs)/2 {
 		// At least half the list has finished: drop those instead of
 		// growing, so a run that spawns a process per request keeps only
@@ -33,8 +45,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	e.nprocs++
 	e.procs = append(e.procs, p)
-	e.threads.Add(1)
-	go p.run(fn)
 	p.scheduleResume(e.now)
 	return p
 }
@@ -45,20 +55,52 @@ type closedError struct{ proc string }
 
 func (c closedError) Error() string { return "sim: " + c.proc + " blocked after Close" }
 
-// run is the process goroutine: it waits for the first resume, runs fn, then
-// passes the token on. The pass-on is deferred so it also happens when fn
-// panics or exits through runtime.Goexit (a t.FailNow in a test's process
-// body).
-func (p *Proc) run(fn func(*Proc)) {
-	e := p.env
+// thread is a process goroutine. It runs one process body after another, so
+// a run that spawns a process per request starts a goroutine only per
+// concurrently live process. Between bodies it is parked on Env.idle with p
+// and fn nil; Spawn hands it the next body.
+type thread struct {
+	wake chan struct{} // shared with the process it runs
+	p    *Proc
+	fn   func(*Proc)
+}
+
+// loop waits for the first resume of t's process, runs it, and repeats. It
+// exits when a body leaves through runtime.Goexit (a t.FailNow in a test's
+// process body), when the Env closes, or when Close wakes it idle.
+func (t *thread) loop(e *Env) {
 	defer e.threads.Done()
-	<-p.wake // wait for first resume
+	for mine := false; ; {
+		if !mine {
+			<-t.wake
+		}
+		p := t.p
+		if p == nil {
+			return // woken idle by Close
+		}
+		var again bool
+		if again, mine = p.run(t); !again {
+			return
+		}
+	}
+}
+
+// run runs p's body on t, then passes the token on. The pass-on is deferred so
+// it also happens when the body panics or exits through runtime.Goexit. It
+// reports whether t goes back to the idle list, and whether the hand-off gave
+// the token to the process Spawn meanwhile put on t, which then runs at once.
+// Nothing after the hand-off touches the Env: another goroutine holds it.
+func (p *Proc) run(t *thread) (again, mine bool) {
+	e, fn := p.env, t.fn
+	t.p, t.fn = nil, nil // pin neither this process nor its closure once done
+	returned := false
 	defer func() {
 		// While the Env is closing, a panic (the kill token or anything the
 		// unwind raises) just ends the process; otherwise it goes to the
 		// scheduler with the stack at the panic site.
 		var trap *ProcPanic
-		if r := recover(); r != nil && !e.closed {
+		r := recover()
+		if r != nil && !e.closed {
 			trap = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 		p.finished = true
@@ -67,11 +109,17 @@ func (p *Proc) run(fn func(*Proc)) {
 			return
 		}
 		e.nprocs--
-		e.handoff(p, trap)
+		// A body that left through Goexit takes its goroutine with it.
+		if again = returned || r != nil; again {
+			e.idle = append(e.idle, t)
+		}
+		mine = e.handoff(p, trap)
 	}()
 	if !e.closed {
 		fn(p)
 	}
+	returned = true
+	return
 }
 
 // RunFunc spawns fn as a process and runs the environment until the calendar

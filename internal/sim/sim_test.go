@@ -707,6 +707,19 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	if sleeps != 0 {
 		t.Errorf("Sleep resume: %v allocs, want 0", sleeps)
 	}
+	ev := e.NewEvent("ev")
+	trigger := ev.Trigger
+	var waits float64
+	e.RunFunc("waiter", func(p *Proc) {
+		waits = testing.AllocsPerRun(1000, func() {
+			ev.Reset()
+			e.After(Microsecond, trigger)
+			p.Wait(ev)
+		})
+	})
+	if waits != 0 {
+		t.Errorf("Wait + Trigger + Reset: %v allocs, want 0", waits)
+	}
 }
 
 // Finished processes are dropped from the process list, but Deadlocked still
@@ -749,4 +762,163 @@ func TestFinishedProcsDropped(t *testing.T) {
 	if got := waitGoroutines(base); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
+}
+
+// runWithin runs e until its calendar drains, failing t if that takes longer
+// than a few seconds (a hand-off that deadlocks).
+func runWithin(t *testing.T, e *Env) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: the token hand-off deadlocked")
+	}
+}
+
+// A callback dispatched while a finished process hands the token on may spawn
+// onto the goroutine that process just parked; the new process is then the
+// next due and runs right there, without the goroutine waking itself.
+func TestCallbackSpawnsOntoFinishedGoroutine(t *testing.T) {
+	e := NewEnv()
+	var aWake, bWake chan struct{}
+	var ran []string
+	e.Spawn("a", func(p *Proc) {
+		aWake = p.wake
+		p.Env().After(0, func() {
+			e.Spawn("b", func(p *Proc) {
+				bWake = p.wake
+				ran = append(ran, "b")
+			})
+		})
+		ran = append(ran, "a")
+	})
+	runWithin(t, e)
+	if !reflect.DeepEqual(ran, []string{"a", "b"}) {
+		t.Fatalf("ran %v, want [a b]", ran)
+	}
+	if aWake == nil || bWake != aWake {
+		t.Fatal("b did not run on the goroutine a finished on")
+	}
+	if len(e.idle) != 1 {
+		t.Fatalf("%d idle goroutines, want 1", len(e.idle))
+	}
+	e.Close()
+}
+
+// A body that leaves through runtime.Goexit takes its goroutine with it
+// instead of returning it to the idle list; the next Spawn still runs.
+func TestGoexitGoroutineNotReused(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	var exitWake chan struct{}
+	e.RunFunc("first", func(p *Proc) {})
+	e.RunFunc("exit", func(p *Proc) {
+		exitWake = p.wake
+		runtime.Goexit()
+	})
+	if len(e.idle) != 0 || e.Deadlocked() != nil {
+		t.Fatalf("after Goexit: %d idle goroutines, deadlocked %v", len(e.idle), e.Deadlocked())
+	}
+	ran := false
+	next := e.Spawn("next", func(p *Proc) {
+		p.Sleep(Microsecond)
+		ran = true
+	})
+	runWithin(t, e)
+	if !ran || next.wake == exitWake {
+		t.Fatalf("next ran=%v, on the exited goroutine=%v", ran, next.wake == exitWake)
+	}
+	e.Close()
+	if got := waitGoroutines(base); got > base {
+		t.Fatalf("%d goroutines left after Close, want %d", got, base)
+	}
+}
+
+// A goroutine whose process panicked, with the panic consumed by
+// OnProcPanic, goes back to the idle list and runs the next process.
+func TestConsumedPanicGoroutineReused(t *testing.T) {
+	e := NewEnv()
+	e.OnProcPanic = func(*ProcPanic) bool { return true }
+	var bombWake chan struct{}
+	e.RunFunc("bomb", func(p *Proc) {
+		bombWake = p.wake
+		panic("oops")
+	})
+	if len(e.idle) != 1 {
+		t.Fatalf("%d idle goroutines after a consumed panic, want 1", len(e.idle))
+	}
+	ran := false
+	next := e.Spawn("next", func(p *Proc) { ran = true })
+	runWithin(t, e)
+	if !ran || next.wake != bombWake {
+		t.Fatalf("next ran=%v, on the panicked process's goroutine=%v", ran, next.wake == bombWake)
+	}
+	e.Close()
+}
+
+// Close releases the idle goroutines along with the parked processes.
+func TestCloseReleasesIdleGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	for i := 0; i < 8; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Sleep(Microsecond) })
+	}
+	e.Run()
+	if len(e.idle) != 8 {
+		t.Fatalf("%d idle goroutines, want 8", len(e.idle))
+	}
+	e.Close()
+	if got := waitGoroutines(base); got > base {
+		t.Fatalf("%d goroutines left after Close, want %d", got, base)
+	}
+}
+
+// A run that spawns a process per request keeps one goroutine per
+// concurrently live process, not one per process ever spawned.
+func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	peakLive, peakGoroutines, served := 0, 0, 0
+	e.Spawn("server", func(p *Proc) {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 10000; i++ {
+			e.Spawn("op", func(p *Proc) {
+				p.Sleep(Duration(1+rng.Intn(20)) * Microsecond)
+				served++
+			})
+			peakLive = max(peakLive, e.nprocs)
+			peakGoroutines = max(peakGoroutines, runtime.NumGoroutine()-base)
+			p.Sleep(Duration(rng.Intn(3)) * Microsecond)
+		}
+	})
+	runWithin(t, e)
+	if served != 10000 {
+		t.Fatalf("served %d ops, want 10000", served)
+	}
+	if peakGoroutines > peakLive+2 {
+		t.Fatalf("up to %d goroutines for at most %d live processes", peakGoroutines, peakLive)
+	}
+	e.Close()
+	if got := waitGoroutines(base); got > base {
+		t.Fatalf("%d goroutines left after Close, want %d", got, base)
+	}
+}
+
+// Spawning a process onto an idle goroutine and running it to the end
+// allocates only the Proc itself.
+func TestSpawnReuseAllocs(t *testing.T) {
+	e := NewEnv()
+	body := func(p *Proc) { p.Sleep(Microsecond) }
+	if n := testing.AllocsPerRun(1000, func() {
+		e.Spawn("op", body)
+		e.Run()
+	}); n > 1 {
+		t.Errorf("spawn + run to the end: %v allocs, want at most 1", n)
+	}
+	e.Close()
 }
