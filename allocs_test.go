@@ -15,7 +15,9 @@ import (
 // It counts heap allocations across 5000 warm ops from inside the process
 // body, where nothing else runs.
 func TestForwardedIoctlAllocs(t *testing.T) {
-	const warm, ops, maxPerOp = 200, 5000, 16
+	// The cap sits half an allocation above the 13.0 reading: the runtime's
+	// own background allocations add a few ten-thousandths per op.
+	const warm, ops, maxPerOp = 200, 5000, 13.5
 	m, gk := guestKernel(t, paradice.Config{}, paradice.PathGPU)
 	p, err := gk.NewProcess("allocs")
 	if err != nil {
@@ -53,6 +55,6 @@ func TestForwardedIoctlAllocs(t *testing.T) {
 	}
 	t.Logf("%.1f allocations per forwarded ioctl", perOp)
 	if perOp > maxPerOp {
-		t.Fatalf("%.1f allocations per forwarded ioctl, want at most %d", perOp, maxPerOp)
+		t.Fatalf("%.1f allocations per forwarded ioctl, want at most %.1f", perOp, maxPerOp)
 	}
 }

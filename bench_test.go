@@ -510,7 +510,7 @@ func TestWalkcacheArmedGolden(t *testing.T) {
 
 // TestTracerNilSinkZeroAllocs asserts the disabled-tracing hot path is
 // allocation-free: every call instrumented code can make against the nil
-// sink — registry lookup included — costs zero allocations.
+// sink — the tracer lookup included — costs zero allocations.
 func TestTracerNilSinkZeroAllocs(t *testing.T) {
 	env := sim.NewEnv() // no tracer installed: Get returns the nil sink
 	allocs := testing.AllocsPerRun(200, func() {

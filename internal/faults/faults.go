@@ -75,7 +75,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"paradice/internal/sim"
 	"paradice/internal/trace"
@@ -193,34 +192,19 @@ func (d *Decision) Error() error {
 	return fmt.Errorf("faults: injected %s (hit %d)", d.Point, d.Hit)
 }
 
-// The registry maps environments to installed plans. Distinct environments
-// live on distinct (possibly parallel) test goroutines, hence the lock;
-// within one environment, consultation is serialized by the simulation.
-var (
-	regMu sync.Mutex
-	reg   = make(map[*sim.Env]*Plan)
-)
-
 // Install attaches a plan to an environment, replacing any previous one.
-func Install(env *sim.Env, p *Plan) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	reg[env] = p
-}
+func Install(env *sim.Env, p *Plan) { env.Faults = p }
 
-// Uninstall detaches the environment's plan. Always pair with Install in
-// tests, or the registry pins the environment for the process lifetime.
-func Uninstall(env *sim.Env) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(reg, env)
-}
+// Uninstall detaches the environment's plan.
+func Uninstall(env *sim.Env) { env.Faults = nil }
 
 // Installed returns the environment's plan, or nil.
 func Installed(env *sim.Env) *Plan {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return reg[env]
+	if env == nil {
+		return nil
+	}
+	p, _ := env.Faults.(*Plan)
+	return p
 }
 
 // Point consults the environment's plan for one hit of the named point.
@@ -228,12 +212,7 @@ func Installed(env *sim.Env) *Plan {
 // or the plan decides against it. This is the only call production code
 // makes into this package.
 func Point(env *sim.Env, name string) *Decision {
-	if env == nil {
-		return nil
-	}
-	regMu.Lock()
-	p := reg[env]
-	regMu.Unlock()
+	p := Installed(env)
 	if p == nil {
 		return nil
 	}

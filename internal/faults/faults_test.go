@@ -1,9 +1,14 @@
 package faults
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // Two plans with the same seed and the same consultation order make
@@ -80,6 +85,73 @@ func TestInstallPointUninstall(t *testing.T) {
 	Uninstall(env)
 	if Point(env, "a") != nil || Installed(env) != nil {
 		t.Fatal("plan survived Uninstall")
+	}
+}
+
+// An environment dropped with a tracer and a plan still installed is
+// collected: only the Env holds them. The finalizers sit on the plan and on
+// the tracer's metrics registry, which only the Env reaches; the Env itself
+// cannot carry one, because its tracer points back at it and Go does not
+// finalize objects in a cycle.
+func TestInstalledEnvIsCollected(t *testing.T) {
+	var wg sync.WaitGroup
+	wg.Add(2)
+	func() {
+		env := sim.NewEnv()
+		tr, p := trace.New(), New(1).FailAt("a", 1)
+		trace.Install(env, tr)
+		Install(env, p)
+		runtime.SetFinalizer(p, func(*Plan) { wg.Done() })
+		runtime.SetFinalizer(tr.Metrics(), func(*trace.Registry) { wg.Done() })
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("an Env dropped without Uninstall kept its tracer or plan alive")
+}
+
+// Environments on parallel goroutines each see only their own tracer and
+// plan, and (under -race) share no state doing so.
+func TestParallelEnvsSeeOwnTracerAndPlan(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			env := sim.NewEnv()
+			tr, p := trace.New(), New(int64(g)).FailAt(fmt.Sprint("p", g), 1)
+			trace.Install(env, tr)
+			Install(env, p)
+			for i := 0; i < 1000; i++ {
+				if trace.Get(env) != tr || Installed(env) != p {
+					errs <- fmt.Errorf("env %d sees another tracer or plan", g)
+					return
+				}
+				for h := 0; h < 4; h++ {
+					fired := Point(env, fmt.Sprint("p", h)) != nil
+					if want := h == g && i == 0; fired != want {
+						errs <- fmt.Errorf("env %d: point p%d on pass %d fired=%v", g, h, i, fired)
+						return
+					}
+				}
+			}
+			if got := p.Hits(fmt.Sprint("p", g)); got != 1000 {
+				errs <- fmt.Errorf("env %d: own point consulted %d times, want 1000", g, got)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

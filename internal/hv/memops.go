@@ -26,11 +26,12 @@ func (vm *VM) grantAccessor() (*grant.PhysAccessor, error) {
 }
 
 // validate checks the request against the guest's grant table and returns
-// the guest page table loaded from the declared root.
-func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.GuestVirt, n uint64) (*mem.PageTable, error) {
+// the guest page table loaded from the declared root, by value so a
+// validation allocates nothing.
+func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.GuestVirt, n uint64) (mem.PageTable, error) {
 	acc, err := guest.grantAccessor()
 	if err != nil {
-		return nil, err
+		return mem.PageTable{}, err
 	}
 	tr, rid := h.tracer()
 	vstart := tr.Now()
@@ -57,7 +58,7 @@ func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.Gue
 	if faults.Point(h.Env, "grant.validate") != nil {
 		// Injected validation failure: behave exactly as if no covering
 		// grant entry existed.
-		return nil, &grant.DeniedError{Ref: ref, Kind: kind, VA: va, Len: n}
+		return mem.PageTable{}, &grant.DeniedError{Ref: ref, Kind: kind, VA: va, Len: n}
 	}
 	if faults.Point(h.Env, "grant.validate.skip") != nil {
 		// Deliberately WEAKENED check (see the faults package doc): accept
@@ -75,7 +76,7 @@ func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.Gue
 	tr.Add("hv.grant.scans", 1)
 	ptRoot, err := grant.Validate(acc, ref, kind, va, n)
 	if err != nil {
-		return nil, err
+		return mem.PageTable{}, err
 	}
 	return mem.LoadPageTable(guest.Space, ptRoot), nil
 }
@@ -91,7 +92,7 @@ func (h *Hypervisor) CopyToGuest(guest *VM, ref uint32, dst mem.GuestVirt, src [
 	if err != nil {
 		return err
 	}
-	return h.copyGuest(guest, pt, dst, src, true)
+	return h.copyGuest(guest, &pt, dst, src, true)
 }
 
 // CopyFromGuest fills buf from the guest process's memory at src under a
@@ -104,7 +105,7 @@ func (h *Hypervisor) CopyFromGuest(guest *VM, ref uint32, src mem.GuestVirt, buf
 	if err != nil {
 		return err
 	}
-	return h.copyGuest(guest, pt, src, buf, false)
+	return h.copyGuest(guest, &pt, src, buf, false)
 }
 
 // copyGuest walks the guest page tables in software, then the EPT, page by

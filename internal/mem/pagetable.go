@@ -1,12 +1,17 @@
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageTable is a PAE-style three-level guest page table. Its table frames
 // live in guest-physical memory and its entries are little-endian 64-bit
 // words inside those frames, so the structure can be walked both by the
 // guest kernel that owns it and — through the guest's EPT — by the
-// hypervisor performing the software walk of §5.2.
+// hypervisor performing the software walk of §5.2. Each entry access
+// translates its table page through the EPT and then loads or stores the
+// word in the backing frame directly.
 //
 // Virtual address layout (32-bit PAE):
 //
@@ -45,20 +50,59 @@ func NewPageTable(space *GuestSpace, alloc func() (GuestPhys, error)) (*PageTabl
 
 // LoadPageTable wraps an existing table rooted at root, accessed through
 // space. This is what the hypervisor does: it walks a guest's table through
-// the guest's EPT view without being able to allocate guest frames.
-func LoadPageTable(space *GuestSpace, root GuestPhys) *PageTable {
-	return &PageTable{space: space, root: root}
+// the guest's EPT view without being able to allocate guest frames. The
+// table is returned by value, so loading one per request allocates nothing.
+func LoadPageTable(space *GuestSpace, root GuestPhys) PageTable {
+	return PageTable{space: space, root: root}
 }
 
 // Root returns the guest-physical address of the PDPT page.
 func (pt *PageTable) Root() GuestPhys { return pt.root }
 
+// entry returns the 8 bytes of the entry at gpa inside its table frame. The
+// table page is translated through the EPT with the given access, exactly as
+// a guest-physical access of that kind would be.
+func (pt *PageTable) entry(gpa GuestPhys, access Perm) ([]byte, error) {
+	spa, err := pt.space.EPT.Translate(gpa, access)
+	if err != nil {
+		return nil, err
+	}
+	fr := pt.space.Phys.FrameBytes(spa)
+	if fr == nil {
+		return nil, &BusError{Addr: spa, Op: accessOp(access == PermWrite)}
+	}
+	off := PageOffset(uint64(spa))
+	return fr[off : off+8], nil
+}
+
+// straddles reports whether the entry at gpa crosses a page boundary, which
+// only an entry of a misaligned root can. Such an entry goes through the
+// guest-physical path, which resolves each page in turn.
+func straddles(gpa GuestPhys) bool { return PageOffset(uint64(gpa)) > PageSize-8 }
+
 func (pt *PageTable) readEntry(table GuestPhys, index uint64) (uint64, error) {
-	return pt.space.ReadU64(table + GuestPhys(index*8))
+	gpa := table + GuestPhys(index*8)
+	if straddles(gpa) {
+		return pt.space.ReadU64(gpa)
+	}
+	b, err := pt.entry(gpa, PermRead)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 func (pt *PageTable) writeEntry(table GuestPhys, index uint64, v uint64) error {
-	return pt.space.WriteU64(table+GuestPhys(index*8), v)
+	gpa := table + GuestPhys(index*8)
+	if straddles(gpa) {
+		return pt.space.WriteU64(gpa, v)
+	}
+	b, err := pt.entry(gpa, PermWrite)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(b, v)
+	return nil
 }
 
 // nextLevel returns the table page an entry points at, allocating and

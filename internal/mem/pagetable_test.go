@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,37 @@ func TestHypervisorViewOfGuestTable(t *testing.T) {
 	// But the hypervisor view cannot create intermediates.
 	if err := hvView.SetLeaf(0xBFC00000, target, PermRW); err == nil {
 		t.Fatal("hypervisor view grew intermediate levels")
+	}
+}
+
+// A table page the EPT maps read-only can be walked but not edited: the
+// entry store is an EPT violation at the entry's address, and the entry and
+// the walk stay as they were.
+func TestEditOfReadOnlyTablePageFaults(t *testing.T) {
+	space, alloc := newTestSpace(t, 64)
+	pt, _ := NewPageTable(space, alloc)
+	target, _ := alloc()
+	va := GuestVirt(0x40003000)
+	if err := pt.Map(va, target, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := pt.leafTable(va)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := space.EPT.SetPerm(leaf, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	want := &EPTViolation{GPA: leaf + 3*8, Access: PermWrite, Allowed: PermRead, Mapped: true}
+	if err := pt.Unmap(va); !reflect.DeepEqual(err, want) {
+		t.Fatalf("Unmap through a read-only table page: err = %v, want %v", err, want)
+	}
+	if err := pt.SetLeaf(va+PageSize, target, PermRW); !reflect.DeepEqual(err, &EPTViolation{
+		GPA: leaf + 4*8, Access: PermWrite, Allowed: PermRead, Mapped: true}) {
+		t.Fatalf("SetLeaf through a read-only table page: err = %v", err)
+	}
+	if gpa, err := pt.Walk(va, PermWrite); err != nil || gpa != target {
+		t.Fatalf("walk after the refused edits = %v, %v; want %v", gpa, err, target)
 	}
 }
 

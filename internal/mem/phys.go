@@ -3,7 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PhysMem is the machine's system physical memory: a sparse collection of
@@ -11,10 +11,14 @@ import (
 // frame on first touch, so an allocation costs host memory only for the
 // pages actually used; a device exposes its memory at a physical range (a
 // BAR) by populating it. Touching an unbacked address is a BusError.
+//
+// Frames are indexed by range: each registered range holds a two-level
+// table of frame pointers, filled lazily, and a lookup indexes it after
+// finding the range — first the range the previous lookup hit, then a binary
+// search. A backed frame never moves.
 type PhysMem struct {
-	frames map[uint64]*[PageSize]byte
-	allocs []*Allocator // their handed-out pages are backed on first touch
-	ranges []PhysRange
+	ranges []*frameRange // sorted by base, non-overlapping
+	last   *frameRange   // the range the previous lookup hit, or nil
 }
 
 // PhysRange is a named carve-out of the physical address space, used for
@@ -25,62 +29,126 @@ type PhysRange struct {
 	Size uint64
 }
 
-// NewPhysMem returns empty physical memory.
-func NewPhysMem() *PhysMem {
-	return &PhysMem{frames: make(map[uint64]*[PageSize]byte)}
+// Frame tables are two-level: a range's leaves each cover leafFrames frames,
+// and a leaf is allocated when the first frame under it is backed.
+const (
+	leafShift  = 9
+	leafFrames = 1 << leafShift
+)
+
+// frameRange is a registered range and the frames backing it.
+type frameRange struct {
+	PhysRange
+	first  uint64 // frame number of Base
+	n      uint64 // frames in the range
+	handed uint64 // frames [0, handed) are an allocator's handed-out prefix
+	leaves []*[leafFrames]*[PageSize]byte
 }
+
+// frame returns the backing frame for the range's i-th frame. The first
+// touch of a handed-out frame backs it with zeros; any other unbacked frame
+// returns nil unless populate is set.
+func (r *frameRange) frame(i uint64, populate bool) *[PageSize]byte {
+	back := populate || i < r.handed
+	leaf := r.leaves[i>>leafShift]
+	if leaf == nil {
+		if !back {
+			return nil
+		}
+		leaf = new([leafFrames]*[PageSize]byte)
+		r.leaves[i>>leafShift] = leaf
+	}
+	fr := leaf[i&(leafFrames-1)]
+	if fr == nil && back {
+		fr = new([PageSize]byte)
+		leaf[i&(leafFrames-1)] = fr
+	}
+	return fr
+}
+
+// NewPhysMem returns empty physical memory.
+func NewPhysMem() *PhysMem { return &PhysMem{} }
 
 // AddRange registers a named physical range. Ranges must not overlap.
 func (m *PhysMem) AddRange(name string, base SysPhys, size uint64) PhysRange {
+	return m.addRange(name, base, size).PhysRange
+}
+
+func (m *PhysMem) addRange(name string, base SysPhys, size uint64) *frameRange {
 	if !PageAligned(uint64(base)) || !PageAligned(size) {
 		panic(fmt.Sprintf("mem: range %s not page aligned (%v + %#x)", name, base, size))
 	}
-	for _, r := range m.ranges {
-		if uint64(base) < uint64(r.Base)+r.Size && uint64(r.Base) < uint64(base)+size {
-			panic(fmt.Sprintf("mem: range %s overlaps %s", name, r.Name))
+	first, n := Frame(uint64(base)), size>>PageShift
+	i := m.search(first)
+	if i < len(m.ranges) && m.ranges[i].first < first+n {
+		panic(fmt.Sprintf("mem: range %s overlaps %s", name, m.ranges[i].Name))
+	}
+	r := &frameRange{
+		PhysRange: PhysRange{Name: name, Base: base, Size: size},
+		first:     first,
+		n:         n,
+		leaves:    make([]*[leafFrames]*[PageSize]byte, (n+leafFrames-1)>>leafShift),
+	}
+	m.ranges = slices.Insert(m.ranges, i, r)
+	return r
+}
+
+// search returns the index of the first range ending after frame f.
+func (m *PhysMem) search(f uint64) int {
+	lo, hi := 0, len(m.ranges)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if r := m.ranges[h]; r.first+r.n <= f {
+			lo = h + 1
+		} else {
+			hi = h
 		}
 	}
-	r := PhysRange{Name: name, Base: base, Size: size}
-	m.ranges = append(m.ranges, r)
-	return r
+	return lo
 }
 
 // Ranges returns the registered ranges sorted by base address.
 func (m *PhysMem) Ranges() []PhysRange {
-	out := append([]PhysRange(nil), m.ranges...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
+	out := make([]PhysRange, len(m.ranges))
+	for i, r := range m.ranges {
+		out[i] = r.PhysRange
+	}
 	return out
 }
 
+// lookup returns the range containing frame f, or nil.
+func (m *PhysMem) lookup(f uint64) *frameRange {
+	if r := m.last; r != nil && f-r.first < r.n {
+		return r
+	}
+	i := m.search(f)
+	if i == len(m.ranges) || m.ranges[i].first > f {
+		return nil
+	}
+	m.last = m.ranges[i]
+	return m.last
+}
+
 // Populate backs the page containing pa with a zeroed frame. Populating an
-// already-backed page is a no-op.
+// already-backed page is a no-op. A page outside every registered range
+// becomes a one-page range of its own, named "populated".
 func (m *PhysMem) Populate(pa SysPhys) {
 	f := Frame(uint64(pa))
-	if m.frames[f] == nil {
-		m.frames[f] = new([PageSize]byte)
+	r := m.lookup(f)
+	if r == nil {
+		r = m.addRange("populated", SysPhys(f<<PageShift), PageSize)
 	}
+	r.frame(f-r.first, true)
 }
 
 // FrameBytes returns the backing frame for the page containing pa, or nil.
 func (m *PhysMem) FrameBytes(pa SysPhys) *[PageSize]byte {
-	return m.frame(Frame(uint64(pa)))
-}
-
-// frame returns the backing frame for frame number f. The first touch of an
-// allocated page backs it with a zeroed frame; any other unbacked frame
-// returns nil.
-func (m *PhysMem) frame(f uint64) *[PageSize]byte {
-	if fr := m.frames[f]; fr != nil {
-		return fr
+	f := Frame(uint64(pa))
+	r := m.lookup(f)
+	if r == nil {
+		return nil
 	}
-	for _, a := range m.allocs {
-		if Frame(uint64(a.r.Base)) <= f && f < Frame(uint64(a.next)) {
-			fr := new([PageSize]byte)
-			m.frames[f] = fr
-			return fr
-		}
-	}
-	return nil
+	return r.frame(f-r.first, false)
 }
 
 // Read copies len(buf) bytes starting at pa into buf, crossing page
@@ -97,13 +165,9 @@ func (m *PhysMem) Write(pa SysPhys, data []byte) error {
 func (m *PhysMem) access(pa SysPhys, buf []byte, write bool) error {
 	addr := uint64(pa)
 	for len(buf) > 0 {
-		frame := m.frame(Frame(addr))
+		frame := m.FrameBytes(SysPhys(addr))
 		if frame == nil {
-			op := "read"
-			if write {
-				op = "write"
-			}
-			return &BusError{Addr: SysPhys(addr), Op: op}
+			return &BusError{Addr: SysPhys(addr), Op: accessOp(write)}
 		}
 		off := PageOffset(addr)
 		n := PageSize - off
@@ -119,6 +183,14 @@ func (m *PhysMem) access(pa SysPhys, buf []byte, write bool) error {
 		buf = buf[n:]
 	}
 	return nil
+}
+
+// accessOp names an access for a BusError.
+func accessOp(write bool) string {
+	if write {
+		return "write"
+	}
+	return "read"
 }
 
 // ReadU64 reads a little-endian 64-bit word at pa (must not cross a page).
@@ -159,18 +231,13 @@ func (m *PhysMem) Zero(pa SysPhys, n uint64) error {
 
 // Allocator hands out frames from a physical range, bump-style.
 type Allocator struct {
-	mem  *PhysMem
-	r    PhysRange
-	next SysPhys
+	r *frameRange
 }
 
 // NewAllocator carves a named range out of physical memory and returns an
 // allocator over it.
 func (m *PhysMem) NewAllocator(name string, base SysPhys, size uint64) *Allocator {
-	r := m.AddRange(name, base, size)
-	a := &Allocator{mem: m, r: r, next: base}
-	m.allocs = append(m.allocs, a)
-	return a
+	return &Allocator{r: m.addRange(name, base, size)}
 }
 
 // AllocPage returns the physical address of a fresh zeroed page.
@@ -184,11 +251,10 @@ func (a *Allocator) AllocPages(n int) (SysPhys, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mem: AllocPages(%d)", n)
 	}
-	base := a.next
-	end := uint64(base) + uint64(n)*PageSize
-	if end > uint64(a.r.Base)+a.r.Size {
+	if uint64(n) > a.r.n-a.r.handed {
 		return 0, fmt.Errorf("mem: range %s exhausted", a.r.Name)
 	}
-	a.next = SysPhys(end)
+	base := a.r.Base + SysPhys(a.r.handed<<PageShift)
+	a.r.handed += uint64(n)
 	return base, nil
 }

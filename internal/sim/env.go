@@ -42,6 +42,14 @@ type Env struct {
 	// Returning false preserves the default re-panic behavior. The handler
 	// runs in scheduler context and must not block.
 	OnProcPanic func(*ProcPanic) bool
+
+	// Tracer and Faults hold the environment's installed tracer and fault
+	// plan. Only trace.Install and faults.Install set them (they are typed
+	// any because this package cannot import either); everything else reads
+	// them through trace.Get and faults.Point. Held on the Env, they are
+	// collected with it.
+	Tracer any
+	Faults any
 }
 
 // SchedObserver receives one structured event per scheduling decision. Both

@@ -20,7 +20,7 @@
 //     of the same seed produce bit-identical timings.
 //   - Zero cost when disabled. Get returns nil when no tracer is installed,
 //     and every Tracer method is nil-receiver-safe, so instrumented hot
-//     paths pay one registry lookup and nothing else — no allocations, no
+//     paths pay one field load and nothing else — no allocations, no
 //     branches beyond the nil checks (bench_test.go asserts allocs == 0).
 //   - Deterministic output. Events are recorded in emission order, which is
 //     fully determined by the (deterministic) simulation; metric dumps are
@@ -28,14 +28,13 @@
 //     seed + same config ⇒ byte-identical trace file and metrics dump (the
 //     stress harness verifies this across seeds).
 //
-// Like the faults package, installation is keyed on the *sim.Env so layers
-// deep in the stack (hypervisor, IOMMU, scheduler) can find the tracer
-// without plumbing a handle through every constructor.
+// Like the faults package, the tracer is installed on the *sim.Env so layers
+// deep in the stack (hypervisor, IOMMU, scheduler) can find it without
+// plumbing a handle through every constructor.
 package trace
 
 import (
 	"io"
-	"sync"
 
 	"paradice/internal/sim"
 )
@@ -116,32 +115,16 @@ func New() *Tracer {
 	}
 }
 
-// The registry maps environments to installed tracers, mirroring the faults
-// package: distinct environments live on distinct (possibly parallel) test
-// goroutines, hence the lock; within one environment, all tracer use is
-// serialized by the simulation.
-var (
-	regMu sync.Mutex
-	reg   = make(map[*sim.Env]*Tracer)
-)
-
 // Install attaches a tracer to an environment, replacing any previous one.
 func Install(env *sim.Env, t *Tracer) {
 	if t != nil {
 		t.env = env
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	reg[env] = t
+	env.Tracer = t
 }
 
-// Uninstall detaches the environment's tracer. Always pair with Install in
-// tests, or the registry pins the environment for the process lifetime.
-func Uninstall(env *sim.Env) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(reg, env)
-}
+// Uninstall detaches the environment's tracer.
+func Uninstall(env *sim.Env) { env.Tracer = nil }
 
 // Get returns the environment's tracer, or nil when env is nil or nothing is
 // installed. This is the only call instrumented production code makes to
@@ -150,9 +133,7 @@ func Get(env *sim.Env) *Tracer {
 	if env == nil {
 		return nil
 	}
-	regMu.Lock()
-	t := reg[env]
-	regMu.Unlock()
+	t, _ := env.Tracer.(*Tracer)
 	return t
 }
 

@@ -592,8 +592,7 @@ func (m *Machine) Guests() []*Guest { return m.guests }
 // and metrics into it from then on; export with trace.WriteChrome /
 // WriteMetrics. Tracing reads the virtual clock but never advances it, so a
 // traced run's timings are bit-identical to an untraced run of the same
-// seed. Call StopTrace or Close when done (tests must, or the tracer
-// registry pins the environment for the process lifetime).
+// seed. Call StopTrace or Close when done.
 func (m *Machine) StartTrace() *trace.Tracer {
 	t := trace.New()
 	trace.Install(m.Env, t)
