@@ -8,6 +8,7 @@ package paradice_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"paradice/internal/handover"
 	"paradice/internal/kernel"
 	"paradice/internal/load"
+	"paradice/internal/mem"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
 	"paradice/internal/supervise"
@@ -225,6 +227,126 @@ func TestHandoverAbortRollsBack(t *testing.T) {
 				t.Fatalf("post-abort matmul: %+v %v", res, err)
 			}
 		})
+	}
+}
+
+// wedgeDev is a load sink whose reads never complete, one instance per
+// driver-VM generation, counting the writes that generation served.
+type wedgeDev struct {
+	*load.Sink
+	never  *sim.Event
+	writes int
+}
+
+func (w *wedgeDev) Read(c *kernel.FopCtx, dst mem.GuestVirt, n int) (int, error) {
+	c.Task.Sim().Wait(w.never)
+	return 0, kernel.EIO
+}
+
+func (w *wedgeDev) Write(c *kernel.FopCtx, src mem.GuestVirt, n int) (int, error) {
+	w.writes++
+	return w.Sink.Write(c, src, n)
+}
+
+// TestHandoverDrainDeadlineAborts wedges one operation in flight on the
+// predecessor, so the quiesce stage runs into its real deadline (no
+// "handover.drain.timeout" shortcut). The handover must abort at quiesce
+// with ErrDrainTimeout after pausing the device for at least the deadline,
+// release the post parked meanwhile exactly once, to the predecessor, and
+// leave the restart epoch alone.
+func TestHandoverDrainDeadlineAborts(t *testing.T) {
+	const path = "/dev/wedge"
+	m, err := paradice.New(paradice.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sink := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
+	var gens []*wedgeDev
+	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+		w := &wedgeDev{Sink: sink, never: m.Env.NewEvent("never")}
+		gens = append(gens, w)
+		k.RegisterDevice(path, w, w)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.AddGuest("guest", paradice.Linux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Paravirtualize(path); err != nil {
+		t.Fatal(err)
+	}
+	pred := g.Backends[path]
+
+	// The handover starts at kick; its prepare stage boots the successor
+	// for CostDriverVMRestart, then the drain begins.
+	const kick = sim.Millisecond
+	drainStart := sim.Time(kick + perf.CostDriverVMRestart)
+	var readDone bool
+	var writeErr error
+	writes := 0
+	p, _ := g.NewProcess("app")
+	p.SpawnTask("reader", func(tk *kernel.Task) {
+		fd, err := tk.Open(path, devfile.ORdOnly)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf, _ := p.Alloc(16)
+		tk.Read(fd, buf, 16)
+		readDone = true
+	})
+	p.SpawnTask("writer", func(tk *kernel.Task) {
+		fd, err := tk.Open(path, devfile.OWrOnly)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf, _ := p.Alloc(64)
+		tk.Sim().Sleep(drainStart.Sub(tk.Sim().Now()) + 500*sim.Microsecond)
+		_, writeErr = tk.Write(fd, buf, 64)
+		writes++
+	})
+	var hoErr error
+	m.Env.Spawn("maintenance", func(proc *sim.Proc) {
+		proc.Sleep(kick)
+		hoErr = m.HandoverDriverVM()
+	})
+	m.RunUntil(drainStart.Add(50 * sim.Millisecond))
+
+	if !errors.Is(hoErr, handover.ErrDrainTimeout) {
+		t.Fatalf("handover error %v, want ErrDrainTimeout", hoErr)
+	}
+	eps := m.Handovers()
+	if len(eps) != 1 || !eps[0].Aborted || eps[0].Stage != handover.StageQuiesce {
+		t.Fatalf("episode: %+v, want one aborted at quiesce", eps)
+	}
+	if eps[0].Pause < handover.DrainDeadline {
+		t.Fatalf("pause %v shorter than the drain deadline %v", eps[0].Pause, handover.DrainDeadline)
+	}
+	if q := g.Frontends[path].QueuedPosts; q != 1 {
+		t.Fatalf("parked posts = %d, want 1", q)
+	}
+	if writes != 1 || writeErr != nil {
+		t.Fatalf("parked write returned %d times, err %v; want once, nil", writes, writeErr)
+	}
+	var served []int
+	for _, w := range gens {
+		served = append(served, w.writes)
+	}
+	if fmt.Sprint(served) != "[1 0]" {
+		t.Fatalf("writes served per driver-VM generation = %v, want [1 0] (predecessor, successor)", served)
+	}
+	if g.Backends[path] != pred {
+		t.Fatal("aborted handover replaced the predecessor backend")
+	}
+	if m.RestartEpoch() != 0 {
+		t.Fatalf("epoch moved to %d on an aborted handover", m.RestartEpoch())
+	}
+	if readDone {
+		t.Fatal("the wedged read completed")
 	}
 }
 

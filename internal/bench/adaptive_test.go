@@ -18,7 +18,7 @@ func findRow(t *testing.T, rows []Row, series, x string) float64 {
 // TestAdaptiveEnvelopeQuick is the acceptance bar for the adaptive
 // transport: within 10% of the BETTER static mode at both ends of the load
 // sweep, with zero excess spin at the low end. The full-fidelity sweep is
-// gated identically by bench-regress against BENCH_9.json.
+// gated identically by bench-regress against the latest snapshot.
 func TestAdaptiveEnvelopeQuick(t *testing.T) {
 	rows, err := RunAdaptive(true)
 	if err != nil {

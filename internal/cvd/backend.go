@@ -92,7 +92,7 @@ type Backend struct {
 	// stopped terminates the dispatcher (driver VM restart).
 	stopped bool
 	// epoch is the ring's restart-epoch word (hdrEpoch) as of this backend's
-	// creation. Reconnect bumps the word before attaching a successor, so a
+	// creation. Bind bumps the word before attaching a successor, so a
 	// pre-restart backend — its dispatcher, a late handler thread still
 	// holding a slot index, a deferred heartbeat ack — observes the mismatch
 	// and discards instead of touching slots the successor now owns. This is
@@ -147,8 +147,10 @@ type Backend struct {
 	// forwarded operation naming a warm fileID replays open (and the file's
 	// mmaps) against the real driver in that operation's own handler context,
 	// so the guest never observes EINVAL for a file it legitimately holds.
-	warmFiles map[uint16]warmFile
-	warmVMAs  map[uint16][]warmVMA
+	// The records are the predecessor's own, read-only here: a retired
+	// backend never touches its file table again.
+	warmFiles map[uint16]*kernel.File
+	warmVMAs  map[uint16][]*kernel.VMA
 
 	// Stats observable by tests and the bench harness.
 	OpsHandled    uint64
@@ -243,22 +245,11 @@ func (r *remoteConduit) UnmapPage(va mem.GuestVirt) error {
 	return nil
 }
 
-func newBackend(h *hv.Hypervisor, driverVM, guestVM *hv.VM, driverK *kernel.Kernel,
-	node *kernel.DeviceNode, ringGPA mem.GuestPhys, mode Mode, window sim.Duration,
-	vecToBackend, vecResp, vecNotif int) (*Backend, error) {
-	proc, err := driverK.NewProcess("cvd-backend-" + guestVM.Name)
-	if err != nil {
-		return nil, err
-	}
-	return newBackendWith(proc, h, driverVM, guestVM, driverK, node,
-		ringGPA, mode, window, vecToBackend, vecResp, vecNotif), nil
-}
-
-// newBackendWith builds a backend around an already-created kernel process —
-// the infallible half of newBackend. A planned handover pre-allocates the
-// process during prepare so its commit, which runs after the ring's epoch
-// word has been bumped past the predecessor, has no failure path left.
-func newBackendWith(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM,
+// newBackend builds a backend around an already-created kernel process.
+// Process creation is the one fallible step of backend construction; the
+// replacement path does it in prepare, so Bind, which runs after the ring's
+// epoch word has been bumped past the predecessor, has no failure path left.
+func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM,
 	driverK *kernel.Kernel, node *kernel.DeviceNode, ringGPA mem.GuestPhys,
 	mode Mode, window sim.Duration, vecToBackend, vecResp, vecNotif int) *Backend {
 	b := &Backend{
@@ -283,7 +274,7 @@ func newBackendWith(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *h
 	b.hbSeen = b.ring.readU32(hdrHbAck)
 	// Snapshot the ring's restart epoch: every write this backend (or one of
 	// its handler threads) ever makes to the ring is conditioned on the word
-	// still holding this value. Reconnect bumps it before attaching a
+	// still holding this value. Bind bumps it before attaching a
 	// successor.
 	b.epoch = b.ring.readU32(hdrEpoch)
 	// The driver calling kill_fasync on one of our opened files lands in
@@ -848,18 +839,18 @@ func (b *Backend) lookupFile(task *kernel.Task, fileID uint16) (*kernel.File, bo
 	}
 	delete(b.warmFiles, fileID)
 	ops := b.node.Ops
-	f := &kernel.File{Node: b.node, Flags: wf.flags, Proc: b.proc}
+	f := &kernel.File{Node: b.node, Flags: wf.Flags, Proc: b.proc}
 	if err := ops.Open(&kernel.FopCtx{Task: task, File: f}); err != nil {
 		delete(b.warmVMAs, fileID)
 		return nil, false
 	}
-	f.FasyncOn = wf.fasync
+	f.FasyncOn = wf.FasyncOn
 	b.files[fileID] = f
 	// Replay the predecessor's mmaps so a post-handover munmap/fault against
 	// an inherited mapping finds its VMA. EPT entries are rebuilt on demand
 	// by the fault path, exactly as after a guest-side first touch.
 	for _, wv := range b.warmVMAs[fileID] {
-		v := &kernel.VMA{Proc: b.proc, Start: wv.start, Len: wv.len, File: f, Pgoff: wv.pgoff}
+		v := &kernel.VMA{Proc: b.proc, Start: wv.Start, Len: wv.Len, File: f, Pgoff: wv.Pgoff}
 		if err := ops.Mmap(&kernel.FopCtx{Task: task, File: f}, v); err != nil {
 			continue
 		}

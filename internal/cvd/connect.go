@@ -156,11 +156,12 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		cfg.PollWindow = perf.PollWindow
 	}
 
-	be, err := newBackend(cfg.HV, cfg.DriverVM, cfg.GuestVM, cfg.DriverK, node,
-		beGPA, cfg.Mode, cfg.PollWindow, vecToBackend, vecResp, vecNotif)
+	proc, err := cfg.DriverK.NewProcess("cvd-backend-" + cfg.GuestVM.Name)
 	if err != nil {
 		return nil, nil, err
 	}
+	be := newBackend(proc, cfg.HV, cfg.DriverVM, cfg.GuestVM, cfg.DriverK, node,
+		beGPA, cfg.Mode, cfg.PollWindow, vecToBackend, vecResp, vecNotif)
 	be.batchWait = cfg.CoalesceWindow
 	if cfg.Pool != nil {
 		cfg.Pool.Join(be)

@@ -387,7 +387,7 @@ func TestCoalescedFlushAcrossHandoverDrainIsDropped(t *testing.T) {
 
 		// Planned handover starts inside the flush window: drain, prepare the
 		// successor, and let the armed flush fire mid-drain.
-		r.fe.BeginDrain(0)
+		r.fe.BeginDrain()
 		irqsAtDrain = r.fe.DoorbellIRQs
 		prep, err := PrepareHandover(r.fe, r.h, driverVM2, driverK2)
 		if err != nil {
@@ -402,7 +402,7 @@ func TestCoalescedFlushAcrossHandoverDrainIsDropped(t *testing.T) {
 		if n := r.fe.ring.readU32(hdrSubCount); n != 0 {
 			t.Errorf("hdrSubCount = %d mid-switch, want 0 (no descriptor scribbled)", n)
 		}
-		be2, err = CompleteHandover(r.fe, prep, driverVM2, driverK2, "/dev/testdev")
+		be2, err = prep.Bind("/dev/testdev")
 		if err != nil {
 			t.Error(err)
 			return

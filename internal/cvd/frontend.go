@@ -58,16 +58,16 @@ type Frontend struct {
 
 	// Drain mode (planned driver-VM handover). While draining, in-flight
 	// slots complete on the current backend but NEW posts park at the
-	// frontend — queued on drainEvent, bounded by drainBound — instead of
-	// entering the ring or failing EREMOTE. EndDrain releases every parked
-	// post against whichever backend then owns the ring: the successor after
-	// a completed switch, the still-live predecessor after an abort. Either
-	// way nothing is lost. The draining flag is frontend-local (trusted);
-	// the hdrDrain header word mirrors it only as the cross-VM-visible
-	// signal, so hostile ring bytes cannot park or unpark anyone.
+	// frontend — queued on drainEvent, bounded by DefaultDrainBound —
+	// instead of entering the ring or failing EREMOTE. EndDrain releases
+	// every parked post against whichever backend then owns the ring: the
+	// successor after a completed switch, the still-live predecessor after an
+	// abort. Either way nothing is lost. The draining flag is frontend-local
+	// (trusted); the hdrDrain header word mirrors it only as the
+	// cross-VM-visible signal, so hostile ring bytes cannot park or unpark
+	// anyone.
 	draining   bool
 	drainEvent *sim.Event
-	drainBound sim.Duration
 
 	// Bulk-transfer fast path (grant-map cache). When enabled, read/write
 	// data buffers of at least mapThreshold bytes get a long-lived bulk
@@ -487,11 +487,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		parked = true
 		fe.QueuedPosts++
 		tr.Add(fe.m.queued, 1)
-		bound := fe.drainBound
-		if bound <= 0 {
-			bound = DefaultDrainBound
-		}
-		t.Sim().WaitTimeout(fe.drainEvent, bound)
+		t.Sim().WaitTimeout(fe.drainEvent, DefaultDrainBound)
 	}
 	if fe.degraded {
 		fe.FastFailed++
@@ -673,8 +669,8 @@ func (fe *Frontend) Occupancy() int {
 // handover engine always EndDrains far sooner), and the polite retry loop a
 // parked post runs when the replay burst momentarily fills the ring.
 const (
-	// DefaultDrainBound caps a parked post's wait when BeginDrain was given
-	// no bound. Generous: it only matters if an EndDrain is lost to a bug.
+	// DefaultDrainBound caps a parked post's wait. Generous: it only matters
+	// if an EndDrain is lost to a bug.
 	DefaultDrainBound = 250 * sim.Millisecond
 	drainRetrySlots   = 400
 	drainRetryGap     = 5 * sim.Microsecond
@@ -682,12 +678,11 @@ const (
 
 // BeginDrain enters drain mode for a planned handover: in-flight slots keep
 // completing on the current backend, while new posts park at the frontend
-// (bounded by bound; <=0 selects DefaultDrainBound) until EndDrain. The
-// hdrDrain ring word is raised as the cross-VM-visible signal; behavior is
-// driven by the frontend-local flag, so hostile ring bytes are inert.
-func (fe *Frontend) BeginDrain(bound sim.Duration) {
+// (bounded by DefaultDrainBound) until EndDrain. The hdrDrain ring word is
+// raised as the cross-VM-visible signal; behavior is driven by the
+// frontend-local flag, so hostile ring bytes are inert.
+func (fe *Frontend) BeginDrain() {
 	fe.draining = true
-	fe.drainBound = bound
 	fe.drainEvent.Reset()
 	fe.ring.writeU32(hdrDrain, 1)
 }

@@ -7,6 +7,7 @@ import (
 	"paradice/internal/devfile"
 	"paradice/internal/faults"
 	"paradice/internal/kernel"
+	"paradice/internal/mem"
 	"paradice/internal/sim"
 )
 
@@ -167,5 +168,93 @@ func TestReconnectRecoversDroppedResponseIRQ(t *testing.T) {
 	// The slot was already Done: the waiter gets the backend's real answer.
 	if werr != nil || wn != 8 {
 		t.Fatalf("write after recovery: n=%d err=%v, want n=8 err=nil", wn, werr)
+	}
+}
+
+// A successor kernel with no free frames cannot host the new backend's
+// process. Reconnect must fail before it bumps the ring epoch: a bumped
+// epoch with no backend bound would leave the channel owned by nobody. A
+// later Reconnect to a healthy driver VM still fails the operations that
+// were in flight with EREMOTE and serves again.
+func TestReconnectToFullKernelLeavesEpoch(t *testing.T) {
+	r := newRig(t, Interrupts, kernel.Linux)
+	app, _ := r.guestK.NewProcess("app")
+	var readErr error
+	readDone := false
+	app.SpawnTask("reader", func(tk *kernel.Task) {
+		fd, err := tk.Open("/dev/testdev", devfile.ORdOnly)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dst, _ := app.Alloc(16)
+		// Blocks in the driver: the device has no data.
+		_, readErr = tk.Read(fd, dst, 16)
+		readDone = true
+	})
+	r.env.RunUntil(r.env.Now().Add(10 * sim.Millisecond))
+	if readDone || r.fe.Occupancy() == 0 {
+		t.Fatalf("read not in flight before the restart (done=%v, err=%v)", readDone, readErr)
+	}
+	r.be.Stop()
+
+	reconnect := func(name string, ram uint64) error {
+		vm, err := r.h.CreateVM(name, 32<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kernel.New(name, kernel.Linux, r.env, vm.Space, ram)
+		drv := &testDriver{k: k, wq: k.NewWaitQueue(name)}
+		k.RegisterDevice("/dev/testdev", drv, drv)
+		_, err = Reconnect(r.fe, r.h, vm, k, "/dev/testdev")
+		return err
+	}
+	epoch := r.fe.ring.readU32(hdrEpoch)
+	// RAM of one page: the null page, never handed out, so no free frame.
+	if err := reconnect("driver-full", mem.PageSize); err == nil {
+		t.Fatal("Reconnect to a kernel with no free frames succeeded")
+	}
+	if got := r.fe.ring.readU32(hdrEpoch); got != epoch {
+		t.Fatalf("failed Reconnect moved the ring epoch %d -> %d", epoch, got)
+	}
+	r.env.RunUntil(r.env.Now().Add(10 * sim.Millisecond))
+	if readDone {
+		t.Fatalf("read returned (%v) after a failed Reconnect, want it still pending", readErr)
+	}
+
+	if err := reconnect("driver-restarted", 32<<20); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.fe.ring.readU32(hdrEpoch); got != epoch+1 {
+		t.Fatalf("ring epoch after Reconnect = %d, want %d", got, epoch+1)
+	}
+	r.env.Run()
+	if !readDone || !kernel.IsErrno(readErr, kernel.EREMOTE) {
+		t.Fatalf("in-flight read: done=%v err=%v, want EREMOTE", readDone, readErr)
+	}
+
+	var got []byte
+	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
+		fd, err := tk.Open("/dev/testdev", devfile.ORdWr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		src, _ := p.AllocBytes([]byte("served"))
+		if _, err := tk.Write(fd, src, 6); err != nil {
+			t.Error(err)
+			return
+		}
+		dst, _ := p.Alloc(16)
+		n, err := tk.Read(fd, dst, 16)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got = make([]byte, n)
+		_ = p.Mem.Read(dst, got)
+	})
+	if string(got) != "served" {
+		t.Fatalf("read after the healthy Reconnect = %q, want %q", got, "served")
 	}
 }

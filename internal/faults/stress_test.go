@@ -764,7 +764,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 			var succVM *hv.VM
 			var succK *kernel.Kernel
 			var prep *cvd.HandoverPrep
-			hoEp, hoErr = handover.Run(env, handover.Hooks{
+			hoEp, hoErr = handover.Run(env, []*cvd.Frontend{fe}, handover.Hooks{
 				Prepare: func() error {
 					vm, err := h.CreateVM(fmt.Sprintf("driver-h%d", seed), vmRAM)
 					if err != nil {
@@ -779,9 +779,6 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 					succVM, succK = vm, k
 					return nil
 				},
-				BeginDrain: func() { fe.BeginDrain(10 * sim.Millisecond) },
-				DrainIdle:  func() bool { return fe.Occupancy() == 0 },
-				EndDrain:   func() { fe.EndDrain() },
 				Switch: func() error {
 					pr, err := cvd.PrepareHandover(fe, h, succVM, succK)
 					if err != nil {
@@ -789,7 +786,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 					}
 					prep = pr
 					pred := liveBE
-					be2, err := cvd.CompleteHandover(fe, prep, succVM, succK, stressPath)
+					be2, err := prep.Bind(stressPath)
 					if err != nil {
 						return err
 					}
@@ -799,7 +796,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 					}
 					return nil
 				},
-				Abort: func(stage handover.Stage, cause string) {
+				Abort: func() {
 					if prep != nil {
 						prep.Discard()
 					}

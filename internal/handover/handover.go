@@ -1,23 +1,23 @@
 // Package handover implements the staged state machine of a planned
-// driver-VM handover (ROADMAP item 4c): the production alternative to §8's
-// crash-style RestartDriverVM. A restart fails every in-flight request with
-// EREMOTE and cold-starts every cache; a handover boots the successor
-// side-by-side (prepare), lets in-flight work finish while new posts park at
-// the frontends (quiesce), atomically rebinds the channels (switch), and on
-// any stage failure rolls back to the still-live predecessor (abort).
+// driver-VM handover: the production alternative to §8's crash-style
+// RestartDriverVM. A restart fails every in-flight request with EREMOTE and
+// cold-starts every cache; a handover boots the successor side-by-side
+// (prepare), lets in-flight work finish while new posts park at the
+// frontends (quiesce), atomically rebinds the channels (switch), and on any
+// stage failure rolls back to the still-live predecessor (abort).
 //
-// The package is mechanism-only: it owns the staging, the drain deadline,
+// The package owns the staging, the frontends' drain, the drain deadline,
 // the fault points, the trace/counter emission, and the episode record. What
-// each stage actually does is supplied through Hooks — the Paradice machine
-// wires them to successor boot, CVD drain mode, and channel rebinding, and
-// the faults stress harness wires a bare single-channel rig to the same
-// engine.
+// the other stages actually do is supplied through Hooks — the Paradice
+// machine wires them to successor boot and channel rebinding, and the faults
+// stress harness wires a bare single-channel rig to the same engine.
 package handover
 
 import (
 	"errors"
 	"fmt"
 
+	"paradice/internal/cvd"
 	"paradice/internal/faults"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
@@ -59,38 +59,31 @@ var (
 )
 
 // The quiesce stage's timing. DrainDeadline bounds it: if in-flight
-// operations have not finished this long after BeginDrain, the handover
+// operations have not finished this long after the drain began, the handover
 // aborts back to the predecessor rather than hold new posts parked
 // indefinitely. The deadline comfortably covers any request a healthy backend
 // will answer (the supervision-era request deadline is shorter); only a
 // wedged predecessor — which should be restarted, not handed over — runs into
-// it. drainQuantum is how often the stage re-checks for idleness.
+// it. drainQuantum is how often the stage re-checks for idleness. Parked
+// posts carry their own defensive wait bound, cvd.DefaultDrainBound, far
+// past the deadline so the engine always decides first.
 const (
 	DrainDeadline = 2 * sim.Millisecond
 	drainQuantum  = 20 * sim.Microsecond
 )
 
-// Hooks are the stage implementations the engine drives. BeginDrain,
-// EndDrain, and Abort must not fail; Prepare and Switch may. EndDrain is
-// guaranteed to run exactly once after BeginDrain on every exit path —
-// commit, drain timeout, and switch failure alike — so parked posts are
-// always released, toward whichever backend owns the ring by then.
+// Hooks are the stage implementations the engine drives, all required.
+// Abort must not fail; Prepare and Switch may.
 type Hooks struct {
 	// Prepare boots and pre-warms the successor, predecessor untouched.
 	Prepare func() error
-	// BeginDrain parks new posts at the frontends; in-flight work continues.
-	BeginDrain func()
-	// DrainIdle reports whether all in-flight work has completed.
-	DrainIdle func() bool
-	// EndDrain releases parked posts.
-	EndDrain func()
 	// Switch rebinds the channels to the successor and retires the
 	// predecessor. An error here means the predecessor was left intact.
 	Switch func() error
 	// Abort rolls back whatever the failed run built (discard successor
-	// preps). Called once per aborted episode, after EndDrain when the
-	// failure happened inside the drain window.
-	Abort func(stage Stage, cause string)
+	// preps). Called once per aborted episode, after the drain ended when
+	// the failure happened inside the drain window.
+	Abort func()
 }
 
 // Episode records one handover attempt for the state-change log and tests.
@@ -99,20 +92,25 @@ type Episode struct {
 	Stage      Stage // StageDone, or the stage that aborted
 	Aborted    bool
 	Cause      string       // abort cause ("" when committed)
-	DrainWait  sim.Duration // BeginDrain until the ring went idle (or gave up)
-	Pause      sim.Duration // BeginDrain until EndDrain: the service pause ("downtime")
+	DrainWait  sim.Duration // drain start until the rings went idle (or gave up)
+	Pause      sim.Duration // drain start until its end: the service pause ("downtime")
 }
 
-// Run executes one handover episode. It is driven from whatever context the
-// caller has: on a sim proc the quiesce stage sleeps between idleness checks;
-// in host context (tests driving the machine directly) it performs a single
-// check, since no simulated time can pass while it holds control.
+// Run executes one handover episode, draining fes through the quiesce and
+// switch stages. It is driven from whatever context the caller has: on a sim
+// proc the quiesce stage sleeps between idleness checks; in host context
+// (tests driving the machine directly) it performs a single check, since no
+// simulated time can pass while it holds control.
+//
+// The drain ends exactly once on every exit path after it began — commit,
+// drain timeout, and switch failure alike — so parked posts are always
+// released, toward whichever backend owns the ring by then.
 //
 // Fault points: "machine.handover.fail" aborts before prepare (the planned-
 // maintenance request itself is refused); "handover.drain.timeout" forces the
 // quiesce stage to give up immediately; "handover.warm.fail" is consulted by
-// the CVD prepare path and surfaces here as a Prepare error.
-func Run(env *sim.Env, h Hooks) (Episode, error) {
+// the CVD prepare step inside Switch and surfaces here as a Switch error.
+func Run(env *sim.Env, fes []*cvd.Frontend, h Hooks) (Episode, error) {
 	tr := trace.Get(env)
 	tr.Add("machine.handover.attempts", 1)
 	ep := Episode{Start: env.Now()}
@@ -123,57 +121,66 @@ func Run(env *sim.Env, h Hooks) (Episode, error) {
 	defer fl.EndEpisode()
 
 	if d := faults.Point(env, "machine.handover.fail"); d != nil {
-		return abort(env, ep, StagePrepare, h, fmt.Errorf("%w: %v", ErrPrepare, d.Error()))
+		return abort(env, ep, h, fmt.Errorf("%w: %v", ErrPrepare, d.Error()))
 	}
 	if err := h.Prepare(); err != nil {
-		return abort(env, ep, StagePrepare, h, fmt.Errorf("%w: %v", ErrPrepare, err))
+		return abort(env, ep, h, fmt.Errorf("%w: %v", ErrPrepare, err))
 	}
 
 	ep.Stage = StageQuiesce
 	drainStart := env.Now()
-	h.BeginDrain()
-	idle := waitIdle(env, h)
+	for _, fe := range fes {
+		fe.BeginDrain()
+	}
+	var err error
+	if !waitIdle(env, fes) {
+		err = ErrDrainTimeout
+	}
 	ep.DrainWait = env.Now().Sub(drainStart)
-	if !idle {
-		h.EndDrain()
-		ep.Pause = env.Now().Sub(drainStart)
-		return abort(env, ep, StageQuiesce, h, ErrDrainTimeout)
+	if err == nil {
+		ep.Stage = StageSwitch
+		if serr := h.Switch(); serr != nil {
+			err = fmt.Errorf("%w: %v", ErrSwitch, serr)
+		}
 	}
-
-	ep.Stage = StageSwitch
-	if err := h.Switch(); err != nil {
-		h.EndDrain()
-		ep.Pause = env.Now().Sub(drainStart)
-		return abort(env, ep, StageSwitch, h, fmt.Errorf("%w: %v", ErrSwitch, err))
+	for _, fe := range fes {
+		fe.EndDrain()
 	}
-	h.EndDrain()
+	ep.Pause = env.Now().Sub(drainStart)
+	if err != nil {
+		return abort(env, ep, h, err)
+	}
 
 	ep.Stage = StageDone
 	ep.End = env.Now()
-	ep.Pause = ep.End.Sub(drainStart)
 	tr.Add("machine.handover.completed", 1)
 	tr.Set("machine.handover.pause_ns", uint64(ep.Pause))
 	tr.Group(0, "driver-vm", trace.LayerSupervisor, "handover", ep.Start, ep.End)
 	return ep, nil
 }
 
-// waitIdle polls DrainIdle until it reports true or the deadline passes.
-// The "handover.drain.timeout" fault point, consulted once on entry, forces
-// an immediate give-up — the injected form of a predecessor that never goes
-// idle, without having to wedge a real backend.
-func waitIdle(env *sim.Env, h Hooks) bool {
+// waitIdle polls the frontends until none has a slot in flight or the
+// deadline passes. The "handover.drain.timeout" fault point, consulted once
+// on entry, forces an immediate give-up — the injected form of a predecessor
+// that never goes idle, without having to wedge a real backend.
+func waitIdle(env *sim.Env, fes []*cvd.Frontend) bool {
 	if faults.Point(env, "handover.drain.timeout") != nil {
 		return false
 	}
-	p := env.CurrentProc()
-	if p == nil {
-		// Host context: no simulated time can pass while we hold control, so
-		// the ring is as idle now as it will ever be.
-		return h.DrainIdle()
+	idle := func() bool {
+		for _, fe := range fes {
+			if fe.Occupancy() != 0 {
+				return false
+			}
+		}
+		return true
 	}
+	p := env.CurrentProc()
 	limit := env.Now().Add(DrainDeadline)
-	for !h.DrainIdle() {
-		if env.Now() >= limit {
+	for !idle() {
+		// In host context no simulated time can pass while we hold control,
+		// so the rings are as idle now as they will ever be.
+		if p == nil || env.Now() >= limit {
 			return false
 		}
 		p.Sleep(drainQuantum)
@@ -184,17 +191,14 @@ func waitIdle(env *sim.Env, h Hooks) bool {
 // abort finalizes a failed episode: the state-change consumers see the
 // counters and the trace instant, the caller's Abort hook unwinds whatever
 // the run built, and the episode records where and why.
-func abort(env *sim.Env, ep Episode, stage Stage, h Hooks, err error) (Episode, error) {
-	ep.Stage = stage
+func abort(env *sim.Env, ep Episode, h Hooks, err error) (Episode, error) {
 	ep.Aborted = true
 	ep.Cause = err.Error()
 	ep.End = env.Now()
 	tr := trace.Get(env)
 	tr.Add("machine.handover.aborted", 1)
-	tr.Instant(0, "driver-vm", trace.LayerSupervisor, "handover-abort:"+stage.String(), ep.Cause)
+	tr.Instant(0, "driver-vm", trace.LayerSupervisor, "handover-abort:"+ep.Stage.String(), ep.Cause)
 	tr.Group(0, "driver-vm", trace.LayerSupervisor, "handover-aborted", ep.Start, ep.End)
-	if h.Abort != nil {
-		h.Abort(stage, ep.Cause)
-	}
+	h.Abort()
 	return ep, err
 }

@@ -245,14 +245,24 @@ func TestPoolFairnessQuietGuestP99(t *testing.T) {
 // restart gives shard 1's channels the usual crash-restart contract
 // (EREMOTE, reopen, resume); a planned handover keeps them serving with no
 // errno and no reopen.
+//
+// Each case also pins how often its entry point consults its fault point: a
+// restart once per call, a handover once per shard. A change to these counts
+// would silently reshuffle the stress harness's fault schedules. The
+// whole-machine cases cycle shard 0 too.
 func TestShardRestartIsolation(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cycle   func(*paradice.Machine) error
 		planned bool
+		point   string
+		hits    int
+		all     bool
 	}{
-		{"restart", func(m *paradice.Machine) error { return m.RestartDriverShard(1) }, false},
-		{"handover", func(m *paradice.Machine) error { return m.HandoverDriverShard(1) }, true},
+		{"restart", func(m *paradice.Machine) error { return m.RestartDriverShard(1) }, false, "machine.restart.fail", 1, false},
+		{"handover", func(m *paradice.Machine) error { return m.HandoverDriverShard(1) }, true, "machine.handover.fail", 1, false},
+		{"restart-vm", (*paradice.Machine).RestartDriverVM, false, "machine.restart.fail", 1, true},
+		{"handover-vm", (*paradice.Machine).HandoverDriverVM, true, "machine.handover.fail", 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := paradice.New(paradice.Config{
@@ -340,11 +350,18 @@ func TestShardRestartIsolation(t *testing.T) {
 			if phase != 1 {
 				t.Fatalf("setup phase did not complete: open0=%v open1=%v", err0a, err1a)
 			}
-			if err := tc.cycle(m); err != nil {
+			plan := faults.New(1)
+			faults.Install(m.Env, plan)
+			err = tc.cycle(m)
+			faults.Uninstall(m.Env)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Shards()[0].VM != vm0 {
-				t.Fatalf("%s of shard 1 replaced shard 0's driver VM", tc.name)
+			if got := plan.Hits(tc.point); got != tc.hits {
+				t.Fatalf("%s consulted %s %d times, want %d", tc.name, tc.point, got, tc.hits)
+			}
+			if replaced := m.Shards()[0].VM != vm0; replaced != tc.all {
+				t.Fatalf("%s replaced shard 0's driver VM: %v, want %v", tc.name, replaced, tc.all)
 			}
 			if m.Shards()[1].VM == vm1 {
 				t.Fatalf("%s of shard 1 kept its predecessor driver VM", tc.name)
@@ -354,8 +371,12 @@ func TestShardRestartIsolation(t *testing.T) {
 			if phase != 3 {
 				t.Fatalf("post-%s phase did not complete", tc.name)
 			}
-			if err0b != nil {
+			if err0b != nil && !(tc.all && !tc.planned) {
 				t.Fatalf("shard 0 write after shard 1 %s: %v, want success (isolation)", tc.name, err0b)
+			}
+			cycled := 1
+			if tc.all {
+				cycled = 2
 			}
 			if tc.planned {
 				// The planned-handover contract: the pre-handover fd keeps
@@ -363,8 +384,8 @@ func TestShardRestartIsolation(t *testing.T) {
 				if err1b != nil {
 					t.Fatalf("shard 1 write on the pre-handover fd: %v, want success", err1b)
 				}
-				if got := m.Handovers(); len(got) != 1 || got[0].Aborted {
-					t.Fatalf("handover episodes = %+v, want one committed", got)
+				if got := m.Handovers(); len(got) != cycled || got[0].Aborted || got[cycled-1].Aborted {
+					t.Fatalf("handover episodes = %+v, want %d committed", got, cycled)
 				}
 			} else {
 				if err1b == nil {
@@ -381,8 +402,8 @@ func TestShardRestartIsolation(t *testing.T) {
 					t.Fatalf("shard 1 reopen+write after restart: %v, want success", errReopen)
 				}
 			}
-			if m.RestartEpoch() != 1 {
-				t.Fatalf("restart epoch = %d, want 1", m.RestartEpoch())
+			if m.RestartEpoch() != uint64(cycled) {
+				t.Fatalf("restart epoch = %d, want %d", m.RestartEpoch(), cycled)
 			}
 		})
 	}

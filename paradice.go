@@ -334,9 +334,11 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 		m.shards[i] = &DriverShard{Index: i}
 	}
 	for i := range m.shards {
-		if err := m.bootShard(i); err != nil {
+		sh, err := m.bootShard(i, true)
+		if err != nil {
 			return nil, err
 		}
+		m.installShard(sh)
 	}
 	if cfg.Supervision {
 		if kind != KindParadice {
@@ -371,31 +373,52 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// bootShard creates shard i's driver VM and kernel, assigns the shard's
-// devices to it, attaches their drivers, replays the boot hooks, and (when
-// Config.Workers > 0) starts the shard's worker pool. Called at machine
-// construction and again by RestartDriverShard; shard 0 doubles as the
-// machine's DriverVM/DriverK.
-func (m *Machine) bootShard(i int) error {
-	drvVM, drvK, err := m.newShardVM(i)
-	if err != nil {
-		return err
+// bootShard boots a driver VM and kernel for shard i, replays the
+// OnDriverVMBoot hooks, and (when Config.Workers > 0) starts its worker
+// pool. With attach it first assigns the shard's devices to the new VM and
+// attaches their drivers (machine construction, a crash restart); a planned
+// handover boots without, side-by-side with the predecessor that still owns
+// the devices, and attaches at its switch. Shard 0 keeps the seed's "driver"
+// name (its generations are byte-compatible with the unsharded machine);
+// shard i > 0 is "driver<i+1>".
+func (m *Machine) bootShard(i int, attach bool) (DriverShard, error) {
+	name := "driver"
+	if i > 0 {
+		name = fmt.Sprintf("driver%d", i+1)
 	}
-	sh := m.shards[i]
-	sh.VM, sh.K = drvVM, drvK
-	if i == 0 {
-		m.DriverVM, m.DriverK = drvVM, drvK
+	sh := DriverShard{Index: i}
+	var err error
+	if sh.VM, err = m.HV.CreateVM(name, driverRAM); err != nil {
+		return sh, err
 	}
-	if err := m.attachDrivers(drvVM, drvK, i); err != nil {
-		return err
+	sh.K = kernel.New(name, kernel.Linux, m.Env, sh.VM.Space, driverRAM)
+	if m.Kind != KindNative {
+		// Threads in a VM pay the vCPU-kick penalty on wake-ups.
+		sh.K.WakePenalty = perf.CostVMExitIRQ
 	}
-	if err := m.runDriverBootHooks(drvK); err != nil {
-		return err
+	if attach {
+		if err := m.attachDrivers(sh.VM, sh.K, i); err != nil {
+			return sh, err
+		}
+	}
+	for _, fn := range m.onDriverBoot {
+		if err := fn(sh.K); err != nil {
+			return sh, err
+		}
 	}
 	if m.cfg.Workers > 0 && m.Kind == KindParadice {
-		sh.Pool = cvd.NewPool(drvK, m.cfg.Workers)
+		sh.Pool = cvd.NewPool(sh.K, m.cfg.Workers)
 	}
-	return nil
+	return sh, nil
+}
+
+// installShard makes a booted driver VM its shard's serving one; shard 0
+// doubles as the machine's DriverVM/DriverK.
+func (m *Machine) installShard(sh DriverShard) {
+	*m.shards[sh.Index] = sh
+	if sh.Index == 0 {
+		m.DriverVM, m.DriverK = sh.VM, sh.K
+	}
 }
 
 // Shards returns the machine's driver-VM shards (length 1 unless
@@ -430,8 +453,8 @@ func (m *Machine) PinDevice(path string, shard int) error {
 // handover successors alike, in every shard — and runs it against each
 // current driver kernel immediately. Harnesses use it to install auxiliary
 // devices (e.g. the load sink) that must exist in every driver-VM
-// generation, or a Reconnect after a restart (and a CompleteHandover during
-// a handover) cannot find the device in the replacement kernel.
+// generation, or a restart or handover cannot bind the channel to the
+// replacement kernel.
 func (m *Machine) OnDriverVMBoot(fn func(*kernel.Kernel) error) error {
 	if m.Kind != KindParadice {
 		return ErrNoDriverVM
@@ -443,40 +466,6 @@ func (m *Machine) OnDriverVMBoot(fn func(*kernel.Kernel) error) error {
 		}
 	}
 	return nil
-}
-
-// runDriverBootHooks replays the registered OnDriverVMBoot hooks against a
-// freshly booted driver kernel.
-func (m *Machine) runDriverBootHooks(k *kernel.Kernel) error {
-	for _, fn := range m.onDriverBoot {
-		if err := fn(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// newShardVM boots shard i's driver VM and kernel WITHOUT attaching any
-// device. A planned handover calls this during its prepare stage: the
-// successor boots side-by-side while the predecessor — still the shard's
-// VM, still owning its devices — keeps serving. Shard 0 keeps the seed's
-// "driver" name (its generations are byte-compatible with the unsharded
-// machine); shard i > 0 is "driver<i+1>".
-func (m *Machine) newShardVM(i int) (*hv.VM, *kernel.Kernel, error) {
-	name := "driver"
-	if i > 0 {
-		name = fmt.Sprintf("driver%d", i+1)
-	}
-	drvVM, err := m.HV.CreateVM(name, driverRAM)
-	if err != nil {
-		return nil, nil, err
-	}
-	drvK := kernel.New(name, kernel.Linux, m.Env, drvVM.Space, driverRAM)
-	if m.Kind != KindNative {
-		// Threads in a VM pay the vCPU-kick penalty on wake-ups.
-		drvK.WakePenalty = perf.CostVMExitIRQ
-	}
-	return drvVM, drvK, nil
 }
 
 // attachDrivers assigns shard's devices to the given driver VM and attaches

@@ -7,7 +7,7 @@ import (
 
 // This file adapts a Machine to internal/supervise: the watchdog sees every
 // guest's CVD channels through the Channel interface and heals through
-// RestartDriverVM. The adapter resolves guests, frontends, and backends
+// RestartDriverShard. The adapter resolves guests, frontends, and backends
 // lazily so channels added after machine construction (AddGuest +
 // Paravirtualize) and backends replaced by restarts are always the current
 // ones.
@@ -27,14 +27,8 @@ type shardTarget struct {
 
 func (t shardTarget) Channels() []supervise.Channel {
 	var chs []supervise.Channel
-	for _, g := range t.m.guests {
-		// Sorted paths: the sweep order (and with it every fault-plan
-		// consultation) must be deterministic, not Go map iteration order.
-		for _, path := range g.sortedPaths() {
-			if t.m.placement.Route(path) == t.idx {
-				chs = append(chs, machineChannel{g: g, path: path})
-			}
-		}
+	for _, c := range t.m.shardChannels(t.idx) {
+		chs = append(chs, c)
 	}
 	return chs
 }
