@@ -41,7 +41,7 @@ func TestAdaptiveSwitchesToPollUnderLoadAndBack(t *testing.T) {
 		})
 	}
 	r.env.Run()
-	if !r.fe.stancePoll {
+	if !r.fe.stance {
 		t.Fatal("frontend never entered poll stance under 8-way closed-loop load")
 	}
 	if r.fe.ModeSwitches == 0 {
@@ -62,7 +62,7 @@ func TestAdaptiveSwitchesToPollUnderLoadAndBack(t *testing.T) {
 		}
 	})
 	r.env.Run()
-	if r.fe.stancePoll {
+	if r.fe.stance {
 		t.Fatal("frontend still in poll stance after a 5 ms idle gap")
 	}
 	if r.fe.ModeSwitches <= switchesUnderLoad {

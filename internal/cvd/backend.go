@@ -40,31 +40,6 @@ func opName(op uint8) string {
 	return "?"
 }
 
-// Mode selects the CVD transport: inter-VM interrupts (default), the
-// polling mode for high-performance applications (§5.1), in which both
-// sides poll the shared page for 200 µs before going to sleep to wait for
-// interrupts, or the adaptive mode, which switches NAPI-style between the
-// two per channel based on the observed arrival rate — poll under load,
-// re-arm interrupts when idle.
-type Mode int
-
-// Transport modes.
-const (
-	Interrupts Mode = iota
-	Polling
-	Adaptive
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Polling:
-		return "polling"
-	case Adaptive:
-		return "adaptive"
-	}
-	return "interrupts"
-}
-
 // Backend is the CVD backend serving one guest VM's channel for one device
 // file. A dispatcher task pops posted operations in FIFO order and invokes
 // a handler thread per operation, marking the thread so the kernel's
@@ -75,10 +50,14 @@ type Backend struct {
 	guestVM  *hv.VM
 	driverK  *kernel.Kernel
 	node     *kernel.DeviceNode
-	mode     Mode
-	window   sim.Duration // polling window before sleeping (§5.1: 200 µs)
 	ring     page
 	proc     *kernel.Process
+
+	// policy is the transport policy: mode, poll window, adaptive stance
+	// (fed by pickups), completion batching and SpinTime, the virtual time
+	// the dispatcher spent spinning its poll window — the CPU the driver VM
+	// burns to keep latency low.
+	policy
 
 	doorbell *sim.Event
 	files    map[uint16]*kernel.File
@@ -87,8 +66,10 @@ type Backend struct {
 	vecNotif int
 	// frontendDoorbell, installed at connect time, is the simulation's
 	// stand-in for a spinning requester's load of the shared page (the
-	// response data itself still travels through the page).
+	// response data itself still travels through the page); observe is the
+	// same for the spinning dispatcher, run by a frontend poll-cross.
 	frontendDoorbell func()
+	observe          func()
 	// stopped terminates the dispatcher (driver VM restart).
 	stopped bool
 	// epoch is the ring's restart-epoch word (hdrEpoch) as of this backend's
@@ -123,24 +104,6 @@ type Backend struct {
 	// the foreground guest only.
 	notifyGate func() bool
 
-	// Completion batching (mirror of the frontend's doorbell batching).
-	// With batchWait set, interrupt-path completions accumulate and share
-	// one response IRQ, flushed by the same size+deadline policy; respGen
-	// invalidates an armed deadline timer once a size-triggered flush has
-	// run. Heartbeat acks and the polled path bypass it — watchdog latency
-	// and spinning requesters are never delayed by the batch window.
-	batchWait   sim.Duration
-	respPending int
-	respGen     uint64
-
-	// Adaptive stance (Mode == Adaptive): the backend's own arrival-rate
-	// EWMA, fed by request pickups in the dispatcher. In poll stance the
-	// dispatcher spins its window before sleeping (as static Polling does);
-	// in interrupt stance it sleeps immediately.
-	stancePoll bool
-	arrAvg     sim.Duration
-	lastSeen   sim.Time
-
 	// warmFiles/warmVMAs carry the predecessor's open-file table across a
 	// planned handover: fileIDs the guest still holds but the successor's
 	// driver has never seen. The successor re-opens them lazily — the first
@@ -162,12 +125,6 @@ type Backend struct {
 	HbDropped     uint64 // heartbeat acks swallowed by fault injection
 	WarmReopens   uint64 // predecessor files lazily re-opened after a handover
 	RespFlushes   uint64 // response IRQ flushes sent (each covers >= 1 completions)
-
-	// SpinTime accumulates the virtual time the dispatcher spent spinning
-	// its poll window — the CPU the driver VM burns to keep latency low.
-	// The adaptive bench gates on it at low load, where static polling
-	// pays a full idle window per wake and adaptive must not.
-	SpinTime sim.Duration
 }
 
 // SetNotifyGate installs a predicate consulted before notifications are
@@ -251,23 +208,23 @@ func (r *remoteConduit) UnmapPage(va mem.GuestVirt) error {
 // epoch word has been bumped past the predecessor, has no failure path left.
 func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM,
 	driverK *kernel.Kernel, node *kernel.DeviceNode, ringGPA mem.GuestPhys,
-	mode Mode, window sim.Duration, vecToBackend, vecResp, vecNotif int) *Backend {
+	pol policy, vecToBackend, vecResp, vecNotif int) *Backend {
 	b := &Backend{
 		hv:       h,
 		driverVM: driverVM,
 		guestVM:  guestVM,
 		driverK:  driverK,
 		node:     node,
-		mode:     mode,
-		window:   window,
 		ring:     page{acc: &grant.GuestAccessor{Space: driverVM.Space, GPA: ringGPA}},
 		proc:     proc,
+		policy:   pol,
 		doorbell: driverK.Env.NewEvent("cvd-doorbell-" + guestVM.Name),
 		files:    make(map[uint16]*kernel.File),
 		vmas:     make(map[uint16]map[mem.GuestVirt]*kernel.VMA),
 		vecResp:  vecResp,
 		vecNotif: vecNotif,
 	}
+	b.observe = b.doorbell.Trigger
 	// A successor backend inherits the ring's heartbeat state: starting from
 	// the last acked sequence means a beat posted while the driver VM was
 	// rebooting is answered by the new dispatcher's first pass.
@@ -350,7 +307,11 @@ func (b *Backend) dispatch(p *sim.Proc) {
 		b.serviceHeartbeat()
 		b.consumeSubBatch(p)
 		if slot, ok := b.oldestPosted(); ok {
-			b.observeArrival()
+			if b.arrive(b.hv.Env.Now()) {
+				tr := trace.Get(b.driverK.Env)
+				tr.Add("cvd.adaptive.be.switches", 1)
+				tr.Instant(0, b.driverVM.Name, trace.LayerBE, b.stanceName(), b.guestVM.Name)
+			}
 			b.ring.setSlotState(slot, slotRunning)
 			req := b.ring.readRequest(slot)
 			if b.pool != nil {
@@ -369,11 +330,9 @@ func (b *Backend) dispatch(p *sim.Proc) {
 		if _, ok := b.oldestPosted(); ok {
 			continue
 		}
-		if b.pollStanceNow() && b.window > 0 {
+		if b.polling() {
 			b.ring.writeU32(hdrBackendPoll, 1)
-			spinStart := b.hv.Env.Now()
-			woken := p.WaitTimeout(b.doorbell, b.window)
-			b.SpinTime += b.hv.Env.Now().Sub(spinStart)
+			woken := b.spin(p, b.doorbell, b.window)
 			b.ring.writeU32(hdrBackendPoll, 0)
 			if woken {
 				continue
@@ -388,46 +347,6 @@ func (b *Backend) dispatch(p *sim.Proc) {
 		}
 		p.Wait(b.doorbell)
 	}
-}
-
-// pollStanceNow reports whether the dispatcher should spin its poll window
-// before sleeping: always in static Polling, and in Adaptive while the
-// observed arrival rate holds the backend in poll stance.
-func (b *Backend) pollStanceNow() bool {
-	return b.mode == Polling || (b.mode == Adaptive && b.stancePoll)
-}
-
-// observeArrival feeds one request pickup into the backend's adaptive EWMA
-// and flips its stance when the average crosses perf.AdaptivePollGap — the
-// dispatcher-side half of the NAPI-style switch. Bookkeeping only: it reads
-// the clock, never advances it.
-func (b *Backend) observeArrival() {
-	if b.mode != Adaptive {
-		return
-	}
-	now := b.hv.Env.Now()
-	gap := now.Sub(b.lastSeen)
-	b.lastSeen = now
-	if gap > adaptiveGapCap || b.arrAvg == 0 {
-		gap = adaptiveGapCap
-	}
-	if b.arrAvg == 0 {
-		b.arrAvg = gap // first pickup: start in interrupt stance
-	} else {
-		b.arrAvg += (gap - b.arrAvg) / 4
-	}
-	poll := b.arrAvg < perf.AdaptivePollGap
-	if poll == b.stancePoll {
-		return
-	}
-	b.stancePoll = poll
-	name := "mode-to-interrupts"
-	if poll {
-		name = "mode-to-poll"
-	}
-	tr := trace.Get(b.driverK.Env)
-	tr.Add("cvd.adaptive.be.switches", 1)
-	tr.Instant(0, b.driverVM.Name, trace.LayerBE, name, b.guestVM.Name)
 }
 
 // consumeSubBatch drains the ring's submission batch descriptor: the flush
@@ -641,45 +560,17 @@ func (b *Backend) handle(sp *sim.Proc, req request) {
 // complete signals the frontend that a response is ready: a cheap
 // shared-page observation if a requester is spinning, an inter-VM interrupt
 // otherwise. rid labels the crossing's trace span (0 for heartbeat acks and
-// untraced runs). With completion batching armed, interrupt-path completions
-// accumulate and share one response IRQ under the size+deadline flush
-// policy; heartbeat acks (hb) bypass the batch so watchdog latency is never
-// inflated — a flag, not a rid==0 check, because rids are only allocated
-// when a tracer is installed.
+// untraced runs). With batching configured, interrupt-path completions join
+// the pending batch and share one response IRQ; heartbeat acks (hb) bypass
+// the batch so watchdog latency is never inflated — a flag, not a rid==0
+// check, because rids are only allocated when a tracer is installed.
 func (b *Backend) complete(rid uint64, hb bool) {
-	if b.ring.readU32(hdrFrontendPoll) > 0 {
-		if tr := trace.Get(b.hv.Env); tr != nil {
-			now := tr.Now()
-			tr.Span(rid, b.guestVM.Name, trace.LayerIRQ, "poll-cross", now, now.Add(perf.CostPollCross))
-		}
-		b.hv.Env.After(perf.CostPollCross, func() {
-			// The spinning requester notices the state change on its next
-			// poll iteration; the response event is triggered by the
-			// frontend ISR in interrupt mode, so emulate the doorbell here.
-			if fe := b.frontendDoorbell; fe != nil {
-				fe()
-			}
-		})
+	spinning := b.ring.readU32(hdrFrontendPoll) > 0
+	if !spinning && b.coalesce > 0 && !hb {
+		b.batch(b.hv.Env, b.flushResp)
 		return
 	}
-	if b.batchWait > 0 && !hb {
-		b.respPending++
-		if b.respPending >= CoalesceBatch {
-			b.flushResp()
-			return
-		}
-		if b.respPending == 1 {
-			gen := b.respGen
-			b.hv.Env.After(b.batchWait, func() {
-				if b.respGen != gen {
-					return // a size-triggered flush already covered this window
-				}
-				b.flushResp()
-			})
-		}
-		return
-	}
-	b.hv.SendInterrupt(b.guestVM, b.vecResp)
+	cross(b.hv, rid, spinning, b.guestVM, b.vecResp, b.frontendDoorbell)
 }
 
 // flushResp sends the one response IRQ covering every completion batched
@@ -689,9 +580,7 @@ func (b *Backend) complete(rid uint64, hb bool) {
 // backend has died or been superseded sends nothing: the reconnect sweep
 // owns those completions now.
 func (b *Backend) flushResp() {
-	b.respGen++
-	n := b.respPending
-	b.respPending = 0
+	n := b.take()
 	if n == 0 || !b.ringCurrent() {
 		return
 	}

@@ -26,7 +26,7 @@ type Config struct {
 	// GuestPath is the virtual device file to create in the guest
 	// (defaults to DevicePath, mirroring the real file).
 	GuestPath string
-	// Mode selects interrupts or polling transport.
+	// Mode selects the interrupt, polling or adaptive transport.
 	Mode Mode
 	// Specs is the ioctl analyzer's output for the device's driver; ioctl
 	// commands without a spec fall back to the command-number macros.
@@ -36,7 +36,8 @@ type Config struct {
 	Grants *grant.Table
 	// PollWindow is how long each side busy-polls the shared page before
 	// sleeping, in polling mode. Zero selects the paper's empirically
-	// chosen 200 µs (§5.1); the ablation experiment sweeps it.
+	// chosen 200 µs (§5.1); the ablation experiment sweeps it. This and
+	// the other durations and sizes below must not be negative.
 	PollWindow sim.Duration
 	// RequestDeadline bounds every forwarded operation's wait for its
 	// response; a request that outlives it fails with ETIMEDOUT. Zero means
@@ -67,13 +68,6 @@ type Config struct {
 	// window in added latency per request. Zero disables batching. The
 	// polling path and watchdog heartbeats are unaffected.
 	CoalesceWindow sim.Duration
-	// TLB arms the hypervisor's software TLB (internal/hv/tlb.go): per-VM
-	// caches of guest-VA→system-PA translations consulted by the assisted
-	// copy and buffer-mapping paths before the full two-level walk of §5.2,
-	// invalidated deterministically on page-table edits, EPT changes, grant
-	// revocation, and driver-VM restart. Off by default — every operation
-	// pays full per-page walks, byte-identical to the seed.
-	TLB bool
 	// Admission maps a QoS class (kernel.Task.QoS) to the ring occupancy at
 	// which that class stops being admitted: once the ring holds that many
 	// in-flight requests, further requests from the class fail fast with
@@ -111,6 +105,9 @@ const CoalesceBatch = 8
 // in the driver VM, and a virtual device file in the guest's devfs backed by
 // the frontend. Returns the frontend and backend halves.
 func Connect(cfg Config) (*Frontend, *Backend, error) {
+	if cfg.PollWindow < 0 || cfg.CoalesceWindow < 0 || cfg.RequestDeadline < 0 || cfg.MapThreshold < 0 {
+		return nil, nil, fmt.Errorf("cvd: negative PollWindow, CoalesceWindow, RequestDeadline or MapThreshold for %s", cfg.DevicePath)
+	}
 	if cfg.GuestPath == "" {
 		cfg.GuestPath = cfg.DevicePath
 	}
@@ -140,9 +137,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		}
 		grants = grant.NewTable(&grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: grantGPA})
 	}
-	if cfg.TLB {
-		cfg.HV.EnableTLB()
-	}
 	if cfg.GrantBatch {
 		// Idempotent per (VM, table): guests that paravirtualize several
 		// devices share one table and subscribe once.
@@ -160,9 +154,9 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	pol := policy{mode: cfg.Mode, window: cfg.PollWindow, coalesce: cfg.CoalesceWindow}
 	be := newBackend(proc, cfg.HV, cfg.DriverVM, cfg.GuestVM, cfg.DriverK, node,
-		beGPA, cfg.Mode, cfg.PollWindow, vecToBackend, vecResp, vecNotif)
-	be.batchWait = cfg.CoalesceWindow
+		beGPA, pol, vecToBackend, vecResp, vecNotif)
 	if cfg.Pool != nil {
 		cfg.Pool.Join(be)
 	}
@@ -172,8 +166,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		guestVM:      cfg.GuestVM,
 		driverVM:     cfg.DriverVM,
 		guestK:       cfg.GuestK,
-		mode:         cfg.Mode,
-		window:       cfg.PollWindow,
 		ring:         page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
 		grants:       grants,
 		specs:        cfg.Specs,
@@ -183,8 +175,8 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		vecNotif:     vecNotif,
 		pollWQ:       cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.GuestPath),
 		backend:      be,
+		policy:       pol,
 		deadline:     cfg.RequestDeadline,
-		coalesce:     cfg.CoalesceWindow,
 		grantBatch:   cfg.GrantBatch,
 		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.GuestPath),
 		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.GuestPath),
@@ -199,7 +191,7 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	if cfg.MapCache {
 		fe.mapCache = true
 		fe.mapThreshold = cfg.MapThreshold
-		if fe.mapThreshold <= 0 {
+		if fe.mapThreshold == 0 {
 			fe.mapThreshold = DefaultMapThreshold
 		}
 		fe.bulk = make(map[bulkKey]bulkGrant)

@@ -151,3 +151,29 @@ func TestFreeBSDPatchGatesMmapThroughCVD(t *testing.T) {
 		}
 	})
 }
+
+// Negative durations and sizes have no meaning. Connect refuses them before
+// building anything, so no reader of the settings has to guess at one.
+func TestConnectRejectsNegativeSettings(t *testing.T) {
+	r := newRig(t, Interrupts, kernel.Linux)
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"PollWindow", func(c *Config) { c.PollWindow = -1 }},
+		{"CoalesceWindow", func(c *Config) { c.CoalesceWindow = -sim.Microsecond }},
+		{"RequestDeadline", func(c *Config) { c.RequestDeadline = -sim.Millisecond }},
+		{"MapThreshold", func(c *Config) { c.MapCache, c.MapThreshold = true, -1 }},
+	}
+	for _, c := range cases {
+		cfg := Config{
+			HV: r.h, GuestVM: r.guestVM, GuestK: r.guestK,
+			DriverVM: r.driverVM, DriverK: r.driverK,
+			DevicePath: "/dev/testdev", GuestPath: "/dev/negative-" + c.name, Mode: Polling,
+		}
+		c.set(&cfg)
+		if _, _, err := Connect(cfg); err == nil {
+			t.Errorf("Connect with a negative %s succeeded, want an error", c.name)
+		}
+	}
+}

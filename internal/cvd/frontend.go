@@ -25,8 +25,6 @@ type Frontend struct {
 	guestVM  *hv.VM
 	driverVM *hv.VM
 	guestK   *kernel.Kernel
-	mode     Mode
-	window   sim.Duration
 	ring     page
 	grants   *grant.Table
 	specs    map[devfile.IoctlCmd]*ioctlan.CmdSpec
@@ -42,10 +40,16 @@ type Frontend struct {
 	fasyncFiles  []*kernel.File
 	backend      *Backend
 
+	// policy is the transport policy: mode, poll window, adaptive stance
+	// (fed by posts), submission batching and SpinTime, the virtual time
+	// requesters spent busy-polling for completions.
+	policy
+
 	// deadline bounds how long a forwarded operation may wait for its
-	// response (0 = forever, the pre-supervision behavior). A request that
-	// outlives it fails with ETIMEDOUT and its slot is abandoned — reclaimed
-	// when a late response eventually lands or a Reconnect sweeps the ring.
+	// response (0 or less = forever on the polled and the interrupt path
+	// alike, the pre-supervision behavior). A request that outlives it fails
+	// with ETIMEDOUT and its slot is abandoned — reclaimed when a late
+	// response eventually lands or a Reconnect sweeps the ring.
 	deadline sim.Duration
 	// abandoned marks slots whose issuer timed out and left; the backend
 	// may still be executing them, so they are not freed until the response
@@ -63,8 +67,7 @@ type Frontend struct {
 	// every parked post against whichever backend then owns the ring: the
 	// successor after a completed switch, the still-live predecessor after an
 	// abort. Either way nothing is lost. The draining flag is frontend-local
-	// (trusted); the hdrDrain header word mirrors it only as the
-	// cross-VM-visible signal, so hostile ring bytes cannot park or unpark
+	// and never crosses the ring, so hostile ring bytes cannot park or unpark
 	// anyone.
 	draining   bool
 	drainEvent *sim.Event
@@ -81,33 +84,15 @@ type Frontend struct {
 	mapThreshold int
 	bulk         map[bulkKey]bulkGrant
 
-	// Doorbell batching. With coalesce > 0 (interrupt-stance posts only),
-	// posts accumulate in a pending set sharing one inter-VM IRQ, flushed by
-	// a size+deadline policy: the first pending post arms a flush timer for
-	// the coalesce window (the deadline), and reaching CoalesceBatch posts
-	// flushes immediately. The flush publishes a submission batch descriptor
-	// (hdrSubCount + hdrSubBits) and rings once, attributed to the oldest
-	// still-posted member's CURRENT rid — never to a RID whose slot was
-	// reclaimed and reposted inside the window. flushGen invalidates an
-	// armed deadline timer once a size-triggered flush has already run.
-	// The polling path never comes through here.
-	coalesce   sim.Duration
+	// Doorbell batching (interrupt-stance posts only): the pending set of
+	// slots whose posts share the next doorbell, flushed by the policy's
+	// size+deadline trigger. The flush publishes a submission batch
+	// descriptor (hdrSubCount + hdrSubBits) and rings once, attributed to
+	// the oldest still-posted member's CURRENT rid — never to a RID whose
+	// slot was reclaimed and reposted inside the window.
 	pending    []int
 	pendingRID [slotCount]uint64
 	inPending  [slotCount]bool
-	flushGen   uint64
-
-	// Adaptive transport (Mode == Adaptive): NAPI-style stance switching
-	// driven by the observed arrival rate on the virtual clock. arrAvg is an
-	// integer EWMA of inter-post gaps; when it drops below
-	// perf.AdaptivePollGap the channel enters poll stance (requesters spin
-	// for completions and posts kick directly, as in static Polling), and
-	// when arrivals thin out it re-arms interrupts. The stance is mirrored
-	// into the hdrMode ring word for cross-VM observability; the mirror is
-	// advisory and never read back.
-	stancePoll bool
-	arrAvg     sim.Duration
-	lastPost   sim.Time
 
 	// Batched grant hypercalls (Config.GrantBatch). When set, declare prices
 	// a multi-entry grant set as ONE hypervisor crossing — CostGrantDeclare
@@ -146,11 +131,6 @@ type Frontend struct {
 	QueuedPosts    uint64 // posts parked at the frontend during a drain
 	BatchFlushes   uint64 // doorbell flushes sent (each covers >= 1 posted slots)
 	ModeSwitches   uint64 // adaptive stance flips, either direction
-
-	// SpinTime accumulates the virtual time requesters spent busy-polling
-	// for completions — the CPU cost of poll stance the latency numbers
-	// alone cannot show. The adaptive bench gates on it at low load.
-	SpinTime sim.Duration
 
 	// path is the guest-visible device path; vm the guest kernel's name.
 	// m holds the per-path metric names, precomputed at Connect so the hot
@@ -217,62 +197,38 @@ func (fe *Frontend) fileID(c *kernel.FopCtx) uint16 {
 // observation if it is spinning, an inter-VM interrupt otherwise. rid labels
 // the crossing's trace span (0 for heartbeats and other unattributed kicks).
 func (fe *Frontend) kickBackend(rid uint64) {
-	if fe.ring.readU32(hdrBackendPoll) == 1 {
-		fe.backend.PolledPosts++
-		if tr := trace.Get(fe.hv.Env); tr != nil {
-			now := tr.Now()
-			tr.Span(rid, fe.driverVM.Name, trace.LayerIRQ, "poll-cross", now, now.Add(perf.CostPollCross))
-		}
-		fe.hv.Env.After(perf.CostPollCross, fe.backend.doorbell.Trigger)
-		return
+	be := fe.backend
+	if cross(fe.hv, rid, fe.ring.readU32(hdrBackendPoll) == 1, fe.driverVM, fe.vecToBackend, be.observe) {
+		be.PolledPosts++
+	} else {
+		fe.DoorbellIRQs++
 	}
-	fe.DoorbellIRQs++
-	fe.hv.SendInterrupt(fe.driverVM, fe.vecToBackend)
 }
 
 // postDoorbell notifies the backend of a newly posted request slot. With
-// batching configured (coalesce > 0) and the channel in interrupt stance,
-// the slot joins the pending set instead of kicking: the first member arms
-// a flush timer for the coalesce deadline, reaching CoalesceBatch flushes at
-// once, and the whole set shares the single inter-VM IRQ the flush sends
-// (one CostInterVMIRQ for the batch). The polling path is untouched — a
-// spinning backend observes the page directly, IRQ-free — and watchdog
-// heartbeats call kickBackend directly so detection latency is never
-// inflated by the batching window.
+// batching configured and the channel in interrupt stance, the slot joins
+// the pending set instead of kicking, and the whole set shares the single
+// inter-VM IRQ its flush sends (one CostInterVMIRQ for the batch). The
+// polling path is untouched — a spinning backend observes the page
+// directly, IRQ-free — and watchdog heartbeats call kickBackend directly so
+// detection latency is never inflated by the batching window.
 func (fe *Frontend) postDoorbell(rid uint64, slot int) {
-	if fe.coalesce <= 0 || fe.mode == Polling || (fe.mode == Adaptive && fe.stancePoll) {
+	if fe.coalesce <= 0 || fe.polling() {
 		fe.kickBackend(rid)
 		return
 	}
+	// A slot already pending was reclaimed and reposted inside the window (a
+	// timed-out request swept by a late response, then the slot reused). The
+	// pending set already covers it, but the flush must attribute its kick
+	// to the CURRENT occupant — not to the RID that has since failed out.
+	fe.pendingRID[slot] = rid
 	if fe.inPending[slot] {
-		// The slot was reclaimed and reposted inside the window (a timed-out
-		// request swept by a late response, then the slot reused). The
-		// pending set already covers the slot, but the flush must attribute
-		// its kick to the CURRENT occupant — not to the RID that armed the
-		// timer and has since failed out.
-		fe.pendingRID[slot] = rid
 		return
 	}
-	fe.pendingRID[slot] = rid
 	fe.inPending[slot] = true
 	fe.pending = append(fe.pending, slot)
-	if len(fe.pending) >= CoalesceBatch {
-		// Size trigger: the batch is full, flush now. Bumping flushGen (done
-		// inside flushPending) invalidates the armed deadline timer.
-		fe.flushPending(fe.backend)
-		return
-	}
-	if len(fe.pending) == 1 {
-		// Deadline trigger: the first pending post arms the flush timer.
-		be := fe.backend
-		gen := fe.flushGen
-		fe.hv.Env.After(fe.coalesce, func() {
-			if fe.flushGen != gen {
-				return // a size-triggered flush already covered this window
-			}
-			fe.flushPending(be)
-		})
-	}
+	be := fe.backend
+	fe.batch(fe.hv.Env, func() { fe.flushPending(be) })
 }
 
 // flushPending sends the one doorbell covering the current pending set. The
@@ -284,7 +240,7 @@ func (fe *Frontend) postDoorbell(rid uint64, slot int) {
 // has nothing to announce, and must not scribble descriptor words a
 // successor now owns.
 func (fe *Frontend) flushPending(be *Backend) {
-	fe.flushGen++
+	fe.take()
 	pending := fe.pending
 	fe.pending = fe.pending[:0]
 	for _, s := range pending {
@@ -330,7 +286,7 @@ func (fe *Frontend) flushPending(be *Backend) {
 }
 
 // scanDone fires the response event of every slot named by the ring's
-// completion descriptor (hdrDoneCount + hdrDoneBits) — O(batch), not
+// completion descriptor (the hdrDoneBits bitmap) — O(batch), not
 // O(slotCount). It runs from the response ISR (interrupt mode) or as the
 // spinning requester's page observation (polling mode). The descriptor words
 // cross the VM boundary and are untrusted: every bit is validated against
@@ -341,9 +297,6 @@ func (fe *Frontend) flushPending(be *Backend) {
 // sweep recovered it. Slots whose issuer timed out and left are reclaimed
 // here — the late response is discarded, never delivered.
 func (fe *Frontend) scanDone() {
-	if fe.ring.readU32(hdrDoneCount) != 0 {
-		fe.ring.writeU32(hdrDoneCount, 0)
-	}
 	words := fe.ring.takeBitmap(hdrDoneBits)
 	for w, word := range words {
 		for word != 0 {
@@ -382,63 +335,6 @@ func (fe *Frontend) handleNotifs() {
 			}
 		}
 	}
-}
-
-// adaptiveGapCap clamps the inter-post gap fed to the adaptive EWMA: one
-// long idle period must swing the stance to interrupts immediately-ish, but
-// not so far that the first burst after it spends dozens of requests paying
-// IRQ costs before the average recovers. 8x the threshold re-converges to
-// poll stance within ~8 back-to-back posts.
-const adaptiveGapCap = 8 * perf.AdaptivePollGap
-
-// updateStance feeds one post arrival into the adaptive EWMA and flips the
-// channel's stance when the average crosses perf.AdaptivePollGap: fast
-// arrivals (average below the threshold — roughly, requests arriving more
-// often than an IRQ round trip costs) enter poll stance; sparse arrivals
-// re-arm interrupts, NAPI-style. Pure bookkeeping on the virtual clock — it
-// never advances time, so Adaptive at steady state prices exactly like the
-// static mode it is currently imitating.
-func (fe *Frontend) updateStance() {
-	if fe.mode != Adaptive {
-		return
-	}
-	now := fe.hv.Env.Now()
-	gap := now.Sub(fe.lastPost)
-	fe.lastPost = now
-	if gap > adaptiveGapCap || fe.arrAvg == 0 {
-		gap = adaptiveGapCap
-	}
-	if fe.arrAvg == 0 {
-		fe.arrAvg = gap // first post: start in interrupt stance
-	} else {
-		fe.arrAvg += (gap - fe.arrAvg) / 4
-	}
-	poll := fe.arrAvg < perf.AdaptivePollGap
-	if poll == fe.stancePoll {
-		return
-	}
-	fe.stancePoll = poll
-	fe.ModeSwitches++
-	var v uint32
-	name := "mode-to-interrupts"
-	if poll {
-		v, name = 1, "mode-to-poll"
-	}
-	fe.ring.writeU32(hdrMode, v)
-	tr := trace.Get(fe.hv.Env)
-	tr.Add("cvd.adaptive.switches", 1)
-	tr.Set("cvd.adaptive.stance", uint64(v))
-	tr.Instant(0, fe.vm, trace.LayerFE, name, fe.path)
-}
-
-// pollNow reports whether this request should take the polled completion
-// path: always in static Polling, and in Adaptive whenever the channel is
-// currently in poll stance.
-func (fe *Frontend) pollNow() bool {
-	if fe.window <= 0 {
-		return false
-	}
-	return fe.mode == Polling || (fe.mode == Adaptive && fe.stancePoll)
 }
 
 // slotClaimed reserves a slot between allocation and posting.
@@ -557,11 +453,20 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	ev.Reset()
 	t.Sim().Advance(perf.CostPost)
 	tr.Span(rid, fe.vm, trace.LayerFE, "post", start, tr.Now())
-	fe.updateStance()
+	if fe.arrive(fe.hv.Env.Now()) {
+		fe.ModeSwitches++
+		var poll uint64
+		if fe.stance {
+			poll = 1
+		}
+		tr.Add("cvd.adaptive.switches", 1)
+		tr.Set("cvd.adaptive.stance", poll)
+		tr.Instant(0, fe.vm, trace.LayerFE, fe.stanceName(), fe.path)
+	}
 	fe.ring.writeRequest(slot, r)
 	fe.postDoorbell(rid, slot)
 	answered := true
-	if fe.pollNow() {
+	if fe.polling() {
 		// The polled wait is bounded by the request deadline, not just the
 		// window: previously a doomed request spun the whole window with
 		// hdrFrontendPoll raised and only then started the deadline clock,
@@ -570,24 +475,22 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		// of the spin, before any of the timeout returns below, so an
 		// abandoned (ETIMEDOUT) request can never leave the backend
 		// believing a frontend is still spinning.
-		spin := fe.window
-		if fe.deadline > 0 && fe.deadline < spin {
-			spin = fe.deadline
+		d := fe.window
+		if fe.deadline > 0 {
+			d = min(d, fe.deadline)
 		}
 		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)+1)
-		spinStart := fe.hv.Env.Now()
-		woken := t.Sim().WaitTimeout(ev, spin)
-		fe.SpinTime += fe.hv.Env.Now().Sub(spinStart)
+		woken := fe.spin(t.Sim(), ev, d)
 		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)-1)
 		if !woken {
 			switch {
-			case fe.deadline == 0:
+			case fe.deadline <= 0:
 				t.Sim().Wait(ev)
-			case spin >= fe.deadline:
+			case d >= fe.deadline:
 				// The spin consumed the whole deadline budget.
 				answered = false
 			default:
-				answered = t.Sim().WaitTimeout(ev, fe.deadline-spin)
+				answered = t.Sim().WaitTimeout(ev, fe.deadline-d)
 			}
 		}
 	} else {
@@ -631,7 +534,7 @@ func (fe *Frontend) waitResponse(t *kernel.Task, ev *sim.Event) bool {
 }
 
 // SetDeadline installs the per-request deadline for subsequent operations
-// (0 disables). Supervision enables this so a request stuck behind a dead
+// (0 or less disables). Supervision enables this so a request stuck behind a dead
 // driver VM times out with ETIMEDOUT instead of blocking its issuer forever.
 func (fe *Frontend) SetDeadline(d sim.Duration) { fe.deadline = d }
 
@@ -678,13 +581,10 @@ const (
 
 // BeginDrain enters drain mode for a planned handover: in-flight slots keep
 // completing on the current backend, while new posts park at the frontend
-// (bounded by DefaultDrainBound) until EndDrain. The hdrDrain ring word is
-// raised as the cross-VM-visible signal; behavior is driven by the
-// frontend-local flag, so hostile ring bytes are inert.
+// (bounded by DefaultDrainBound) until EndDrain.
 func (fe *Frontend) BeginDrain() {
 	fe.draining = true
 	fe.drainEvent.Reset()
-	fe.ring.writeU32(hdrDrain, 1)
 }
 
 // EndDrain leaves drain mode and releases every parked post. Runs on every
@@ -693,7 +593,6 @@ func (fe *Frontend) BeginDrain() {
 // predecessor).
 func (fe *Frontend) EndDrain() {
 	fe.draining = false
-	fe.ring.writeU32(hdrDrain, 0)
 	fe.drainEvent.Trigger()
 }
 
@@ -864,33 +763,24 @@ func errOrNil(e kernel.Errno) error {
 // Read implements kernel.FileOps: the read arguments directly identify the
 // one legitimate memory operation (§4.1).
 func (fe *Frontend) Read(c *kernel.FopCtx, dst mem.GuestVirt, n int) (int, error) {
-	var ref uint32
-	var flags uint8
-	id := fe.fileID(c)
-	if n > 0 {
-		var oneshot bool
-		var err error
-		ref, flags, oneshot, err = fe.dataRef(c, id, grant.KindCopyTo, dst, n)
-		if err != nil {
-			return 0, kernel.ENOMEM
-		}
-		if oneshot && ref != 0 {
-			defer fe.grants.Revoke(ref)
-		}
-	}
-	ret, errno := fe.roundTrip(c, request{op: opRead, fileID: id, flags: flags, ref: ref, arg0: uint64(dst), arg1: uint64(n)})
-	return errOr(int(ret), errno)
+	return fe.transfer(c, opRead, grant.KindCopyTo, dst, n)
 }
 
 // Write implements kernel.FileOps.
 func (fe *Frontend) Write(c *kernel.FopCtx, src mem.GuestVirt, n int) (int, error) {
+	return fe.transfer(c, opWrite, grant.KindCopyFrom, src, n)
+}
+
+// transfer forwards a read or write of n bytes at buf under a data grant of
+// the given kind.
+func (fe *Frontend) transfer(c *kernel.FopCtx, op uint8, kind grant.Kind, buf mem.GuestVirt, n int) (int, error) {
 	var ref uint32
 	var flags uint8
 	id := fe.fileID(c)
 	if n > 0 {
 		var oneshot bool
 		var err error
-		ref, flags, oneshot, err = fe.dataRef(c, id, grant.KindCopyFrom, src, n)
+		ref, flags, oneshot, err = fe.dataRef(c, id, kind, buf, n)
 		if err != nil {
 			return 0, kernel.ENOMEM
 		}
@@ -898,7 +788,7 @@ func (fe *Frontend) Write(c *kernel.FopCtx, src mem.GuestVirt, n int) (int, erro
 			defer fe.grants.Revoke(ref)
 		}
 	}
-	ret, errno := fe.roundTrip(c, request{op: opWrite, fileID: id, flags: flags, ref: ref, arg0: uint64(src), arg1: uint64(n)})
+	ret, errno := fe.roundTrip(c, request{op: op, fileID: id, flags: flags, ref: ref, arg0: uint64(buf), arg1: uint64(n)})
 	return errOr(int(ret), errno)
 }
 

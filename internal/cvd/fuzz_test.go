@@ -1,9 +1,9 @@
 package cvd
 
 // Fuzz targets for the CVD ring-parsing surface. The shared ring page is
-// writable by the peer VM, so every word of it — header fields (post
-// counter, poll flags, notification bits, heartbeat sequences, restart
-// epoch) and slot fields (state, op, flags, file id, grant ref, seq, args) —
+// writable by the peer VM, so every word of it — header fields (poll
+// flags, notification bits, heartbeat sequences, restart epoch, batch
+// descriptors, unused words) and slot fields (state, op, flags, file id, grant ref, seq, args) —
 // is hostile input. The contract under fuzz: arbitrary bytes NEVER panic the
 // host code on either side; they surface as honest errnos (or as the
 // scribbling guest wedging its own channel, which the grant table makes a
@@ -69,8 +69,8 @@ func ringSeedCorpus(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 0, slotPosted, 0, 0, 0, 0xFF, 0xEE, 0xDD, 0xCC,
 		0xBB, 0xAA, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44,
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	// Header scribble: post counter, poll flags, notif bits, heartbeat
-	// request/ack, and restart epoch all saturated.
+	// Header scribble: the unused word at 0, poll flags, notif bits,
+	// heartbeat request/ack, and restart epoch all saturated.
 	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
@@ -130,12 +130,13 @@ func FuzzRingHostileBackendBytes(f *testing.F) {
 }
 
 // batchSeedCorpus seeds the hostile patterns specific to the multi-entry
-// batch descriptor words. First byte 2 steers scribble's offset to 32 =
-// hdrMode, so one payload spans mode, hdrSubCount, the four hdrSubBits
-// words, hdrDoneCount, and the four hdrDoneBits words.
+// batch descriptor words. First byte 2 steers scribble's offset to 32, an
+// unused header word, so one payload spans it, hdrSubCount, the four
+// hdrSubBits words, the unused word at 56, and the four hdrDoneBits words.
 func batchSeedCorpus(f *testing.F) {
 	ringSeedCorpus(f)
-	// Everything saturated: mode garbage, counts huge, both bitmaps full.
+	// Everything saturated: unused words garbage, count huge, both bitmaps
+	// full.
 	sat := make([]byte, 1+44)
 	sat[0] = 2
 	for i := 1; i < len(sat); i++ {
@@ -159,7 +160,7 @@ func batchSeedCorpus(f *testing.F) {
 	// must validate each bit against the actual slot word.
 	done := make([]byte, 1+44)
 	done[0] = 2
-	for i := 25; i < len(done); i++ { // hdrDoneCount + hdrDoneBits
+	for i := 25; i < len(done); i++ { // unused word at 56 + hdrDoneBits
 		done[i] = 0xFF
 	}
 	f.Add(done)

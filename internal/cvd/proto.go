@@ -46,20 +46,17 @@ const (
 
 // Ring page layout: a 96-byte header followed by 100 40-byte slots — the
 // paper's cap of 100 queued operations per guest VM falls out of the slot
-// count.
+// count. The header words at offsets 0, 28, 32 and 56 are unused; the other
+// words keep their offsets because the fuzz seed corpora steer by offset.
 const (
-	hdrPostSeq      = 0  // u32: monotonically increasing post counter
 	hdrBackendPoll  = 4  // u32: backend is spinning on the page
 	hdrFrontendPoll = 8  // u32: count of requesters spinning for responses
 	hdrNotifBits    = 12 // u32: pending notification bits
 	hdrHbReq        = 16 // u32: watchdog heartbeat sequence (frontend side)
 	hdrHbAck        = 20 // u32: last heartbeat sequence the backend echoed
 	hdrEpoch        = 24 // u32: restart epoch of the backend owning the ring
-	hdrDrain        = 28 // u32: planned handover in progress; new posts park
-	hdrMode         = 32 // u32: frontend's adaptive stance (0 irq, 1 poll); advisory
 	hdrSubCount     = 36 // u32: submission batch descriptor count since last consume
 	hdrSubBits      = 40 // 4×u32 bitmap of posted slots in the batch (bit s = slot s)
-	hdrDoneCount    = 56 // u32: completion count since last scan
 	hdrDoneBits     = 60 // 4×u32 bitmap of completed slots (bit s = slot s)
 	hdrSize         = 96
 
@@ -203,11 +200,10 @@ func (p page) writeResponse(slot int, ret int32, errno int32) {
 	p.writeU32(base+sErrno, uint32(errno))
 	p.writeU32(base+sState, slotDone)
 	// Publish a completion descriptor so the frontend's scan is O(batch):
-	// set the slot's done bit and bump the count. The words are advisory —
-	// the scan re-validates against slot state — so a hostile peer clearing
-	// them degrades to a deadline, never to corruption.
+	// set the slot's done bit. The bitmap is advisory — the scan re-validates
+	// against slot state — so a hostile peer clearing it degrades to a
+	// deadline, never to corruption.
 	p.setBitmapBit(hdrDoneBits, slot)
-	p.writeU32(hdrDoneCount, p.readU32(hdrDoneCount)+1)
 }
 
 func (p page) readResponse(slot int) (ret int32, errno int32) {

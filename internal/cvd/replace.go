@@ -139,12 +139,13 @@ func (p *HandoverPrep) Bind(devicePath string) (*Backend, error) {
 	// the new epoch.
 	fe.ring.writeU32(hdrEpoch, fe.ring.readU32(hdrEpoch)+1)
 	vecToBackend := p.vm.AllocVector()
+	// The successor takes the frontend's transport settings, with a fresh
+	// stance: the frontend keeps its mode and keeps flushing submission
+	// descriptors, so the new backend must keep polling, consuming and
+	// completion-batching alike.
+	pol := policy{mode: fe.mode, window: fe.window, coalesce: fe.coalesce}
 	be := newBackend(p.proc, fe.hv, p.vm, fe.guestVM, p.k, node,
-		p.beGPA, fe.mode, fe.window, vecToBackend, fe.vecResp, fe.vecNotif)
-	// The successor inherits the channel's batching window: the frontend
-	// keeps flushing submission descriptors, so the new backend must keep
-	// consuming (and completion-batching) them.
-	be.batchWait = fe.coalesce
+		p.beGPA, pol, vecToBackend, fe.vecResp, fe.vecNotif)
 	if fe.mapCache {
 		be.enableMapCache(fe.grants)
 		// Seed the pre-established mappings (none on the cold path, where

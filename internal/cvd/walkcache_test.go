@@ -1,6 +1,7 @@
 package cvd
 
-// Tests for the translation-cache fast path (Config.TLB + Config.GrantBatch)
+// Tests for the translation-cache fast path (the hypervisor's software TLB
+// plus Config.GrantBatch)
 // at the CVD layer: batched declares collapse a scatter-gather grant vector
 // into one hypervisor crossing, armed requests produce identical data to
 // dormant ones, and the hostile revoke-while-mapped case still faults with
@@ -20,7 +21,7 @@ import (
 // withWalkcache arms the software TLB and batched grant hypercalls.
 func withWalkcache() func(*Config) {
 	return func(c *Config) {
-		c.TLB = true
+		c.HV.EnableTLB()
 		c.GrantBatch = true
 	}
 }

@@ -534,7 +534,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		cfg.CoalesceWindow = 20 * sim.Microsecond
 	}
 	if walkcache {
-		cfg.TLB = true
+		h.EnableTLB()
 		cfg.GrantBatch = true
 	}
 	if adaptive {
