@@ -3,30 +3,27 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 )
 
 // Env is a simulation environment: a virtual clock plus an event calendar.
-// An Env is not safe for concurrent use. Exactly one goroutine holds the
-// scheduler token at a time — the Run caller or a process — and it runs the
-// calendar loop itself, passing the token straight to the next process due
-// (see Proc.block), so all mutation is serialized without locks.
+// An Env is not safe for concurrent use. Exactly one process body or the Run
+// caller executes at a time: each process runs on its own coroutine, and Run
+// resumes the next process due, which runs until it blocks (see Proc.block)
+// or finishes, so all mutation is serialized without locks.
 type Env struct {
 	now     Time
 	seq     uint64
 	cal     calendar
-	current *Proc // process currently holding the hand-off token, if any
+	current *Proc // process currently running, if any
 
-	home    chan struct{} // the token returns to the Run caller here
-	limit   Time          // RunUntil's limit, read by whichever goroutine dispatches
-	fault   any           // panic raised on a process goroutine, re-raised by Run
-	stack   []byte        // where fault was raised, for FaultStack
+	limit   Time   // RunUntil's limit, read by whichever coroutine dispatches
+	fault   any    // panic raised on a process coroutine, re-raised by Run
+	stack   []byte // where fault was raised, for FaultStack
 	running bool
 	closed  bool
-	nprocs  int            // live (not yet finished) processes
-	procs   []*Proc        // in spawn order, for Deadlocked and Close; Spawn drops finished ones
-	idle    []*thread      // parked goroutines Spawn reuses, last parked first
-	threads sync.WaitGroup // process goroutines that have not yet exited
+	nprocs  int       // live (not yet finished) processes
+	procs   []*Proc   // in spawn order, for Deadlocked and Close; Spawn drops finished ones
+	idle    []*thread // parked coroutines Spawn reuses, last parked first
 
 	// Observer, when non-nil, receives a structured event per scheduling
 	// decision (callback dispatch, process resume) with its virtual
@@ -58,20 +55,20 @@ type Env struct {
 type SchedObserver interface {
 	// SchedCallback fires when a calendar callback is dispatched at time at.
 	SchedCallback(at Time)
-	// SchedResume fires when process proc is handed the token at time at.
+	// SchedResume fires when process proc is resumed at time at.
 	SchedResume(at Time, proc string)
 }
 
 // NewEnv returns an empty environment at time zero.
 func NewEnv() *Env {
-	return &Env{home: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
 
-// CurrentProc returns the process currently holding the hand-off token, or
-// nil when called from scheduler/callback context.
+// CurrentProc returns the process currently running, or nil when called
+// from scheduler/callback context.
 func (e *Env) CurrentProc() *Proc { return e.current }
 
 // item is one calendar entry, held by value so scheduling allocates nothing.
@@ -178,16 +175,15 @@ func (e *Env) RunUntil(limit Time) {
 	defer func() { e.running = false }()
 	e.limit = limit
 	e.stack = nil
-	if q := e.next(); q != nil {
-		// Hand the token to q and wait until some goroutine passes it home:
-		// nothing is due by the limit, or a panic needs re-raising here.
-		e.current = q
-		q.wake <- struct{}{}
-		<-e.home
-		if f := e.fault; f != nil {
-			e.fault = nil
-			panic(f)
-		}
+	// Resume each process due in turn; it runs until it blocks or finishes,
+	// then yields the next process due, or nil when nothing is due by the
+	// limit or a panic needs re-raising here.
+	for q := e.next(); q != nil; {
+		q, _ = q.t.resume()
+	}
+	if f := e.fault; f != nil {
+		e.fault = nil
+		panic(f)
 	}
 	if limit < Time(1<<62-1) && e.now < limit {
 		e.now = limit
@@ -195,15 +191,16 @@ func (e *Env) RunUntil(limit Time) {
 }
 
 // FaultStack returns the stack captured where the panic the last Run
-// re-raised was raised, when that was on a process goroutine (a callback or
+// re-raised was raised, when that was on a process coroutine (a callback or
 // observer dispatched there, or a process panic no OnProcPanic consumed);
 // otherwise nil. Run re-raises the original value, so the frames of such a
 // panic site are reachable only here.
 func (e *Env) FaultStack() []byte { return e.stack }
 
 // next runs every callback due by the run limit, in calendar order, and
-// returns the next process to resume, or nil when nothing is due. It runs on
-// whichever goroutine holds the token, with no process current.
+// returns the next process to resume, now current, or nil when nothing is
+// due. It runs with no process current, on the Run caller or on the
+// coroutine of the process that just blocked or finished.
 func (e *Env) next() *Proc {
 	for len(e.cal) > 0 {
 		it := e.cal[0]
@@ -229,36 +226,17 @@ func (e *Env) next() *Proc {
 		if e.Observer != nil {
 			e.Observer.SchedResume(e.now, it.p.name)
 		}
+		e.current = it.p
 		return it.p
 	}
 	return nil
 }
 
-// handoff passes the token on from process p, which has blocked or finished,
-// carrying p's panic if it died of one. It runs due callbacks on p's
-// goroutine, then wakes the next process due or, when none is due by the
-// limit, sends the token home to the Run caller. It reports whether the next
-// process due runs on p's goroutine — p itself, or a process a callback just
-// spawned onto the goroutine p finished on — which then simply keeps running.
-func (e *Env) handoff(p *Proc, trap *ProcPanic) bool {
-	e.current = nil
-	q := e.dispatch(trap)
-	if q == nil {
-		e.home <- struct{}{}
-		return false
-	}
-	e.current = q
-	if q.wake == p.wake {
-		return true
-	}
-	q.wake <- struct{}{}
-	return false
-}
-
-// dispatch is next on a process goroutine. A panic there — from a callback,
+// dispatch is next on a process coroutine. A panic there — from a callback,
 // an observer, or a process panic no OnProcPanic handler consumed — is saved
 // for the Run caller to re-raise with its original value, as if the calendar
-// loop had run on the Run caller's goroutine all along.
+// loop had run on the Run caller's goroutine all along, and must not unwind
+// the process body dispatch runs under.
 func (e *Env) dispatch(trap *ProcPanic) (q *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -266,6 +244,7 @@ func (e *Env) dispatch(trap *ProcPanic) (q *Proc) {
 			q = nil
 		}
 	}()
+	e.current = nil
 	if trap != nil && (e.OnProcPanic == nil || !e.OnProcPanic(trap)) {
 		// Re-raise on the Run caller's goroutine so a harness can recover
 		// (and report, say, the reproducing seed) instead of the whole
@@ -276,12 +255,12 @@ func (e *Env) dispatch(trap *ProcPanic) (q *Proc) {
 	return e.next()
 }
 
-// Close unwinds every unfinished process so its goroutine exits and no
+// Close unwinds every unfinished process so its coroutine exits and no
 // longer pins the environment. A parked process panics a kill token out of
 // the call that blocked it, running its deferred calls; a process that never
-// started just exits, and so does every idle goroutine. Close must not be
-// called during Run; afterwards Run, Spawn and any blocking call panic.
-// Closing twice is a no-op.
+// started just exits, and so does every idle coroutine. Each coroutine has
+// exited by the time Close returns. Close must not be called during Run;
+// afterwards Run, Spawn and any blocking call panic. Closing twice is a no-op.
 func (e *Env) Close() {
 	if e.running {
 		panic("sim: Close during Run")
@@ -292,17 +271,13 @@ func (e *Env) Close() {
 	e.closed = true
 	for _, p := range e.procs {
 		if !p.finished {
-			p.wake <- struct{}{}
-			<-e.home
+			p.t.stop()
 		}
 	}
 	for _, t := range e.idle {
-		close(t.wake)
+		t.stop()
 	}
 	e.cal, e.procs, e.nprocs, e.idle = nil, nil, 0, nil
-	// A process goroutine passes the token on just before it exits; wait out
-	// the last few steps of any still on their way, so none outlives Close.
-	e.threads.Wait()
 }
 
 // ProcPanic is the value re-panicked on the goroutine driving Run when a

@@ -55,6 +55,7 @@ func (p *Proc) Wait(ev *Event) {
 	if ev.fired {
 		return
 	}
+	p.check()
 	ev.waiters = append(ev.waiters, p)
 	p.block()
 }
@@ -65,6 +66,7 @@ func (p *Proc) WaitTimeout(ev *Event, d Duration) bool {
 	if ev.fired {
 		return true
 	}
+	p.check()
 	deadline := p.env.now.Add(d)
 	ev.waiters = append(ev.waiters, p)
 	p.scheduleResume(deadline)

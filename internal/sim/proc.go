@@ -1,19 +1,25 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"slices"
 )
 
-// Proc is a simulation process: a body that runs on a process goroutine only
-// while it holds the scheduler's hand-off token. At most one Proc executes at
-// any instant, so process bodies may freely mutate shared simulation state
-// without locks.
+// Proc is a simulation process: a body that runs on a coroutine, only while
+// the scheduler has resumed it. At most one Proc executes at any instant, so
+// process bodies may freely mutate shared simulation state without locks.
+//
+// A body that leaves through runtime.Goexit (a t.FailNow in a test's process
+// body) ends its coroutine, and the Goexit carries on in the goroutine that
+// called Run, which then exits too; the Env stays usable.
 type Proc struct {
 	env       *Env
 	name      string
-	wake      chan struct{} // its goroutine's (thread.wake)
+	t         *thread // the coroutine it runs on
 	finished  bool
 	queued    bool   // has a pending calendar resume entry
 	resumeGen uint64 // bumped per scheduled resume; stale entries are skipped
@@ -31,11 +37,10 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
 	} else {
-		t = &thread{wake: make(chan struct{})}
-		e.threads.Add(1)
-		go t.loop(e)
+		t = new(thread)
+		t.resume, t.stop = iter.Pull(t.loop)
 	}
-	p := &Proc{env: e, name: name, wake: t.wake}
+	p := &Proc{env: e, name: name, t: t}
 	t.p, t.fn = p, fn
 	if len(e.procs) == cap(e.procs) && e.nprocs <= len(e.procs)/2 {
 		// At least half the list has finished: drop those instead of
@@ -55,42 +60,37 @@ type closedError struct{ proc string }
 
 func (c closedError) Error() string { return "sim: " + c.proc + " blocked after Close" }
 
-// thread is a process goroutine. It runs one process body after another, so
-// a run that spawns a process per request starts a goroutine only per
+// thread is a process coroutine. It runs one process body after another, so
+// a run that spawns a process per request starts a coroutine only per
 // concurrently live process. Between bodies it is parked on Env.idle with p
 // and fn nil; Spawn hands it the next body.
 type thread struct {
-	wake chan struct{} // shared with the process it runs
-	p    *Proc
-	fn   func(*Proc)
+	p  *Proc
+	fn func(*Proc)
+
+	resume func() (*Proc, bool) // run until the thread yields the next process due
+	stop   func()               // end the thread; returns once its goroutine has exited
+	yield  func(*Proc) bool     // back to the Run caller; false once stop is called
 }
 
-// loop waits for the first resume of t's process, runs it, and repeats. It
-// exits when a body leaves through runtime.Goexit (a t.FailNow in a test's
-// process body), when the Env closes, or when Close wakes it idle.
-func (t *thread) loop(e *Env) {
-	defer e.threads.Done()
-	for mine := false; ; {
-		if !mine {
-			<-t.wake
-		}
-		p := t.p
-		if p == nil {
-			return // woken idle by Close
-		}
-		var again bool
-		if again, mine = p.run(t); !again {
+// loop runs the body of t's process, runs the calendar loop on to the next
+// process due, and yields that process to the Run caller, or runs it at once
+// when a callback spawned it onto t. It repeats when Run resumes t with the
+// next body, and returns once Close stops t.
+func (t *thread) loop(yield func(*Proc) bool) {
+	t.yield = yield
+	for {
+		if q := t.p.run(t); (q == nil || q.t != t) && !yield(q) {
 			return
 		}
 	}
 }
 
-// run runs p's body on t, then passes the token on. The pass-on is deferred so
-// it also happens when the body panics or exits through runtime.Goexit. It
-// reports whether t goes back to the idle list, and whether the hand-off gave
-// the token to the process Spawn meanwhile put on t, which then runs at once.
-// Nothing after the hand-off touches the Env: another goroutine holds it.
-func (p *Proc) run(t *thread) (again, mine bool) {
+// run runs p's body on t, then returns the next process due. That tail is
+// deferred so it also happens when the body panics. A body that leaves through
+// runtime.Goexit takes t with it: the tail only marks p finished, and the
+// Goexit then ends the Run caller too.
+func (p *Proc) run(t *thread) (q *Proc) {
 	e, fn := p.env, t.fn
 	t.p, t.fn = nil, nil // pin neither this process nor its closure once done
 	returned := false
@@ -105,21 +105,19 @@ func (p *Proc) run(t *thread) (again, mine bool) {
 		}
 		p.finished = true
 		if e.closed {
-			e.home <- struct{}{}
 			return
 		}
 		e.nprocs--
-		// A body that left through Goexit takes its goroutine with it.
-		if again = returned || r != nil; again {
-			e.idle = append(e.idle, t)
+		if !returned && r == nil {
+			e.current = nil
+			return
 		}
-		mine = e.handoff(p, trap)
+		e.idle = append(e.idle, t)
+		q = e.dispatch(trap)
 	}()
-	if !e.closed {
-		fn(p)
-	}
+	fn(p)
 	returned = true
-	return
+	return nil
 }
 
 // RunFunc spawns fn as a process and runs the environment until the calendar
@@ -144,22 +142,23 @@ func (p *Proc) scheduleResume(at Time) {
 	p.env.schedule(item{at: at, p: p, gen: p.resumeGen})
 }
 
-// block gives up the token and returns when p is resumed. The calendar loop
-// runs right here on p's goroutine: if p itself is the next process due it
-// just returns; otherwise p wakes the next one (or the Run caller) and parks.
-func (p *Proc) block() {
-	e := p.env
-	if e.closed {
+// check panics unless p may block now: its Env is open and p is the process
+// running. Every blocking call checks before it touches any state, so a call
+// on the wrong process leaves no stray wake-up behind.
+func (p *Proc) check() {
+	if p.env.closed {
 		panic(closedError{p.name})
 	}
-	if e.current != p {
+	if p.env.current != p {
 		panic(fmt.Sprintf("sim: %s blocking while not current", p.name))
 	}
-	if e.handoff(p, nil) {
-		return
-	}
-	<-p.wake
-	if e.closed {
+}
+
+// block suspends p until it is resumed. The calendar loop runs right here on
+// p's coroutine: if p itself is the next process due it just returns;
+// otherwise p yields the next one (or nil) to the Run caller and parks.
+func (p *Proc) block() {
+	if q := p.env.dispatch(nil); q != p && !p.t.yield(q) {
 		panic(closedError{p.name})
 	}
 }
@@ -167,6 +166,7 @@ func (p *Proc) block() {
 // Sleep suspends the process for d of simulated time.
 // Other processes and callbacks scheduled within the window run meanwhile.
 func (p *Proc) Sleep(d Duration) {
+	p.check()
 	if d < 0 {
 		d = 0
 	}

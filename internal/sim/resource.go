@@ -22,6 +22,7 @@ func (e *Env) NewResource(name string, capacity int) *Resource {
 
 // Acquire blocks p until a unit of the resource is available, then takes it.
 func (r *Resource) Acquire(p *Proc) {
+	p.check()
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.inUse++
 		return

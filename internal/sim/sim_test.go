@@ -442,8 +442,9 @@ func (l *schedLog) SchedCallback(at Time) { l.at(at); l.b.WriteByte('c') }
 func (l *schedLog) SchedResume(at Time, proc string) { l.at(at); l.b.WriteByte(proc[len(proc)-1]) }
 
 // mixedSchedOrder is mixedWorkload's scheduling order, recorded from the
-// channel ping-pong scheduler the token hand-off replaced: handing the token
-// straight from process to process must not reorder a single decision.
+// channel ping-pong scheduler that preceded both the goroutine hand-off and
+// the coroutines: resuming processes as coroutines must not reorder a single
+// decision.
 const mixedSchedOrder = "01230230230c3cc3@1cccccc@2cc3@3003c33c3c3c@412ccc@5cc31cccc31c@60cc230c2@7ccc2" +
 	"@81ccc0cc00c@93c2ccccc03cc2c0c20c2c2@10ccccccc0c@111ccc2cc01cc22@12cccc2cc@133ccc23c2@14c3cc" +
 	"@1501c23cc123c12c2c@160cccc0c32c0@17cccc1cccc11@18cc@1930ccc1cc3ccc@202ccc03203c0@21cccc" +
@@ -472,8 +473,8 @@ func runPanic(fn func()) (r any) {
 	return nil
 }
 
-// A callback dispatched on a process goroutine (here: the one a blocking
-// Sleep hands the token off from) runs with no current process, and its
+// A callback dispatched on a process coroutine (here: the one a blocking
+// Sleep runs the calendar loop on) runs with no current process, and its
 // panic surfaces from Run with its raw value. The parked process survives:
 // a later Run resumes it.
 func TestCallbackPanicOnProcGoroutineReraisedFromRun(t *testing.T) {
@@ -542,7 +543,7 @@ func TestOnProcPanicConsumedRunContinues(t *testing.T) {
 	}
 }
 
-// Blocking on a process that does not hold the token is a clear panic, both
+// Blocking on a process that is not the one running is a clear panic, both
 // from another process's body and from outside Run.
 func TestBlockWhileNotCurrentPanics(t *testing.T) {
 	e := NewEnv()
@@ -559,18 +560,56 @@ func TestBlockWhileNotCurrentPanics(t *testing.T) {
 	}
 }
 
-// waitGoroutines waits briefly for the goroutine count to fall to n: a
-// process goroutine passes the token on just before it exits.
-func waitGoroutines(n int) int {
-	for i := 0; i < 1000 && runtime.NumGoroutine() > n; i++ {
-		time.Sleep(time.Millisecond)
+// A blocking call made on a process other than the one running panics
+// before it touches any state: with the panic consumed, the victim still
+// wakes when its own event fires, and no queue holds it twice.
+func TestBlockOnWrongProcLeavesNoWakeup(t *testing.T) {
+	for name, stray := range map[string]func(victim *Proc, ev *Event, r *Resource){
+		"Sleep":       func(v *Proc, _ *Event, _ *Resource) { v.Sleep(Microsecond) },
+		"Advance":     func(v *Proc, _ *Event, _ *Resource) { v.Advance(Microsecond) },
+		"Yield":       func(v *Proc, _ *Event, _ *Resource) { v.Yield() },
+		"Wait":        func(v *Proc, ev *Event, _ *Resource) { v.Wait(ev) },
+		"WaitTimeout": func(v *Proc, ev *Event, _ *Resource) { v.WaitTimeout(ev, Microsecond) },
+		"Acquire":     func(v *Proc, _ *Event, r *Resource) { r.Acquire(v) },
+	} {
+		e := NewEnv()
+		var caught []string
+		e.OnProcPanic = func(pp *ProcPanic) bool {
+			caught = append(caught, fmt.Sprint(pp.Value))
+			return true
+		}
+		ready, other := e.NewEvent("ready"), e.NewEvent("other")
+		r := e.NewResource("r", 1)
+		var woke Time = -1
+		victim := e.Spawn("victim", func(p *Proc) {
+			p.Wait(ready)
+			woke = p.Now()
+		})
+		e.Spawn("holder", func(p *Proc) {
+			r.Acquire(p)
+			p.Sleep(2 * Microsecond)
+			other.Trigger()
+			r.Release()
+		})
+		e.Spawn("thief", func(p *Proc) { stray(victim, other, r) })
+		e.After(10*Microsecond, ready.Trigger)
+		e.Run()
+		if len(caught) != 1 || !strings.Contains(caught[0], "victim blocking while not current") {
+			t.Errorf("%s: OnProcPanic saw %q, want thief's not-current panic", name, caught)
+		}
+		if woke != Time(10*Microsecond) {
+			t.Errorf("%s: victim woke at %v, want 10µs", name, woke)
+		}
+		if r.InUse() != 0 || r.QueueLen() != 0 {
+			t.Errorf("%s: resource left with %d in use, %d queued", name, r.InUse(), r.QueueLen())
+		}
+		e.Close()
 	}
-	return runtime.NumGoroutine()
 }
 
 // Close unwinds every process still parked — blocked on an event that never
 // fires, queued on a resource, or never started — running their deferred
-// calls, and lets each goroutine exit. A blocking call inside the unwind
+// calls, and each coroutine has exited by the time Close returns. A blocking call inside the unwind
 // panics at once instead of dispatching.
 func TestCloseUnwindsParkedProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -603,11 +642,30 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	if want := []string{"holder", "queued"}; !reflect.DeepEqual(unwound, want) {
 		t.Fatalf("unwound %v, want %v", unwound, want)
 	}
-	if got := waitGoroutines(base); got > base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
 	if e.Deadlocked() != nil {
 		t.Fatalf("Deadlocked() after Close = %v", e.Deadlocked())
+	}
+}
+
+// Close has ended every coroutine by the time it returns, cycle after cycle:
+// parked, never-started and idle processes alike leave no goroutine behind.
+func TestCloseCyclesLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		e := NewEnv()
+		never := e.NewEvent("never")
+		e.Spawn("parked", func(p *Proc) { p.Wait(never) })
+		e.Spawn("done", func(p *Proc) { p.Sleep(Microsecond) })
+		e.Run()
+		e.Spawn("unstarted", func(p *Proc) {})
+		e.Spawn("fresh", func(p *Proc) {})
+		e.Close()
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("cycle %d: %d goroutines right after Close, want at most %d", i, got, base)
+		}
 	}
 }
 
@@ -720,6 +778,26 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	if waits != 0 {
 		t.Errorf("Wait + Trigger + Reset: %v allocs, want 0", waits)
 	}
+	ping, pong := e.NewEvent("ping"), e.NewEvent("pong")
+	e.Spawn("pong", func(p *Proc) {
+		for {
+			p.Wait(ping)
+			ping.Reset()
+			pong.Trigger()
+		}
+	})
+	var hops float64
+	e.RunFunc("ping", func(p *Proc) {
+		hops = testing.AllocsPerRun(1000, func() {
+			ping.Trigger()
+			p.Wait(pong)
+			pong.Reset()
+		})
+	})
+	if hops != 0 {
+		t.Errorf("hop to another process and back: %v allocs, want 0", hops)
+	}
+	e.Close()
 }
 
 // Finished processes are dropped from the process list, but Deadlocked still
@@ -759,13 +837,13 @@ func TestFinishedProcsDropped(t *testing.T) {
 	if !reflect.DeepEqual(unwound, blocked) {
 		t.Fatalf("Close unwound %v, want %v", unwound, blocked)
 	}
-	if got := waitGoroutines(base); got > base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
 }
 
 // runWithin runs e until its calendar drains, failing t if that takes longer
-// than a few seconds (a hand-off that deadlocks).
+// than a few seconds (a scheduler that deadlocks).
 func runWithin(t *testing.T, e *Env) {
 	t.Helper()
 	done := make(chan struct{})
@@ -776,24 +854,20 @@ func runWithin(t *testing.T, e *Env) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: the token hand-off deadlocked")
+		t.Fatal("Run did not return: the scheduler deadlocked")
 	}
 }
 
-// A callback dispatched while a finished process hands the token on may spawn
-// onto the goroutine that process just parked; the new process is then the
-// next due and runs right there, without the goroutine waking itself.
+// A callback dispatched after a process finishes may spawn onto the
+// coroutine that process just parked; the new process is then the next due
+// and runs right there, without a switch through the Run caller.
 func TestCallbackSpawnsOntoFinishedGoroutine(t *testing.T) {
 	e := NewEnv()
-	var aWake, bWake chan struct{}
+	var a, b *Proc
 	var ran []string
-	e.Spawn("a", func(p *Proc) {
-		aWake = p.wake
+	a = e.Spawn("a", func(p *Proc) {
 		p.Env().After(0, func() {
-			e.Spawn("b", func(p *Proc) {
-				bWake = p.wake
-				ran = append(ran, "b")
-			})
+			b = e.Spawn("b", func(p *Proc) { ran = append(ran, "b") })
 		})
 		ran = append(ran, "a")
 	})
@@ -801,67 +875,76 @@ func TestCallbackSpawnsOntoFinishedGoroutine(t *testing.T) {
 	if !reflect.DeepEqual(ran, []string{"a", "b"}) {
 		t.Fatalf("ran %v, want [a b]", ran)
 	}
-	if aWake == nil || bWake != aWake {
-		t.Fatal("b did not run on the goroutine a finished on")
+	if b == nil || b.t != a.t {
+		t.Fatal("b did not run on the thread a finished on")
 	}
 	if len(e.idle) != 1 {
-		t.Fatalf("%d idle goroutines, want 1", len(e.idle))
+		t.Fatalf("%d idle threads, want 1", len(e.idle))
 	}
 	e.Close()
 }
 
-// A body that leaves through runtime.Goexit takes its goroutine with it
-// instead of returning it to the idle list; the next Spawn still runs.
+// A body that leaves through runtime.Goexit ends its coroutine, and the
+// Goexit carries on in the goroutine that called Run: RunFunc does not
+// return. The Env stays usable, the next process runs on another thread,
+// and Close leaves no goroutine behind.
 func TestGoexitGoroutineNotReused(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
-	var exitWake chan struct{}
 	e.RunFunc("first", func(p *Proc) {})
-	e.RunFunc("exit", func(p *Proc) {
-		exitWake = p.wake
-		runtime.Goexit()
-	})
+	var exit *Proc
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.RunFunc("exit", func(p *Proc) {
+			exit = p
+			runtime.Goexit()
+		})
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("RunFunc returned normally after its process body called Goexit")
+	}
 	if len(e.idle) != 0 || e.Deadlocked() != nil {
-		t.Fatalf("after Goexit: %d idle goroutines, deadlocked %v", len(e.idle), e.Deadlocked())
+		t.Fatalf("after Goexit: %d idle threads, deadlocked %v", len(e.idle), e.Deadlocked())
 	}
 	ran := false
 	next := e.Spawn("next", func(p *Proc) {
 		p.Sleep(Microsecond)
 		ran = true
 	})
-	runWithin(t, e)
-	if !ran || next.wake == exitWake {
-		t.Fatalf("next ran=%v, on the exited goroutine=%v", ran, next.wake == exitWake)
+	e.Run()
+	if !ran || next.t == exit.t {
+		t.Fatalf("next ran=%v, on the exited thread=%v", ran, next.t == exit.t)
 	}
 	e.Close()
-	if got := waitGoroutines(base); got > base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
 }
 
-// A goroutine whose process panicked, with the panic consumed by
-// OnProcPanic, goes back to the idle list and runs the next process.
+// A thread whose process panicked, with the panic consumed by OnProcPanic,
+// goes back to the idle list and runs the next process.
 func TestConsumedPanicGoroutineReused(t *testing.T) {
 	e := NewEnv()
 	e.OnProcPanic = func(*ProcPanic) bool { return true }
-	var bombWake chan struct{}
-	e.RunFunc("bomb", func(p *Proc) {
-		bombWake = p.wake
-		panic("oops")
-	})
+	bomb := e.Spawn("bomb", func(p *Proc) { panic("oops") })
+	e.Run()
 	if len(e.idle) != 1 {
-		t.Fatalf("%d idle goroutines after a consumed panic, want 1", len(e.idle))
+		t.Fatalf("%d idle threads after a consumed panic, want 1", len(e.idle))
 	}
 	ran := false
 	next := e.Spawn("next", func(p *Proc) { ran = true })
 	runWithin(t, e)
-	if !ran || next.wake != bombWake {
-		t.Fatalf("next ran=%v, on the panicked process's goroutine=%v", ran, next.wake == bombWake)
+	if !ran || next.t != bomb.t {
+		t.Fatalf("next ran=%v, on the panicked process's thread=%v", ran, next.t == bomb.t)
 	}
 	e.Close()
 }
 
-// Close releases the idle goroutines along with the parked processes.
+// Close releases the idle coroutines along with the parked processes.
 func TestCloseReleasesIdleGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
@@ -870,15 +953,15 @@ func TestCloseReleasesIdleGoroutines(t *testing.T) {
 	}
 	e.Run()
 	if len(e.idle) != 8 {
-		t.Fatalf("%d idle goroutines, want 8", len(e.idle))
+		t.Fatalf("%d idle threads, want 8", len(e.idle))
 	}
 	e.Close()
-	if got := waitGoroutines(base); got > base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
 }
 
-// A run that spawns a process per request keeps one goroutine per
+// A run that spawns a process per request keeps one coroutine per
 // concurrently live process, not one per process ever spawned.
 func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -896,7 +979,7 @@ func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 			p.Sleep(Duration(rng.Intn(3)) * Microsecond)
 		}
 	})
-	runWithin(t, e)
+	e.Run()
 	if served != 10000 {
 		t.Fatalf("served %d ops, want 10000", served)
 	}
@@ -904,12 +987,12 @@ func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 		t.Fatalf("up to %d goroutines for at most %d live processes", peakGoroutines, peakLive)
 	}
 	e.Close()
-	if got := waitGoroutines(base); got > base {
+	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
 }
 
-// Spawning a process onto an idle goroutine and running it to the end
+// Spawning a process onto an idle coroutine and running it to the end
 // allocates only the Proc itself.
 func TestSpawnReuseAllocs(t *testing.T) {
 	e := NewEnv()

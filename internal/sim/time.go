@@ -7,9 +7,9 @@
 // inputs always produce identical timings.
 //
 // The kernel follows the classic process-interaction style (as in SimPy):
-// processes are goroutines that run one at a time under strict hand-off
-// control of the scheduler, and yield by sleeping, waiting on events, or
-// acquiring resources.
+// processes are coroutines (iter.Pull) that run one at a time, each resumed
+// by the scheduler when it is due, and yield by sleeping, waiting on events,
+// or acquiring resources.
 package sim
 
 import "fmt"

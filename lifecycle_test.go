@@ -3,7 +3,6 @@ package paradice_test
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"paradice"
 	"paradice/internal/workload"
@@ -42,9 +41,6 @@ func TestMachineCloseCycles(t *testing.T) {
 		if i == 9 {
 			warm = heapInuse()
 		}
-	}
-	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
-		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines after %d closed machines, baseline %d", got, cycles, base)
