@@ -21,11 +21,9 @@ type Config struct {
 	DriverVM *hv.VM
 	DriverK  *kernel.Kernel
 
-	// DevicePath is the real device file in the driver VM's devfs.
+	// DevicePath is the real device file in the driver VM's devfs; the
+	// guest's virtual device file has the same path.
 	DevicePath string
-	// GuestPath is the virtual device file to create in the guest
-	// (defaults to DevicePath, mirroring the real file).
-	GuestPath string
 	// Mode selects the interrupt, polling or adaptive transport.
 	Mode Mode
 	// Specs is the ioctl analyzer's output for the device's driver; ioctl
@@ -108,9 +106,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	if cfg.PollWindow < 0 || cfg.CoalesceWindow < 0 || cfg.RequestDeadline < 0 || cfg.MapThreshold < 0 {
 		return nil, nil, fmt.Errorf("cvd: negative PollWindow, CoalesceWindow, RequestDeadline or MapThreshold for %s", cfg.DevicePath)
 	}
-	if cfg.GuestPath == "" {
-		cfg.GuestPath = cfg.DevicePath
-	}
 	node, ok := cfg.DriverK.LookupDevice(cfg.DevicePath)
 	if !ok {
 		return nil, nil, fmt.Errorf("cvd: no device %s in %s", cfg.DevicePath, cfg.DriverK.Name)
@@ -173,19 +168,19 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		vecToBackend: vecToBackend,
 		vecResp:      vecResp,
 		vecNotif:     vecNotif,
-		pollWQ:       cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.GuestPath),
+		pollWQ:       cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.DevicePath),
 		backend:      be,
 		policy:       pol,
 		deadline:     cfg.RequestDeadline,
 		grantBatch:   cfg.GrantBatch,
-		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.GuestPath),
-		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.GuestPath),
-		path:         cfg.GuestPath,
+		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.DevicePath),
+		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.DevicePath),
+		path:         cfg.DevicePath,
 		vm:           cfg.GuestVM.Name,
-		m:            newFeMetricNames(cfg.GuestVM.Name, cfg.GuestPath),
+		m:            newFeMetricNames(cfg.GuestVM.Name, cfg.DevicePath),
 	}
 	for i := range fe.respEvents {
-		fe.respEvents[i] = cfg.HV.Env.NewEvent(fmt.Sprintf("cvd-resp-%s-%d", cfg.GuestPath, i))
+		fe.respEvents[i] = cfg.HV.Env.NewEvent(fmt.Sprintf("cvd-resp-%s-%d", cfg.DevicePath, i))
 	}
 	fe.SetAdmission(cfg.Admission)
 	if cfg.MapCache {
@@ -200,7 +195,7 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	be.frontendDoorbell = fe.scanDone
 	cfg.GuestVM.RegisterISR(vecResp, fe.scanDone)
 	cfg.GuestVM.RegisterISR(vecNotif, fe.handleNotifs)
-	cfg.GuestK.RegisterDevice(cfg.GuestPath, fe, fe)
+	cfg.GuestK.RegisterDevice(cfg.DevicePath, fe, fe)
 	return fe, be, nil
 }
 

@@ -169,7 +169,7 @@ func TestConnectRejectsNegativeSettings(t *testing.T) {
 		cfg := Config{
 			HV: r.h, GuestVM: r.guestVM, GuestK: r.guestK,
 			DriverVM: r.driverVM, DriverK: r.driverK,
-			DevicePath: "/dev/testdev", GuestPath: "/dev/negative-" + c.name, Mode: Polling,
+			DevicePath: "/dev/testdev", Mode: Polling,
 		}
 		c.set(&cfg)
 		if _, _, err := Connect(cfg); err == nil {

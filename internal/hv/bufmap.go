@@ -5,7 +5,6 @@ import (
 
 	"paradice/internal/faults"
 	"paradice/internal/grant"
-	"paradice/internal/iommu"
 	"paradice/internal/mem"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
@@ -40,12 +39,7 @@ type GuestMapping struct {
 
 	base   mem.GuestPhys // first driver-GPA of the mapped window pages
 	npages int
-	perm   mem.Perm
 	dead   bool
-
-	// dma, when non-nil, is the IOMMU domain the mapping's pages were
-	// added to for direct device DMA (zero-copy receive into guest buffers).
-	dma *iommu.Domain
 }
 
 // mapPerm derives the driver-side EPT permission from the grant kind: a
@@ -103,47 +97,15 @@ func (h *Hypervisor) MapGuestBuffer(guest *VM, ref uint32, kind grant.Kind, va m
 		return nil, err
 	}
 	for i := 0; i < npages; i++ {
+		// Armed, each page is charged as it resolves, so a cached translation
+		// replaces exactly the walk share of the establishment cost and a cold
+		// establishment (all misses) costs the dormant npages·CostMapPage.
 		pva := mem.GuestVirt(mem.PageBase(uint64(va))) + mem.GuestVirt(i)*mem.PageSize
-		var spaPage mem.SysPhys
-		if guest.tlb != nil {
-			// Armed: per-page charging so a cached translation replaces
-			// exactly the walk share of the establishment cost. A cold armed
-			// establishment (all misses) costs the same npages·CostMapPage as
-			// the dormant lump.
-			if cached, hit := guest.tlb.lookup(pt.Root(), pva, walkAccess); hit {
-				perf.Charge(h.Env, perf.CostMapPage-perf.CostCopyPerPage+perf.CostTLBHit)
-				tr.Add("hv.tlb.hit", 1)
-				spaPage = cached
-			} else {
-				perf.Charge(h.Env, perf.CostMapPage)
-				tr.Add("hv.tlb.miss", 1)
-				gpa, err := pt.Walk(pva, walkAccess)
-				if err != nil {
-					unmapPages(driver, base, i)
-					return nil, err
-				}
-				spa, err := guest.EPT.Translate(gpa, 0)
-				if err != nil {
-					unmapPages(driver, base, i)
-					return nil, err
-				}
-				spaPage = mem.SysPhys(mem.PageBase(uint64(spa)))
-				guest.tlb.insert(pt.Root(), pva, spaPage, walkAccess)
-			}
-		} else {
-			gpa, err := pt.Walk(pva, walkAccess)
-			if err != nil {
-				unmapPages(driver, base, i)
-				return nil, err
-			}
-			spa, err := guest.EPT.Translate(gpa, 0)
-			if err != nil {
-				unmapPages(driver, base, i)
-				return nil, err
-			}
-			spaPage = mem.SysPhys(mem.PageBase(uint64(spa)))
+		spa, err := h.pageSPA(guest, &pt, pva, walkAccess, perf.CostMapPage-perf.CostCopyPerPage+perf.CostTLBHit, perf.CostMapPage)
+		if err == nil {
+			err = driver.EPT.Map(base+mem.GuestPhys(i)*mem.PageSize, spa, perm)
 		}
-		if err := driver.EPT.Map(base+mem.GuestPhys(i)*mem.PageSize, spaPage, perm); err != nil {
+		if err != nil {
 			unmapPages(driver, base, i)
 			return nil, err
 		}
@@ -154,7 +116,7 @@ func (h *Hypervisor) MapGuestBuffer(guest *VM, ref uint32, kind grant.Kind, va m
 	return &GuestMapping{
 		h: h, guest: guest, driver: driver,
 		Ref: ref, Kind: kind, VA: va, Len: n,
-		base: base, npages: npages, perm: perm,
+		base: base, npages: npages,
 	}, nil
 }
 
@@ -201,72 +163,23 @@ func (m *GuestMapping) Copy(va mem.GuestVirt, buf []byte, write bool) error {
 	tr.Span(rid, "hv", trace.LayerHV, "map-copy", cstart, tr.Now())
 	tr.Add("hv.mapcopy.ops", 1)
 	tr.Add("hv.mapcopy.bytes", uint64(len(buf)))
-	off := uint64(va) - mem.PageBase(uint64(m.VA))
-	for len(buf) > 0 {
-		gpa := m.base + mem.GuestPhys(mem.PageBase(off))
-		spa, err := m.driver.EPT.Translate(gpa, access)
-		if err != nil {
-			return err
-		}
-		n := mem.PageSize - mem.PageOffset(off)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		if write {
-			err = m.h.Phys.Write(spa+mem.SysPhys(mem.PageOffset(off)), buf[:n])
-		} else {
-			err = m.h.Phys.Read(spa+mem.SysPhys(mem.PageOffset(off)), buf[:n])
-		}
-		if err != nil {
-			return err
-		}
-		off += n
-		buf = buf[n:]
-	}
-	return nil
+	first := mem.PageBase(uint64(m.VA))
+	_, err := m.h.Phys.CopyPages(uint64(va), buf, write, func(addr uint64) (mem.SysPhys, error) {
+		spa, err := m.driver.EPT.Translate(m.base+mem.GuestPhys(mem.PageBase(addr)-first), access)
+		return spa + mem.SysPhys(mem.PageOffset(addr)), err
+	})
+	return err
 }
 
-// EnableDMA registers the mapping's pages in a device's IOMMU domain at bus
-// addresses equal to the driver-GPA window, letting the device DMA directly
-// into (or out of) the guest buffer — the zero-copy endgame of the fast
-// path. Unmap removes the pages again, so a revoked mapping also stops
-// being a DMA target.
-func (m *GuestMapping) EnableDMA(dom *iommu.Domain) error {
-	if m.dead {
-		return fmt.Errorf("hv: EnableDMA on revoked mapping of %v", m.VA)
-	}
-	spas := make([]mem.SysPhys, m.npages)
-	for i := range spas {
-		spa, err := m.driver.EPT.Translate(m.base+mem.GuestPhys(i)*mem.PageSize, 0)
-		if err != nil {
-			return err
-		}
-		spas[i] = spa
-	}
-	if err := dom.GrantPages(iommu.BusAddr(m.base), spas, m.perm); err != nil {
-		return err
-	}
-	m.dma = dom
-	return nil
-}
-
-// DMABase returns the bus address a device should use to reach the start of
-// the mapped (page-aligned) window after EnableDMA.
-func (m *GuestMapping) DMABase() iommu.BusAddr { return iommu.BusAddr(m.base) }
-
-// Unmap destroys the mapping: every driver-EPT entry is removed (subsequent
-// access through the cached mapping faults) and any IOMMU registration is
-// revoked. Idempotent. Charges the same per-page teardown cost as
-// UnmapFromGuest when running in process context.
+// Unmap destroys the mapping: every driver-EPT entry is removed, so
+// subsequent access through the cached mapping faults. Idempotent. Charges
+// the same per-page teardown cost as UnmapFromGuest when running in process
+// context.
 func (m *GuestMapping) Unmap() {
 	if m.dead {
 		return
 	}
 	m.dead = true
-	if m.dma != nil {
-		_ = m.dma.RevokePages(iommu.BusAddr(m.base), m.npages)
-		m.dma = nil
-	}
 	tr, rid := m.h.tracer()
 	ustart := tr.Now()
 	perf.Charge(m.h.Env, sim.Duration(m.npages)*perf.CostMapPage)

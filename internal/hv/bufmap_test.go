@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"paradice/internal/grant"
-	"paradice/internal/iommu"
 	"paradice/internal/mem"
 	"paradice/internal/sim"
 )
@@ -141,29 +140,4 @@ func TestUnmappedBufferFaults(t *testing.T) {
 		t.Fatal("write through an unmapped buffer did not fault")
 	}
 	m.Unmap() // idempotent
-}
-
-// EnableDMA registers the mapped window in an IOMMU domain; Unmap revokes the
-// registration, so a revoked mapping also stops being a DMA target.
-func TestMapGuestBufferDMALifecycle(t *testing.T) {
-	h, g, driver, va, ref := bufRig(t, grant.KindCopyTo)
-	m, err := h.MapGuestBuffer(g.vm, ref, grant.KindCopyTo, va, 3*mem.PageSize, driver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := iommu.NewDomain("nic")
-	if err := m.EnableDMA(dom); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dom.Translate(m.DMABase(), mem.PermWrite); err != nil {
-		t.Fatalf("device DMA into the mapped guest buffer faulted: %v", err)
-	}
-	m.Unmap()
-	if _, err := dom.Translate(m.DMABase(), mem.PermWrite); err == nil {
-		t.Fatal("device DMA still translates after the mapping was revoked")
-	}
-	// EnableDMA on a dead mapping is refused.
-	if err := m.EnableDMA(dom); err == nil {
-		t.Fatal("EnableDMA on a dead mapping succeeded")
-	}
 }

@@ -504,10 +504,10 @@ func TestDeviceROPageStopsDeviceWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	dma := &iommu.DMA{Dom: dom, Phys: h.Phys}
-	if _, err := dma.ReadU64(iommu.BusAddr(pfn)); err != nil {
+	if err := dma.Read(iommu.BusAddr(pfn), make([]byte, 8)); err != nil {
 		t.Fatalf("device read of RO page: %v", err)
 	}
-	if err := dma.WriteU64(iommu.BusAddr(pfn), 1); err == nil {
+	if err := dma.Write(iommu.BusAddr(pfn), make([]byte, 8)); err == nil {
 		t.Fatal("device wrote an RO page")
 	}
 	// The driver VM keeps CPU read/write (emulated write-only semantics).

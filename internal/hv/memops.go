@@ -110,121 +110,66 @@ func (h *Hypervisor) CopyFromGuest(guest *VM, ref uint32, src mem.GuestVirt, buf
 
 // copyGuest walks the guest page tables in software, then the EPT, page by
 // page — "contiguous pages in the VM address spaces are not necessarily
-// contiguous in the system physical address space" (§5.2). With the
-// software TLB armed it delegates to copyGuestTLB; the dormant body below
-// is byte-identical to the seed, single upfront charge included.
+// contiguous in the system physical address space" (§5.2). Dormant, the
+// walks and the transfer are one upfront perf.Copy charge. With the software
+// TLB armed each page is charged as pageSPA resolves it, and the per-byte
+// memcpy share is charged at the end from the bytes actually moved, so a cold
+// armed copy that succeeds costs the same as a dormant one. Either way a copy
+// that faults on page k leaves pages 0..k-1 as a deterministic destination
+// prefix, and hv.copy.bytes counts only the bytes moved.
 func (h *Hypervisor) copyGuest(guest *VM, pt *mem.PageTable, va mem.GuestVirt, buf []byte, write bool) error {
-	if guest.tlb != nil {
-		return h.copyGuestTLB(guest, pt, va, buf, write)
-	}
-	npages := int(mem.PagesSpanned(uint64(va), uint64(len(buf))))
 	tr, rid := h.tracer()
 	cstart := tr.Now()
-	perf.Charge(h.Env, perf.Copy(len(buf), npages))
-	// The copy span covers the per-page guest-page-table walk + EPT walk +
-	// physical transfer of §5.2 — they are one charge in the cost model.
-	tr.Span(rid, "hv", trace.LayerHV, "copy", cstart, tr.Now())
-	tr.Add("hv.copy.ops", 1)
-	tr.Add("hv.copy.bytes", uint64(len(buf)))
-	addr := uint64(va)
-	for len(buf) > 0 {
-		access := mem.PermRead
-		if write {
-			access = mem.PermWrite
-		}
-		gpa, err := pt.Walk(mem.GuestVirt(addr), access)
-		if err != nil {
-			return err
-		}
-		// Privileged EPT walk: presence check only.
-		spa, err := guest.EPT.Translate(gpa, 0)
-		if err != nil {
-			return err
-		}
-		n := mem.PageSize - mem.PageOffset(addr)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		if write {
-			err = h.Phys.Write(spa, buf[:n])
-		} else {
-			err = h.Phys.Read(spa, buf[:n])
-		}
-		if err != nil {
-			return err
-		}
-		addr += n
-		buf = buf[n:]
+	if guest.tlb == nil {
+		perf.Charge(h.Env, perf.Copy(len(buf), int(mem.PagesSpanned(uint64(va), uint64(len(buf))))))
+		// The copy span covers the per-page guest-page-table walk + EPT walk +
+		// physical transfer of §5.2 — they are one charge in the cost model.
+		tr.Span(rid, "hv", trace.LayerHV, "copy", cstart, tr.Now())
 	}
-	return nil
-}
-
-// copyGuestTLB is the copy path with the software TLB armed: each page's
-// translation is probed in the cache first — a hit charges CostTLBHit, a
-// miss performs and charges the full walk (CostCopyPerPage) and inserts the
-// proven translation. Bytes are copied page by page as translations resolve,
-// so a copy that faults on page k leaves pages 0..k-1 as a deterministic
-// destination prefix and charges exactly the k hits/misses it performed —
-// and the faulting page, whose walk never succeeded, is never inserted. The
-// per-byte memcpy share is charged once at the end from the bytes actually
-// moved, mirroring the dormant perf.Copy breakdown exactly: a cold armed
-// copy that succeeds costs the same as a dormant one.
-func (h *Hypervisor) copyGuestTLB(guest *VM, pt *mem.PageTable, va mem.GuestVirt, buf []byte, write bool) error {
-	tr, rid := h.tracer()
-	cstart := tr.Now()
 	access := mem.PermRead
 	if write {
 		access = mem.PermWrite
 	}
-	addr := uint64(va)
-	bytesDone := 0
-	var copyErr error
-	for len(buf) > 0 {
-		vpage := mem.GuestVirt(mem.PageBase(addr))
-		var spa mem.SysPhys
-		if spaPage, hit := guest.tlb.lookup(pt.Root(), vpage, access); hit {
-			perf.Charge(h.Env, perf.CostTLBHit)
-			tr.Add("hv.tlb.hit", 1)
-			spa = spaPage + mem.SysPhys(mem.PageOffset(addr))
-		} else {
-			perf.Charge(h.Env, perf.CostCopyPerPage)
-			tr.Add("hv.tlb.miss", 1)
-			gpa, err := pt.Walk(mem.GuestVirt(addr), access)
-			if err != nil {
-				copyErr = err
-				break
-			}
-			// Privileged EPT walk: presence check only.
-			spa, err = guest.EPT.Translate(gpa, 0)
-			if err != nil {
-				copyErr = err
-				break
-			}
-			guest.tlb.insert(pt.Root(), vpage, mem.SysPhys(mem.PageBase(uint64(spa))), access)
-		}
-		n := mem.PageSize - mem.PageOffset(addr)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		var err error
-		if write {
-			err = h.Phys.Write(spa, buf[:n])
-		} else {
-			err = h.Phys.Read(spa, buf[:n])
-		}
-		if err != nil {
-			copyErr = err
-			break
-		}
-		addr += n
-		bytesDone += int(n)
-		buf = buf[n:]
+	n, err := h.Phys.CopyPages(uint64(va), buf, write, func(addr uint64) (mem.SysPhys, error) {
+		return h.pageSPA(guest, pt, mem.GuestVirt(addr), access, perf.CostTLBHit, perf.CostCopyPerPage)
+	})
+	if guest.tlb != nil {
+		perf.Charge(h.Env, sim.Duration(n)*perf.CostCopyPerKB/1024)
+		tr.Span(rid, "hv", trace.LayerHV, "copy", cstart, tr.Now())
 	}
-	perf.Charge(h.Env, sim.Duration(bytesDone)*perf.CostCopyPerKB/1024)
-	tr.Span(rid, "hv", trace.LayerHV, "copy", cstart, tr.Now())
 	tr.Add("hv.copy.ops", 1)
-	tr.Add("hv.copy.bytes", uint64(bytesDone))
-	return copyErr
+	tr.Add("hv.copy.bytes", uint64(n))
+	return err
+}
+
+// pageSPA translates the guest-virtual address va to system-physical: the
+// guest page-table walk, then the privileged EPT walk (presence check only).
+// It is the only code that consults the software TLB. Armed, it charges hit
+// for a cached translation, or miss before walking and caches what the walk
+// proves — never a page whose walk faulted. Dormant, it charges nothing and
+// always walks. The exact va is walked, so a fault names the faulting
+// address.
+func (h *Hypervisor) pageSPA(guest *VM, pt *mem.PageTable, va mem.GuestVirt, access mem.Perm, hit, miss sim.Duration) (mem.SysPhys, error) {
+	vpage := mem.GuestVirt(mem.PageBase(uint64(va)))
+	if guest.tlb != nil {
+		tr := trace.Get(h.Env)
+		if spa, ok := guest.tlb.lookup(pt.Root(), vpage, access); ok {
+			perf.Charge(h.Env, hit)
+			tr.Add("hv.tlb.hit", 1)
+			return spa + mem.SysPhys(mem.PageOffset(uint64(va))), nil
+		}
+		perf.Charge(h.Env, miss)
+		tr.Add("hv.tlb.miss", 1)
+	}
+	gpa, err := pt.Walk(va, access)
+	if err != nil {
+		return 0, err
+	}
+	spa, err := guest.EPT.Translate(gpa, 0)
+	if err == nil && guest.tlb != nil {
+		guest.tlb.insert(pt.Root(), vpage, mem.SysPhys(mem.PageBase(uint64(spa))), access)
+	}
+	return spa, err
 }
 
 // MapToGuest maps the driver VM's page frame pfn into the guest process at

@@ -113,10 +113,10 @@ func (h *Hypervisor) RegionRemoveSysPage(dom *iommu.Domain, id iommu.RegionID, d
 	return nil
 }
 
-// RegionSwitch activates a region on the device's IOMMU domain: the
-// previous region's pages leave the live table and the new region's pages
-// enter it (§4.2: "the device has access permission to one memory region at
-// a time").
+// RegionSwitch activates a region on the device's IOMMU domain: from then on
+// the device reaches the new region's pages and RegionGlobal's, and no
+// other region's (§4.2: "the device has access permission to one memory
+// region at a time").
 func (h *Hypervisor) RegionSwitch(dom *iommu.Domain, id iommu.RegionID) error {
 	if _, ok := h.regions[id]; !ok && id != iommu.RegionGlobal {
 		return fmt.Errorf("hv: unknown region %d", id)

@@ -14,9 +14,10 @@ import (
 // served by the hardware TLB and paging-structure caches after the first
 // touch; this software TLB models that: a per-VM cache of
 // guest-VA→system-PA translations plus permission bits, keyed by
-// (VM, address-space epoch, page), consulted by copyGuest and MapGuestBuffer
-// before falling back to the full walk. A hit charges perf.CostTLBHit
-// instead of the walk's share of the per-page cost.
+// (VM, address-space epoch, page), consulted only by pageSPA (memops.go) —
+// the per-page translation behind copyGuest and MapGuestBuffer — before
+// falling back to the full walk. A hit charges perf.CostTLBHit instead of
+// the walk's share of the per-page cost.
 //
 // Correctness rests entirely on invalidation being deterministic and
 // complete, because a stale translation would break the isolation argument

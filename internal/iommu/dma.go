@@ -34,69 +34,29 @@ func (d *DMA) Write(bus BusAddr, data []byte) error {
 func (d *DMA) access(bus BusAddr, buf []byte, perm mem.Perm) error {
 	tr := trace.Get(d.Env)
 	tr.Add("iommu.dma.ops", 1)
-	tr.Add("iommu.dma.bytes", uint64(len(buf)))
 	if faults.Point(d.Env, "iommu.translate") != nil {
 		// Injected translation fault: the access dies at the IOMMU before
 		// touching physical memory, exactly like an unmapped bus address.
 		tr.Add("iommu.dma.faults", 1)
 		return &DMAFault{Addr: bus, Access: perm}
 	}
-	addr := uint64(bus)
-	for len(buf) > 0 {
+	n, err := d.Phys.CopyPages(uint64(bus), buf, perm == mem.PermWrite, func(addr uint64) (mem.SysPhys, error) {
 		spa, err := d.Dom.Translate(BusAddr(addr), perm)
 		if err != nil {
 			tr.Add("iommu.dma.faults", 1)
 			if tr != nil {
 				tr.Instant(tr.RIDOf(d.Env.CurrentProc()), "device", trace.LayerDevice, "dma-fault", d.Dom.Name())
 			}
-			return err
 		}
-		n := mem.PageSize - mem.PageOffset(addr)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		if perm == mem.PermWrite {
-			err = d.Phys.Write(spa, buf[:n])
-		} else {
-			err = d.Phys.Read(spa, buf[:n])
-		}
-		if err != nil {
-			return err
-		}
-		addr += n
-		buf = buf[n:]
-	}
-	return nil
-}
-
-// ReadU32 reads a little-endian 32-bit word.
-func (d *DMA) ReadU32(bus BusAddr) (uint32, error) {
-	var b [4]byte
-	if err := d.Read(bus, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+		return spa, err
+	})
+	tr.Add("iommu.dma.bytes", uint64(n))
+	return err
 }
 
 // WriteU32 writes a little-endian 32-bit word.
 func (d *DMA) WriteU32(bus BusAddr, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	return d.Write(bus, b[:])
-}
-
-// ReadU64 reads a little-endian 64-bit word.
-func (d *DMA) ReadU64(bus BusAddr) (uint64, error) {
-	var b [8]byte
-	if err := d.Read(bus, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// WriteU64 writes a little-endian 64-bit word.
-func (d *DMA) WriteU64(bus BusAddr, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
 	return d.Write(bus, b[:])
 }

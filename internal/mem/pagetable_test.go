@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -212,7 +213,7 @@ func TestVirtSpaceRoundtrip(t *testing.T) {
 			t.Fatalf("byte %d mismatch", i)
 		}
 	}
-	if err := vs.WriteU32(base+8, 0xCAFEBABE); err != nil {
+	if err := vs.Write(base+8, binary.LittleEndian.AppendUint32(nil, 0xCAFEBABE)); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := vs.ReadU32(base + 8); v != 0xCAFEBABE {
@@ -242,13 +243,14 @@ func TestPropertyNoAliasing(t *testing.T) {
 			if err := pt.Map(vas[i], gpa, PermRW); err != nil {
 				return false
 			}
-			if err := vs.WriteU64(vas[i], uint64(seed)<<32|uint64(i)); err != nil {
+			if err := vs.Write(vas[i], binary.LittleEndian.AppendUint64(nil, uint64(seed)<<32|uint64(i))); err != nil {
 				return false
 			}
 		}
 		for i := 0; i < n; i++ {
-			v, err := vs.ReadU64(vas[i])
-			if err != nil || v != uint64(seed)<<32|uint64(i) {
+			var b [8]byte
+			err := vs.Read(vas[i], b[:])
+			if err != nil || binary.LittleEndian.Uint64(b[:]) != uint64(seed)<<32|uint64(i) {
 				return false
 			}
 		}

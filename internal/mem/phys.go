@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -154,35 +153,49 @@ func (m *PhysMem) FrameBytes(pa SysPhys) *[PageSize]byte {
 // Read copies len(buf) bytes starting at pa into buf, crossing page
 // boundaries as needed.
 func (m *PhysMem) Read(pa SysPhys, buf []byte) error {
-	return m.access(pa, buf, false)
+	_, err := m.CopyPages(uint64(pa), buf, false, nil)
+	return err
 }
 
 // Write copies data into physical memory starting at pa.
 func (m *PhysMem) Write(pa SysPhys, data []byte) error {
-	return m.access(pa, data, true)
+	_, err := m.CopyPages(uint64(pa), data, true, nil)
+	return err
 }
 
-func (m *PhysMem) access(pa SysPhys, buf []byte, write bool) error {
-	addr := uint64(pa)
-	for len(buf) > 0 {
-		frame := m.FrameBytes(SysPhys(addr))
+// CopyPages moves buf into (write) or out of memory starting at addr, one
+// page at a time: it resolves each page's first address through at, then
+// moves the bytes up to the page boundary. A nil at means addr is already
+// system-physical. Every address space reaches physical memory through this
+// loop — a guest-physical, guest-virtual or bus address differs only in its
+// at. It returns the bytes moved before the first error, so a fault on page
+// k leaves exactly pages 0..k-1 moved; at's error is returned as is, and a
+// page with no frame behind it is a BusError.
+func (m *PhysMem) CopyPages(addr uint64, buf []byte, write bool, at func(uint64) (SysPhys, error)) (int, error) {
+	done := 0
+	for done < len(buf) {
+		spa := SysPhys(addr)
+		if at != nil {
+			var err error
+			if spa, err = at(addr); err != nil {
+				return done, err
+			}
+		}
+		frame := m.FrameBytes(spa)
 		if frame == nil {
-			return &BusError{Addr: SysPhys(addr), Op: accessOp(write)}
+			return done, &BusError{Addr: spa, Op: accessOp(write)}
 		}
-		off := PageOffset(addr)
-		n := PageSize - off
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
+		off := PageOffset(uint64(spa))
+		n := min(PageSize-PageOffset(addr), uint64(len(buf)-done))
 		if write {
-			copy(frame[off:off+n], buf[:n])
+			copy(frame[off:off+n], buf[done:])
 		} else {
-			copy(buf[:n], frame[off:off+n])
+			copy(buf[done:done+int(n)], frame[off:])
 		}
 		addr += n
-		buf = buf[n:]
+		done += int(n)
 	}
-	return nil
+	return done, nil
 }
 
 // accessOp names an access for a BusError.
@@ -193,40 +206,11 @@ func accessOp(write bool) string {
 	return "read"
 }
 
-// ReadU64 reads a little-endian 64-bit word at pa (must not cross a page).
-func (m *PhysMem) ReadU64(pa SysPhys) (uint64, error) {
-	var b [8]byte
-	if err := m.Read(pa, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// WriteU64 writes a little-endian 64-bit word at pa.
-func (m *PhysMem) WriteU64(pa SysPhys, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return m.Write(pa, b[:])
-}
-
 // Zero clears n bytes starting at pa. Used by the hypervisor when recycling
 // protected-region pages (§5.3: "the hypervisor zeros out the pages before
 // unmapping").
 func (m *PhysMem) Zero(pa SysPhys, n uint64) error {
-	zero := make([]byte, PageSize)
-	addr := uint64(pa)
-	for n > 0 {
-		chunk := uint64(PageSize) - PageOffset(addr)
-		if chunk > n {
-			chunk = n
-		}
-		if err := m.Write(SysPhys(addr), zero[:chunk]); err != nil {
-			return err
-		}
-		addr += chunk
-		n -= chunk
-	}
-	return nil
+	return m.Write(pa, make([]byte, n))
 }
 
 // Allocator hands out frames from a physical range, bump-style.

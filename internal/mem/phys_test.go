@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -185,15 +186,17 @@ func TestU64Roundtrip(t *testing.T) {
 	m := NewPhysMem()
 	a := m.NewAllocator("ram", 0, PageSize)
 	base, _ := a.AllocPage()
-	if err := m.WriteU64(base+8, 0xDEADBEEFCAFEF00D); err != nil {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], 0xDEADBEEFCAFEF00D)
+	if err := m.Write(base+8, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.ReadU64(base + 8)
-	if err != nil {
+	b = [8]byte{}
+	if err := m.Read(base+8, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	if v != 0xDEADBEEFCAFEF00D {
-		t.Fatalf("ReadU64 = %#x", v)
+	if v := binary.LittleEndian.Uint64(b[:]); v != 0xDEADBEEFCAFEF00D {
+		t.Fatalf("U64 roundtrip = %#x", v)
 	}
 }
 

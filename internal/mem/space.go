@@ -34,28 +34,10 @@ func (s *GuestSpace) Write(gpa GuestPhys, data []byte) error {
 }
 
 func (s *GuestSpace) access(gpa GuestPhys, buf []byte, perm Perm) error {
-	addr := uint64(gpa)
-	for len(buf) > 0 {
-		spa, err := s.EPT.Translate(GuestPhys(addr), perm)
-		if err != nil {
-			return err
-		}
-		n := PageSize - PageOffset(addr)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		if perm == PermWrite {
-			err = s.Phys.Write(spa, buf[:n])
-		} else {
-			err = s.Phys.Read(spa, buf[:n])
-		}
-		if err != nil {
-			return err
-		}
-		addr += n
-		buf = buf[n:]
-	}
-	return nil
+	_, err := s.Phys.CopyPages(uint64(gpa), buf, perm == PermWrite, func(addr uint64) (SysPhys, error) {
+		return s.EPT.Translate(GuestPhys(addr), perm)
+	})
+	return err
 }
 
 // ReadU64 reads a little-endian 64-bit word at gpa.

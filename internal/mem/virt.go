@@ -22,28 +22,14 @@ func (v *VirtSpace) Write(va GuestVirt, data []byte) error {
 }
 
 func (v *VirtSpace) access(va GuestVirt, buf []byte, perm Perm) error {
-	addr := uint64(va)
-	for len(buf) > 0 {
+	_, err := v.Space.Phys.CopyPages(uint64(va), buf, perm == PermWrite, func(addr uint64) (SysPhys, error) {
 		gpa, err := v.PT.Walk(GuestVirt(addr), perm)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		n := PageSize - PageOffset(addr)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		if perm == PermWrite {
-			err = v.Space.Write(gpa, buf[:n])
-		} else {
-			err = v.Space.Read(gpa, buf[:n])
-		}
-		if err != nil {
-			return err
-		}
-		addr += n
-		buf = buf[n:]
-	}
-	return nil
+		return v.Space.EPT.Translate(gpa, perm)
+	})
+	return err
 }
 
 // ReadU32 reads a little-endian 32-bit word at va.
@@ -53,27 +39,4 @@ func (v *VirtSpace) ReadU32(va GuestVirt) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// WriteU32 writes a little-endian 32-bit word at va.
-func (v *VirtSpace) WriteU32(va GuestVirt, x uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], x)
-	return v.Write(va, b[:])
-}
-
-// ReadU64 reads a little-endian 64-bit word at va.
-func (v *VirtSpace) ReadU64(va GuestVirt) (uint64, error) {
-	var b [8]byte
-	if err := v.Read(va, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// WriteU64 writes a little-endian 64-bit word at va.
-func (v *VirtSpace) WriteU64(va GuestVirt, x uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	return v.Write(va, b[:])
 }
