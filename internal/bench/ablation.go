@@ -27,19 +27,6 @@ var AblationWindows = []sim.Duration{
 	1000 * sim.Microsecond,
 }
 
-func init() {
-	// Registered here to keep All() in bench.go authoritative for paper
-	// experiments; the ablation is this reproduction's own addition.
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "ablation",
-		Title: "Ablation: CVD polling window (§5.1's empirically chosen 200µs)",
-		Run:   RunAblation,
-	})
-}
-
-// extraExperiments holds non-paper experiments appended to All().
-var extraExperiments []Experiment
-
 // RunAblation sweeps the polling window across three transport-sensitive
 // workloads.
 func RunAblation(quick bool) ([]Row, error) {
@@ -96,11 +83,13 @@ func RunAblation(quick bool) ([]Row, error) {
 	return rows, nil
 }
 
+// pollGuest boots Paradice(P) with the given polling window; the zero
+// window, the sweep's endpoint, sleeps immediately: plain Paradice.
 func pollGuest(window sim.Duration, path string) (*paradice.Machine, *kernel.Kernel, error) {
-	if window == 0 {
-		// The zero-window endpoint of the sweep: sleep immediately, i.e.
-		// the interrupt transport.
-		return paradiceGuest(paradice.Config{Mode: paradice.Interrupts}, kernel.Linux, path)
+	p := pParadice
+	if window != 0 {
+		p = pPolling
+		p.cfg.PollWindow = window
 	}
-	return paradiceGuest(paradice.Config{Mode: paradice.Polling, PollWindow: window}, kernel.Linux, path)
+	return p.boot(path)
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"paradice"
-	"paradice/internal/cvd"
-	"paradice/internal/kernel"
 	"paradice/internal/load"
 	"paradice/internal/sim"
 )
@@ -38,11 +36,7 @@ var (
 	adaptiveQuickRates = []float64{2_000, 60_000, 240_000}
 )
 
-const (
-	adaptiveSinkBase  = 2 * sim.Microsecond
-	adaptiveSinkPerKB = 1 * sim.Microsecond
-	adaptiveSeed      = 91
-)
+const adaptiveSeed = 91
 
 // adaptiveConfigs are the four transports under sweep. The batched config
 // arms the multi-entry submission/completion rings on the static interrupt
@@ -100,45 +94,21 @@ type adaptiveOutcome struct {
 // adaptiveLevel runs one transport at one offered rate on a fresh machine.
 func adaptiveLevel(cfg paradice.Config, rate float64, quick bool) (adaptiveOutcome, error) {
 	cfg.GuestRAM = 256 << 20
-	m, err := paradice.New(cfg)
+	m, g, err := sinkGuest(cfg)
 	if err != nil {
 		return adaptiveOutcome{}, err
 	}
 	defer m.Close()
-	sink := load.NewSink(m.Env, adaptiveSinkBase, adaptiveSinkPerKB)
-	m.DriverK.RegisterDevice(load.SinkPath, sink, sink)
-	g, err := m.AddGuest("guest1", kernel.Linux)
+	gen, err := startLoad(g.K, adaptiveProfile(rate, quick))
 	if err != nil {
-		return adaptiveOutcome{}, err
-	}
-	if err := g.Paravirtualize(load.SinkPath); err != nil {
-		return adaptiveOutcome{}, err
-	}
-	built(m)
-	gen, err := load.NewGenerator(adaptiveProfile(rate, quick))
-	if err != nil {
-		return adaptiveOutcome{}, err
-	}
-	if err := gen.Start(g.K); err != nil {
 		return adaptiveOutcome{}, err
 	}
 	m.Run()
-	if !gen.Done() {
-		return adaptiveOutcome{}, fmt.Errorf("adaptive: clients did not drain at %.0f/s", rate)
+	res, err := result(gen, fmt.Sprintf("adaptive at %.0f/s", rate))
+	if err != nil {
+		return adaptiveOutcome{}, err
 	}
-	res := gen.Result()
-	if len(res.Violations) > 0 {
-		return adaptiveOutcome{}, fmt.Errorf("adaptive: %d violations at %.0f/s: %s",
-			len(res.Violations), rate, res.Violations[0])
-	}
-	var fe *cvd.Frontend
-	var be *cvd.Backend
-	for _, f := range g.Frontends {
-		fe = f
-	}
-	for _, b := range g.Backends {
-		be = b
-	}
+	fe, be := g.Frontends[load.SinkPath], g.Backends[load.SinkPath]
 	ok := res.OK()
 	if ok == 0 {
 		return adaptiveOutcome{}, fmt.Errorf("adaptive: no completions at %.0f/s", rate)
@@ -149,14 +119,6 @@ func adaptiveLevel(cfg paradice.Config, rate float64, quick bool) (adaptiveOutco
 		spinPerOp: spin.Microseconds() / float64(ok),
 		doorbells: float64(fe.DoorbellIRQs),
 	}, nil
-}
-
-func init() {
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "adaptive",
-		Title: "Adaptive transport envelope: batched rings and NAPI-style stance switching under swept load",
-		Run:   RunAdaptive,
-	})
 }
 
 // RunAdaptive sweeps the offered rates across the four transports and emits,

@@ -14,7 +14,10 @@ import (
 	"fmt"
 
 	"paradice"
+	"paradice/internal/device/camera"
+	"paradice/internal/driver/drm"
 	"paradice/internal/kernel"
+	"paradice/internal/load"
 	"paradice/internal/sim"
 	"paradice/internal/workload"
 )
@@ -47,12 +50,8 @@ type Experiment struct {
 }
 
 // All returns every experiment: the paper's tables and figures in paper
-// order, followed by this reproduction's own additions (the ablations).
+// order, followed by this reproduction's own additions.
 func All() []Experiment {
-	return append(paperExperiments(), extraExperiments...)
-}
-
-func paperExperiments() []Experiment {
 	return []Experiment{
 		{ID: "noop", Title: "§6.1.1 no-op file operation forwarding latency", Run: RunNoop},
 		{ID: "fig2", Title: "Figure 2: netmap transmit rate, 64-byte packets", Run: RunFig2},
@@ -67,6 +66,13 @@ func paperExperiments() []Experiment {
 		{ID: "table2", Title: "Table 2: code breakdown of this reproduction", Run: RunTable2, IsTable: true},
 		{ID: "table3", Title: "Table 3: I/O virtualization solution comparison", Run: RunTable3, IsTable: true},
 		{ID: "analyzer", Title: "§4.1 ioctl analyzer on the DRM driver", Run: RunAnalyzer, IsTable: true},
+		{ID: "ablation", Title: "Ablation: CVD polling window (§5.1's empirically chosen 200µs)", Run: RunAblation},
+		{ID: "adaptive", Title: "Adaptive transport envelope: batched rings and NAPI-style stance switching under swept load", Run: RunAdaptive},
+		{ID: "bulk", Title: "Bulk transfer: grant-map cache crossover and doorbell coalescing", Run: RunBulk},
+		{ID: "handover", Title: "Planned driver-VM handover vs restart under open-loop load", Run: RunHandover},
+		{ID: "multivm", Title: "Multi-guest scale-out across sharded driver VMs with the backend worker pool", Run: RunMultiVM},
+		{ID: "tail", Title: "Open-loop tail latency and sustained throughput under mixed QoS load", Run: RunTail},
+		{ID: "walkcache", Title: "Translation cache: software TLB and batched grant hypercalls", Run: RunWalkcache},
 	}
 }
 
@@ -93,63 +99,138 @@ func built(m *paradice.Machine) *paradice.Machine {
 	return m
 }
 
-// --- platform builders ---
+// --- platforms ---
 
-func native(cfg paradice.Config) (*paradice.Machine, *kernel.Kernel, error) {
-	m, err := paradice.NewNative(cfg)
+// platform is one configuration the evaluation compares. A Paradice
+// platform runs the workload in guest VM guest1 of the given flavor; the
+// baselines run it on the machine's own kernel.
+type platform struct {
+	name   string
+	kind   paradice.Kind
+	cfg    paradice.Config
+	flavor kernel.Flavor
+}
+
+// The platforms of the paper's §6.
+var (
+	pNative   = platform{name: "Native", kind: paradice.KindNative}
+	pAssign   = platform{name: "Device-Assign.", kind: paradice.KindDeviceAssign}
+	pParadice = platform{name: "Paradice"}
+	pPolling  = platform{name: "Paradice(P)", cfg: paradice.Config{Mode: paradice.Polling}}
+	pFreeBSD  = platform{name: "Paradice(FL)", flavor: kernel.FreeBSD}
+	pIsolated = platform{name: "Paradice(DI)", cfg: paradice.Config{DataIsolation: true}}
+)
+
+// boot builds a fresh machine of the platform with the standard device at
+// path paravirtualized, and returns it with the kernel applications run on.
+func (p platform) boot(path string) (*paradice.Machine, *kernel.Kernel, error) {
+	if p.kind != paradice.KindParadice {
+		newMachine := paradice.NewNative
+		if p.kind == paradice.KindDeviceAssign {
+			newMachine = paradice.NewDeviceAssignment
+		}
+		m, err := newMachine(p.cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return built(m), m.AppKernel(), nil
+	}
+	m, err := paradice.New(p.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return built(m), m.AppKernel(), nil
-}
-
-func deviceAssign(cfg paradice.Config) (*paradice.Machine, *kernel.Kernel, error) {
-	m, err := paradice.NewDeviceAssignment(cfg)
+	g, err := guestOn(m, p.flavor, path, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return built(m), m.AppKernel(), nil
+	return m, g.K, nil
 }
 
-func paradiceGuest(cfg paradice.Config, flavor kernel.Flavor, paths ...string) (*paradice.Machine, *kernel.Kernel, error) {
+// guestOn adds guest1 to the Paradice machine m with path paravirtualized.
+// A non-nil dev is first registered at path in every driver VM the machine
+// boots, so a harness device survives a restart or handover. On error m is
+// closed.
+func guestOn(m *paradice.Machine, flavor kernel.Flavor, path string, dev kernel.FileOps) (g *paradice.Guest, err error) {
+	defer func() {
+		if err != nil {
+			m.Close()
+		}
+	}()
+	if dev != nil {
+		if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+			k.RegisterDevice(path, dev, dev)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if g, err = m.AddGuest("guest1", flavor); err != nil {
+		return nil, err
+	}
+	if err := g.Paravirtualize(path); err != nil {
+		return nil, err
+	}
+	built(m)
+	return g, nil
+}
+
+// devGuest builds a Paradice machine whose guest1 drives the harness
+// device dev at path.
+func devGuest(cfg paradice.Config, path string, dev kernel.FileOps) (*paradice.Machine, *paradice.Guest, error) {
 	m, err := paradice.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := m.AddGuest("guest1", flavor)
+	g, err := guestOn(m, kernel.Linux, path, dev)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := g.Paravirtualize(paths...); err != nil {
+	return m, g, nil
+}
+
+// --- open-loop load ---
+
+// The load sink's serial service time: 2 µs per request plus 1 µs per KB
+// of payload (~440 kops/s for 256 bytes, 250 kops/s for 2 KB).
+const (
+	sinkBase  = 2 * sim.Microsecond
+	sinkPerKB = 1 * sim.Microsecond
+)
+
+// sinkGuest builds a Paradice machine whose guest1 drives a load sink at
+// load.SinkPath.
+func sinkGuest(cfg paradice.Config) (*paradice.Machine, *paradice.Guest, error) {
+	m, err := paradice.New(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	return built(m), g.K, nil
+	g, err := guestOn(m, kernel.Linux, load.SinkPath, load.NewSink(m.Env, sinkBase, sinkPerKB))
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, g, nil
 }
 
-// gpuConfigs are the four configurations of Figures 4 and 5.
-type gpuConfig struct {
-	name  string
-	build func() (*paradice.Machine, *kernel.Kernel, error)
+// startLoad starts profile's open-loop clients on k.
+func startLoad(k *kernel.Kernel, profile load.Profile) (*load.Generator, error) {
+	gen, err := load.NewGenerator(profile)
+	if err != nil {
+		return nil, err
+	}
+	return gen, gen.Start(k)
 }
 
-func gpuConfigs(withDI bool) []gpuConfig {
-	cfgs := []gpuConfig{
-		{"Native", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return native(paradice.Config{})
-		}},
-		{"Device-Assign.", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return deviceAssign(paradice.Config{})
-		}},
-		{"Paradice", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.Linux, paradice.PathGPU)
-		}},
+// result returns gen's result once the machine has run, failing when the
+// clients did not drain or a request broke a load invariant.
+func result(gen *load.Generator, what string) (*load.Result, error) {
+	if !gen.Done() {
+		return nil, fmt.Errorf("%s: clients did not drain", what)
 	}
-	if withDI {
-		cfgs = append(cfgs, gpuConfig{"Paradice(DI)", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{DataIsolation: true}, kernel.Linux, paradice.PathGPU)
-		}})
+	res := gen.Result()
+	if len(res.Violations) > 0 {
+		return nil, fmt.Errorf("%s: %d violations: %s", what, len(res.Violations), res.Violations[0])
 	}
-	return cfgs
+	return res, nil
 }
 
 // --- §6.1.1 no-op latency ---
@@ -164,14 +245,10 @@ func RunNoop(quick bool) ([]Row, error) {
 	}
 	var rows []Row
 	for _, c := range []struct {
-		name  string
-		mode  paradice.Mode
+		p     platform
 		paper float64
-	}{
-		{"Paradice", paradice.Interrupts, 35},
-		{"Paradice(P)", paradice.Polling, 2},
-	} {
-		m, k, err := paradiceGuest(paradice.Config{Mode: c.mode}, kernel.Linux, paradice.PathGPU)
+	}{{pParadice, 35}, {pPolling, 2}} {
+		m, k, err := c.p.boot(paradice.PathGPU)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +257,7 @@ func RunNoop(quick bool) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Row{Series: c.name, X: "no-op fileop", Value: rt.Microseconds(), Unit: "µs", Paper: c.paper})
+		rows = append(rows, Row{Series: c.p.name, X: "no-op fileop", Value: rt.Microseconds(), Unit: "µs", Paper: c.paper})
 	}
 	return rows, nil
 }
@@ -198,13 +275,12 @@ func noopRoundTrip(m *paradice.Machine, k *kernel.Kernel, iters int) (sim.Durati
 			runErr = err
 			return
 		}
-		// A 4-byte fence-wait for an already-signaled fence is the closest
-		// thing to a no-op the DRM driver exposes; its handler returns
-		// immediately. Use the Info ioctl instead: one copy-out.
+		// The DRM Info ioctl stands in for a no-op: its handler does no
+		// work beyond one 32-byte copy-out.
 		arg, _ := p.Alloc(32)
 		start := t.Sim().Now()
 		for i := 0; i < iters; i++ {
-			if _, err := t.Ioctl(fd, infoCmd(), arg); err != nil {
+			if _, err := t.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
 				runErr = err
 				return
 			}
@@ -227,35 +303,19 @@ func RunFig2(quick bool) ([]Row, error) {
 	if quick {
 		npkts = 20000
 	}
-	configs := []struct {
-		name  string
-		build func() (*paradice.Machine, *kernel.Kernel, error)
-	}{
-		{"Native", func() (*paradice.Machine, *kernel.Kernel, error) { return native(paradice.Config{}) }},
-		{"Device-Assign.", func() (*paradice.Machine, *kernel.Kernel, error) { return deviceAssign(paradice.Config{}) }},
-		{"Paradice", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.Linux, paradice.PathNetmap)
-		}},
-		{"Paradice(FL)", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.FreeBSD, paradice.PathNetmap)
-		}},
-		{"Paradice(P)", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{Mode: paradice.Polling}, kernel.Linux, paradice.PathNetmap)
-		}},
-	}
 	var rows []Row
-	for _, c := range configs {
+	for _, p := range []platform{pNative, pAssign, pParadice, pFreeBSD, pPolling} {
 		for _, b := range Fig2Batches {
-			m, k, err := c.build()
+			m, k, err := p.boot(paradice.PathNetmap)
 			if err != nil {
 				return nil, err
 			}
 			res, err := workload.RunPktGen(m.Env, k, b, npkts, 64)
 			m.Close()
 			if err != nil {
-				return nil, fmt.Errorf("%s batch %d: %w", c.name, b, err)
+				return nil, fmt.Errorf("%s batch %d: %w", p.name, b, err)
 			}
-			rows = append(rows, Row{Series: c.name, X: fmt.Sprintf("batch=%d", b), Value: res.MPPS, Unit: "Mpps"})
+			rows = append(rows, Row{Series: p.name, X: fmt.Sprintf("batch=%d", b), Value: res.MPPS, Unit: "Mpps"})
 		}
 	}
 	return rows, nil
@@ -270,41 +330,31 @@ func RunFig3(quick bool) ([]Row, error) {
 	if quick {
 		frames = 25
 	}
-	configs := []struct {
-		name  string
-		build func() (*paradice.Machine, *kernel.Kernel, error)
-	}{
-		{"Native", func() (*paradice.Machine, *kernel.Kernel, error) { return native(paradice.Config{}) }},
-		{"Device-Assign.", func() (*paradice.Machine, *kernel.Kernel, error) { return deviceAssign(paradice.Config{}) }},
-		{"Paradice", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.Linux, paradice.PathGPU)
-		}},
-		{"Paradice(P)", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{Mode: paradice.Polling}, kernel.Linux, paradice.PathGPU)
-		}},
-	}
 	specs := []workload.GLSpec{
 		workload.GLVertexBufferObjects,
 		workload.GLVertexArrays,
 		workload.GLDisplayLists,
 	}
 	var rows []Row
-	for _, c := range configs {
+	for _, p := range []platform{pNative, pAssign, pParadice, pPolling} {
 		for _, spec := range specs {
-			m, k, err := c.build()
+			m, k, err := p.boot(paradice.PathGPU)
 			if err != nil {
 				return nil, err
 			}
 			res, err := workload.RunGL(m.Env, k, spec, frames)
 			m.Close()
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", c.name, spec.Name, err)
+				return nil, fmt.Errorf("%s %s: %w", p.name, spec.Name, err)
 			}
-			rows = append(rows, Row{Series: c.name, X: spec.Name, Value: res.FPS, Unit: "FPS"})
+			rows = append(rows, Row{Series: p.name, X: spec.Name, Value: res.FPS, Unit: "FPS"})
 		}
 	}
 	return rows, nil
 }
+
+// gpuPlatforms are the four configurations of Figures 4 and 5.
+var gpuPlatforms = []platform{pNative, pAssign, pParadice, pIsolated}
 
 // --- Figure 4 ---
 
@@ -321,19 +371,19 @@ func RunFig4(quick bool) ([]Row, error) {
 		resolutions = []workload.Resolution{resolutions[0], resolutions[3]}
 	}
 	var rows []Row
-	for _, c := range gpuConfigs(true) {
+	for _, p := range gpuPlatforms {
 		for _, game := range games {
 			for _, r := range resolutions {
-				m, k, err := c.build()
+				m, k, err := p.boot(paradice.PathGPU)
 				if err != nil {
 					return nil, err
 				}
 				res, err := workload.RunGL(m.Env, k, game.GL(r), frames)
 				m.Close()
 				if err != nil {
-					return nil, fmt.Errorf("%s %s %s: %w", c.name, game.Name, r, err)
+					return nil, fmt.Errorf("%s %s %s: %w", p.name, game.Name, r, err)
 				}
-				rows = append(rows, Row{Series: c.name, X: game.Name + " " + r.String(), Value: res.FPS, Unit: "FPS"})
+				rows = append(rows, Row{Series: p.name, X: game.Name + " " + r.String(), Value: res.FPS, Unit: "FPS"})
 			}
 		}
 	}
@@ -353,21 +403,21 @@ func RunFig5(quick bool) ([]Row, error) {
 		orders = []int{1, 100}
 	}
 	var rows []Row
-	for _, c := range gpuConfigs(true) {
+	for _, p := range gpuPlatforms {
 		for _, n := range orders {
-			m, k, err := c.build()
+			m, k, err := p.boot(paradice.PathGPU)
 			if err != nil {
 				return nil, err
 			}
 			res, err := workload.RunMatmul(m.Env, k, n, int64(n))
 			m.Close()
 			if err != nil {
-				return nil, fmt.Errorf("%s order %d: %w", c.name, n, err)
+				return nil, fmt.Errorf("%s order %d: %w", p.name, n, err)
 			}
 			if !res.Correct {
-				return nil, fmt.Errorf("%s order %d: wrong product", c.name, n)
+				return nil, fmt.Errorf("%s order %d: wrong product", p.name, n)
 			}
-			rows = append(rows, Row{Series: c.name, X: fmt.Sprintf("order=%d", n), Value: res.Elapsed.Seconds(), Unit: "s"})
+			rows = append(rows, Row{Series: p.name, X: fmt.Sprintf("order=%d", n), Value: res.Elapsed.Seconds(), Unit: "s"})
 		}
 	}
 	return rows, nil
@@ -396,10 +446,11 @@ func RunFig6(quick bool) ([]Row, error) {
 		slots := make([]slot, nguests)
 		for i := 0; i < nguests; i++ {
 			g, err := m.AddGuest(fmt.Sprintf("vm%d", i+1), kernel.Linux)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				err = g.Paravirtualize(paradice.PathGPU)
 			}
-			if err := g.Paravirtualize(paradice.PathGPU); err != nil {
+			if err != nil {
+				m.Close()
 				return nil, err
 			}
 			slots[i].res = make([]workload.MatmulResult, runs)
@@ -441,37 +492,29 @@ func RunMouse(quick bool) ([]Row, error) {
 	if quick {
 		samples = 30
 	}
-	configs := []struct {
-		name  string
-		build func() (*paradice.Machine, *kernel.Kernel, error)
-		paper float64
-	}{
-		{"Native", func() (*paradice.Machine, *kernel.Kernel, error) { return native(paradice.Config{}) }, 39},
-		{"Device-Assign.", func() (*paradice.Machine, *kernel.Kernel, error) { return deviceAssign(paradice.Config{}) }, 55},
-		{"Paradice", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.Linux, paradice.PathMouse)
-		}, 296},
-		{"Paradice(P)", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{Mode: paradice.Polling}, kernel.Linux, paradice.PathMouse)
-		}, 179},
-	}
 	var rows []Row
-	for _, c := range configs {
-		m, k, err := c.build()
+	for _, c := range []struct {
+		p     platform
+		paper float64
+	}{{pNative, 39}, {pAssign, 55}, {pParadice, 296}, {pPolling, 179}} {
+		m, k, err := c.p.boot(paradice.PathMouse)
 		if err != nil {
 			return nil, err
 		}
 		res, err := workload.RunMouseLatency(m.Env, k, m.Mouse, samples)
 		m.Close()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
+			return nil, fmt.Errorf("%s: %w", c.p.name, err)
 		}
-		rows = append(rows, Row{Series: c.name, X: "latency", Value: res.Avg.Microseconds(), Unit: "µs", Paper: c.paper})
+		rows = append(rows, Row{Series: c.p.name, X: "latency", Value: res.Avg.Microseconds(), Unit: "µs", Paper: c.paper})
 	}
 	return rows, nil
 }
 
-// --- §6.1.6 camera ---
+// --- §6.1.6 camera and audio ---
+
+// mediaPlatforms are the configurations of §6.1.6.
+var mediaPlatforms = []platform{pNative, pAssign, pParadice}
 
 // RunCamera measures capture FPS at the three highest MJPG resolutions.
 func RunCamera(quick bool) ([]Row, error) {
@@ -480,37 +523,26 @@ func RunCamera(quick bool) ([]Row, error) {
 		frames = 15
 	}
 	var rows []Row
-	for _, c := range []struct {
-		name  string
-		build func() (*paradice.Machine, *kernel.Kernel, error)
-	}{
-		{"Native", func() (*paradice.Machine, *kernel.Kernel, error) { return native(paradice.Config{}) }},
-		{"Device-Assign.", func() (*paradice.Machine, *kernel.Kernel, error) { return deviceAssign(paradice.Config{}) }},
-		{"Paradice", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.Linux, paradice.PathCamera)
-		}},
-	} {
-		for _, r := range cameraResolutions() {
-			m, k, err := c.build()
+	for _, p := range mediaPlatforms {
+		for _, r := range camera.Resolutions {
+			m, k, err := p.boot(paradice.PathCamera)
 			if err != nil {
 				return nil, err
 			}
 			res, err := workload.RunCamera(m.Env, k, r, frames)
 			m.Close()
 			if err != nil {
-				return nil, fmt.Errorf("%s %dx%d: %w", c.name, r.W, r.H, err)
+				return nil, fmt.Errorf("%s %dx%d: %w", p.name, r.W, r.H, err)
 			}
 			if !res.Verified {
-				return nil, fmt.Errorf("%s %dx%d: frame corruption", c.name, r.W, r.H)
+				return nil, fmt.Errorf("%s %dx%d: frame corruption", p.name, r.W, r.H)
 			}
-			rows = append(rows, Row{Series: c.name, X: fmt.Sprintf("%dx%d", r.W, r.H),
+			rows = append(rows, Row{Series: p.name, X: fmt.Sprintf("%dx%d", r.W, r.H),
 				Value: res.FPS, Unit: "FPS", Paper: 29.5})
 		}
 	}
 	return rows, nil
 }
-
-// --- §6.1.6 audio ---
 
 // RunAudio plays the same clip on each configuration; the rows report
 // playback time, which must be identical (rate-paced by the codec).
@@ -520,26 +552,17 @@ func RunAudio(quick bool) ([]Row, error) {
 		seconds = 0.3
 	}
 	var rows []Row
-	for _, c := range []struct {
-		name  string
-		build func() (*paradice.Machine, *kernel.Kernel, error)
-	}{
-		{"Native", func() (*paradice.Machine, *kernel.Kernel, error) { return native(paradice.Config{}) }},
-		{"Device-Assign.", func() (*paradice.Machine, *kernel.Kernel, error) { return deviceAssign(paradice.Config{}) }},
-		{"Paradice", func() (*paradice.Machine, *kernel.Kernel, error) {
-			return paradiceGuest(paradice.Config{}, kernel.Linux, paradice.PathAudio)
-		}},
-	} {
-		m, k, err := c.build()
+	for _, p := range mediaPlatforms {
+		m, k, err := p.boot(paradice.PathAudio)
 		if err != nil {
 			return nil, err
 		}
 		res, err := workload.RunAudio(m.Env, k, seconds)
 		m.Close()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
+			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
-		rows = append(rows, Row{Series: c.name, X: fmt.Sprintf("%.1fs clip", seconds),
+		rows = append(rows, Row{Series: p.name, X: fmt.Sprintf("%.1fs clip", seconds),
 			Value: res.Elapsed.Seconds(), Unit: "s", Paper: seconds})
 	}
 	return rows, nil

@@ -20,6 +20,14 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		if got[i].Title == "" || got[i].Run == nil {
 			t.Fatalf("experiment %s incomplete", id)
 		}
+		// Every experiment runs at quick fidelity, and every measured one
+		// returns rows.
+		rows, err := got[i].Run(true)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+		} else if len(rows) == 0 && !got[i].IsTable {
+			t.Errorf("%s returned no rows", id)
+		}
 	}
 }
 

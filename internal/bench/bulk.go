@@ -29,48 +29,19 @@ var BulkSizes = []int{256, 1024, 4096, 16384, 65536}
 // BulkReuses are the swept per-mapping reuse rates.
 var BulkReuses = []int{1, 2, 4, 8, 16, 32}
 
-func init() {
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "bulk",
-		Title: "Bulk transfer: grant-map cache crossover and doorbell coalescing",
-		Run:   RunBulk,
-	})
-}
-
 // bulkDev is a pure sink in the driver VM: it moves the bytes across the
 // VM boundary (the cost under study) and discards them.
-type bulkDev struct {
-	kernel.BaseOps
-	sunk int
-}
+type bulkDev struct{ kernel.BaseOps }
 
 func (d *bulkDev) Write(c *kernel.FopCtx, src mem.GuestVirt, n int) (int, error) {
 	buf := make([]byte, n)
 	if err := kernel.CopyFromUser(c, src, buf); err != nil {
 		return 0, err
 	}
-	d.sunk += n
 	return n, nil
 }
 
 const bulkPath = "/dev/bulk0"
-
-func bulkGuest(cfg paradice.Config) (*paradice.Machine, *kernel.Kernel, *paradice.Guest, error) {
-	m, err := paradice.New(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dev := &bulkDev{}
-	m.DriverK.RegisterDevice(bulkPath, dev, dev)
-	g, err := m.AddGuest("guest1", kernel.Linux)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := g.Paravirtualize(bulkPath); err != nil {
-		return nil, nil, nil, err
-	}
-	return built(m), g.K, g, nil
-}
 
 // RunBulk produces the copy-vs-map sweeps and the coalescing burst counts.
 func RunBulk(quick bool) ([]Row, error) {
@@ -93,11 +64,11 @@ func RunBulk(quick bool) ([]Row, error) {
 			{"assisted copy", copyCfg},
 			{fmt.Sprintf("map cache (R=%d)", sweepReuse), mapCfg},
 		} {
-			m, k, _, err := bulkGuest(c.cfg)
+			m, g, err := devGuest(c.cfg, bulkPath, &bulkDev{})
 			if err != nil {
 				return nil, err
 			}
-			per, err := bulkWriteLoop(m, k, size, sweepReuse, rotations)
+			per, err := bulkWriteLoop(m, g.K, size, sweepReuse, rotations)
 			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s size %d: %w", c.series, size, err)
@@ -117,11 +88,11 @@ func RunBulk(quick bool) ([]Row, error) {
 			{"assisted copy @16K", copyCfg},
 			{"map cache @16K", mapCfg},
 		} {
-			m, k, _, err := bulkGuest(c.cfg)
+			m, g, err := devGuest(c.cfg, bulkPath, &bulkDev{})
 			if err != nil {
 				return nil, err
 			}
-			per, err := bulkWriteLoop(m, k, sweepSize, r, rotations)
+			per, err := bulkWriteLoop(m, g.K, sweepSize, r, rotations)
 			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s reuse %d: %w", c.series, r, err)
@@ -138,11 +109,11 @@ func RunBulk(quick bool) ([]Row, error) {
 		if w != 0 {
 			label = fmt.Sprintf("window=%v", w)
 		}
-		m, k, g, err := bulkGuest(paradice.Config{CoalesceWindow: w})
+		m, g, err := devGuest(paradice.Config{CoalesceWindow: w}, bulkPath, &bulkDev{})
 		if err != nil {
 			return nil, err
 		}
-		err = burstWriters(m, k, 8)
+		err = burstWriters(m, g.K, 8)
 		m.Close()
 		if err != nil {
 			return nil, fmt.Errorf("coalesce %s: %w", label, err)

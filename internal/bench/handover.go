@@ -32,10 +32,8 @@ import (
 // warm counters must stay nonzero.
 
 const (
-	hoSinkBase  = 2 * sim.Microsecond
-	hoSinkPerKB = 1 * sim.Microsecond
-	hoSize      = 2048 // 4 µs service => 250 kops/s sink capacity
-	hoSeed      = 4242
+	hoSize = 2048 // 4 µs service => 250 kops/s sink capacity
+	hoSeed = 4242
 
 	// The lifecycle operation fires at this point in the arrival window;
 	// prepare then pays the 100 ms successor boot, so the switch (or the
@@ -43,14 +41,6 @@ const (
 	// inside the arrival window.
 	hoKickAt = 1 * sim.Millisecond
 )
-
-func init() {
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "handover",
-		Title: "Planned driver-VM handover vs restart under open-loop load",
-		Run:   RunHandover,
-	})
-}
 
 // hoProfile is the sustained load during the lifecycle operation: one bulk
 // class at ~80% of sink capacity (full mode), open-loop Poisson arrivals.
@@ -70,22 +60,22 @@ func hoProfile(quick bool) load.Profile {
 	}
 }
 
-// hoRig is one fully built machine + workload, ready to run.
-type hoRig struct {
-	m   *paradice.Machine
-	g   *paradice.Guest
-	gen *load.Generator
+// hoRun is one run of the workload with op fired at hoKickAt.
+type hoRun struct {
+	m    *paradice.Machine // closed; read for its handover log
+	g    *paradice.Guest
+	res  *load.Result
+	took sim.Duration // virtual time op took
 
-	witnessWrites  int   // completed witness writes
 	witnessErrs    int   // failed witness writes (must stay 0 for handover)
 	witnessLastErr error // last witness failure, for diagnostics
 }
 
-// newHoRig builds the machine (polling + map cache + TLB), registers the
-// sink into every driver-VM generation, and starts the generator plus the
-// witness writer.
-func newHoRig(quick bool) (*hoRig, error) {
-	m, err := paradice.New(paradice.Config{
+// runHo builds the machine (polling + map cache + TLB) with the sink in
+// every driver-VM generation, starts the generator plus the witness writer,
+// fires op at hoKickAt and runs the workload to its end.
+func runHo(quick bool, what string, op func(*paradice.Machine) error) (*hoRun, error) {
+	m, g, err := sinkGuest(paradice.Config{
 		Mode:     paradice.Polling,
 		GuestRAM: 256 << 20,
 		MapCache: true,
@@ -94,33 +84,12 @@ func newHoRig(quick bool) (*hoRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink := load.NewSink(m.Env, hoSinkBase, hoSinkPerKB)
-	// The sink must exist in the successor (and any restart replacement)
-	// driver kernel too, or the rebind cannot find the device.
-	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
-		k.RegisterDevice(load.SinkPath, sink, sink)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	g, err := m.AddGuest("guest1", kernel.Linux)
+	defer m.Close()
+	r := &hoRun{m: m, g: g}
+	gen, err := startLoad(g.K, hoProfile(quick))
 	if err != nil {
 		return nil, err
 	}
-	if err := g.Paravirtualize(load.SinkPath); err != nil {
-		return nil, err
-	}
-	built(m)
-
-	r := &hoRig{m: m, g: g}
-	gen, err := load.NewGenerator(hoProfile(quick))
-	if err != nil {
-		return nil, err
-	}
-	if err := gen.Start(g.K); err != nil {
-		return nil, err
-	}
-	r.gen = gen
 
 	// The witness writer: one long-lived fd issuing 4 KiB writes every
 	// 250 µs for the whole window. Each write is big enough for the
@@ -132,14 +101,12 @@ func newHoRig(quick bool) (*hoRig, error) {
 	}
 	dur := hoProfile(quick).Duration
 	proc.SpawnTask("writer", func(t *kernel.Task) {
-		// The open competes with every generator client's open at t=0;
-		// EBUSY here is the same startup backpressure the clients retry.
-		fd, err := t.Open(load.SinkPath, devfile.ORdWr)
-		for attempt := 0; err != nil && attempt < 10000 &&
-			(kernel.IsErrno(err, kernel.EBUSY) || kernel.IsErrno(err, kernel.EAGAIN)); attempt++ {
-			t.Sim().Sleep(20 * sim.Microsecond)
+		// The open competes with every generator client's open at t=0.
+		var fd int
+		err := retryBusy(t, func() (err error) {
 			fd, err = t.Open(load.SinkPath, devfile.ORdWr)
-		}
+			return err
+		})
 		if err != nil {
 			r.witnessErrs++
 			r.witnessLastErr = err
@@ -153,26 +120,48 @@ func newHoRig(quick bool) (*hoRig, error) {
 		}
 		end := t.Sim().Now().Add(dur)
 		for t.Sim().Now() < end {
-			// EBUSY/EAGAIN are backpressure, not loss: the post-drain replay
-			// burst can transiently fill the ring, and a well-behaved app
-			// retries exactly as it would under plain overload.
-			_, err := t.Write(fd, buf, 4096)
-			for attempt := 0; err != nil && attempt < 10000 &&
-				(kernel.IsErrno(err, kernel.EBUSY) || kernel.IsErrno(err, kernel.EAGAIN)); attempt++ {
-				t.Sim().Sleep(20 * sim.Microsecond)
-				_, err = t.Write(fd, buf, 4096)
-			}
+			// The post-drain replay burst can transiently fill the ring.
+			err := retryBusy(t, func() error {
+				_, err := t.Write(fd, buf, 4096)
+				return err
+			})
 			if err != nil {
 				r.witnessErrs++
 				r.witnessLastErr = err
-			} else {
-				r.witnessWrites++
 			}
 			t.Sim().Sleep(250 * sim.Microsecond)
 		}
 		t.Close(fd)
 	})
+
+	var opErr error
+	m.Env.Spawn(what+"-driver", func(p *sim.Proc) {
+		p.Sleep(hoKickAt)
+		start := p.Now()
+		opErr = op(m)
+		r.took = p.Now().Sub(start)
+	})
+	m.Run()
+	if opErr != nil {
+		return nil, fmt.Errorf("%s: %w", what, opErr)
+	}
+	if r.res, err = result(gen, what); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// retryBusy runs op until it fails with something other than EBUSY or
+// EAGAIN. Those are backpressure, not loss: a well-behaved app retries
+// exactly as it would under plain overload.
+func retryBusy(t *kernel.Task, op func() error) error {
+	err := op()
+	for attempt := 0; err != nil && attempt < 10000 &&
+		(kernel.IsErrno(err, kernel.EBUSY) || kernel.IsErrno(err, kernel.EAGAIN)); attempt++ {
+		t.Sim().Sleep(20 * sim.Microsecond)
+		err = op()
+	}
+	return err
 }
 
 // errorsOf sums the honest-errno failures across classes.
@@ -188,34 +177,15 @@ func errorsOf(res *load.Result) uint64 {
 // with RestartDriverVM at the same virtual instant — and reports failed
 // requests, downtime, and the handover's replay/warmth counters.
 func RunHandover(quick bool) ([]Row, error) {
-	// --- run 1: planned handover ---
-	ho, err := newHoRig(quick)
+	ho, err := runHo(quick, "handover", (*paradice.Machine).HandoverDriverVM)
 	if err != nil {
 		return nil, err
-	}
-	defer ho.m.Close()
-	var hoErr error
-	ho.m.Env.Spawn("handover-driver", func(p *sim.Proc) {
-		p.Sleep(hoKickAt)
-		hoErr = ho.m.HandoverDriverVM()
-	})
-	ho.m.Run()
-	if hoErr != nil {
-		return nil, fmt.Errorf("handover: %w", hoErr)
-	}
-	if !ho.gen.Done() {
-		return nil, fmt.Errorf("handover: clients did not drain")
-	}
-	hoRes := ho.gen.Result()
-	if len(hoRes.Violations) > 0 {
-		return nil, fmt.Errorf("handover: %d violations: %s", len(hoRes.Violations), hoRes.Violations[0])
 	}
 	eps := ho.m.Handovers()
 	if len(eps) != 1 || eps[0].Aborted {
 		return nil, fmt.Errorf("handover: expected one committed episode, got %+v", eps)
 	}
-	ep := eps[0]
-	if n := errorsOf(hoRes); n != 0 {
+	if n := errorsOf(ho.res); n != 0 {
 		return nil, fmt.Errorf("handover: %d requests failed during a planned handover", n)
 	}
 	if ho.witnessErrs != 0 {
@@ -225,37 +195,17 @@ func RunHandover(quick bool) ([]Row, error) {
 	warmHits, _, _ := be.MapCacheStats()
 	queued := ho.g.Frontends[load.SinkPath].QueuedPosts
 
-	// --- run 2: crash-style restart at the same instant ---
-	rst, err := newHoRig(quick)
+	// The same workload with a crash-style restart at the same instant.
+	rst, err := runHo(quick, "restart", (*paradice.Machine).RestartDriverVM)
 	if err != nil {
 		return nil, err
 	}
-	defer rst.m.Close()
-	var rstErr error
-	var rstDown sim.Duration
-	rst.m.Env.Spawn("restart-driver", func(p *sim.Proc) {
-		p.Sleep(hoKickAt)
-		start := p.Now()
-		rstErr = rst.m.RestartDriverVM()
-		rstDown = p.Now().Sub(start)
-	})
-	rst.m.Run()
-	if rstErr != nil {
-		return nil, fmt.Errorf("restart: %w", rstErr)
-	}
-	if !rst.gen.Done() {
-		return nil, fmt.Errorf("restart: clients did not drain")
-	}
-	rstRes := rst.gen.Result()
-	if len(rstRes.Violations) > 0 {
-		return nil, fmt.Errorf("restart: %d violations: %s", len(rstRes.Violations), rstRes.Violations[0])
-	}
 
 	return []Row{
-		{Series: "failed", X: "handover", Value: float64(errorsOf(hoRes)), Unit: "requests"},
-		{Series: "failed", X: "restart", Value: float64(errorsOf(rstRes)), Unit: "requests"},
-		{Series: "downtime", X: "handover", Value: ep.Pause.Microseconds(), Unit: "µs"},
-		{Series: "downtime", X: "restart", Value: rstDown.Microseconds(), Unit: "µs"},
+		{Series: "failed", X: "handover", Value: float64(errorsOf(ho.res)), Unit: "requests"},
+		{Series: "failed", X: "restart", Value: float64(errorsOf(rst.res)), Unit: "requests"},
+		{Series: "downtime", X: "handover", Value: eps[0].Pause.Microseconds(), Unit: "µs"},
+		{Series: "downtime", X: "restart", Value: rst.took.Microseconds(), Unit: "µs"},
 		{Series: "queued-replayed", X: "handover", Value: float64(queued), Unit: "posts"},
 		{Series: "warm map hits", X: "handover", Value: float64(warmHits), Unit: "hits"},
 		{Series: "warm reopens", X: "handover", Value: float64(be.WarmReopens), Unit: "files"},

@@ -39,8 +39,6 @@ var (
 
 const (
 	multivmPerGuestRate = 12_000
-	multivmSinkBase     = 2 * sim.Microsecond
-	multivmSinkPerKB    = 1 * sim.Microsecond
 	multivmSeed         = 173
 	multivmMaxShards    = 4
 	multivmWorkers      = 4
@@ -115,7 +113,7 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 	// boot hook runs everywhere) and pinned round-robin so the shards split
 	// the channel population evenly.
 	for i := 0; i < guests; i++ {
-		sink := load.NewSink(m.Env, multivmSinkBase, multivmSinkPerKB)
+		sink := load.NewSink(m.Env, sinkBase, sinkPerKB)
 		path := multivmSinkPath(i)
 		if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
 			k.RegisterDevice(path, sink, sink)
@@ -136,12 +134,7 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 		if err := g.Paravirtualize(multivmSinkPath(i)); err != nil {
 			return multivmOutcome{}, err
 		}
-		gen, err := load.NewGenerator(multivmProfile(i, quick))
-		if err != nil {
-			return multivmOutcome{}, err
-		}
-		gens[i] = gen
-		if err := gen.Start(g.K); err != nil {
+		if gens[i], err = startLoad(g.K, multivmProfile(i, quick)); err != nil {
 			return multivmOutcome{}, err
 		}
 	}
@@ -151,13 +144,9 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 	var totalOps uint64
 	var p99Max float64
 	for i, gen := range gens {
-		if !gen.Done() {
-			return multivmOutcome{}, fmt.Errorf("multivm: guest %d clients did not drain at %d guests", i, guests)
-		}
-		res := gen.Result()
-		if len(res.Violations) > 0 {
-			return multivmOutcome{}, fmt.Errorf("multivm: guest %d: %d violations at %d guests: %s",
-				i, len(res.Violations), guests, res.Violations[0])
+		res, err := result(gen, fmt.Sprintf("multivm: guest %d at %d guests", i, guests))
+		if err != nil {
+			return multivmOutcome{}, err
 		}
 		ok := res.OK()
 		if ok == 0 {
@@ -176,14 +165,6 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 		tput:   float64(totalOps) / makespan / 1000,
 		p99Max: p99Max,
 	}, nil
-}
-
-func init() {
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "multivm",
-		Title: "Multi-guest scale-out across sharded driver VMs with the backend worker pool",
-		Run:   RunMultiVM,
-	})
 }
 
 // RunMultiVM sweeps the guest count across the three transports and emits,

@@ -8,15 +8,9 @@ import (
 	"sort"
 	"strings"
 
-	"paradice/internal/devfile"
-	"paradice/internal/device/camera"
 	"paradice/internal/driver/drm"
 	"paradice/internal/ioctlan"
 )
-
-func infoCmd() devfile.IoctlCmd { return drm.IoctlInfo }
-
-func cameraResolutions() []camera.Resolution { return camera.Resolutions }
 
 // RunTable1 reproduces Table 1: the device classes this build
 // paravirtualizes, the backing device models of the paper's testbed, and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"paradice"
-	"paradice/internal/kernel"
 	"paradice/internal/load"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
@@ -36,19 +35,9 @@ var (
 )
 
 const (
-	tailSinkBase  = 2 * sim.Microsecond
-	tailSinkPerKB = 1 * sim.Microsecond
 	tailBulkLimit = 80 // bulk admission: shed at this ring occupancy
 	tailSeed      = 42
 )
-
-func init() {
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "tail",
-		Title: "Open-loop tail latency and sustained throughput under mixed QoS load",
-		Run:   RunTail,
-	})
-}
 
 // tailProfile is the swept workload at one offered rate: a 1:3 rt:bulk mix
 // of Poisson arrivals spread over many concurrent guest processes.
@@ -79,7 +68,7 @@ func tailProfile(rate float64, quick bool) load.Profile {
 // rows. Arming never advances the virtual clock, so the latency rows are
 // identical with and without it.
 func tailLevel(rate float64, quick bool) (*load.Result, *trace.FlightRecorder, error) {
-	m, err := paradice.New(paradice.Config{
+	m, g, err := sinkGuest(paradice.Config{
 		Mode:      paradice.Polling,
 		GuestRAM:  256 << 20,
 		Admission: map[uint8]int{2: tailBulkLimit},
@@ -88,16 +77,6 @@ func tailLevel(rate float64, quick bool) (*load.Result, *trace.FlightRecorder, e
 		return nil, nil, err
 	}
 	defer m.Close()
-	sink := load.NewSink(m.Env, tailSinkBase, tailSinkPerKB)
-	m.DriverK.RegisterDevice(load.SinkPath, sink, sink)
-	g, err := m.AddGuest("guest1", kernel.Linux)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.Paravirtualize(load.SinkPath); err != nil {
-		return nil, nil, err
-	}
-	built(m)
 	profile := tailProfile(rate, quick)
 	tr := m.Tracer()
 	if tr == nil {
@@ -109,23 +88,13 @@ func tailLevel(rate float64, quick bool) (*load.Result, *trace.FlightRecorder, e
 		tr.SetEventRetention(false)
 	}
 	fr := tr.ArmFlightRecorder(trace.FlightConfig{ClassThresholds: profile.Thresholds()})
-	gen, err := load.NewGenerator(profile)
+	gen, err := startLoad(g.K, profile)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := gen.Start(g.K); err != nil {
-		return nil, nil, err
-	}
 	m.Run()
-	if !gen.Done() {
-		return nil, nil, fmt.Errorf("tail: clients did not drain at %.0f/s", rate)
-	}
-	res := gen.Result()
-	if len(res.Violations) > 0 {
-		return nil, nil, fmt.Errorf("tail: %d violations at %.0f/s: %s",
-			len(res.Violations), rate, res.Violations[0])
-	}
-	return res, fr, nil
+	res, err := result(gen, fmt.Sprintf("tail at %.0f/s", rate))
+	return res, fr, err
 }
 
 // RunTail sweeps the offered rates and emits, per level, the per-class

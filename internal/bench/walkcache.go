@@ -29,21 +29,10 @@ import (
 // small-transfer regime the assisted copy (not the map cache) serves.
 var WalkSizes = []int{64, 256, 1024, 2048}
 
-func init() {
-	extraExperiments = append(extraExperiments, Experiment{
-		ID:    "walkcache",
-		Title: "Translation cache: software TLB and batched grant hypercalls",
-		Run:   RunWalkcache,
-	})
-}
-
 // echoDev echoes an ioctl payload back through the two assisted copies the
 // command encodes (_IOWR: copy in, copy out) — the minimal operation whose
 // cost is dominated by crossings plus translation work.
-type echoDev struct {
-	kernel.BaseOps
-	ops int
-}
+type echoDev struct{ kernel.BaseOps }
 
 func (d *echoDev) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {
 	buf := make([]byte, cmd.Size())
@@ -53,30 +42,12 @@ func (d *echoDev) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVir
 	if err := kernel.CopyToUser(c, arg, buf); err != nil {
 		return 0, err
 	}
-	d.ops++
 	return 0, nil
 }
 
 const echoPath = "/dev/echo0"
 
 func echoCmd(size int) devfile.IoctlCmd { return devfile.IOWR('w', 0x01, uint32(size)) }
-
-func echoGuest(cfg paradice.Config) (*paradice.Machine, *kernel.Kernel, error) {
-	m, err := paradice.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	dev := &echoDev{}
-	m.DriverK.RegisterDevice(echoPath, dev, dev)
-	g, err := m.AddGuest("guest1", kernel.Linux)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.Paravirtualize(echoPath); err != nil {
-		return nil, nil, err
-	}
-	return built(m), g.K, nil
-}
 
 // traceOn returns the tracer on m, installing one unless OnMachine already
 // did, so an experiment that reads trace metrics shares the tracer
@@ -111,11 +82,11 @@ func RunWalkcache(quick bool) ([]Row, error) {
 			{"per-request walks", coldCfg},
 			{"translation cache", warmCfg},
 		} {
-			m, k, err := echoGuest(c.cfg)
+			m, g, err := devGuest(c.cfg, echoPath, &echoDev{})
 			if err != nil {
 				return nil, err
 			}
-			last, err := echoLoop(m, k, size, iters)
+			last, err := echoLoop(m, g.K, size, iters)
 			m.Close()
 			if err != nil {
 				return nil, fmt.Errorf("%s size %d: %w", c.series, size, err)
@@ -128,12 +99,12 @@ func RunWalkcache(quick bool) ([]Row, error) {
 	// Steady-state TLB hit rate for the 1 KB echo loop: after the first
 	// iteration proves the argument page, every later walk is a hit.
 	{
-		m, k, err := echoGuest(warmCfg)
+		m, g, err := devGuest(warmCfg, echoPath, &echoDev{})
 		if err != nil {
 			return nil, err
 		}
 		tr := traceOn(m)
-		_, err = echoLoop(m, k, 1024, iters)
+		_, err = echoLoop(m, g.K, 1024, iters)
 		m.Close()
 		if err != nil {
 			return nil, fmt.Errorf("hit-rate loop: %w", err)
@@ -211,24 +182,16 @@ func echoLoop(m *paradice.Machine, k *kernel.Kernel, size, iters int) (sim.Durat
 // chunks plus one IB chunk, every payload at a scattered user address), and
 // returns how many frontend grant crossings the submission's declare took.
 func csDeclareCrossings(cfg paradice.Config) (uint64, error) {
-	m, err := paradice.New(cfg)
+	m, k, err := platform{cfg: cfg}.boot(paradice.PathGPU)
 	if err != nil {
 		return 0, err
 	}
-	g, err := m.AddGuest("guest1", kernel.Linux)
-	if err != nil {
-		return 0, err
-	}
-	if err := g.Paravirtualize(paradice.PathGPU); err != nil {
-		return 0, err
-	}
-	m = built(m)
 	defer m.Close()
 
 	const nchunks = 8
 	var before, after uint64
 	var runErr error
-	p, err := g.K.NewProcess("cs")
+	p, err := k.NewProcess("cs")
 	if err != nil {
 		return 0, err
 	}

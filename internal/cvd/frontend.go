@@ -3,6 +3,7 @@ package cvd
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"paradice/internal/devfile"
 	"paradice/internal/faults"
@@ -913,7 +914,9 @@ func (fe *Frontend) Fasync(c *kernel.FopCtx, on bool) error {
 	if errno != 0 {
 		return errno
 	}
-	if on {
+	// Arming twice must not double the SIGIOs: each file is listed once,
+	// and handleNotifs checks FasyncOn for the disarmed ones.
+	if on && !slices.Contains(fe.fasyncFiles, c.File) {
 		fe.fasyncFiles = append(fe.fasyncFiles, c.File)
 	}
 	return nil

@@ -198,6 +198,11 @@ const (
 	PathNetmap   = "/dev/netmap"
 )
 
+// standardPaths are the standard devices in canonical class order: build
+// places them round-robin across driver-VM shards in this order, and
+// resetShardDevices resets them in it.
+var standardPaths = []string{PathGPU, PathNetmap, PathMouse, PathKeyboard, PathCamera, PathAudio}
+
 // DriverShard is one driver VM of a (possibly sharded) machine: its VM and
 // kernel, and — when Config.Workers > 0 — the worker pool shared by every
 // CVD backend in it. A restart or handover of the shard replaces VM, K, and
@@ -326,7 +331,7 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 		m.cfg.DriverShards = 1
 	}
 	m.placement = hv.NewPlacement(m.cfg.DriverShards)
-	for i, path := range []string{PathGPU, PathNetmap, PathMouse, PathKeyboard, PathCamera, PathAudio} {
+	for i, path := range standardPaths {
 		m.placement.Assign(path, i%m.placement.Shards())
 	}
 	m.shards = make([]*DriverShard, m.placement.Shards())

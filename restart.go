@@ -274,26 +274,16 @@ func (m *Machine) shardChannels(i int) []machineChannel {
 
 // resetShardDevices gives the shard's devices a function-level reset — the
 // hardware survives a driver-VM lifecycle event, its volatile state does
-// not. Devices owned by other shards keep running. Canonical device order
-// (matching the attach sequence), so reset charges are deterministic.
+// not. Devices owned by other shards keep running.
 func (m *Machine) resetShardDevices(shard int) {
-	if m.placement.Route(PathGPU) == shard {
-		m.GPU.Reset()
+	devs := map[string]interface{ Reset() }{
+		PathGPU: m.GPU, PathNetmap: m.NIC, PathMouse: m.Mouse,
+		PathKeyboard: m.Keyboard, PathCamera: m.Camera, PathAudio: m.Audio,
 	}
-	if m.placement.Route(PathNetmap) == shard {
-		m.NIC.Reset()
-	}
-	if m.placement.Route(PathCamera) == shard {
-		m.Camera.Reset()
-	}
-	if m.placement.Route(PathAudio) == shard {
-		m.Audio.Reset()
-	}
-	if m.placement.Route(PathMouse) == shard {
-		m.Mouse.Reset()
-	}
-	if m.placement.Route(PathKeyboard) == shard {
-		m.Keyboard.Reset()
+	for _, path := range standardPaths {
+		if m.placement.Route(path) == shard {
+			devs[path].Reset()
+		}
 	}
 }
 
