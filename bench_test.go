@@ -1,21 +1,14 @@
 package paradice_test
 
-// This file regenerates every table and figure of the paper's evaluation as
-// testing.B benchmarks, reporting each experiment's metric in the paper's
-// units via b.ReportMetric. Beyond reporting, each benchmark asserts the
-// figure's qualitative claims (who wins, where the crossover falls), so a
-// cost-model regression fails `go test -bench`.
-//
-// The benchmarks run the experiment once per b.N loop; the simulation is
-// deterministic, so a single iteration is already the converged value.
+// The §6.1.1 no-op goldens: the end-to-end no-op latencies that every
+// dormant, disabled or armed-but-idle feature must reproduce bit for bit.
+// The paper's qualitative conclusions are checked elsewhere, as claims on
+// the experiment rows (internal/bench/claims.go).
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"paradice"
-	"paradice/internal/bench"
 	"paradice/internal/driver/drm"
 	"paradice/internal/kernel"
 	"paradice/internal/perf"
@@ -23,303 +16,50 @@ import (
 	"paradice/internal/trace"
 )
 
-// runOnce executes an experiment one time regardless of b.N and reports
-// every row as a named metric.
-func runOnce(b *testing.B, id string, check func(b *testing.B, rows []bench.Row)) {
-	b.Helper()
-	e, ok := bench.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var rows []bench.Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = e.Run(true) // quick mode: deterministic, reduced sweep
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name := strings.ReplaceAll(r.Series+"/"+r.X+"_"+r.Unit, " ", "_")
-		b.ReportMetric(r.Value, name)
-	}
-	if check != nil {
-		check(b, rows)
-	}
-}
-
-// value finds a row by series and X label.
-func value(b *testing.B, rows []bench.Row, series, x string) float64 {
-	b.Helper()
-	for _, r := range rows {
-		if r.Series == series && r.X == x {
-			return r.Value
-		}
-	}
-	b.Fatalf("no row %s/%s", series, x)
-	return 0
-}
-
-func BenchmarkNoopFileOpLatency(b *testing.B) {
-	runOnce(b, "noop", func(b *testing.B, rows []bench.Row) {
-		intLat := value(b, rows, "Paradice", "no-op fileop")
-		pollLat := value(b, rows, "Paradice(P)", "no-op fileop")
-		if intLat < 30 || intLat > 40 {
-			b.Fatalf("interrupt no-op latency %.1fµs, paper ~35µs", intLat)
-		}
-		if pollLat > 4 {
-			b.Fatalf("polled no-op latency %.1fµs, paper ~2µs", pollLat)
-		}
-	})
-}
-
-func BenchmarkFig2NetmapTX(b *testing.B) {
-	runOnce(b, "fig2", func(b *testing.B, rows []bench.Row) {
-		native4 := value(b, rows, "Native", "batch=4")
-		poll4 := value(b, rows, "Paradice(P)", "batch=4")
-		int4 := value(b, rows, "Paradice", "batch=4")
-		int256 := value(b, rows, "Paradice", "batch=256")
-		native256 := value(b, rows, "Native", "batch=256")
-		// Paper: polling reaches near-native at batch 4; interrupts do not.
-		if poll4 < 0.75*native4 {
-			b.Fatalf("Paradice(P) batch=4 %.3f << native %.3f", poll4, native4)
-		}
-		if int4 > 0.5*native4 {
-			b.Fatalf("Paradice(int) batch=4 %.3f unexpectedly near native %.3f", int4, native4)
-		}
-		// Everyone converges at large batches.
-		if int256 < 0.9*native256 {
-			b.Fatalf("Paradice(int) batch=256 %.3f has not converged to native %.3f", int256, native256)
-		}
-		// FreeBSD guest performs like the Linux guest (§6.1.2).
-		for _, batch := range []string{"batch=1", "batch=64"} {
-			l := value(b, rows, "Paradice", batch)
-			f := value(b, rows, "Paradice(FL)", batch)
-			if f < 0.9*l || f > 1.1*l {
-				b.Fatalf("FreeBSD guest %s %.3f differs from Linux %.3f", batch, f, l)
-			}
-		}
-	})
-}
-
-func BenchmarkFig3OpenGL(b *testing.B) {
-	runOnce(b, "fig3", func(b *testing.B, rows []bench.Row) {
-		for _, bm := range []string{"VBO", "VA", "DL"} {
-			native := value(b, rows, "Native", bm)
-			pInt := value(b, rows, "Paradice", bm)
-			pPoll := value(b, rows, "Paradice(P)", bm)
-			da := value(b, rows, "Device-Assign.", bm)
-			// Device assignment is indistinguishable from native (§6.1.1).
-			if da < 0.97*native {
-				b.Fatalf("%s: device-assign %.1f below native %.1f", bm, da, native)
-			}
-			// Paradice with interrupts drops visibly on these cheap frames;
-			// polling closes the gap (§6.1.3).
-			if pInt > 0.95*native {
-				b.Fatalf("%s: Paradice(int) %.1f unexpectedly at native %.1f", bm, pInt, native)
-			}
-			if pPoll < 0.93*native {
-				b.Fatalf("%s: Paradice(P) %.1f did not close the gap to native %.1f", bm, pPoll, native)
-			}
-		}
-	})
-}
-
-func BenchmarkFig4Games(b *testing.B) {
-	runOnce(b, "fig4", func(b *testing.B, rows []bench.Row) {
-		for _, game := range []string{"Tremulous", "OpenArena", "Nexuiz"} {
-			for _, res := range []string{"800x600", "1680x1050"} {
-				x := game + " " + res
-				native := value(b, rows, "Native", x)
-				pInt := value(b, rows, "Paradice", x)
-				di := value(b, rows, "Paradice(DI)", x)
-				// Demanding games: Paradice is close to native (§6.1.3).
-				if pInt < 0.88*native {
-					b.Fatalf("%s: Paradice %.1f more than 12%% below native %.1f", x, pInt, native)
-				}
-				// Data isolation has no noticeable impact.
-				if di < 0.98*pInt {
-					b.Fatalf("%s: DI %.1f noticeably below Paradice %.1f", x, di, pInt)
-				}
-			}
-			// FPS falls with resolution.
-			lo := value(b, rows, "Native", game+" 800x600")
-			hi := value(b, rows, "Native", game+" 1680x1050")
-			if hi >= lo {
-				b.Fatalf("%s: FPS did not fall with resolution (%.1f -> %.1f)", game, lo, hi)
-			}
-		}
-	})
-}
-
-func BenchmarkFig5OpenCL(b *testing.B) {
-	runOnce(b, "fig5", func(b *testing.B, rows []bench.Row) {
-		for _, order := range []string{"order=1", "order=100"} {
-			native := value(b, rows, "Native", order)
-			p := value(b, rows, "Paradice", order)
-			di := value(b, rows, "Paradice(DI)", order)
-			// All four configurations are near identical (§6.1.4).
-			if p > 1.05*native || di > 1.05*native {
-				b.Fatalf("%s: paradice %.3fs / DI %.3fs vs native %.3fs — not identical",
-					order, p, di, native)
-			}
-		}
-		// Time grows with order.
-		if value(b, rows, "Native", "order=100") <= value(b, rows, "Native", "order=1") {
-			b.Fatal("matmul time did not grow with order")
-		}
-	})
-}
-
-func BenchmarkFig6MultiVM(b *testing.B) {
-	runOnce(b, "fig6", nil)
-}
-
-func BenchmarkMouseLatency(b *testing.B) {
-	runOnce(b, "mouse", func(b *testing.B, rows []bench.Row) {
-		native := value(b, rows, "Native", "latency")
-		da := value(b, rows, "Device-Assign.", "latency")
-		pInt := value(b, rows, "Paradice", "latency")
-		pPoll := value(b, rows, "Paradice(P)", "latency")
-		if !(native < da && da < pPoll && pPoll < pInt) {
-			b.Fatalf("latency ordering violated: %.1f %.1f %.1f %.1f", native, da, pPoll, pInt)
-		}
-		if pInt >= 1000 {
-			b.Fatalf("Paradice latency %.1fµs not below the 1ms input threshold", pInt)
-		}
-	})
-}
-
-func BenchmarkCameraFPS(b *testing.B) {
-	runOnce(b, "camera", func(b *testing.B, rows []bench.Row) {
-		for _, r := range rows {
-			if r.Value < 29 || r.Value > 30 {
-				b.Fatalf("%s %s: %.2f FPS, paper ~29.5 at every resolution", r.Series, r.X, r.Value)
-			}
-		}
-	})
-}
-
-func BenchmarkAudioPlayback(b *testing.B) {
-	runOnce(b, "audio", func(b *testing.B, rows []bench.Row) {
-		base := rows[0].Value
-		for _, r := range rows {
-			if r.Value < 0.98*base || r.Value > 1.02*base {
-				b.Fatalf("playback times differ across configurations: %v", rows)
-			}
-		}
-	})
-}
-
-func BenchmarkAblationPollWindow(b *testing.B) {
-	runOnce(b, "ablation", func(b *testing.B, rows []bench.Row) {
-		interruptRT := value(b, rows, "no-op RT", "window=0 (interrupts)")
-		paperRT := value(b, rows, "no-op RT", "window=200.000µs")
-		if paperRT >= interruptRT/3 {
-			b.Fatalf("200µs window RT %.1fµs did not beat interrupts %.1fµs", paperRT, interruptRT)
-		}
-		// The paper's 200µs window performs at least as well as every
-		// smaller window on all three workloads.
-		for _, series := range []string{"no-op RT", "netmap batch=4", "mouse latency"} {
-			paper := value(b, rows, series, "window=200.000µs")
-			small := value(b, rows, series, "window=10.000µs")
-			if series == "netmap batch=4" {
-				if paper < small {
-					b.Fatalf("%s: 200µs window worse than 10µs", series)
-				}
-			} else if paper > small {
-				b.Fatalf("%s: 200µs window worse than 10µs (%.1f vs %.1f)", series, paper, small)
-			}
-		}
-	})
-}
-
-func BenchmarkBulkTransfer(b *testing.B) {
-	runOnce(b, "bulk", func(b *testing.B, rows []bench.Row) {
-		// The crossover: single-use mappings lose to the assisted copy,
-		// well-reused mappings win.
-		copy16 := value(b, rows, "assisted copy @16K", "R=1")
-		if once := value(b, rows, "map cache @16K", "R=1"); once <= copy16 {
-			b.Fatalf("single-use mapping %.1fµs beat the assisted copy %.1fµs", once, copy16)
-		}
-		if reused := value(b, rows, "map cache @16K", "R=16"); reused >= copy16 {
-			b.Fatalf("R=16 mapping %.1fµs did not beat the assisted copy %.1fµs", reused, copy16)
-		}
-		// At high reuse the win grows with size.
-		smallWin := value(b, rows, "assisted copy", "4K") - value(b, rows, "map cache (R=16)", "4K")
-		bigWin := value(b, rows, "assisted copy", "64K") - value(b, rows, "map cache (R=16)", "64K")
-		if bigWin <= smallWin || bigWin <= 0 {
-			b.Fatalf("map-cache win did not grow with size: 4K %.2fµs, 64K %.2fµs", smallWin, bigWin)
-		}
-		// Coalescing: the 8-post burst shares IRQs instead of one per post.
-		off := value(b, rows, "doorbell IRQs (8-post burst)", "window=0 (off)")
-		on := value(b, rows, "doorbell IRQs (8-post burst)", "window=40.000µs")
-		if on >= off/2 {
-			b.Fatalf("coalescing left %.0f of %.0f doorbell IRQs", on, off)
-		}
-	})
-}
-
-func BenchmarkWalkcache(b *testing.B) {
-	runOnce(b, "walkcache", func(b *testing.B, rows []bench.Row) {
-		// The acceptance bar: warm small operations (≤2 KB, the assisted-copy
-		// regime) are at least 15% faster than per-request walks.
-		for _, size := range bench.WalkSizes {
-			x := sizeLabel(size)
-			cold := value(b, rows, "per-request walks", x)
-			warm := value(b, rows, "translation cache", x)
-			if warm > 0.85*cold {
-				b.Fatalf("warm %s op %.3fµs not >=15%% under cold %.3fµs", x, warm, cold)
-			}
-		}
-		// The steady-state TLB hit rate is high: one miss to prove the page,
-		// hits thereafter.
-		if rate := rowValue(b, rows, "TLB hit rate (1K echo)"); rate < 75 {
-			b.Fatalf("steady-state TLB hit rate %.1f%%, want >= 75%%", rate)
-		}
-		// Batched grant hypercalls: the 8-chunk scatter-gather declare takes
-		// at most 2 crossings instead of one per entry.
-		perEntry := value(b, rows, "grant crossings (8-chunk CS)", "per-entry")
-		batched := value(b, rows, "grant crossings (8-chunk CS)", "batched")
-		if perEntry < 8 {
-			b.Fatalf("per-entry 8-chunk declare took %.0f crossings, expected >= 8", perEntry)
-		}
-		if batched > 2 {
-			b.Fatalf("batched 8-chunk declare took %.0f crossings, want <= 2", batched)
-		}
-	})
-}
-
-// rowValue finds a row by series alone (single-valued series).
-func rowValue(b *testing.B, rows []bench.Row, series string) float64 {
-	b.Helper()
-	for _, r := range rows {
-		if r.Series == series {
-			return r.Value
-		}
-	}
-	b.Fatalf("no row for series %q", series)
-	return 0
-}
-
-// sizeLabel mirrors the bench package's sweep labels.
-func sizeLabel(n int) string {
-	if n >= 1024 {
-		return fmt.Sprintf("%dK", n/1024)
-	}
-	return fmt.Sprintf("%dB", n)
-}
-
-// --- observability overhead: the nil-sink guarantees ---
-
 // The end-to-end no-op latencies of the seed cost model, captured before the
-// trace instrumentation landed. The instrumented code with no tracer
-// installed must reproduce them bit for bit: observability reads the virtual
-// clock, it never advances it.
+// trace instrumentation landed.
 const (
 	noopGoldenInterrupts = 35309 * sim.Nanosecond
 	noopGoldenPolling    = 3109 * sim.Nanosecond
 )
+
+// noopLoop issues iters §6.1.1 no-ops from one task on gk: it opens the GPU,
+// allocates a 32-byte argument, and times each DRM Info ioctl on it. The
+// last one is in steady state for every transport.
+func noopLoop(t *testing.T, m *paradice.Machine, gk *kernel.Kernel, iters int) []sim.Duration {
+	t.Helper()
+	p, err := gk.NewProcess("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lat []sim.Duration
+	var runErr error
+	p.SpawnTask("loop", func(tk *kernel.Task) {
+		fd, err := tk.Open(paradice.PathGPU, 2)
+		if err != nil {
+			runErr = err
+			return
+		}
+		arg, err := p.Alloc(32)
+		if err != nil {
+			runErr = err
+			return
+		}
+		for i := 0; i < iters; i++ {
+			start := tk.Sim().Now()
+			if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
+				runErr = err
+				return
+			}
+			lat = append(lat, tk.Sim().Now().Sub(start))
+		}
+	})
+	m.Run()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return lat
+}
 
 // TestTracingDisabledLatencyGolden runs the §6.1.1 no-op through the fully
 // instrumented stack with no tracer installed and demands the
@@ -335,37 +75,7 @@ func TestTracingDisabledLatencyGolden(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, gk := guestKernel(t, paradice.Config{Mode: c.mode}, paradice.PathGPU)
-			p, err := gk.NewProcess("noop")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var last sim.Duration
-			done := make(chan error, 1)
-			p.SpawnTask("loop", func(tk *kernel.Task) {
-				fd, err := tk.Open(paradice.PathGPU, 2)
-				if err != nil {
-					done <- err
-					return
-				}
-				arg, err := p.Alloc(32)
-				if err != nil {
-					done <- err
-					return
-				}
-				for i := 0; i < 4; i++ { // the last iteration is steady state
-					start := tk.Sim().Now()
-					if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-						done <- err
-						return
-					}
-					last = tk.Sim().Now().Sub(start)
-				}
-				done <- nil
-			})
-			m.Run()
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
+			last := noopLoop(t, m, gk, 4)[3]
 			if last != c.want {
 				t.Fatalf("no-op latency with tracing disabled = %v, pre-instrumentation golden %v", last, c.want)
 			}
@@ -373,13 +83,13 @@ func TestTracingDisabledLatencyGolden(t *testing.T) {
 	}
 }
 
-// TestFastPathDisabledGolden is the analogous guarantee for the bulk-transfer
-// fast path: with the grant-map cache and doorbell coalescing compiled into
-// the CVD layer but switched off — and even with the map cache ON for a
-// workload that never crosses its threshold (ioctls carry no bulk data) —
-// the §6.1.1 no-op latencies must match the pre-fast-path goldens bit for
-// bit. A disabled optimization that shifts the baseline is a cost-model
-// regression.
+// TestFastPathDisabledGolden runs the §6.1.1 no-op through the fully
+// instrumented stack with no tracer installed, and with the grant-map cache
+// and doorbell coalescing compiled into the CVD layer but switched off — and
+// even with the map cache ON for a workload that never crosses its threshold
+// (ioctls carry no bulk data). The latencies must match the goldens bit for
+// bit: observability reads the virtual clock, it never advances it, and a
+// disabled optimization that shifts the baseline is a cost-model regression.
 func TestFastPathDisabledGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -404,37 +114,7 @@ func TestFastPathDisabledGolden(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, gk := guestKernel(t, c.cfg, paradice.PathGPU)
-			p, err := gk.NewProcess("noop")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var last sim.Duration
-			done := make(chan error, 1)
-			p.SpawnTask("loop", func(tk *kernel.Task) {
-				fd, err := tk.Open(paradice.PathGPU, 2)
-				if err != nil {
-					done <- err
-					return
-				}
-				arg, err := p.Alloc(32)
-				if err != nil {
-					done <- err
-					return
-				}
-				for i := 0; i < 4; i++ {
-					start := tk.Sim().Now()
-					if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-						done <- err
-						return
-					}
-					last = tk.Sim().Now().Sub(start)
-				}
-				done <- nil
-			})
-			m.Run()
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
+			last := noopLoop(t, m, gk, 4)[3]
 			if last != c.want {
 				t.Fatalf("no-op latency = %v with the fast path dormant, golden %v", last, c.want)
 			}
@@ -463,41 +143,8 @@ func TestWalkcacheArmedGolden(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := paradice.Config{Mode: c.mode, TLB: true, GrantBatch: true}
 			m, gk := guestKernel(t, cfg, paradice.PathGPU)
-			p, err := gk.NewProcess("noop")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var first, last sim.Duration
-			done := make(chan error, 1)
-			p.SpawnTask("loop", func(tk *kernel.Task) {
-				fd, err := tk.Open(paradice.PathGPU, 2)
-				if err != nil {
-					done <- err
-					return
-				}
-				arg, err := p.Alloc(32)
-				if err != nil {
-					done <- err
-					return
-				}
-				for i := 0; i < 4; i++ {
-					start := tk.Sim().Now()
-					if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-						done <- err
-						return
-					}
-					d := tk.Sim().Now().Sub(start)
-					if i == 0 {
-						first = d
-					}
-					last = d
-				}
-				done <- nil
-			})
-			m.Run()
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
+			lat := noopLoop(t, m, gk, 4)
+			first, last := lat[0], lat[3]
 			if want := c.golden - validateSaving; first != want {
 				t.Fatalf("first armed no-op = %v, want golden-%v = %v", first, validateSaving, want)
 			}
@@ -530,33 +177,4 @@ func TestTracerNilSinkZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil-sink tracer API allocates %.1f per call sequence, want 0", allocs)
 	}
-}
-
-func BenchmarkTable1DeviceInventory(b *testing.B) {
-	runOnce(b, "table1", func(b *testing.B, rows []bench.Row) {
-		if len(rows) != 5 {
-			b.Fatalf("expected 5 device classes, got %d", len(rows))
-		}
-	})
-}
-
-func BenchmarkTable2CodeBreakdown(b *testing.B) {
-	runOnce(b, "table2", nil)
-}
-
-func BenchmarkAnalyzerOnDRM(b *testing.B) {
-	runOnce(b, "analyzer", func(b *testing.B, rows []bench.Row) {
-		var sawDynamic bool
-		for _, r := range rows {
-			if r.Series == "DRM_CS" && !strings.Contains(r.X, "JIT") {
-				b.Fatal("the CS ioctl's nested copies were not classified dynamic")
-			}
-			if strings.Contains(r.X, "JIT") {
-				sawDynamic = true
-			}
-		}
-		if !sawDynamic {
-			b.Fatal("no command required JIT slice execution")
-		}
-	})
 }

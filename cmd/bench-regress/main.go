@@ -8,7 +8,9 @@
 //
 // The simulation is deterministic, so a change that keeps the cost model
 // leaves every row bit-identical, and one that changes it shows up as a
-// reviewed new snapshot.
+// reviewed new snapshot. Every run is also checked against the paper's
+// conclusions (bench.CheckClaims) on all its rows, tables included, so a
+// new snapshot that breaks one fails too.
 //
 // The current run is one or more files, merged:
 //
@@ -21,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -97,6 +100,26 @@ func load(paths ...string) (map[string]float64, error) {
 	return vals, nil
 }
 
+// checkClaims checks every experiment's claims on the merged rows of the
+// given files.
+func checkClaims(paths ...string) error {
+	rows := make(map[string][]bench.Row)
+	for _, path := range paths {
+		results, err := decode(path)
+		if err != nil {
+			return err
+		}
+		for _, res := range results {
+			rows[res.ID] = append(rows[res.ID], res.Rows...)
+		}
+	}
+	var errs []error
+	for _, e := range bench.All() {
+		errs = append(errs, bench.CheckClaims(e.ID, rows[e.ID]))
+	}
+	return errors.Join(errs...)
+}
+
 // compare returns one line per changed, missing or extra row, sorted.
 func compare(base, cur map[string]float64) []string {
 	var diffs []string
@@ -137,10 +160,18 @@ func main() {
 	cur, err := load(flag.Args()...)
 	check(err)
 
+	failed := false
+	if err := checkClaims(flag.Args()...); err != nil {
+		fmt.Fprintf(os.Stderr, "bench-regress: paper claims broken:\n%v\n", err)
+		failed = true
+	}
 	if diffs := compare(base, cur); len(diffs) > 0 {
 		fmt.Fprintf(os.Stderr, "bench-regress: %d row(s) differ from %s:\n  %s\n",
 			len(diffs), baseline, strings.Join(diffs, "\n  "))
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("bench-regress: %d rows identical to %s\n", len(base), baseline)
+	fmt.Printf("bench-regress: %d rows identical to %s, every paper claim holds\n", len(base), baseline)
 }

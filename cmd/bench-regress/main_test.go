@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -180,6 +181,58 @@ func TestSnapshotCoverage(t *testing.T) {
 			t.Errorf("%s: experiment %s missing", path, e.ID)
 		case !e.IsTable && len(res.Rows) == 0:
 			t.Errorf("%s: measured experiment %s has no rows", path, e.ID)
+		}
+	}
+}
+
+// Every paper claim holds on the committed snapshot's full-fidelity rows.
+func TestClaimsHoldOnSnapshot(t *testing.T) {
+	path, err := latest(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkClaims(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A run that breaks a claim fails, naming the claim's section, and a run
+// that lacks a row a claim reads fails, naming the row.
+func TestClaimsCanFail(t *testing.T) {
+	path, err := latest(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*bench.Row) (keep bool)
+		want string
+	}{
+		{"halved", func(r *bench.Row) bool { r.Value /= 2; return true }, "fig2 §6.1.2: polling reaches near-native"},
+		{"missing", func(*bench.Row) bool { return false }, "no row Paradice(P)/batch=4"},
+	} {
+		results, err := decode(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range results {
+			if results[i].ID != "fig2" {
+				continue
+			}
+			var rows []bench.Row
+			for _, r := range results[i].Rows {
+				if r.Series != "Paradice(P)" || r.X != "batch=4" || c.edit(&r) {
+					rows = append(rows, r)
+				}
+			}
+			results[i].Rows = rows
+		}
+		data, err := json.Marshal(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkClaims(write(t, string(data))...); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s Paradice(P)/batch=4: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

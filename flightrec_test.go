@@ -12,8 +12,6 @@ import (
 	"testing"
 
 	"paradice"
-	"paradice/internal/driver/drm"
-	"paradice/internal/kernel"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
 )
@@ -26,34 +24,7 @@ func armedNoop(t *testing.T, mode paradice.Mode, iters int) (*trace.Tracer, *tra
 	tr := m.StartTrace()
 	t.Cleanup(func() { m.StopTrace() })
 	fr := tr.ArmFlightRecorder(trace.FlightConfig{})
-	p, err := gk.NewProcess("noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	p.SpawnTask("loop", func(tk *kernel.Task) {
-		fd, err := tk.Open(paradice.PathGPU, 2)
-		if err != nil {
-			done <- err
-			return
-		}
-		arg, err := p.Alloc(32)
-		if err != nil {
-			done <- err
-			return
-		}
-		for i := 0; i < iters; i++ {
-			if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	})
-	m.Run()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	noopLoop(t, m, gk, iters)
 	return tr, fr
 }
 

@@ -5,9 +5,11 @@
 // workload, and reports rows in the paper's units alongside the paper's own
 // numbers where the paper states them.
 //
-// Both the testing.B benchmarks at the repository root and the
-// paradice-bench command drive these definitions, so the figures in
-// EXPERIMENTS.md and the `go test -bench` output come from the same code.
+// The paradice-bench command runs these definitions for the figures in
+// EXPERIMENTS.md. The paper's qualitative conclusions are stated once, as
+// claims on the rows (claims.go): TestAllExperimentsRegistered checks them on
+// the quick rows in every `go test ./...`, and cmd/bench-regress on the full
+// rows of every new run.
 package bench
 
 import (
@@ -537,7 +539,7 @@ func RunCamera(quick bool) ([]Row, error) {
 			if !res.Verified {
 				return nil, fmt.Errorf("%s %dx%d: frame corruption", p.name, r.W, r.H)
 			}
-			rows = append(rows, Row{Series: p.name, X: fmt.Sprintf("%dx%d", r.W, r.H),
+			rows = append(rows, Row{Series: p.name, X: camLabel(r),
 				Value: res.FPS, Unit: "FPS", Paper: 29.5})
 		}
 	}

@@ -27,9 +27,8 @@ import (
 // transfer, not by re-faulting).
 //
 // Everything runs on the virtual clock under fixed seeds, so the emitted
-// rows are byte-identical across runs and bench-regress can gate them
-// exactly: "failed"/handover must stay 0, downtime must not grow, and the
-// warm counters must stay nonzero.
+// rows are byte-identical across runs and bench-regress gates them exactly.
+// The experiment's claim (claims.go) is that "failed"/handover stays 0.
 
 const (
 	hoSize = 2048 // 4 µs service => 250 kops/s sink capacity
@@ -184,9 +183,6 @@ func RunHandover(quick bool) ([]Row, error) {
 	eps := ho.m.Handovers()
 	if len(eps) != 1 || eps[0].Aborted {
 		return nil, fmt.Errorf("handover: expected one committed episode, got %+v", eps)
-	}
-	if n := errorsOf(ho.res); n != 0 {
-		return nil, fmt.Errorf("handover: %d requests failed during a planned handover", n)
 	}
 	if ho.witnessErrs != 0 {
 		return nil, fmt.Errorf("handover: %d witness writes failed (last: %v)", ho.witnessErrs, ho.witnessLastErr)

@@ -19,9 +19,9 @@ import (
 // — the tentpole machinery this experiment exists to measure.
 //
 // The headline series is scaling efficiency: aggregate throughput at N
-// guests divided by N times the single-guest baseline. The gate, enforced
-// here, is that the adaptive transport sustains ≥ 0.85 efficiency at 8
-// guests — aggregate throughput at least 6.8× the 1-guest baseline.
+// guests divided by N times the single-guest baseline. Its claim (claims.go)
+// is that the adaptive transport sustains ≥ 0.85 efficiency at 8 guests —
+// aggregate throughput at least 6.8× the 1-guest baseline.
 //
 // Throughput is measured over the makespan (virtual time of the last event,
 // which includes draining any backlog past the offered window), so a
@@ -42,10 +42,6 @@ const (
 	multivmSeed         = 173
 	multivmMaxShards    = 4
 	multivmWorkers      = 4
-
-	// The in-run acceptance gate: adaptive scaling efficiency at 8 guests.
-	multivmGateGuests     = 8
-	multivmGateEfficiency = 0.85
 )
 
 // multivmConfigs are the transports under sweep. Every level runs the full
@@ -171,7 +167,7 @@ func multivmLevel(mode paradice.Mode, guests int, quick bool) (multivmOutcome, e
 // per level, the aggregate throughput and the worst per-guest p99 — then
 // the per-transport scaling-efficiency rows bench-regress pins. Efficiency
 // at N is aggregate throughput at N divided by N× the same transport's
-// 1-guest throughput; the adaptive transport must clear 0.85 at 8 guests.
+// 1-guest throughput.
 func RunMultiVM(quick bool) ([]Row, error) {
 	counts := multivmGuests
 	if quick {
@@ -209,11 +205,6 @@ func RunMultiVM(quick bool) ([]Row, error) {
 				Value:  eff,
 				Unit:   "ratio",
 			})
-			if c.name == "adaptive" && n == multivmGateGuests && eff < multivmGateEfficiency {
-				return nil, fmt.Errorf(
-					"multivm: adaptive scaling efficiency %.3f at %d guests below the %.2f gate (aggregate %.1f kops/s vs 1-guest %.1f kops/s)",
-					eff, n, multivmGateEfficiency, outcomes[c.name][n].tput, base)
-			}
 		}
 	}
 	return rows, nil

@@ -31,37 +31,3 @@ func TestTailDeterministic(t *testing.T) {
 		t.Fatalf("two same-seed tail runs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 }
-
-// The quick sweep carries the rows the gate guards: per-class p99 at every
-// load level, and the max-sustained-throughput row.
-func TestTailRowShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick sweep; skipped in -short")
-	}
-	rows, err := RunTail(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p99 := 0
-	sustained := false
-	for _, r := range rows {
-		switch {
-		case r.Series == "rt p99" || r.Series == "bulk p99":
-			p99++
-			if r.Value <= 0 {
-				t.Errorf("%s %s = %v, want > 0", r.Series, r.X, r.Value)
-			}
-		case r.Series == "max-sustained":
-			sustained = true
-			if r.Value <= 0 {
-				t.Errorf("max-sustained = %v, want > 0", r.Value)
-			}
-		}
-	}
-	if want := 2 * len(tailQuickRates); p99 != want {
-		t.Errorf("%d p99 rows, want %d", p99, want)
-	}
-	if !sustained {
-		t.Error("no max-sustained row")
-	}
-}

@@ -59,7 +59,7 @@ type Class struct {
 	Weight int // share of arrivals (relative to the other classes)
 	// SLO is the class's per-request latency objective (0 = none). The
 	// witness classes feed it to the flight recorder as the outlier-capture
-	// threshold and to the SLO watchdog as the burn objective.
+	// threshold.
 	SLO sim.Duration
 }
 

@@ -104,112 +104,6 @@ func TestNetmapTransmitsRealBytes(t *testing.T) {
 	}
 }
 
-func TestNetmapRateOrdering(t *testing.T) {
-	// Native >= Paradice(poll) >= Paradice(int) at a small batch size.
-	rate := func(mk func() (*paradice.Machine, *kernel.Kernel)) float64 {
-		m, k := mk()
-		res, err := workload.RunPktGen(m.Env, k, 4, 20000, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MPPS
-	}
-	native := rate(func() (*paradice.Machine, *kernel.Kernel) {
-		m, err := paradice.NewNative(paradice.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, m.AppKernel()
-	})
-	polled := rate(func() (*paradice.Machine, *kernel.Kernel) {
-		m, k := guestKernel(t, paradice.Config{Mode: paradice.Polling}, paradice.PathNetmap)
-		return m, k
-	})
-	interrupts := rate(func() (*paradice.Machine, *kernel.Kernel) {
-		m, k := guestKernel(t, paradice.Config{}, paradice.PathNetmap)
-		return m, k
-	})
-	if !(native >= polled && polled > interrupts) {
-		t.Fatalf("rate ordering violated: native=%.3f polled=%.3f interrupts=%.3f",
-			native, polled, interrupts)
-	}
-	// Paper: polling at batch 4 is similar to native.
-	if polled < 0.75*native {
-		t.Fatalf("polled rate %.3f < 75%% of native %.3f at batch 4", polled, native)
-	}
-}
-
-func TestMouseLatencyOrdering(t *testing.T) {
-	measure := func(mk func() (*paradice.Machine, *kernel.Kernel)) sim.Duration {
-		m, k := mk()
-		res, err := workload.RunMouseLatency(m.Env, k, m.Mouse, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Avg
-	}
-	native := measure(func() (*paradice.Machine, *kernel.Kernel) {
-		m, err := paradice.NewNative(paradice.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, m.AppKernel()
-	})
-	da := measure(func() (*paradice.Machine, *kernel.Kernel) {
-		m, err := paradice.NewDeviceAssignment(paradice.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, m.AppKernel()
-	})
-	pInt := measure(func() (*paradice.Machine, *kernel.Kernel) {
-		m, k := guestKernel(t, paradice.Config{}, paradice.PathMouse)
-		return m, k
-	})
-	pPoll := measure(func() (*paradice.Machine, *kernel.Kernel) {
-		m, k := guestKernel(t, paradice.Config{Mode: paradice.Polling}, paradice.PathMouse)
-		return m, k
-	})
-	t.Logf("mouse latency: native=%v da=%v paradice-int=%v paradice-poll=%v",
-		native, da, pInt, pPoll)
-	if !(native < da && da < pPoll && pPoll < pInt) {
-		t.Fatalf("latency ordering violated: native=%v da=%v poll=%v int=%v",
-			native, da, pPoll, pInt)
-	}
-	// All well under the 1 ms human-perception threshold (§6.1.5).
-	if pInt >= sim.Duration(sim.Millisecond) {
-		t.Fatalf("paradice-int latency %v exceeds 1ms", pInt)
-	}
-}
-
-func TestCameraFPSAcrossResolutions(t *testing.T) {
-	for _, cfgName := range []string{"native", "paradice"} {
-		var m *paradice.Machine
-		var k *kernel.Kernel
-		if cfgName == "native" {
-			mm, err := paradice.NewNative(paradice.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, k = mm, mm.AppKernel()
-		} else {
-			m, k = guestKernel(t, paradice.Config{}, paradice.PathCamera)
-		}
-		res, err := workload.RunCamera(m.Env, k, workloadCamRes(), 30)
-		if err != nil {
-			t.Fatalf("%s: %v", cfgName, err)
-		}
-		if !res.Verified {
-			t.Fatalf("%s: frame pattern corrupted in transit", cfgName)
-		}
-		if res.FPS < 29 || res.FPS > 30 {
-			t.Fatalf("%s: FPS = %.2f, want ~29.5", cfgName, res.FPS)
-		}
-	}
-}
-
-func workloadCamRes() (r struct{ W, H int }) { return struct{ W, H int }{1280, 720} }
-
 func TestAudioPlaybackRealTime(t *testing.T) {
 	m, gk := guestKernel(t, paradice.Config{}, paradice.PathAudio)
 	res, err := workload.RunAudio(m.Env, gk, 0.5)
@@ -222,38 +116,6 @@ func TestAudioPlaybackRealTime(t *testing.T) {
 	}
 	if m.Audio.FramesPlayed < 23000 {
 		t.Fatalf("codec played %d frames, want ~24000", m.Audio.FramesPlayed)
-	}
-}
-
-func TestGLBenchOrdering(t *testing.T) {
-	fps := func(mode paradice.Mode, kind string) float64 {
-		var m *paradice.Machine
-		var k *kernel.Kernel
-		if kind == "native" {
-			mm, err := paradice.NewNative(paradice.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, k = mm, mm.AppKernel()
-		} else {
-			m, k = guestKernel(t, paradice.Config{Mode: mode}, paradice.PathGPU)
-		}
-		res, err := workload.RunGL(m.Env, k, workload.GLVertexBufferObjects, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.FPS
-	}
-	native := fps(paradice.Interrupts, "native")
-	pInt := fps(paradice.Interrupts, "paradice")
-	pPoll := fps(paradice.Polling, "paradice")
-	t.Logf("GL VBO fps: native=%.1f paradice-int=%.1f paradice-poll=%.1f", native, pInt, pPoll)
-	if !(native > pPoll && pPoll > pInt) {
-		t.Fatalf("FPS ordering violated: native=%.1f poll=%.1f int=%.1f", native, pPoll, pInt)
-	}
-	// Polling closes the gap (§6.1.3).
-	if pPoll < 0.93*native {
-		t.Fatalf("polled FPS %.1f below 93%% of native %.1f", pPoll, native)
 	}
 }
 

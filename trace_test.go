@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"paradice"
-	"paradice/internal/driver/drm"
-	"paradice/internal/kernel"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
@@ -27,34 +25,7 @@ func tracedNoop(t *testing.T, mode paradice.Mode, iters int) *trace.Tracer {
 	m, gk := guestKernel(t, paradice.Config{Mode: mode}, paradice.PathGPU)
 	tr := m.StartTrace()
 	t.Cleanup(func() { m.StopTrace() })
-	p, err := gk.NewProcess("noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	p.SpawnTask("loop", func(tk *kernel.Task) {
-		fd, err := tk.Open(paradice.PathGPU, 2)
-		if err != nil {
-			done <- err
-			return
-		}
-		arg, err := p.Alloc(32)
-		if err != nil {
-			done <- err
-			return
-		}
-		for i := 0; i < iters; i++ {
-			if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	})
-	m.Run()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	noopLoop(t, m, gk, iters)
 	return tr
 }
 
