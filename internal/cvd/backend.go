@@ -89,6 +89,9 @@ type Backend struct {
 	// handler thread each, and bounded workers serve channels round-robin.
 	// See pool.go.
 	pool *Pool
+	// poolChan is this channel's queue in pool, set by Join and cleared by
+	// Leave, so an enqueue need not search the pool's channel list.
+	poolChan *poolChan
 	// onDeath, when set, is invoked once if the backend dies abnormally —
 	// an injected driver-VM crash or an explicit Kill — but NOT on an
 	// orderly Stop. Driver-VM supervision registers here for immediate

@@ -36,6 +36,7 @@ type Pool struct {
 
 	channels []*poolChan
 	rr       int // round-robin cursor into channels
+	queued   int // operations queued over all channels
 
 	// onServe, when set, observes every dequeue in service order (test hook
 	// for the per-channel FIFO contract). Runs in worker context before the
@@ -52,7 +53,7 @@ type Pool struct {
 // poolChan is one channel's slice of the pool: its FIFO backlog.
 type poolChan struct {
 	b *Backend
-	q []request
+	q sim.FIFO[request]
 }
 
 // NewPool creates a worker pool of the given size on the driver VM kernel
@@ -87,8 +88,9 @@ func (pl *Pool) Join(b *Backend) {
 			return
 		}
 	}
-	pl.channels = append(pl.channels, &poolChan{b: b})
-	b.pool = pl
+	c := &poolChan{b: b}
+	pl.channels = append(pl.channels, c)
+	b.pool, b.poolChan = pl, c
 }
 
 // Leave detaches a backend's channel, discarding its backlog — called on
@@ -97,7 +99,8 @@ func (pl *Pool) Join(b *Backend) {
 func (pl *Pool) Leave(b *Backend) {
 	for i, c := range pl.channels {
 		if c.b == b {
-			pl.Dropped += uint64(len(c.q))
+			pl.Dropped += uint64(c.q.Len())
+			pl.queued -= c.q.Len()
 			pl.channels = append(pl.channels[:i], pl.channels[i+1:]...)
 			if pl.rr > i {
 				pl.rr--
@@ -111,7 +114,7 @@ func (pl *Pool) Leave(b *Backend) {
 		}
 	}
 	if b.pool == pl {
-		b.pool = nil
+		b.pool, b.poolChan = nil, nil
 	}
 }
 
@@ -126,44 +129,42 @@ func (pl *Pool) Stop() {
 // enqueue appends one decoded operation to the backend's channel queue and
 // wakes the workers. Called from the channel's dispatcher.
 func (pl *Pool) enqueue(b *Backend, req request) {
-	for _, c := range pl.channels {
-		if c.b == b {
-			c.q = append(c.q, req)
-			pl.Enqueued++
-			if d := pl.depth(); d > pl.MaxDepth {
-				pl.MaxDepth = d
-			}
-			trace.Get(pl.driverK.Env).Add("cvd.pool.enqueued", 1)
-			pl.doorbell.Trigger()
-			return
-		}
+	c := b.poolChan
+	if b.pool != pl || c == nil {
+		// Channel never joined (or already left): the operation belongs to
+		// a ring generation this pool will not serve.
+		pl.Dropped++
+		return
 	}
-	// Channel never joined (or already left): the operation belongs to a
-	// ring generation this pool will not serve.
-	pl.Dropped++
+	c.q.Push(req)
+	pl.queued++
+	pl.Enqueued++
+	pl.MaxDepth = max(pl.MaxDepth, pl.queued)
+	trace.Get(pl.driverK.Env).Add("cvd.pool.enqueued", 1)
+	pl.doorbell.Trigger()
 }
 
-func (pl *Pool) depth() int {
-	n := 0
-	for _, c := range pl.channels {
-		n += len(c.q)
-	}
-	return n
-}
+// depth returns the operations queued over all channels.
+func (pl *Pool) depth() int { return pl.queued }
 
 // next pops the next operation in round-robin order, or reports none
 // pending: the first channel at or after the cursor with work queued serves
 // one operation, and the cursor moves past it — so while others wait, no
 // channel is served twice in a row, and an empty channel forfeits its turn.
+//
+// With nothing queued it returns at once: a full scan would bring the cursor
+// back to where it started, so skipping it changes no later choice.
 func (pl *Pool) next() (*Backend, request, bool) {
+	if pl.queued == 0 {
+		return nil, request{}, false
+	}
 	n := len(pl.channels)
 	for i := 0; i < n; i++ {
 		c := pl.channels[pl.rr]
 		pl.rr = (pl.rr + 1) % n
-		if len(c.q) > 0 {
-			req := c.q[0]
-			c.q = c.q[1:]
-			return c.b, req, true
+		if c.q.Len() > 0 {
+			pl.queued--
+			return c.b, c.q.Pop(), true
 		}
 	}
 	return nil, request{}, false

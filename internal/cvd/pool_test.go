@@ -1,6 +1,7 @@
 package cvd
 
 import (
+	"math/rand"
 	"testing"
 
 	"paradice/internal/devfile"
@@ -226,5 +227,141 @@ func TestPoolLeaveDropsBacklog(t *testing.T) {
 	if got := r.pool.Enqueued - r.pool.Served - r.pool.Dropped; got != 0 {
 		t.Fatalf("stats leak: enqueued %d != served %d + dropped %d",
 			r.pool.Enqueued, r.pool.Served, r.pool.Dropped)
+	}
+}
+
+// refPool is the pool's bookkeeping as it was before the running count and
+// the per-backend channel pointer: every enqueue searches the channel list,
+// depth sums the queues, and next always scans from the cursor.
+type refPool struct {
+	channels []*refChan
+	rr       int
+	enqueued uint64
+	dropped  uint64
+	maxDepth int
+}
+
+type refChan struct {
+	b *Backend
+	q []request
+}
+
+func (pl *refPool) join(b *Backend) {
+	for _, c := range pl.channels {
+		if c.b == b {
+			return
+		}
+	}
+	pl.channels = append(pl.channels, &refChan{b: b})
+}
+
+func (pl *refPool) leave(b *Backend) {
+	for i, c := range pl.channels {
+		if c.b == b {
+			pl.dropped += uint64(len(c.q))
+			pl.channels = append(pl.channels[:i], pl.channels[i+1:]...)
+			if pl.rr > i {
+				pl.rr--
+			}
+			if len(pl.channels) > 0 {
+				pl.rr %= len(pl.channels)
+			} else {
+				pl.rr = 0
+			}
+			return
+		}
+	}
+}
+
+func (pl *refPool) enqueue(b *Backend, req request) {
+	for _, c := range pl.channels {
+		if c.b == b {
+			c.q = append(c.q, req)
+			pl.enqueued++
+			pl.maxDepth = max(pl.maxDepth, pl.depth())
+			return
+		}
+	}
+	pl.dropped++
+}
+
+func (pl *refPool) depth() int {
+	n := 0
+	for _, c := range pl.channels {
+		n += len(c.q)
+	}
+	return n
+}
+
+func (pl *refPool) next() (*Backend, request, bool) {
+	n := len(pl.channels)
+	for i := 0; i < n; i++ {
+		c := pl.channels[pl.rr]
+		pl.rr = (pl.rr + 1) % n
+		if len(c.q) > 0 {
+			req := c.q[0]
+			c.q = c.q[1:]
+			return c.b, req, true
+		}
+	}
+	return nil, request{}, false
+}
+
+// TestPoolBookkeepingMatchesReference drives the pool's queues directly —
+// no workers, no rings — through seeded random joins, enqueues, dequeues and
+// leaves, and checks after every step that the running depth is the sum of
+// the queues and that every dequeue, cursor position and counter equals the
+// reference scan's.
+func TestPoolBookkeepingMatchesReference(t *testing.T) {
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pl := &Pool{driverK: &kernel.Kernel{Env: env}, doorbell: env.NewEvent("pool")}
+		ref := &refPool{}
+		bes := make([]*Backend, 1+rng.Intn(6))
+		for i := range bes {
+			bes[i] = &Backend{}
+		}
+		seq := uint32(0)
+		for step := 0; step < 400; step++ {
+			b := bes[rng.Intn(len(bes))]
+			switch k := rng.Intn(20); {
+			case k < 2:
+				pl.Join(b)
+				ref.join(b)
+			case k < 3:
+				pl.Leave(b)
+				ref.leave(b)
+			case k < 12:
+				seq++
+				req := request{slot: rng.Intn(slotCount), seq: seq}
+				pl.enqueue(b, req)
+				ref.enqueue(b, req)
+			default:
+				gb, greq, gok := pl.next()
+				wb, wreq, wok := ref.next()
+				if gb != wb || greq != wreq || gok != wok {
+					t.Fatalf("seed %d step %d: next = %p, seq %d, %v; reference %p, seq %d, %v",
+						seed, step, gb, greq.seq, gok, wb, wreq.seq, wok)
+				}
+			}
+			sum := 0
+			for _, c := range pl.channels {
+				sum += c.q.Len()
+			}
+			if pl.depth() != sum || sum != ref.depth() {
+				t.Fatalf("seed %d step %d: depth %d, queues hold %d, reference %d", seed, step, pl.depth(), sum, ref.depth())
+			}
+			if pl.rr != ref.rr || pl.Enqueued != ref.enqueued || pl.Dropped != ref.dropped || pl.MaxDepth != ref.maxDepth {
+				t.Fatalf("seed %d step %d: cursor %d, enqueued %d, dropped %d, max depth %d; reference %d, %d, %d, %d",
+					seed, step, pl.rr, pl.Enqueued, pl.Dropped, pl.MaxDepth, ref.rr, ref.enqueued, ref.dropped, ref.maxDepth)
+			}
+			for _, b := range bes {
+				if (b.poolChan != nil) != (b.pool == pl) {
+					t.Fatalf("seed %d step %d: backend pool %p with channel %p", seed, step, b.pool, b.poolChan)
+				}
+			}
+		}
 	}
 }

@@ -107,11 +107,14 @@ type page struct {
 	acc *grant.GuestAccessor
 }
 
-// view is one scan's read-only window onto the ring page: a single EPT
-// translation, then plain loads. It aliases the live frame, so writes made
-// through the page show in it. Take a fresh view per scan and never hold
-// one across a yield (Sleep, Advance, Wait), where the peer may rewrite the
-// page or the hypervisor may revoke the driver VM's mapping.
+// view is one scan's read-only window onto the ring page: one checked
+// access, then plain loads. The accessor keeps the page's resolution and
+// revalidates it against the EPT generation on every call, so taking a view
+// costs a comparison until the EPT changes. A view aliases the live frame,
+// so writes made through the page show in it. Take a fresh view per scan
+// and never hold one across a yield (Sleep, Advance, Wait), where the peer
+// may rewrite the page or the hypervisor may revoke the driver VM's mapping:
+// only a new call sees the revocation.
 type view struct{ b *[mem.PageSize]byte }
 
 func (p page) view() view {

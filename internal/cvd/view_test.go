@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,26 +52,50 @@ func TestRingScansDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRingViewChecksDriverEPT: the backend's scan reads the ring through the
-// driver VM's EPT, so a ring page the driver VM may no longer read stops it
-// exactly as a field read did.
+// TestRingViewChecksDriverEPT: the backend reads and writes the ring through
+// the driver VM's EPT. Its accessor keeps the page's resolution, so after the
+// backend has used the ring, an EPT change must still stop its next access
+// with the error a first access through a fresh accessor raises.
 func TestRingViewChecksDriverEPT(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		strip func(ept *mem.EPT, gpa mem.GuestPhys) error
+		name   string
+		change func(ept *mem.EPT, gpa mem.GuestPhys) error
 	}{
 		{"unmapped", func(ept *mem.EPT, gpa mem.GuestPhys) error { return ept.Unmap(gpa) }},
 		{"write-only", func(ept *mem.EPT, gpa mem.GuestPhys) error { return ept.SetPerm(gpa, mem.PermWrite) }},
+		{"read-only", func(ept *mem.EPT, gpa mem.GuestPhys) error { return ept.SetPerm(gpa, mem.PermRead) }},
 	} {
 		r := newRig(t, Interrupts, kernel.Linux)
-		if err := c.strip(r.driverVM.EPT, r.be.ring.acc.GPA); err != nil {
+		acc := r.be.ring.acc
+		r.be.oldestPosted()
+		r.be.ring.writeU32(hdrNotifBits, 0)
+		if err := c.change(r.driverVM.EPT, acc.GPA); err != nil {
 			t.Fatal(err)
+		}
+
+		cold := &grant.GuestAccessor{Space: acc.Space, GPA: acc.GPA}
+		_, wantPage := cold.Page()
+		wantWrite := cold.WriteAt(hdrNotifBits, []byte{1, 0, 0, 0})
+		_, gotPage := acc.Page()
+		gotWrite := acc.WriteAt(hdrNotifBits, []byte{1, 0, 0, 0})
+		if !reflect.DeepEqual(gotPage, wantPage) {
+			t.Errorf("%s: Page = %v, fresh accessor %v", c.name, gotPage, wantPage)
+		}
+		if !reflect.DeepEqual(gotWrite, wantWrite) {
+			t.Errorf("%s: WriteAt = %v, fresh accessor %v", c.name, gotWrite, wantWrite)
+		}
+		if c.name != "write-only" && gotWrite == nil {
+			t.Errorf("%s: WriteAt succeeded", c.name)
+		}
+		if c.name == "read-only" {
+			continue
 		}
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "cvd: ring page inaccessible: EPT violation") {
-					t.Errorf("%s: oldestPosted panicked with %q, want a ring-inaccessible EPT violation", c.name, msg)
+				want := "cvd: ring page inaccessible: " + wantPage.Error()
+				if msg != want || !strings.HasPrefix(msg, "cvd: ring page inaccessible: EPT violation") {
+					t.Errorf("%s: oldestPosted panicked with %q, want %q", c.name, msg, want)
 				}
 			}()
 			r.be.oldestPosted()

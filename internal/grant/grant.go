@@ -69,6 +69,10 @@ const (
 const Slots = slotCount
 
 // Accessor is how one side of the boundary reads and writes the shared page.
+// Each implementation keeps the page's resolution between calls and checks
+// it on every call — the guest-physical one against its EPT's generation —
+// so an Unmap or SetPerm takes effect on the very next access, exactly as a
+// fresh translation would.
 type Accessor interface {
 	// Page returns the whole page for reading, checked and translated once,
 	// so a scan of its fields costs one translation rather than one per
@@ -82,36 +86,93 @@ type Accessor interface {
 
 // GuestAccessor accesses the page through a guest-physical address — the
 // frontend's view. GPA is the page's base.
+//
+// It remembers the last successful resolution of GPA — the frame and the EPT
+// permission — together with the EPT and its generation at the time. A call
+// serves from that while Space.EPT is the same table at the same generation:
+// a backed frame never moves or unbacks, so an unchanged EPT means an
+// unchanged translation. Any other call takes the full path and returns its
+// exact error.
 type GuestAccessor struct {
 	Space *mem.GuestSpace
 	GPA   mem.GuestPhys
+
+	ept   *mem.EPT
+	gen   uint64
+	frame *[mem.PageSize]byte // nil: nothing resolved
+	perm  mem.Perm
+}
+
+// cached returns the remembered frame if it is still current and its
+// mapping allows access, else nil.
+func (a *GuestAccessor) cached(access mem.Perm) *[mem.PageSize]byte {
+	if a.frame == nil || a.ept != a.Space.EPT || a.gen != a.ept.Generation() || !a.perm.Allows(access) {
+		return nil
+	}
+	return a.frame
+}
+
+// remember records GPA's current resolution. Call it only after an access
+// to GPA's page succeeded, so the page is mapped and its frame backed.
+func (a *GuestAccessor) remember() {
+	ept := a.Space.EPT
+	spa, perm, _ := ept.Lookup(a.GPA)
+	a.ept, a.gen, a.frame, a.perm = ept, ept.Generation(), a.Space.Phys.FrameBytes(spa), perm
 }
 
 // Page implements Accessor: the EPT must grant the VM read access, and the
 // frame must be backed, exactly as for a read through Space.
 func (a *GuestAccessor) Page() (*[mem.PageSize]byte, error) {
+	if f := a.cached(mem.PermRead); f != nil {
+		return f, nil
+	}
 	spa, err := a.Space.EPT.Translate(a.GPA, mem.PermRead)
 	if err != nil {
 		return nil, err
 	}
-	return frame(a.Space.Phys, spa)
+	f, err := frame(a.Space.Phys, spa)
+	if err == nil {
+		a.remember()
+	}
+	return f, err
 }
 
-// WriteAt implements Accessor.
+// WriteAt implements Accessor: a write within the page needs the EPT to
+// grant write access; one that runs past the page goes through Space.
 func (a *GuestAccessor) WriteAt(off int, b []byte) error {
-	return a.Space.Write(a.GPA+mem.GuestPhys(off), b)
+	o := int(mem.PageOffset(uint64(a.GPA))) + off
+	inPage := off >= 0 && o+len(b) <= mem.PageSize
+	if f := a.cached(mem.PermWrite); f != nil && inPage {
+		copy(f[o:], b)
+		return nil
+	}
+	if err := a.Space.Write(a.GPA+mem.GuestPhys(off), b); err != nil {
+		return err
+	}
+	if inPage && len(b) > 0 {
+		a.remember()
+	}
+	return nil
 }
 
 // PhysAccessor accesses the page through its system-physical address — the
-// hypervisor's view. SPA is the page's base.
+// hypervisor's view. SPA is the page's base. Once the frame is backed it is
+// kept: a backed frame never moves or unbacks.
 type PhysAccessor struct {
 	Phys *mem.PhysMem
 	SPA  mem.SysPhys
+
+	frame *[mem.PageSize]byte // nil until the frame is first found backed
 }
 
 // Page implements Accessor.
 func (a *PhysAccessor) Page() (*[mem.PageSize]byte, error) {
-	return frame(a.Phys, a.SPA)
+	if a.frame != nil {
+		return a.frame, nil
+	}
+	f, err := frame(a.Phys, a.SPA)
+	a.frame = f
+	return f, err
 }
 
 // WriteAt implements Accessor.
@@ -137,6 +198,9 @@ func slotRef(pg *[mem.PageSize]byte, slot int) uint32 {
 type Table struct {
 	acc     Accessor
 	nextRef uint32
+	// slot is where writeSlot encodes an entry. A buffer on the stack would
+	// escape through the Accessor interface and cost an allocation per entry.
+	slot [slotSize]byte
 	// onRevoke subscribers run after a reference's slots are zeroed. The
 	// grant-map cache registers here: a mapping established under a revoked
 	// reference must be torn down deterministically, in the same instant the
@@ -178,7 +242,7 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 		if slotRef(pg, slot) != 0 {
 			continue
 		}
-		if err := writeSlot(t.acc, slot, ref, ptRoot, ops[written]); err != nil {
+		if err := t.writeSlot(slot, ref, ptRoot, ops[written]); err != nil {
 			return 0, err
 		}
 		written++
@@ -223,14 +287,15 @@ func (t *Table) OnDeclare(fn func(ref uint32, ptRoot mem.GuestPhys, ops []Op)) {
 	t.onDeclare = append(t.onDeclare, fn)
 }
 
-func writeSlot(acc Accessor, slot int, ref uint32, ptRoot mem.GuestPhys, op Op) error {
-	var buf [slotSize]byte
+func (t *Table) writeSlot(slot int, ref uint32, ptRoot mem.GuestPhys, op Op) error {
+	buf := &t.slot
+	*buf = [slotSize]byte{}
 	binary.LittleEndian.PutUint32(buf[offRef:], ref)
 	buf[offKind] = uint8(op.Kind)
 	binary.LittleEndian.PutUint64(buf[offVA:], uint64(op.VA))
 	binary.LittleEndian.PutUint64(buf[offLen:], op.Len)
 	binary.LittleEndian.PutUint64(buf[offPTRoot:], uint64(ptRoot))
-	return acc.WriteAt(slot*slotSize, buf[:])
+	return t.acc.WriteAt(slot*slotSize, buf[:])
 }
 
 // zeroSlot is what revoke writes over a freed slot. Package-level so the

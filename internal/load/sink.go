@@ -33,6 +33,11 @@ type Sink struct {
 	res   *sim.Resource
 	base  sim.Duration
 	perKB sim.Duration
+
+	// scratch receives every payload. Its bytes are never read, so the
+	// operations in flight at once may share it; it grows to the largest
+	// payload seen.
+	scratch []byte
 }
 
 // NewSink creates a sink whose service time for an n-byte payload is
@@ -55,8 +60,7 @@ func (s *Sink) Capacity(n int) float64 { return 1 / s.ServiceTime(n).Seconds() }
 func (s *Sink) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {
 	n := int(cmd.Size())
 	if n > 0 {
-		buf := make([]byte, n)
-		if err := kernel.CopyFromUser(c, arg, buf); err != nil {
+		if err := kernel.CopyFromUser(c, arg, s.payload(n)); err != nil {
 			return 0, err
 		}
 	}
@@ -71,13 +75,20 @@ func (s *Sink) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVirt) 
 // handover experiment uses it as the map-cache witness traffic.
 func (s *Sink) Write(c *kernel.FopCtx, src mem.GuestVirt, n int) (int, error) {
 	if n > 0 {
-		buf := make([]byte, n)
-		if err := kernel.CopyFromUser(c, src, buf); err != nil {
+		if err := kernel.CopyFromUser(c, src, s.payload(n)); err != nil {
 			return 0, err
 		}
 	}
 	s.serve(c, n)
 	return n, nil
+}
+
+// payload returns an n-byte buffer to copy a payload into and discard.
+func (s *Sink) payload(n int) []byte {
+	if n > len(s.scratch) {
+		s.scratch = make([]byte, n)
+	}
+	return s.scratch[:n]
 }
 
 // serve holds the serial service unit for an n-byte payload's service time.

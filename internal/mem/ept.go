@@ -21,6 +21,7 @@ import (
 type EPT struct {
 	runs  []eptRun // sorted by gfn, non-overlapping, none empty
 	pages int      // mapped pages, the sum of runs[i].n
+	gen   uint64   // bumped by every mutating call; see Generation
 
 	// OnChange, when set, is invoked once after every successful mutating
 	// call — MapRange, Map, Unmap, SetPerm. The hypervisor's software TLB
@@ -65,6 +66,7 @@ func (e *EPT) find(f uint64) (int, bool) {
 }
 
 func (e *EPT) changed() {
+	e.gen++
 	if e.OnChange != nil {
 		e.OnChange()
 	}
@@ -213,6 +215,12 @@ func (e *EPT) FindUnusedRange(lo, hi GuestPhys, n int) (GuestPhys, error) {
 	}
 	return 0, fmt.Errorf("ept: no %d-page gap in [%v, %v)", n, lo, hi)
 }
+
+// Generation returns a counter that every successful mutating call —
+// MapRange, Map, Unmap, SetPerm — advances. While it reads the same, every
+// translation and permission reads the same, so a caller may keep a resolved
+// translation and revalidate it with one comparison instead of a lookup.
+func (e *EPT) Generation() uint64 { return e.gen }
 
 // Count returns the number of mapped pages (diagnostics).
 func (e *EPT) Count() int { return e.pages }

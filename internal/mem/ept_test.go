@@ -419,3 +419,34 @@ func TestEPTOnChangeOncePerMapRange(t *testing.T) {
 		t.Fatalf("a failed MapRange fired OnChange")
 	}
 }
+
+// Every successful mutating call advances the generation, and a failed one
+// leaves it alone, so a translation kept at one generation is current until
+// the generation moves.
+func TestEPTGenerationAdvancesOnEveryChange(t *testing.T) {
+	e := NewEPT()
+	steps := []struct {
+		name string
+		call func() error
+		ok   bool
+	}{
+		{"MapRange", func() error { return e.MapRange(0, 0x400000, 4, PermRW) }, true},
+		{"Map", func() error { return e.Map(0x8000, 0x900000, PermRead) }, true},
+		{"SetPerm", func() error { return e.SetPerm(0x1000, PermRead) }, true},
+		{"SetPerm unchanged", func() error { return e.SetPerm(0x1000, PermRead) }, true},
+		{"Unmap", func() error { return e.Unmap(0x2000) }, true},
+		{"Map over a mapping", func() error { return e.Map(0, 0x900000, PermRW) }, false},
+		{"Unmap unmapped", func() error { return e.Unmap(0x2000) }, false},
+		{"SetPerm unmapped", func() error { return e.SetPerm(0x2000, PermRW) }, false},
+	}
+	for _, s := range steps {
+		before := e.Generation()
+		err := s.call()
+		if (err == nil) != s.ok {
+			t.Fatalf("%s: err = %v, want success %v", s.name, err, s.ok)
+		}
+		if moved := e.Generation() != before; moved != s.ok {
+			t.Fatalf("%s: generation moved = %v, want %v", s.name, moved, s.ok)
+		}
+	}
+}

@@ -9,7 +9,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  FIFO[*Proc]
 }
 
 // NewResource returns a resource with the given capacity (must be >= 1).
@@ -23,11 +23,11 @@ func (e *Env) NewResource(name string, capacity int) *Resource {
 // Acquire blocks p until a unit of the resource is available, then takes it.
 func (r *Resource) Acquire(p *Proc) {
 	p.check()
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.Push(p)
 	p.block()
 	// Release granted the unit to us before resuming.
 }
@@ -37,9 +37,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	if r.waiters.Len() > 0 {
+		next := r.waiters.Pop()
 		// The unit transfers directly: inUse stays constant.
 		next.scheduleResume(r.env.now)
 		return
@@ -51,4 +50,4 @@ func (r *Resource) Release() {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
