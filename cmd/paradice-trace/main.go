@@ -3,7 +3,8 @@
 // Perfetto or chrome://tracing — one "process" per VM, one "thread" per
 // architectural layer) plus a plain-text metrics dump. It also prints the
 // §6.1.1 latency breakdown of the last forwarded no-op ioctl, hop by hop,
-// reconciled against the end-to-end latency.
+// reconciled against the end-to-end latency; it exits non-zero, after
+// writing every output, when the spans do not add up to that latency.
 //
 // Usage:
 //
@@ -108,7 +109,7 @@ func main() {
 
 	// The breakdown targets the last no-op, so render it before the matmul
 	// workload appends its own (non-no-op) ioctls to the trace.
-	printBreakdown(tr, *modeFlag)
+	reconciled := printBreakdown(tr, *modeFlag)
 
 	if *matmul > 0 {
 		if _, err := workload.RunMatmul(m.Env, g.K, *matmul, 1); err != nil {
@@ -157,11 +158,15 @@ func main() {
 	if *metricsOut != "" {
 		fmt.Printf("wrote metrics dump to %s\n", *metricsOut)
 	}
+	if !reconciled {
+		log.Fatal("the no-op's spans do not reconcile with its end-to-end latency")
+	}
 }
 
 // printBreakdown renders the last no-op ioctl's latency budget hop by hop —
-// the trace-derived equivalent of the paper's §6.1.1 decomposition.
-func printBreakdown(tr *trace.Tracer, mode string) {
+// the trace-derived equivalent of the paper's §6.1.1 decomposition — and
+// reports whether its spans add up to its end-to-end latency.
+func printBreakdown(tr *trace.Tracer, mode string) bool {
 	var root trace.Event
 	found := false
 	for _, e := range tr.Events() {
@@ -171,7 +176,7 @@ func printBreakdown(tr *trace.Tracer, mode string) {
 	}
 	if !found {
 		fmt.Println("no ioctl recorded")
-		return
+		return true
 	}
 	fmt.Printf("=== forwarded no-op breakdown (%s, request %d) ===\n", mode, root.RID)
 	var sum int64
@@ -185,7 +190,5 @@ func printBreakdown(tr *trace.Tracer, mode string) {
 	}
 	fmt.Printf("  %-10s %-8s %-14s %8d ns (end-to-end %d ns)\n",
 		"", "", "total", sum, int64(root.Dur()))
-	if sum != int64(root.Dur()) {
-		fmt.Println("  WARNING: spans do not reconcile with end-to-end latency")
-	}
+	return sum == int64(root.Dur())
 }

@@ -153,7 +153,6 @@ type remoteConduit struct {
 	fileID  uint16
 	bufVA   mem.GuestVirt
 	bufLen  uint64
-	rid     uint64
 }
 
 // inBuf reports whether [va, va+n) lies within the hinted request's declared
@@ -165,7 +164,7 @@ func (r *remoteConduit) inBuf(va mem.GuestVirt, n int) bool {
 
 func (r *remoteConduit) CopyToUser(dst mem.GuestVirt, src []byte) error {
 	if r.mapc != nil && r.mapKind == grant.KindCopyTo && r.inBuf(dst, len(src)) {
-		if err := r.mapc.access(r.rid, r.fileID, r.ref, grant.KindCopyTo,
+		if err := r.mapc.access(r.fileID, r.ref, grant.KindCopyTo,
 			r.bufVA, r.bufLen, dst, src, true); err != nil {
 			return kernel.EFAULT
 		}
@@ -179,7 +178,7 @@ func (r *remoteConduit) CopyToUser(dst mem.GuestVirt, src []byte) error {
 
 func (r *remoteConduit) CopyFromUser(src mem.GuestVirt, buf []byte) error {
 	if r.mapc != nil && r.mapKind == grant.KindCopyFrom && r.inBuf(src, len(buf)) {
-		if err := r.mapc.access(r.rid, r.fileID, r.ref, grant.KindCopyFrom,
+		if err := r.mapc.access(r.fileID, r.ref, grant.KindCopyFrom,
 			r.bufVA, r.bufLen, src, buf, false); err != nil {
 			return kernel.EFAULT
 		}
@@ -512,9 +511,7 @@ func (b *Backend) handle(sp *sim.Proc, req request) {
 		// spans to the right request.
 		tr.Bind(sp, rid)
 		defer tr.Unbind(sp)
-		dstart := tr.Now()
-		sp.Advance(perf.CostPost) // deserialize the request
-		tr.Span(rid, b.driverVM.Name, trace.LayerBE, "dispatch", dstart, tr.Now())
+		perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "dispatch", perf.CostPost) // deserialize the request
 		task := b.proc.AdoptTask("op"+strconv.FormatUint(uint64(req.seq), 10), sp)
 		conduit := &remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}
 		if b.mapc != nil && req.flags&reqFlagMapHint != 0 {
@@ -531,7 +528,6 @@ func (b *Backend) handle(sp *sim.Proc, req request) {
 			conduit.fileID = req.fileID
 			conduit.bufVA = mem.GuestVirt(req.arg0)
 			conduit.bufLen = req.arg1
-			conduit.rid = rid
 		}
 		restore := task.Mark(conduit)
 		estart := tr.Now()
@@ -540,9 +536,7 @@ func (b *Backend) handle(sp *sim.Proc, req request) {
 		if tr != nil {
 			tr.Group(rid, b.driverVM.Name, trace.LayerBE, "execute "+opName(req.op), estart, tr.Now())
 		}
-		cstart := tr.Now()
-		sp.Advance(perf.CostComplete)
-		tr.Span(rid, b.driverVM.Name, trace.LayerBE, "complete", cstart, tr.Now())
+		perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "complete", perf.CostComplete)
 		if !b.ringCurrent() {
 			// The backend died (Stop, an injected driver-VM crash) or was
 			// superseded (the ring's restart epoch moved on) while this

@@ -452,8 +452,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	fe.nextSeq++
 	ev := fe.respEvents[slot]
 	ev.Reset()
-	t.Sim().Advance(perf.CostPost)
-	tr.Span(rid, fe.vm, trace.LayerFE, "post", start, tr.Now())
+	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "post", perf.CostPost)
 	if fe.arrive(fe.hv.Env.Now()) {
 		fe.ModeSwitches++
 		var poll uint64
@@ -508,9 +507,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		fl.Outcome(rid, int32(kernel.ETIMEDOUT), false)
 		return -1, kernel.ETIMEDOUT
 	}
-	cstart := tr.Now()
-	t.Sim().Advance(perf.CostComplete)
-	tr.Span(rid, fe.vm, trace.LayerFE, "complete", cstart, tr.Now())
+	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "complete", perf.CostComplete)
 	ret, errno := fe.ring.readResponse(slot)
 	fe.ring.recycleSlot(slot)
 	fe.RoundTrips++
@@ -643,16 +640,12 @@ func (fe *Frontend) declare(c *kernel.FopCtx, ops []grant.Op) (uint32, error) {
 		// full; callers surface ENOMEM to the application.
 		return 0, d.Error()
 	}
-	tr := trace.Get(fe.guestK.Env)
-	start := tr.Now()
+	cost, crossings := sim.Duration(len(ops))*perf.CostGrantDeclare, uint64(len(ops))
 	if fe.grantBatch {
-		perf.Charge(fe.guestK.Env, perf.CostGrantDeclare+sim.Duration(len(ops)-1)*perf.CostGrantEntry)
-		tr.Add("cvd.fe.grant.crossings", 1)
-	} else {
-		perf.Charge(fe.guestK.Env, sim.Duration(len(ops))*perf.CostGrantDeclare)
-		tr.Add("cvd.fe.grant.crossings", uint64(len(ops)))
+		cost, crossings = perf.CostGrantDeclare+sim.Duration(len(ops)-1)*perf.CostGrantEntry, 1
 	}
-	tr.Span(c.RID, fe.vm, trace.LayerFE, "grant-declare", start, tr.Now())
+	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "grant-declare", cost)
+	trace.Get(fe.guestK.Env).Add("cvd.fe.grant.crossings", crossings)
 	return fe.grants.Declare(c.Task.Proc.PT.Root(), ops)
 }
 

@@ -82,7 +82,7 @@ func (b *Backend) MapCacheStats() (hits, misses, invalidations uint64) {
 // miss. write is the direction of the guest-memory access (true for
 // copy-to-user). Returns any mapping or validation error — the conduit
 // surfaces it as EFAULT, the same shape an assisted copy's denial takes.
-func (mc *mapCache) access(rid uint64, fileID uint16, ref uint32, kind grant.Kind,
+func (mc *mapCache) access(fileID uint16, ref uint32, kind grant.Kind,
 	bufVA mem.GuestVirt, bufLen uint64, va mem.GuestVirt, buf []byte, write bool) error {
 	b := mc.b
 	tr := trace.Get(b.hv.Env)
@@ -90,9 +90,7 @@ func (mc *mapCache) access(rid uint64, fileID uint16, ref uint32, kind grant.Kin
 	if m := mc.entries[key]; m != nil && m.Covers(ref, kind, va, uint64(len(buf))) {
 		mc.Hits++
 		tr.Add("cvd.mapcache.hits", 1)
-		start := tr.Now()
-		perf.Charge(b.hv.Env, perf.CostMapCacheHit)
-		tr.Span(rid, b.driverVM.Name, trace.LayerBE, "map-hit", start, tr.Now())
+		perf.Spend(b.hv.Env, b.driverVM.Name, trace.LayerBE, "map-hit", perf.CostMapCacheHit)
 		return m.Copy(va, buf, write)
 	}
 	// Miss: whatever is cached under this key no longer matches the request
@@ -100,7 +98,6 @@ func (mc *mapCache) access(rid uint64, fileID uint16, ref uint32, kind grant.Kin
 	// map the request's full granted range so later sub-range accesses hit.
 	mc.Misses++
 	tr.Add("cvd.mapcache.misses", 1)
-	start := tr.Now()
 	if m := mc.entries[key]; m != nil {
 		mc.Invalidations++
 		tr.Add("cvd.mapcache.invalidations", 1)
@@ -109,11 +106,9 @@ func (mc *mapCache) access(rid uint64, fileID uint16, ref uint32, kind grant.Kin
 	}
 	m, err := b.hv.MapGuestBuffer(b.guestVM, ref, kind, bufVA, bufLen, b.driverVM)
 	if err != nil {
-		tr.Span(rid, b.driverVM.Name, trace.LayerBE, "map-miss", start, tr.Now())
 		return err
 	}
 	mc.entries[key] = m
-	tr.Span(rid, b.driverVM.Name, trace.LayerBE, "map-miss", start, tr.Now())
 	return m.Copy(va, buf, write)
 }
 

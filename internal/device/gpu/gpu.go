@@ -14,6 +14,7 @@ import (
 
 	"paradice/internal/iommu"
 	"paradice/internal/mem"
+	"paradice/internal/perf"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
 )
@@ -208,16 +209,8 @@ func (g *GPU) engine(p *sim.Proc) {
 		}
 		cmd := g.queue[0]
 		g.queue = g.queue[1:]
-		tr := trace.Get(g.env)
-		start := tr.Now()
-		g.exec(p, cmd)
-		if tr != nil {
-			// Device compute/copy time is not attributable to one forwarded
-			// request — commands execute asynchronously after the submitting
-			// ioctl returned — so engine spans carry rid 0.
-			tr.Span(0, "device", trace.LayerDevice, cmdName(cmd.op), start, tr.Now())
-			tr.Add("device.gpu.cmds", 1)
-		}
+		g.exec(cmd)
+		trace.Get(g.env).Add("device.gpu.cmds", 1)
 		g.Executed++
 		if cmd.fenceSeq != 0 {
 			g.fenceSeq = cmd.fenceSeq
@@ -250,27 +243,19 @@ func (g *GPU) vram(off, size uint64) (mem.SysPhys, error) {
 	return g.vramBase + mem.SysPhys(off), nil
 }
 
-func cmdName(op uint32) string {
-	switch op {
-	case OpDraw:
-		return "gpu-draw"
-	case OpCompute:
-		return "gpu-compute"
-	case OpCopy:
-		return "gpu-copy"
-	}
-	return "gpu-nop"
-}
-
-func (g *GPU) exec(p *sim.Proc, c EngineCmd) {
+// exec runs one command on the engine proc. Device compute/copy time is not
+// attributable to one forwarded request — commands execute asynchronously
+// after the submitting ioctl returned, and the engine proc is bound to no
+// request — so the spans the exec* functions spend carry rid 0.
+func (g *GPU) exec(c EngineCmd) {
 	switch c.op {
 	case OpNop:
 	case OpDraw:
-		g.execDraw(p, c)
+		g.execDraw(c)
 	case OpCompute:
-		g.execCompute(p, c)
+		g.execCompute(c)
 	case OpCopy:
-		g.execCopy(p, c)
+		g.execCopy(c)
 	default:
 		g.Faults++
 	}
@@ -278,7 +263,7 @@ func (g *GPU) exec(p *sim.Proc, c EngineCmd) {
 
 // execDraw renders: it reads the texture (verifying access), burns the
 // command's work cycles, and stamps the render target.
-func (g *GPU) execDraw(p *sim.Proc, c EngineCmd) {
+func (g *GPU) execDraw(c EngineCmd) {
 	dst, tex, cycles := c.args[0], c.args[1], c.args[2]
 	if tex != math.MaxUint64 {
 		pa, err := g.vram(tex, 64)
@@ -295,7 +280,7 @@ func (g *GPU) execDraw(p *sim.Proc, c EngineCmd) {
 	if err != nil {
 		return
 	}
-	p.Advance(sim.Duration(cycles) * NsPerCycle)
+	perf.Spend(g.env, "device", trace.LayerDevice, "gpu-draw", sim.Duration(cycles)*NsPerCycle)
 	var stamp [64]byte
 	binary.LittleEndian.PutUint32(stamp[:], uint32(g.Executed+1))
 	binary.LittleEndian.PutUint32(stamp[4:], uint32(cycles))
@@ -306,7 +291,7 @@ func (g *GPU) execDraw(p *sim.Proc, c EngineCmd) {
 
 // execCompute multiplies two square float32 matrices held in VRAM — the
 // real product, so a guest's OpenCL result can be verified end to end.
-func (g *GPU) execCompute(p *sim.Proc, c EngineCmd) {
+func (g *GPU) execCompute(c EngineCmd) {
 	aOff, bOff, cOff, n := c.args[0], c.args[1], c.args[2], c.args[3]
 	bytes := n * n * 4
 	aPA, err := g.vram(aOff, bytes)
@@ -340,7 +325,7 @@ func (g *GPU) execCompute(p *sim.Proc, c EngineCmd) {
 			}
 		}
 	}
-	p.Advance(sim.Duration(n*n*n) * NsPerMulAdd)
+	perf.Spend(g.env, "device", trace.LayerDevice, "gpu-compute", sim.Duration(n*n*n)*NsPerMulAdd)
 	if g.phys.Write(cPA, fromF32(cf)) != nil {
 		g.Faults++
 	}
@@ -348,13 +333,13 @@ func (g *GPU) execCompute(p *sim.Proc, c EngineCmd) {
 
 // execCopy is the DMA engine: VRAM-to-VRAM or VRAM/system transfers. Source
 // and destination above 1<<63 are bus (system) addresses via the IOMMU.
-func (g *GPU) execCopy(p *sim.Proc, c EngineCmd) {
+func (g *GPU) execCopy(c EngineCmd) {
 	src, dst, n := c.args[0], c.args[1], c.args[2]
 	buf := make([]byte, n)
 	if err := g.read(src, buf); err != nil {
 		return
 	}
-	p.Advance(sim.Duration(n) * sim.Nanosecond / 8) // ~8 GB/s blit engine
+	perf.Spend(g.env, "device", trace.LayerDevice, "gpu-copy", sim.Duration(n)*sim.Nanosecond/8) // ~8 GB/s blit engine
 	if err := g.write(dst, buf); err != nil {
 		return
 	}

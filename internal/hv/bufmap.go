@@ -83,15 +83,12 @@ func (h *Hypervisor) MapGuestBuffer(guest *VM, ref uint32, kind grant.Kind, va m
 		walkAccess = mem.PermWrite
 	}
 	npages := int(mem.PagesSpanned(uint64(va), n))
-	tr, rid := h.tracer()
-	mstart := tr.Now()
 	if guest.tlb == nil {
 		// Dormant: the per-page establishment work is one upfront charge,
 		// byte-identical to the seed.
-		perf.Charge(h.Env, sim.Duration(npages)*perf.CostMapPage)
-		tr.Span(rid, "hv", trace.LayerHV, "map-buffer", mstart, tr.Now())
+		perf.Spend(h.Env, "hv", trace.LayerHV, "map-buffer", sim.Duration(npages)*perf.CostMapPage)
 	}
-	tr.Add("hv.map.pages", uint64(npages))
+	trace.Get(h.Env).Add("hv.map.pages", uint64(npages))
 	base, err := driver.EPT.FindUnusedRange(mapWindowLo, mapWindowHi, npages)
 	if err != nil {
 		return nil, err
@@ -101,7 +98,7 @@ func (h *Hypervisor) MapGuestBuffer(guest *VM, ref uint32, kind grant.Kind, va m
 		// replaces exactly the walk share of the establishment cost and a cold
 		// establishment (all misses) costs the dormant npages·CostMapPage.
 		pva := mem.GuestVirt(mem.PageBase(uint64(va))) + mem.GuestVirt(i)*mem.PageSize
-		spa, err := h.pageSPA(guest, &pt, pva, walkAccess, perf.CostMapPage-perf.CostCopyPerPage+perf.CostTLBHit, perf.CostMapPage)
+		spa, err := h.pageSPA(guest, &pt, pva, walkAccess, "map-buffer", perf.CostMapPage-perf.CostCopyPerPage+perf.CostTLBHit, perf.CostMapPage)
 		if err == nil {
 			err = driver.EPT.Map(base+mem.GuestPhys(i)*mem.PageSize, spa, perm)
 		}
@@ -109,9 +106,6 @@ func (h *Hypervisor) MapGuestBuffer(guest *VM, ref uint32, kind grant.Kind, va m
 			unmapPages(driver, base, i)
 			return nil, err
 		}
-	}
-	if guest.tlb != nil {
-		tr.Span(rid, "hv", trace.LayerHV, "map-buffer", mstart, tr.Now())
 	}
 	return &GuestMapping{
 		h: h, guest: guest, driver: driver,
@@ -157,10 +151,8 @@ func (m *GuestMapping) Copy(va mem.GuestVirt, buf []byte, write bool) error {
 	if write {
 		access = mem.PermWrite
 	}
-	tr, rid := m.h.tracer()
-	cstart := tr.Now()
-	perf.Charge(m.h.Env, perf.MapCopy(len(buf)))
-	tr.Span(rid, "hv", trace.LayerHV, "map-copy", cstart, tr.Now())
+	perf.Spend(m.h.Env, "hv", trace.LayerHV, "map-copy", perf.MapCopy(len(buf)))
+	tr := trace.Get(m.h.Env)
 	tr.Add("hv.mapcopy.ops", 1)
 	tr.Add("hv.mapcopy.bytes", uint64(len(buf)))
 	first := mem.PageBase(uint64(m.VA))
@@ -180,10 +172,7 @@ func (m *GuestMapping) Unmap() {
 		return
 	}
 	m.dead = true
-	tr, rid := m.h.tracer()
-	ustart := tr.Now()
-	perf.Charge(m.h.Env, sim.Duration(m.npages)*perf.CostMapPage)
-	tr.Span(rid, "hv", trace.LayerHV, "unmap-buffer", ustart, tr.Now())
-	tr.Add("hv.unmap.pages", uint64(m.npages))
+	perf.Spend(m.h.Env, "hv", trace.LayerHV, "unmap-buffer", sim.Duration(m.npages)*perf.CostMapPage)
+	trace.Get(m.h.Env).Add("hv.unmap.pages", uint64(m.npages))
 	unmapPages(m.driver, m.base, m.npages)
 }

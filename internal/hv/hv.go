@@ -145,9 +145,9 @@ func (h *Hypervisor) VMs() []*VM { return h.vms }
 func (vm *VM) RegisterISR(vector int, fn func()) { vm.isr[vector] = fn }
 
 // tracer returns the environment's tracer (nil when tracing is off) and the
-// request ID bound to the process currently in hypervisor context, so memory
-// operations and interrupt sends executed on a CVD worker's behalf land on
-// the forwarded request's trace.
+// request ID bound to the process currently in hypervisor context, so an
+// interrupt's projected delivery span lands on the trace of the request that
+// raised it. Charged work records its own span through perf.Spend.
 func (h *Hypervisor) tracer() (*trace.Tracer, uint64) {
 	tr := trace.Get(h.Env)
 	if tr == nil {
@@ -161,10 +161,8 @@ func (h *Hypervisor) tracer() (*trace.Tracer, uint64) {
 // continues immediately (the send itself is a cheap event-channel kick,
 // charged as a hypercall).
 func (h *Hypervisor) SendInterrupt(target *VM, vector int) {
+	perf.Spend(h.Env, "hv", trace.LayerHV, "hypercall", perf.CostHypercall)
 	tr, rid := h.tracer()
-	start := tr.Now()
-	perf.Charge(h.Env, perf.CostHypercall)
-	tr.Span(rid, "hv", trace.LayerHV, "hypercall", start, tr.Now())
 	fn := target.isr[vector]
 	if fn == nil {
 		return // spurious interrupt: no handler registered

@@ -33,8 +33,7 @@ func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.Gue
 	if err != nil {
 		return mem.PageTable{}, err
 	}
-	tr, rid := h.tracer()
-	vstart := tr.Now()
+	tr := trace.Get(h.Env)
 	// Grant-validation cache (tlb.go): when the frontend's batched declare
 	// primed this reference's vector, the covering check is a cached-vector
 	// replay at CostTLBHit instead of a shared-page scan at CostGrantDeclare.
@@ -48,12 +47,11 @@ func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.Gue
 	if guest.grantCache != nil {
 		cachedRoot, cacheHit = guest.grantCache.lookup(ref, kind, va, n)
 	}
+	cost := perf.CostGrantDeclare
 	if cacheHit {
-		perf.Charge(h.Env, perf.CostTLBHit)
-	} else {
-		perf.Charge(h.Env, perf.CostGrantDeclare)
+		cost = perf.CostTLBHit
 	}
-	tr.Span(rid, "hv", trace.LayerHV, "grant-validate", vstart, tr.Now())
+	perf.Spend(h.Env, "hv", trace.LayerHV, "grant-validate", cost)
 	tr.Add("hv.grant.validations", 1)
 	if faults.Point(h.Env, "grant.validate") != nil {
 		// Injected validation failure: behave exactly as if no covering
@@ -118,25 +116,22 @@ func (h *Hypervisor) CopyFromGuest(guest *VM, ref uint32, src mem.GuestVirt, buf
 // that faults on page k leaves pages 0..k-1 as a deterministic destination
 // prefix, and hv.copy.bytes counts only the bytes moved.
 func (h *Hypervisor) copyGuest(guest *VM, pt *mem.PageTable, va mem.GuestVirt, buf []byte, write bool) error {
-	tr, rid := h.tracer()
-	cstart := tr.Now()
 	if guest.tlb == nil {
-		perf.Charge(h.Env, perf.Copy(len(buf), int(mem.PagesSpanned(uint64(va), uint64(len(buf))))))
-		// The copy span covers the per-page guest-page-table walk + EPT walk +
-		// physical transfer of §5.2 — they are one charge in the cost model.
-		tr.Span(rid, "hv", trace.LayerHV, "copy", cstart, tr.Now())
+		// The per-page guest-page-table walk + EPT walk + physical transfer
+		// of §5.2 are one charge in the cost model.
+		perf.Spend(h.Env, "hv", trace.LayerHV, "copy", perf.Copy(len(buf), int(mem.PagesSpanned(uint64(va), uint64(len(buf))))))
 	}
 	access := mem.PermRead
 	if write {
 		access = mem.PermWrite
 	}
 	n, err := h.Phys.CopyPages(uint64(va), buf, write, func(addr uint64) (mem.SysPhys, error) {
-		return h.pageSPA(guest, pt, mem.GuestVirt(addr), access, perf.CostTLBHit, perf.CostCopyPerPage)
+		return h.pageSPA(guest, pt, mem.GuestVirt(addr), access, "copy", perf.CostTLBHit, perf.CostCopyPerPage)
 	})
 	if guest.tlb != nil {
-		perf.Charge(h.Env, sim.Duration(n)*perf.CostCopyPerKB/1024)
-		tr.Span(rid, "hv", trace.LayerHV, "copy", cstart, tr.Now())
+		perf.Spend(h.Env, "hv", trace.LayerHV, "copy", sim.Duration(n)*perf.CostCopyPerKB/1024)
 	}
+	tr := trace.Get(h.Env)
 	tr.Add("hv.copy.ops", 1)
 	tr.Add("hv.copy.bytes", uint64(n))
 	return err
@@ -144,21 +139,21 @@ func (h *Hypervisor) copyGuest(guest *VM, pt *mem.PageTable, va mem.GuestVirt, b
 
 // pageSPA translates the guest-virtual address va to system-physical: the
 // guest page-table walk, then the privileged EPT walk (presence check only).
-// It is the only code that consults the software TLB. Armed, it charges hit
-// for a cached translation, or miss before walking and caches what the walk
-// proves — never a page whose walk faulted. Dormant, it charges nothing and
-// always walks. The exact va is walked, so a fault names the faulting
-// address.
-func (h *Hypervisor) pageSPA(guest *VM, pt *mem.PageTable, va mem.GuestVirt, access mem.Perm, hit, miss sim.Duration) (mem.SysPhys, error) {
+// It is the only code that consults the software TLB. Armed, it spends hit
+// for a cached translation, or miss before walking, as a span named span,
+// and caches what the walk proves — never a page whose walk faulted.
+// Dormant, it charges nothing and always walks. The exact va is walked, so
+// a fault names the faulting address.
+func (h *Hypervisor) pageSPA(guest *VM, pt *mem.PageTable, va mem.GuestVirt, access mem.Perm, span string, hit, miss sim.Duration) (mem.SysPhys, error) {
 	vpage := mem.GuestVirt(mem.PageBase(uint64(va)))
 	if guest.tlb != nil {
 		tr := trace.Get(h.Env)
 		if spa, ok := guest.tlb.lookup(pt.Root(), vpage, access); ok {
-			perf.Charge(h.Env, hit)
+			perf.Spend(h.Env, "hv", trace.LayerHV, span, hit)
 			tr.Add("hv.tlb.hit", 1)
 			return spa + mem.SysPhys(mem.PageOffset(uint64(va))), nil
 		}
-		perf.Charge(h.Env, miss)
+		perf.Spend(h.Env, "hv", trace.LayerHV, span, miss)
 		tr.Add("hv.tlb.miss", 1)
 	}
 	gpa, err := pt.Walk(va, access)
@@ -198,11 +193,8 @@ func (h *Hypervisor) MapToGuest(guest *VM, ref uint32, va mem.GuestVirt, driver 
 			return fmt.Errorf("hv: page %v belongs to another guest's protected region", pfn)
 		}
 	}
-	tr, rid := h.tracer()
-	mstart := tr.Now()
-	perf.Charge(h.Env, perf.CostMapPage)
-	tr.Span(rid, "hv", trace.LayerHV, "map-page", mstart, tr.Now())
-	tr.Add("hv.map.pages", 1)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "map-page", perf.CostMapPage)
+	trace.Get(h.Env).Add("hv.map.pages", 1)
 	gpa, err := guest.EPT.FindUnusedRange(mapWindowLo, mapWindowHi, 1)
 	if err != nil {
 		return err
@@ -235,10 +227,7 @@ func (h *Hypervisor) UnmapFromGuest(guest *VM, ref uint32, va mem.GuestVirt) err
 		return fmt.Errorf("hv: no hypervisor mapping at %v to unmap", va)
 	}
 	delete(h.mapped, key)
-	tr, rid := h.tracer()
-	ustart := tr.Now()
-	perf.Charge(h.Env, perf.CostMapPage)
-	tr.Span(rid, "hv", trace.LayerHV, "unmap-page", ustart, tr.Now())
-	tr.Add("hv.unmap.pages", 1)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "unmap-page", perf.CostMapPage)
+	trace.Get(h.Env).Add("hv.unmap.pages", 1)
 	return guest.EPT.Unmap(gpa)
 }

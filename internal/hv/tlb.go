@@ -3,6 +3,7 @@ package hv
 import (
 	"paradice/internal/grant"
 	"paradice/internal/mem"
+	"paradice/internal/trace"
 )
 
 // This file implements the hypervisor's deterministic software TLB and the
@@ -190,14 +191,12 @@ func (h *Hypervisor) armTLB(vm *VM) {
 	vm.tlb = newVMTLB()
 	vm.Space.OnPTEdit = func(root mem.GuestPhys, va mem.GuestVirt) {
 		if vm.tlb.invalidatePage(root, va) {
-			tr, _ := h.tracer()
-			tr.Add("hv.tlb.invalidate", 1)
+			trace.Get(h.Env).Add("hv.tlb.invalidate", 1)
 		}
 	}
 	vm.EPT.OnChange = func() {
 		if n := vm.tlb.flush(); n > 0 {
-			tr, _ := h.tracer()
-			tr.Add("hv.tlb.invalidate", uint64(n))
+			trace.Get(h.Env).Add("hv.tlb.invalidate", uint64(n))
 		}
 	}
 }
@@ -247,8 +246,7 @@ func (h *Hypervisor) FlushVMTranslationCaches(vm *VM) {
 	}
 	if vm.tlb != nil {
 		if n := vm.tlb.flush(); n > 0 {
-			tr, _ := h.tracer()
-			tr.Add("hv.tlb.invalidate", uint64(n))
+			trace.Get(h.Env).Add("hv.tlb.invalidate", uint64(n))
 		}
 	}
 	if vm.grantCache != nil {

@@ -18,32 +18,18 @@ import (
 // only see the Env — hypervisor, IOMMU — can attribute their spans), and
 // opEnd closes the root span covering the operation end to end.
 
-func (t *Task) charge(d sim.Duration) {
-	if t.sp != nil {
-		t.sp.Advance(d)
-	}
-}
-
-// opBegin opens tracing for one system call: a fresh request ID bound to the
-// calling proc, plus the start time of the root span. Returns (nil, 0, 0)
-// when tracing is disabled — the nil tracer makes every later call a no-op,
-// and no allocation has happened.
+// opBegin opens one system call: a fresh request ID bound to the calling
+// proc, the start time of the root span, and the system-call entry/exit
+// charge as the request's first work span. Returns (nil, 0, 0) when tracing
+// is disabled — the nil tracer makes every later call a no-op, and no
+// allocation has happened.
 func (t *Task) opBegin() (*trace.Tracer, uint64, sim.Time) {
 	tr := trace.Get(t.Proc.K.Env)
-	if tr == nil {
-		return nil, 0, 0
-	}
 	rid := tr.NewRID()
 	tr.Bind(t.sp, rid)
-	return tr, rid, tr.Now()
-}
-
-// spanSyscall emits the leaf span covering the syscall entry/exit charge.
-func (t *Task) spanSyscall(tr *trace.Tracer, rid uint64, start sim.Time) {
-	if tr == nil {
-		return
-	}
-	tr.Span(rid, t.Proc.K.Name, trace.LayerSyscall, "syscall", start, tr.Now())
+	start := tr.Now()
+	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSyscall, "syscall", perf.CostSyscall)
+	return tr, rid, start
 }
 
 // opEnd closes the request's root span and releases the proc binding.
@@ -66,8 +52,6 @@ func (t *Task) file(fd int) (*File, error) {
 // Open opens a device file and returns a file descriptor.
 func (t *Task) Open(path string, flags devfile.OpenFlags) (int, error) {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	node, ok := t.Proc.K.LookupDevice(path)
 	if !ok {
 		t.opEnd(tr, rid, start, "open", path)
@@ -90,8 +74,6 @@ func (t *Task) Open(path string, flags devfile.OpenFlags) (int, error) {
 // on the last reference.
 func (t *Task) Close(fd int) error {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	f, err := t.file(fd)
 	if err != nil {
 		t.opEnd(tr, rid, start, "close", "?")
@@ -111,8 +93,6 @@ func (t *Task) Close(fd int) error {
 // Read reads up to n bytes of device data into the user buffer at buf.
 func (t *Task) Read(fd int, buf mem.GuestVirt, n int) (int, error) {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	f, err := t.file(fd)
 	if err != nil {
 		t.opEnd(tr, rid, start, "read", "?")
@@ -126,8 +106,6 @@ func (t *Task) Read(fd int, buf mem.GuestVirt, n int) (int, error) {
 // Write writes up to n bytes from the user buffer at buf to the device.
 func (t *Task) Write(fd int, buf mem.GuestVirt, n int) (int, error) {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	f, err := t.file(fd)
 	if err != nil {
 		t.opEnd(tr, rid, start, "write", "?")
@@ -142,8 +120,6 @@ func (t *Task) Write(fd int, buf mem.GuestVirt, n int) (int, error) {
 // argument — for _IOR/_IOW/_IOWR commands, a user-space address.
 func (t *Task) Ioctl(fd int, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	f, err := t.file(fd)
 	if err != nil {
 		t.opEnd(tr, rid, start, "ioctl", "?")
@@ -158,8 +134,6 @@ func (t *Task) Ioctl(fd int, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, er
 // process address space and returns the chosen virtual address.
 func (t *Task) Mmap(fd int, length uint64, pgoff uint64) (mem.GuestVirt, error) {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	base, err := t.mmap(fd, length, pgoff, rid)
 	path := "?"
 	if f, ferr := t.file(fd); ferr == nil {
@@ -202,8 +176,6 @@ func (t *Task) mmap(fd int, length uint64, pgoff uint64, rid uint64) (mem.GuestV
 // (driver or CVD frontend), per the ordering in §5.2.
 func (t *Task) Munmap(va mem.GuestVirt, length uint64) error {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	var v *VMA
 	var idx int
 	for i, cand := range t.Proc.vmas {
@@ -239,8 +211,6 @@ func (t *Task) Munmap(va mem.GuestVirt, length uint64) error {
 // mask (0 on timeout). A negative timeout means wait forever.
 func (t *Task) Poll(fd int, want devfile.PollMask, timeout sim.Duration) (devfile.PollMask, error) {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	f, err := t.file(fd)
 	if err != nil {
 		t.opEnd(tr, rid, start, "poll", "?")
@@ -277,8 +247,6 @@ func (t *Task) Poll(fd int, want devfile.PollMask, timeout sim.Duration) (devfil
 // path; §2.1's asynchronous notification).
 func (t *Task) SetFasync(fd int, on bool) error {
 	tr, rid, start := t.opBegin()
-	t.charge(perf.CostSyscall)
-	t.spanSyscall(tr, rid, start)
 	f, err := t.file(fd)
 	if err != nil {
 		t.opEnd(tr, rid, start, "fasync", "?")

@@ -9,7 +9,10 @@
 // tuning knobs. EXPERIMENTS.md documents the calibration.
 package perf
 
-import "paradice/internal/sim"
+import (
+	"paradice/internal/sim"
+	"paradice/internal/trace"
+)
 
 const (
 	// CostSyscall is the entry+exit cost of a system call in the guest or
@@ -182,4 +185,21 @@ func Charge(e *sim.Env, d sim.Duration) {
 	if p := e.CurrentProc(); p != nil {
 		p.Advance(d)
 	}
+}
+
+// Spend charges d exactly like Charge and, under an installed tracer,
+// records the charged interval as a leaf work span of the request bound to
+// the calling process. Every leaf span on the request path comes from here,
+// so a span covers exactly the one charge it names: spans of one process
+// cannot nest or overlap, and a wait between charges is never mistaken for
+// work.
+func Spend(e *sim.Env, vm, layer, name string, d sim.Duration) {
+	p := e.CurrentProc()
+	if p == nil {
+		return
+	}
+	tr := trace.Get(e) // nil when tracing is off: RIDOf and Span no-op
+	rid, start := tr.RIDOf(p), e.Now()
+	p.Advance(d)
+	tr.Span(rid, vm, layer, name, start, e.Now())
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 func TestCopyCost(t *testing.T) {
@@ -35,6 +36,29 @@ func TestChargeOnlyInProcessContext(t *testing.T) {
 	})
 	if end != sim.Time(100*sim.Microsecond) {
 		t.Fatalf("process Charge ended at %v", end)
+	}
+}
+
+// Spend charges like Charge and records exactly the charged interval, under
+// the request bound to the calling process; in callback context it does
+// neither.
+func TestSpendRecordsTheCharge(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	tr := trace.New()
+	trace.Install(env, tr)
+	env.After(0, func() { Spend(env, "vm", trace.LayerHV, "cb", 100*sim.Microsecond) })
+	env.Run()
+	env.RunFunc("p", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond)
+		tr.Bind(p, 7)
+		Spend(env, "vm", trace.LayerHV, "work", 2*sim.Microsecond)
+	})
+	ev := tr.Events()
+	want := trace.Event{Kind: trace.KindSpan, RID: 7, VM: "vm", Layer: trace.LayerHV, Name: "work",
+		Start: sim.Time(sim.Microsecond), End: sim.Time(3 * sim.Microsecond)}
+	if len(ev) != 1 || ev[0] != want || env.Now() != want.End {
+		t.Fatalf("events %+v at %v, want only %+v", ev, env.Now(), want)
 	}
 }
 

@@ -84,7 +84,7 @@ func classifyHop(layer, name string) Hop {
 		return HopHypercall
 	case LayerBE:
 		switch name {
-		case "map-hit", "map-miss":
+		case "map-hit":
 			return HopCopy
 		}
 		return HopBackend

@@ -5,13 +5,19 @@
 // decomposes the 35 µs forwarded no-op into inter-VM interrupts, ring
 // serialization, and hypercall costs — and this package makes that budget a
 // first-class output of every simulation run instead of something derived by
-// hand from the perf constants. Each file operation entering the CVD opens a
-// root span; every architectural hop it crosses (frontend post, inter-VM
-// IRQ, backend dispatch, hypercall, grant validate, EPT walk + copy, device
-// work, completion) emits a child span whose start and end are sim.Time
-// values read from the Env. Because every span boundary coincides with a
-// perf charge, the work spans of a request tile its root span exactly: the
+// hand from the perf constants. Each system call opens a root span; every
+// charge it pays on the way (syscall entry, frontend post, hypercall, grant
+// validate, EPT walk + copy, backend dispatch, completion) is a leaf work
+// span recorded by perf.Spend, which charges the cost and records the
+// charged interval in one call, so a leaf span is exactly one charge and the
+// leaf spans of one process never overlap. The only other leaf spans are the
+// three projected deliveries — inter-vm-irq and device-irq from the
+// hypervisor, poll-cross from the CVD transport — which cover a latency the
+// receiver pays in callback context, where nothing is charged. For the
+// forwarded no-op the work spans tile the root span exactly: the
 // span-reconciliation test enforces sum-of-work-spans == end-to-end latency.
+// What no span covers — a device's service time, a wait for a slot or a
+// handover drain — is the queue residual.
 //
 // # Design rules
 //
@@ -60,9 +66,10 @@ type Kind uint8
 // Event kinds.
 const (
 	// KindSpan is a leaf work span: a closed interval of virtual time during
-	// which exactly one perf cost was being charged. The work spans of one
-	// request tile its root span — they never overlap and never double-count,
-	// which is what makes sum-of-spans == end-to-end latency checkable.
+	// which exactly one perf cost was being charged (perf.Spend) or one
+	// interrupt was in flight. A single issuer's work spans never overlap and
+	// never double-count, which is what makes sum-of-spans == end-to-end
+	// latency checkable.
 	KindSpan Kind = iota
 	// KindGroup is an enclosing span (a request's root, the backend's
 	// execute envelope, a supervisor recovery episode): useful nesting for
@@ -181,10 +188,10 @@ func (t *Tracer) RIDOf(p *sim.Proc) uint64 {
 	return t.byProc[p]
 }
 
-// Span records a leaf work span. Zero-duration spans are dropped: they
-// contribute nothing to the latency budget and only clutter the timeline
-// (they occur when a charge runs in callback context, where perf.Charge is
-// a no-op).
+// Span records a leaf work span. Its callers are perf.Spend and the three
+// projected deliveries; everything else spends. Zero-duration spans are
+// dropped: they contribute nothing to the latency budget and only clutter
+// the timeline.
 func (t *Tracer) Span(rid uint64, vm, layer, name string, start, end sim.Time) {
 	if t == nil || end == start {
 		return

@@ -6,13 +6,20 @@ package paradice_test
 // from the perf constants (35 µs with interrupts, ~3 µs with polling). This
 // is the contract that makes the trace output trustworthy: every nanosecond
 // of a request's latency is attributed to exactly one architectural hop.
+// Past the no-op, a single issuer's leaf spans stay disjoint and each lasts
+// exactly its charge, so what they leave uncovered is the device's service
+// time or a wait, never double-counted work.
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
 	"paradice"
+	"paradice/internal/devfile"
+	"paradice/internal/kernel"
+	"paradice/internal/load"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
@@ -104,6 +111,160 @@ func TestNoopSpanReconciliation(t *testing.T) {
 			t.Fatalf("polled no-op latency %v != budget %v\n%s",
 				root.Dur(), want, dumpRID(tr, root.RID))
 		}
+	})
+}
+
+// checkLeafSpans checks every traced request's leaf spans: each lies within
+// the request's root span, no two overlap, and each post and complete span
+// lasts exactly its charge. It returns every request's root keyed by ID and
+// the part of its latency no leaf span covers.
+func checkLeafSpans(t *testing.T, tr *trace.Tracer) (map[uint64]trace.Event, map[uint64]sim.Duration) {
+	t.Helper()
+	roots := map[uint64]trace.Event{}
+	leaves := map[uint64][]trace.Event{}
+	for _, e := range tr.Events() {
+		switch {
+		case e.RID == 0:
+		case e.Kind == trace.KindGroup && e.Layer == trace.LayerSyscall:
+			roots[e.RID] = e
+		case e.Kind == trace.KindSpan:
+			leaves[e.RID] = append(leaves[e.RID], e)
+		}
+	}
+	charge := map[string]sim.Duration{"post": perf.CostPost, "complete": perf.CostComplete}
+	uncovered := map[uint64]sim.Duration{}
+	for rid, root := range roots {
+		spans := leaves[rid]
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+		left := root.Dur()
+		for i, e := range spans {
+			left -= e.Dur()
+			if e.Start < root.Start || e.End > root.End {
+				t.Errorf("rid %d: %s/%s %v..%v outside root %v..%v", rid, e.Layer, e.Name, e.Start, e.End, root.Start, root.End)
+			}
+			for _, f := range spans[i+1:] {
+				if f.Start < e.End {
+					t.Errorf("rid %d: %s/%s %v..%v overlaps %s/%s %v..%v", rid, e.Layer, e.Name, e.Start, e.End, f.Layer, f.Name, f.Start, f.End)
+				}
+			}
+			if want, ok := charge[e.Name]; ok && e.Dur() != want {
+				t.Errorf("rid %d: %s/%s lasts %v, its charge is %v", rid, e.Layer, e.Name, e.Dur(), want)
+			}
+		}
+		uncovered[rid] = left
+	}
+	if t.Failed() {
+		for rid := range roots {
+			t.Log("\n" + dumpRID(tr, rid))
+		}
+	}
+	return roots, uncovered
+}
+
+// sinkWriter spawns one task that opens the load sink and writes size bytes
+// to it at each of the given times (at once if a time has passed). It
+// returns where the first error lands.
+func sinkWriter(g *paradice.Guest, size int, at ...sim.Time) *error {
+	var runErr error
+	p, err := g.K.NewProcess("writer")
+	if err != nil {
+		return &err
+	}
+	p.SpawnTask("writer", func(tk *kernel.Task) {
+		fd, err := tk.Open(load.SinkPath, devfile.OWrOnly)
+		if err != nil {
+			runErr = err
+			return
+		}
+		buf, err := p.Alloc(size)
+		if err != nil {
+			runErr = err
+			return
+		}
+		for _, when := range at {
+			if wait := when.Sub(tk.Sim().Now()); wait > 0 {
+				tk.Sim().Sleep(wait)
+			}
+			if _, err := tk.Write(fd, buf, size); err != nil {
+				runErr = err
+				return
+			}
+		}
+	})
+	return &runErr
+}
+
+// TestSingleIssuerLeafSpans carries the reconciliation past the no-op: 8 KiB
+// writes to a load sink through the grant-map cache, a first write that
+// maps the buffer and a warm one that hits, with and without the software
+// TLB and batched grants, and a write parked by a planned handover. Every
+// request's leaf spans must be disjoint, each post and complete span must
+// last exactly its charge, and a write's uncovered time must be the sink's
+// service time alone: the device holds the request and no span covers it.
+func TestSingleIssuerLeafSpans(t *testing.T) {
+	const size = 8 << 10
+	// sinkMachine's sink serves n bytes in 2 µs + 1 µs per KiB.
+	const service = 2*sim.Microsecond + size/1024*sim.Microsecond
+	for _, tc := range []struct {
+		name string
+		cfg  paradice.Config
+	}{
+		{"mapcache", paradice.Config{MapCache: true}},
+		{"mapcache-tlb-batch", paradice.Config{MapCache: true, TLB: true, GrantBatch: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, g := sinkMachine(t, tc.cfg)
+			t.Cleanup(m.Close)
+			tr := m.StartTrace()
+			runErr := sinkWriter(g, size, 0, 0)
+			m.Run()
+			if *runErr != nil {
+				t.Fatal(*runErr)
+			}
+			hits, misses, _ := g.Backends[load.SinkPath].MapCacheStats()
+			if hits != 1 || misses != 1 {
+				t.Fatalf("map cache hits/misses = %d/%d, want 1/1", hits, misses)
+			}
+			roots, uncovered := checkLeafSpans(t, tr)
+			writes := 0
+			for rid, root := range roots {
+				if !strings.HasPrefix(root.Name, "write ") {
+					continue
+				}
+				writes++
+				if uncovered[rid] != service {
+					t.Errorf("rid %d: %v of the write's %v is uncovered, want the sink's %v service time\n%s",
+						rid, uncovered[rid], root.Dur(), service, dumpRID(tr, rid))
+				}
+			}
+			if writes != 2 {
+				t.Fatalf("%d writes traced, want 2", writes)
+			}
+		})
+	}
+	t.Run("parked-by-handover", func(t *testing.T) {
+		m, g := sinkMachine(t, paradice.Config{MapCache: true})
+		t.Cleanup(m.Close)
+		tr := m.StartTrace()
+		// The handover starts at kick; its prepare stage boots the successor
+		// for CostDriverVMRestart, then the drain parks new posts until the
+		// switch completes.
+		const kick = sim.Millisecond
+		drainStart := sim.Time(kick + perf.CostDriverVMRestart)
+		runErr := sinkWriter(g, size, 0, drainStart.Add(sim.Microsecond))
+		var hoErr error
+		m.Env.Spawn("maintenance", func(p *sim.Proc) {
+			p.Sleep(kick)
+			hoErr = m.HandoverDriverVM()
+		})
+		m.Run()
+		if hoErr != nil || *runErr != nil {
+			t.Fatalf("handover %v, writer %v", hoErr, *runErr)
+		}
+		if q := g.Frontends[load.SinkPath].QueuedPosts; q != 1 {
+			t.Fatalf("parked posts = %d, want 1", q)
+		}
+		checkLeafSpans(t, tr)
 	})
 }
 
