@@ -83,28 +83,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var runErr error
-	p.SpawnTask("loop", func(t *kernel.Task) {
+	task := p.Go("loop", func(t *kernel.Task) error {
 		fd, err := t.Open(paradice.PathGPU, 2)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		arg, err := p.Alloc(32)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		for i := 0; i < *ops; i++ {
 			if _, err := t.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
+		return nil
 	})
 	m.Run()
-	if runErr != nil {
-		log.Fatal(runErr)
+	if err := task.Err(); err != nil {
+		log.Fatal(err)
 	}
 
 	// The breakdown targets the last no-op, so render it before the matmul

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"paradice"
+	"paradice/internal/kernel"
 	"paradice/internal/workload"
 )
 
@@ -23,7 +24,7 @@ func main() {
 			log.Fatal(err)
 		}
 		results := make([][]workload.MatmulResult, nguests)
-		errs := make([][]error, nguests)
+		tasks := make([]*kernel.Task, nguests)
 		for i := 0; i < nguests; i++ {
 			g, err := m.AddGuest(fmt.Sprintf("vm%d", i+1), paradice.Linux)
 			if err != nil {
@@ -33,17 +34,18 @@ func main() {
 				log.Fatal(err)
 			}
 			results[i] = make([]workload.MatmulResult, runs)
-			errs[i] = make([]error, runs)
-			workload.StartMatmulLoop(g.K, order, runs, results[i], errs[i])
+			if tasks[i], err = workload.StartMatmulLoop(g.K, order, results[i]); err != nil {
+				log.Fatal(err)
+			}
 		}
 		m.Run()
 		fmt.Printf("%d guest VM(s):\n", nguests)
 		for i := 0; i < nguests; i++ {
+			if err := tasks[i].Err(); err != nil {
+				log.Fatalf("vm%d: %v", i+1, err)
+			}
 			var total float64
 			for r := 0; r < runs; r++ {
-				if errs[i][r] != nil {
-					log.Fatalf("vm%d run %d: %v", i+1, r, errs[i][r])
-				}
 				if !results[i][r].Correct {
 					log.Fatalf("vm%d run %d: wrong product", i+1, r)
 				}

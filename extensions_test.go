@@ -65,7 +65,7 @@ func TestVSyncWithoutEmulationFails(t *testing.T) {
 	m, gk := guestKernel(t, paradice.Config{}, paradice.PathGPU)
 	_ = m
 	p, _ := gk.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		g, err := usrlib.OpenGPU(tk, paradice.PathGPU)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,10 @@ func TestVSyncWithoutEmulationFails(t *testing.T) {
 		if _, err := tk.Ioctl(g.FD, drm.IoctlWaitVSync, varg); !kernel.IsErrno(err, kernel.EINVAL) {
 			t.Fatalf("vsync wait without emulation: %v", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // The keyboard is a second evdev device with its own device file, forwarded

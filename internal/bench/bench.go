@@ -266,16 +266,14 @@ func RunNoop(quick bool) ([]Row, error) {
 
 func noopRoundTrip(m *paradice.Machine, k *kernel.Kernel, iters int) (sim.Duration, error) {
 	var rt sim.Duration
-	var runErr error
 	p, err := k.NewProcess("noop")
 	if err != nil {
 		return 0, err
 	}
-	p.SpawnTask("loop", func(t *kernel.Task) {
+	task := p.Go("loop", func(t *kernel.Task) error {
 		fd, err := t.Open(paradice.PathGPU, 2)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		// The DRM Info ioctl stands in for a no-op: its handler does no
 		// work beyond one 32-byte copy-out.
@@ -283,14 +281,14 @@ func noopRoundTrip(m *paradice.Machine, k *kernel.Kernel, iters int) (sim.Durati
 		start := t.Sim().Now()
 		for i := 0; i < iters; i++ {
 			if _, err := t.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		rt = t.Sim().Now().Sub(start) / sim.Duration(iters)
+		return nil
 	})
 	m.Run()
-	return rt, runErr
+	return rt, task.Err()
 }
 
 // --- Figure 2 ---
@@ -442,8 +440,8 @@ func RunFig6(quick bool) ([]Row, error) {
 			return nil, err
 		}
 		type slot struct {
-			res []workload.MatmulResult
-			err []error
+			res  []workload.MatmulResult
+			task *kernel.Task
 		}
 		slots := make([]slot, nguests)
 		for i := 0; i < nguests; i++ {
@@ -451,25 +449,26 @@ func RunFig6(quick bool) ([]Row, error) {
 			if err == nil {
 				err = g.Paravirtualize(paradice.PathGPU)
 			}
+			if err == nil {
+				// Each guest runs the benchmark `runs` times in a row,
+				// simultaneously with the other guests (§6.1.4).
+				slots[i].res = make([]workload.MatmulResult, runs)
+				slots[i].task, err = workload.StartMatmulLoop(g.K, order, slots[i].res)
+			}
 			if err != nil {
 				m.Close()
 				return nil, err
 			}
-			slots[i].res = make([]workload.MatmulResult, runs)
-			slots[i].err = make([]error, runs)
-			// Each guest runs the benchmark `runs` times in a row,
-			// simultaneously with the other guests (§6.1.4).
-			workload.StartMatmulLoop(g.K, order, runs, slots[i].res, slots[i].err)
 		}
 		built(m)
 		m.Run()
 		m.Close()
 		for i := range slots {
+			if err := slots[i].task.Err(); err != nil {
+				return nil, fmt.Errorf("vm%d: %w", i+1, err)
+			}
 			var total sim.Duration
 			for r := 0; r < runs; r++ {
-				if slots[i].err[r] != nil {
-					return nil, fmt.Errorf("vm%d run %d: %w", i+1, r, slots[i].err[r])
-				}
 				if !slots[i].res[r].Correct {
 					return nil, fmt.Errorf("vm%d run %d: wrong product", i+1, r)
 				}

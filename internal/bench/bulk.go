@@ -132,78 +132,68 @@ func RunBulk(quick bool) ([]Row, error) {
 func bulkWriteLoop(m *paradice.Machine, k *kernel.Kernel, size, reuse, rotations int) (sim.Duration, error) {
 	iters := reuse * rotations
 	var per sim.Duration
-	var runErr error
 	p, err := k.NewProcess("bulk")
 	if err != nil {
 		return 0, err
 	}
-	p.SpawnTask("loop", func(t *kernel.Task) {
+	task := p.Go("loop", func(t *kernel.Task) error {
 		fd, err := t.Open(bulkPath, 2)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		var bufs [2]mem.GuestVirt
 		for i := range bufs {
-			va, err := p.Alloc(size)
-			if err != nil {
-				runErr = err
-				return
+			if bufs[i], err = p.AllocBytes(make([]byte, size)); err != nil {
+				return err
 			}
-			if err := p.Mem.Write(va, make([]byte, size)); err != nil {
-				runErr = err
-				return
-			}
-			bufs[i] = va
 		}
 		start := t.Sim().Now()
 		for i := 0; i < iters; i++ {
 			if _, err := t.Write(fd, bufs[(i/reuse)%2], size); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		per = t.Sim().Now().Sub(start) / sim.Duration(iters)
+		return nil
 	})
 	m.Run()
-	return per, runErr
+	return per, task.Err()
 }
 
 // burstWriters opens the device once, then has n tasks write 64 bytes each
 // in the same instant — the burst the coalescing window batches.
 func burstWriters(m *paradice.Machine, k *kernel.Kernel, n int) error {
-	var runErr error
 	p, err := k.NewProcess("burst")
 	if err != nil {
 		return err
 	}
 	opened := m.Env.NewEvent("bulk-opened")
 	var fd int
-	p.SpawnTask("opener", func(t *kernel.Task) {
-		f, err := t.Open(bulkPath, 2)
-		if err != nil {
-			runErr = err
-			return
+	tasks := []*kernel.Task{p.Go("opener", func(t *kernel.Task) (err error) {
+		if fd, err = t.Open(bulkPath, 2); err != nil {
+			return err
 		}
-		fd = f
 		opened.Trigger()
-	})
+		return nil
+	})}
 	for i := 0; i < n; i++ {
-		p.SpawnTask(fmt.Sprintf("w%d", i), func(t *kernel.Task) {
+		tasks = append(tasks, p.Go(fmt.Sprintf("w%d", i), func(t *kernel.Task) error {
 			t.Sim().Wait(opened)
 			va, err := p.Alloc(64)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
-			if _, err := t.Write(fd, va, 64); err != nil {
-				runErr = err
-				return
-			}
-		})
+			_, err = t.Write(fd, va, 64)
+			return err
+		}))
 	}
 	m.Run()
-	return runErr
+	for _, t := range tasks {
+		if err := t.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func sizeLabel(n int) string {

@@ -143,38 +143,34 @@ func RunWalkcache(quick bool) ([]Row, error) {
 // polling transport alike).
 func echoLoop(m *paradice.Machine, k *kernel.Kernel, size, iters int) (sim.Duration, error) {
 	var last sim.Duration
-	var runErr error
 	p, err := k.NewProcess("echo")
 	if err != nil {
 		return 0, err
 	}
-	p.SpawnTask("loop", func(t *kernel.Task) {
+	task := p.Go("loop", func(t *kernel.Task) error {
 		fd, err := t.Open(echoPath, 2)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		arg, err := p.Alloc(size)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := p.Mem.Write(arg, make([]byte, size)); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		cmd := echoCmd(size)
 		for i := 0; i < iters; i++ {
 			start := t.Sim().Now()
 			if _, err := t.Ioctl(fd, cmd, arg); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			last = t.Sim().Now().Sub(start)
 		}
+		return nil
 	})
 	m.Run()
-	return last, runErr
+	return last, task.Err()
 }
 
 // csDeclareCrossings builds a full Paradice machine with the GPU
@@ -190,17 +186,15 @@ func csDeclareCrossings(cfg paradice.Config) (uint64, error) {
 
 	const nchunks = 8
 	var before, after uint64
-	var runErr error
 	p, err := k.NewProcess("cs")
 	if err != nil {
 		return 0, err
 	}
 	tr := traceOn(m)
-	p.SpawnTask("submit", func(t *kernel.Task) {
+	task := p.Go("submit", func(t *kernel.Task) error {
 		fd, err := t.Open(paradice.PathGPU, 2)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		// Scattered chunk payloads: each allocation lands on its own fresh
 		// address, so no two grant entries can coalesce.
@@ -218,8 +212,7 @@ func csDeclareCrossings(cfg paradice.Config) (uint64, error) {
 			}
 			va, err := p.AllocBytes(payload)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			binary.LittleEndian.PutUint64(descs[16*i:], uint64(va))
 			binary.LittleEndian.PutUint32(descs[16*i+8:], uint32(len(words)))
@@ -227,27 +220,25 @@ func csDeclareCrossings(cfg paradice.Config) (uint64, error) {
 		}
 		descVA, err := p.AllocBytes(descs)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		hdr := make([]byte, 16)
 		binary.LittleEndian.PutUint32(hdr[0:], nchunks)
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(descVA))
 		hdrVA, err := p.AllocBytes(hdr)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		before = tr.Metrics().Counter("cvd.fe.grant.crossings")
 		if _, err := t.Ioctl(fd, drm.IoctlCS, hdrVA); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		after = tr.Metrics().Counter("cvd.fe.grant.crossings")
+		return nil
 	})
 	m.Run()
-	if runErr != nil {
-		return 0, runErr
+	if err := task.Err(); err != nil {
+		return 0, err
 	}
 	return after - before, nil
 }

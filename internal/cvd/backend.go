@@ -353,10 +353,9 @@ func (b *Backend) dispatch(p *sim.Proc) {
 
 // consumeSubBatch drains the ring's submission batch descriptor: the flush
 // that rang the doorbell published how many posted slots it covers
-// (hdrSubCount) and which (hdrSubBits). The dispatcher pays one descriptor
-// deserialization for the whole batch — the amortization the batch exists
-// for — and records the batch size. The words are advisory and untrusted:
-// counts are clamped, the bitmap is cleared without being believed (the
+// (hdrSubCount). The dispatcher pays one descriptor deserialization for the
+// whole batch — the amortization the batch exists for — and records the
+// batch size. The count is advisory and untrusted: it is clamped (the
 // oldestPosted scan is the ground truth for what is actually served), and a
 // hostile scribble degrades to a skewed histogram, never a panic.
 func (b *Backend) consumeSubBatch(p *sim.Proc) {
@@ -365,7 +364,6 @@ func (b *Backend) consumeSubBatch(p *sim.Proc) {
 		return
 	}
 	b.ring.writeU32(hdrSubCount, 0)
-	b.ring.takeBitmap(hdrSubBits)
 	if n > slotCount {
 		n = slotCount
 	}

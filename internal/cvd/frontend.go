@@ -88,7 +88,7 @@ type Frontend struct {
 	// Doorbell batching (interrupt-stance posts only): the pending set of
 	// slots whose posts share the next doorbell, flushed by the policy's
 	// size+deadline trigger. The flush publishes a submission batch
-	// descriptor (hdrSubCount + hdrSubBits) and rings once, attributed to
+	// descriptor (hdrSubCount) and rings once, attributed to
 	// the oldest still-posted member's CURRENT rid — never to a RID whose
 	// slot was reclaimed and reposted inside the window.
 	pending    []int
@@ -265,7 +265,6 @@ func (fe *Frontend) flushPending(be *Backend) {
 		if posted == 0 {
 			firstRID = fe.pendingRID[s]
 		}
-		fe.ring.setBitmapBit(hdrSubBits, s)
 		posted++
 	}
 	if posted == 0 {
@@ -298,7 +297,7 @@ func (fe *Frontend) flushPending(be *Backend) {
 // sweep recovered it. Slots whose issuer timed out and left are reclaimed
 // here — the late response is discarded, never delivered.
 func (fe *Frontend) scanDone() {
-	words := fe.ring.takeBitmap(hdrDoneBits)
+	words := fe.ring.takeDoneBits()
 	for w, word := range words {
 		for word != 0 {
 			b := bits.TrailingZeros32(word)

@@ -131,11 +131,11 @@ func FuzzRingHostileBackendBytes(f *testing.F) {
 
 // batchSeedCorpus seeds the hostile patterns specific to the multi-entry
 // batch descriptor words. First byte 2 steers scribble's offset to 32, an
-// unused header word, so one payload spans it, hdrSubCount, the four
-// hdrSubBits words, the unused word at 56, and the four hdrDoneBits words.
+// unused header word, so one payload spans it, hdrSubCount, the unused
+// words at 40–56, and the four hdrDoneBits words.
 func batchSeedCorpus(f *testing.F) {
 	ringSeedCorpus(f)
-	// Everything saturated: unused words garbage, count huge, both bitmaps
+	// Everything saturated: unused words garbage, count huge, done bitmap
 	// full.
 	sat := make([]byte, 1+44)
 	sat[0] = 2
@@ -143,18 +143,18 @@ func batchSeedCorpus(f *testing.F) {
 		sat[i] = 0xFF
 	}
 	f.Add(sat)
-	// Count/bitmap disagreement: hdrSubCount enormous, bitmap empty. The
-	// dispatcher must clamp the advisory count, not trust it.
+	// hdrSubCount enormous: the dispatcher must clamp the advisory count,
+	// not trust it.
 	lie := make([]byte, 1+8)
 	lie[0] = 2
 	lie[5], lie[6], lie[7], lie[8] = 0xFF, 0xFF, 0xFF, 0xFF // hdrSubCount
 	f.Add(lie)
-	// Bitmap bits naming slot indices >= slotCount (bits 96..127 live in the
-	// last word; slotCount is 100, so most are out of range).
+	// A one-slot count with garbage in the unused word at 52: the count
+	// names no slot, and nothing reads the word.
 	wild := make([]byte, 1+24)
 	wild[0] = 2
 	wild[5] = 1                                                     // hdrSubCount = 1
-	wild[21], wild[22], wild[23], wild[24] = 0xFF, 0xFF, 0xFF, 0xFF // hdrSubBits[3]
+	wild[21], wild[22], wild[23], wild[24] = 0xFF, 0xFF, 0xFF, 0xFF // unused word at 52
 	f.Add(wild)
 	// Done bits asserted for every slot regardless of slot state: scanDone
 	// must validate each bit against the actual slot word.
@@ -167,7 +167,7 @@ func batchSeedCorpus(f *testing.F) {
 }
 
 // FuzzBatchDescriptorHostileWords attacks the multi-entry batch descriptor:
-// hostile submission counts/bitmaps are parsed by the backend's dispatcher
+// hostile submission counts are parsed by the backend's dispatcher
 // (consumeSubBatch) and hostile completion counts/bitmaps by the frontend's
 // response scan (scanDone). Both words are advisory by design — every bit is
 // validated against the authoritative slot state — so arbitrary values must

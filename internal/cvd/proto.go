@@ -46,8 +46,9 @@ const (
 
 // Ring page layout: a 96-byte header followed by 100 40-byte slots — the
 // paper's cap of 100 queued operations per guest VM falls out of the slot
-// count. The header words at offsets 0, 28, 32 and 56 are unused; the other
-// words keep their offsets because the fuzz seed corpora steer by offset.
+// count. The header words at offsets 0, 28, 32 and 40–56 are unused; the
+// other words keep their offsets because the fuzz seed corpora steer by
+// offset.
 const (
 	hdrBackendPoll  = 4  // u32: backend is spinning on the page
 	hdrFrontendPoll = 8  // u32: count of requesters spinning for responses
@@ -56,15 +57,13 @@ const (
 	hdrHbAck        = 20 // u32: last heartbeat sequence the backend echoed
 	hdrEpoch        = 24 // u32: restart epoch of the backend owning the ring
 	hdrSubCount     = 36 // u32: submission batch descriptor count since last consume
-	hdrSubBits      = 40 // 4×u32 bitmap of posted slots in the batch (bit s = slot s)
 	hdrDoneBits     = 60 // 4×u32 bitmap of completed slots (bit s = slot s)
 	hdrSize         = 96
 
-	// bitmapWords is the width of the submission/completion descriptor
-	// bitmaps: 4×32 = 128 bits covers slotCount with room to spare. Both
-	// bitmaps are ADVISORY — either side may scribble them, so readers
-	// validate every bit against the actual slot state and ignore bits at or
-	// beyond slotCount.
+	// bitmapWords is the width of the completion descriptor bitmap: 4×32 =
+	// 128 bits covers slotCount with room to spare. The bitmap is ADVISORY —
+	// either side may scribble it, so the reader validates every bit against
+	// the actual slot state and ignores bits at or beyond slotCount.
 	bitmapWords = 4
 
 	slotSize  = 40
@@ -206,7 +205,7 @@ func (p page) writeResponse(slot int, ret int32, errno int32) {
 	// set the slot's done bit. The bitmap is advisory — the scan re-validates
 	// against slot state — so a hostile peer clearing it degrades to a
 	// deadline, never to corruption.
-	p.setBitmapBit(hdrDoneBits, slot)
+	p.setDoneBit(slot)
 }
 
 func (p page) readResponse(slot int) (ret int32, errno int32) {
@@ -232,24 +231,24 @@ func (p page) setSlotState(slot int, st uint32) {
 	p.writeU32(slotOff(slot)+sState, st)
 }
 
-// setBitmapBit ORs slot's bit into the descriptor bitmap rooted at base
-// (hdrSubBits or hdrDoneBits). Out-of-range slots are ignored — the bitmaps
-// are advisory and must never become a way to write outside their words.
-func (p page) setBitmapBit(base, slot int) {
+// setDoneBit ORs slot's bit into the completion bitmap (hdrDoneBits).
+// Out-of-range slots are ignored — the bitmap is advisory and must never
+// become a way to write outside its words.
+func (p page) setDoneBit(slot int) {
 	if slot < 0 || slot >= bitmapWords*32 {
 		return
 	}
-	off := base + 4*(slot/32)
+	off := hdrDoneBits + 4*(slot/32)
 	p.writeU32(off, p.readU32(off)|1<<uint(slot%32))
 }
 
-// takeBitmap reads and clears the descriptor bitmap rooted at base. The
-// caller validates each set bit against the actual slot state before acting
-// on it: the words cross the VM boundary and are untrusted.
-func (p page) takeBitmap(base int) [bitmapWords]uint32 {
+// takeDoneBits reads and clears the completion bitmap. The caller validates
+// each set bit against the actual slot state before acting on it: the words
+// cross the VM boundary and are untrusted.
+func (p page) takeDoneBits() [bitmapWords]uint32 {
 	var bits [bitmapWords]uint32
 	for w := 0; w < bitmapWords; w++ {
-		off := base + 4*w
+		off := hdrDoneBits + 4*w
 		bits[w] = p.readU32(off)
 		if bits[w] != 0 {
 			p.writeU32(off, 0)

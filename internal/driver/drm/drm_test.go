@@ -124,7 +124,7 @@ func (a *app) submitDraw(t testing.TB, dst, tex uint32, cycles uint64) int32 {
 func TestGemCreateAndInfo(t *testing.T) {
 	r := newRig(t, false)
 	p, _ := r.k.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		h1 := a.createBO(t, 8192)
 		h2 := a.createBO(t, 4096)
@@ -138,13 +138,16 @@ func TestGemCreateAndInfo(t *testing.T) {
 		if binary.LittleEndian.Uint64(out[8:]) != 64<<20 {
 			t.Fatalf("vram %d", binary.LittleEndian.Uint64(out[8:]))
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMmapBOAndWriteVRAM(t *testing.T) {
 	r := newRig(t, false)
 	p, _ := r.k.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		h := a.createBO(t, 2*mem.PageSize)
 		arg := make([]byte, 16)
@@ -167,13 +170,16 @@ func TestMmapBOAndWriteVRAM(t *testing.T) {
 		if string(buf) != "into vram" {
 			t.Fatalf("VRAM holds %q", buf)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCSDrawAndFence(t *testing.T) {
 	r := newRig(t, false)
 	p, _ := r.k.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		fb := a.createBO(t, mem.PageSize)
 		fence := a.submitDraw(t, fb, 0, 500_000)
@@ -187,7 +193,10 @@ func TestCSDrawAndFence(t *testing.T) {
 		if e := tk.Sim().Now().Sub(start); e < 500*sim.Microsecond {
 			t.Fatalf("fence wait returned after %v, draw takes 500µs", e)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if r.d.Submissions != 1 {
 		t.Fatalf("submissions = %d", r.d.Submissions)
 	}
@@ -196,7 +205,7 @@ func TestCSDrawAndFence(t *testing.T) {
 func TestCSRejectsBadHandleAndOpcode(t *testing.T) {
 	r := newRig(t, false)
 	p, _ := r.k.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		fence := func(words []uint32) error {
 			ib := make([]byte, len(words)*4)
@@ -225,13 +234,16 @@ func TestCSRejectsBadHandleAndOpcode(t *testing.T) {
 		if err := fence([]uint32{gpu.OpDraw, 1}); !kernel.IsErrno(err, kernel.EINVAL) {
 			t.Fatalf("truncated command: %v", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGemCloseInvalidatesHandle(t *testing.T) {
 	r := newRig(t, false)
 	p, _ := r.k.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		h := a.createBO(t, mem.PageSize)
 		arg := make([]byte, 8)
@@ -244,7 +256,10 @@ func TestGemCloseInvalidatesHandle(t *testing.T) {
 		if _, err := tk.Ioctl(a.fd, IoctlGemMmap, va); !kernel.IsErrno(err, kernel.EINVAL) {
 			t.Fatalf("mmap of closed handle: %v", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHandlesArePerFile(t *testing.T) {
@@ -273,7 +288,7 @@ func TestHandlesArePerFile(t *testing.T) {
 func TestVRAMExhaustionENOSPC(t *testing.T) {
 	r := newRig(t, false)
 	p, _ := r.k.NewProcess("app")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		arg := make([]byte, 16)
 		binary.LittleEndian.PutUint64(arg, 63<<20)
@@ -286,7 +301,10 @@ func TestVRAMExhaustionENOSPC(t *testing.T) {
 		if _, err := tk.Ioctl(a.fd, IoctlGemCreate, va2); !kernel.IsErrno(err, kernel.ENOSPC) {
 			t.Fatalf("over-allocation: %v", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestVSyncCountedViaReasonBuffer(t *testing.T) {
@@ -358,7 +376,7 @@ func TestDataIsolationRejectsUnknownProcess(t *testing.T) {
 	r.d.EnableDataIsolation(r.h, r.vm, r.dom, gate)
 	// No region registered for this process: BO allocation is refused.
 	p, _ := r.k.NewProcess("stranger")
-	p.RunTask("main", func(tk *kernel.Task) {
+	if err := p.RunTask("main", func(tk *kernel.Task) error {
 		a := r.openApp(t, tk)
 		arg := make([]byte, 16)
 		binary.LittleEndian.PutUint64(arg, mem.PageSize)
@@ -366,7 +384,10 @@ func TestDataIsolationRejectsUnknownProcess(t *testing.T) {
 		if _, err := tk.Ioctl(a.fd, IoctlGemCreate, va); !kernel.IsErrno(err, kernel.EACCES) {
 			t.Fatalf("stranger allocation: %v", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReleaseRegionPageZeroes(t *testing.T) {

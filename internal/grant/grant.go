@@ -53,6 +53,18 @@ type Op struct {
 	Len  uint64
 }
 
+// Covers is the hypervisor's covering rule (§4.1): o permits a kind access
+// to [va, va+n) when the kinds match, or o maps pages and the access
+// unmaps them (tearing down a granted mapping is always legitimate), and
+// the range lies inside o's without wrapping.
+func (o Op) Covers(kind Kind, va mem.GuestVirt, n uint64) bool {
+	if o.Kind != kind && !(kind == KindUnmap && o.Kind == KindMapPage) {
+		return false
+	}
+	end := uint64(va) + n
+	return va >= o.VA && end >= uint64(va) && end <= uint64(o.VA)+o.Len
+}
+
 // Page layout: 128 slots of 32 bytes each.
 const (
 	slotSize  = 32
@@ -352,10 +364,8 @@ func (e *DeniedError) Error() string {
 }
 
 // Validate is the hypervisor's check: it scans the page for an entry with
-// the given reference and kind whose range covers [va, va+n), and returns
-// the page-table root declared with it. Unmap requests are additionally
-// satisfied by a MapPage entry covering the range, since tearing down a
-// granted mapping is always legitimate.
+// the given reference that Covers a kind access to [va, va+n), and returns
+// the page-table root declared with it.
 func Validate(acc Accessor, ref uint32, kind Kind, va mem.GuestVirt, n uint64) (mem.GuestPhys, error) {
 	if ref == 0 {
 		return 0, &DeniedError{Ref: ref, Kind: kind, VA: va, Len: n}
@@ -369,13 +379,12 @@ func Validate(acc Accessor, ref uint32, kind Kind, va mem.GuestVirt, n uint64) (
 		if binary.LittleEndian.Uint32(buf[offRef:]) != ref {
 			continue
 		}
-		k := Kind(buf[offKind])
-		if k != kind && !(kind == KindUnmap && k == KindMapPage) {
-			continue
+		op := Op{
+			Kind: Kind(buf[offKind]),
+			VA:   mem.GuestVirt(binary.LittleEndian.Uint64(buf[offVA:])),
+			Len:  binary.LittleEndian.Uint64(buf[offLen:]),
 		}
-		eva := mem.GuestVirt(binary.LittleEndian.Uint64(buf[offVA:]))
-		elen := binary.LittleEndian.Uint64(buf[offLen:])
-		if va >= eva && uint64(va)+n <= uint64(eva)+elen && uint64(va)+n >= uint64(va) {
+		if op.Covers(kind, va, n) {
 			return mem.GuestPhys(binary.LittleEndian.Uint64(buf[offPTRoot:])), nil
 		}
 	}

@@ -226,3 +226,41 @@ func TestOnRevokeNotifiesSubscribersInOrder(t *testing.T) {
 		t.Fatalf("seen = %v after revoking ref2", seen)
 	}
 }
+
+// TestOpCovers pins the covering rule both Validate and the hypervisor's
+// grant cache apply: exact boundaries, kind matching, unmap satisfied by a
+// map-page op (and not the reverse), and accesses whose end wraps.
+func TestOpCovers(t *testing.T) {
+	copyTo := Op{Kind: KindCopyTo, VA: 0x1000, Len: 256}
+	mapPage := Op{Kind: KindMapPage, VA: 0x4000_0000, Len: 2 * mem.PageSize}
+	unmap := Op{Kind: KindUnmap, VA: 0x4000_0000, Len: 2 * mem.PageSize}
+	huge := Op{Kind: KindCopyFrom, VA: 0x1000, Len: ^uint64(0) - 0x1000}
+	cases := []struct {
+		name string
+		op   Op
+		kind Kind
+		va   mem.GuestVirt
+		n    uint64
+		want bool
+	}{
+		{"whole range", copyTo, KindCopyTo, 0x1000, 256, true},
+		{"last byte", copyTo, KindCopyTo, 0x10FF, 1, true},
+		{"empty at the end", copyTo, KindCopyTo, 0x1100, 0, true},
+		{"one byte too long", copyTo, KindCopyTo, 0x1000, 257, false},
+		{"one byte before", copyTo, KindCopyTo, 0x0FFF, 1, false},
+		{"one byte after", copyTo, KindCopyTo, 0x1100, 1, false},
+		{"other kind", copyTo, KindCopyFrom, 0x1000, 16, false},
+		{"end wraps into the range", copyTo, KindCopyTo, 0x1010, 1<<64 - 0x1000, false},
+		{"end wraps past the top", huge, KindCopyFrom, 0xFFFF_FFFF_FFFF_FFF0, 0x20, false},
+		{"just below the top", huge, KindCopyFrom, 0xFFFF_FFFF_FFFF_FFF0, 0xF, true},
+		{"unmap by map-page", mapPage, KindUnmap, 0x4000_1000, mem.PageSize, true},
+		{"unmap past the map-page range", mapPage, KindUnmap, 0x4000_1000, 2 * mem.PageSize, false},
+		{"map-page by unmap", unmap, KindMapPage, 0x4000_0000, mem.PageSize, false},
+		{"copy by map-page", mapPage, KindCopyTo, 0x4000_0000, 8, false},
+	}
+	for _, c := range cases {
+		if got := c.op.Covers(c.kind, c.va, c.n); got != c.want {
+			t.Errorf("%s: %+v.Covers(%v, %v, %d) = %v, want %v", c.name, c.op, c.kind, c.va, c.n, got, c.want)
+		}
+	}
+}

@@ -149,9 +149,8 @@ func (c *grantCache) flush() {
 	c.decls = make(map[uint32]grantDecl)
 }
 
-// lookup replays grant.Validate's exact covering check against the cached
-// vector: an op with the requested kind (unmap requests are additionally
-// satisfied by a map-page op) whose range covers [va, va+n).
+// lookup replays grant.Validate's check against the cached vector: the
+// declaration's page-table root if one of its ops Covers the access.
 func (c *grantCache) lookup(ref uint32, kind grant.Kind, va mem.GuestVirt, n uint64) (mem.GuestPhys, bool) {
 	if ref == 0 {
 		return 0, false
@@ -161,10 +160,7 @@ func (c *grantCache) lookup(ref uint32, kind grant.Kind, va mem.GuestVirt, n uin
 		return 0, false
 	}
 	for _, op := range d.ops {
-		if op.Kind != kind && !(kind == grant.KindUnmap && op.Kind == grant.KindMapPage) {
-			continue
-		}
-		if va >= op.VA && uint64(va)+n <= uint64(op.VA)+op.Len && uint64(va)+n >= uint64(va) {
+		if op.Covers(kind, va, n) {
 			return d.ptRoot, true
 		}
 	}

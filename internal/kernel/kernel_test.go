@@ -7,6 +7,7 @@ import (
 	"paradice/internal/devfile"
 	"paradice/internal/mem"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // newTestKernel boots a kernel over 8 MiB of EPT-backed RAM.
@@ -152,18 +153,21 @@ func installEcho(t testing.TB, k *Kernel) *echoDriver {
 func TestOpenMissingDevice(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		if _, err := tk.Open("/dev/nope", devfile.ORdWr); !IsErrno(err, ENOENT) {
 			t.Errorf("open missing: %v, want ENOENT", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReadWriteRoundtrip(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	installEcho(t, k)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd, err := tk.Open("/dev/echo", devfile.ORdWr)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +192,10 @@ func TestReadWriteRoundtrip(t *testing.T) {
 		if err := tk.Close(fd); err != nil {
 			t.Fatal(err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBlockingReadWakesOnWrite(t *testing.T) {
@@ -228,20 +235,23 @@ func TestNonblockReadReturnsEAGAIN(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	installEcho(t, k)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd, _ := tk.Open("/dev/echo", devfile.ORdOnly|devfile.ONonblock)
 		dst, _ := p.Alloc(16)
 		if _, err := tk.Read(fd, dst, 16); !IsErrno(err, EAGAIN) {
 			t.Errorf("nonblock read of empty device: %v, want EAGAIN", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestIoctlReversesUserBuffer(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	installEcho(t, k)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd, _ := tk.Open("/dev/echo", devfile.ORdWr)
 		payload := []byte("abcdef")
 		bufVA, _ := p.AllocBytes(payload)
@@ -258,7 +268,10 @@ func TestIoctlReversesUserBuffer(t *testing.T) {
 		if string(got) != "fedcba" {
 			t.Fatalf("buffer = %q, want fedcba", got)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMmapFaultMapsDevicePage(t *testing.T) {
@@ -270,7 +283,7 @@ func TestMmapFaultMapsDevicePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd, _ := tk.Open("/dev/echo", devfile.ORdWr)
 		va, err := tk.Mmap(fd, mem.PageSize, 0)
 		if err != nil {
@@ -294,14 +307,17 @@ func TestMmapFaultMapsDevicePage(t *testing.T) {
 		if err := p.UserRead(tk, va, got); !IsErrno(err, EFAULT) {
 			t.Fatalf("read after munmap: %v, want EFAULT", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFreeBSDMmapPatch(t *testing.T) {
 	k := newTestKernel(t, FreeBSD)
 	installEcho(t, k)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd, _ := tk.Open("/dev/echo", devfile.ORdWr)
 		// Patched (default): driver sees the VA range and accepts.
 		if _, err := tk.Mmap(fd, mem.PageSize, 0); err != nil {
@@ -313,14 +329,17 @@ func TestFreeBSDMmapPatch(t *testing.T) {
 		if _, err := tk.Mmap(fd, mem.PageSize, 0); !IsErrno(err, EINVAL) {
 			t.Fatalf("unpatched FreeBSD mmap: %v, want EINVAL", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPollTimeoutAndReady(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	installEcho(t, k)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd, _ := tk.Open("/dev/echo", devfile.ORdWr)
 		start := tk.Sim().Now()
 		mask, err := tk.Poll(fd, devfile.PollIn, 50*sim.Microsecond)
@@ -339,7 +358,10 @@ func TestPollTimeoutAndReady(t *testing.T) {
 		if err != nil || mask&devfile.PollIn == 0 {
 			t.Fatalf("poll ready: mask=%v err=%v", mask, err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPollWokenByWriter(t *testing.T) {
@@ -396,7 +418,7 @@ func TestOpenReleaseRefcount(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	d := installEcho(t, k)
 	p, _ := k.NewProcess("app")
-	p.RunTask("main", func(tk *Task) {
+	if err := p.RunTask("main", func(tk *Task) error {
 		fd1, _ := tk.Open("/dev/echo", devfile.ORdWr)
 		fd2, _ := tk.Open("/dev/echo", devfile.ORdWr)
 		if d.opens != 2 {
@@ -410,7 +432,10 @@ func TestOpenReleaseRefcount(t *testing.T) {
 		if err := tk.Close(fd1); !IsErrno(err, EINVAL) {
 			t.Fatalf("double close: %v, want EINVAL", err)
 		}
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAllocFrameReuse(t *testing.T) {
@@ -533,5 +558,97 @@ func TestMarkRestore(t *testing.T) {
 	restore()
 	if tk.Marked {
 		t.Fatal("restore did not clear flag")
+	}
+}
+
+// TestRunTaskReportsUnfinishedTask: a body still blocked when the calendar
+// drains is an error naming its task, never a silent success; a body that
+// returns has its own error passed through.
+func TestRunTaskReportsUnfinishedTask(t *testing.T) {
+	k := newTestKernel(t, Linux)
+	defer k.Env.Close()
+	p, _ := k.NewProcess("app")
+	never := k.Env.NewEvent("never")
+	err := p.RunTask("stuck", func(tk *Task) error {
+		tk.Sim().Wait(never)
+		return nil
+	})
+	if err == nil || err.Error() != "kernel: task app/stuck did not finish" {
+		t.Fatalf("blocked task: err = %v, want it named unfinished", err)
+	}
+	if err := p.RunTask("fails", func(*Task) error { return ENOTTY }); err != ENOTTY {
+		t.Fatalf("finished task: err = %v, want ENOTTY", err)
+	}
+	if err := p.RunTask("ok", func(*Task) error { return nil }); err != nil {
+		t.Fatalf("finished task: err = %v, want nil", err)
+	}
+}
+
+// TestSyscallClosesOneRootGroup: under a tracer, every fd-based system call
+// on an open fd and on one never opened ends its request exactly once — one
+// root group named "<op> <path>" or "<op> ?", every event of the call
+// carrying that group's request ID — and leaves the proc unbound.
+func TestSyscallClosesOneRootGroup(t *testing.T) {
+	k := newTestKernel(t, Linux)
+	installEcho(t, k)
+	tr := trace.New()
+	trace.Install(k.Env, tr)
+	p, _ := k.NewProcess("app")
+	calls := []struct {
+		op string
+		do func(tk *Task, fd int, buf mem.GuestVirt) error
+	}{
+		{"write", func(tk *Task, fd int, buf mem.GuestVirt) error { _, err := tk.Write(fd, buf, 8); return err }},
+		{"read", func(tk *Task, fd int, buf mem.GuestVirt) error { _, err := tk.Read(fd, buf, 8); return err }},
+		{"ioctl", func(tk *Task, fd int, _ mem.GuestVirt) error { _, err := tk.Ioctl(fd, echoNoop, 0); return err }},
+		{"mmap", func(tk *Task, fd int, _ mem.GuestVirt) error { _, err := tk.Mmap(fd, mem.PageSize, 0); return err }},
+		{"poll", func(tk *Task, fd int, _ mem.GuestVirt) error { _, err := tk.Poll(fd, devfile.PollIn, 0); return err }},
+		{"fasync", func(tk *Task, fd int, _ mem.GuestVirt) error { return tk.SetFasync(fd, true) }},
+		{"close", func(tk *Task, fd int, _ mem.GuestVirt) error { return tk.Close(fd) }},
+	}
+	if err := p.RunTask("main", func(tk *Task) error {
+		buf, err := p.Alloc(8)
+		if err != nil {
+			return err
+		}
+		fd, err := tk.Open("/dev/echo", devfile.ORdWr|devfile.ONonblock)
+		if err != nil {
+			return err
+		}
+		for _, target := range []struct {
+			fd   int
+			path string
+		}{{fd, "/dev/echo"}, {fd + 100, "?"}} {
+			for _, c := range calls {
+				from := len(tr.Events())
+				err := c.do(tk, target.fd, buf)
+				if (err == nil) != (target.path != "?") {
+					t.Errorf("%s on %s: err = %v", c.op, target.path, err)
+				}
+				var roots []trace.Event
+				evs := tr.Events()[from:]
+				for _, e := range evs {
+					if e.Kind == trace.KindGroup {
+						roots = append(roots, e)
+					}
+				}
+				want := c.op + " " + target.path
+				if len(roots) != 1 || roots[0].Name != want || roots[0].RID == 0 {
+					t.Errorf("%s: root groups %+v, want one named %q", want, roots, want)
+					continue
+				}
+				for _, e := range evs {
+					if e.RID != roots[0].RID {
+						t.Errorf("%s: event %q has rid %d, want the root's %d", want, e.Name, e.RID, roots[0].RID)
+					}
+				}
+				if rid := tr.RIDOf(tk.Sim()); rid != 0 {
+					t.Errorf("%s: proc still bound to rid %d", want, rid)
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

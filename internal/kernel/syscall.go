@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"paradice/internal/devfile"
 	"paradice/internal/mem"
 	"paradice/internal/perf"
@@ -16,7 +18,11 @@ import (
 // The system-call boundary is also where a request's trace begins: opBegin
 // allocates the request ID, binds it to the calling sim proc (so layers that
 // only see the Env — hypervisor, IOMMU — can attribute their spans), and
-// opEnd closes the root span covering the operation end to end.
+// opEnd closes the root span covering the operation end to end. Every
+// fd-based call runs inside one envelope, sys, which resolves the descriptor,
+// builds the call's FopCtx and ends the request exactly once; Open and
+// Munmap, keyed by path and address instead, close their span with one
+// deferred opEnd.
 
 // opBegin opens one system call: a fresh request ID bound to the calling
 // proc, the start time of the root span, and the system-call entry/exit
@@ -41,113 +47,86 @@ func (t *Task) opEnd(tr *trace.Tracer, rid uint64, start sim.Time, op, path stri
 	tr.Group(rid, t.Proc.K.Name, trace.LayerSyscall, op+" "+path, start, tr.Now())
 }
 
-func (t *Task) file(fd int) (*File, error) {
-	f, ok := t.Proc.fds[fd]
-	if !ok {
-		return nil, EINVAL
+// sys is the envelope of every fd-based system call. It opens the request
+// (opBegin), resolves fd, runs call with the request's one FopCtx, and closes
+// the root span once, named by the file's path, or "?" when fd is not open
+// (the call then fails with EINVAL without reaching a driver).
+func sys[T any](t *Task, op string, fd int, call func(c *FopCtx) (T, error)) (T, error) {
+	tr, rid, start := t.opBegin()
+	path := "?"
+	var ret T
+	var err error = EINVAL
+	if f, ok := t.Proc.fds[fd]; ok {
+		path = f.Node.Path
+		ret, err = call(&FopCtx{Task: t, File: f, RID: rid})
 	}
-	return f, nil
+	t.opEnd(tr, rid, start, op, path)
+	return ret, err
 }
 
 // Open opens a device file and returns a file descriptor.
 func (t *Task) Open(path string, flags devfile.OpenFlags) (int, error) {
 	tr, rid, start := t.opBegin()
+	defer t.opEnd(tr, rid, start, "open", path)
 	node, ok := t.Proc.K.LookupDevice(path)
 	if !ok {
-		t.opEnd(tr, rid, start, "open", path)
 		return -1, ENOENT
 	}
 	f := &File{Node: node, Flags: flags, Proc: t.Proc, refs: 1}
-	c := &FopCtx{Task: t, File: f, RID: rid}
-	if err := node.Ops.Open(c); err != nil {
-		t.opEnd(tr, rid, start, "open", path)
+	if err := node.Ops.Open(&FopCtx{Task: t, File: f, RID: rid}); err != nil {
 		return -1, err
 	}
 	fd := t.Proc.nextFD
 	t.Proc.nextFD++
 	t.Proc.fds[fd] = f
-	t.opEnd(tr, rid, start, "open", path)
 	return fd, nil
 }
 
 // Close releases a file descriptor, invoking the driver's release handler
 // on the last reference.
 func (t *Task) Close(fd int) error {
-	tr, rid, start := t.opBegin()
-	f, err := t.file(fd)
-	if err != nil {
-		t.opEnd(tr, rid, start, "close", "?")
-		return err
-	}
-	delete(t.Proc.fds, fd)
-	f.refs--
-	if f.refs == 0 {
-		err = f.Node.Ops.Release(&FopCtx{Task: t, File: f, RID: rid})
-	} else {
-		err = nil
-	}
-	t.opEnd(tr, rid, start, "close", f.Node.Path)
+	_, err := sys(t, "close", fd, func(c *FopCtx) (struct{}, error) {
+		delete(t.Proc.fds, fd)
+		c.File.refs--
+		if c.File.refs > 0 {
+			return struct{}{}, nil
+		}
+		return struct{}{}, c.File.Node.Ops.Release(c)
+	})
 	return err
 }
 
 // Read reads up to n bytes of device data into the user buffer at buf.
 func (t *Task) Read(fd int, buf mem.GuestVirt, n int) (int, error) {
-	tr, rid, start := t.opBegin()
-	f, err := t.file(fd)
-	if err != nil {
-		t.opEnd(tr, rid, start, "read", "?")
-		return 0, err
-	}
-	ret, err := f.Node.Ops.Read(&FopCtx{Task: t, File: f, RID: rid}, buf, n)
-	t.opEnd(tr, rid, start, "read", f.Node.Path)
-	return ret, err
+	return sys(t, "read", fd, func(c *FopCtx) (int, error) {
+		return c.File.Node.Ops.Read(c, buf, n)
+	})
 }
 
 // Write writes up to n bytes from the user buffer at buf to the device.
 func (t *Task) Write(fd int, buf mem.GuestVirt, n int) (int, error) {
-	tr, rid, start := t.opBegin()
-	f, err := t.file(fd)
-	if err != nil {
-		t.opEnd(tr, rid, start, "write", "?")
-		return 0, err
-	}
-	ret, err := f.Node.Ops.Write(&FopCtx{Task: t, File: f, RID: rid}, buf, n)
-	t.opEnd(tr, rid, start, "write", f.Node.Path)
-	return ret, err
+	return sys(t, "write", fd, func(c *FopCtx) (int, error) {
+		return c.File.Node.Ops.Write(c, buf, n)
+	})
 }
 
 // Ioctl issues a device-specific command. arg is the untyped pointer
 // argument — for _IOR/_IOW/_IOWR commands, a user-space address.
 func (t *Task) Ioctl(fd int, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {
-	tr, rid, start := t.opBegin()
-	f, err := t.file(fd)
-	if err != nil {
-		t.opEnd(tr, rid, start, "ioctl", "?")
-		return 0, err
-	}
-	ret, err := f.Node.Ops.Ioctl(&FopCtx{Task: t, File: f, RID: rid}, cmd, arg)
-	t.opEnd(tr, rid, start, "ioctl", f.Node.Path)
-	return ret, err
+	return sys(t, "ioctl", fd, func(c *FopCtx) (int32, error) {
+		return c.File.Node.Ops.Ioctl(c, cmd, arg)
+	})
 }
 
 // Mmap maps length bytes of the device at page offset pgoff into the
 // process address space and returns the chosen virtual address.
 func (t *Task) Mmap(fd int, length uint64, pgoff uint64) (mem.GuestVirt, error) {
-	tr, rid, start := t.opBegin()
-	base, err := t.mmap(fd, length, pgoff, rid)
-	path := "?"
-	if f, ferr := t.file(fd); ferr == nil {
-		path = f.Node.Path
-	}
-	t.opEnd(tr, rid, start, "mmap", path)
-	return base, err
+	return sys(t, "mmap", fd, func(c *FopCtx) (mem.GuestVirt, error) {
+		return t.mmap(c, length, pgoff)
+	})
 }
 
-func (t *Task) mmap(fd int, length uint64, pgoff uint64, rid uint64) (mem.GuestVirt, error) {
-	f, err := t.file(fd)
-	if err != nil {
-		return 0, err
-	}
+func (t *Task) mmap(c *FopCtx, length uint64, pgoff uint64) (mem.GuestVirt, error) {
 	if length == 0 {
 		return 0, EINVAL
 	}
@@ -155,15 +134,15 @@ func (t *Task) mmap(fd int, length uint64, pgoff uint64, rid uint64) (mem.GuestV
 	if err != nil {
 		return 0, err
 	}
-	v := &VMA{Proc: t.Proc, Start: base, Len: length, File: f, Pgoff: pgoff}
+	v := &VMA{Proc: t.Proc, Start: base, Len: length, File: c.File, Pgoff: pgoff}
 	if t.Proc.K.Flavor == FreeBSD && !t.Proc.K.freeBSDMmapPatch {
 		// Unpatched FreeBSD does not hand the handler the VA range the
 		// mapping will occupy; the CVD frontend (and the Linux drivers
 		// behind it) need those addresses, which is why the paper adds
 		// ~12 LoC to the FreeBSD kernel (§5.1).
-		v = &VMA{Proc: t.Proc, Len: length, File: f, Pgoff: pgoff}
+		v = &VMA{Proc: t.Proc, Len: length, File: c.File, Pgoff: pgoff}
 	}
-	if err := f.Node.Ops.Mmap(&FopCtx{Task: t, File: f, RID: rid}, v); err != nil {
+	if err := c.File.Node.Ops.Mmap(c, v); err != nil {
 		return 0, err
 	}
 	v.Start = base
@@ -176,87 +155,62 @@ func (t *Task) mmap(fd int, length uint64, pgoff uint64, rid uint64) (mem.GuestV
 // (driver or CVD frontend), per the ordering in §5.2.
 func (t *Task) Munmap(va mem.GuestVirt, length uint64) error {
 	tr, rid, start := t.opBegin()
-	var v *VMA
-	var idx int
-	for i, cand := range t.Proc.vmas {
-		if cand.Start == va && cand.Len == length {
-			v, idx = cand, i
-			break
-		}
-	}
-	if v == nil {
-		t.opEnd(tr, rid, start, "munmap", "?")
+	path := "?"
+	defer func() { t.opEnd(tr, rid, start, "munmap", path) }()
+	idx := slices.IndexFunc(t.Proc.vmas, func(v *VMA) bool { return v.Start == va && v.Len == length })
+	if idx < 0 {
 		return EINVAL
 	}
-	path := "?"
+	v := t.Proc.vmas[idx]
 	if v.File != nil {
 		path = v.File.Node.Path
 	}
 	for page := range v.mapped {
 		if err := t.Proc.PT.Unmap(page); err != nil {
-			t.opEnd(tr, rid, start, "munmap", path)
 			return err
 		}
 	}
-	t.Proc.vmas = append(t.Proc.vmas[:idx], t.Proc.vmas[idx+1:]...)
-	var err error
-	if v.OnUnmap != nil {
-		err = v.OnUnmap(&FopCtx{Task: t, File: v.File, RID: rid}, v)
+	t.Proc.vmas = slices.Delete(t.Proc.vmas, idx, idx+1)
+	if v.OnUnmap == nil {
+		return nil
 	}
-	t.opEnd(tr, rid, start, "munmap", path)
-	return err
+	return v.OnUnmap(&FopCtx{Task: t, File: v.File, RID: rid}, v)
 }
 
 // Poll waits up to timeout for any event in want on fd, returning the ready
 // mask (0 on timeout). A negative timeout means wait forever.
 func (t *Task) Poll(fd int, want devfile.PollMask, timeout sim.Duration) (devfile.PollMask, error) {
-	tr, rid, start := t.opBegin()
-	f, err := t.file(fd)
-	if err != nil {
-		t.opEnd(tr, rid, start, "poll", "?")
-		return 0, err
-	}
-	c := &FopCtx{Task: t, File: f, RID: rid}
-	deadline := t.Proc.K.Env.Now().Add(timeout)
-	for {
-		pt := t.Proc.K.NewPollTable()
-		pt.Want = want
-		mask := f.Node.Ops.Poll(c, pt)
-		if mask&(want|devfile.PollErr|devfile.PollHup) != 0 {
-			t.opEnd(tr, rid, start, "poll", f.Node.Path)
-			return mask, nil
-		}
-		var wait sim.Duration
-		if timeout < 0 {
-			wait = sim.Duration(1 << 60)
-		} else {
-			wait = deadline.Sub(t.Proc.K.Env.Now())
-			if wait <= 0 {
-				t.opEnd(tr, rid, start, "poll", f.Node.Path)
+	return sys(t, "poll", fd, func(c *FopCtx) (devfile.PollMask, error) {
+		deadline := t.Proc.K.Env.Now().Add(timeout)
+		for {
+			pt := t.Proc.K.NewPollTable()
+			pt.Want = want
+			mask := c.File.Node.Ops.Poll(c, pt)
+			if mask&(want|devfile.PollErr|devfile.PollHup) != 0 {
+				return mask, nil
+			}
+			wait := sim.Duration(1 << 60)
+			if timeout >= 0 {
+				if wait = deadline.Sub(t.Proc.K.Env.Now()); wait <= 0 {
+					return 0, nil
+				}
+			}
+			if !pt.wait(t, wait) && timeout >= 0 {
 				return 0, nil
 			}
 		}
-		if !pt.wait(t, wait) && timeout >= 0 {
-			t.opEnd(tr, rid, start, "poll", f.Node.Path)
-			return 0, nil
-		}
-	}
+	})
 }
 
 // SetFasync arms or disarms SIGIO notification on fd (the fcntl FASYNC
 // path; §2.1's asynchronous notification).
 func (t *Task) SetFasync(fd int, on bool) error {
-	tr, rid, start := t.opBegin()
-	f, err := t.file(fd)
-	if err != nil {
-		t.opEnd(tr, rid, start, "fasync", "?")
-		return err
-	}
-	if err := f.Node.Ops.Fasync(&FopCtx{Task: t, File: f, RID: rid}, on); err != nil {
-		t.opEnd(tr, rid, start, "fasync", f.Node.Path)
-		return err
-	}
-	f.FasyncOn = on
-	t.opEnd(tr, rid, start, "fasync", f.Node.Path)
-	return nil
+	_, err := sys(t, "fasync", fd, func(c *FopCtx) (struct{}, error) {
+		if err := c.File.Node.Ops.Fasync(c, on); err != nil {
+			return struct{}{}, err
+		}
+		c.File.FasyncOn = on
+		return struct{}{}, nil
+	})
+	return err
 }

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+
 	"paradice/internal/mem"
 	"paradice/internal/sim"
 )
@@ -26,7 +28,9 @@ type Task struct {
 	// Remote is the hypervisor-API conduit used while Marked.
 	Remote RemoteOps
 
-	sp *sim.Proc
+	sp   *sim.Proc
+	err  error // what a Go body returned
+	done bool  // the Go body has returned
 }
 
 // RemoteOps is the hypervisor memory-operation API as seen by the wrapper
@@ -44,23 +48,41 @@ type RemoteOps interface {
 	UnmapPage(va mem.GuestVirt) error
 }
 
-// SpawnTask starts fn as a new thread of this process on the simulation
-// clock and returns the Task handle (available immediately; fn runs when
-// the scheduler first hands it control).
-func (p *Process) SpawnTask(name string, fn func(t *Task)) *Task {
+// Go starts fn as a new thread of this process on the simulation clock and
+// returns the Task handle (available immediately; fn runs when the scheduler
+// first hands it control). Err reports how fn ended.
+func (p *Process) Go(name string, fn func(t *Task) error) *Task {
 	t := &Task{Proc: p, Name: name}
 	p.K.Env.Spawn(p.K.Name+"/"+name, func(sp *sim.Proc) {
 		t.sp = sp
-		fn(t)
+		t.err = fn(t)
+		t.done = true
 	})
 	return t
 }
 
-// RunTask runs fn as a thread of this process and drives the simulation
-// until the calendar drains — the sequential-experiment convenience.
-func (p *Process) RunTask(name string, fn func(t *Task)) {
-	p.SpawnTask(name, fn)
+// SpawnTask starts fn as a thread of this process, like Go, for a body that
+// reports no error.
+func (p *Process) SpawnTask(name string, fn func(t *Task)) *Task {
+	return p.Go(name, func(t *Task) error { fn(t); return nil })
+}
+
+// RunTask runs fn as a thread of this process, drives the simulation until
+// the calendar drains — the sequential-experiment convenience — and returns
+// the task's Err.
+func (p *Process) RunTask(name string, fn func(t *Task) error) error {
+	t := p.Go(name, fn)
 	p.K.Env.Run()
+	return t.Err()
+}
+
+// Err returns what the task's body returned, or an error naming the task if
+// the body has not returned: it is still blocked, or was never resumed.
+func (t *Task) Err() error {
+	if !t.done {
+		return fmt.Errorf("kernel: task %s/%s did not finish", t.Proc.Name, t.Name)
+	}
+	return t.err
 }
 
 // AdoptTask binds a Task to an already-running simulation process. The CVD

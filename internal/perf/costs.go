@@ -143,7 +143,7 @@ const (
 	CostHandoverSwitch = 100 * sim.Microsecond
 
 	// CostBatchDescriptor is the backend's cost to deserialize one
-	// submission batch descriptor (the count word plus the slot bitmap)
+	// submission batch descriptor (the count word in the ring header)
 	// when a flushed doorbell announces a vector of posted slots. Paid once
 	// per consumed batch, regardless of batch size — the amortization that
 	// makes multi-entry submission cheaper than per-post doorbells.

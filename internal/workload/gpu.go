@@ -22,34 +22,28 @@ type GLResult struct {
 // device file and reports the average FPS (VSync disabled, as in §6.1.3).
 func RunGL(env *sim.Env, k *kernel.Kernel, spec GLSpec, frames int) (GLResult, error) {
 	res := GLResult{Spec: spec, Frames: frames}
-	var runErr error
 	p, err := k.NewProcess("gl-" + spec.Name)
 	if err != nil {
 		return res, err
 	}
-	p.SpawnTask("render", func(t *kernel.Task) {
+	task := p.Go("render", func(t *kernel.Task) error {
 		g, err := usrlib.OpenGPU(t, "/dev/dri/card0")
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		defer g.Close()
 		fb, err := g.CreateBO(1 << 20) // framebuffer
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		tex, err := g.CreateBO(1 << 20) // texture/vertex staging
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		var texVA mem.GuestVirt
 		if spec.UploadBytes > 0 {
-			texVA, err = g.MapBO(tex, 1<<20)
-			if err != nil {
-				runErr = err
-				return
+			if texVA, err = g.MapBO(tex, 1<<20); err != nil {
+				return err
 			}
 		}
 		upload := make([]byte, spec.UploadBytes)
@@ -63,28 +57,26 @@ func RunGL(env *sim.Env, k *kernel.Kernel, spec GLSpec, frames int) (GLResult, e
 					upload[i] = byte(f + i)
 				}
 				if err := p.UserWrite(t, texVA, upload); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				t.Sim().Advance(perf.Copy(spec.UploadBytes, spec.UploadBytes/mem.PageSize+1))
 			}
 			// The auxiliary per-frame ioctls: state changes, BO bookkeeping.
 			for i := 0; i < spec.Ioctls; i++ {
 				if _, _, _, err := g.Info(); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			if err := g.Draw(fb, tex, spec.DrawCycles); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		elapsed := t.Sim().Now().Sub(start)
 		res.FPS = float64(frames) / elapsed.Seconds()
+		return nil
 	})
 	env.Run()
-	return res, runErr
+	return res, task.Err()
 }
 
 // MatmulResult is one OpenCL benchmark run.
@@ -99,111 +91,58 @@ type MatmulResult struct {
 // small matrix orders in Figure 5.
 const CLSetupTime = 150 * sim.Millisecond
 
-// RunMatmul executes the Figure 5/6 benchmark: multiply two random order-n
+// RunMatmul executes the Figure 5 benchmark: multiply two random order-n
 // matrices on the GPU, measuring from host setup until the result matrix is
 // back, and verify the product against a CPU reference.
 func RunMatmul(env *sim.Env, k *kernel.Kernel, order int, seed int64) (MatmulResult, error) {
 	res := MatmulResult{Order: order}
-	var runErr error
-	job := StartMatmul(k, order, seed, &res, &runErr)
-	_ = job
+	task, err := StartMatmul(k, order, seed, &res)
+	if err != nil {
+		return res, err
+	}
 	env.Run()
-	return res, runErr
+	return res, task.Err()
 }
 
 // StartMatmul spawns the benchmark without driving the simulation, so
-// several guests can run it concurrently (Figure 6). The result lands in
-// res once the simulation is driven to completion.
-func StartMatmul(k *kernel.Kernel, order int, seed int64, res *MatmulResult, runErr *error) *kernel.Process {
+// several guests can run it concurrently. The result lands in res once the
+// simulation is driven to completion; the returned task's Err reports how
+// the run ended.
+func StartMatmul(k *kernel.Kernel, order int, seed int64, res *MatmulResult) (*kernel.Task, error) {
 	p, err := k.NewProcess(fmt.Sprintf("opencl-%d", order))
 	if err != nil {
-		*runErr = err
-		return nil
+		return nil, err
 	}
-	p.SpawnTask("host", func(t *kernel.Task) {
-		rng := rand.New(rand.NewSource(seed))
-		n := order
-		a := make([]float32, n*n)
-		b := make([]float32, n*n)
-		for i := range a {
-			a[i] = rng.Float32()
-			b[i] = rng.Float32()
-		}
-		start := t.Sim().Now()
-		t.Sim().Advance(CLSetupTime)
-		g, err := usrlib.OpenGPU(t, "/dev/dri/card0")
-		if err != nil {
-			*runErr = err
-			return
-		}
-		defer g.Close()
-		bytes := uint64(n) * uint64(n) * 4
-		mapLen := (bytes + mem.PageSize - 1) &^ (mem.PageSize - 1)
-		var handles [3]uint32
-		var vas [3]mem.GuestVirt
-		for i := range handles {
-			h, err := g.CreateBO(bytes)
-			if err != nil {
-				*runErr = err
-				return
-			}
-			handles[i] = h
-			va, err := g.MapBO(h, mapLen)
-			if err != nil {
-				*runErr = err
-				return
-			}
-			vas[i] = va
-		}
-		if err := g.WriteF32(vas[0], a); err != nil {
-			*runErr = err
-			return
-		}
-		if err := g.WriteF32(vas[1], b); err != nil {
-			*runErr = err
-			return
-		}
-		t.Sim().Advance(2 * perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
-		if err := g.Compute(handles[0], handles[1], handles[2], n); err != nil {
-			*runErr = err
-			return
-		}
-		got, err := g.ReadF32(vas[2], n*n)
-		if err != nil {
-			*runErr = err
-			return
-		}
-		t.Sim().Advance(perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
-		res.Elapsed = t.Sim().Now().Sub(start)
-		res.Correct = verifyMatmul(a, b, got, n)
-	})
-	return p
+	return p.Go("host", func(t *kernel.Task) (err error) {
+		*res, err = matmul(t, order, seed, false)
+		return err
+	}), nil
 }
 
 // StartMatmulLoop spawns one guest application that runs the benchmark
-// `runs` times back to back (the §6.1.4 concurrency experiment executes it
-// "5 times in a row from each guest VM simultaneously"). Results land in
-// res/errs once the simulation is driven to completion.
-func StartMatmulLoop(k *kernel.Kernel, order, runs int, res []MatmulResult, errs []error) {
+// len(res) times back to back (the §6.1.4 concurrency experiment executes
+// it "5 times in a row from each guest VM simultaneously"). Results land in
+// res once the simulation is driven to completion; the returned task's Err
+// reports the first failed run.
+func StartMatmulLoop(k *kernel.Kernel, order int, res []MatmulResult) (*kernel.Task, error) {
 	p, err := k.NewProcess("opencl-loop")
 	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return
+		return nil, err
 	}
-	p.SpawnTask("host", func(t *kernel.Task) {
-		for r := 0; r < runs; r++ {
-			res[r], errs[r] = runMatmulOnce(t, order, int64(r+1)*7919)
-			if errs[r] != nil {
-				return
+	return p.Go("host", func(t *kernel.Task) (err error) {
+		for r := range res {
+			if res[r], err = matmul(t, order, int64(r+1)*7919, true); err != nil {
+				return fmt.Errorf("run %d: %w", r, err)
 			}
 		}
-	})
+		return nil
+	}), nil
 }
 
-// runMatmulOnce is the benchmark body executed by an already-running task.
-func runMatmulOnce(t *kernel.Task, order int, seed int64) (MatmulResult, error) {
+// matmul is the benchmark body executed by an already-running task. With
+// unmap, the three buffer objects are unmapped before the clock stops, as
+// Figure 6's back-to-back runs do; Figure 5 leaves them mapped.
+func matmul(t *kernel.Task, order int, seed int64, unmap bool) (MatmulResult, error) {
 	res := MatmulResult{Order: order}
 	rng := rand.New(rand.NewSource(seed))
 	n := order
@@ -225,16 +164,12 @@ func runMatmulOnce(t *kernel.Task, order int, seed int64) (MatmulResult, error) 
 	var handles [3]uint32
 	var vas [3]mem.GuestVirt
 	for i := range handles {
-		h, err := g.CreateBO(bytes)
-		if err != nil {
+		if handles[i], err = g.CreateBO(bytes); err != nil {
 			return res, err
 		}
-		handles[i] = h
-		va, err := g.MapBO(h, mapLen)
-		if err != nil {
+		if vas[i], err = g.MapBO(handles[i], mapLen); err != nil {
 			return res, err
 		}
-		vas[i] = va
 	}
 	if err := g.WriteF32(vas[0], a); err != nil {
 		return res, err
@@ -252,8 +187,10 @@ func runMatmulOnce(t *kernel.Task, order int, seed int64) (MatmulResult, error) 
 	}
 	t.Sim().Advance(perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
 	for i := range vas {
-		if err := g.UnmapBO(vas[i], mapLen); err != nil {
-			return res, err
+		if unmap {
+			if err := g.UnmapBO(vas[i], mapLen); err != nil {
+				return res, err
+			}
 		}
 	}
 	res.Elapsed = t.Sim().Now().Sub(start)

@@ -27,28 +27,24 @@ type MouseResult struct {
 // emits motion at a fixed rate.
 func RunMouseLatency(env *sim.Env, k *kernel.Kernel, mouse *input.Device, samples int) (MouseResult, error) {
 	res := MouseResult{Samples: samples}
-	var runErr error
 	p, err := k.NewProcess("xserver")
 	if err != nil {
 		return res, err
 	}
 	var total sim.Duration
-	p.SpawnTask("eventloop", func(t *kernel.Task) {
+	task := p.Go("eventloop", func(t *kernel.Task) error {
 		fd, err := t.Open("/dev/input/event0", devfile.ORdOnly|devfile.ONonblock)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		buf, err := p.Alloc(evdev.EventSize * 16)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		got := 0
 		for got < samples {
 			if _, err := t.Poll(fd, devfile.PollIn, -1); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			for {
 				n, err := t.Read(fd, buf, evdev.EventSize*16)
@@ -56,13 +52,11 @@ func RunMouseLatency(env *sim.Env, k *kernel.Kernel, mouse *input.Device, sample
 					break
 				}
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				raw := make([]byte, n)
 				if err := p.Mem.Read(buf, raw); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				for off := 0; off+evdev.EventSize <= n; off += evdev.EventSize {
 					ev := evdev.DecodeEvent(raw[off:])
@@ -72,6 +66,7 @@ func RunMouseLatency(env *sim.Env, k *kernel.Kernel, mouse *input.Device, sample
 			}
 		}
 		res.Avg = total / sim.Duration(samples)
+		return nil
 	})
 	// The mouse moves once per millisecond; latency is rate-independent
 	// ("no matter how fast the mouse moves").
@@ -79,7 +74,7 @@ func RunMouseLatency(env *sim.Env, k *kernel.Kernel, mouse *input.Device, sample
 		mouse.InjectAt(env.Now().Add(sim.Duration(i+1)*sim.Millisecond), input.EvRel, 0, int32(i))
 	}
 	env.Run()
-	return res, runErr
+	return res, task.Err()
 }
 
 // CameraResult is the §6.1.6 capture measurement.
@@ -96,109 +91,91 @@ type CameraResult struct {
 // driver buffers, and run the qbuf/dqbuf loop.
 func RunCamera(env *sim.Env, k *kernel.Kernel, r camera.Resolution, frames int) (CameraResult, error) {
 	res := CameraResult{Res: r, Frames: frames, Verified: true}
-	var runErr error
 	p, err := k.NewProcess("guvcview")
 	if err != nil {
 		return res, err
 	}
-	p.SpawnTask("capture", func(t *kernel.Task) {
+	task := p.Go("capture", func(t *kernel.Task) error {
 		fd, err := t.Open("/dev/video0", devfile.ORdWr)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		defer t.Close(fd)
 		arg, _ := p.Alloc(32)
-		put := func(vals ...uint32) {
-			b := make([]byte, len(vals)*4)
+		// ioctl stores vals in the argument block, issues cmd and returns
+		// the first n bytes the driver left there.
+		ioctl := func(cmd devfile.IoctlCmd, n int, vals ...uint32) ([]byte, error) {
+			b := make([]byte, max(len(vals)*4, n))
 			for i, v := range vals {
 				binary.LittleEndian.PutUint32(b[i*4:], v)
 			}
-			if err := p.Mem.Write(arg, b); err != nil {
-				runErr = err
+			if err := p.Mem.Write(arg, b[:len(vals)*4]); err != nil {
+				return nil, err
 			}
-		}
-		get := func(n int) []byte {
-			b := make([]byte, n)
-			if err := p.Mem.Read(arg, b); err != nil {
-				runErr = err
+			if _, err := t.Ioctl(fd, cmd, arg); err != nil {
+				return nil, err
 			}
-			return b
+			return b[:n], p.Mem.Read(arg, b[:n])
 		}
-		put(uint32(r.W), uint32(r.H), 0, 0)
-		if _, err := t.Ioctl(fd, uvc.VidiocSFmt, arg); err != nil {
-			runErr = err
-			return
+		fmtOut, err := ioctl(uvc.VidiocSFmt, 16, uint32(r.W), uint32(r.H), 0, 0)
+		if err != nil {
+			return err
 		}
-		size := binary.LittleEndian.Uint32(get(16)[8:])
+		size := binary.LittleEndian.Uint32(fmtOut[8:])
 		const nbufs = 4
-		put(nbufs, 0)
-		if _, err := t.Ioctl(fd, uvc.VidiocReqbufs, arg); err != nil {
-			runErr = err
-			return
+		if _, err := ioctl(uvc.VidiocReqbufs, 0, nbufs, 0); err != nil {
+			return err
 		}
 		mapLen := (uint64(size) + mem.PageSize - 1) &^ (mem.PageSize - 1)
 		var vas [nbufs]mem.GuestVirt
 		for i := 0; i < nbufs; i++ {
-			put(uint32(i), 0, 0, 0, 0, 0)
-			if _, err := t.Ioctl(fd, uvc.VidiocQuerybuf, arg); err != nil {
-				runErr = err
-				return
-			}
-			pgoff := binary.LittleEndian.Uint64(get(24)[8:])
-			va, err := t.Mmap(fd, mapLen, pgoff)
+			buf, err := ioctl(uvc.VidiocQuerybuf, 24, uint32(i), 0, 0, 0, 0, 0)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
-			vas[i] = va
+			if vas[i], err = t.Mmap(fd, mapLen, binary.LittleEndian.Uint64(buf[8:])); err != nil {
+				return err
+			}
 		}
 		for i := 0; i < nbufs; i++ {
-			put(uint32(i), 0)
-			if _, err := t.Ioctl(fd, uvc.VidiocQbuf, arg); err != nil {
-				runErr = err
-				return
+			if _, err := ioctl(uvc.VidiocQbuf, 0, uint32(i), 0); err != nil {
+				return err
 			}
 		}
 		if _, err := t.Ioctl(fd, uvc.VidiocStreamOn, 0); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start := t.Sim().Now()
 		for f := 0; f < frames; f++ {
-			if _, err := t.Ioctl(fd, uvc.VidiocDqbuf, arg); err != nil {
-				runErr = err
-				return
+			out, err := ioctl(uvc.VidiocDqbuf, 8)
+			if err != nil {
+				return err
 			}
-			out := get(8)
 			idx := binary.LittleEndian.Uint32(out[0:])
 			seq := binary.LittleEndian.Uint32(out[4:])
 			// Spot-check the frame pattern through the mapped buffer.
 			probe := make([]byte, 16)
 			if err := p.UserRead(t, vas[idx]+100, probe); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			for i, b := range probe {
 				if b != camera.FramePattern(seq, 100+i) {
 					res.Verified = false
 				}
 			}
-			put(idx, 0)
-			if _, err := t.Ioctl(fd, uvc.VidiocQbuf, arg); err != nil {
-				runErr = err
-				return
+			if _, err := ioctl(uvc.VidiocQbuf, 0, idx, 0); err != nil {
+				return err
 			}
 		}
 		elapsed := t.Sim().Now().Sub(start)
 		if _, err := t.Ioctl(fd, uvc.VidiocStreamOff, 0); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.FPS = float64(frames) / elapsed.Seconds()
+		return nil
 	})
 	env.Run()
-	return res, runErr
+	return res, task.Err()
 }
 
 // AudioResult is the §6.1.6 playback measurement.
@@ -213,16 +190,14 @@ type AudioResult struct {
 // time until the device has drained it.
 func RunAudio(env *sim.Env, k *kernel.Kernel, seconds float64) (AudioResult, error) {
 	var res AudioResult
-	var runErr error
 	p, err := k.NewProcess("aplay")
 	if err != nil {
 		return res, err
 	}
-	p.SpawnTask("play", func(t *kernel.Task) {
+	task := p.Go("play", func(t *kernel.Task) error {
 		fd, err := t.Open("/dev/snd/pcmC0D0p", devfile.OWrOnly)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		defer t.Close(fd)
 		arg, _ := p.Alloc(8)
@@ -230,12 +205,10 @@ func RunAudio(env *sim.Env, k *kernel.Kernel, seconds float64) (AudioResult, err
 		binary.LittleEndian.PutUint32(hw[0:], 48000)
 		binary.LittleEndian.PutUint32(hw[4:], 4)
 		if err := p.Mem.Write(arg, hw); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if _, err := t.Ioctl(fd, pcm.IoctlHwParams, arg); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		total := int(seconds * 48000 * 4)
 		chunk := 16384
@@ -245,8 +218,7 @@ func RunAudio(env *sim.Env, k *kernel.Kernel, seconds float64) (AudioResult, err
 			sample[i] = byte(i * 7)
 		}
 		if err := p.Mem.Write(buf, sample); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start := t.Sim().Now()
 		for written := 0; written < total; {
@@ -256,18 +228,17 @@ func RunAudio(env *sim.Env, k *kernel.Kernel, seconds float64) (AudioResult, err
 			}
 			w, err := t.Write(fd, buf, n)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			written += w
 		}
 		if _, err := t.Ioctl(fd, pcm.IoctlDrain, 0); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.Elapsed = t.Sim().Now().Sub(start)
 		res.Bytes = total
+		return nil
 	})
 	env.Run()
-	return res, runErr
+	return res, task.Err()
 }

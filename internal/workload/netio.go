@@ -19,31 +19,26 @@ type PktGenResult struct {
 // poll per batch — the §6.1.2 experiment behind Figure 2.
 func RunPktGen(env *sim.Env, k *kernel.Kernel, batch, npkts, pktLen int) (PktGenResult, error) {
 	res := PktGenResult{Batch: batch, Packets: npkts}
-	var runErr error
 	p, err := k.NewProcess("pkt-gen")
 	if err != nil {
 		return res, err
 	}
-	p.SpawnTask("tx", func(t *kernel.Task) {
+	task := p.Go("tx", func(t *kernel.Task) error {
 		nm, err := usrlib.OpenNetmap(t, "/dev/netmap")
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		defer nm.Close()
 		// Pre-fault the mapped area so steady-state measurement excludes
 		// the one-time page faults (pkt-gen's warm-up).
 		if err := nm.FillBatch(nm.NumSlots-1, pktLen, 0); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := nm.Sync(); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := nm.Drain(); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		// A batch can never exceed the ring's usable capacity.
 		if batch >= nm.NumSlots {
@@ -60,17 +55,14 @@ func RunPktGen(env *sim.Env, k *kernel.Kernel, batch, npkts, pktLen int) (PktGen
 			// never overwrite slots the hardware still owns).
 			free, err := nm.Free()
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			for free == 0 {
 				if err := nm.Sync(); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				if free, err = nm.Free(); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				if free == 0 {
 					t.Sim().Advance(5 * sim.Microsecond)
@@ -80,23 +72,21 @@ func RunPktGen(env *sim.Env, k *kernel.Kernel, batch, npkts, pktLen int) (PktGen
 				b = free
 			}
 			if err := nm.FillBatch(b, pktLen, byte(sent)); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := nm.Sync(); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			sent += b
 		}
 		// Count only wire-complete packets: wait for the ring to drain.
 		if err := nm.Drain(); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.Elapsed = t.Sim().Now().Sub(start)
 		res.MPPS = float64(npkts) / res.Elapsed.Seconds() / 1e6
+		return nil
 	})
 	env.Run()
-	return res, runErr
+	return res, task.Err()
 }

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"strings"
 	"testing"
 
 	"paradice"
@@ -166,5 +167,17 @@ func TestMouseWorkloadCountsAllSamples(t *testing.T) {
 	}
 	if res.Samples != 25 || res.Avg <= 0 {
 		t.Fatalf("%+v", res)
+	}
+}
+
+// A reader that never gets its samples must fail the run, not report a
+// zero latency: here it waits on the mouse while the events go to the
+// keyboard, so its task is still blocked when the calendar drains.
+func TestMouseWorkloadFailsWhenReaderNeverFinishes(t *testing.T) {
+	m := nativeMachine(t)
+	defer m.Close()
+	res, err := workload.RunMouseLatency(m.Env, m.AppKernel(), m.Keyboard, 5)
+	if err == nil || !strings.Contains(err.Error(), "xserver/eventloop did not finish") {
+		t.Fatalf("mis-wired run: avg=%v err=%v, want the eventloop task reported unfinished", res.Avg, err)
 	}
 }

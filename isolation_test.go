@@ -262,11 +262,13 @@ func matmulWithFlood(t *testing.T, flood bool) sim.Duration {
 		})
 	}
 	resS := []workload.MatmulResult{{}}
-	errS := []error{nil}
-	workload.StartMatmulLoop(victim.K, 64, 1, resS, errS)
+	task, err := workload.StartMatmulLoop(victim.K, 64, resS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Run()
-	if errS[0] != nil {
-		t.Fatal(errS[0])
+	if err := task.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if !resS[0].Correct {
 		t.Fatal("victim matmul wrong under contention")

@@ -157,14 +157,16 @@ func TestTwoGuestsShareGPU(t *testing.T) {
 		kernels = append(kernels, g.K)
 	}
 	var results [2]workload.MatmulResult
-	var errs [2]error
+	var tasks [2]*kernel.Task
 	for i, k := range kernels {
-		workload.StartMatmul(k, 48, int64(i+10), &results[i], &errs[i])
+		if tasks[i], err = workload.StartMatmul(k, 48, int64(i+10), &results[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.Run()
 	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("guest %d: %v", i, errs[i])
+		if err := tasks[i].Err(); err != nil {
+			t.Fatalf("guest %d: %v", i, err)
 		}
 		if !results[i].Correct {
 			t.Fatalf("guest %d: wrong product under concurrent GPU sharing", i)
