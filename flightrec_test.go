@@ -12,6 +12,10 @@ import (
 	"testing"
 
 	"paradice"
+	"paradice/internal/devfile"
+	"paradice/internal/faults"
+	"paradice/internal/kernel"
+	"paradice/internal/load"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
 )
@@ -83,5 +87,122 @@ func TestFlightDigestTilesEndToEnd(t *testing.T) {
 		if !foundRoot {
 			t.Fatalf("mode %v: no digest for the last ioctl (rid %d)", mode, root.RID)
 		}
+	}
+}
+
+// digestOf returns the one digest named op, failing the test unless exactly
+// one exists.
+func digestOf(t *testing.T, fr *trace.FlightRecorder, op string) trace.Digest {
+	t.Helper()
+	var found []trace.Digest
+	for _, d := range fr.Digests() {
+		if d.Op == op {
+			found = append(found, d)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d digests named %q, want 1: %+v", len(found), op, fr.Digests())
+	}
+	return found[0]
+}
+
+// A request served by a local driver is recorded with what its caller got,
+// exactly like a forwarded one: on a native machine, a QoS-2 task's
+// nonblocking read of an empty mouse queue returns EAGAIN, and its digest
+// carries class 2 and errno EAGAIN and is captured as an outlier.
+func TestFlightDigestNativeErrno(t *testing.T) {
+	m, err := paradice.NewNative(paradice.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	fr := m.StartTrace().ArmFlightRecorder(trace.FlightConfig{})
+	p, err := m.AppKernel().NewProcess("reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.RunTask("read", func(tk *kernel.Task) error {
+		tk.QoS = 2
+		fd, err := tk.Open(paradice.PathMouse, devfile.ORdOnly|devfile.ONonblock)
+		if err != nil {
+			return err
+		}
+		buf, err := p.Alloc(64)
+		if err != nil {
+			return err
+		}
+		if _, err := tk.Read(fd, buf, 64); !kernel.IsErrno(err, kernel.EAGAIN) {
+			t.Errorf("read of an empty queue = %v, want EAGAIN", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := digestOf(t, fr, "read "+paradice.PathMouse)
+	if d.Class != 2 || d.Errno != int32(kernel.EAGAIN) || !d.Outlier {
+		t.Fatalf("native EAGAIN read digest = class %d errno %d outlier %t, want class 2 errno %d outlier",
+			d.Class, d.Errno, d.Outlier, kernel.EAGAIN)
+	}
+}
+
+// A forwarded request that fails in the frontend before anything crosses
+// the boundary is recorded with its errno: a guest write whose grant
+// declaration fails returns ENOMEM, and its digest says so and is captured
+// as an outlier.
+func TestFlightDigestDeclareFailure(t *testing.T) {
+	m, err := paradice.New(paradice.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	sink := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
+	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+		k.RegisterDevice(load.SinkPath, sink, sink)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.AddGuest("guest1", paradice.Linux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Paravirtualize(load.SinkPath); err != nil {
+		t.Fatal(err)
+	}
+	fr := m.StartTrace().ArmFlightRecorder(trace.FlightConfig{})
+	faults.Install(m.Env, faults.New(1).FailAt("grant.declare", 1))
+	p, err := g.K.NewProcess("writer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.RunTask("write", func(tk *kernel.Task) error {
+		fd, err := tk.Open(load.SinkPath, devfile.OWrOnly)
+		if err != nil {
+			return err
+		}
+		src, err := p.AllocBytes([]byte("payload"))
+		if err != nil {
+			return err
+		}
+		if _, err := tk.Write(fd, src, 7); !kernel.IsErrno(err, kernel.ENOMEM) {
+			t.Errorf("write with a failed grant declaration = %v, want ENOMEM", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := digestOf(t, fr, "write "+load.SinkPath)
+	if d.Errno != int32(kernel.ENOMEM) || !d.Outlier {
+		t.Fatalf("declare-failure write digest = errno %d outlier %t, want errno %d outlier",
+			d.Errno, d.Outlier, kernel.ENOMEM)
+	}
+	captured := false
+	for _, o := range fr.Outliers() {
+		captured = captured || o.Digest.RID == d.RID
+	}
+	if !captured {
+		t.Fatalf("declare-failure write (rid %d) not among the captured outliers", d.RID)
 	}
 }

@@ -245,8 +245,8 @@ func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM
 		b.doorbell.Trigger()
 	})
 	// The "@<driver>" suffix attributes the proc to its driver-VM shard: a
-	// sharded machine runs one supervisor per shard, each consuming only the
-	// panics of its own backends (supervise.Config.OwnsProc).
+	// sharded machine runs one supervisor per shard, and its proc-panic hook
+	// hands a backend's panic to the supervisor of the shard it names.
 	driverK.Env.Spawn("cvd-dispatch-"+guestVM.Name+"@"+driverK.Name, b.dispatch)
 	return b
 }
@@ -303,7 +303,7 @@ func (b *Backend) dispatch(p *sim.Proc) {
 			// Injected driver-VM death: the dispatcher vanishes mid-run.
 			// Posted operations stay unanswered until a Reconnect fails
 			// them with EREMOTE, exactly as after a real driver VM crash.
-			b.die()
+			b.Kill()
 			return
 		}
 		b.serviceHeartbeat()
@@ -400,57 +400,54 @@ func (b *Backend) serviceHeartbeat() {
 		return
 	}
 	if d := faults.Point(b.driverK.Env, "cvd.heartbeat.delay"); d != nil {
-		delay := sim.Duration(d.Arg)
-		b.hv.Env.After(delay, func() {
-			if !b.ringCurrent() {
-				return
+		b.hv.Env.After(sim.Duration(d.Arg), func() {
+			if b.ringCurrent() {
+				b.ackHeartbeat(req)
 			}
-			b.ring.writeU32(hdrHbAck, req)
-			b.HbAcked++
-			trace.Get(b.driverK.Env).Add("cvd.heartbeat.acked", 1)
-			b.complete(0, true)
 		})
 		return
 	}
+	b.ackHeartbeat(req)
+}
+
+// ackHeartbeat copies heartbeat sequence req into the ack word and
+// completes toward the frontend.
+func (b *Backend) ackHeartbeat(req uint32) {
 	b.ring.writeU32(hdrHbAck, req)
 	b.HbAcked++
 	trace.Get(b.driverK.Env).Add("cvd.heartbeat.acked", 1)
 	b.complete(0, true)
 }
 
-// die marks the backend dead the abnormal way — injected crash or explicit
-// Kill — and fires the death notification supervision may have registered.
-// Orderly Stop does not come through here.
-func (b *Backend) die() {
-	if b.stopped {
-		return
-	}
+// halt is the backend's one teardown, shared by Stop and Kill: it latches
+// stopped, tears down every cached guest-buffer mapping (a dead driver VM's
+// EPT must not keep windows into guest data buffers) and leaves the worker
+// pool. It runs again on a backend already halted, so a Stop after a death
+// still drops whatever a handler thread left in flight mapped since.
+func (b *Backend) halt() {
 	b.stopped = true
-	b.dropMapCache()
-	if b.pool != nil {
-		b.pool.Leave(b)
-	}
-	if fn := b.onDeath; fn != nil {
-		b.onDeath = nil
-		fn()
-	}
-}
-
-// dropMapCache tears down every cached guest-buffer mapping (no-op when the
-// fast path is disabled). Part of backend teardown: a dead driver VM's EPT
-// must not keep windows into guest data buffers.
-func (b *Backend) dropMapCache() {
 	if b.mapc != nil {
 		b.mapc.dropAll()
+	}
+	if b.pool != nil {
+		b.pool.Leave(b)
 	}
 }
 
 // Kill terminates the backend as an injected driver-VM crash would: the
 // dispatcher exits without answering anything, and the death notification
 // fires. Tests and fault harnesses use it to crash one specific channel's
-// backend (the probabilistic "cvd.backend.die" point cannot aim).
+// backend (the probabilistic "cvd.backend.die" point cannot aim); the
+// point itself kills the backend through here. Killing a stopped backend
+// fires no death notification.
 func (b *Backend) Kill() {
-	b.die()
+	if !b.stopped {
+		b.halt()
+		if fn := b.onDeath; fn != nil {
+			b.onDeath = nil
+			fn()
+		}
+	}
 	b.doorbell.Trigger()
 }
 
@@ -591,20 +588,11 @@ func (b *Backend) flushResp() {
 
 func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) {
 	ops := b.node.Ops
-	toErrno := func(err error) kernel.Errno {
-		if err == nil {
-			return 0
-		}
-		if e, ok := err.(kernel.Errno); ok {
-			return e
-		}
-		return kernel.EIO
-	}
 	switch req.op {
 	case opOpen:
 		f := &kernel.File{Node: b.node, Flags: devfileFlags(req.arg0), Proc: b.proc}
 		if err := ops.Open(&kernel.FopCtx{Task: task, File: f}); err != nil {
-			return -1, toErrno(err)
+			return -1, kernel.ErrnoOf(err)
 		}
 		b.files[req.fileID] = f
 		return 0, 0
@@ -631,7 +619,7 @@ func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) 
 			// The file is going away: its cached buffer mappings with it.
 			b.mapc.release(req.fileID)
 		}
-		return 0, toErrno(ops.Release(&kernel.FopCtx{Task: task, File: f}))
+		return 0, kernel.ErrnoOf(ops.Release(&kernel.FopCtx{Task: task, File: f}))
 	}
 	f, ok := b.lookupFile(task, req.fileID)
 	if !ok {
@@ -641,24 +629,19 @@ func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) 
 	switch req.op {
 	case opRead:
 		n, err := ops.Read(c, mem.GuestVirt(req.arg0), int(req.arg1))
-		return int32(n), toErrno(err)
+		return int32(n), kernel.ErrnoOf(err)
 	case opWrite:
 		n, err := ops.Write(c, mem.GuestVirt(req.arg0), int(req.arg1))
-		return int32(n), toErrno(err)
+		return int32(n), kernel.ErrnoOf(err)
 	case opIoctl:
 		ret, err := ops.Ioctl(c, devfileCmd(req.arg0), mem.GuestVirt(req.arg1))
-		return ret, toErrno(err)
+		return ret, kernel.ErrnoOf(err)
 	case opMmap:
 		v := &kernel.VMA{Proc: b.proc, Start: mem.GuestVirt(req.arg0), Len: req.arg1, File: f, Pgoff: req.arg2}
 		if err := ops.Mmap(c, v); err != nil {
-			return -1, toErrno(err)
+			return -1, kernel.ErrnoOf(err)
 		}
-		m := b.vmas[req.fileID]
-		if m == nil {
-			m = make(map[mem.GuestVirt]*kernel.VMA)
-			b.vmas[req.fileID] = m
-		}
-		m[v.Start] = v
+		b.recordVMA(req.fileID, v)
 		return 0, 0
 	case opMunmap:
 		v := b.vmas[req.fileID][mem.GuestVirt(req.arg0)]
@@ -674,7 +657,7 @@ func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) 
 			_ = task.Remote.UnmapPage(v.Start + mem.GuestVirt(off))
 		}
 		if v.OnUnmap != nil {
-			return 0, toErrno(v.OnUnmap(c, v))
+			return 0, kernel.ErrnoOf(v.OnUnmap(c, v))
 		}
 		return 0, 0
 	case opFault:
@@ -682,7 +665,7 @@ func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) 
 		if v == nil {
 			return -1, kernel.EINVAL
 		}
-		return 0, toErrno(ops.Fault(c, v, mem.GuestVirt(req.arg0)))
+		return 0, kernel.ErrnoOf(ops.Fault(c, v, mem.GuestVirt(req.arg0)))
 	case opPoll:
 		pt := b.driverK.NewPollTable()
 		mask := ops.Poll(c, pt)
@@ -699,7 +682,7 @@ func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) 
 		return int32(mask), 0
 	case opFasync:
 		if err := ops.Fasync(c, req.arg0 != 0); err != nil {
-			return -1, toErrno(err)
+			return -1, kernel.ErrnoOf(err)
 		}
 		f.FasyncOn = req.arg0 != 0
 		return 0, 0
@@ -735,18 +718,23 @@ func (b *Backend) lookupFile(task *kernel.Task, fileID uint16) (*kernel.File, bo
 	// by the fault path, exactly as after a guest-side first touch.
 	for _, wv := range b.warmVMAs[fileID] {
 		v := &kernel.VMA{Proc: b.proc, Start: wv.Start, Len: wv.Len, File: f, Pgoff: wv.Pgoff}
-		if err := ops.Mmap(&kernel.FopCtx{Task: task, File: f}, v); err != nil {
-			continue
+		if err := ops.Mmap(&kernel.FopCtx{Task: task, File: f}, v); err == nil {
+			b.recordVMA(fileID, v)
 		}
-		m := b.vmas[fileID]
-		if m == nil {
-			m = make(map[mem.GuestVirt]*kernel.VMA)
-			b.vmas[fileID] = m
-		}
-		m[v.Start] = v
 	}
 	delete(b.warmVMAs, fileID)
 	b.WarmReopens++
 	trace.Get(b.driverK.Env).Add("cvd.handover.warm_reopens", 1)
 	return f, true
+}
+
+// recordVMA files a driver mapping under its file, keyed by start address,
+// where a later munmap or fault of the file looks it up.
+func (b *Backend) recordVMA(fileID uint16, v *kernel.VMA) {
+	m := b.vmas[fileID]
+	if m == nil {
+		m = make(map[mem.GuestVirt]*kernel.VMA)
+		b.vmas[fileID] = m
+	}
+	m[v.Start] = v
 }

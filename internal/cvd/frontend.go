@@ -149,30 +149,30 @@ type Frontend struct {
 // guest VM qualifier keeps multi-guest dumps per-guest attributable: two
 // guests paravirtualizing the same device path must not fold their counters
 // into one series.
+//
+// Each failure exit of roundTrip moves exactly one of them: errno.ENODEV
+// (degraded), errno.EREMOTE (dead backend), throttled (admission, plus the
+// class's eagain.class<n>), rejected (ring full) and timedout (deadline).
 type feMetricNames struct {
-	ops, bytes, rejected, throttled, timedOut, fastFailed string
-	queued, lat, qdepth, qdepthMax                        string
-	errTimedOut, errNoDev, errRemote, errBusy, errAgain   string
+	ops, bytes, rejected, throttled, timedOut string
+	queued, lat, qdepth, qdepthMax            string
+	errNoDev, errRemote                       string
 }
 
 func newFeMetricNames(vm, path string) feMetricNames {
 	p := "cvd." + path + "@" + vm
 	return feMetricNames{
-		ops:         p + ".ops",
-		bytes:       p + ".bytes",
-		rejected:    p + ".rejected",
-		throttled:   p + ".throttled",
-		timedOut:    p + ".timedout",
-		fastFailed:  p + ".fastfailed",
-		queued:      p + ".queued",
-		lat:         p + ".roundtrip",
-		qdepth:      p + ".qdepth",
-		qdepthMax:   p + ".qdepth.max",
-		errTimedOut: p + ".errno.ETIMEDOUT",
-		errNoDev:    p + ".errno.ENODEV",
-		errRemote:   p + ".errno.EREMOTE",
-		errBusy:     p + ".errno.EBUSY",
-		errAgain:    p + ".errno.EAGAIN",
+		ops:       p + ".ops",
+		bytes:     p + ".bytes",
+		rejected:  p + ".rejected",
+		throttled: p + ".throttled",
+		timedOut:  p + ".timedout",
+		queued:    p + ".queued",
+		lat:       p + ".roundtrip",
+		qdepth:    p + ".qdepth",
+		qdepthMax: p + ".qdepth.max",
+		errNoDev:  p + ".errno.ENODEV",
+		errRemote: p + ".errno.EREMOTE",
 	}
 }
 
@@ -364,11 +364,6 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	rid := c.RID
 	start := tr.Now()
 	tr.Add(fe.m.ops, 1)
-	// Flight-recorder annotations: the class as soon as the request is
-	// seen, the outcome on every return path. A disarmed (nil) recorder
-	// no-ops throughout.
-	fl := tr.Flight()
-	fl.Note(rid, t.QoS)
 	parked := false
 	if fe.draining {
 		// Planned handover in progress: park the post at the frontend until
@@ -386,18 +381,10 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		t.Sim().WaitTimeout(fe.drainEvent, DefaultDrainBound)
 	}
 	if fe.degraded {
-		fe.FastFailed++
-		tr.Add(fe.m.fastFailed, 1)
-		tr.Add(fe.m.errNoDev, 1)
-		fl.Outcome(rid, int32(kernel.ENODEV), false)
-		return -1, kernel.ENODEV
+		return fail(tr, &fe.FastFailed, fe.m.errNoDev, kernel.ENODEV)
 	}
 	if fe.backend == nil || fe.backend.stopped {
-		fe.FastFailed++
-		tr.Add(fe.m.fastFailed, 1)
-		tr.Add(fe.m.errRemote, 1)
-		fl.Outcome(rid, int32(kernel.EREMOTE), false)
-		return -1, kernel.EREMOTE
+		return fail(tr, &fe.FastFailed, fe.m.errRemote, kernel.EREMOTE)
 	}
 	if lim, limited := fe.admission[t.QoS]; limited && !parked &&
 		r.op != opOpen && r.op != opRelease && fe.Occupancy() >= lim {
@@ -407,12 +394,8 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		// Lifecycle operations (open/release) are exempt — shedding a
 		// release would leak the backend file, and neither adds load worth
 		// shedding.
-		fe.Throttled++
-		tr.Add(fe.m.throttled, 1)
 		tr.Add(fe.admitNames[t.QoS], 1)
-		tr.Add(fe.m.errAgain, 1)
-		fl.Outcome(rid, int32(kernel.EAGAIN), true)
-		return -1, kernel.EAGAIN
+		return fail(tr, &fe.Throttled, fe.m.throttled, kernel.EAGAIN)
 	}
 	slot, ok := fe.allocSlot()
 	if !ok && parked {
@@ -428,11 +411,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	}
 	if !ok {
 		// All 100 queue slots in use: the DoS cap of §5.1.
-		fe.Rejected++
-		tr.Add(fe.m.rejected, 1)
-		tr.Add(fe.m.errBusy, 1)
-		fl.Outcome(rid, int32(kernel.EBUSY), true)
-		return -1, kernel.EBUSY
+		return fail(tr, &fe.Rejected, fe.m.rejected, kernel.EBUSY)
 	}
 	// Queue-depth gauges: the depth after this claim, and its high-water
 	// mark. The scan is O(slotCount) but only runs under an installed
@@ -464,70 +443,67 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	}
 	fe.ring.writeRequest(slot, r)
 	fe.postDoorbell(rid, slot)
-	answered := true
-	if fe.polling() {
-		// The polled wait is bounded by the request deadline, not just the
-		// window: previously a doomed request spun the whole window with
-		// hdrFrontendPoll raised and only then started the deadline clock,
-		// overshooting the deadline by the window. Bounding the spin keeps
-		// the deadline exact — and the counter is decremented on BOTH exits
-		// of the spin, before any of the timeout returns below, so an
-		// abandoned (ETIMEDOUT) request can never leave the backend
-		// believing a frontend is still spinning.
-		d := fe.window
-		if fe.deadline > 0 {
-			d = min(d, fe.deadline)
-		}
-		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)+1)
-		woken := fe.spin(t.Sim(), ev, d)
-		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)-1)
-		if !woken {
-			switch {
-			case fe.deadline <= 0:
-				t.Sim().Wait(ev)
-			case d >= fe.deadline:
-				// The spin consumed the whole deadline budget.
-				answered = false
-			default:
-				answered = t.Sim().WaitTimeout(ev, fe.deadline-d)
-			}
-		}
-	} else {
-		answered = fe.waitResponse(t, ev)
-	}
-	if !answered && fe.ring.slotState(slot) != slotDone {
+	if !fe.await(t.Sim(), ev) && fe.ring.slotState(slot) != slotDone {
 		// Deadline expired with no response. The backend may still be
 		// executing the operation, so the slot cannot be freed; mark it
 		// abandoned and let scanDone (or a Reconnect sweep) reclaim it.
 		fe.abandoned[slot] = true
-		fe.TimedOut++
-		tr.Add(fe.m.timedOut, 1)
-		tr.Add(fe.m.errTimedOut, 1)
-		fl.Outcome(rid, int32(kernel.ETIMEDOUT), false)
-		return -1, kernel.ETIMEDOUT
+		return fail(tr, &fe.TimedOut, fe.m.timedOut, kernel.ETIMEDOUT)
 	}
 	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "complete", perf.CostComplete)
 	ret, errno := fe.ring.readResponse(slot)
 	fe.ring.recycleSlot(slot)
 	fe.RoundTrips++
 	tr.Observe(fe.m.lat, tr.Now().Sub(start))
-	fl.Outcome(rid, int32(errno), false)
 	if (r.op == opRead || r.op == opWrite) && errno == 0 && ret > 0 {
 		tr.Add(fe.m.bytes, uint64(ret))
 	}
 	return ret, kernel.Errno(errno)
 }
 
-// waitResponse blocks until the slot's response event fires, bounded by the
-// per-request deadline when one is configured. Reports whether the event
-// fired (a completed slot whose interrupt was lost still counts as answered
-// via the caller's direct slot-state check).
-func (fe *Frontend) waitResponse(t *kernel.Task, ev *sim.Event) bool {
-	if fe.deadline > 0 {
-		return t.Sim().WaitTimeout(ev, fe.deadline)
+// fail ends a round trip at one of its failure exits: the exit's stat and
+// its per-path counter move, and the caller gets errno.
+func fail(tr *trace.Tracer, stat *uint64, counter string, errno kernel.Errno) (int32, kernel.Errno) {
+	*stat++
+	tr.Add(counter, 1)
+	return -1, errno
+}
+
+// await waits for a posted slot's response event, bounded by the request
+// deadline (none when it is 0 or less), and reports whether the event fired
+// (a completed slot whose interrupt was lost still counts as answered via
+// the caller's direct slot-state check). In polling stance the wait starts
+// as a spin on the shared page of up to one window, itself bounded by the
+// deadline so a doomed request cannot overshoot it; hdrFrontendPoll is
+// raised for the spin only, so an abandoned request never leaves the
+// backend believing a frontend is still spinning. What remains is a sleep,
+// timed only by a positive remainder of the deadline: a spin that used the
+// whole deadline schedules nothing more.
+func (fe *Frontend) await(p *sim.Proc, ev *sim.Event) bool {
+	left := fe.deadline
+	if fe.polling() {
+		d := fe.window
+		if left > 0 {
+			d = min(d, left)
+		}
+		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)+1)
+		woken := fe.spin(p, ev, d)
+		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)-1)
+		if woken {
+			return true
+		}
+		if left > 0 {
+			left -= d
+			if left == 0 {
+				return false
+			}
+		}
 	}
-	t.Sim().Wait(ev)
-	return true
+	if left <= 0 {
+		p.Wait(ev)
+		return true
+	}
+	return p.WaitTimeout(ev, left)
 }
 
 // SetDeadline installs the per-request deadline for subsequent operations

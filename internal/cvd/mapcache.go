@@ -28,8 +28,8 @@ import (
 //     touching freed guest memory;
 //   - file release: the backend drops the file's entries when it replays the
 //     release;
-//   - reconnect / driver-VM restart / backend death: Stop and die drop every
-//     entry; the successor backend starts cold.
+//   - reconnect / driver-VM restart / backend death: Stop and Kill drop
+//     every entry; the successor backend starts cold.
 //
 // Permissions are the grant's: a mapping cached under a copy-to-user grant is
 // writable, one under copy-from-user is read-only, and hv.GuestMapping.Copy
@@ -140,7 +140,7 @@ func (mc *mapCache) release(fileID uint16) {
 	}
 }
 
-// dropAll tears down every cached mapping — backend teardown (Stop, die):
+// dropAll tears down every cached mapping — backend teardown (Stop, Kill):
 // the driver VM is going away, and its EPT must not keep windows into guest
 // buffers it no longer has any business reaching.
 func (mc *mapCache) dropAll() {

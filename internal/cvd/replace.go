@@ -205,11 +205,7 @@ func (b *Backend) openFiles() (map[uint16]*kernel.File, map[uint16][]*kernel.VMA
 // answered by a stopped backend; Reconnect fails them with EREMOTE.
 // Part of driver VM teardown; audited by the faults stress harness.
 func (b *Backend) Stop() {
-	b.stopped = true
-	b.dropMapCache()
-	if b.pool != nil {
-		b.pool.Leave(b)
-	}
+	b.halt()
 	b.doorbell.Trigger()
 }
 

@@ -44,6 +44,18 @@ func (e Errno) Error() string {
 	return fmt.Sprintf("errno(%d)", int(e))
 }
 
+// ErrnoOf returns the errno a system call reports for err: 0 for nil, the
+// Errno itself, and EIO for any other error.
+func ErrnoOf(err error) Errno {
+	if err == nil {
+		return 0
+	}
+	if e, ok := err.(Errno); ok {
+		return e
+	}
+	return EIO
+}
+
 // IsErrno reports whether err is the given errno.
 func IsErrno(err error, want Errno) bool {
 	e, ok := err.(Errno)

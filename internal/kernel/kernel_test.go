@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"paradice/internal/devfile"
@@ -607,6 +608,7 @@ func TestSyscallClosesOneRootGroup(t *testing.T) {
 		{"close", func(tk *Task, fd int, _ mem.GuestVirt) error { return tk.Close(fd) }},
 	}
 	if err := p.RunTask("main", func(tk *Task) error {
+		tk.QoS = 3
 		buf, err := p.Alloc(8)
 		if err != nil {
 			return err
@@ -637,6 +639,10 @@ func TestSyscallClosesOneRootGroup(t *testing.T) {
 					t.Errorf("%s: root groups %+v, want one named %q", want, roots, want)
 					continue
 				}
+				if roots[0].Class != 3 || roots[0].Errno != int32(ErrnoOf(err)) {
+					t.Errorf("%s: root carries class %d errno %d, want the task's 3 and the call's %d",
+						want, roots[0].Class, roots[0].Errno, ErrnoOf(err))
+				}
 				for _, e := range evs {
 					if e.RID != roots[0].RID {
 						t.Errorf("%s: event %q has rid %d, want the root's %d", want, e.Name, e.RID, roots[0].RID)
@@ -650,5 +656,18 @@ func TestSyscallClosesOneRootGroup(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A system call reports nil as 0, an errno as itself, and any other error
+// as EIO.
+func TestErrnoOf(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want Errno
+	}{{nil, 0}, {EAGAIN, EAGAIN}, {errors.New("no number"), EIO}} {
+		if got := ErrnoOf(c.err); got != c.want {
+			t.Errorf("ErrnoOf(%v) = %d, want %d", c.err, got, c.want)
+		}
 	}
 }

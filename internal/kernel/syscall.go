@@ -18,11 +18,13 @@ import (
 // The system-call boundary is also where a request's trace begins: opBegin
 // allocates the request ID, binds it to the calling sim proc (so layers that
 // only see the Env — hypervisor, IOMMU — can attribute their spans), and
-// opEnd closes the root span covering the operation end to end. Every
-// fd-based call runs inside one envelope, sys, which resolves the descriptor,
-// builds the call's FopCtx and ends the request exactly once; Open and
-// Munmap, keyed by path and address instead, close their span with one
-// deferred opEnd.
+// opEnd closes the root span covering the operation end to end, handing the
+// tracer the task's QoS class and the errno the call returned: what the
+// application got, recorded once, whether a local driver or the CVD frontend
+// served the call. Every fd-based call runs inside one envelope, sys, which
+// resolves the descriptor, builds the call's FopCtx and ends the request
+// exactly once; Open and Munmap, keyed by path and address instead, close
+// their span with one deferred opEnd.
 
 // opBegin opens one system call: a fresh request ID bound to the calling
 // proc, the start time of the root span, and the system-call entry/exit
@@ -38,13 +40,14 @@ func (t *Task) opBegin() (*trace.Tracer, uint64, sim.Time) {
 	return tr, rid, start
 }
 
-// opEnd closes the request's root span and releases the proc binding.
-func (t *Task) opEnd(tr *trace.Tracer, rid uint64, start sim.Time, op, path string) {
+// opEnd closes the request's root span with the task's class and the
+// call's errno, and releases the proc binding.
+func (t *Task) opEnd(tr *trace.Tracer, rid uint64, start sim.Time, op, path string, err error) {
 	if tr == nil {
 		return
 	}
 	tr.Unbind(t.sp)
-	tr.Group(rid, t.Proc.K.Name, trace.LayerSyscall, op+" "+path, start, tr.Now())
+	tr.Root(rid, t.Proc.K.Name, op+" "+path, start, tr.Now(), t.QoS, int32(ErrnoOf(err)))
 }
 
 // sys is the envelope of every fd-based system call. It opens the request
@@ -60,23 +63,23 @@ func sys[T any](t *Task, op string, fd int, call func(c *FopCtx) (T, error)) (T,
 		path = f.Node.Path
 		ret, err = call(&FopCtx{Task: t, File: f, RID: rid})
 	}
-	t.opEnd(tr, rid, start, op, path)
+	t.opEnd(tr, rid, start, op, path, err)
 	return ret, err
 }
 
 // Open opens a device file and returns a file descriptor.
-func (t *Task) Open(path string, flags devfile.OpenFlags) (int, error) {
+func (t *Task) Open(path string, flags devfile.OpenFlags) (fd int, err error) {
 	tr, rid, start := t.opBegin()
-	defer t.opEnd(tr, rid, start, "open", path)
+	defer func() { t.opEnd(tr, rid, start, "open", path, err) }()
 	node, ok := t.Proc.K.LookupDevice(path)
 	if !ok {
 		return -1, ENOENT
 	}
 	f := &File{Node: node, Flags: flags, Proc: t.Proc, refs: 1}
-	if err := node.Ops.Open(&FopCtx{Task: t, File: f, RID: rid}); err != nil {
+	if err = node.Ops.Open(&FopCtx{Task: t, File: f, RID: rid}); err != nil {
 		return -1, err
 	}
-	fd := t.Proc.nextFD
+	fd = t.Proc.nextFD
 	t.Proc.nextFD++
 	t.Proc.fds[fd] = f
 	return fd, nil
@@ -153,10 +156,10 @@ func (t *Task) mmap(c *FopCtx, length uint64, pgoff uint64) (mem.GuestVirt, erro
 // Munmap tears down an mmap'ed range: the kernel destroys its own
 // page-table entries first, and only then informs the mapping's owner
 // (driver or CVD frontend), per the ordering in §5.2.
-func (t *Task) Munmap(va mem.GuestVirt, length uint64) error {
+func (t *Task) Munmap(va mem.GuestVirt, length uint64) (err error) {
 	tr, rid, start := t.opBegin()
 	path := "?"
-	defer func() { t.opEnd(tr, rid, start, "munmap", path) }()
+	defer func() { t.opEnd(tr, rid, start, "munmap", path, err) }()
 	idx := slices.IndexFunc(t.Proc.vmas, func(v *VMA) bool { return v.Start == va && v.Len == length })
 	if idx < 0 {
 		return EINVAL
@@ -166,7 +169,7 @@ func (t *Task) Munmap(va mem.GuestVirt, length uint64) error {
 		path = v.File.Node.Path
 	}
 	for page := range v.mapped {
-		if err := t.Proc.PT.Unmap(page); err != nil {
+		if err = t.Proc.PT.Unmap(page); err != nil {
 			return err
 		}
 	}

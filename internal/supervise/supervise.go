@@ -126,12 +126,6 @@ type Config struct {
 	// 250 ms). A driver VM that dies again within the window is treated as
 	// crash-looping and keeps climbing the backoff schedule.
 	StableAfter sim.Duration
-	// OwnsProc, when set, filters which panicking CVD backend procs this
-	// supervisor consumes — a machine with several driver-VM shards runs one
-	// supervisor per shard, and a panic on shard 2's dispatcher must charge
-	// shard 2's restart budget, not shard 0's. nil owns every CVD proc (the
-	// single-driver-VM case).
-	OwnsProc func(proc string) bool
 }
 
 func (c Config) withDefaults() Config {
@@ -224,19 +218,17 @@ func (s *Supervisor) Stop() {
 // Stopped reports whether the watchdog has exited or been told to.
 func (s *Supervisor) Stopped() bool { return s.stopped }
 
-// HandleProcPanic is the sim.Env.OnProcPanic hook: a panic on a CVD backend
-// process — the dispatcher or one of its handler threads — is a driver VM
-// oops. The supervisor consumes it (the experiment survives) and treats it
-// as a death detection. Panics anywhere else are not ours to absorb.
+// HandleProcPanic consumes a panic on a CVD backend process — the
+// dispatcher or one of its handler threads — as a driver VM oops: the
+// experiment survives, and the supervisor treats it as a death detection.
+// Panics anywhere else are not ours to absorb. The caller routes a panic to
+// the supervisor of the driver VM the proc ran on (a machine with several
+// driver-VM shards runs one supervisor per shard).
 func (s *Supervisor) HandleProcPanic(pp *sim.ProcPanic) bool {
 	if s.stopped || s.state == StateDegraded {
 		return false
 	}
 	if !strings.HasPrefix(pp.Proc, "cvd-dispatch-") && !strings.HasPrefix(pp.Proc, "cvd-op-") {
-		return false
-	}
-	if s.cfg.OwnsProc != nil && !s.cfg.OwnsProc(pp.Proc) {
-		// Another shard's backend — its own supervisor will claim it.
 		return false
 	}
 	s.noteFailure(fmt.Sprintf("backend proc %s panicked: %v", pp.Proc, pp.Value))

@@ -6,8 +6,15 @@ package trace
 // keeps a bounded ring of compact per-request digests instead: who, where,
 // how long in each architectural hop, and how it ended. Full span trees are
 // retained only for the requests worth keeping: the ones that blew their
-// class latency threshold, returned an errno, were shed by admission
-// control, or overlapped a restart/handover episode.
+// class latency threshold, returned an errno, or overlapped a
+// restart/handover episode.
+//
+// A digest's class and errno come from the request's root group, which the
+// kernel's system-call envelope emits where the call ends (Tracer.Root):
+// the calling task's QoS class and the errno the application got back, for
+// a native and a forwarded operation alike. A request shed by admission
+// control or a full ring returns EAGAIN or EBUSY, so the errno rule captures
+// it too.
 //
 // Attribution follows the same tiling rule the §6.1.1 reconciliation test
 // enforces: the leaf work spans of a request tile its root span, so the
@@ -101,14 +108,13 @@ type Digest struct {
 	RID   uint64
 	VM    string // guest VM the request entered through
 	Op    string // root span name: "<op> <path>"
-	Class uint8  // QoS class (from the frontend), 0 when unclassified
+	Class uint8  // calling task's QoS class
 	Start sim.Time
 	End   sim.Time
 	// Hops is the critical-path decomposition. The entries sum exactly to
 	// End-Start: HopQueue absorbs whatever the work spans did not cover.
 	Hops    [HopCount]sim.Duration
-	Errno   int32 // 0 on success
-	Shed    bool  // rejected/throttled by admission control or a full ring
+	Errno   int32 // errno the system call returned, 0 on success
 	Episode bool  // overlapped a restart/handover/recovery episode
 	Outlier bool  // retained with a full span tree
 }
@@ -133,7 +139,7 @@ type FlightConfig struct {
 	OutlierCap int
 	// Threshold is the default per-request latency threshold above which a
 	// request is captured as an outlier. Zero disables latency-based capture
-	// (errno/shed/episode capture still applies).
+	// (errno/episode capture still applies).
 	Threshold sim.Duration
 	// ClassThresholds overrides Threshold per QoS class (e.g. from the load
 	// harness's witness classes).
@@ -147,11 +153,8 @@ const pendingEventCap = 256
 // flightPending accumulates one in-flight request until its root group
 // finalizes it into a digest.
 type flightPending struct {
-	class   uint8
 	hops    [HopCount]sim.Duration
 	spanSum sim.Duration
-	errno   int32
-	shed    bool
 	episode bool
 	events  []Event
 }
@@ -272,16 +275,13 @@ func (fr *FlightRecorder) onEvent(e Event) {
 }
 
 // finalize turns the in-flight record into a digest when the request's root
-// group arrives. A request with no prior events (every charge ran in
-// callback context) still gets a digest: all its time is queue residual.
+// group arrives, taking the class and errno the root carries. A request with
+// no prior events (every charge ran in callback context) still gets a
+// digest: all its time is queue residual.
 func (fr *FlightRecorder) finalize(root Event) {
-	p := fr.inflight[root.RID]
+	p := fr.pending(root.RID)
 	if p == nil {
-		if root.RID <= fr.maxDone {
-			fr.stale++
-			return
-		}
-		p = &flightPending{episode: fr.episodes > 0}
+		return
 	}
 	delete(fr.inflight, root.RID)
 	if root.RID > fr.maxDone {
@@ -293,12 +293,11 @@ func (fr *FlightRecorder) finalize(root Event) {
 		RID:     root.RID,
 		VM:      root.VM,
 		Op:      root.Name,
-		Class:   p.class,
+		Class:   root.Class,
 		Start:   root.Start,
 		End:     root.End,
 		Hops:    p.hops,
-		Errno:   p.errno,
-		Shed:    p.shed,
+		Errno:   root.Errno,
 		Episode: p.episode || fr.episodes > 0,
 	}
 	// Tiling by construction: the queue hop absorbs the part of the
@@ -306,7 +305,7 @@ func (fr *FlightRecorder) finalize(root Event) {
 	d.Hops[HopQueue] += lat - p.spanSum
 
 	thr := fr.threshold(d.Class)
-	d.Outlier = (thr > 0 && lat > thr) || d.Errno != 0 || d.Shed || d.Episode
+	d.Outlier = (thr > 0 && lat > thr) || d.Errno != 0 || d.Episode
 	if d.Outlier {
 		if len(fr.outliers) < fr.cfg.OutlierCap {
 			tree := make([]Event, 0, len(p.events)+1)
@@ -361,31 +360,6 @@ func (fr *FlightRecorder) aggFor(class uint8) *classAgg {
 		fr.agg[class] = a
 	}
 	return a
-}
-
-// Note records the QoS class of an in-flight request (called by the
-// frontend as soon as it sees the request).
-func (fr *FlightRecorder) Note(rid uint64, class uint8) {
-	if fr == nil || rid == 0 {
-		return
-	}
-	if p := fr.pending(rid); p != nil {
-		p.class = class
-	}
-}
-
-// Outcome records how an in-flight request ended: its errno (0 on success)
-// and whether it was shed (admission rejection, full ring). Called by the
-// frontend on every return path; the digest is still finalized by the root
-// group, which arrives after the syscall unwinds.
-func (fr *FlightRecorder) Outcome(rid uint64, errno int32, shed bool) {
-	if fr == nil || rid == 0 {
-		return
-	}
-	if p := fr.pending(rid); p != nil {
-		p.errno = errno
-		p.shed = shed
-	}
 }
 
 // BeginEpisode marks the start of a restart/handover/recovery episode:
@@ -556,9 +530,9 @@ func (fr *FlightRecorder) WriteAttribution(w io.Writer) error {
 // section).
 func writeDigest(w io.Writer, tag string, d Digest) error {
 	_, err := fmt.Fprintf(w,
-		"%s rid=%d vm=%s op=%q class=%d start=%d end=%d lat=%dns errno=%d shed=%t episode=%t outlier=%t hops queue=%d frontend=%d hypercall=%d irq=%d backend=%d copy=%d device=%d\n",
+		"%s rid=%d vm=%s op=%q class=%d start=%d end=%d lat=%dns errno=%d episode=%t outlier=%t hops queue=%d frontend=%d hypercall=%d irq=%d backend=%d copy=%d device=%d\n",
 		tag, d.RID, d.VM, d.Op, d.Class, int64(d.Start), int64(d.End), int64(d.Latency()),
-		d.Errno, d.Shed, d.Episode, d.Outlier,
+		d.Errno, d.Episode, d.Outlier,
 		int64(d.Hops[HopQueue]), int64(d.Hops[HopFrontend]), int64(d.Hops[HopHypercall]),
 		int64(d.Hops[HopIRQ]), int64(d.Hops[HopBackend]), int64(d.Hops[HopCopy]),
 		int64(d.Hops[HopDevice]))

@@ -15,7 +15,13 @@ func span(fr *FlightRecorder, rid uint64, layer, name string, start sim.Time, du
 
 // root finalizes a request with its syscall-layer root group.
 func root(fr *FlightRecorder, rid uint64, op string, start, end sim.Time) {
-	fr.onEvent(Event{Kind: KindGroup, RID: rid, VM: "guest", Layer: LayerSyscall, Name: op, Start: start, End: end})
+	rootAs(fr, rid, op, start, end, 0, 0)
+}
+
+// rootAs finalizes a request as the system-call envelope does for a task of
+// QoS class whose call returned errno.
+func rootAs(fr *FlightRecorder, rid uint64, op string, start, end sim.Time, class uint8, errno int32) {
+	fr.onEvent(Event{Kind: KindGroup, Class: class, Errno: errno, RID: rid, VM: "guest", Layer: LayerSyscall, Name: op, Start: start, End: end})
 }
 
 // The per-hop durations of a digest tile the end-to-end latency exactly:
@@ -23,7 +29,6 @@ func root(fr *FlightRecorder, rid uint64, op string, start, end sim.Time) {
 // no work span covered.
 func TestFlightDigestTiling(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{})
-	fr.Note(1, 2)
 	span(fr, 1, LayerSyscall, "syscall", 0, 100)
 	span(fr, 1, LayerFE, "post", 100, 200)
 	span(fr, 1, LayerHV, "hypercall", 300, 400)
@@ -33,7 +38,7 @@ func TestFlightDigestTiling(t *testing.T) {
 	span(fr, 1, LayerBE, "dispatch", 1200, 250)
 	span(fr, 1, LayerBE, "map-hit", 1450, 80)
 	span(fr, 1, LayerDevice, "dma", 1530, 400)
-	root(fr, 1, "ioctl /dev/dri/card0", 0, 2500) // 570 ns uncovered
+	rootAs(fr, 1, "ioctl /dev/dri/card0", 0, 2500, 2, 0) // 570 ns uncovered
 
 	ds := fr.Digests()
 	if len(ds) != 1 {
@@ -91,7 +96,8 @@ func TestFlightRingBounded(t *testing.T) {
 }
 
 // Span trees are retained only for flagged requests: latency threshold,
-// errno, shed, or episode overlap. Clean fast requests leave no tree.
+// errno (a shed request's EAGAIN included), or episode overlap. Clean fast
+// requests leave no tree.
 func TestFlightOutlierCriteria(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{
 		Threshold:       1000,
@@ -104,14 +110,11 @@ func TestFlightOutlierCriteria(t *testing.T) {
 	// rid 2: over the default threshold.
 	root(fr, 2, "write /dev/a", 1000, 3000)
 	// rid 3: class 1, over its tighter 100 ns threshold.
-	fr.Note(3, 1)
-	root(fr, 3, "read /dev/a", 3000, 3200)
+	rootAs(fr, 3, "read /dev/a", 3000, 3200, 1, 0)
 	// rid 4: fast but returned an errno.
-	fr.Outcome(4, 110, false)
-	root(fr, 4, "ioctl /dev/a", 4000, 4010)
-	// rid 5: shed by admission control.
-	fr.Outcome(5, 11, true)
-	root(fr, 5, "write /dev/a", 5000, 5010)
+	rootAs(fr, 4, "ioctl /dev/a", 4000, 4010, 0, 110)
+	// rid 5: shed by admission control with EAGAIN.
+	rootAs(fr, 5, "write /dev/a", 5000, 5010, 2, 11)
 	// rid 6: overlaps a recovery episode.
 	span(fr, 6, LayerFE, "post", 6000, 10)
 	fr.BeginEpisode()
@@ -134,8 +137,8 @@ func TestFlightOutlierCriteria(t *testing.T) {
 	if ds[0].Outlier || !ds[1].Outlier || !ds[2].Outlier || !ds[3].Outlier || !ds[4].Outlier || !ds[5].Outlier {
 		t.Fatalf("outlier flags wrong: %+v", ds)
 	}
-	if !ds[4].Shed || ds[4].Errno != 11 {
-		t.Errorf("shed digest lost its outcome: %+v", ds[4])
+	if ds[2].Class != 1 || ds[4].Class != 2 || ds[4].Errno != 11 {
+		t.Errorf("digests lost their root's class or errno: %+v", ds)
 	}
 	if !ds[5].Episode {
 		t.Errorf("episode overlap not flagged: %+v", ds[5])
@@ -147,9 +150,8 @@ func TestFlightOutlierCriteria(t *testing.T) {
 func TestFlightOutlierCapBounded(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{OutlierCap: 2})
 	for rid := uint64(1); rid <= 10; rid++ {
-		fr.Outcome(rid, 16, true)
 		at := sim.Time(rid * 100)
-		root(fr, rid, "write /dev/a", at, at.Add(10))
+		rootAs(fr, rid, "write /dev/a", at, at.Add(10), 0, 16)
 	}
 	if len(fr.Outliers()) != 2 {
 		t.Fatalf("retained %d trees, want cap 2", len(fr.Outliers()))
@@ -184,11 +186,9 @@ func TestFlightStaleRIDDropped(t *testing.T) {
 func TestFlightDumpDeterministic(t *testing.T) {
 	run := func() []byte {
 		fr := NewFlightRecorder(FlightConfig{Capacity: 8, Threshold: 100})
-		fr.Note(1, 1)
 		span(fr, 1, LayerHV, "hypercall", 0, 80)
-		root(fr, 1, "ioctl /dev/a", 0, 200)
-		fr.Outcome(2, 19, false)
-		root(fr, 2, "write /dev/a", 300, 340)
+		rootAs(fr, 1, "ioctl /dev/a", 0, 200, 1, 0)
+		rootAs(fr, 2, "write /dev/a", 300, 340, 0, 19)
 		var b bytes.Buffer
 		if err := fr.WriteDump(&b); err != nil {
 			t.Fatal(err)
@@ -235,8 +235,6 @@ func TestFlightAttributionShares(t *testing.T) {
 // A nil recorder no-ops everywhere — the disarmed hot path.
 func TestFlightNilSafe(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Note(1, 0)
-	fr.Outcome(1, 0, false)
 	fr.BeginEpisode()
 	fr.EndEpisode()
 	fr.Push(Digest{})

@@ -5,19 +5,22 @@
 // decomposes the 35 µs forwarded no-op into inter-VM interrupts, ring
 // serialization, and hypercall costs — and this package makes that budget a
 // first-class output of every simulation run instead of something derived by
-// hand from the perf constants. Each system call opens a root span; every
-// charge it pays on the way (syscall entry, frontend post, hypercall, grant
-// validate, EPT walk + copy, backend dispatch, completion) is a leaf work
-// span recorded by perf.Spend, which charges the cost and records the
-// charged interval in one call, so a leaf span is exactly one charge and the
-// leaf spans of one process never overlap. The only other leaf spans are the
-// three projected deliveries — inter-vm-irq and device-irq from the
-// hypervisor, poll-cross from the CVD transport — which cover a latency the
-// receiver pays in callback context, where nothing is charged. For the
-// forwarded no-op the work spans tile the root span exactly: the
-// span-reconciliation test enforces sum-of-work-spans == end-to-end latency.
-// What no span covers — a device's service time, a wait for a slot or a
-// handover drain — is the queue residual.
+// hand from the perf constants. Each system call opens a root span, closed
+// where the call ends by Tracer.Root with the calling task's QoS class and
+// the errno the call returned, for a local and a forwarded operation alike:
+// that is where a flight-recorder digest takes its class and errno from.
+// Every charge the call pays on the way (syscall entry, frontend post,
+// hypercall, grant validate, EPT walk + copy, backend dispatch, completion)
+// is a leaf work span recorded by perf.Spend, which charges the cost and
+// records the charged interval in one call, so a leaf span is exactly one
+// charge and the leaf spans of one process never overlap. The only other
+// leaf spans are the three projected deliveries — inter-vm-irq and
+// device-irq from the hypervisor, poll-cross from the CVD transport — which
+// cover a latency the receiver pays in callback context, where nothing is
+// charged. For the forwarded no-op the work spans tile the root span
+// exactly: the span-reconciliation test enforces sum-of-work-spans ==
+// end-to-end latency. What no span covers — a device's service time, a wait
+// for a slot or a handover drain — is the queue residual.
 //
 // # Design rules
 //
@@ -83,7 +86,11 @@ const (
 // Event is one recorded trace event. Start and End are virtual-clock values;
 // End == Start for instants.
 type Event struct {
-	Kind   Kind
+	Kind Kind
+	// Class and Errno are set on a request's root group only (Tracer.Root):
+	// the calling task's QoS class and the errno the system call returned.
+	Class  uint8
+	Errno  int32
 	RID    uint64 // request ID; 0 = not attributable to one request
 	VM     string // Chrome "process": the VM (or pseudo-VM) where time passed
 	Layer  string // Chrome "thread": the architectural layer
@@ -196,25 +203,28 @@ func (t *Tracer) Span(rid uint64, vm, layer, name string, start, end sim.Time) {
 	if t == nil || end == start {
 		return
 	}
-	e := Event{Kind: KindSpan, RID: rid, VM: vm, Layer: layer, Name: name, Start: start, End: end}
-	if !t.noRetain {
-		t.events = append(t.events, e)
-	}
-	t.flight.onEvent(e)
+	t.record(Event{Kind: KindSpan, RID: rid, VM: vm, Layer: layer, Name: name, Start: start, End: end})
 }
 
-// Group records an enclosing span (request root, execute envelope, recovery
-// episode). Group spans may contain work spans and other groups; they are
-// excluded from tiling sums.
+// Group records an enclosing span (execute envelope, recovery episode).
+// Group spans may contain work spans and other groups; they are excluded
+// from tiling sums.
 func (t *Tracer) Group(rid uint64, vm, layer, name string, start, end sim.Time) {
 	if t == nil {
 		return
 	}
-	e := Event{Kind: KindGroup, RID: rid, VM: vm, Layer: layer, Name: name, Start: start, End: end}
-	if !t.noRetain {
-		t.events = append(t.events, e)
+	t.record(Event{Kind: KindGroup, RID: rid, VM: vm, Layer: layer, Name: name, Start: start, End: end})
+}
+
+// Root records a request's root group, the syscall-layer group that ends
+// it, with what the caller got back: the task's QoS class and the errno
+// the system call returned (0 on success). The armed flight recorder
+// finalizes the request's digest from it.
+func (t *Tracer) Root(rid uint64, vm, name string, start, end sim.Time, class uint8, errno int32) {
+	if t == nil {
+		return
 	}
-	t.flight.onEvent(e)
+	t.record(Event{Kind: KindGroup, Class: class, Errno: errno, RID: rid, VM: vm, Layer: LayerSyscall, Name: name, Start: start, End: end})
 }
 
 // Instant records a point event at the current virtual time.
@@ -223,7 +233,12 @@ func (t *Tracer) Instant(rid uint64, vm, layer, name, detail string) {
 		return
 	}
 	now := t.env.Now()
-	e := Event{Kind: KindInstant, RID: rid, VM: vm, Layer: layer, Name: name, Start: now, End: now, Detail: detail}
+	t.record(Event{Kind: KindInstant, RID: rid, VM: vm, Layer: layer, Name: name, Start: now, End: now, Detail: detail})
+}
+
+// record retains e (unless retention is off) and forwards it to the armed
+// flight recorder.
+func (t *Tracer) record(e Event) {
 	if !t.noRetain {
 		t.events = append(t.events, e)
 	}

@@ -353,23 +353,17 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 			m.cfg.RequestDeadline = 50 * sim.Millisecond
 		}
 		// One supervisor per shard, each sweeping (and restarting) only its
-		// own shard's channels. With a single shard the proc-panic hook and
-		// sweep behavior are exactly the single-supervisor seed's.
+		// own shard's channels. A panic on a CVD backend proc goes to the
+		// supervisor of the shard named by the proc's "@<driver kernel>"
+		// suffix, so it charges that shard's restart budget alone.
 		for _, sh := range m.shards {
-			scfg := cfg.Supervise
-			if len(m.shards) > 1 {
-				name := sh.K.Name
-				scfg.OwnsProc = func(proc string) bool {
-					return strings.HasSuffix(proc, "@"+name)
-				}
-			}
-			m.supervisors = append(m.supervisors, supervise.Start(env, shardTarget{m: m, idx: sh.Index}, scfg))
+			m.supervisors = append(m.supervisors, supervise.Start(env, shardTarget{m: m, idx: sh.Index}, cfg.Supervise))
 		}
 		m.supervisor = m.supervisors[0]
 		env.OnProcPanic = func(pp *sim.ProcPanic) bool {
-			for _, s := range m.supervisors {
-				if s.HandleProcPanic(pp) {
-					return true
+			for i, sh := range m.shards {
+				if strings.HasSuffix(pp.Proc, "@"+sh.K.Name) {
+					return m.supervisors[i].HandleProcPanic(pp)
 				}
 			}
 			return false

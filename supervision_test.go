@@ -16,6 +16,7 @@ import (
 	"paradice/internal/driver/drm"
 	"paradice/internal/faults"
 	"paradice/internal/kernel"
+	"paradice/internal/mem"
 	"paradice/internal/sim"
 	"paradice/internal/supervise"
 	"paradice/internal/usrlib"
@@ -369,5 +370,84 @@ func TestSupervisionMTTRSweep(t *testing.T) {
 		if recovery <= 0 || recovery > sim.Second {
 			t.Fatalf("every=%v: implausible recovery latency %v", every, recovery)
 		}
+	}
+}
+
+// panicOnce is a harness driver whose first ioctl panics: a driver-VM oops
+// on whichever shard serves it. Later ioctls succeed.
+type panicOnce struct {
+	kernel.BaseOps
+	fired bool
+}
+
+func (d *panicOnce) Ioctl(*kernel.FopCtx, devfile.IoctlCmd, mem.GuestVirt) (int32, error) {
+	if !d.fired {
+		d.fired = true
+		panic("harness driver oops")
+	}
+	return 0, nil
+}
+
+// A backend panic is its own shard's oops: on a 2-shard supervised machine,
+// an ioctl that panics the driver behind a device pinned to shard 1 makes
+// shard 1's supervisor restart shard 1, while shard 0 keeps its driver VM
+// and shard 0's supervisor logs no change.
+func TestSupervisionShardPanicRestartsOnlyItsShard(t *testing.T) {
+	const path = "/dev/panicky"
+	m, err := paradice.New(paradice.Config{DriverShards: 2, Supervision: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	drv := &panicOnce{}
+	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+		k.RegisterDevice(path, drv, drv)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PinDevice(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.AddGuest("guest", paradice.Linux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Paravirtualize(path); err != nil {
+		t.Fatal(err)
+	}
+	vm0, vm1 := m.Shards()[0].VM, m.Shards()[1].VM
+	p, err := g.NewProcess("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oopsErr error
+	p.SpawnTask("main", func(tk *kernel.Task) {
+		fd, err := tk.Open(path, devfile.ORdWr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, oopsErr = tk.Ioctl(fd, devfile.IO('P', 0), 0)
+	})
+	m.RunUntil(m.Env.Now().Add(500 * sim.Millisecond))
+
+	if !drv.fired {
+		t.Fatal("the harness driver never saw the ioctl")
+	}
+	if !usrlib.IsRestartErr(oopsErr) {
+		t.Fatalf("ioctl through the oops returned %v, want a restart-transient errno", oopsErr)
+	}
+	if m.Shards()[1].VM == vm1 {
+		t.Fatal("shard 1 kept its driver VM: its supervisor did not restart it")
+	}
+	if got := m.RestartEpoch(); got != 1 {
+		t.Fatalf("restart epoch = %d, want one restart", got)
+	}
+	if m.Shards()[0].VM != vm0 {
+		t.Fatal("shard 0's driver VM was replaced by shard 1's oops")
+	}
+	if ch := m.Supervisor().Changes(); len(ch) != 0 {
+		t.Fatalf("shard 0's supervisor logged %v, want no change", ch)
 	}
 }
