@@ -101,10 +101,10 @@ func TestFastPathDisabledGolden(t *testing.T) {
 		{"interrupts-mapcache-idle", paradice.Config{Mode: paradice.Interrupts, MapCache: true}, noopGoldenInterrupts},
 		{"polling-mapcache-idle", paradice.Config{Mode: paradice.Polling, MapCache: true}, noopGoldenPolling},
 		// Walkcache compiled in but explicitly off, alongside every other
-		// fast-path knob: the TLB and grant-batch fields must be inert when
-		// false even with the rest of the fast path armed-but-idle.
-		{"interrupts-walkcache-off", paradice.Config{Mode: paradice.Interrupts, MapCache: true, TLB: false, GrantBatch: false}, noopGoldenInterrupts},
-		{"polling-walkcache-off", paradice.Config{Mode: paradice.Polling, MapCache: true, TLB: false, GrantBatch: false}, noopGoldenPolling},
+		// fast-path knob: the TLB field must be inert when false even with
+		// the rest of the fast path armed-but-idle.
+		{"interrupts-walkcache-off", paradice.Config{Mode: paradice.Interrupts, MapCache: true, TLB: false}, noopGoldenInterrupts},
+		{"polling-walkcache-off", paradice.Config{Mode: paradice.Polling, MapCache: true, TLB: false}, noopGoldenPolling},
 		// The adaptive transport at closed-loop no-op load never leaves
 		// interrupt stance (the ~35 µs round trip IS the inter-arrival gap,
 		// above the poll threshold), so it must reproduce the interrupt
@@ -123,7 +123,7 @@ func TestFastPathDisabledGolden(t *testing.T) {
 }
 
 // TestWalkcacheArmedGolden pins the armed translation-cache behavior to the
-// cost model exactly. With TLB+GrantBatch on, the §6.1.1 no-op changes in
+// cost model exactly. With TLB on, the §6.1.1 no-op changes in
 // two precisely predictable ways: every validation after the frontend's
 // declare is a grant-cache hit (CostTLBHit instead of the CostGrantDeclare
 // shared-page scan — from the FIRST operation, because the declare itself
@@ -141,7 +141,7 @@ func TestWalkcacheArmedGolden(t *testing.T) {
 		{"polling", paradice.Polling, noopGoldenPolling},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := paradice.Config{Mode: c.mode, TLB: true, GrantBatch: true}
+			cfg := paradice.Config{Mode: c.mode, TLB: true}
 			m, gk := guestKernel(t, cfg, paradice.PathGPU)
 			lat := noopLoop(t, m, gk, 4)
 			first, last := lat[0], lat[3]

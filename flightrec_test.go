@@ -16,8 +16,10 @@ import (
 	"paradice/internal/faults"
 	"paradice/internal/kernel"
 	"paradice/internal/load"
+	"paradice/internal/mem"
 	"paradice/internal/sim"
 	"paradice/internal/trace"
+	"paradice/internal/usrlib"
 )
 
 // armedNoop is tracedNoop with the flight recorder armed on the tracer
@@ -204,5 +206,45 @@ func TestFlightDigestDeclareFailure(t *testing.T) {
 	}
 	if !captured {
 		t.Fatalf("declare-failure write (rid %d) not among the captured outliers", d.RID)
+	}
+}
+
+// A page fault a guest takes on a mapped GPU buffer is forwarded as a
+// request of its own: after the guest writes through a fresh mapping, the
+// frontend's forwarded-op count equals the digest count, and the fault's
+// digest is named for the device file it faulted on.
+func TestFlightDigestForwardedFault(t *testing.T) {
+	m, gk := guestKernel(t, paradice.Config{}, paradice.PathGPU)
+	tr := m.StartTrace()
+	t.Cleanup(func() { m.StopTrace() })
+	fr := tr.ArmFlightRecorder(trace.FlightConfig{})
+	p, err := gk.NewProcess("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.RunTask("touch", func(tk *kernel.Task) error {
+		g, err := usrlib.OpenGPU(tk, paradice.PathGPU)
+		if err != nil {
+			return err
+		}
+		bo, err := g.CreateBO(mem.PageSize)
+		if err != nil {
+			return err
+		}
+		va, err := g.MapBO(bo, mem.PageSize)
+		if err != nil {
+			return err
+		}
+		return g.WriteF32(va, []float32{1.5})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := tr.Metrics().Counter("cvd." + paradice.PathGPU + "@guest1.ops")
+	if ops == 0 || fr.Total() != ops {
+		t.Fatalf("%d forwarded ops but %d digests: a forwarded op belongs to no request", ops, fr.Total())
+	}
+	if d := digestOf(t, fr, "fault "+paradice.PathGPU); d.VM != "guest1" || d.Errno != 0 {
+		t.Fatalf("fault digest = vm %q errno %d, want guest1 errno 0", d.VM, d.Errno)
 	}
 }

@@ -82,7 +82,6 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 			MapCache:        g.M.cfg.MapCache,
 			MapThreshold:    g.M.cfg.MapThreshold,
 			CoalesceWindow:  g.M.cfg.CoalesceWindow,
-			GrantBatch:      g.M.cfg.GrantBatch,
 			Admission:       g.M.cfg.Admission,
 			Pool:            sh.Pool,
 		})

@@ -504,7 +504,7 @@ func TestWithReopenAcrossHandover(t *testing.T) {
 // state-change log, the watchdog never mistakes the drain for an outage,
 // and the machine stays Healthy on the successor.
 func TestRequestHandoverViaSupervisor(t *testing.T) {
-	m, g := sinkMachine(t, paradice.Config{Mode: paradice.Polling, Supervision: true})
+	m, g := sinkMachine(t, paradice.Config{Mode: paradice.Polling, Supervise: &supervise.Config{}})
 
 	if err := m.RequestHandover(); err != nil {
 		t.Fatal(err)

@@ -70,9 +70,9 @@ type hoRun struct {
 	witnessLastErr error // last witness failure, for diagnostics
 }
 
-// runHo builds the machine (polling + map cache + TLB) with the sink in
-// every driver-VM generation, starts the generator plus the witness writer,
-// fires op at hoKickAt and runs the workload to its end.
+// runHo builds the machine (polling + map cache + translation caching) with
+// the sink in every driver-VM generation, starts the generator plus the
+// witness writer, fires op at hoKickAt and runs the workload to its end.
 func runHo(quick bool, what string, op func(*paradice.Machine) error) (*hoRun, error) {
 	m, g, err := sinkGuest(paradice.Config{
 		Mode:     paradice.Polling,

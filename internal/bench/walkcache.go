@@ -16,8 +16,8 @@ import (
 // The translation-cache experiment: how much of a small operation's latency
 // is per-request translation work — the grant declare, the shared-page grant
 // scan at validation, and the per-page two-level walk of §5.2 — and how much
-// of it the hypervisor's software TLB plus batched grant hypercalls
-// (Config.TLB + Config.GrantBatch) recover when an application re-touches
+// of it translation caching (Config.TLB: the hypervisor's software TLB plus
+// batched grant hypercalls) recovers when an application re-touches
 // the same buffers. Small operations are where it matters: a no-op-sized
 // ioctl spends a fifth of its polled latency re-proving translations the
 // previous request already proved. The experiment sweeps the echoed payload
@@ -67,7 +67,7 @@ func RunWalkcache(quick bool) ([]Row, error) {
 		iters = 6
 	}
 	coldCfg := paradice.Config{Mode: paradice.Polling}
-	warmCfg := paradice.Config{Mode: paradice.Polling, TLB: true, GrantBatch: true}
+	warmCfg := paradice.Config{Mode: paradice.Polling, TLB: true}
 	var rows []Row
 
 	// Size sweep: identical echo loops, translation caches off vs on. The
@@ -125,8 +125,8 @@ func RunWalkcache(quick bool) ([]Row, error) {
 		label string
 		cfg   paradice.Config
 	}{
-		{"per-entry", paradice.Config{Mode: paradice.Polling}},
-		{"batched", paradice.Config{Mode: paradice.Polling, TLB: true, GrantBatch: true}},
+		{"per-entry", coldCfg},
+		{"batched", warmCfg},
 	} {
 		crossings, err := csDeclareCrossings(c.cfg)
 		if err != nil {

@@ -73,13 +73,6 @@ type Config struct {
 	// until the ring itself is full (EBUSY). nil disables admission control
 	// — the seed behavior.
 	Admission map[uint8]int
-	// GrantBatch batches grant hypercalls: the frontend declares a file
-	// operation's whole grant vector in one hypervisor crossing (the first
-	// entry costs CostGrantDeclare, each further entry CostGrantEntry), and
-	// the hypervisor's grant-validation cache primed by that crossing lets
-	// the backend's memory operations validate against the cached vector at
-	// CostTLBHit instead of re-scanning the shared page. Off by default.
-	GrantBatch bool
 	// Pool, when non-nil, is the driver VM's shared worker pool (pool.go):
 	// this channel joins it at connect time, and the dispatcher enqueues
 	// operations there instead of spawning one handler thread per operation.
@@ -123,19 +116,9 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 
 	grants := cfg.Grants
 	if grants == nil {
-		grantGPA, err := cfg.GuestK.AllocFrame()
-		if err != nil {
+		if grants, err = NewGuestGrantTable(cfg.HV, cfg.GuestVM, cfg.GuestK); err != nil {
 			return nil, nil, err
 		}
-		if err := cfg.HV.RegisterGrantTable(cfg.GuestVM, grantGPA); err != nil {
-			return nil, nil, err
-		}
-		grants = grant.NewTable(&grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: grantGPA})
-	}
-	if cfg.GrantBatch {
-		// Idempotent per (VM, table): guests that paravirtualize several
-		// devices share one table and subscribe once.
-		cfg.HV.EnableGrantCache(cfg.GuestVM, grants)
 	}
 
 	vecToBackend := cfg.DriverVM.AllocVector()
@@ -172,7 +155,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		backend:      be,
 		policy:       pol,
 		deadline:     cfg.RequestDeadline,
-		grantBatch:   cfg.GrantBatch,
 		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.DevicePath),
 		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.DevicePath),
 		path:         cfg.DevicePath,
@@ -200,8 +182,10 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 }
 
 // NewGuestGrantTable allocates and registers a grant-table page for a
-// guest, for callers that paravirtualize several devices in one guest (one
-// table per guest VM, shared by its frontends).
+// guest. A Machine makes one per guest VM, shared by its frontends; Connect
+// makes one when Config.Grants is nil. With the hypervisor's software TLB
+// armed, the table subscribes to its VM's grant-validation cache here, so
+// the frontends declare grant vectors in one batched crossing (declare).
 func NewGuestGrantTable(h *hv.Hypervisor, guestVM *hv.VM, guestK *kernel.Kernel) (*grant.Table, error) {
 	gpa, err := guestK.AllocFrame()
 	if err != nil {
@@ -210,5 +194,9 @@ func NewGuestGrantTable(h *hv.Hypervisor, guestVM *hv.VM, guestK *kernel.Kernel)
 	if err := h.RegisterGrantTable(guestVM, gpa); err != nil {
 		return nil, err
 	}
-	return grant.NewTable(&grant.GuestAccessor{Space: guestVM.Space, GPA: gpa}), nil
+	t := grant.NewTable(&grant.GuestAccessor{Space: guestVM.Space, GPA: gpa})
+	if h.TLBEnabled() {
+		h.EnableGrantCache(guestVM, t)
+	}
+	return t, nil
 }

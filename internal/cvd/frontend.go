@@ -95,14 +95,6 @@ type Frontend struct {
 	pendingRID [slotCount]uint64
 	inPending  [slotCount]bool
 
-	// Batched grant hypercalls (Config.GrantBatch). When set, declare prices
-	// a multi-entry grant set as ONE hypervisor crossing — CostGrantDeclare
-	// for the first entry plus CostGrantEntry per further entry — instead of
-	// CostGrantDeclare per entry, and the hypervisor's grant-validation
-	// cache is primed by the declaration (grant.Table.OnDeclare) so backend
-	// memory operations validate against the cached vector.
-	grantBatch bool
-
 	// QoS admission control (Config.Admission). admission maps a task's
 	// QoS class to the ring occupancy at which that class stops being
 	// admitted: a request whose class has a limit configured is refused
@@ -599,13 +591,14 @@ func (fe *Frontend) Heartbeat(p *sim.Proc, timeout sim.Duration) bool {
 // declaration cost. Empty op lists yield reference 0 (no grant).
 //
 // Unbatched (the paper's behavior), each entry is its own hypervisor
-// crossing: len(ops)·CostGrantDeclare. With Config.GrantBatch the whole
-// vector goes in one crossing — CostGrantDeclare plus CostGrantEntry per
-// further entry — and the hypervisor caches the vector for validation
-// (grant.Table.OnDeclare). A single-entry batched declare costs exactly the
-// unbatched amount. The cvd.fe.grant.crossings counter records actual
-// crossings so the walkcache experiment can show an 8-entry declare
-// dropping from 8 crossings to 1.
+// crossing: len(ops)·CostGrantDeclare. When the guest's grant-validation
+// cache is armed (translation caching, Config.TLB; see NewGuestGrantTable)
+// the whole vector goes in one crossing — CostGrantDeclare plus
+// CostGrantEntry per further entry — and the hypervisor caches the vector
+// for validation (grant.Table.OnDeclare). A single-entry batched declare
+// costs exactly the unbatched amount. The cvd.fe.grant.crossings counter
+// records actual crossings so the walkcache experiment can show an 8-entry
+// declare dropping from 8 crossings to 1.
 func (fe *Frontend) declare(c *kernel.FopCtx, ops []grant.Op) (uint32, error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -616,7 +609,7 @@ func (fe *Frontend) declare(c *kernel.FopCtx, ops []grant.Op) (uint32, error) {
 		return 0, d.Error()
 	}
 	cost, crossings := sim.Duration(len(ops))*perf.CostGrantDeclare, uint64(len(ops))
-	if fe.grantBatch {
+	if fe.hv.GrantCacheArmed(fe.guestVM) {
 		cost, crossings = perf.CostGrantDeclare+sim.Duration(len(ops)-1)*perf.CostGrantEntry, 1
 	}
 	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "grant-declare", cost)

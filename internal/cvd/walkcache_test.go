@@ -1,11 +1,11 @@
 package cvd
 
 // Tests for the translation-cache fast path (the hypervisor's software TLB
-// plus Config.GrantBatch)
-// at the CVD layer: batched declares collapse a scatter-gather grant vector
-// into one hypervisor crossing, armed requests produce identical data to
-// dormant ones, and the hostile revoke-while-mapped case still faults with
-// every cache armed — the caches amortize cost, never authority.
+// and the grant cache it arms) at the CVD layer: batched declares collapse a
+// scatter-gather grant vector into one hypervisor crossing, armed requests
+// produce identical data to dormant ones, and the hostile revoke-while-mapped
+// case still faults with every cache armed — the caches amortize cost, never
+// authority.
 
 import (
 	"bytes"
@@ -18,12 +18,10 @@ import (
 	"paradice/internal/trace"
 )
 
-// withWalkcache arms the software TLB and batched grant hypercalls.
+// withWalkcache arms the software TLB, and with it batched grant hypercalls
+// for the grant table Connect creates.
 func withWalkcache() func(*Config) {
-	return func(c *Config) {
-		c.HV.EnableTLB()
-		c.GrantBatch = true
-	}
+	return func(c *Config) { c.HV.EnableTLB() }
 }
 
 // nestedChunks issues one tdNested ioctl carrying n scattered payload chunks
@@ -63,7 +61,7 @@ func nestedChunks(t *testing.T, r *rig, n int) {
 // TestBatchedDeclareSingleCrossing is the acceptance criterion for batched
 // grant hypercalls: a scatter-gather declare of 8+ entries (the nested
 // ioctl's header + descriptor block + 8 scattered payloads) costs ONE
-// frontend crossing with GrantBatch on, where the per-entry path pays one
+// frontend crossing with the TLB armed, where the per-entry path pays one
 // crossing per entry — and the gathered data is identical either way.
 func TestBatchedDeclareSingleCrossing(t *testing.T) {
 	crossings := func(opts ...func(*Config)) uint64 {

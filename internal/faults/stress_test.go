@@ -535,12 +535,17 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	}
 	if walkcache {
 		h.EnableTLB()
-		cfg.GrantBatch = true
 	}
 	if adaptive {
 		// Batching rides the adaptive arm: multi-entry submission doorbells
 		// and shared response IRQs under every fault the plan can throw.
 		cfg.CoalesceWindow = 20 * sim.Microsecond
+	}
+	// One grant table per guest VM, shared by the stress and sink channels,
+	// as on a Machine: the hypervisor validates against the one table page
+	// registered for the VM.
+	if cfg.Grants, err = cvd.NewGuestGrantTable(h, guestVM, guestK); err != nil {
+		return err
 	}
 	fe, be, err := cvd.Connect(cfg)
 	if err != nil {
@@ -554,7 +559,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		if _, _, err := cvd.Connect(cvd.Config{
 			HV: h, GuestVM: guestVM, GuestK: guestK,
 			DriverVM: driverVM, DriverK: driverK,
-			DevicePath: load.SinkPath, Mode: mode,
+			DevicePath: load.SinkPath, Mode: mode, Grants: cfg.Grants,
 			// Liveness under fire: nothing ever reconnects this channel,
 			// so requests stranded by a killed backend must unblock with
 			// ETIMEDOUT on their own.
@@ -619,7 +624,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 			// extra channel's only liveness mechanism (nothing ever reconnects
 			// it), exactly like the sink channel.
 			xcfg := cfg
-			xcfg.GuestVM, xcfg.GuestK = vm, k
+			xcfg.GuestVM, xcfg.GuestK, xcfg.Grants = vm, k, nil
 			xcfg.RequestDeadline = 5 * sim.Millisecond
 			if _, _, err := cvd.Connect(xcfg); err != nil {
 				return err
@@ -1185,9 +1190,10 @@ func TestHarnessCatchesWeakenedGrantCheck(t *testing.T) {
 }
 
 // TestStressArmTable pins the arm table: for the default sweep, for each arm
-// forced alone, and for supervised+handover, seeds 0-7 must arm exactly the
-// sets listed here (per seed%4, sorted). An edit to the table that re-arms
-// the default sweep, or moves an arm to another residue, fails here.
+// forced alone, for supervised+handover and for walkcache+handover, seeds 0-7
+// must arm exactly the sets listed here (per seed%4, sorted). An edit to the
+// table that re-arms the default sweep, or moves an arm to another residue,
+// fails here.
 func TestStressArmTable(t *testing.T) {
 	cases := []struct {
 		forced string
@@ -1203,6 +1209,7 @@ func TestStressArmTable(t *testing.T) {
 		{"adaptive", [4]string{"adaptive,flightrec,openloop", "adaptive,fastpath", "adaptive,walkcache", "adaptive,supervised"}},
 		{"multivm", [4]string{"flightrec,multivm,openloop", "fastpath,multivm", "multivm,walkcache", "multivm,supervised"}},
 		{"supervised,handover", [4]string{"flightrec,openloop,supervised", "fastpath,supervised", "supervised,walkcache", "supervised"}},
+		{"walkcache,handover", [4]string{"flightrec,handover,openloop,walkcache", "fastpath,walkcache", "walkcache", "supervised,walkcache"}},
 	}
 	for _, c := range cases {
 		forced := armSet{}

@@ -222,8 +222,9 @@ type Table struct {
 	// onDeclare subscribers run after a declaration's slots are all written —
 	// never on the rolled-back table-full path, whose partial slots are gone
 	// by the time Declare returns. The hypervisor's grant-validation cache
-	// (Config.GrantBatch) primes itself here, modeling the batched hypercall
-	// that hands the hypervisor the whole entry vector in one crossing.
+	// (armed with Config.TLB) primes itself here, modeling the batched
+	// hypercall that hands the hypervisor the whole entry vector in one
+	// crossing.
 	onDeclare []func(ref uint32, ptRoot mem.GuestPhys, ops []Op)
 }
 

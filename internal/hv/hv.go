@@ -69,9 +69,8 @@ type VM struct {
 	// Software TLB and grant-validation cache (tlb.go); nil until armed via
 	// EnableTLB / EnableGrantCache, and every consult is nil-gated, so the
 	// dormant paths stay byte-identical to the seed.
-	tlb         *vmTLB
-	grantCache  *grantCache
-	grantTables map[*grant.Table]bool // tables already subscribed (idempotence)
+	tlb        *vmTLB
+	grantCache *grantCache
 }
 
 // AllocVector reserves a fresh interrupt vector on this VM.

@@ -37,7 +37,7 @@ func (h *Hypervisor) validate(guest *VM, ref uint32, kind grant.Kind, va mem.Gue
 	// Grant-validation cache (tlb.go): when the frontend's batched declare
 	// primed this reference's vector, the covering check is a cached-vector
 	// replay at CostTLBHit instead of a shared-page scan at CostGrantDeclare.
-	// Never primed while Config.GrantBatch is off, so the dormant charge and
+	// Never primed while Config.TLB is off, so the dormant charge and
 	// event sequence below is byte-identical to the seed. The injected-fault
 	// points still run in their exact dormant order — and BEFORE the cached
 	// result is used, so a fault schedule denies a cached validation exactly

@@ -41,6 +41,10 @@ import (
 // crossing (grant.Table.OnDeclare), so the backend-side validation of a
 // slot's grant set becomes a cached-vector check (perf.CostTLBHit) instead
 // of a shared-page scan per memory operation (perf.CostGrantDeclare).
+//
+// Both caches are one switch, translation caching (Config.TLB): EnableTLB
+// arms every VM's TLB, and a grant table created while it is armed
+// (cvd.NewGuestGrantTable) subscribes to its VM's grant cache at creation.
 
 // tlbKey identifies one cached translation: the address space (the issuing
 // process's page-table root) and the virtual page.
@@ -199,18 +203,12 @@ func (h *Hypervisor) armTLB(vm *VM) {
 
 // EnableGrantCache arms the grant-validation cache for a guest VM's grant
 // table: successful declarations prime the cache (the batched declare
-// crossing), revocations drop their reference. Idempotent per (VM, table).
+// crossing), revocations drop their reference. cvd.NewGuestGrantTable calls
+// it once per table, at creation, when the software TLB is armed.
 func (h *Hypervisor) EnableGrantCache(vm *VM, t *grant.Table) {
 	if vm.grantCache == nil {
 		vm.grantCache = newGrantCache()
 	}
-	if vm.grantTables == nil {
-		vm.grantTables = make(map[*grant.Table]bool)
-	}
-	if vm.grantTables[t] {
-		return
-	}
-	vm.grantTables[t] = true
 	t.OnDeclare(func(ref uint32, ptRoot mem.GuestPhys, ops []grant.Op) {
 		vm.grantCache.prime(ref, ptRoot, ops)
 	})
@@ -218,6 +216,13 @@ func (h *Hypervisor) EnableGrantCache(vm *VM, t *grant.Table) {
 		vm.grantCache.drop(ref)
 	})
 }
+
+// TLBEnabled reports whether EnableTLB armed the software TLB.
+func (h *Hypervisor) TLBEnabled() bool { return h.tlbEnabled }
+
+// GrantCacheArmed reports whether vm's grant-validation cache is armed: the
+// frontend then prices a grant declare as one batched crossing.
+func (h *Hypervisor) GrantCacheArmed(vm *VM) bool { return vm.grantCache != nil }
 
 // FlushTranslationCaches empties every VM's software TLB and grant-
 // validation cache. RestartDriverVM calls this: the restart is the one

@@ -6,6 +6,7 @@ import (
 
 	"paradice/internal/mem"
 	"paradice/internal/perf"
+	"paradice/internal/trace"
 )
 
 // User address-space layout (32-bit guests).
@@ -183,13 +184,25 @@ func (p *Process) userAccess(t *Task, va mem.GuestVirt, buf []byte, write bool) 
 }
 
 // handleFault resolves a page fault at va by delegating to the VMA's file.
-func (p *Process) handleFault(t *Task, va mem.GuestVirt) error {
+// A fault taken inside a system call belongs to that call's request. One
+// taken by a plain user access is a request of its own: it binds a fresh
+// request ID and closes a root group "fault <path>" with the task's class
+// and the fault's errno, as a system call does, but without the
+// system-call charge.
+func (p *Process) handleFault(t *Task, va mem.GuestVirt) (err error) {
 	v, ok := p.FindVMA(va)
 	if !ok || v.File == nil {
 		return EFAULT
 	}
-	perf.Charge(p.K.Env, perf.CostPageFault)
-	c := &FopCtx{Task: t, File: v.File}
+	tr := trace.Get(p.K.Env)
+	c := &FopCtx{Task: t, File: v.File, RID: tr.RIDOf(t.sp)}
+	if tr != nil && c.RID == 0 {
+		c.RID = tr.NewRID()
+		tr.Bind(t.sp, c.RID)
+		start := tr.Now()
+		defer func() { t.opEnd(tr, c.RID, start, "fault", v.File.Node.Path, err) }()
+	}
+	perf.Spend(p.K.Env, p.K.Name, trace.LayerSyscall, "page-fault", perf.CostPageFault)
 	return v.File.Node.Ops.Fault(c, v, mem.GuestVirt(mem.PageBase(uint64(va))))
 }
 

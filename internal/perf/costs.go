@@ -99,7 +99,7 @@ const (
 	CostGrantDeclare = 150 * sim.Nanosecond
 
 	// CostGrantEntry is the incremental cost of each additional grant entry
-	// in a batched declare hypercall (Config.GrantBatch): the first entry
+	// in a batched declare hypercall (Config.TLB arms it): the first entry
 	// pays the full CostGrantDeclare (the crossing plus the slot write),
 	// later entries in the same vectored call only pay the slot write.
 	CostGrantEntry = 30 * sim.Nanosecond

@@ -116,7 +116,6 @@ type Tracer struct {
 	byProc   map[*sim.Proc]uint64 // proc -> request ID binding
 	nextRID  uint64
 	reg      *Registry
-	schedOn  bool
 	flight   *FlightRecorder // nil unless armed
 	noRetain bool            // drop events after forwarding (long armed runs)
 }
@@ -340,11 +339,11 @@ func (t *Tracer) SetEventRetention(on bool) {
 // EnableSched routes the environment's scheduler decisions through this
 // tracer as structured instants (plus sched.* counters). Off by default:
 // scheduler events are high-volume and most traces only need request spans.
+// The instants obey event retention like every other event.
 func (t *Tracer) EnableSched(env *sim.Env) {
 	if t == nil {
 		return
 	}
-	t.schedOn = true
 	env.Observer = t
 }
 
@@ -354,9 +353,7 @@ func (t *Tracer) SchedCallback(at sim.Time) {
 		return
 	}
 	t.reg.add("sched.callbacks", 1)
-	if t.schedOn {
-		t.events = append(t.events, Event{Kind: KindInstant, VM: "sim", Layer: LayerSched, Name: "callback", Start: at, End: at})
-	}
+	t.record(Event{Kind: KindInstant, VM: "sim", Layer: LayerSched, Name: "callback", Start: at, End: at})
 }
 
 // SchedResume implements sim.SchedObserver.
@@ -365,7 +362,5 @@ func (t *Tracer) SchedResume(at sim.Time, proc string) {
 		return
 	}
 	t.reg.add("sched.resumes", 1)
-	if t.schedOn {
-		t.events = append(t.events, Event{Kind: KindInstant, VM: "sim", Layer: LayerSched, Name: "resume", Start: at, End: at, Detail: proc})
-	}
+	t.record(Event{Kind: KindInstant, VM: "sim", Layer: LayerSched, Name: "resume", Start: at, End: at, Detail: proc})
 }

@@ -43,13 +43,12 @@ const (
 func restartTeardownDump(t *testing.T) string {
 	t.Helper()
 	m, err := paradice.New(paradice.Config{
-		Supervision: true,
-		MapCache:    true,
+		MapCache: true,
 		// Short deadline: writers caught in-flight by the teardown recycle
 		// within a millisecond instead of parking for the 50 ms default, so
 		// the channels keep offering fresh requests throughout the window.
 		RequestDeadline: sim.Millisecond,
-		Supervise: supervise.Config{
+		Supervise: &supervise.Config{
 			HeartbeatEvery: sim.Millisecond,
 			BackoffBase:    sim.Millisecond,
 			BackoffCap:     2 * sim.Millisecond,

@@ -102,20 +102,20 @@ type Config struct {
 	// paper's 200 µs; §5.1 notes the value was chosen empirically — the
 	// "ablation" experiment sweeps it).
 	PollWindow sim.Duration
-	// Supervision enables the driver-VM watchdog (internal/supervise): a
-	// hypervisor-layer health monitor that heartbeats every CVD channel,
-	// restarts the driver VM automatically on failure under an
-	// exponential-backoff budget, and degrades dead devices to fail-fast
-	// ENODEV when the budget is exhausted. The watchdog keeps the event
-	// calendar busy, so supervised machines should be driven with RunUntil
-	// (or stop the supervisor before draining with Run). Paradice only.
-	Supervision bool
-	// Supervise tunes the watchdog; zero fields take the supervise package
-	// defaults. Ignored unless Supervision is set.
-	Supervise supervise.Config
+	// Supervise, when non-nil, enables the driver-VM watchdog
+	// (internal/supervise) with these settings; zero fields take the
+	// supervise package defaults. The watchdog is a hypervisor-layer health
+	// monitor that heartbeats every CVD channel, restarts the driver VM
+	// automatically on failure under an exponential-backoff budget, and
+	// degrades dead devices to fail-fast ENODEV when the budget is
+	// exhausted. It keeps the event calendar busy, so supervised machines
+	// should be driven with RunUntil (or stop the supervisor before
+	// draining with Run). nil (the default) means unsupervised. Paradice
+	// only.
+	Supervise *supervise.Config
 	// RequestDeadline bounds every forwarded file operation's wait for its
 	// response; a stuck request fails with ETIMEDOUT instead of blocking
-	// its issuer forever. Zero means no deadline. When Supervision is on
+	// its issuer forever. Zero means no deadline. When Supervise is set
 	// and this is zero, a default of 50 ms is applied so detection by
 	// timeout is never slower than detection by watchdog.
 	RequestDeadline sim.Duration
@@ -136,21 +136,17 @@ type Config struct {
 	// same policy. Zero disables batching. Polling mode and watchdog
 	// heartbeats are unaffected.
 	CoalesceWindow sim.Duration
-	// TLB arms the hypervisor's software TLB: per-VM caches of
-	// guest-VA→system-PA translations consulted by the assisted-copy and
-	// buffer-mapping paths before the full per-page walks of §5.2, with
-	// deterministic invalidation on page-table edits, EPT changes, grant
-	// revocation, and driver-VM restart. Off by default (the paper's
-	// walk-every-time behavior); the "walkcache" experiment measures the
-	// hit-rate speedup.
+	// TLB arms translation caching in the hypervisor. Its software TLB keeps
+	// per-VM caches of guest-VA→system-PA translations, consulted by the
+	// assisted-copy and buffer-mapping paths before the full per-page walks
+	// of §5.2, with deterministic invalidation on page-table edits, EPT
+	// changes, grant revocation, and driver-VM restart. Its grant cache
+	// batches grant hypercalls: a file operation's whole grant vector is
+	// declared in one hypervisor crossing, and backend validations hit the
+	// cached vector instead of re-scanning the shared page. Off by default
+	// (the paper's walk-every-time behavior); the "walkcache" experiment
+	// measures the speedup.
 	TLB bool
-	// GrantBatch batches grant hypercalls: a file operation's whole grant
-	// vector is declared in one hypervisor crossing and backend validations
-	// hit the hypervisor's cached vector instead of re-scanning the shared
-	// page. Off by default. It stays a separate knob from TLB because arming
-	// it in the handover experiment, which sets TLB alone, moves the gated
-	// handover downtime row from 123.89 µs to 123.78 µs.
-	GrantBatch bool
 	// Admission maps a QoS class (kernel.Task.QoS) to the CVD ring occupancy
 	// at which that class stops being admitted: once a device's ring holds
 	// that many in-flight requests, further requests from the class fail
@@ -163,7 +159,7 @@ type Config struct {
 	// devices are placed round-robin across shards at boot; harness devices
 	// registered via OnDriverVMBoot route by PinDevice pin or a stable hash
 	// of the path (hv.Placement). Each shard has its own kernel, its own CVD
-	// backends, its own supervisor (under Supervision), and restarts or hands
+	// backends, its own supervisor (under Supervise), and restarts or hands
 	// over independently, so one shard's outage leaves the other shards'
 	// guests undisturbed. Paradice machines only; the baselines always run 1.
 	DriverShards int
@@ -255,11 +251,10 @@ type Machine struct {
 	shards    []*DriverShard
 	placement *hv.Placement
 
-	// Driver-VM restart/supervision state. On a sharded machine each shard
-	// has its own supervisor; supervisor aliases shard 0's.
+	// Driver-VM restart/supervision state: one supervisor per shard, in
+	// shard order, or none when the machine is unsupervised.
 	restarting   bool
 	restartEpoch uint64
-	supervisor   *supervise.Supervisor
 	supervisors  []*supervise.Supervisor
 	// handovers is the machine's planned-handover episode log (committed and
 	// aborted alike), in order.
@@ -345,7 +340,7 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 		}
 		m.installShard(sh)
 	}
-	if cfg.Supervision {
+	if cfg.Supervise != nil {
 		if kind != KindParadice {
 			return nil, fmt.Errorf("paradice: supervision requires a driver VM (Paradice machines only)")
 		}
@@ -357,9 +352,8 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 		// supervisor of the shard named by the proc's "@<driver kernel>"
 		// suffix, so it charges that shard's restart budget alone.
 		for _, sh := range m.shards {
-			m.supervisors = append(m.supervisors, supervise.Start(env, shardTarget{m: m, idx: sh.Index}, cfg.Supervise))
+			m.supervisors = append(m.supervisors, supervise.Start(env, shardTarget{m: m, idx: sh.Index}, *cfg.Supervise))
 		}
-		m.supervisor = m.supervisors[0]
 		env.OnProcPanic = func(pp *sim.ProcPanic) bool {
 			for i, sh := range m.shards {
 				if strings.HasSuffix(pp.Proc, "@"+sh.K.Name) {

@@ -35,7 +35,7 @@ var (
 // simply restarting the driver VM"): the old driver VM is abandoned, every
 // device gets a function-level reset, a fresh driver VM boots with fresh
 // drivers, and each guest's CVD frontends are reconnected to new backends.
-// With Config.Supervision enabled the supervisor invokes this automatically;
+// With Config.Supervise set the supervisor invokes this automatically;
 // it remains callable as the manual operator action.
 //
 // Consequences for guests, as on the real system: operations in flight when
@@ -304,10 +304,11 @@ func (m *Machine) Handovers() []handover.Episode { return m.handovers }
 // machine's Handovers episode log. Returns an error when the machine is not
 // supervised or the supervisor has stopped.
 func (m *Machine) RequestHandover() error {
-	if m.supervisor == nil {
-		return fmt.Errorf("paradice: RequestHandover requires Config.Supervision (call HandoverDriverVM directly instead)")
+	sup := m.Supervisor()
+	if sup == nil {
+		return fmt.Errorf("paradice: RequestHandover requires Config.Supervise (call HandoverDriverVM directly instead)")
 	}
-	if !m.supervisor.RequestMaintenance("driver-VM handover", func(p *sim.Proc) error {
+	if !sup.RequestMaintenance("driver-VM handover", func(p *sim.Proc) error {
 		return m.HandoverDriverVM()
 	}) {
 		return fmt.Errorf("paradice: supervisor not accepting maintenance (stopped, degraded, or busy)")

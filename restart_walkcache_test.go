@@ -16,7 +16,7 @@ import (
 )
 
 func TestDriverVMRestartFlushesTranslationCaches(t *testing.T) {
-	m, gk := guestKernel(t, paradice.Config{TLB: true, GrantBatch: true}, paradice.PathGPU)
+	m, gk := guestKernel(t, paradice.Config{TLB: true}, paradice.PathGPU)
 	tr := m.StartTrace()
 	t.Cleanup(func() { m.StopTrace() })
 

@@ -13,8 +13,13 @@ import (
 // ones.
 
 // Supervisor returns the driver-VM supervisor (shard 0's on a sharded
-// machine), or nil when Config.Supervision is off.
-func (m *Machine) Supervisor() *supervise.Supervisor { return m.supervisor }
+// machine), or nil when Config.Supervise is nil.
+func (m *Machine) Supervisor() *supervise.Supervisor {
+	if len(m.supervisors) == 0 {
+		return nil
+	}
+	return m.supervisors[0]
+}
 
 // shardTarget adapts one driver-VM shard to supervise.Target: the shard's
 // supervisor sweeps only the channels its shard serves and heals by

@@ -40,7 +40,9 @@ func gemCreateOn(tk *kernel.Task, fd int) error {
 
 func newSupervisedMachine(t *testing.T, cfg paradice.Config) (*paradice.Machine, *paradice.Guest) {
 	t.Helper()
-	cfg.Supervision = true
+	if cfg.Supervise == nil {
+		cfg.Supervise = &supervise.Config{}
+	}
 	m, err := paradice.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +138,7 @@ func TestSupervisionHealsKilledBackend(t *testing.T) {
 // device failing fast ENODEV.
 func TestSupervisionCrashLoopLandsDegraded(t *testing.T) {
 	cfg := paradice.Config{
-		Supervise: supervise.Config{
+		Supervise: &supervise.Config{
 			HeartbeatEvery: sim.Millisecond,
 			BackoffBase:    sim.Millisecond,
 			BackoffCap:     8 * sim.Millisecond,
@@ -184,7 +186,7 @@ func TestSupervisionCrashLoopLandsDegraded(t *testing.T) {
 // channel fails ENODEV, the healthy one keeps serving.
 func TestSupervisionBackoffScheduleAndSelectiveDegrade(t *testing.T) {
 	cfg := paradice.Config{
-		Supervise: supervise.Config{
+		Supervise: &supervise.Config{
 			HeartbeatEvery: sim.Millisecond,
 			BackoffBase:    sim.Millisecond,
 			BackoffCap:     4 * sim.Millisecond,
@@ -253,7 +255,7 @@ func TestSupervisionBackoffScheduleAndSelectiveDegrade(t *testing.T) {
 // miss threshold exist for.
 func TestSupervisionNoFalsePositiveOnSlowDriver(t *testing.T) {
 	cfg := paradice.Config{
-		Supervise: supervise.Config{
+		Supervise: &supervise.Config{
 			HeartbeatEvery:   2 * sim.Millisecond,
 			HeartbeatTimeout: 200 * sim.Microsecond,
 		},
@@ -323,8 +325,8 @@ func TestRestartEpochGuardsConcurrentRestart(t *testing.T) {
 
 // Supervision requires a driver VM.
 func TestSupervisionRequiresParadice(t *testing.T) {
-	if _, err := paradice.NewNative(paradice.Config{Supervision: true}); err == nil {
-		t.Fatal("native machine accepted Supervision")
+	if _, err := paradice.NewNative(paradice.Config{Supervise: &supervise.Config{}}); err == nil {
+		t.Fatal("native machine accepted Supervise")
 	}
 }
 
@@ -336,7 +338,7 @@ func TestSupervisionMTTRSweep(t *testing.T) {
 	const onset = 10 * sim.Millisecond
 	for _, every := range []sim.Duration{sim.Millisecond, 2 * sim.Millisecond,
 		5 * sim.Millisecond, 10 * sim.Millisecond} {
-		cfg := paradice.Config{Supervise: supervise.Config{HeartbeatEvery: every}}
+		cfg := paradice.Config{Supervise: &supervise.Config{HeartbeatEvery: every}}
 		m, _ := newSupervisedMachine(t, cfg)
 		scfg := m.Supervisor().Config()
 		// Exactly enough scripted drops (two channels x Misses sweeps) to
@@ -394,7 +396,7 @@ func (d *panicOnce) Ioctl(*kernel.FopCtx, devfile.IoctlCmd, mem.GuestVirt) (int3
 // and shard 0's supervisor logs no change.
 func TestSupervisionShardPanicRestartsOnlyItsShard(t *testing.T) {
 	const path = "/dev/panicky"
-	m, err := paradice.New(paradice.Config{DriverShards: 2, Supervision: true})
+	m, err := paradice.New(paradice.Config{DriverShards: 2, Supervise: &supervise.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func TestSingleIssuerLeafSpans(t *testing.T) {
 		cfg  paradice.Config
 	}{
 		{"mapcache", paradice.Config{MapCache: true}},
-		{"mapcache-tlb-batch", paradice.Config{MapCache: true, TLB: true, GrantBatch: true}},
+		{"mapcache-tlb-batch", paradice.Config{MapCache: true, TLB: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, g := sinkMachine(t, tc.cfg)
