@@ -91,7 +91,7 @@ func startGame(m *paradice.Machine, g *paradice.Guest, spec workload.GLSpec, fra
 		}
 		for {
 			g.WaitForeground(t) // pause while backgrounded
-			t.Sim().Advance(sim.Duration(spec.CPUPrep))
+			t.Compute("cpu-prep", sim.Duration(spec.CPUPrep))
 			if err := ctx.Draw(fb, 0, spec.DrawCycles); err != nil {
 				log.Fatal(err)
 			}

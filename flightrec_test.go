@@ -108,6 +108,36 @@ func digestOf(t *testing.T, fr *trace.FlightRecorder, op string) trace.Digest {
 	return found[0]
 }
 
+// A request's time in a device is its device hop: a guest write to the load
+// sink, with nothing queued ahead of it, spends exactly the sink's service
+// time there, and its hops still add up to its latency.
+func TestFlightDigestSinkDeviceHop(t *testing.T) {
+	const size = 8 << 10
+	m, g := sinkMachine(t, paradice.Config{})
+	t.Cleanup(m.Close)
+	fr := m.StartTrace().ArmFlightRecorder(trace.FlightConfig{})
+	runErr := sinkWriter(g, size, 0)
+	m.Run()
+	if *runErr != nil {
+		t.Fatal(*runErr)
+	}
+	node, ok := m.Shards()[0].K.LookupDevice(load.SinkPath)
+	if !ok {
+		t.Fatal("no load sink in the driver VM")
+	}
+	d := digestOf(t, fr, "write "+load.SinkPath)
+	if want := node.Ops.(*load.Sink).ServiceTime(size); d.Hops[trace.HopDevice] != want {
+		t.Fatalf("device hop %v, want the sink's %v service time (digest %+v)", d.Hops[trace.HopDevice], want, d)
+	}
+	var sum sim.Duration
+	for _, h := range d.Hops {
+		sum += h
+	}
+	if sum != d.Latency() {
+		t.Fatalf("hops sum %v != end-to-end %v (digest %+v)", sum, d.Latency(), d)
+	}
+}
+
 // A request served by a local driver is recorded with what its caller got,
 // exactly like a forwarded one: on a native machine, a QoS-2 task's
 // nonblocking read of an empty mouse queue returns EAGAIN, and its digest

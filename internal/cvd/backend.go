@@ -307,7 +307,7 @@ func (b *Backend) dispatch(p *sim.Proc) {
 			return
 		}
 		b.serviceHeartbeat()
-		b.consumeSubBatch(p)
+		b.consumeSubBatch()
 		if slot, ok := b.oldestPosted(); ok {
 			if b.arrive(b.hv.Env.Now()) {
 				tr := trace.Get(b.driverK.Env)
@@ -358,7 +358,7 @@ func (b *Backend) dispatch(p *sim.Proc) {
 // batch size. The count is advisory and untrusted: it is clamped (the
 // oldestPosted scan is the ground truth for what is actually served), and a
 // hostile scribble degrades to a skewed histogram, never a panic.
-func (b *Backend) consumeSubBatch(p *sim.Proc) {
+func (b *Backend) consumeSubBatch() {
 	n := b.ring.readU32(hdrSubCount)
 	if n == 0 {
 		return
@@ -367,7 +367,7 @@ func (b *Backend) consumeSubBatch(p *sim.Proc) {
 	if n > slotCount {
 		n = slotCount
 	}
-	p.Advance(perf.CostBatchDescriptor)
+	perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "batch-descriptor", perf.CostBatchDescriptor)
 	tr := trace.Get(b.driverK.Env)
 	tr.Add("cvd.backend.batches", 1)
 	tr.ObserveCount("cvd.backend.batch", uint64(n))

@@ -192,6 +192,7 @@ func NewGuestGrantTable(h *hv.Hypervisor, guestVM *hv.VM, guestK *kernel.Kernel)
 		return nil, err
 	}
 	if err := h.RegisterGrantTable(guestVM, gpa); err != nil {
+		guestK.FreeFrame(gpa)
 		return nil, err
 	}
 	t := grant.NewTable(&grant.GuestAccessor{Space: guestVM.Space, GPA: gpa})

@@ -360,25 +360,29 @@ func TestMacroIoctlRoundtrip(t *testing.T) {
 	})
 }
 
+// nestedIoctl opens /dev/testdev and issues the nested-copy ioctl over two
+// chunks at scattered user addresses.
+func nestedIoctl(p *kernel.Process, tk *kernel.Task) (int32, error) {
+	fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
+	pay1, _ := p.AllocBytes([]byte("first chunk payload"))
+	pay2, _ := p.AllocBytes([]byte("second"))
+	descs := make([]byte, 32)
+	binary.LittleEndian.PutUint64(descs[0:], uint64(pay1))
+	binary.LittleEndian.PutUint32(descs[8:], 19)
+	binary.LittleEndian.PutUint64(descs[16:], uint64(pay2))
+	binary.LittleEndian.PutUint32(descs[24:], 6)
+	descVA, _ := p.AllocBytes(descs)
+	hdr := make([]byte, 16)
+	binary.LittleEndian.PutUint32(hdr[0:], 2)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(descVA))
+	argVA, _ := p.AllocBytes(hdr)
+	return tk.Ioctl(fd, tdNested, argVA)
+}
+
 func TestNestedIoctlJITGrants(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
-		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
-		// Two chunks at scattered user addresses.
-		pay1, _ := p.AllocBytes([]byte("first chunk payload"))
-		pay2, _ := p.AllocBytes([]byte("second"))
-		descs := make([]byte, 32)
-		binary.LittleEndian.PutUint64(descs[0:], uint64(pay1))
-		binary.LittleEndian.PutUint32(descs[8:], 19)
-		binary.LittleEndian.PutUint64(descs[16:], uint64(pay2))
-		binary.LittleEndian.PutUint32(descs[24:], 6)
-		descVA, _ := p.AllocBytes(descs)
-		hdr := make([]byte, 16)
-		binary.LittleEndian.PutUint32(hdr[0:], 2)
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(descVA))
-		argVA, _ := p.AllocBytes(hdr)
-		ret, err := tk.Ioctl(fd, tdNested, argVA)
-		if err != nil || ret != 2 {
+		if ret, err := nestedIoctl(p, tk); err != nil || ret != 2 {
 			t.Fatalf("nested ioctl: ret=%d err=%v", ret, err)
 		}
 	})
@@ -387,6 +391,27 @@ func TestNestedIoctlJITGrants(t *testing.T) {
 		string(r.drv.chunks[1]) != "second" {
 		t.Fatalf("driver chunks = %q", r.drv.chunks)
 	}
+}
+
+// A guest VM has one grant table. A second Connect that would make its own
+// (Grants nil) in the same guest VM fails at connect, and the first channel
+// keeps validating its grants against its own table.
+func TestSecondGrantTableRejected(t *testing.T) {
+	r := newRig(t, Interrupts, kernel.Linux)
+	r.driverK.RegisterDevice("/dev/testdev2", r.drv, r.drv)
+	_, _, err := Connect(Config{
+		HV: r.h, GuestVM: r.guestVM, GuestK: r.guestK,
+		DriverVM: r.driverVM, DriverK: r.driverK,
+		DevicePath: "/dev/testdev2", Mode: Interrupts,
+	})
+	if err == nil {
+		t.Error("second Connect with its own grant table in the same guest VM succeeded")
+	}
+	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
+		if ret, err := nestedIoctl(p, tk); err != nil || ret != 2 {
+			t.Fatalf("nested ioctl on the first channel: ret=%d err=%v", ret, err)
+		}
+	})
 }
 
 // A compromised driver VM performing memory operations the guest never

@@ -575,7 +575,7 @@ func (fe *Frontend) Heartbeat(p *sim.Proc, timeout sim.Duration) bool {
 	if fe.backend == nil || fe.backend.stopped {
 		return false
 	}
-	perf.Charge(fe.hv.Env, perf.CostWatchdogPing)
+	perf.Spend(fe.hv.Env, "driver-vm", trace.LayerSupervisor, "watchdog-ping", perf.CostWatchdogPing)
 	fe.hbSeq++
 	fe.ring.writeU32(hdrHbReq, fe.hbSeq)
 	fe.hbEvent.Reset()

@@ -111,7 +111,7 @@ type page struct {
 // revalidates it against the EPT generation on every call, so taking a view
 // costs a comparison until the EPT changes. A view aliases the live frame,
 // so writes made through the page show in it. Take a fresh view per scan
-// and never hold one across a yield (Sleep, Advance, Wait), where the peer
+// and never hold one across a yield (Sleep, perf.Spend, Wait), where the peer
 // may rewrite the page or the hypervisor may revoke the driver VM's mapping:
 // only a new call sees the revocation.
 type view struct{ b *[mem.PageSize]byte }

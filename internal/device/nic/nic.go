@@ -7,7 +7,9 @@ package nic
 
 import (
 	"paradice/internal/iommu"
+	"paradice/internal/perf"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // Wire and hardware model, calibrated to the paper's Figure 2: the e1000e
@@ -159,7 +161,7 @@ func (n *NIC) txEngine(p *sim.Proc) {
 		if DescriptorCost > cost {
 			cost = DescriptorCost
 		}
-		p.Advance(cost)
+		perf.Spend(p.Env(), "device", trace.LayerDevice, "nic-tx", cost)
 		n.TxPackets++
 		n.TxBytes += uint64(d.len)
 		for _, b := range buf {

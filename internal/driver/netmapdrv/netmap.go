@@ -21,6 +21,7 @@ import (
 	"paradice/internal/mem"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // NIOCREGIF binds the file to the interface and reports the memory layout:
@@ -204,7 +205,7 @@ func (d *Driver) rxSync() (pending bool) {
 // the hardware (which DMA-reads the packet bytes from the buffer pages) and
 // report whether the ring has free space.
 func (d *Driver) txSync() (space bool) {
-	perf.Charge(d.K.Env, perf.CostNetmapSync)
+	perf.Spend(d.K.Env, d.K.Name, trace.LayerDriver, "netmap-sync", perf.CostNetmapSync)
 	head := d.readRing(offHead)
 	synced := 0
 	for d.hwNext != head {
@@ -223,7 +224,7 @@ func (d *Driver) txSync() (space bool) {
 		synced++
 		d.hwNext = (d.hwNext + 1) % NumSlots
 	}
-	perf.Charge(d.K.Env, sim.Duration(synced)*perf.CostNetmapPerPkt)
+	perf.Spend(d.K.Env, d.K.Name, trace.LayerDriver, "netmap-tx", sim.Duration(synced)*perf.CostNetmapPerPkt)
 	// Space remains while fewer than NumSlots-1 packets are in flight.
 	return d.hwQueued-d.hwDone < NumSlots-1
 }

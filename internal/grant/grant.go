@@ -90,7 +90,7 @@ type Accessor interface {
 	// so a scan of its fields costs one translation rather than one per
 	// field. The view aliases the live frame: writes made through WriteAt
 	// show in it at once. Hold it only within one scan — never across a
-	// Sleep, Advance or Wait, where the peer may rewrite the page or the
+	// Sleep, perf.Spend or Wait, where the peer may rewrite the page or the
 	// hypervisor may revoke the mapping — and never write through it.
 	Page() (*[mem.PageSize]byte, error)
 	WriteAt(off int, b []byte) error

@@ -222,8 +222,12 @@ func (h *Hypervisor) SharePage(owner *VM, gpa mem.GuestPhys, peer *VM) (mem.Gues
 }
 
 // RegisterGrantTable records the guest's grant-table page (§5.1: "a single
-// memory page shared between the frontend VM and the hypervisor").
+// memory page shared between the frontend VM and the hypervisor"). A second
+// would fail every grant declared in the first, so registering one fails.
 func (h *Hypervisor) RegisterGrantTable(vm *VM, gpa mem.GuestPhys) error {
+	if vm.grantAcc != nil {
+		return fmt.Errorf("hv: VM %s already has a grant table", vm.Name)
+	}
 	spa, err := vm.EPT.Translate(gpa, 0)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"paradice/internal/iommu"
 	"paradice/internal/mem"
 	"paradice/internal/perf"
+	"paradice/internal/trace"
 )
 
 // This file implements device data isolation (§4.2): non-overlapping
@@ -47,7 +48,7 @@ func (h *Hypervisor) RegionAddSysPage(dom *iommu.Domain, id iommu.RegionID, driv
 	if !ok {
 		return fmt.Errorf("hv: unknown region %d", id)
 	}
-	perf.Charge(h.Env, perf.CostHypercall)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "hypercall", perf.CostHypercall)
 	spa, err := driver.EPT.Translate(pfn, 0)
 	if err != nil {
 		return err
@@ -78,7 +79,7 @@ func (h *Hypervisor) RegionAddSysPageDeviceRO(dom *iommu.Domain, id iommu.Region
 	if _, ok := h.regions[id]; !ok && id != iommu.RegionGlobal {
 		return fmt.Errorf("hv: unknown region %d", id)
 	}
-	perf.Charge(h.Env, perf.CostHypercall)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "hypercall", perf.CostHypercall)
 	spa, err := driver.EPT.Translate(pfn, 0)
 	if err != nil {
 		return err
@@ -98,7 +99,7 @@ func (h *Hypervisor) RegionRemoveSysPage(dom *iommu.Domain, id iommu.RegionID, d
 	if !ok {
 		return fmt.Errorf("hv: page %v not in region %d", pfn, id)
 	}
-	perf.Charge(h.Env, perf.CostHypercall)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "hypercall", perf.CostHypercall)
 	if err := h.Phys.Zero(spa, mem.PageSize); err != nil {
 		return err
 	}
@@ -121,7 +122,7 @@ func (h *Hypervisor) RegionSwitch(dom *iommu.Domain, id iommu.RegionID) error {
 	if _, ok := h.regions[id]; !ok && id != iommu.RegionGlobal {
 		return fmt.Errorf("hv: unknown region %d", id)
 	}
-	perf.Charge(h.Env, perf.CostHypercall)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "hypercall", perf.CostHypercall)
 	return dom.Switch(id)
 }
 
@@ -175,6 +176,6 @@ func (g *Gate) Check() error {
 // HypercallAccess runs fn with hypervisor privilege regardless of the
 // gate's state, charging hypercall cost.
 func (h *Hypervisor) HypercallAccess(g *Gate, fn func()) {
-	perf.Charge(h.Env, perf.CostHypercall)
+	perf.Spend(h.Env, "hv", trace.LayerHV, "hypercall", perf.CostHypercall)
 	fn()
 }

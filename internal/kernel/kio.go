@@ -3,6 +3,7 @@ package kernel
 import (
 	"paradice/internal/mem"
 	"paradice/internal/perf"
+	"paradice/internal/trace"
 )
 
 // This file is the kernel's user-memory access layer — the 13 functions the
@@ -19,7 +20,7 @@ func CopyFromUser(c *FopCtx, src mem.GuestVirt, buf []byte) error {
 	if t.Marked {
 		return t.Remote.CopyFromUser(src, buf)
 	}
-	perf.Charge(t.Proc.K.Env, perf.Copy(len(buf), int(mem.PagesSpanned(uint64(src), uint64(len(buf))))))
+	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerDriver, "copy-from-user", perf.Copy(len(buf), int(mem.PagesSpanned(uint64(src), uint64(len(buf))))))
 	return t.Proc.UserRead(t, src, buf)
 }
 
@@ -29,7 +30,7 @@ func CopyToUser(c *FopCtx, dst mem.GuestVirt, data []byte) error {
 	if t.Marked {
 		return t.Remote.CopyToUser(dst, data)
 	}
-	perf.Charge(t.Proc.K.Env, perf.Copy(len(data), int(mem.PagesSpanned(uint64(dst), uint64(len(data))))))
+	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerDriver, "copy-to-user", perf.Copy(len(data), int(mem.PagesSpanned(uint64(dst), uint64(len(data))))))
 	return t.Proc.UserWrite(t, dst, data)
 }
 
@@ -46,7 +47,7 @@ func InsertPFN(c *FopCtx, va mem.GuestVirt, pfn mem.GuestPhys) error {
 			return err
 		}
 	} else {
-		perf.Charge(t.Proc.K.Env, perf.CostMapPage)
+		perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerDriver, "insert-pfn", perf.CostMapPage)
 		if err := t.Proc.PT.Map(va, pfn, mem.PermRW); err != nil {
 			return EFAULT
 		}

@@ -217,3 +217,9 @@ func (t *Task) SetFasync(fd int, on bool) error {
 	})
 	return err
 }
+
+// Compute charges the task d of its application's own CPU time between
+// system calls, an app-layer span called name.
+func (t *Task) Compute(name string, d sim.Duration) {
+	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerApp, name, d)
+}

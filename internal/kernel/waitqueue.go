@@ -4,6 +4,7 @@ import (
 	"paradice/internal/devfile"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // WaitQueue is a kernel wait queue: tasks block on it, and a wake-up from
@@ -42,7 +43,7 @@ func (wq *WaitQueue) Wait(t *Task) {
 	ev := wq.env.NewEvent(wq.name + "-wait")
 	wq.waiters = append(wq.waiters, ev)
 	t.sp.Wait(ev)
-	t.sp.Advance(perf.CostWakeup + t.Proc.K.WakePenalty)
+	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSched, "wakeup", perf.CostWakeup+t.Proc.K.WakePenalty)
 }
 
 // WaitTimeout blocks until a wake-up or the timeout, reporting whether the
@@ -52,7 +53,7 @@ func (wq *WaitQueue) WaitTimeout(t *Task, d sim.Duration) bool {
 	wq.waiters = append(wq.waiters, ev)
 	woken := t.sp.WaitTimeout(ev, d)
 	if woken {
-		t.sp.Advance(perf.CostWakeup + t.Proc.K.WakePenalty)
+		perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSched, "wakeup", perf.CostWakeup+t.Proc.K.WakePenalty)
 	} else {
 		// Withdraw so a later Wake does not count us.
 		for i, w := range wq.waiters {
@@ -94,7 +95,7 @@ func (pt *PollTable) Event() *sim.Event { return pt.ev }
 func (pt *PollTable) wait(t *Task, d sim.Duration) bool {
 	woken := t.sp.WaitTimeout(pt.ev, d)
 	if woken {
-		t.sp.Advance(perf.CostWakeup + t.Proc.K.WakePenalty)
+		perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSched, "wakeup", perf.CostWakeup+t.Proc.K.WakePenalty)
 	}
 	return woken
 }

@@ -4,7 +4,9 @@ import (
 	"paradice/internal/devfile"
 	"paradice/internal/kernel"
 	"paradice/internal/mem"
+	"paradice/internal/perf"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // SinkPath is the conventional device path for the load sink.
@@ -58,14 +60,8 @@ func (s *Sink) Capacity(n int) float64 { return 1 / s.ServiceTime(n).Seconds() }
 // Ioctl implements the sink operation: copy the payload in, then hold the
 // serial unit for the service time.
 func (s *Sink) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {
-	n := int(cmd.Size())
-	if n > 0 {
-		if err := kernel.CopyFromUser(c, arg, s.payload(n)); err != nil {
-			return 0, err
-		}
-	}
-	s.serve(c, n)
-	return 0, nil
+	_, err := s.Write(c, arg, int(cmd.Size()))
+	return 0, err
 }
 
 // Write is the sink's bulk-data entry: same consume-and-serve semantics as
@@ -96,9 +92,8 @@ func (s *Sink) serve(c *kernel.FopCtx, n int) {
 	if q := s.res.QueueLen(); q > s.Busiest {
 		s.Busiest = q
 	}
-	p := c.Task.Sim()
-	s.res.Acquire(p)
-	p.Advance(s.ServiceTime(n))
+	s.res.Acquire(c.Task.Sim())
+	perf.Spend(c.Task.Proc.K.Env, "device", trace.LayerDevice, "sink", s.ServiceTime(n))
 	s.res.Release()
 	s.Ops++
 }

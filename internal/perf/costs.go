@@ -6,7 +6,9 @@
 // i7-3770 testbed (35 µs forwarded no-op with interrupts, 2 µs with polling,
 // 39/55/296/179 µs mouse latency, 1 Gbps wire rate), and every figure is
 // then *derived* from these shared constants — no experiment has private
-// tuning knobs. EXPERIMENTS.md documents the calibration.
+// tuning knobs. EXPERIMENTS.md documents the calibration. Spend is the only
+// call that charges them; a process that waits rather than works sleeps or
+// waits on an event instead.
 package perf
 
 import (
@@ -111,10 +113,6 @@ const (
 	// page-table memory touches.
 	CostTLBHit = 40 * sim.Nanosecond
 
-	// CostDriverNoop is the device driver's own handling cost for a trivial
-	// file operation (native no-op ioctl path).
-	CostDriverNoop = 300 * sim.Nanosecond
-
 	// PollWindow is how long the CVD frontend/backend busy-poll the shared
 	// page before falling back to interrupts (§5.1: 200 µs, chosen
 	// empirically).
@@ -178,21 +176,12 @@ func MapCopy(nbytes int) sim.Duration {
 	return sim.Duration(nbytes) * CostMapMemcpyPerKB / 1024
 }
 
-// Charge advances simulated time by d if running in process context.
-// It is a no-op in scheduler/callback context (interrupt handlers are
-// modeled as instantaneous; their latency is charged at delivery).
-func Charge(e *sim.Env, d sim.Duration) {
-	if p := e.CurrentProc(); p != nil {
-		p.Advance(d)
-	}
-}
-
-// Spend charges d exactly like Charge and, under an installed tracer,
-// records the charged interval as a leaf work span of the request bound to
-// the calling process. Every leaf span on the request path comes from here,
-// so a span covers exactly the one charge it names: spans of one process
-// cannot nest or overlap, and a wait between charges is never mistaken for
-// work.
+// Spend advances the calling process by d and, under a tracer, records the
+// interval as a leaf span in vm's layer, under the request bound to the
+// process (0 for background work). In callback context it does nothing:
+// interrupt handlers are instantaneous, their latency charged at delivery.
+// So a span covers exactly the one charge it names: spans of one process
+// cannot nest or overlap, and a wait between charges is never work.
 func Spend(e *sim.Env, vm, layer, name string, d sim.Duration) {
 	p := e.CurrentProc()
 	if p == nil {
@@ -200,6 +189,6 @@ func Spend(e *sim.Env, vm, layer, name string, d sim.Duration) {
 	}
 	tr := trace.Get(e) // nil when tracing is off: RIDOf and Span no-op
 	rid, start := tr.RIDOf(p), e.Now()
-	p.Advance(d)
+	p.Sleep(d)
 	tr.Span(rid, vm, layer, name, start, e.Now())
 }

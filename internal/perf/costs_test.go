@@ -20,28 +20,29 @@ func TestCopyCost(t *testing.T) {
 	}
 }
 
+// Without a tracer, Spend still charges, and only in process context.
 func TestChargeOnlyInProcessContext(t *testing.T) {
 	env := sim.NewEnv()
-	// In callback context Charge is a no-op.
-	env.After(0, func() { Charge(env, 100*sim.Microsecond) })
+	defer env.Close()
+	// In callback context Spend is a no-op.
+	env.After(0, func() { Spend(env, "vm", trace.LayerHV, "cb", 100*sim.Microsecond) })
 	env.Run()
 	if env.Now() != 0 {
-		t.Fatalf("callback Charge advanced the clock to %v", env.Now())
+		t.Fatalf("callback Spend advanced the clock to %v", env.Now())
 	}
 	// In process context it advances simulated time.
 	var end sim.Time
 	env.RunFunc("p", func(p *sim.Proc) {
-		Charge(env, 100*sim.Microsecond)
+		Spend(env, "vm", trace.LayerHV, "work", 100*sim.Microsecond)
 		end = p.Now()
 	})
 	if end != sim.Time(100*sim.Microsecond) {
-		t.Fatalf("process Charge ended at %v", end)
+		t.Fatalf("process Spend ended at %v", end)
 	}
 }
 
-// Spend charges like Charge and records exactly the charged interval, under
-// the request bound to the calling process; in callback context it does
-// neither.
+// Under a tracer, Spend records exactly the charged interval, under the
+// request bound to the calling process; in callback context it does neither.
 func TestSpendRecordsTheCharge(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()

@@ -12,6 +12,7 @@ import (
 // Proc is a simulation process: a body that runs on a coroutine, only while
 // the scheduler has resumed it. At most one Proc executes at any instant, so
 // process bodies may freely mutate shared simulation state without locks.
+// It passes virtual time only by Sleep, Wait, WaitTimeout or Resource.Acquire.
 //
 // A body that leaves through runtime.Goexit (a t.FailNow in a test's process
 // body) ends its coroutine, and the Goexit carries on in the goroutine that
@@ -163,8 +164,9 @@ func (p *Proc) block() {
 	}
 }
 
-// Sleep suspends the process for d of simulated time.
-// Other processes and callbacks scheduled within the window run meanwhile.
+// Sleep suspends the process for d of simulated time while other processes
+// and callbacks run; Sleep(0) lets the work already due now run first. Work
+// that models a cost sleeps through perf.Spend, which records its layer.
 func (p *Proc) Sleep(d Duration) {
 	p.check()
 	if d < 0 {
@@ -173,11 +175,3 @@ func (p *Proc) Sleep(d Duration) {
 	p.scheduleResume(p.env.now.Add(d))
 	p.block()
 }
-
-// Advance is Sleep under a name that reads better when the elapsed time
-// models work being performed (a hypercall, a memory copy, wire time).
-func (p *Proc) Advance(d Duration) { p.Sleep(d) }
-
-// Yield cedes the processor without advancing time, letting any other work
-// scheduled at the current instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -402,7 +402,7 @@ func mixedWorkload(obs SchedObserver) []string {
 					p.Sleep(Duration(rng.Intn(5)) * Microsecond)
 				case 1:
 					// Same-instant tie with sibling workers.
-					p.Yield()
+					p.Sleep(0)
 				case 2:
 					if !p.WaitTimeout(ev, Duration(1+rng.Intn(3))*Microsecond) {
 						log = append(log, fmt.Sprintf("t=%v w%d timeout", p.Now(), i))
@@ -566,8 +566,7 @@ func TestBlockWhileNotCurrentPanics(t *testing.T) {
 func TestBlockOnWrongProcLeavesNoWakeup(t *testing.T) {
 	for name, stray := range map[string]func(victim *Proc, ev *Event, r *Resource){
 		"Sleep":       func(v *Proc, _ *Event, _ *Resource) { v.Sleep(Microsecond) },
-		"Advance":     func(v *Proc, _ *Event, _ *Resource) { v.Advance(Microsecond) },
-		"Yield":       func(v *Proc, _ *Event, _ *Resource) { v.Yield() },
+		"Sleep(0)":    func(v *Proc, _ *Event, _ *Resource) { v.Sleep(0) },
 		"Wait":        func(v *Proc, ev *Event, _ *Resource) { v.Wait(ev) },
 		"WaitTimeout": func(v *Proc, ev *Event, _ *Resource) { v.WaitTimeout(ev, Microsecond) },
 		"Acquire":     func(v *Proc, _ *Event, r *Resource) { r.Acquire(v) },

@@ -41,7 +41,7 @@ type Hop uint8
 // The critical-path hops, in pipeline order.
 const (
 	// HopQueue is the residual: end-to-end latency not covered by any work
-	// span — scheduler hand-off, ring-slot waiting, admission parking.
+	// span (waits for a slot, admission or a device) plus wake-up spans.
 	HopQueue Hop = iota
 	// HopFrontend is guest-side CVD work: syscall entry, slot post,
 	// completion handling, grant declaration.

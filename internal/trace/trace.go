@@ -10,17 +10,18 @@
 // the errno the call returned, for a local and a forwarded operation alike:
 // that is where a flight-recorder digest takes its class and errno from.
 // Every charge the call pays on the way (syscall entry, frontend post,
-// hypercall, grant validate, EPT walk + copy, backend dispatch, completion)
-// is a leaf work span recorded by perf.Spend, which charges the cost and
-// records the charged interval in one call, so a leaf span is exactly one
-// charge and the leaf spans of one process never overlap. The only other
-// leaf spans are the three projected deliveries — inter-vm-irq and
-// device-irq from the hypervisor, poll-cross from the CVD transport — which
-// cover a latency the receiver pays in callback context, where nothing is
-// charged. For the forwarded no-op the work spans tile the root span
-// exactly: the span-reconciliation test enforces sum-of-work-spans ==
-// end-to-end latency. What no span covers — a device's service time, a wait
-// for a slot or a handover drain — is the queue residual.
+// hypercall, grant validate, copy, backend dispatch, driver and device work,
+// completion) is a leaf work span recorded by perf.Spend, the only call that
+// charges virtual time, under the layer that paid; work no request owns is
+// spent under request 0. So a leaf span is exactly one charge and the leaf
+// spans of one process never overlap. The only other leaf spans are the three
+// projected deliveries — inter-vm-irq and device-irq from the hypervisor,
+// poll-cross from the CVD transport — which cover a latency the receiver pays
+// in callback context, where nothing is charged. For the native and the
+// forwarded no-op the work spans tile the root span exactly: the
+// span-reconciliation test enforces sum-of-work-spans == end-to-end latency.
+// What no span covers — a wait for a device, a slot or a handover drain — is
+// the queue residual.
 //
 // # Design rules
 //
@@ -61,6 +62,7 @@ const (
 	LayerSupervisor = "supervisor"
 	LayerFaults     = "faults"
 	LayerSched      = "sched"
+	LayerApp        = "app" // application CPU time between system calls
 )
 
 // Kind classifies an event for the reconciliation rules.

@@ -107,7 +107,7 @@ func (n *NetmapCtx) Drain() error {
 			return err
 		}
 		// Let the wire make progress before re-checking.
-		n.T.Sim().Advance(10 * sim.Microsecond)
+		n.T.Sim().Sleep(10 * sim.Microsecond)
 	}
 }
 
@@ -128,7 +128,7 @@ func (n *NetmapCtx) FillBatch(batch, pktLen int, payload byte) error {
 		if err := n.P.UserWrite(n.T, n.Base+nmSlotTab+mem.GuestVirt(slot*4), lenB[:]); err != nil {
 			return err
 		}
-		n.T.Sim().Advance(CostFillPerPkt)
+		n.T.Compute("fill", CostFillPerPkt)
 		n.head = (n.head + 1) % uint32(n.NumSlots)
 	}
 	var headB [4]byte

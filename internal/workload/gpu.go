@@ -49,7 +49,7 @@ func RunGL(env *sim.Env, k *kernel.Kernel, spec GLSpec, frames int) (GLResult, e
 		upload := make([]byte, spec.UploadBytes)
 		start := t.Sim().Now()
 		for f := 0; f < frames; f++ {
-			t.Sim().Advance(sim.Duration(spec.CPUPrep))
+			t.Compute("cpu-prep", sim.Duration(spec.CPUPrep))
 			if spec.UploadBytes > 0 {
 				// Stream geometry/textures through the mapped BO; charge
 				// the application-side memcpy.
@@ -59,7 +59,7 @@ func RunGL(env *sim.Env, k *kernel.Kernel, spec GLSpec, frames int) (GLResult, e
 				if err := p.UserWrite(t, texVA, upload); err != nil {
 					return err
 				}
-				t.Sim().Advance(perf.Copy(spec.UploadBytes, spec.UploadBytes/mem.PageSize+1))
+				t.Compute("upload", perf.Copy(spec.UploadBytes, spec.UploadBytes/mem.PageSize+1))
 			}
 			// The auxiliary per-frame ioctls: state changes, BO bookkeeping.
 			for i := 0; i < spec.Ioctls; i++ {
@@ -93,7 +93,8 @@ const CLSetupTime = 150 * sim.Millisecond
 
 // RunMatmul executes the Figure 5 benchmark: multiply two random order-n
 // matrices on the GPU, measuring from host setup until the result matrix is
-// back, and verify the product against a CPU reference.
+// back and its buffers are unmapped, and verify the product against a CPU
+// reference.
 func RunMatmul(env *sim.Env, k *kernel.Kernel, order int, seed int64) (MatmulResult, error) {
 	res := MatmulResult{Order: order}
 	task, err := StartMatmul(k, order, seed, &res)
@@ -114,7 +115,7 @@ func StartMatmul(k *kernel.Kernel, order int, seed int64, res *MatmulResult) (*k
 		return nil, err
 	}
 	return p.Go("host", func(t *kernel.Task) (err error) {
-		*res, err = matmul(t, order, seed, false)
+		*res, err = matmul(t, order, seed)
 		return err
 	}), nil
 }
@@ -131,7 +132,7 @@ func StartMatmulLoop(k *kernel.Kernel, order int, res []MatmulResult) (*kernel.T
 	}
 	return p.Go("host", func(t *kernel.Task) (err error) {
 		for r := range res {
-			if res[r], err = matmul(t, order, int64(r+1)*7919, true); err != nil {
+			if res[r], err = matmul(t, order, int64(r+1)*7919); err != nil {
 				return fmt.Errorf("run %d: %w", r, err)
 			}
 		}
@@ -139,10 +140,11 @@ func StartMatmulLoop(k *kernel.Kernel, order int, res []MatmulResult) (*kernel.T
 	}), nil
 }
 
-// matmul is the benchmark body executed by an already-running task. With
-// unmap, the three buffer objects are unmapped before the clock stops, as
-// Figure 6's back-to-back runs do; Figure 5 leaves them mapped.
-func matmul(t *kernel.Task, order int, seed int64, unmap bool) (MatmulResult, error) {
+// matmul is the benchmark body executed by an already-running task. Its
+// experiment time runs from host setup until the result is read back and the
+// three buffer objects are unmapped again, so back-to-back runs (Figure 6)
+// and single runs (Figure 5) time the same work.
+func matmul(t *kernel.Task, order int, seed int64) (MatmulResult, error) {
 	res := MatmulResult{Order: order}
 	rng := rand.New(rand.NewSource(seed))
 	n := order
@@ -153,7 +155,7 @@ func matmul(t *kernel.Task, order int, seed int64, unmap bool) (MatmulResult, er
 		b[i] = rng.Float32()
 	}
 	start := t.Sim().Now()
-	t.Sim().Advance(CLSetupTime)
+	t.Compute("cl-setup", CLSetupTime)
 	g, err := usrlib.OpenGPU(t, "/dev/dri/card0")
 	if err != nil {
 		return res, err
@@ -177,7 +179,7 @@ func matmul(t *kernel.Task, order int, seed int64, unmap bool) (MatmulResult, er
 	if err := g.WriteF32(vas[1], b); err != nil {
 		return res, err
 	}
-	t.Sim().Advance(2 * perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
+	t.Compute("copy-in", 2*perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
 	if err := g.Compute(handles[0], handles[1], handles[2], n); err != nil {
 		return res, err
 	}
@@ -185,12 +187,10 @@ func matmul(t *kernel.Task, order int, seed int64, unmap bool) (MatmulResult, er
 	if err != nil {
 		return res, err
 	}
-	t.Sim().Advance(perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
-	for i := range vas {
-		if unmap {
-			if err := g.UnmapBO(vas[i], mapLen); err != nil {
-				return res, err
-			}
+	t.Compute("copy-out", perf.Copy(int(bytes), int(bytes)/mem.PageSize+1))
+	for _, va := range vas {
+		if err := g.UnmapBO(va, mapLen); err != nil {
+			return res, err
 		}
 	}
 	res.Elapsed = t.Sim().Now().Sub(start)

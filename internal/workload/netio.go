@@ -65,7 +65,7 @@ func RunPktGen(env *sim.Env, k *kernel.Kernel, batch, npkts, pktLen int) (PktGen
 					return err
 				}
 				if free == 0 {
-					t.Sim().Advance(5 * sim.Microsecond)
+					t.Sim().Sleep(5 * sim.Microsecond)
 				}
 			}
 			if free < b {

@@ -10,6 +10,7 @@ import (
 	"paradice/internal/handover"
 	"paradice/internal/perf"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // Sentinel errors for driver-VM lifecycle failures (restart and handover).
@@ -177,7 +178,7 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 			// Guests keep running through the reboot; their operations fail
 			// fast with EREMOTE at the frontend because every backend is
 			// stopped.
-			perf.Charge(m.Env, perf.CostDriverVMRestart)
+			perf.Spend(m.Env, "driver-vm", trace.LayerSupervisor, "restart", perf.CostDriverVMRestart)
 			var succ DriverShard
 			if succ, err = m.bootShard(i, true); err != nil {
 				return err
@@ -195,7 +196,7 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 					if succ, err = m.bootShard(i, false); err != nil {
 						return err
 					}
-					perf.Charge(m.Env, perf.CostDriverVMRestart)
+					perf.Spend(m.Env, "driver-vm", trace.LayerSupervisor, "successor-boot", perf.CostDriverVMRestart)
 					return nil
 				},
 				Switch: func() error {
@@ -218,7 +219,7 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 						return fmt.Errorf("paradice: handover switch cannot roll back: %w", err)
 					}
 					m.installShard(succ)
-					perf.Charge(m.Env, perf.CostHandoverSwitch)
+					perf.Spend(m.Env, "driver-vm", trace.LayerSupervisor, "handover-switch", perf.CostHandoverSwitch)
 					if err := bind(func(j int) (*cvd.Backend, error) { return preps[j].Bind(chs[j].path) }); err != nil {
 						return fmt.Errorf("paradice: handover switch cannot roll back: %w", err)
 					}

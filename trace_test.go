@@ -7,8 +7,8 @@ package paradice_test
 // is the contract that makes the trace output trustworthy: every nanosecond
 // of a request's latency is attributed to exactly one architectural hop.
 // Past the no-op, a single issuer's leaf spans stay disjoint and each lasts
-// exactly its charge, so what they leave uncovered is the device's service
-// time or a wait, never double-counted work.
+// exactly its charge, so what they leave uncovered is a wait, never
+// double-counted work.
 
 import (
 	"bytes"
@@ -112,6 +112,25 @@ func TestNoopSpanReconciliation(t *testing.T) {
 				root.Dur(), want, dumpRID(tr, root.RID))
 		}
 	})
+	t.Run("native", func(t *testing.T) {
+		m, err := paradice.NewNative(paradice.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		tr := m.StartTrace()
+		noopLoop(t, m, m.AppKernel(), 4)
+		root := lastIoctlRoot(t, tr)
+		if sum := spanSum(tr, root.RID); sum != root.Dur() {
+			t.Fatalf("span sum %v != root duration %v for rid %d\n%s",
+				sum, root.Dur(), root.RID, dumpRID(tr, root.RID))
+		}
+		// The local driver copies the 32-byte result out itself.
+		if want := perf.CostSyscall + perf.Copy(32, 1); root.Dur() != want {
+			t.Fatalf("native no-op latency %v != budget %v\n%s",
+				root.Dur(), want, dumpRID(tr, root.RID))
+		}
+	})
 }
 
 // checkLeafSpans checks every traced request's leaf spans: each lies within
@@ -199,8 +218,9 @@ func sinkWriter(g *paradice.Guest, size int, at ...sim.Time) *error {
 // maps the buffer and a warm one that hits, with and without the software
 // TLB and batched grants, and a write parked by a planned handover. Every
 // request's leaf spans must be disjoint, each post and complete span must
-// last exactly its charge, and a write's uncovered time must be the sink's
-// service time alone: the device holds the request and no span covers it.
+// last exactly its charge, and an unqueued write's spans must tile it: the
+// sink's service time is the request's device span, and nothing is left
+// uncovered.
 func TestSingleIssuerLeafSpans(t *testing.T) {
 	const size = 8 << 10
 	// sinkMachine's sink serves n bytes in 2 µs + 1 µs per KiB.
@@ -226,15 +246,21 @@ func TestSingleIssuerLeafSpans(t *testing.T) {
 				t.Fatalf("map cache hits/misses = %d/%d, want 1/1", hits, misses)
 			}
 			roots, uncovered := checkLeafSpans(t, tr)
+			served := map[uint64]sim.Duration{}
+			for _, e := range tr.Events() {
+				if e.Kind == trace.KindSpan && e.Layer == trace.LayerDevice && e.Name == "sink" {
+					served[e.RID] += e.Dur()
+				}
+			}
 			writes := 0
 			for rid, root := range roots {
 				if !strings.HasPrefix(root.Name, "write ") {
 					continue
 				}
 				writes++
-				if uncovered[rid] != service {
-					t.Errorf("rid %d: %v of the write's %v is uncovered, want the sink's %v service time\n%s",
-						rid, uncovered[rid], root.Dur(), service, dumpRID(tr, rid))
+				if uncovered[rid] != 0 || served[rid] != service {
+					t.Errorf("rid %d: %v of the write's %v is uncovered and its sink span lasts %v, want none uncovered and the sink's %v service time\n%s",
+						rid, uncovered[rid], root.Dur(), served[rid], service, dumpRID(tr, rid))
 				}
 			}
 			if writes != 2 {
