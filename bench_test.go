@@ -86,8 +86,8 @@ func TestTracingDisabledLatencyGolden(t *testing.T) {
 // TestFastPathDisabledGolden runs the §6.1.1 no-op through the fully
 // instrumented stack with no tracer installed, and with the grant-map cache
 // and doorbell coalescing compiled into the CVD layer but switched off — and
-// even with the map cache ON for a workload that never crosses its threshold
-// (ioctls carry no bulk data). The latencies must match the goldens bit for
+// even with the map cache ON for a workload it never serves (ioctls carry no
+// bulk data). The latencies must match the goldens bit for
 // bit: observability reads the virtual clock, it never advances it, and a
 // disabled optimization that shifts the baseline is a cost-model regression.
 func TestFastPathDisabledGolden(t *testing.T) {

@@ -46,15 +46,3 @@ func (g *Guest) WaitForeground(t *kernel.Task) {
 func isGatedInputPath(path string) bool {
 	return path == PathMouse || path == PathKeyboard
 }
-
-// wireInputGate hooks one input channel's notifications to the foreground
-// policy. Called when a gated input path is paravirtualized, and again after
-// every driver VM restart (the gate lives on the backend, which a restart
-// replaces).
-func (g *Guest) wireInputGate(path string) {
-	be := g.Backends[path]
-	if be == nil {
-		return
-	}
-	be.SetNotifyGate(func() bool { return g.Foreground() })
-}

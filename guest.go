@@ -69,8 +69,12 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 		if path == PathGPU {
 			specs = g.M.drmSpec
 		}
+		var deadline sim.Duration
+		if g.M.cfg.Supervise != nil {
+			deadline = supervisedDeadline
+		}
 		// Placement decides which driver-VM shard serves this path; the
-		// channel connects to that shard's kernel and joins its worker pool.
+		// channel connects to that shard's kernel.
 		sh := g.M.ShardFor(path)
 		fe, be, err := cvd.Connect(cvd.Config{
 			HV: g.M.HV, GuestVM: g.VM, GuestK: g.K,
@@ -78,35 +82,47 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 			DevicePath: path, Mode: g.M.cfg.Mode,
 			Specs: specs, Grants: g.Grants,
 			PollWindow:      g.M.cfg.PollWindow,
-			RequestDeadline: g.M.cfg.RequestDeadline,
+			RequestDeadline: deadline,
 			MapCache:        g.M.cfg.MapCache,
-			MapThreshold:    g.M.cfg.MapThreshold,
 			CoalesceWindow:  g.M.cfg.CoalesceWindow,
 			Admission:       g.M.cfg.Admission,
-			Pool:            sh.Pool,
 		})
 		if err != nil {
 			return err
 		}
 		g.Frontends[path] = fe
-		g.Backends[path] = be
+		g.attach(path, be)
 		g.installDevInfo(path)
 		if path == PathGPU && g.M.cfg.DataIsolation {
 			if err := g.enableGPURegion(be); err != nil {
 				return err
 			}
 		}
-		if isGatedInputPath(path) {
-			g.wireInputGate(path)
-			// The first guest to paravirtualize a gated input device holds
-			// the virtual terminal by default, else its notifications would
-			// be dropped before anyone called SetForeground.
-			if g.M.foreground == nil {
-				g.M.SetForeground(g)
-			}
+		// The first guest to paravirtualize a gated input device holds the
+		// virtual terminal by default, else its notifications would be
+		// dropped before anyone called SetForeground.
+		if isGatedInputPath(path) && g.M.foreground == nil {
+			g.M.SetForeground(g)
 		}
 	}
 	return nil
+}
+
+// attach installs be as the backend of the guest's channel at path: the
+// channel's first backend and every restart or handover successor alike. It
+// joins the serving shard's worker pool, and the machine re-applies what it
+// keeps on a backend: the §5.1 foreground gate on a gated input device, and
+// the end of degraded mode (a fresh backend serves the device again even if
+// a supervisor had given up on its predecessor).
+func (g *Guest) attach(path string, be *cvd.Backend) {
+	if pool := g.M.ShardFor(path).Pool; pool != nil {
+		pool.Join(be)
+	}
+	g.Backends[path] = be
+	g.Frontends[path].SetDegraded(false)
+	if isGatedInputPath(path) {
+		be.SetNotifyGate(func() bool { return g.Foreground() })
+	}
 }
 
 // installDevInfo loads the class's device info module into the guest.

@@ -38,8 +38,9 @@ type Row struct {
 	// shows it only graphically.
 	Paper float64
 	// Approx marks a quantile row whose histogram spilled its exact-sample
-	// reservoir (trace.HistSampleCap): the value is a log2-bucket upper
-	// bound, not an exact order statistic. Rendered as a "~" prefix.
+	// reservoir (trace.HistSampleCap): the value is the largest sample in
+	// the rank's log2 bucket, an upper bound rather than an exact order
+	// statistic. Rendered as a "~" prefix.
 	Approx bool `json:",omitempty"`
 }
 

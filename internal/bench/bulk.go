@@ -50,8 +50,7 @@ func RunBulk(quick bool) ([]Row, error) {
 		rotations = 3
 	}
 	copyCfg := paradice.Config{Mode: paradice.Polling}
-	mapCfg := paradice.Config{Mode: paradice.Polling, MapCache: true,
-		MapThreshold: 1} // sweep below the default threshold too
+	mapCfg := paradice.Config{Mode: paradice.Polling, MapCache: true}
 	var rows []Row
 
 	// Size sweep at a reuse rate comfortably past the crossover.

@@ -64,7 +64,7 @@ type Backend struct {
 	vmas     map[uint16]map[mem.GuestVirt]*kernel.VMA // fileID -> start -> VMA
 	vecResp  int
 	vecNotif int
-	// frontendDoorbell, installed at connect time, is the simulation's
+	// frontendDoorbell, installed by bind, is the simulation's
 	// stand-in for a spinning requester's load of the shared page (the
 	// response data itself still travels through the page); observe is the
 	// same for the spinning dispatcher, run by a frontend poll-cross.
@@ -205,9 +205,10 @@ func (r *remoteConduit) UnmapPage(va mem.GuestVirt) error {
 }
 
 // newBackend builds a backend around an already-created kernel process.
-// Process creation is the one fallible step of backend construction; the
-// replacement path does it in prepare, so Bind, which runs after the ring's
-// epoch word has been bumped past the predecessor, has no failure path left.
+// Process creation is the one fallible step of backend construction;
+// prepare does it, so bind, which runs after the ring's epoch word has been
+// bumped past the predecessor, has no failure path left. bind is its only
+// caller.
 func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM,
 	driverK *kernel.Kernel, node *kernel.DeviceNode, ringGPA mem.GuestPhys,
 	pol policy, vecToBackend, vecResp, vecNotif int) *Backend {

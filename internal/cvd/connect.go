@@ -35,28 +35,23 @@ type Config struct {
 	// PollWindow is how long each side busy-polls the shared page before
 	// sleeping, in polling mode. Zero selects the paper's empirically
 	// chosen 200 µs (§5.1); the ablation experiment sweeps it. This and
-	// the other durations and sizes below must not be negative.
+	// the other durations below must not be negative.
 	PollWindow sim.Duration
 	// RequestDeadline bounds every forwarded operation's wait for its
 	// response; a request that outlives it fails with ETIMEDOUT. Zero means
-	// wait forever (the paper's behavior). Driver-VM supervision sets this
+	// wait forever (the paper's behavior). A supervised Machine sets 50 ms,
 	// so a guest blocked behind a dead backend unblocks on its own.
 	RequestDeadline sim.Duration
-	// MapCache enables the bulk-transfer fast path: read/write data buffers
-	// of at least MapThreshold bytes get long-lived bulk grants, and the
-	// backend maps them into the driver VM once (validated through the grant
-	// table) and reuses the mapping across requests to the same file. Cached
-	// mappings are invalidated deterministically on grant revoke, file
-	// release, reconnect, and driver-VM restart; misusing one faults exactly
-	// as a fresh map would. Off by default — the paper's per-request
-	// assisted-copy behavior.
+	// MapCache enables the bulk-transfer fast path: every read/write data
+	// buffer gets a long-lived bulk grant, and the backend maps it into the
+	// driver VM once (validated through the grant table) and reuses the
+	// mapping across requests to the same file. Whether that beats the
+	// per-request assisted copy depends on reuse, not on size (the "Bulk
+	// transfer" section of EXPERIMENTS.md). Cached mappings are invalidated
+	// deterministically on grant revoke, file release, reconnect, and
+	// driver-VM restart; misusing one faults exactly as a fresh map would.
+	// Off by default — the paper's per-request assisted-copy behavior.
 	MapCache bool
-	// MapThreshold is the minimum transfer size, in bytes, routed through
-	// the map cache; smaller transfers keep the per-request assisted copy,
-	// which the cost model says wins below ~2 KB at small reuse counts (see
-	// the "Bulk transfer" section of EXPERIMENTS.md). Zero selects
-	// DefaultMapThreshold. Ignored unless MapCache is set.
-	MapThreshold int
 	// CoalesceWindow batches notifications in interrupt mode under a
 	// size+deadline policy. The frontend flushes a multi-entry submission
 	// descriptor, with one inter-VM IRQ for the batch, as soon as
@@ -73,18 +68,7 @@ type Config struct {
 	// until the ring itself is full (EBUSY). nil disables admission control
 	// — the seed behavior.
 	Admission map[uint8]int
-	// Pool, when non-nil, is the driver VM's shared worker pool (pool.go):
-	// this channel joins it at connect time, and the dispatcher enqueues
-	// operations there instead of spawning one handler thread per operation.
-	// nil keeps thread-per-op — the seed behavior.
-	Pool *Pool
 }
-
-// DefaultMapThreshold is the transfer size at which the grant-map cache
-// starts paying off against per-request assisted copies, derived from the
-// cost model (CostMapPage amortization vs CostCopyPerPage/CostCopyPerKB at
-// small reuse counts).
-const DefaultMapThreshold = 2048
 
 // CoalesceBatch is the size trigger of CoalesceWindow batching: how many
 // pending submissions (or completions) flush at once without waiting out the
@@ -94,14 +78,20 @@ const CoalesceBatch = 8
 // Connect builds a CVD channel: a shared ring page between the guest and
 // driver VMs, interrupt vectors in both directions, the backend dispatcher
 // in the driver VM, and a virtual device file in the guest's devfs backed by
-// the frontend. Returns the frontend and backend halves.
+// the frontend. Returns the frontend and backend halves. The first backend
+// attaches exactly as every successor does (prepare, then bind); a backend
+// joins a worker pool with Pool.Join. Each fallible step undoes its own
+// partial work, and a failure undoes every step before it.
 func Connect(cfg Config) (*Frontend, *Backend, error) {
-	if cfg.PollWindow < 0 || cfg.CoalesceWindow < 0 || cfg.RequestDeadline < 0 || cfg.MapThreshold < 0 {
-		return nil, nil, fmt.Errorf("cvd: negative PollWindow, CoalesceWindow, RequestDeadline or MapThreshold for %s", cfg.DevicePath)
+	if cfg.PollWindow < 0 || cfg.CoalesceWindow < 0 || cfg.RequestDeadline < 0 {
+		return nil, nil, fmt.Errorf("cvd: negative PollWindow, CoalesceWindow or RequestDeadline for %s", cfg.DevicePath)
 	}
 	node, ok := cfg.DriverK.LookupDevice(cfg.DevicePath)
 	if !ok {
 		return nil, nil, fmt.Errorf("cvd: no device %s in %s", cfg.DevicePath, cfg.DriverK.Name)
+	}
+	if cfg.PollWindow == 0 {
+		cfg.PollWindow = perf.PollWindow
 	}
 
 	// The ring page lives in guest memory and is shared into the driver VM.
@@ -109,74 +99,49 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	beGPA, err := cfg.HV.SharePage(cfg.GuestVM, ringGPA, cfg.DriverVM)
+	fe := &Frontend{
+		hv:         cfg.HV,
+		guestVM:    cfg.GuestVM,
+		guestK:     cfg.GuestK,
+		ring:       page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
+		specs:      cfg.Specs,
+		ringGPA:    ringGPA,
+		pollWQ:     cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.DevicePath),
+		policy:     policy{mode: cfg.Mode, window: cfg.PollWindow, coalesce: cfg.CoalesceWindow},
+		deadline:   cfg.RequestDeadline,
+		mapCache:   cfg.MapCache,
+		hbEvent:    cfg.HV.Env.NewEvent("cvd-hb-" + cfg.DevicePath),
+		drainEvent: cfg.HV.Env.NewEvent("cvd-drain-" + cfg.DevicePath),
+		path:       cfg.DevicePath,
+		vm:         cfg.GuestVM.Name,
+		m:          newFeMetricNames(cfg.GuestVM.Name, cfg.DevicePath),
+	}
+	prep, err := prepare(fe, cfg.HV, cfg.DriverVM, cfg.DriverK, false)
 	if err != nil {
+		cfg.GuestK.FreeFrame(ringGPA)
 		return nil, nil, err
 	}
-
-	grants := cfg.Grants
-	if grants == nil {
-		if grants, err = NewGuestGrantTable(cfg.HV, cfg.GuestVM, cfg.GuestK); err != nil {
+	fe.grants = cfg.Grants
+	if fe.grants == nil {
+		if fe.grants, err = NewGuestGrantTable(cfg.HV, cfg.GuestVM, cfg.GuestK); err != nil {
+			prep.release()
+			cfg.GuestK.FreeFrame(ringGPA)
 			return nil, nil, err
 		}
 	}
 
-	vecToBackend := cfg.DriverVM.AllocVector()
-	vecResp := cfg.GuestVM.AllocVector()
-	vecNotif := cfg.GuestVM.AllocVector()
-	if cfg.PollWindow == 0 {
-		cfg.PollWindow = perf.PollWindow
-	}
-
-	proc, err := cfg.DriverK.NewProcess("cvd-backend-" + cfg.GuestVM.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	pol := policy{mode: cfg.Mode, window: cfg.PollWindow, coalesce: cfg.CoalesceWindow}
-	be := newBackend(proc, cfg.HV, cfg.DriverVM, cfg.GuestVM, cfg.DriverK, node,
-		beGPA, pol, vecToBackend, vecResp, vecNotif)
-	if cfg.Pool != nil {
-		cfg.Pool.Join(be)
-	}
-
-	fe := &Frontend{
-		hv:           cfg.HV,
-		guestVM:      cfg.GuestVM,
-		driverVM:     cfg.DriverVM,
-		guestK:       cfg.GuestK,
-		ring:         page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
-		grants:       grants,
-		specs:        cfg.Specs,
-		ringGPA:      ringGPA,
-		vecToBackend: vecToBackend,
-		vecResp:      vecResp,
-		vecNotif:     vecNotif,
-		pollWQ:       cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.DevicePath),
-		backend:      be,
-		policy:       pol,
-		deadline:     cfg.RequestDeadline,
-		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.DevicePath),
-		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.DevicePath),
-		path:         cfg.DevicePath,
-		vm:           cfg.GuestVM.Name,
-		m:            newFeMetricNames(cfg.GuestVM.Name, cfg.DevicePath),
-	}
 	for i := range fe.respEvents {
 		fe.respEvents[i] = cfg.HV.Env.NewEvent(fmt.Sprintf("cvd-resp-%s-%d", cfg.DevicePath, i))
 	}
 	fe.SetAdmission(cfg.Admission)
-	if cfg.MapCache {
-		fe.mapCache = true
-		fe.mapThreshold = cfg.MapThreshold
-		if fe.mapThreshold == 0 {
-			fe.mapThreshold = DefaultMapThreshold
-		}
+	if fe.mapCache {
 		fe.bulk = make(map[bulkKey]bulkGrant)
-		be.enableMapCache(grants)
 	}
-	be.frontendDoorbell = fe.scanDone
-	cfg.GuestVM.RegisterISR(vecResp, fe.scanDone)
-	cfg.GuestVM.RegisterISR(vecNotif, fe.handleNotifs)
+	fe.vecResp = cfg.GuestVM.AllocVector()
+	fe.vecNotif = cfg.GuestVM.AllocVector()
+	be := prep.bind(node)
+	cfg.GuestVM.RegisterISR(fe.vecResp, fe.scanDone)
+	cfg.GuestVM.RegisterISR(fe.vecNotif, fe.handleNotifs)
 	cfg.GuestK.RegisterDevice(cfg.DevicePath, fe, fe)
 	return fe, be, nil
 }

@@ -163,7 +163,6 @@ func TestConnectRejectsNegativeSettings(t *testing.T) {
 		{"PollWindow", func(c *Config) { c.PollWindow = -1 }},
 		{"CoalesceWindow", func(c *Config) { c.CoalesceWindow = -sim.Microsecond }},
 		{"RequestDeadline", func(c *Config) { c.RequestDeadline = -sim.Millisecond }},
-		{"MapThreshold", func(c *Config) { c.MapCache, c.MapThreshold = true, -1 }},
 	}
 	for _, c := range cases {
 		cfg := Config{

@@ -399,13 +399,28 @@ func TestNestedIoctlJITGrants(t *testing.T) {
 func TestSecondGrantTableRejected(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
 	r.driverK.RegisterDevice("/dev/testdev2", r.drv, r.drv)
-	_, _, err := Connect(Config{
+	// The guest frame Connect takes first: the one on top of the free list.
+	ringFrame, err := r.guestK.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.guestK.FreeFrame(ringFrame)
+	driverPages := r.driverVM.EPT.Count()
+	_, _, err = Connect(Config{
 		HV: r.h, GuestVM: r.guestVM, GuestK: r.guestK,
 		DriverVM: r.driverVM, DriverK: r.driverK,
 		DevicePath: "/dev/testdev2", Mode: Interrupts,
 	})
 	if err == nil {
 		t.Error("second Connect with its own grant table in the same guest VM succeeded")
+	}
+	// The failed Connect leaves nothing behind: no ring mapping in the
+	// driver VM, and its ring frame back on the guest's free list.
+	if got := r.driverVM.EPT.Count(); got != driverPages {
+		t.Errorf("driver VM maps %d pages after the failed Connect, want %d", got, driverPages)
+	}
+	if got, err := r.guestK.AllocFrame(); err != nil || got != ringFrame {
+		t.Errorf("next guest frame = %v (err %v), want the failed Connect's ring frame %v", got, err, ringFrame)
 	}
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		if ret, err := nestedIoctl(p, tk); err != nil || ret != 2 {

@@ -16,16 +16,13 @@ import (
 	"paradice/internal/sim"
 )
 
-// withMapCache enables the fast path for every transfer size.
-func withMapCache(threshold int) func(*Config) {
-	return func(c *Config) {
-		c.MapCache = true
-		c.MapThreshold = threshold
-	}
+// withMapCache arms the fast path.
+func withMapCache() func(*Config) {
+	return func(c *Config) { c.MapCache = true }
 }
 
 func TestMapCacheAmortizesRepeatedTransfers(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(1))
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache())
 	msg := bytes.Repeat([]byte("paradice!"), 400) // 3600 bytes, crosses pages
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, err := tk.Open("/dev/testdev", devfile.ORdWr)
@@ -62,8 +59,10 @@ func TestMapCacheAmortizesRepeatedTransfers(t *testing.T) {
 	}
 }
 
-func TestMapCacheBelowThresholdUsesAssistedCopy(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(DefaultMapThreshold))
+// An armed map cache serves every read/write buffer, however small: whether
+// mapping beats the assisted copy depends on reuse, not on size.
+func TestMapCacheServesSmallTransfers(t *testing.T) {
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache())
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
 		src, _ := p.AllocBytes(bytes.Repeat([]byte{0xAB}, 64))
@@ -74,14 +73,13 @@ func TestMapCacheBelowThresholdUsesAssistedCopy(t *testing.T) {
 		}
 	})
 	hits, misses, _ := r.be.MapCacheStats()
-	if hits != 0 || misses != 0 {
-		t.Fatalf("64-byte transfers touched the map cache (hits=%d misses=%d); threshold is %d",
-			hits, misses, DefaultMapThreshold)
+	if hits != 9 || misses != 1 {
+		t.Fatalf("ten 64-byte writes: hits=%d misses=%d, want 9 and 1", hits, misses)
 	}
 }
 
 func TestMapCacheInvalidatesOnBufferChange(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(1))
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache())
 	const n = 4096
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
@@ -119,7 +117,7 @@ func TestMapCacheInvalidatesOnBufferChange(t *testing.T) {
 }
 
 func TestMapCacheInvalidatesOnRelease(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(1))
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache())
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
 		src, _ := p.AllocBytes(bytes.Repeat([]byte{3}, 4096))
@@ -147,7 +145,7 @@ func TestMapCacheInvalidatesOnRelease(t *testing.T) {
 // reusing the revoked reference) must fault, never silently read guest memory
 // the grant no longer covers.
 func TestMapCacheRevokedWhileMappedFaults(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(1))
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache())
 	const n = 4096
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
@@ -190,7 +188,7 @@ func TestMapCacheRevokedWhileMappedFaults(t *testing.T) {
 }
 
 func TestMapCacheColdAfterReconnect(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(1))
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache())
 	const n = 4096
 	app, _ := r.guestK.NewProcess("app")
 	var fd int

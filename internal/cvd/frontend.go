@@ -73,17 +73,15 @@ type Frontend struct {
 	draining   bool
 	drainEvent *sim.Event
 
-	// Bulk-transfer fast path (grant-map cache). When enabled, read/write
-	// data buffers of at least mapThreshold bytes get a long-lived bulk
-	// grant (one per file and direction) kept alive across requests, and the
-	// requests carry reqFlagMapHint so the backend serves them through its
-	// grant-map cache. bulk tracks the live bulk grants; they are revoked
-	// when the buffer changes and when the file is released — each
-	// revocation tears down the backend's cached mapping in the same
-	// instant (grant.Table.OnRevoke).
-	mapCache     bool
-	mapThreshold int
-	bulk         map[bulkKey]bulkGrant
+	// Bulk-transfer fast path (grant-map cache). When enabled, every
+	// read/write data buffer gets a long-lived bulk grant (one per file and
+	// direction) kept alive across requests, and the requests carry
+	// reqFlagMapHint so the backend serves them through its grant-map cache.
+	// bulk tracks the live bulk grants; they are revoked when the buffer
+	// changes and when the file is released — each revocation tears down the
+	// backend's cached mapping in the same instant (grant.Table.OnRevoke).
+	mapCache bool
+	bulk     map[bulkKey]bulkGrant
 
 	// Doorbell batching (interrupt-stance posts only): the pending set of
 	// slots whose posts share the next doorbell, flushed by the policy's
@@ -633,9 +631,9 @@ type bulkGrant struct {
 
 // dataRef produces the grant reference for one read/write data buffer.
 //
-// Slow path (map cache off, or the transfer is under the threshold): declare
-// a one-shot grant; the caller revokes it when the operation returns, and the
-// backend moves the data with a hypervisor-assisted copy.
+// Slow path (map cache off): declare a one-shot grant; the caller revokes it
+// when the operation returns, and the backend moves the data with a
+// hypervisor-assisted copy.
 //
 // Fast path: reuse (or declare) a bulk grant kept alive across requests and
 // mark the request with reqFlagMapHint, so the backend's grant-map cache can
@@ -644,7 +642,7 @@ type bulkGrant struct {
 // backend's cached mapping, via grant.Table.OnRevoke, in the same instant.
 func (fe *Frontend) dataRef(c *kernel.FopCtx, fileID uint16, kind grant.Kind,
 	va mem.GuestVirt, n int) (ref uint32, flags uint8, oneshot bool, err error) {
-	if !fe.mapCache || n < fe.mapThreshold {
+	if !fe.mapCache {
 		ref, err = fe.declare(c, []grant.Op{{Kind: kind, VA: va, Len: uint64(n)}})
 		return ref, 0, true, err
 	}

@@ -30,7 +30,6 @@ import (
 // thread.
 type Pool struct {
 	driverK  *kernel.Kernel
-	workers  int
 	doorbell *sim.Event
 	stopped  bool
 
@@ -64,7 +63,6 @@ func NewPool(driverK *kernel.Kernel, workers int) *Pool {
 	}
 	pl := &Pool{
 		driverK:  driverK,
-		workers:  workers,
 		doorbell: driverK.Env.NewEvent("cvd-pool-" + driverK.Name),
 	}
 	for i := 0; i < workers; i++ {
@@ -75,9 +73,6 @@ func NewPool(driverK *kernel.Kernel, workers int) *Pool {
 	}
 	return pl
 }
-
-// Workers returns the pool size.
-func (pl *Pool) Workers() int { return pl.workers }
 
 // Join attaches a backend's channel to the pool. Channels are served in join
 // order by the round-robin cursor. The backend's dispatcher starts routing

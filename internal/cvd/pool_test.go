@@ -47,11 +47,11 @@ func newPoolRig(t *testing.T, workers int) *poolRig {
 			HV: h, GuestVM: vm, GuestK: k,
 			DriverVM: driverVM, DriverK: driverK,
 			DevicePath: "/dev/testdev", Mode: Polling,
-			Pool: pool,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		pool.Join(be)
 		r.guests[i], r.fes[i], r.bes[i] = k, fe, be
 	}
 	return r

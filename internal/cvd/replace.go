@@ -13,18 +13,20 @@ import (
 	"paradice/internal/trace"
 )
 
-// Driver VM replacement (§8): "a malicious guest VM can break the device ...
-// One possible solution is to detect the broken device and restart it by
-// simply restarting the driver VM." The frontends — guest state — survive;
-// each channel's backend is rebuilt against the replacement driver VM in two
-// steps. Prepare holds every fallible step but the device lookup and touches
-// nothing the predecessor depends on. Bind bumps the ring epoch only after
-// its lookup succeeded, has no failure path after the bump, and lets no
-// simulated time pass before the rebind, so no post can observe a ring that
-// has an epoch but no owner. A crash restart (Reconnect) runs both steps back
-// to back against a dead or wedged predecessor (cold); a planned handover
-// (PrepareHandover, then Bind) replaces a live, drained predecessor (warm),
-// whose open files and bulk-grant mappings carry over.
+// Backend attachment and driver VM replacement (§8): "a malicious guest VM
+// can break the device ... One possible solution is to detect the broken
+// device and restart it by simply restarting the driver VM." The frontends —
+// guest state — survive; each channel's backend is rebuilt against the
+// replacement driver VM in two steps, the same two steps Connect attaches a
+// channel's first backend with. Prepare holds every fallible step but the
+// device lookup and touches nothing the predecessor depends on. Bind bumps
+// the ring epoch only after its lookup succeeded, has no failure path after
+// the bump, and lets no simulated time pass before the rebind, so no post
+// can observe a ring that has an epoch but no owner. A crash restart
+// (Reconnect) runs both steps back to back against a dead or wedged
+// predecessor (cold); a planned handover (PrepareHandover, then Bind)
+// replaces a live, drained predecessor (warm), whose open files and
+// bulk-grant mappings carry over.
 
 // warmMap is one guest data buffer pre-mapped into the successor driver VM
 // during prepare, keyed like the map-cache entry it will seed.
@@ -47,13 +49,17 @@ type HandoverPrep struct {
 
 // Reconnect binds an existing frontend to a freshly booted driver VM after
 // its predecessor died: operations in flight fail with EREMOTE, and every
-// cache starts cold.
+// cache starts cold. On error the frontend and the driver VM are as before.
 func Reconnect(fe *Frontend, h *hv.Hypervisor, driverVM *hv.VM, driverK *kernel.Kernel, devicePath string) (*Backend, error) {
 	prep, err := prepare(fe, h, driverVM, driverK, false)
 	if err != nil {
 		return nil, err
 	}
-	return prep.Bind(devicePath)
+	be, err := prep.Bind(devicePath)
+	if err != nil {
+		prep.release()
+	}
+	return be, err
 }
 
 // PrepareHandover pre-builds one channel's successor state against a freshly
@@ -69,7 +75,7 @@ func PrepareHandover(fe *Frontend, h *hv.Hypervisor, succVM *hv.VM, succK *kerne
 // successor backend's kernel process. On the warm path it also pre-maps the
 // frontend's live bulk grants, paying the per-page mapping walks while the
 // predecessor still serves instead of as post-switch cache misses. On any
-// error nothing leaks: partial pre-maps are discarded.
+// error nothing leaks: each failure exit undoes the steps before it.
 func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm bool) (*HandoverPrep, error) {
 	if warm {
 		if fe.backend == nil || fe.backend.stopped {
@@ -85,6 +91,7 @@ func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm b
 	}
 	proc, err := k.NewProcess("cvd-backend-" + fe.guestVM.Name)
 	if err != nil {
+		_ = vm.EPT.Unmap(beGPA) // mapped just above: cannot fail
 		return nil, err
 	}
 	prep := &HandoverPrep{fe: fe, vm: vm, k: k, beGPA: beGPA, proc: proc, warm: warm}
@@ -104,7 +111,7 @@ func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm b
 			bg := fe.bulk[key]
 			m, err := h.MapGuestBuffer(fe.guestVM, bg.ref, key.kind, bg.va, bg.n, vm)
 			if err != nil {
-				prep.Discard()
+				prep.release()
 				return nil, err
 			}
 			prep.maps = append(prep.maps, warmMap{key: mapKey{fileID: key.fileID, kind: key.kind}, m: m})
@@ -116,7 +123,8 @@ func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm b
 
 // Discard releases a prep that will not be bound (the handover aborted): the
 // pre-established successor mappings are torn down. The predecessor never
-// knew the prep existed, so there is nothing else to undo.
+// knew the prep existed, so there is nothing else to undo; the successor VM
+// is abandoned whole.
 func (p *HandoverPrep) Discard() {
 	for _, wm := range p.maps {
 		wm.m.Unmap()
@@ -124,20 +132,39 @@ func (p *HandoverPrep) Discard() {
 	p.maps = nil
 }
 
+// release undoes prepare in full, for a prep whose VM lives on: the
+// pre-maps, the ring's mapping in the VM, and the backend process's
+// page-table frame.
+func (p *HandoverPrep) release() {
+	p.Discard()
+	_ = p.vm.EPT.Unmap(p.beGPA) // prepare mapped it: cannot fail
+	p.k.FreeFrame(p.proc.PT.Root())
+}
+
 // Bind commits the channel to the prepared successor. On the warm path the
 // caller must have drained the ring (frontend in drain mode, occupancy zero),
-// so the predecessor's file table is stable and nothing is in flight.
+// so the predecessor's file table is stable and nothing is in flight. The
+// device lookup is its one failure, and it changes nothing.
 func (p *HandoverPrep) Bind(devicePath string) (*Backend, error) {
-	fe := p.fe
 	node, ok := p.k.LookupDevice(devicePath)
 	if !ok {
 		return nil, fmt.Errorf("cvd: no device %s in %s", devicePath, p.k.Name)
 	}
-	// Enter the next restart epoch BEFORE the successor backend attaches and
-	// snapshots the word (Backend.epoch). Without this, a late pre-restart
-	// handler could complete into a slot that was reclaimed and reposted in
-	// the new epoch.
-	fe.ring.writeU32(hdrEpoch, fe.ring.readU32(hdrEpoch)+1)
+	return p.bind(node), nil
+}
+
+// bind attaches the backend for node: the one place a backend is built, its
+// map cache armed and the frontend's doorbell handed to it, for a channel's
+// first backend (Connect) and every successor alike.
+func (p *HandoverPrep) bind(node *kernel.DeviceNode) *Backend {
+	fe := p.fe
+	if fe.backend != nil {
+		// Enter the next restart epoch BEFORE the successor backend attaches
+		// and snapshots the word (Backend.epoch). Without this, a late
+		// pre-restart handler could complete into a slot that was reclaimed
+		// and reposted in the new epoch. A fresh ring stays in epoch 0.
+		fe.ring.writeU32(hdrEpoch, fe.ring.readU32(hdrEpoch)+1)
+	}
 	vecToBackend := p.vm.AllocVector()
 	// The successor takes the frontend's transport settings, with a fresh
 	// stance: the frontend keeps its mode and keeps flushing submission
@@ -177,7 +204,7 @@ func (p *HandoverPrep) Bind(devicePath string) (*Backend, error) {
 	if !p.warm {
 		fe.failInflight()
 	}
-	return be, nil
+	return be
 }
 
 // openFiles hands a warm successor the backend's open files and their

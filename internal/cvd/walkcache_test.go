@@ -128,7 +128,7 @@ func TestWalkcacheArmedDataIntegrity(t *testing.T) {
 // reference must still be denied — a cached validation or translation must
 // never outlive the grant that justified it.
 func TestWalkcacheRevokedWhileMappedFaults(t *testing.T) {
-	r := newRig(t, Interrupts, kernel.Linux, withMapCache(1), withWalkcache())
+	r := newRig(t, Interrupts, kernel.Linux, withMapCache(), withWalkcache())
 	const n = 4096
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)

@@ -105,9 +105,6 @@ func New(seed int64) *Plan {
 	}
 }
 
-// Seed returns the seed the plan was built from.
-func (p *Plan) Seed() int64 { return p.seed }
-
 // Rand exposes the plan's deterministic random source, for harnesses that
 // generate workloads or corruption patterns under the same seed.
 func (p *Plan) Rand() *rand.Rand { return p.rng }

@@ -412,11 +412,11 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	supervised := arms["supervised"]
 
 	// The fastpath arm enables the bulk-transfer fast path: the grant-map
-	// cache at a threshold low enough that the tiny stress read/write
-	// payloads route through it, plus doorbell coalescing in interrupt
-	// mode. The isolation invariants below (canary, honest errnos,
-	// liveness) must hold with cached mappings and batched doorbells exactly
-	// as they do on the per-request assisted-copy path.
+	// cache, which serves the tiny stress read/write payloads like any
+	// other, plus doorbell coalescing in interrupt mode. The isolation
+	// invariants below (canary, honest errnos, liveness) must hold with
+	// cached mappings and batched doorbells exactly as they do on the
+	// per-request assisted-copy path.
 	fastpath := arms["fastpath"]
 
 	// The walkcache arm enables the translation caches: the hypervisor's
@@ -530,7 +530,6 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	}
 	if fastpath {
 		cfg.MapCache = true
-		cfg.MapThreshold = 1 // the stress payloads are tiny; force the map path
 		cfg.CoalesceWindow = 20 * sim.Microsecond
 	}
 	if walkcache {

@@ -48,9 +48,6 @@ type FopCtx struct {
 	RID uint64
 }
 
-// Drv returns the driver state registered with the device node.
-func (c *FopCtx) Drv() any { return c.File.Node.Drv }
-
 // File is one open file description.
 type File struct {
 	Node  *DeviceNode

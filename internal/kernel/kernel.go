@@ -48,7 +48,6 @@ type Kernel struct {
 
 	devfs   map[string]*DeviceNode
 	sysinfo map[string]string
-	procs   map[int]*Process
 	nextPID int
 
 	// freeBSDMmapPatch models the ~12 LoC the paper adds to the FreeBSD
@@ -88,7 +87,6 @@ func New(name string, flavor Flavor, env *sim.Env, space *mem.GuestSpace, ramSiz
 		nextFrame:        mem.PageSize,
 		devfs:            make(map[string]*DeviceNode),
 		sysinfo:          make(map[string]string),
-		procs:            make(map[int]*Process),
 		nextPID:          1,
 		freeBSDMmapPatch: true,
 	}

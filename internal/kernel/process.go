@@ -87,7 +87,6 @@ func (k *Kernel) NewProcess(name string) (*Process, error) {
 		mmapPtr: mmapBase,
 	}
 	k.nextPID++
-	k.procs[p.PID] = p
 	return p, nil
 }
 

@@ -46,26 +46,6 @@ func (wq *WaitQueue) Wait(t *Task) {
 	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSched, "wakeup", perf.CostWakeup+t.Proc.K.WakePenalty)
 }
 
-// WaitTimeout blocks until a wake-up or the timeout, reporting whether the
-// queue was woken.
-func (wq *WaitQueue) WaitTimeout(t *Task, d sim.Duration) bool {
-	ev := wq.env.NewEvent(wq.name + "-wait")
-	wq.waiters = append(wq.waiters, ev)
-	woken := t.sp.WaitTimeout(ev, d)
-	if woken {
-		perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSched, "wakeup", perf.CostWakeup+t.Proc.K.WakePenalty)
-	} else {
-		// Withdraw so a later Wake does not count us.
-		for i, w := range wq.waiters {
-			if w == ev {
-				wq.waiters = append(wq.waiters[:i], wq.waiters[i+1:]...)
-				break
-			}
-		}
-	}
-	return woken
-}
-
 // PollTable collects the wait queues a poll call depends on; any wake on
 // any of them ends the poll wait.
 type PollTable struct {

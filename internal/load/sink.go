@@ -53,10 +53,6 @@ func (s *Sink) ServiceTime(n int) sim.Duration {
 	return s.base + s.perKB*sim.Duration(n)/1024
 }
 
-// Capacity returns the sink's throughput ceiling for an n-byte payload, in
-// operations per simulated second.
-func (s *Sink) Capacity(n int) float64 { return 1 / s.ServiceTime(n).Seconds() }
-
 // Ioctl implements the sink operation: copy the payload in, then hold the
 // serial unit for the service time.
 func (s *Sink) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {

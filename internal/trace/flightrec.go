@@ -483,7 +483,7 @@ func (r *Registry) count(name string, n uint64) {
 }
 
 // quantMark renders a quantile with the exactness marker: a "~" prefix once
-// the histogram spilled its reservoir and values are bucket upper bounds.
+// the histogram spilled its reservoir and values are per-bucket maxima.
 func quantMark(h *Hist, q float64) string {
 	v := fmt.Sprintf("%dns", int64(h.Quantile(q)))
 	if !h.Exact() {

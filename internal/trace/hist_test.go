@@ -108,26 +108,44 @@ func TestHistQuantileSingle(t *testing.T) {
 }
 
 // Past HistSampleCap the reservoir spills and quantiles degrade to the
-// inclusive upper bound (2^k - 1) of the log2 bucket holding the rank —
-// deterministic, never below the true value's bucket floor.
+// largest sample seen in the log2 bucket holding the rank — deterministic,
+// never below the true value.
 func TestHistQuantileSpilled(t *testing.T) {
 	var h Hist
-	for i := 0; i < HistSampleCap+1; i++ {
-		h.Observe(1000) // bucket 10: 512 <= 1000 < 1024
+	for i := 0; i < HistSampleCap; i++ {
+		h.Observe(600) // bucket 10: 512 <= d < 1024
 	}
+	h.Observe(1000)
 	if h.Exact() {
 		t.Fatal("HistSampleCap+1 samples should spill")
 	}
-	if got, want := h.Quantile(0.99), sim.Duration(1023); got != want {
-		t.Errorf("spilled Quantile(0.99) = %d, want %d (bucket upper bound)", int64(got), int64(want))
+	if got, want := h.Quantile(0.5), sim.Duration(1000); got != want {
+		t.Errorf("spilled Quantile(0.5) = %d, want %d (bucket maximum)", int64(got), int64(want))
 	}
 	if h.Count != uint64(HistSampleCap+1) {
 		t.Errorf("Count = %d, want %d", h.Count, HistSampleCap+1)
 	}
 }
 
+// A constant population reads as its value at every quantile after the
+// spill: a fixed 2.25 µs hop must not read as its bucket's 4.095 µs bound.
+func TestHistQuantileSpilledConstant(t *testing.T) {
+	var h Hist
+	for i := 0; i < 2*HistSampleCap; i++ {
+		h.Observe(2250)
+	}
+	if h.Exact() {
+		t.Fatal("2*HistSampleCap samples should spill")
+	}
+	for _, q := range []float64{0.001, 0.5, 0.99, 1.0} {
+		if got := h.Quantile(q); got != 2250 {
+			t.Errorf("spilled Quantile(%g) = %d, want 2250", q, int64(got))
+		}
+	}
+}
+
 // Spilled quantiles across several buckets: ranks resolve to the right
-// bucket's bound.
+// bucket's maximum.
 func TestHistQuantileSpilledMultiBucket(t *testing.T) {
 	var h Hist
 	// 90% in bucket 7 (64..127), 10% in bucket 14 (8192..16383).
@@ -140,10 +158,10 @@ func TestHistQuantileSpilledMultiBucket(t *testing.T) {
 	if h.Exact() {
 		t.Fatal("should have spilled")
 	}
-	if got, want := h.Quantile(0.50), sim.Duration(127); got != want {
+	if got, want := h.Quantile(0.50), sim.Duration(100); got != want {
 		t.Errorf("Quantile(0.50) = %d, want %d", int64(got), int64(want))
 	}
-	if got, want := h.Quantile(0.999), sim.Duration(16383); got != want {
+	if got, want := h.Quantile(0.999), sim.Duration(10000); got != want {
 		t.Errorf("Quantile(0.999) = %d, want %d", int64(got), int64(want))
 	}
 }
@@ -164,8 +182,8 @@ func TestHistDumpQuantileLine(t *testing.T) {
 }
 
 // Once a histogram spills its reservoir, the dump's quantile line marks
-// every value approximate — an operator can never mistake a bucket upper
-// bound for an exact order statistic.
+// every value approximate — an operator can never mistake a bucket maximum
+// for an exact order statistic.
 func TestHistDumpApproxMarker(t *testing.T) {
 	r := newRegistry()
 	for i := 0; i < HistSampleCap+1; i++ {
@@ -175,7 +193,7 @@ func TestHistDumpApproxMarker(t *testing.T) {
 	if err := r.Dump(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := "hist h.big p50=~1023ns p95=~1023ns p99=~1023ns p999=~1023ns\n"
+	want := "hist h.big p50=~1000ns p95=~1000ns p99=~1000ns p999=~1000ns\n"
 	if !strings.Contains(b.String(), want) {
 		t.Fatalf("spilled dump missing %q:\n%s", want, b.String())
 	}

@@ -43,13 +43,15 @@ func newRegistry() *Registry {
 //
 // Up to HistSampleCap raw observations are additionally retained verbatim,
 // so quantiles of small runs are exact. Past the cap the reservoir is
-// released and quantiles degrade to the log2 bucket upper bound — still
-// fully deterministic (no random sampling anywhere), just coarser.
+// released and quantiles degrade to the largest sample seen in the rank's
+// log2 bucket — still fully deterministic (no random sampling anywhere),
+// still an upper bound, and exact for a constant population.
 type Hist struct {
 	Buckets [64]uint64
 	Count   uint64
 	Sum     sim.Duration
 
+	max     [64]sim.Duration // largest sample per bucket
 	samples []sim.Duration
 	spilled bool
 }
@@ -67,6 +69,7 @@ func (h *Hist) observe(d sim.Duration) {
 		k = bits.Len64(uint64(d))
 	}
 	h.Buckets[k]++
+	h.max[k] = max(h.max[k], d)
 	h.Count++
 	h.Sum += d
 	if !h.spilled {
@@ -80,14 +83,14 @@ func (h *Hist) observe(d sim.Duration) {
 }
 
 // Exact reports whether every observation is still retained verbatim, i.e.
-// Quantile returns exact order statistics rather than bucket upper bounds.
+// Quantile returns exact order statistics rather than per-bucket maxima.
 func (h *Hist) Exact() bool { return h != nil && !h.spilled }
 
 // Quantile returns the q-quantile (0 < q <= 1) of the observed durations
 // using the nearest-rank definition: the sample of rank ceil(q*Count).
 // While the histogram holds at most HistSampleCap observations the result
-// is the exact order statistic; beyond that it is the inclusive upper bound
-// (2^k - 1) of the log2 bucket containing that rank. Returns 0 when empty.
+// is the exact order statistic; beyond that it is the largest sample
+// observed in the log2 bucket containing that rank. Returns 0 when empty.
 func (h *Hist) Quantile(q float64) sim.Duration {
 	if h == nil || h.Count == 0 {
 		return 0
@@ -109,10 +112,7 @@ func (h *Hist) Quantile(q float64) sim.Duration {
 	for k, c := range h.Buckets {
 		cum += c
 		if cum >= r {
-			if k == 0 {
-				return 0
-			}
-			return sim.Duration(uint64(1)<<uint(k) - 1)
+			return h.max[k]
 		}
 	}
 	return 0 // unreachable: cum reaches Count >= r
@@ -205,8 +205,8 @@ func (r *Registry) Dump(w io.Writer) error {
 			return err
 		}
 		// Quantiles carry the exactness marker: a "~" prefix means the
-		// reservoir spilled past HistSampleCap and the values are log2
-		// bucket upper bounds, not exact order statistics.
+		// reservoir spilled past HistSampleCap and the values are per-bucket
+		// maxima, not exact order statistics.
 		if _, err := fmt.Fprintf(w, "hist %s p50=%s p95=%s p99=%s p999=%s\n",
 			name, quantMark(h, 0.50), quantMark(h, 0.95),
 			quantMark(h, 0.99), quantMark(h, 0.999)); err != nil {

@@ -44,10 +44,6 @@ func restartTeardownDump(t *testing.T) string {
 	t.Helper()
 	m, err := paradice.New(paradice.Config{
 		MapCache: true,
-		// Short deadline: writers caught in-flight by the teardown recycle
-		// within a millisecond instead of parking for the 50 ms default, so
-		// the channels keep offering fresh requests throughout the window.
-		RequestDeadline: sim.Millisecond,
 		Supervise: &supervise.Config{
 			HeartbeatEvery: sim.Millisecond,
 			BackoffBase:    sim.Millisecond,
@@ -73,6 +69,12 @@ func restartTeardownDump(t *testing.T) string {
 	}
 	if err := g.Paravirtualize(teardownPathA, teardownPathB); err != nil {
 		t.Fatal(err)
+	}
+	// Short deadline: writers caught in-flight by the teardown recycle within
+	// a millisecond instead of parking for the supervised 50 ms, so the
+	// channels keep offering fresh requests throughout the window.
+	for _, fe := range g.Frontends {
+		fe.SetDeadline(sim.Millisecond)
 	}
 
 	tr := m.StartTrace()

@@ -111,24 +111,17 @@ type Config struct {
 	// exhausted. It keeps the event calendar busy, so supervised machines
 	// should be driven with RunUntil (or stop the supervisor before
 	// draining with Run). nil (the default) means unsupervised. Paradice
-	// only.
+	// only. A supervised machine also fails every forwarded file operation
+	// whose response takes longer than 50 ms with ETIMEDOUT; an
+	// unsupervised one waits forever, as in the paper.
 	Supervise *supervise.Config
-	// RequestDeadline bounds every forwarded file operation's wait for its
-	// response; a stuck request fails with ETIMEDOUT instead of blocking
-	// its issuer forever. Zero means no deadline. When Supervise is set
-	// and this is zero, a default of 50 ms is applied so detection by
-	// timeout is never slower than detection by watchdog.
-	RequestDeadline sim.Duration
-	// MapCache enables the CVD bulk-transfer fast path: large read/write
-	// buffers are granted once per file and mapped into the driver VM by the
+	// MapCache enables the CVD bulk-transfer fast path: every read/write
+	// buffer is granted once per file and mapped into the driver VM by the
 	// backend, so repeated transfers to the same file skip the per-request
 	// hypervisor-assisted copy. Off by default (the paper's §4.1 behavior);
-	// the "bulk" experiment measures the crossover.
+	// the "bulk" experiment measures the crossover, which depends on how
+	// often a buffer is reused.
 	MapCache bool
-	// MapThreshold is the minimum transfer size in bytes routed through the
-	// map cache; zero selects cvd.DefaultMapThreshold (2 KB, from the cost
-	// model). Ignored unless MapCache is set.
-	MapThreshold int
 	// CoalesceWindow batches CVD notifications in interrupt mode: the
 	// frontend flushes one multi-entry submission doorbell as soon as
 	// cvd.CoalesceBatch slots are pending or the window elapses, whichever is
@@ -170,6 +163,12 @@ type Config struct {
 	// from a hot one. Zero keeps the paper's thread-per-operation behavior.
 	Workers int
 }
+
+// supervisedDeadline bounds each forwarded file operation's wait for its
+// response on a supervised machine: a stuck request fails with ETIMEDOUT
+// instead of blocking its issuer forever, so detection by timeout is never
+// slower than detection by the watchdog.
+const supervisedDeadline = 50 * sim.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.HostRAM == 0 {
@@ -343,9 +342,6 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 	if cfg.Supervise != nil {
 		if kind != KindParadice {
 			return nil, fmt.Errorf("paradice: supervision requires a driver VM (Paradice machines only)")
-		}
-		if m.cfg.RequestDeadline == 0 {
-			m.cfg.RequestDeadline = 50 * sim.Millisecond
 		}
 		// One supervisor per shard, each sweeping (and restarting) only its
 		// own shard's channels. A panic on a CVD backend proc goes to the

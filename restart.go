@@ -143,25 +143,16 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 				pred.Pool.Stop()
 			}
 		}
-		// bind attaches each channel's successor backend to the shard's
-		// current worker pool and re-applies what lived on the old backend.
+		// bind attaches each channel's successor backend, which joins the
+		// shard's current worker pool and takes over what lived on the old
+		// backend.
 		bind := func(successor func(j int) (*cvd.Backend, error)) error {
 			for j, c := range chs {
 				be, err := successor(j)
 				if err != nil {
 					return err
 				}
-				if sh.Pool != nil {
-					sh.Pool.Join(be)
-				}
-				c.g.Backends[c.path] = be
-				// A successful replacement un-degrades the device: the fresh
-				// driver VM serves it again even if a supervisor had given up.
-				fes[j].SetDegraded(false)
-				// The §5.1 foreground gate on every gated input device.
-				if isGatedInputPath(c.path) {
-					c.g.wireInputGate(c.path)
-				}
+				c.g.attach(c.path, be)
 			}
 			return nil
 		}

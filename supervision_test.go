@@ -16,6 +16,7 @@ import (
 	"paradice/internal/driver/drm"
 	"paradice/internal/faults"
 	"paradice/internal/kernel"
+	"paradice/internal/load"
 	"paradice/internal/mem"
 	"paradice/internal/sim"
 	"paradice/internal/supervise"
@@ -287,6 +288,70 @@ func TestSupervisionNoFalsePositiveOnSlowDriver(t *testing.T) {
 	}
 	if plan.Injected("cvd.heartbeat.delay") == 0 {
 		t.Fatal("delay faults never fired; the test exercised nothing")
+	}
+}
+
+// A supervised machine bounds every forwarded operation's wait: a read the
+// device never answers fails with ETIMEDOUT once its 50 ms deadline has
+// passed, and not before. The dispatcher keeps acking heartbeats meanwhile,
+// so the watchdog sees nothing wrong and restarts nothing. Unsupervised, the
+// same read is still blocked at 200 ms: the paper's wait-forever behavior.
+func TestSupervisedRequestDeadline(t *testing.T) {
+	const path = "/dev/wedge"
+	for _, supervised := range []bool{true, false} {
+		var cfg paradice.Config
+		if supervised {
+			cfg.Supervise = &supervise.Config{}
+		}
+		m, err := paradice.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
+		if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+			w := &wedgeDev{Sink: sink, never: m.Env.NewEvent("never")}
+			k.RegisterDevice(path, w, w)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.AddGuest("guest", paradice.Linux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Paravirtualize(path); err != nil {
+			t.Fatal(err)
+		}
+		var posted, returned sim.Time
+		var readErr error
+		done := false
+		p, _ := g.NewProcess("app")
+		p.SpawnTask("reader", func(tk *kernel.Task) {
+			fd, err := tk.Open(path, devfile.ORdOnly)
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			buf, _ := p.Alloc(64)
+			posted = tk.Sim().Now()
+			_, readErr = tk.Read(fd, buf, 64)
+			returned, done = tk.Sim().Now(), true
+		})
+		m.RunUntil(sim.Time(200 * sim.Millisecond))
+		if supervised {
+			waited := returned.Sub(posted)
+			if !done || !kernel.IsErrno(readErr, kernel.ETIMEDOUT) {
+				t.Errorf("supervised: read done=%v err=%v, want ETIMEDOUT", done, readErr)
+			} else if waited < 50*sim.Millisecond || waited > 50*sim.Millisecond+50*sim.Microsecond {
+				t.Errorf("supervised: read failed after %v, want just past the 50 ms deadline", waited)
+			}
+			if got := m.RestartEpoch(); got != 0 {
+				t.Errorf("supervised: %d restarts, want none (the backend answers heartbeats)", got)
+			}
+		} else if done {
+			t.Errorf("unsupervised: read returned (err %v) at %v, want it still blocked", readErr, returned)
+		}
+		m.Close()
 	}
 }
 
