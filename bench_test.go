@@ -164,15 +164,12 @@ func TestTracerNilSinkZeroAllocs(t *testing.T) {
 		tr := trace.Get(env)
 		_ = tr.Now()
 		_ = tr.NewRID()
-		tr.Bind(nil, 1)
-		_ = tr.RIDOf(nil)
 		tr.Span(1, "vm", trace.LayerFE, "post", 0, 100)
 		tr.Group(1, "vm", trace.LayerSyscall, "ioctl", 0, 100)
 		tr.Instant(1, "vm", trace.LayerFaults, "point", "")
 		tr.Add("counter", 1)
 		tr.Set("gauge", 1)
 		tr.Observe("hist", 100)
-		tr.Unbind(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-sink tracer API allocates %.1f per call sequence, want 0", allocs)

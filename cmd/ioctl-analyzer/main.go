@@ -1,13 +1,14 @@
 // Command ioctl-analyzer is the front door to the static-analysis tool of
-// §4.1: it analyzes a driver's ioctl handlers, classifies each command as
+// §4.1: it analyzes the ioctl handlers of the radeon-class DRM driver (the
+// one driver that ships ioctl IR), classifies each command as
 // offline-resolvable (static grant entries) or data-dependent (nested
 // copies, requiring just-in-time slice execution in the CVD frontend), and
 // optionally dumps the extracted slices.
 //
 // Usage:
 //
-//	ioctl-analyzer -driver radeon          # summary table
-//	ioctl-analyzer -driver radeon -dump    # plus the extracted code
+//	ioctl-analyzer          # summary table
+//	ioctl-analyzer -dump    # plus the extracted code
 package main
 
 import (
@@ -20,20 +21,11 @@ import (
 )
 
 func main() {
-	driver := flag.String("driver", "radeon", "driver to analyze (radeon)")
 	dump := flag.Bool("dump", false, "print the extracted slices")
 	flag.Parse()
 
-	var progs []*ioctlan.Prog
-	switch *driver {
-	case "radeon", "drm":
-		progs = drm.IoctlIR()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown driver %q (only the radeon-class DRM driver ships IR)\n", *driver)
-		os.Exit(2)
-	}
-
-	fmt.Printf("analyzing %d ioctl commands of the %s driver\n\n", len(progs), *driver)
+	progs := drm.IoctlIR()
+	fmt.Printf("analyzing %d ioctl commands of the radeon driver\n\n", len(progs))
 	fmt.Printf("%-16s %-10s %-26s %s\n", "COMMAND", "NUMBER", "CLASSIFICATION", "SLICE (stmts)")
 	dynamic, extracted := 0, 0
 	for _, p := range progs {

@@ -73,7 +73,7 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 		if g.M.cfg.Supervise != nil {
 			deadline = supervisedDeadline
 		}
-		// Placement decides which driver-VM shard serves this path; the
+		// The path's pin decides which driver-VM shard serves it; the
 		// channel connects to that shard's kernel.
 		sh := g.M.ShardFor(path)
 		fe, be, err := cvd.Connect(cvd.Config{

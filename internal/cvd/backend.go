@@ -496,17 +496,18 @@ func (b *Backend) spawnHandler(req request) {
 
 // handle executes one forwarded operation on the calling proc — either a
 // per-op handler thread (spawnHandler) or a pooled worker. It deserializes,
-// adopts a driver-VM task bound to the request's trace ID, runs the file
+// serves the request's trace ID on sp, adopts a driver-VM task, runs the file
 // operation, and writes the response unless the ring's epoch moved on.
 func (b *Backend) handle(sp *sim.Proc, req request) {
 	{
 		tr := trace.Get(b.driverK.Env)
 		rid := uint64(req.rid)
-		// Bind the handler proc to the forwarded request's ID so layers that
-		// only see the Env (hypervisor memory ops, IOMMU) attribute their
-		// spans to the right request.
-		tr.Bind(sp, rid)
-		defer tr.Unbind(sp)
+		// The handler proc serves the forwarded request while it runs, so
+		// every charge it makes and every layer that only sees the Env
+		// (hypervisor memory ops, IOMMU) lands on the right request. A pooled
+		// worker serves many requests in turn, one at a time.
+		sp.SetRID(rid)
+		defer sp.SetRID(0)
 		perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "dispatch", perf.CostPost) // deserialize the request
 		task := b.proc.AdoptTask("op"+strconv.FormatUint(uint64(req.seq), 10), sp)
 		conduit := &remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}

@@ -86,12 +86,11 @@ type Frontend struct {
 	// Doorbell batching (interrupt-stance posts only): the pending set of
 	// slots whose posts share the next doorbell, flushed by the policy's
 	// size+deadline trigger. The flush publishes a submission batch
-	// descriptor (hdrSubCount) and rings once, attributed to
-	// the oldest still-posted member's CURRENT rid — never to a RID whose
-	// slot was reclaimed and reposted inside the window.
-	pending    []int
-	pendingRID [slotCount]uint64
-	inPending  [slotCount]bool
+	// descriptor (hdrSubCount) and rings once, attributed to the rid the
+	// oldest still-posted member's slot holds: its CURRENT occupant's, never
+	// a RID whose slot was reclaimed and reposted inside the window.
+	pending   []int
+	inPending [slotCount]bool
 
 	// QoS admission control (Config.Admission). admission maps a task's
 	// QoS class to the ring occupancy at which that class stops being
@@ -210,9 +209,8 @@ func (fe *Frontend) postDoorbell(rid uint64, slot int) {
 	}
 	// A slot already pending was reclaimed and reposted inside the window (a
 	// timed-out request swept by a late response, then the slot reused). The
-	// pending set already covers it, but the flush must attribute its kick
-	// to the CURRENT occupant — not to the RID that has since failed out.
-	fe.pendingRID[slot] = rid
+	// pending set already covers it, and the repost wrote the CURRENT
+	// occupant's rid into the slot, which is what the flush attributes to.
 	if fe.inPending[slot] {
 		return
 	}
@@ -253,7 +251,7 @@ func (fe *Frontend) flushPending(be *Backend) {
 			continue // retired (or picked up) inside the window; nothing to announce
 		}
 		if posted == 0 {
-			firstRID = fe.pendingRID[s]
+			firstRID = uint64(fe.ring.postedRID(s))
 		}
 		posted++
 	}
@@ -351,7 +349,7 @@ func (fe *Frontend) allocSlot() (int, bool) {
 func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno) {
 	t := c.Task
 	tr := trace.Get(fe.guestK.Env)
-	rid := c.RID
+	rid := t.Sim().RID()
 	start := tr.Now()
 	tr.Add(fe.m.ops, 1)
 	parked := false

@@ -208,6 +208,11 @@ func (p page) writeResponse(slot int, ret int32, errno int32) {
 	p.setDoneBit(slot)
 }
 
+// postedRID reads the trace request ID a posted slot carries (the sErrno
+// word until the response overwrites it). The word is shared with the
+// driver VM, which can rewrite it; the ID only labels trace spans.
+func (p page) postedRID(slot int) uint32 { return p.readU32(slotOff(slot) + sErrno) }
+
 func (p page) readResponse(slot int) (ret int32, errno int32) {
 	v, base := p.view(), slotOff(slot)
 	return int32(v.u32(base + sRet)), int32(v.u32(base + sErrno))

@@ -218,7 +218,7 @@ func Point(env *sim.Env, name string) *Decision {
 		// A fired injection is an observable event: the trace shows it inline
 		// with the request it hit, and the metrics dump counts it per point.
 		if tr := trace.Get(env); tr != nil {
-			tr.Instant(tr.RIDOf(env.CurrentProc()), "faults", trace.LayerFaults, name, "")
+			tr.Instant(env.CurrentProc().RID(), "faults", trace.LayerFaults, name, "")
 			tr.Add("faults.injected."+name, 1)
 		}
 	}

@@ -144,7 +144,7 @@ func (h *Hypervisor) VMs() []*VM { return h.vms }
 func (vm *VM) RegisterISR(vector int, fn func()) { vm.isr[vector] = fn }
 
 // tracer returns the environment's tracer (nil when tracing is off) and the
-// request ID bound to the process currently in hypervisor context, so an
+// request served by the process currently in hypervisor context, so an
 // interrupt's projected delivery span lands on the trace of the request that
 // raised it. Charged work records its own span through perf.Spend.
 func (h *Hypervisor) tracer() (*trace.Tracer, uint64) {
@@ -152,7 +152,7 @@ func (h *Hypervisor) tracer() (*trace.Tracer, uint64) {
 	if tr == nil {
 		return nil, 0
 	}
-	return tr, tr.RIDOf(h.Env.CurrentProc())
+	return tr, h.Env.CurrentProc().RID()
 }
 
 // SendInterrupt raises an inter-VM interrupt into the target VM. The

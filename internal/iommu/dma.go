@@ -45,7 +45,7 @@ func (d *DMA) access(bus BusAddr, buf []byte, perm mem.Perm) error {
 		if err != nil {
 			tr.Add("iommu.dma.faults", 1)
 			if tr != nil {
-				tr.Instant(tr.RIDOf(d.Env.CurrentProc()), "device", trace.LayerDevice, "dma-fault", d.Dom.Name())
+				tr.Instant(d.Env.CurrentProc().RID(), "device", trace.LayerDevice, "dma-fault", d.Dom.Name())
 			}
 		}
 		return spa, err

@@ -42,10 +42,6 @@ type FileOps interface {
 type FopCtx struct {
 	Task *Task
 	File *File
-	// RID is the trace request ID opened at the system-call boundary (0 when
-	// tracing is disabled). The CVD frontend carries it through the ring
-	// slot so backend-side spans land on the same request.
-	RID uint64
 }
 
 // File is one open file description.

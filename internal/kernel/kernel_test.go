@@ -588,7 +588,7 @@ func TestRunTaskReportsUnfinishedTask(t *testing.T) {
 // TestSyscallClosesOneRootGroup: under a tracer, every fd-based system call
 // on an open fd and on one never opened ends its request exactly once — one
 // root group named "<op> <path>" or "<op> ?", every event of the call
-// carrying that group's request ID — and leaves the proc unbound.
+// carrying that group's request ID — and leaves the proc serving none.
 func TestSyscallClosesOneRootGroup(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	installEcho(t, k)
@@ -648,8 +648,8 @@ func TestSyscallClosesOneRootGroup(t *testing.T) {
 						t.Errorf("%s: event %q has rid %d, want the root's %d", want, e.Name, e.RID, roots[0].RID)
 					}
 				}
-				if rid := tr.RIDOf(tk.Sim()); rid != 0 {
-					t.Errorf("%s: proc still bound to rid %d", want, rid)
+				if rid := tk.Sim().RID(); rid != 0 {
+					t.Errorf("%s: proc still serves rid %d", want, rid)
 				}
 			}
 		}

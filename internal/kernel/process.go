@@ -184,25 +184,22 @@ func (p *Process) userAccess(t *Task, va mem.GuestVirt, buf []byte, write bool) 
 
 // handleFault resolves a page fault at va by delegating to the VMA's file.
 // A fault taken inside a system call belongs to that call's request. One
-// taken by a plain user access is a request of its own: it binds a fresh
-// request ID and closes a root group "fault <path>" with the task's class
-// and the fault's errno, as a system call does, but without the
+// taken by a plain user access is a request of its own: its proc serves a
+// fresh request ID and closes a root group "fault <path>" with the task's
+// class and the fault's errno, as a system call does, but without the
 // system-call charge.
 func (p *Process) handleFault(t *Task, va mem.GuestVirt) (err error) {
 	v, ok := p.FindVMA(va)
 	if !ok || v.File == nil {
 		return EFAULT
 	}
-	tr := trace.Get(p.K.Env)
-	c := &FopCtx{Task: t, File: v.File, RID: tr.RIDOf(t.sp)}
-	if tr != nil && c.RID == 0 {
-		c.RID = tr.NewRID()
-		tr.Bind(t.sp, c.RID)
+	if tr := trace.Get(p.K.Env); tr != nil && t.sp.RID() == 0 {
+		t.sp.SetRID(tr.NewRID())
 		start := tr.Now()
-		defer func() { t.opEnd(tr, c.RID, start, "fault", v.File.Node.Path, err) }()
+		defer func() { t.opEnd(tr, start, "fault", v.File.Node.Path, err) }()
 	}
 	perf.Spend(p.K.Env, p.K.Name, trace.LayerSyscall, "page-fault", perf.CostPageFault)
-	return v.File.Node.Ops.Fault(c, v, mem.GuestVirt(mem.PageBase(uint64(va))))
+	return v.File.Node.Ops.Fault(&FopCtx{Task: t, File: v.File}, v, mem.GuestVirt(mem.PageBase(uint64(va))))
 }
 
 // OnSIGIO installs the process's SIGIO handler (the fasync consumer).

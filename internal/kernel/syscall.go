@@ -16,37 +16,38 @@ import (
 // driver (native and driver-VM cases) or to the CVD frontend (guest case).
 //
 // The system-call boundary is also where a request's trace begins: opBegin
-// allocates the request ID, binds it to the calling sim proc (so layers that
-// only see the Env — hypervisor, IOMMU — can attribute their spans), and
-// opEnd closes the root span covering the operation end to end, handing the
-// tracer the task's QoS class and the errno the call returned: what the
-// application got, recorded once, whether a local driver or the CVD frontend
-// served the call. Every fd-based call runs inside one envelope, sys, which
-// resolves the descriptor, builds the call's FopCtx and ends the request
-// exactly once; Open and Munmap, keyed by path and address instead, close
-// their span with one deferred opEnd.
+// allocates the request ID and makes the calling sim proc serve it, so every
+// layer the call reaches (the hypervisor and IOMMU, which only see the Env,
+// and the CVD frontend, which posts it in the ring slot) attributes its spans
+// by reading the proc. opEnd closes the root span covering the operation end
+// to end, handing the tracer the task's QoS class and the errno the call
+// returned: what the application got, recorded once, whether a local driver
+// or the CVD frontend served the call. Every fd-based call runs inside one
+// envelope, sys, which resolves the descriptor, builds the call's FopCtx and
+// ends the request exactly once; Open and Munmap, keyed by path and address
+// instead, close their span with one deferred opEnd.
 
-// opBegin opens one system call: a fresh request ID bound to the calling
+// opBegin opens one system call: a fresh request ID served by the calling
 // proc, the start time of the root span, and the system-call entry/exit
-// charge as the request's first work span. Returns (nil, 0, 0) when tracing
-// is disabled — the nil tracer makes every later call a no-op, and no
-// allocation has happened.
-func (t *Task) opBegin() (*trace.Tracer, uint64, sim.Time) {
+// charge as the request's first work span. Returns (nil, 0) when tracing is
+// disabled — the nil tracer makes every later call a no-op, the proc serves
+// request 0, and no allocation has happened.
+func (t *Task) opBegin() (*trace.Tracer, sim.Time) {
 	tr := trace.Get(t.Proc.K.Env)
-	rid := tr.NewRID()
-	tr.Bind(t.sp, rid)
+	t.sp.SetRID(tr.NewRID())
 	start := tr.Now()
 	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSyscall, "syscall", perf.CostSyscall)
-	return tr, rid, start
+	return tr, start
 }
 
 // opEnd closes the request's root span with the task's class and the
-// call's errno, and releases the proc binding.
-func (t *Task) opEnd(tr *trace.Tracer, rid uint64, start sim.Time, op, path string, err error) {
+// call's errno, and ends the proc's service of the request.
+func (t *Task) opEnd(tr *trace.Tracer, start sim.Time, op, path string, err error) {
 	if tr == nil {
 		return
 	}
-	tr.Unbind(t.sp)
+	rid := t.sp.RID()
+	t.sp.SetRID(0)
 	tr.Root(rid, t.Proc.K.Name, op+" "+path, start, tr.Now(), t.QoS, int32(ErrnoOf(err)))
 }
 
@@ -55,28 +56,28 @@ func (t *Task) opEnd(tr *trace.Tracer, rid uint64, start sim.Time, op, path stri
 // the root span once, named by the file's path, or "?" when fd is not open
 // (the call then fails with EINVAL without reaching a driver).
 func sys[T any](t *Task, op string, fd int, call func(c *FopCtx) (T, error)) (T, error) {
-	tr, rid, start := t.opBegin()
+	tr, start := t.opBegin()
 	path := "?"
 	var ret T
 	var err error = EINVAL
 	if f, ok := t.Proc.fds[fd]; ok {
 		path = f.Node.Path
-		ret, err = call(&FopCtx{Task: t, File: f, RID: rid})
+		ret, err = call(&FopCtx{Task: t, File: f})
 	}
-	t.opEnd(tr, rid, start, op, path, err)
+	t.opEnd(tr, start, op, path, err)
 	return ret, err
 }
 
 // Open opens a device file and returns a file descriptor.
 func (t *Task) Open(path string, flags devfile.OpenFlags) (fd int, err error) {
-	tr, rid, start := t.opBegin()
-	defer func() { t.opEnd(tr, rid, start, "open", path, err) }()
+	tr, start := t.opBegin()
+	defer func() { t.opEnd(tr, start, "open", path, err) }()
 	node, ok := t.Proc.K.LookupDevice(path)
 	if !ok {
 		return -1, ENOENT
 	}
 	f := &File{Node: node, Flags: flags, Proc: t.Proc, refs: 1}
-	if err = node.Ops.Open(&FopCtx{Task: t, File: f, RID: rid}); err != nil {
+	if err = node.Ops.Open(&FopCtx{Task: t, File: f}); err != nil {
 		return -1, err
 	}
 	fd = t.Proc.nextFD
@@ -157,9 +158,9 @@ func (t *Task) mmap(c *FopCtx, length uint64, pgoff uint64) (mem.GuestVirt, erro
 // page-table entries first, and only then informs the mapping's owner
 // (driver or CVD frontend), per the ordering in §5.2.
 func (t *Task) Munmap(va mem.GuestVirt, length uint64) (err error) {
-	tr, rid, start := t.opBegin()
+	tr, start := t.opBegin()
 	path := "?"
-	defer func() { t.opEnd(tr, rid, start, "munmap", path, err) }()
+	defer func() { t.opEnd(tr, start, "munmap", path, err) }()
 	idx := slices.IndexFunc(t.Proc.vmas, func(v *VMA) bool { return v.Start == va && v.Len == length })
 	if idx < 0 {
 		return EINVAL
@@ -177,7 +178,7 @@ func (t *Task) Munmap(va mem.GuestVirt, length uint64) (err error) {
 	if v.OnUnmap == nil {
 		return nil
 	}
-	return v.OnUnmap(&FopCtx{Task: t, File: v.File, RID: rid}, v)
+	return v.OnUnmap(&FopCtx{Task: t, File: v.File}, v)
 }
 
 // Poll waits up to timeout for any event in want on fd, returning the ready

@@ -177,8 +177,8 @@ func MapCopy(nbytes int) sim.Duration {
 }
 
 // Spend advances the calling process by d and, under a tracer, records the
-// interval as a leaf span in vm's layer, under the request bound to the
-// process (0 for background work). In callback context it does nothing:
+// interval as a leaf span in vm's layer, under the request the process
+// serves (0 for background work). In callback context it does nothing:
 // interrupt handlers are instantaneous, their latency charged at delivery.
 // So a span covers exactly the one charge it names: spans of one process
 // cannot nest or overlap, and a wait between charges is never work.
@@ -187,8 +187,8 @@ func Spend(e *sim.Env, vm, layer, name string, d sim.Duration) {
 	if p == nil {
 		return
 	}
-	tr := trace.Get(e) // nil when tracing is off: RIDOf and Span no-op
-	rid, start := tr.RIDOf(p), e.Now()
+	tr := trace.Get(e) // nil when tracing is off: Span no-ops
+	start := e.Now()
 	p.Sleep(d)
-	tr.Span(rid, vm, layer, name, start, e.Now())
+	tr.Span(p.RID(), vm, layer, name, start, e.Now())
 }

@@ -42,7 +42,7 @@ func TestChargeOnlyInProcessContext(t *testing.T) {
 }
 
 // Under a tracer, Spend records exactly the charged interval, under the
-// request bound to the calling process; in callback context it does neither.
+// request the calling process serves; in callback context it does neither.
 func TestSpendRecordsTheCharge(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -52,7 +52,7 @@ func TestSpendRecordsTheCharge(t *testing.T) {
 	env.Run()
 	env.RunFunc("p", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		tr.Bind(p, 7)
+		p.SetRID(7)
 		Spend(env, "vm", trace.LayerHV, "work", 2*sim.Microsecond)
 	})
 	ev := tr.Events()

@@ -24,6 +24,7 @@ type Proc struct {
 	finished  bool
 	queued    bool   // has a pending calendar resume entry
 	resumeGen uint64 // bumped per scheduled resume; stale entries are skipped
+	rid       uint64 // request the process serves; 0 for background work
 }
 
 // Spawn creates a process running fn, scheduled to start now.
@@ -136,6 +137,24 @@ func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.env.now }
+
+// RID returns the trace request the process is serving: what every span and
+// instant it causes is attributed to. It is 0 for background work and on a
+// nil process (callback context, where CurrentProc is nil).
+func (p *Proc) RID() uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.rid
+}
+
+// SetRID makes the process serve request rid until the next SetRID; 0 ends
+// the request. A no-op on a nil process.
+func (p *Proc) SetRID(rid uint64) {
+	if p != nil {
+		p.rid = rid
+	}
+}
 
 func (p *Proc) scheduleResume(at Time) {
 	p.queued = true

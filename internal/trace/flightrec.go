@@ -129,14 +129,16 @@ type Outlier struct {
 	Events []Event
 }
 
-// FlightConfig sizes and tunes a flight recorder.
+// flightCapacity is the digest ring size: a recorder's memory is bounded
+// by it regardless of run length.
+const flightCapacity = 4096
+
+// flightOutlierCap bounds how many full span trees are retained. Once it is
+// reached, further outliers are counted but their trees dropped.
+const flightOutlierCap = 32
+
+// FlightConfig tunes a flight recorder's outlier capture.
 type FlightConfig struct {
-	// Capacity is the digest ring size (default 4096). Memory is O(Capacity)
-	// regardless of run length.
-	Capacity int
-	// OutlierCap bounds how many full span trees are retained (default 32).
-	// Once full, further outliers are counted but their trees dropped.
-	OutlierCap int
 	// Threshold is the default per-request latency threshold above which a
 	// request is captured as an outlier. Zero disables latency-based capture
 	// (errno/episode capture still applies).
@@ -182,24 +184,17 @@ type FlightRecorder struct {
 	maxDone  uint64 // highest finalized RID: gates creation of stale entries
 	episodes int    // currently-open restart/handover episodes
 	outliers []Outlier
-	dropped  uint64 // outliers past OutlierCap: counted, tree discarded
+	dropped  uint64 // outliers past flightOutlierCap: counted, tree discarded
 	stale    uint64 // events for already-finalized RIDs, dropped
 	agg      map[uint8]*classAgg
 }
 
-// NewFlightRecorder returns a recorder with cfg (defaults applied). Attach
-// it to a tracer with Tracer.ArmFlightRecorder, or feed it digests directly
-// with Push.
+// NewFlightRecorder returns a recorder with cfg. Attach it to a tracer with
+// Tracer.ArmFlightRecorder, or feed it digests directly with Push.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 4096
-	}
-	if cfg.OutlierCap <= 0 {
-		cfg.OutlierCap = 32
-	}
 	return &FlightRecorder{
 		cfg:      cfg,
-		ring:     make([]Digest, 0, cfg.Capacity),
+		ring:     make([]Digest, 0, flightCapacity),
 		inflight: make(map[uint64]*flightPending),
 	}
 }
@@ -235,7 +230,7 @@ func (fr *FlightRecorder) pending(rid uint64) *flightPending {
 // the outlier store is already full — the tree would be discarded at
 // finalize anyway, so there is no point holding it.
 func (fr *FlightRecorder) capture(p *flightPending, e Event) {
-	if len(fr.outliers) >= fr.cfg.OutlierCap || len(p.events) >= pendingEventCap {
+	if len(fr.outliers) >= flightOutlierCap || len(p.events) >= pendingEventCap {
 		return
 	}
 	p.events = append(p.events, e)
@@ -307,7 +302,7 @@ func (fr *FlightRecorder) finalize(root Event) {
 	thr := fr.threshold(d.Class)
 	d.Outlier = (thr > 0 && lat > thr) || d.Errno != 0 || d.Episode
 	if d.Outlier {
-		if len(fr.outliers) < fr.cfg.OutlierCap {
+		if len(fr.outliers) < flightOutlierCap {
 			tree := make([]Event, 0, len(p.events)+1)
 			tree = append(tree, p.events...)
 			tree = append(tree, root)
@@ -332,11 +327,11 @@ func (fr *FlightRecorder) Push(d Digest) {
 }
 
 func (fr *FlightRecorder) push(d Digest) {
-	if len(fr.ring) < fr.cfg.Capacity {
+	if len(fr.ring) < flightCapacity {
 		fr.ring = append(fr.ring, d)
 	} else {
 		fr.ring[fr.next] = d
-		fr.next = (fr.next + 1) % fr.cfg.Capacity
+		fr.next = (fr.next + 1) % flightCapacity
 	}
 	fr.total++
 	fr.reg.count("flightrec.digests", 1)
@@ -401,21 +396,13 @@ func (fr *FlightRecorder) Total() uint64 {
 	return fr.total
 }
 
-// Capacity returns the ring capacity.
-func (fr *FlightRecorder) Capacity() int {
-	if fr == nil {
-		return 0
-	}
-	return fr.cfg.Capacity
-}
-
 // Digests returns a copy of the retained digests, oldest first.
 func (fr *FlightRecorder) Digests() []Digest {
 	if fr == nil || len(fr.ring) == 0 {
 		return nil
 	}
 	out := make([]Digest, 0, len(fr.ring))
-	if len(fr.ring) == fr.cfg.Capacity {
+	if len(fr.ring) == flightCapacity {
 		out = append(out, fr.ring[fr.next:]...)
 		out = append(out, fr.ring[:fr.next]...)
 	} else {
@@ -549,7 +536,7 @@ func (fr *FlightRecorder) WriteDump(w io.Writer) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "flightrec capacity=%d held=%d total=%d inflight=%d outliers=%d dropped=%d stale=%d\n",
-		fr.cfg.Capacity, len(fr.ring), fr.total, len(fr.inflight), len(fr.outliers), fr.dropped, fr.stale); err != nil {
+		flightCapacity, len(fr.ring), fr.total, len(fr.inflight), len(fr.outliers), fr.dropped, fr.stale); err != nil {
 		return err
 	}
 	if err := fr.WriteAttribution(w); err != nil {

@@ -69,24 +69,24 @@ func TestFlightDigestTiling(t *testing.T) {
 	}
 }
 
-// The digest ring is bounded: a 300k-request run holds exactly Capacity
-// digests (the newest ones), and Total keeps counting.
+// The digest ring is bounded: a 300k-request run holds exactly
+// flightCapacity digests (the newest ones), and Total keeps counting.
 func TestFlightRingBounded(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Capacity: 512})
+	fr := NewFlightRecorder(FlightConfig{})
 	const n = 300_000
 	for rid := uint64(1); rid <= n; rid++ {
 		at := sim.Time(rid * 10)
 		root(fr, rid, "write /dev/null", at, at.Add(5))
 	}
-	if fr.Len() != 512 {
-		t.Fatalf("ring holds %d, want capacity 512", fr.Len())
+	if fr.Len() != flightCapacity {
+		t.Fatalf("ring holds %d, want capacity %d", fr.Len(), flightCapacity)
 	}
 	if fr.Total() != n {
 		t.Fatalf("total = %d, want %d", fr.Total(), n)
 	}
 	ds := fr.Digests()
-	if ds[0].RID != n-512+1 || ds[len(ds)-1].RID != n {
-		t.Fatalf("ring holds rids %d..%d, want %d..%d", ds[0].RID, ds[len(ds)-1].RID, n-512+1, n)
+	if ds[0].RID != n-flightCapacity+1 || ds[len(ds)-1].RID != n {
+		t.Fatalf("ring holds rids %d..%d, want %d..%d", ds[0].RID, ds[len(ds)-1].RID, n-flightCapacity+1, n)
 	}
 	for i := 1; i < len(ds); i++ {
 		if ds[i].RID != ds[i-1].RID+1 {
@@ -145,16 +145,16 @@ func TestFlightOutlierCriteria(t *testing.T) {
 	}
 }
 
-// Past OutlierCap, outliers are counted but their trees dropped — memory
-// stays bounded no matter how bad the run is.
+// Past flightOutlierCap, outliers are counted but their trees dropped —
+// memory stays bounded no matter how bad the run is.
 func TestFlightOutlierCapBounded(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{OutlierCap: 2})
-	for rid := uint64(1); rid <= 10; rid++ {
+	fr := NewFlightRecorder(FlightConfig{})
+	for rid := uint64(1); rid <= flightOutlierCap+8; rid++ {
 		at := sim.Time(rid * 100)
 		rootAs(fr, rid, "write /dev/a", at, at.Add(10), 0, 16)
 	}
-	if len(fr.Outliers()) != 2 {
-		t.Fatalf("retained %d trees, want cap 2", len(fr.Outliers()))
+	if len(fr.Outliers()) != flightOutlierCap {
+		t.Fatalf("retained %d trees, want cap %d", len(fr.Outliers()), flightOutlierCap)
 	}
 	if fr.OutliersDropped() != 8 {
 		t.Fatalf("dropped = %d, want 8", fr.OutliersDropped())
@@ -182,13 +182,17 @@ func TestFlightStaleRIDDropped(t *testing.T) {
 }
 
 // Same event sequence, byte-identical dump — the property the stress
-// harness leans on for the 50-seed replay sweep.
+// harness leans on for the 50-seed replay sweep — over a wrapped ring.
 func TestFlightDumpDeterministic(t *testing.T) {
 	run := func() []byte {
-		fr := NewFlightRecorder(FlightConfig{Capacity: 8, Threshold: 100})
+		fr := NewFlightRecorder(FlightConfig{Threshold: 100})
 		span(fr, 1, LayerHV, "hypercall", 0, 80)
 		rootAs(fr, 1, "ioctl /dev/a", 0, 200, 1, 0)
 		rootAs(fr, 2, "write /dev/a", 300, 340, 0, 19)
+		for rid := uint64(3); rid <= flightCapacity+8; rid++ {
+			at := sim.Time(rid * 100)
+			root(fr, rid, "read /dev/a", at, at.Add(10))
+		}
 		var b bytes.Buffer
 		if err := fr.WriteDump(&b); err != nil {
 			t.Fatal(err)
@@ -199,7 +203,7 @@ func TestFlightDumpDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("dump not deterministic:\n%s\n----\n%s", a, b)
 	}
-	for _, want := range []string{"flightrec capacity=8", "attr class=1", "outlier rid=1", "hop=hypercall"} {
+	for _, want := range []string{"flightrec capacity=4096 held=4096 total=4104", "attr class=1", "outlier rid=1", "hop=hypercall"} {
 		if !strings.Contains(string(a), want) {
 			t.Errorf("dump missing %q:\n%s", want, a)
 		}
@@ -239,7 +243,7 @@ func TestFlightNilSafe(t *testing.T) {
 	fr.EndEpisode()
 	fr.Push(Digest{})
 	fr.onEvent(Event{Kind: KindSpan, RID: 1})
-	if fr.Len() != 0 || fr.Total() != 0 || fr.Capacity() != 0 || fr.Digests() != nil || fr.Outliers() != nil {
+	if fr.Len() != 0 || fr.Total() != 0 || fr.Digests() != nil || fr.Outliers() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 	var b bytes.Buffer

@@ -115,7 +115,6 @@ func (e Event) Dur() sim.Duration { return e.End.Sub(e.Start) }
 type Tracer struct {
 	env      *sim.Env
 	events   []Event
-	byProc   map[*sim.Proc]uint64 // proc -> request ID binding
 	nextRID  uint64
 	reg      *Registry
 	flight   *FlightRecorder // nil unless armed
@@ -124,10 +123,7 @@ type Tracer struct {
 
 // New returns an empty tracer. Attach it to an environment with Install.
 func New() *Tracer {
-	return &Tracer{
-		byProc: make(map[*sim.Proc]uint64),
-		reg:    newRegistry(),
-	}
+	return &Tracer{reg: newRegistry()}
 }
 
 // Install attaches a tracer to an environment, replacing any previous one.
@@ -168,32 +164,6 @@ func (t *Tracer) NewRID() uint64 {
 	}
 	t.nextRID++
 	return t.nextRID
-}
-
-// Bind attributes proc's subsequent charges to request rid, so layers that
-// only see the Env (hypervisor, IOMMU) can label their spans via RIDOf.
-func (t *Tracer) Bind(p *sim.Proc, rid uint64) {
-	if t == nil || p == nil {
-		return
-	}
-	t.byProc[p] = rid
-}
-
-// Unbind removes proc's request binding.
-func (t *Tracer) Unbind(p *sim.Proc) {
-	if t == nil || p == nil {
-		return
-	}
-	delete(t.byProc, p)
-}
-
-// RIDOf returns the request bound to proc, or 0. Safe on a nil proc
-// (scheduler/callback context).
-func (t *Tracer) RIDOf(p *sim.Proc) uint64 {
-	if t == nil || p == nil {
-		return 0
-	}
-	return t.byProc[p]
 }
 
 // Span records a leaf work span. Its callers are perf.Spend and the three

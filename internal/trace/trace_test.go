@@ -13,11 +13,9 @@ import (
 // value. This is the whole disabled-tracing contract.
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Now() != 0 || tr.NewRID() != 0 || tr.RIDOf(nil) != 0 {
+	if tr.Now() != 0 || tr.NewRID() != 0 {
 		t.Fatal("nil tracer returned non-zero values")
 	}
-	tr.Bind(nil, 1)
-	tr.Unbind(nil)
 	tr.Span(1, "vm", LayerFE, "post", 0, 100)
 	tr.Group(1, "vm", LayerSyscall, "ioctl", 0, 100)
 	tr.Add("c", 1)
@@ -79,6 +77,8 @@ func TestZeroDurationSpanDropped(t *testing.T) {
 	}
 }
 
+// Request IDs are 1-based and sequential, and the process serving one holds
+// it (a nil process, callback context, serves none).
 func TestRIDBinding(t *testing.T) {
 	env := sim.NewEnv()
 	tr := New()
@@ -89,19 +89,27 @@ func TestRIDBinding(t *testing.T) {
 	}
 	var done bool
 	env.Spawn("p", func(p *sim.Proc) {
-		tr.Bind(p, 7)
-		if got := tr.RIDOf(p); got != 7 {
-			t.Errorf("RIDOf after Bind = %d, want 7", got)
+		if got := p.RID(); got != 0 {
+			t.Errorf("fresh process serves rid %d, want 0", got)
 		}
-		tr.Unbind(p)
-		if got := tr.RIDOf(p); got != 0 {
-			t.Errorf("RIDOf after Unbind = %d, want 0", got)
+		p.SetRID(7)
+		if got := env.CurrentProc().RID(); got != 7 {
+			t.Errorf("RID after SetRID(7) = %d, want 7", got)
+		}
+		p.SetRID(0)
+		if got := p.RID(); got != 0 {
+			t.Errorf("RID after SetRID(0) = %d, want 0", got)
 		}
 		done = true
 	})
 	env.Run()
 	if !done {
 		t.Fatal("proc never ran")
+	}
+	var nilProc *sim.Proc
+	nilProc.SetRID(1)
+	if env.CurrentProc().RID() != 0 || nilProc.RID() != 0 {
+		t.Fatal("a nil process serves a request")
 	}
 }
 

@@ -433,3 +433,48 @@ func TestRestartTeardownDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Driver-VM routing is pins alone: on a 2-shard machine a harness device
+// nobody pinned is served by shard 0, the paper's single driver VM, and
+// PinDevice moves a device to shard 1. A pin outside the machine's shards
+// is refused.
+func TestShardRoutingPinsOnly(t *testing.T) {
+	const unpinned, pinned = "/dev/unpinned", "/dev/pinned"
+	m, err := paradice.New(paradice.Config{DriverShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+		for _, path := range []string{unpinned, pinned} {
+			sink := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
+			k.RegisterDevice(path, sink, sink)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []int{-1, 2} {
+		if err := m.PinDevice(pinned, shard); err == nil {
+			t.Fatalf("PinDevice(%q, %d) accepted on a 2-shard machine", pinned, shard)
+		}
+	}
+	if err := m.PinDevice(pinned, 1); err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.AddGuest("guest", paradice.Linux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Paravirtualize(unpinned, pinned); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int{unpinned: 0, pinned: 1} {
+		if got := m.ShardFor(path).Index; got != want {
+			t.Errorf("ShardFor(%q) = shard %d, want %d", path, got, want)
+		}
+		if k := g.Backends[path].Proc().K; k != m.Shards()[want].K {
+			t.Errorf("%s is served by driver kernel %s, want shard %d's %s", path, k.Name, want, m.Shards()[want].K.Name)
+		}
+	}
+}

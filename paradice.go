@@ -149,9 +149,9 @@ type Config struct {
 	Admission map[uint8]int
 	// DriverShards partitions the machine's devices across N driver VMs
 	// (default 1 — the paper's single driver VM of Figure 1(c)). The standard
-	// devices are placed round-robin across shards at boot; harness devices
-	// registered via OnDriverVMBoot route by PinDevice pin or a stable hash
-	// of the path (hv.Placement). Each shard has its own kernel, its own CVD
+	// devices are pinned round-robin across shards at boot; a harness device
+	// registered via OnDriverVMBoot goes where PinDevice pins it, and to
+	// shard 0 when it is not pinned. Each shard has its own kernel, its own CVD
 	// backends, its own supervisor (under Supervise), and restarts or hands
 	// over independently, so one shard's outage leaves the other shards'
 	// guests undisturbed. Paradice machines only; the baselines always run 1.
@@ -246,9 +246,9 @@ type Machine struct {
 	foreground *Guest
 
 	// Driver-VM sharding: the shards (shard 0 aliased by DriverVM/DriverK)
-	// and the path→shard routing table.
-	shards    []*DriverShard
-	placement *hv.Placement
+	// and the device pins, path → shard; an unpinned path goes to shard 0.
+	shards []*DriverShard
+	pins   map[string]int
 
 	// Driver-VM restart/supervision state: one supervisor per shard, in
 	// shard order, or none when the machine is unsupervised.
@@ -324,11 +324,11 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 	if kind != KindParadice {
 		m.cfg.DriverShards = 1
 	}
-	m.placement = hv.NewPlacement(m.cfg.DriverShards)
+	m.pins = make(map[string]int)
 	for i, path := range standardPaths {
-		m.placement.Assign(path, i%m.placement.Shards())
+		m.pins[path] = i % m.cfg.DriverShards
 	}
-	m.shards = make([]*DriverShard, m.placement.Shards())
+	m.shards = make([]*DriverShard, m.cfg.DriverShards)
 	for i := range m.shards {
 		m.shards[i] = &DriverShard{Index: i}
 	}
@@ -414,15 +414,15 @@ func (m *Machine) installShard(sh DriverShard) {
 // Config.DriverShards asked for more).
 func (m *Machine) Shards() []*DriverShard { return m.shards }
 
-// ShardFor returns the driver-VM shard serving a device path — the pinned
-// shard for the standard devices and PinDevice'd paths, the stable hash
-// route otherwise.
+// ShardFor returns the driver-VM shard serving a device path: the shard it
+// is pinned to (the standard devices are pinned at boot, others by
+// PinDevice), shard 0 when it is not pinned.
 func (m *Machine) ShardFor(path string) *DriverShard {
-	return m.shards[m.placement.Route(path)]
+	return m.shards[m.pins[path]]
 }
 
-// PinDevice routes a device path to a specific driver-VM shard, overriding
-// the hash fallback. Call before any guest paravirtualizes the path; the
+// PinDevice routes a device path to a specific driver-VM shard instead of
+// shard 0. Call before any guest paravirtualizes the path; the
 // device itself must be registered in that shard's kernel (OnDriverVMBoot
 // hooks run against every shard, so hook-installed devices qualify
 // everywhere).
@@ -433,7 +433,7 @@ func (m *Machine) PinDevice(path string, shard int) error {
 	if shard < 0 || shard >= len(m.shards) {
 		return fmt.Errorf("paradice: shard %d out of range (machine has %d)", shard, len(m.shards))
 	}
-	m.placement.Assign(path, shard)
+	m.pins[path] = shard
 	return nil
 }
 
@@ -464,7 +464,7 @@ func (m *Machine) OnDriverVMBoot(fn func(*kernel.Kernel) error) error {
 // single-shard machine every device belongs to shard 0 and this is the full
 // seed attach sequence.
 func (m *Machine) attachDrivers(drvVM *hv.VM, drvK *kernel.Kernel, shard int) error {
-	owns := func(path string) bool { return m.placement.Route(path) == shard }
+	owns := func(path string) bool { return m.pins[path] == shard }
 	// irqFor wires a device interrupt to a driver-VM ISR with the
 	// platform's delivery latency.
 	irqFor := func(isr func()) func() {

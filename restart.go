@@ -254,7 +254,7 @@ func (m *Machine) shardChannels(i int) []machineChannel {
 	for _, g := range m.guests {
 		n := len(chs)
 		for path := range g.Frontends {
-			if m.placement.Route(path) == i {
+			if m.pins[path] == i {
 				chs = append(chs, machineChannel{g: g, path: path})
 			}
 		}
@@ -273,7 +273,7 @@ func (m *Machine) resetShardDevices(shard int) {
 		PathKeyboard: m.Keyboard, PathCamera: m.Camera, PathAudio: m.Audio,
 	}
 	for _, path := range standardPaths {
-		if m.placement.Route(path) == shard {
+		if m.pins[path] == shard {
 			devs[path].Reset()
 		}
 	}

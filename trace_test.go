@@ -25,11 +25,12 @@ import (
 	"paradice/internal/trace"
 )
 
-// tracedNoop builds a paravirtualized guest, enables tracing, and issues
-// iters forwarded no-op ioctls (drm.IoctlInfo, a 32-byte _IOR) through it.
-func tracedNoop(t *testing.T, mode paradice.Mode, iters int) *trace.Tracer {
+// tracedNoop builds a paravirtualized guest on a machine configured by cfg,
+// enables tracing, and issues iters forwarded no-op ioctls (drm.IoctlInfo, a
+// 32-byte _IOR) through it.
+func tracedNoop(t *testing.T, cfg paradice.Config, iters int) *trace.Tracer {
 	t.Helper()
-	m, gk := guestKernel(t, paradice.Config{Mode: mode}, paradice.PathGPU)
+	m, gk := guestKernel(t, cfg, paradice.PathGPU)
 	tr := m.StartTrace()
 	t.Cleanup(func() { m.StopTrace() })
 	noopLoop(t, m, gk, iters)
@@ -67,7 +68,7 @@ func spanSum(tr *trace.Tracer, rid uint64) sim.Duration {
 
 func TestNoopSpanReconciliation(t *testing.T) {
 	t.Run("interrupts", func(t *testing.T) {
-		tr := tracedNoop(t, paradice.Interrupts, 4)
+		tr := tracedNoop(t, paradice.Config{Mode: paradice.Interrupts}, 4)
 		root := lastIoctlRoot(t, tr)
 		sum := spanSum(tr, root.RID)
 		if sum != root.Dur() {
@@ -93,7 +94,7 @@ func TestNoopSpanReconciliation(t *testing.T) {
 		}
 	})
 	t.Run("polling", func(t *testing.T) {
-		tr := tracedNoop(t, paradice.Polling, 4)
+		tr := tracedNoop(t, paradice.Config{Mode: paradice.Polling}, 4)
 		root := lastIoctlRoot(t, tr)
 		sum := spanSum(tr, root.RID)
 		if sum != root.Dur() {
@@ -110,6 +111,17 @@ func TestNoopSpanReconciliation(t *testing.T) {
 		if root.Dur() != want {
 			t.Fatalf("polled no-op latency %v != budget %v\n%s",
 				root.Dur(), want, dumpRID(tr, root.RID))
+		}
+	})
+	t.Run("pooled", func(t *testing.T) {
+		// A pooled worker serves every forwarded op in turn, so it must
+		// serve each one's ID while it runs it and none after: the backend's
+		// charges then land on the no-op that caused them.
+		tr := tracedNoop(t, paradice.Config{Mode: paradice.Interrupts, Workers: 2}, 4)
+		root := lastIoctlRoot(t, tr)
+		if sum := spanSum(tr, root.RID); sum != root.Dur() {
+			t.Fatalf("span sum %v != root duration %v for rid %d\n%s",
+				sum, root.Dur(), root.RID, dumpRID(tr, root.RID))
 		}
 	})
 	t.Run("native", func(t *testing.T) {
