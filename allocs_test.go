@@ -13,12 +13,30 @@ import (
 // ioctl costs in steady state: the guest syscall, the CVD round trip, the
 // hypervisor's copies and the driver, plus every simulator event in between.
 // It counts heap allocations across 5000 warm ops from inside the process
-// body, where nothing else runs.
+// body, where nothing else runs, once on each backend path: a handler
+// thread per op, and the pooled workers.
 func TestForwardedIoctlAllocs(t *testing.T) {
-	// The cap sits half an allocation above the 12.0 reading: the runtime's
-	// own background allocations add a few ten-thousandths per op.
-	const warm, ops, maxPerOp = 200, 5000, 12.5
-	m, gk := guestKernel(t, paradice.Config{}, paradice.PathGPU)
+	// Each cap sits half an allocation above its reading: the runtime's own
+	// background allocations add a few ten-thousandths per op.
+	for _, c := range []struct {
+		name     string
+		cfg      paradice.Config
+		maxPerOp float64
+	}{
+		{"thread-per-op", paradice.Config{}, 6.5},
+		{"pooled", paradice.Config{Workers: 2}, 2.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if perOp := forwardedIoctlAllocs(t, c.cfg); perOp > c.maxPerOp {
+				t.Fatalf("%.1f allocations per forwarded ioctl, want at most %.1f", perOp, c.maxPerOp)
+			}
+		})
+	}
+}
+
+func forwardedIoctlAllocs(t *testing.T, cfg paradice.Config) float64 {
+	const warm, ops = 200, 5000
+	m, gk := guestKernel(t, cfg, paradice.PathGPU)
 	p, err := gk.NewProcess("allocs")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +72,5 @@ func TestForwardedIoctlAllocs(t *testing.T) {
 		t.Fatal(opErr)
 	}
 	t.Logf("%.1f allocations per forwarded ioctl", perOp)
-	if perOp > maxPerOp {
-		t.Fatalf("%.1f allocations per forwarded ioctl, want at most %.1f", perOp, maxPerOp)
-	}
+	return perOp
 }

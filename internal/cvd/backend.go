@@ -1,6 +1,7 @@
 package cvd
 
 import (
+	"slices"
 	"strconv"
 
 	"paradice/internal/faults"
@@ -72,6 +73,9 @@ type Backend struct {
 	observe          func()
 	// stopped terminates the dispatcher (driver VM restart).
 	stopped bool
+	// posted is the dispatcher's queue of the ring's posted slots in serve
+	// order, valid until the dispatcher next blocks.
+	posted postedQueue
 	// epoch is the ring's restart-epoch word (hdrEpoch) as of this backend's
 	// creation. Bind bumps the word before attaching a successor, so a
 	// pre-restart backend — its dispatcher, a late handler thread still
@@ -134,6 +138,15 @@ type Backend struct {
 // sent. Paradice's foreground-background sharing model (§5.1) uses it to
 // deliver input notifications only to the foreground guest VM.
 func (b *Backend) SetNotifyGate(fn func() bool) { b.notifyGate = fn }
+
+// forwarded is one forwarded operation on the driver-VM side: the adopted
+// task that runs it, the conduit its memory operations go through and the
+// context its file operation runs with, allocated together.
+type forwarded struct {
+	task    kernel.Task
+	conduit remoteConduit
+	ctx     kernel.FopCtx
+}
 
 // remoteConduit implements kernel.RemoteOps for one forwarded file
 // operation, attaching its grant reference to every hypervisor request.
@@ -309,7 +322,7 @@ func (b *Backend) dispatch(p *sim.Proc) {
 		}
 		b.serviceHeartbeat()
 		b.consumeSubBatch()
-		if slot, ok := b.oldestPosted(); ok {
+		if slot, ok := b.nextPosted(); ok {
 			if b.arrive(b.hv.Env.Now()) {
 				tr := trace.Get(b.driverK.Env)
 				tr.Add("cvd.adaptive.be.switches", 1)
@@ -324,18 +337,17 @@ func (b *Backend) dispatch(p *sim.Proc) {
 			}
 			continue
 		}
-		// About to sleep: re-arm the doorbell, then re-check the queue (and
-		// the heartbeat word) so a post that raced with the scan is not lost.
+		// About to sleep: re-arm the doorbell, then re-check the heartbeat
+		// word. The posted queue needs no re-check: it was filled since the
+		// dispatcher last blocked, so it already covers every post.
 		b.doorbell.Reset()
 		if b.heartbeatPending() {
-			continue
-		}
-		if _, ok := b.oldestPosted(); ok {
 			continue
 		}
 		if b.polling() {
 			b.ring.writeU32(hdrBackendPoll, 1)
 			woken := b.spin(p, b.doorbell, b.window)
+			b.posted.drop()
 			b.ring.writeU32(hdrBackendPoll, 0)
 			if woken {
 				continue
@@ -344,21 +356,69 @@ func (b *Backend) dispatch(p *sim.Proc) {
 			if b.heartbeatPending() {
 				continue
 			}
-			if _, ok := b.oldestPosted(); ok {
+			if _, ok := b.nextPosted(); ok {
 				continue
 			}
 		}
 		p.Wait(b.doorbell)
+		b.posted.drop()
 	}
+}
+
+// postedQueue is the dispatcher's private list of the ring's posted slots in
+// the order it serves them: by sequence number, ties in slot order, the
+// order that repeatedly taking the oldest posted slot yields. One ring scan
+// fills it. A sim process runs alone until it blocks, so until the
+// dispatcher blocks nothing else touches the ring and the queue stays exact;
+// the dispatcher drops it wherever it may block.
+type postedQueue struct {
+	key    [slotCount]uint64 // seq<<32 | slot, so sorting keeps slot order in ties
+	head   int               // next entry to serve
+	n      int               // entries filled
+	filled bool
+}
+
+// fill records every posted slot of v in serve order.
+func (q *postedQueue) fill(v view) {
+	q.head, q.n, q.filled = 0, 0, true
+	for s := 0; s < slotCount; s++ {
+		if v.slotState(s) == slotPosted {
+			q.key[q.n] = uint64(v.u32(slotOff(s)+sSeq))<<32 | uint64(s)
+			q.n++
+		}
+	}
+	slices.Sort(q.key[:q.n])
+}
+
+// drop forgets the queue: the dispatcher may have blocked, and the guest
+// may have posted or recycled slots meanwhile.
+func (q *postedQueue) drop() { q.filled = false }
+
+// nextPosted returns the oldest posted slot, filling the queue by one ring
+// scan if it was dropped. The guest owns the page, so an entry counts only
+// while its slot still holds the state and sequence the scan saw; the slot
+// the dispatcher marks running falls out that way too.
+func (b *Backend) nextPosted() (int, bool) {
+	q, v := &b.posted, b.ring.view()
+	if !q.filled {
+		q.fill(v)
+	}
+	for ; q.head < q.n; q.head++ {
+		s, seq := int(uint32(q.key[q.head])), uint32(q.key[q.head]>>32)
+		if v.slotState(s) == slotPosted && v.u32(slotOff(s)+sSeq) == seq {
+			return s, true
+		}
+	}
+	return -1, false
 }
 
 // consumeSubBatch drains the ring's submission batch descriptor: the flush
 // that rang the doorbell published how many posted slots it covers
 // (hdrSubCount). The dispatcher pays one descriptor deserialization for the
 // whole batch — the amortization the batch exists for — and records the
-// batch size. The count is advisory and untrusted: it is clamped (the
-// oldestPosted scan is the ground truth for what is actually served), and a
-// hostile scribble degrades to a skewed histogram, never a panic.
+// batch size. The count is advisory and untrusted: it is clamped (the slot
+// states are the ground truth for what is actually served), and a hostile
+// scribble degrades to a skewed histogram, never a panic.
 func (b *Backend) consumeSubBatch() {
 	n := b.ring.readU32(hdrSubCount)
 	if n == 0 {
@@ -369,6 +429,7 @@ func (b *Backend) consumeSubBatch() {
 		n = slotCount
 	}
 	perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "batch-descriptor", perf.CostBatchDescriptor)
+	b.posted.drop()
 	tr := trace.Get(b.driverK.Env)
 	tr.Add("cvd.backend.batches", 1)
 	tr.ObserveCount("cvd.backend.batch", uint64(n))
@@ -409,6 +470,7 @@ func (b *Backend) serviceHeartbeat() {
 		return
 	}
 	b.ackHeartbeat(req)
+	b.posted.drop() // the ack's interrupt spends virtual time
 }
 
 // ackHeartbeat copies heartbeat sequence req into the ack word and
@@ -467,21 +529,6 @@ func (b *Backend) OnDeath(fn func()) {
 	b.onDeath = fn
 }
 
-func (b *Backend) oldestPosted() (int, bool) {
-	v := b.ring.view()
-	best, bestSeq, found := -1, uint32(0), false
-	for s := 0; s < slotCount; s++ {
-		if v.slotState(s) != slotPosted {
-			continue
-		}
-		seq := v.u32(slotOff(s) + sSeq)
-		if !found || seq < bestSeq {
-			best, bestSeq, found = s, seq, true
-		}
-	}
-	return best, found
-}
-
 // spawnHandler runs one forwarded operation on its own thread, as the paper
 // does ("the CVD backend invokes a thread to execute the file operation"),
 // so an operation blocking in the driver does not stall the queue. With a
@@ -499,56 +546,55 @@ func (b *Backend) spawnHandler(req request) {
 // serves the request's trace ID on sp, adopts a driver-VM task, runs the file
 // operation, and writes the response unless the ring's epoch moved on.
 func (b *Backend) handle(sp *sim.Proc, req request) {
-	{
-		tr := trace.Get(b.driverK.Env)
-		rid := uint64(req.rid)
-		// The handler proc serves the forwarded request while it runs, so
-		// every charge it makes and every layer that only sees the Env
-		// (hypervisor memory ops, IOMMU) lands on the right request. A pooled
-		// worker serves many requests in turn, one at a time.
-		sp.SetRID(rid)
-		defer sp.SetRID(0)
-		perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "dispatch", perf.CostPost) // deserialize the request
-		task := b.proc.AdoptTask("op"+strconv.FormatUint(uint64(req.seq), 10), sp)
-		conduit := &remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}
-		if b.mapc != nil && req.flags&reqFlagMapHint != 0 {
-			// The frontend kept this data buffer's grant alive across
-			// requests: route the operation's data movement through the
-			// grant-map cache. Read buffers are written (copy-to-user),
-			// write buffers are read (copy-from-user).
-			switch req.op {
-			case opRead:
-				conduit.mapc, conduit.mapKind = b.mapc, grant.KindCopyTo
-			case opWrite:
-				conduit.mapc, conduit.mapKind = b.mapc, grant.KindCopyFrom
-			}
-			conduit.fileID = req.fileID
-			conduit.bufVA = mem.GuestVirt(req.arg0)
-			conduit.bufLen = req.arg1
+	tr := trace.Get(b.driverK.Env)
+	rid := uint64(req.rid)
+	// The handler proc serves the forwarded request while it runs, so every
+	// charge it makes and every layer that only sees the Env (hypervisor
+	// memory ops, IOMMU) lands on the right request. A pooled worker serves
+	// many requests in turn, one at a time.
+	sp.SetRID(rid)
+	defer sp.SetRID(0)
+	perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "dispatch", perf.CostPost) // deserialize the request
+	op := &forwarded{conduit: remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}}
+	b.proc.AdoptTask(&op.task, sp)
+	op.ctx.Task = &op.task
+	if b.mapc != nil && req.flags&reqFlagMapHint != 0 {
+		// The frontend kept this data buffer's grant alive across requests:
+		// route the operation's data movement through the grant-map cache.
+		// Read buffers are written (copy-to-user), write buffers are read
+		// (copy-from-user).
+		conduit := &op.conduit
+		switch req.op {
+		case opRead:
+			conduit.mapc, conduit.mapKind = b.mapc, grant.KindCopyTo
+		case opWrite:
+			conduit.mapc, conduit.mapKind = b.mapc, grant.KindCopyFrom
 		}
-		restore := task.Mark(conduit)
-		estart := tr.Now()
-		ret, errno := b.execute(task, req)
-		restore()
-		if tr != nil {
-			tr.Group(rid, b.driverVM.Name, trace.LayerBE, "execute "+opName(req.op), estart, tr.Now())
-		}
-		perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "complete", perf.CostComplete)
-		if !b.ringCurrent() {
-			// The backend died (Stop, an injected driver-VM crash) or was
-			// superseded (the ring's restart epoch moved on) while this
-			// handler was executing. The ring now belongs to a successor
-			// backend and the frontend has already been failed with EREMOTE
-			// for this slot — or the slot has been reclaimed and reposted in
-			// the new epoch; a late response here would corrupt the
-			// successor's view of the slot.
-			return
-		}
-		b.ring.writeResponse(req.slot, ret, int32(errno))
-		b.OpsHandled++
-		tr.Add("cvd.backend.ops", 1)
-		b.complete(rid, false)
+		conduit.fileID = req.fileID
+		conduit.bufVA = mem.GuestVirt(req.arg0)
+		conduit.bufLen = req.arg1
 	}
+	restore := op.task.Mark(&op.conduit)
+	estart := tr.Now()
+	ret, errno := b.execute(op, req)
+	restore()
+	if tr != nil {
+		tr.Group(rid, b.driverVM.Name, trace.LayerBE, "execute "+opName(req.op), estart, tr.Now())
+	}
+	perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "complete", perf.CostComplete)
+	if !b.ringCurrent() {
+		// The backend died (Stop, an injected driver-VM crash) or was
+		// superseded (the ring's restart epoch moved on) while this handler
+		// was executing. The ring now belongs to a successor backend and the
+		// frontend has already been failed with EREMOTE for this slot — or
+		// the slot has been reclaimed and reposted in the new epoch; a late
+		// response here would corrupt the successor's view of the slot.
+		return
+	}
+	b.ring.writeResponse(req.slot, ret, int32(errno))
+	b.OpsHandled++
+	tr.Add("cvd.backend.ops", 1)
+	b.complete(rid, false)
 }
 
 // complete signals the frontend that a response is ready: a cheap
@@ -588,12 +634,13 @@ func (b *Backend) flushResp() {
 	b.hv.SendInterrupt(b.guestVM, b.vecResp)
 }
 
-func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) {
-	ops := b.node.Ops
+func (b *Backend) execute(op *forwarded, req request) (int32, kernel.Errno) {
+	ops, task, c := b.node.Ops, &op.task, &op.ctx
 	switch req.op {
 	case opOpen:
 		f := &kernel.File{Node: b.node, Flags: devfileFlags(req.arg0), Proc: b.proc}
-		if err := ops.Open(&kernel.FopCtx{Task: task, File: f}); err != nil {
+		c.File = f
+		if err := ops.Open(c); err != nil {
 			return -1, kernel.ErrnoOf(err)
 		}
 		b.files[req.fileID] = f
@@ -621,13 +668,14 @@ func (b *Backend) execute(task *kernel.Task, req request) (int32, kernel.Errno) 
 			// The file is going away: its cached buffer mappings with it.
 			b.mapc.release(req.fileID)
 		}
-		return 0, kernel.ErrnoOf(ops.Release(&kernel.FopCtx{Task: task, File: f}))
+		c.File = f
+		return 0, kernel.ErrnoOf(ops.Release(c))
 	}
 	f, ok := b.lookupFile(task, req.fileID)
 	if !ok {
 		return -1, kernel.EINVAL
 	}
-	c := &kernel.FopCtx{Task: task, File: f}
+	c.File = f
 	switch req.op {
 	case opRead:
 		n, err := ops.Read(c, mem.GuestVirt(req.arg0), int(req.arg1))

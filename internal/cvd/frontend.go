@@ -761,17 +761,20 @@ func (r userReader) ReadUser(va mem.GuestVirt, buf []byte) error {
 // Ioctl implements kernel.FileOps: memory operations come from the
 // analyzer's command spec when one is registered (static entries, or
 // just-in-time slice execution for nested copies), falling back to the
-// command-number macros.
+// command-number macros. They are collected in a per-call array: declare
+// spends virtual time before the grant table reads them, and other tasks of
+// this guest may issue ioctls meanwhile.
 func (fe *Frontend) Ioctl(c *kernel.FopCtx, cmd devfile.IoctlCmd, arg mem.GuestVirt) (int32, error) {
-	var ops []grant.Op
+	var buf [4]grant.Op
+	ops := buf[:0]
 	if spec, ok := fe.specs[cmd]; ok {
 		var err error
-		ops, err = spec.Ops(uint64(arg), userReader{c})
+		ops, err = spec.Ops(ops, uint64(arg), userReader{c})
 		if err != nil {
 			return -1, kernel.EFAULT
 		}
 	} else {
-		ops = ioctlan.MacroOps(cmd, uint64(arg))
+		ops = ioctlan.MacroOps(ops, cmd, uint64(arg))
 	}
 	ref, err := fe.declare(c, ops)
 	if err != nil {

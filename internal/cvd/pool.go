@@ -40,7 +40,7 @@ type Pool struct {
 	// onServe, when set, observes every dequeue in service order (test hook
 	// for the per-channel FIFO contract). Runs in worker context before the
 	// operation executes; must not block.
-	onServe func(b *Backend, seq uint32)
+	onServe func(b *Backend, req request)
 
 	// Stats observable by tests and the bench harness.
 	Enqueued uint64 // operations handed to the pool
@@ -195,7 +195,7 @@ func (pl *Pool) worker(p *sim.Proc) {
 		pl.Served++
 		trace.Get(pl.driverK.Env).Add("cvd.pool.served", 1)
 		if pl.onServe != nil {
-			pl.onServe(b, req.seq)
+			pl.onServe(b, req)
 		}
 		b.handle(p, req)
 	}

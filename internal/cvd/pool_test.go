@@ -69,8 +69,8 @@ func TestPoolPerChannelFIFO(t *testing.T) {
 		seq uint32
 	}
 	var serves []serve
-	r.pool.onServe = func(b *Backend, seq uint32) {
-		serves = append(serves, serve{b, seq})
+	r.pool.onServe = func(b *Backend, req request) {
+		serves = append(serves, serve{b, req.seq})
 	}
 
 	for gi := 0; gi < 2; gi++ {
@@ -123,7 +123,7 @@ func TestPoolPerChannelFIFO(t *testing.T) {
 func TestPoolRoundRobinBound(t *testing.T) {
 	r := newPoolRig(t, 1) // one worker: the serve trace is the schedule
 	var trace []*Backend
-	r.pool.onServe = func(b *Backend, seq uint32) { trace = append(trace, b) }
+	r.pool.onServe = func(b *Backend, _ request) { trace = append(trace, b) }
 
 	for gi := 0; gi < 2; gi++ {
 		gi := gi

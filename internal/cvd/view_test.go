@@ -27,9 +27,10 @@ func TestRingScansDoNotAllocate(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Backend.oldestPosted", func() {
-			if s, ok := r.be.oldestPosted(); !ok || s != 93 {
-				t.Fatalf("oldestPosted = %d, %v; want 93", s, ok)
+		{"Backend.nextPosted", func() {
+			r.be.posted.drop()
+			if s, ok := r.be.nextPosted(); !ok || s != 93 {
+				t.Fatalf("nextPosted = %d, %v; want 93", s, ok)
 			}
 		}},
 		{"Frontend.allocSlot", func() {
@@ -67,7 +68,7 @@ func TestRingViewChecksDriverEPT(t *testing.T) {
 	} {
 		r := newRig(t, Interrupts, kernel.Linux)
 		acc := r.be.ring.acc
-		r.be.oldestPosted()
+		r.be.nextPosted()
 		r.be.ring.writeU32(hdrNotifBits, 0)
 		if err := c.change(r.driverVM.EPT, acc.GPA); err != nil {
 			t.Fatal(err)
@@ -95,10 +96,11 @@ func TestRingViewChecksDriverEPT(t *testing.T) {
 				msg, _ := recover().(string)
 				want := "cvd: ring page inaccessible: " + wantPage.Error()
 				if msg != want || !strings.HasPrefix(msg, "cvd: ring page inaccessible: EPT violation") {
-					t.Errorf("%s: oldestPosted panicked with %q, want %q", c.name, msg, want)
+					t.Errorf("%s: nextPosted panicked with %q, want %q", c.name, msg, want)
 				}
 			}()
-			r.be.oldestPosted()
+			r.be.posted.drop()
+			r.be.nextPosted()
 		}()
 	}
 }
@@ -179,10 +181,11 @@ func TestRingScanEquivalenceProperty(t *testing.T) {
 		if err := r.fe.ring.acc.WriteAt(0, pg[:]); err != nil {
 			t.Fatal(err)
 		}
-		gs, gok := r.be.oldestPosted()
+		r.be.posted.drop()
+		gs, gok := r.be.nextPosted()
 		ws, wok := be.oldestPosted()
 		if gs != ws || gok != wok {
-			t.Logf("seed %d: oldestPosted = %d, %v; reference %d, %v", seed, gs, gok, ws, wok)
+			t.Logf("seed %d: nextPosted = %d, %v; reference %d, %v", seed, gs, gok, ws, wok)
 			return false
 		}
 		if got, want := r.fe.Occupancy(), fe.occupancy(); got != want {

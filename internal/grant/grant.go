@@ -226,6 +226,10 @@ type Table struct {
 	// hypercall that hands the hypervisor the whole entry vector in one
 	// crossing.
 	onDeclare []func(ref uint32, ptRoot mem.GuestPhys, ops []Op)
+	// declared is the copy of a declaration's ops the onDeclare subscribers
+	// see. Handing them the caller's slice would make every caller's ops
+	// escape, and the frontend collects them in an array on its stack.
+	declared []Op
 }
 
 // NewTable wraps a zeroed shared page.
@@ -265,8 +269,11 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 		_ = revoke(t.acc, ref)
 		return 0, fmt.Errorf("grant: table full (%d slots)", slotCount)
 	}
-	for _, fn := range t.onDeclare {
-		fn(ref, ptRoot, ops)
+	if len(t.onDeclare) > 0 {
+		t.declared = append(t.declared[:0], ops...)
+		for _, fn := range t.onDeclare {
+			fn(ref, ptRoot, t.declared)
+		}
 	}
 	return ref, nil
 }

@@ -80,46 +80,45 @@ type UserReader interface {
 	ReadUser(va mem.GuestVirt, buf []byte) error
 }
 
-// Ops produces the legitimate memory operations for one invocation:
-// materialized static entries for offline-resolved commands, or a
-// just-in-time execution of the extracted slice for nested-copy commands.
-func (cs *CmdSpec) Ops(arg uint64, r UserReader) ([]grant.Op, error) {
+// Ops appends the legitimate memory operations for one invocation to dst
+// and returns the extended slice: materialized static entries for
+// offline-resolved commands, or a just-in-time execution of the extracted
+// slice for nested-copy commands.
+func (cs *CmdSpec) Ops(dst []grant.Op, arg uint64, r UserReader) ([]grant.Op, error) {
 	if !cs.Dynamic {
-		out := make([]grant.Op, len(cs.Static))
-		for i, s := range cs.Static {
-			out[i] = s.Materialize(arg)
+		for _, s := range cs.Static {
+			dst = append(dst, s.Materialize(arg))
 		}
-		return out, nil
+		return dst, nil
 	}
 	if r == nil {
-		return nil, ErrDynamic
+		return dst, ErrDynamic
 	}
 	recs, err := execute(cs.Slice, symval{b: arg}, uint64(cs.Cmd.Size()), r)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]grant.Op, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.static.Materialize(0) // already concrete: ACoef folded
+	for _, rec := range recs {
+		dst = append(dst, rec.static.Materialize(0)) // already concrete: ACoef folded
 	}
-	return out, nil
+	return dst, nil
 }
 
-// MacroOps derives memory operations purely from the command number, the
-// paper's first technique (§4.1): the OS-provided macros embed the payload
-// size and copy direction, and the untyped pointer holds the address.
-func MacroOps(cmd devfile.IoctlCmd, arg uint64) []grant.Op {
-	var out []grant.Op
+// MacroOps appends the memory operations derived purely from the command
+// number to dst, the paper's first technique (§4.1): the OS-provided macros
+// embed the payload size and copy direction, and the untyped pointer holds
+// the address.
+func MacroOps(dst []grant.Op, cmd devfile.IoctlCmd, arg uint64) []grant.Op {
 	if cmd.Size() == 0 {
-		return nil
+		return dst
 	}
 	if cmd.Dir()&devfile.DirWrite != 0 {
-		out = append(out, grant.Op{Kind: grant.KindCopyFrom, VA: mem.GuestVirt(arg), Len: uint64(cmd.Size())})
+		dst = append(dst, grant.Op{Kind: grant.KindCopyFrom, VA: mem.GuestVirt(arg), Len: uint64(cmd.Size())})
 	}
 	if cmd.Dir()&devfile.DirRead != 0 {
-		out = append(out, grant.Op{Kind: grant.KindCopyTo, VA: mem.GuestVirt(arg), Len: uint64(cmd.Size())})
+		dst = append(dst, grant.Op{Kind: grant.KindCopyTo, VA: mem.GuestVirt(arg), Len: uint64(cmd.Size())})
 	}
-	return out
+	return dst
 }
 
 // symval is a value linear in the ioctl argument: a*arg + b.

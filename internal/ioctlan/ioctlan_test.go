@@ -111,7 +111,7 @@ func TestAnalyzeSimpleIsStatic(t *testing.T) {
 	if len(spec.Static) != 2 {
 		t.Fatalf("static ops = %d, want 2", len(spec.Static))
 	}
-	ops, err := spec.Ops(0x4000_0000, nil)
+	ops, err := spec.Ops(nil, 0x4000_0000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAnalyzeNestedIsDynamic(t *testing.T) {
 	if !spec.Dynamic {
 		t.Fatal("nested copies classified static")
 	}
-	if _, err := spec.Ops(0x1000, nil); err == nil {
+	if _, err := spec.Ops(nil, 0x1000, nil); err == nil {
 		t.Fatal("dynamic Ops without a reader should fail")
 	}
 }
@@ -152,7 +152,7 @@ func TestJITResolvesNestedCopies(t *testing.T) {
 	binary.LittleEndian.PutUint64(chunks[16:], 0x5000)
 	binary.LittleEndian.PutUint32(chunks[24:], 100)
 	r := mapReader{0x1000: hdr, 0x2000: chunks}
-	ops, err := spec.Ops(0x1000, r)
+	ops, err := spec.Ops(nil, 0x1000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +174,17 @@ func TestJITResolvesNestedCopies(t *testing.T) {
 }
 
 func TestMacroOps(t *testing.T) {
-	ops := MacroOps(devfile.IOWR('x', 1, 48), 0x7000)
+	ops := MacroOps(nil, devfile.IOWR('x', 1, 48), 0x7000)
 	if len(ops) != 2 || ops[0].Kind != grant.KindCopyFrom || ops[1].Kind != grant.KindCopyTo {
 		t.Fatalf("IOWR macro ops = %+v", ops)
 	}
 	if ops[0].VA != 0x7000 || ops[0].Len != 48 {
 		t.Fatalf("macro op = %+v", ops[0])
 	}
-	if got := MacroOps(devfile.IO('x', 2), 0x7000); len(got) != 0 {
+	if got := MacroOps(nil, devfile.IO('x', 2), 0x7000); len(got) != 0 {
 		t.Fatalf("_IO macro ops = %+v, want none", got)
 	}
-	if got := MacroOps(devfile.IOR('x', 3, 8), 0x7000); len(got) != 1 || got[0].Kind != grant.KindCopyTo {
+	if got := MacroOps(nil, devfile.IOR('x', 3, 8), 0x7000); len(got) != 1 || got[0].Kind != grant.KindCopyTo {
 		t.Fatalf("_IOR macro ops = %+v", got)
 	}
 }
@@ -213,7 +213,7 @@ func TestConstantLoopUnrollsStatically(t *testing.T) {
 	if len(spec.Static) != 3 {
 		t.Fatalf("static ops = %d, want 3", len(spec.Static))
 	}
-	ops, _ := spec.Ops(0x1000, nil)
+	ops, _ := spec.Ops(nil, 0x1000, nil)
 	for i, op := range ops {
 		if op.VA != mem.GuestVirt(0x1000+i*64) || op.Len != 64 {
 			t.Fatalf("op%d = %+v", i, op)
@@ -260,7 +260,7 @@ func TestIfOnUserDataIsDynamic(t *testing.T) {
 	}
 	// JIT with condition false: only the header copy.
 	hdr := make([]byte, 16)
-	ops, err := spec.Ops(0x1000, mapReader{0x1000: hdr})
+	ops, err := spec.Ops(nil, 0x1000, mapReader{0x1000: hdr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestIfOnUserDataIsDynamic(t *testing.T) {
 	// Condition true: the nested copy appears.
 	binary.LittleEndian.PutUint32(hdr[0:], 1)
 	binary.LittleEndian.PutUint64(hdr[8:], 0x9000)
-	ops, err = spec.Ops(0x1000, mapReader{0x1000: hdr})
+	ops, err = spec.Ops(nil, 0x1000, mapReader{0x1000: hdr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestPropertyHeaderOpCoversArg(t *testing.T) {
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(arg)+0x100)
 		chunks := make([]byte, 16*4)
 		r := mapReader{arg: hdr, arg + 0x100: chunks}
-		ops, err := spec.Ops(uint64(arg), r)
+		ops, err := spec.Ops(nil, uint64(arg), r)
 		if err != nil {
 			return false
 		}

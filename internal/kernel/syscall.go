@@ -54,7 +54,8 @@ func (t *Task) opEnd(tr *trace.Tracer, start sim.Time, op, path string, err erro
 // sys is the envelope of every fd-based system call. It opens the request
 // (opBegin), resolves fd, runs call with the request's one FopCtx, and closes
 // the root span once, named by the file's path, or "?" when fd is not open
-// (the call then fails with EINVAL without reaching a driver).
+// (the call then fails with EINVAL without reaching a driver). The FopCtx
+// lives in the Task, which makes one system call at a time.
 func sys[T any](t *Task, op string, fd int, call func(c *FopCtx) (T, error)) (T, error) {
 	tr, start := t.opBegin()
 	path := "?"
@@ -62,7 +63,8 @@ func sys[T any](t *Task, op string, fd int, call func(c *FopCtx) (T, error)) (T,
 	var err error = EINVAL
 	if f, ok := t.Proc.fds[fd]; ok {
 		path = f.Node.Path
-		ret, err = call(&FopCtx{Task: t, File: f})
+		t.fop = FopCtx{Task: t, File: f}
+		ret, err = call(&t.fop)
 	}
 	t.opEnd(tr, start, op, path, err)
 	return ret, err

@@ -29,8 +29,9 @@ type Task struct {
 	Remote RemoteOps
 
 	sp   *sim.Proc
-	err  error // what a Go body returned
-	done bool  // the Go body has returned
+	err  error  // what a Go body returned
+	done bool   // the Go body has returned
+	fop  FopCtx // the context of the system call in progress (sys)
 }
 
 // RemoteOps is the hypervisor memory-operation API as seen by the wrapper
@@ -85,10 +86,11 @@ func (t *Task) Err() error {
 	return t.err
 }
 
-// AdoptTask binds a Task to an already-running simulation process. The CVD
-// backend uses this for its worker threads.
-func (p *Process) AdoptTask(name string, sp *sim.Proc) *Task {
-	return &Task{Proc: p, Name: name, sp: sp}
+// AdoptTask makes t, which the caller allocated, a thread of p running on
+// an already-running simulation process. The CVD backend adopts one task per
+// forwarded operation, held in the operation's own record.
+func (p *Process) AdoptTask(t *Task, sp *sim.Proc) {
+	*t = Task{Proc: p, sp: sp}
 }
 
 // Sim returns the simulation process executing this task.
