@@ -110,14 +110,12 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 
 // attach installs be as the backend of the guest's channel at path: the
 // channel's first backend and every restart or handover successor alike. It
-// joins the serving shard's worker pool, and the machine re-applies what it
+// joins the serving shard's handler set, and the machine re-applies what it
 // keeps on a backend: the §5.1 foreground gate on a gated input device, and
 // the end of degraded mode (a fresh backend serves the device again even if
 // a supervisor had given up on its predecessor).
 func (g *Guest) attach(path string, be *cvd.Backend) {
-	if pool := g.M.ShardFor(path).Pool; pool != nil {
-		pool.Join(be)
-	}
+	g.M.ShardFor(path).Pool.Join(be)
 	g.Backends[path] = be
 	g.Frontends[path].SetDegraded(false)
 	if isGatedInputPath(path) {

@@ -2,7 +2,6 @@ package cvd
 
 import (
 	"slices"
-	"strconv"
 
 	"paradice/internal/faults"
 	"paradice/internal/grant"
@@ -42,9 +41,9 @@ func opName(op uint8) string {
 }
 
 // Backend is the CVD backend serving one guest VM's channel for one device
-// file. A dispatcher task pops posted operations in FIFO order and invokes
-// a handler thread per operation, marking the thread so the kernel's
-// wrapper stubs redirect its memory operations to the hypervisor (§5.2).
+// file. A dispatcher task pops posted operations in FIFO order and hands each
+// to a handler thread (pool.go), marked so the kernel's wrapper stubs redirect
+// its memory operations to the hypervisor (§5.2).
 type Backend struct {
 	hv       *hv.Hypervisor
 	driverVM *hv.VM
@@ -88,10 +87,8 @@ type Backend struct {
 	// mapc, when non-nil, is the grant-map cache (the bulk-transfer fast
 	// path); see mapcache.go.
 	mapc *mapCache
-	// pool, when non-nil, is the driver VM's shared worker pool: the
-	// dispatcher enqueues operations there instead of spawning an unbounded
-	// handler thread each, and bounded workers serve channels round-robin.
-	// See pool.go.
+	// pool is the handler set the dispatcher hands operations to: the
+	// backend's own until a Machine joins it to its driver VM's. See pool.go.
 	pool *Pool
 	// poolChan is this channel's queue in pool, set by Join and cleared by
 	// Leave, so an enqueue need not search the pool's channel list.
@@ -141,7 +138,8 @@ func (b *Backend) SetNotifyGate(fn func() bool) { b.notifyGate = fn }
 
 // forwarded is one forwarded operation on the driver-VM side: the adopted
 // task that runs it, the conduit its memory operations go through and the
-// context its file operation runs with, allocated together.
+// context its file operation runs with. Each handler thread owns one and
+// resets it for every operation it runs.
 type forwarded struct {
 	task    kernel.Task
 	conduit remoteConduit
@@ -253,6 +251,7 @@ func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM
 	// The driver calling kill_fasync on one of our opened files lands in
 	// our backend process's SIGIO path; relay it to the frontend.
 	proc.OnSIGIO(func() { b.notify(notifSIGIO) })
+	NewPool(driverK, 0).Join(b)
 	driverVM.RegisterISR(vecToBackend, func() {
 		b.WakeIRQs++
 		trace.Get(driverK.Env).Add("cvd.backend.wake_irqs", 1)
@@ -300,8 +299,8 @@ func (b *Backend) notify(bits uint32) {
 	b.hv.SendInterrupt(b.guestVM, b.vecNotif)
 }
 
-// dispatch is the backend's main loop: pop the oldest posted slot, spawn a
-// handler thread for it, repeat; between operations, poll the page for the
+// dispatch is the backend's main loop: pop the oldest posted slot, hand it
+// to a handler thread, repeat; between operations, poll the page for the
 // 200 µs window (polling mode) before sleeping on the doorbell.
 //
 // The dispatcher and its sleep are the "vCPU halt" fast path: waking it
@@ -329,12 +328,7 @@ func (b *Backend) dispatch(p *sim.Proc) {
 				tr.Instant(0, b.driverVM.Name, trace.LayerBE, b.stanceName(), b.guestVM.Name)
 			}
 			b.ring.setSlotState(slot, slotRunning)
-			req := b.ring.readRequest(slot)
-			if b.pool != nil {
-				b.pool.enqueue(b, req)
-			} else {
-				b.spawnHandler(req)
-			}
+			b.pool.enqueue(b, b.ring.readRequest(slot))
 			continue
 		}
 		// About to sleep: re-arm the doorbell, then re-check the heartbeat
@@ -484,17 +478,15 @@ func (b *Backend) ackHeartbeat(req uint32) {
 
 // halt is the backend's one teardown, shared by Stop and Kill: it latches
 // stopped, tears down every cached guest-buffer mapping (a dead driver VM's
-// EPT must not keep windows into guest data buffers) and leaves the worker
-// pool. It runs again on a backend already halted, so a Stop after a death
+// EPT must not keep windows into guest data buffers) and leaves its handler
+// set. It runs again on a backend already halted, so a Stop after a death
 // still drops whatever a handler thread left in flight mapped since.
 func (b *Backend) halt() {
 	b.stopped = true
 	if b.mapc != nil {
 		b.mapc.dropAll()
 	}
-	if b.pool != nil {
-		b.pool.Leave(b)
-	}
+	b.pool.Leave(b)
 }
 
 // Kill terminates the backend as an injected driver-VM crash would: the
@@ -529,33 +521,21 @@ func (b *Backend) OnDeath(fn func()) {
 	b.onDeath = fn
 }
 
-// spawnHandler runs one forwarded operation on its own thread, as the paper
-// does ("the CVD backend invokes a thread to execute the file operation"),
-// so an operation blocking in the driver does not stall the queue. With a
-// worker pool attached (Config.Workers > 0) the dispatcher enqueues to the
-// pool instead and a bounded worker calls handle directly.
-func (b *Backend) spawnHandler(req request) {
-	name := "cvd-op-" + b.guestVM.Name + "-" + strconv.FormatUint(uint64(req.seq), 10) + "@" + b.driverK.Name
-	b.driverK.Env.Spawn(name, func(sp *sim.Proc) {
-		b.handle(sp, req)
-	})
-}
-
-// handle executes one forwarded operation on the calling proc — either a
-// per-op handler thread (spawnHandler) or a pooled worker. It deserializes,
-// serves the request's trace ID on sp, adopts a driver-VM task, runs the file
-// operation, and writes the response unless the ring's epoch moved on.
-func (b *Backend) handle(sp *sim.Proc, req request) {
+// handle executes one forwarded operation on handler thread sp, reusing the
+// thread's op record. It deserializes, serves the request's trace ID on sp,
+// adopts a driver-VM task, runs the file operation, and writes the response
+// unless the ring's epoch moved on.
+func (b *Backend) handle(sp *sim.Proc, op *forwarded, req request) {
 	tr := trace.Get(b.driverK.Env)
 	rid := uint64(req.rid)
 	// The handler proc serves the forwarded request while it runs, so every
 	// charge it makes and every layer that only sees the Env (hypervisor
-	// memory ops, IOMMU) lands on the right request. A pooled worker serves
-	// many requests in turn, one at a time.
+	// memory ops, IOMMU) lands on the right request. A handler serves many
+	// requests in turn, one at a time.
 	sp.SetRID(rid)
 	defer sp.SetRID(0)
 	perf.Spend(b.driverK.Env, b.driverVM.Name, trace.LayerBE, "dispatch", perf.CostPost) // deserialize the request
-	op := &forwarded{conduit: remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}}
+	*op = forwarded{conduit: remoteConduit{hv: b.hv, guest: b.guestVM, drv: b.driverVM, ref: req.ref}}
 	b.proc.AdoptTask(&op.task, sp)
 	op.ctx.Task = &op.task
 	if b.mapc != nil && req.flags&reqFlagMapHint != 0 {

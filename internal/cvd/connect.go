@@ -79,8 +79,8 @@ const CoalesceBatch = 8
 // driver VMs, interrupt vectors in both directions, the backend dispatcher
 // in the driver VM, and a virtual device file in the guest's devfs backed by
 // the frontend. Returns the frontend and backend halves. The first backend
-// attaches exactly as every successor does (prepare, then bind); a backend
-// joins a worker pool with Pool.Join. Each fallible step undoes its own
+// attaches exactly as every successor does (prepare, then bind), in a handler
+// set of its own until Pool.Join moves it. Each fallible step undoes its own
 // partial work, and a failure undoes every step before it.
 func Connect(cfg Config) (*Frontend, *Backend, error) {
 	if cfg.PollWindow < 0 || cfg.CoalesceWindow < 0 || cfg.RequestDeadline < 0 {

@@ -2,11 +2,14 @@ package cvd
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"paradice/internal/devfile"
 	"paradice/internal/hv"
 	"paradice/internal/kernel"
+	"paradice/internal/perf"
 	"paradice/internal/sim"
 )
 
@@ -217,7 +220,7 @@ func TestPoolLeaveDropsBacklog(t *testing.T) {
 	// Stop the channel with operations never posted again: its queue must
 	// be discarded, not served against a dead ring.
 	r.bes[0].Stop()
-	if r.bes[0].pool != nil {
+	if r.bes[0].poolChan != nil {
 		t.Fatal("stopped backend still attached to the pool")
 	}
 	r.env.Run()
@@ -317,7 +320,8 @@ func TestPoolBookkeepingMatchesReference(t *testing.T) {
 	t.Cleanup(env.Close)
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pl := &Pool{driverK: &kernel.Kernel{Env: env}, doorbell: env.NewEvent("pool")}
+		// One handler, busy throughout: every operation queues.
+		pl := &Pool{driverK: &kernel.Kernel{Env: env}, cap: 1, handlers: 1}
 		ref := &refPool{}
 		bes := make([]*Backend, 1+rng.Intn(6))
 		for i := range bes {
@@ -350,18 +354,174 @@ func TestPoolBookkeepingMatchesReference(t *testing.T) {
 			for _, c := range pl.channels {
 				sum += c.q.Len()
 			}
-			if pl.depth() != sum || sum != ref.depth() {
-				t.Fatalf("seed %d step %d: depth %d, queues hold %d, reference %d", seed, step, pl.depth(), sum, ref.depth())
+			if pl.queued != sum || sum != ref.depth() {
+				t.Fatalf("seed %d step %d: depth %d, queues hold %d, reference %d", seed, step, pl.queued, sum, ref.depth())
 			}
 			if pl.rr != ref.rr || pl.Enqueued != ref.enqueued || pl.Dropped != ref.dropped || pl.MaxDepth != ref.maxDepth {
 				t.Fatalf("seed %d step %d: cursor %d, enqueued %d, dropped %d, max depth %d; reference %d, %d, %d, %d",
 					seed, step, pl.rr, pl.Enqueued, pl.Dropped, pl.MaxDepth, ref.rr, ref.enqueued, ref.dropped, ref.maxDepth)
 			}
 			for _, b := range bes {
-				if (b.poolChan != nil) != (b.pool == pl) {
-					t.Fatalf("seed %d step %d: backend pool %p with channel %p", seed, step, b.pool, b.poolChan)
+				joined := slices.ContainsFunc(pl.channels, func(c *poolChan) bool { return c.b == b })
+				if (b.poolChan != nil) != joined {
+					t.Fatalf("seed %d step %d: backend joined %v with channel %p", seed, step, joined, b.poolChan)
 				}
 			}
 		}
+	}
+}
+
+// blockReaders starts n guest tasks that each open the test device and read
+// one byte from it, and runs until every read has been forwarded: with the
+// driver's store empty, each blocks in the driver and holds its handler.
+func blockReaders(t *testing.T, r *rig, n int) {
+	t.Helper()
+	app, err := r.guestK.NewProcess("readers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		app.SpawnTask("reader", func(tk *kernel.Task) {
+			fd, err := tk.Open("/dev/testdev", devfile.ORdOnly)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf, _ := app.Alloc(1)
+			if _, err := tk.Read(fd, buf, 1); err != nil {
+				t.Error(err)
+			}
+			tk.Close(fd)
+		})
+	}
+	r.env.RunUntil(r.env.Now().Add(sim.Millisecond))
+}
+
+// releaseReaders writes n bytes into the driver's store from a driver-VM
+// process, which wakes the blocked readers, and runs the calendar out.
+func releaseReaders(t *testing.T, r *rig, n int) {
+	t.Helper()
+	w, err := r.driverK.NewProcess("local-writer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SpawnTask("w", func(tk *kernel.Task) {
+		fd, _ := tk.Open("/dev/testdev", devfile.OWrOnly)
+		src, _ := w.Alloc(n)
+		if _, err := tk.Write(fd, src, n); err != nil {
+			t.Error(err)
+		}
+	})
+	r.env.Run()
+}
+
+// The handler set spawns a thread only when no handler is parked: K
+// operations blocked in the driver at once take exactly K handlers
+// (uncapped), or the cap's worth while the rest queue, and 1000 sequential
+// operations afterwards spawn none.
+func TestHandlersBoundedByConcurrency(t *testing.T) {
+	const blocked = 5
+	for _, c := range []struct{ workers, want int }{{0, blocked}, {2, 2}} {
+		r := newRig(t, Interrupts, kernel.Linux)
+		pl := NewPool(r.driverK, c.workers)
+		pl.Join(r.be)
+		blockReaders(t, r, blocked)
+		if pl.handlers != c.want || pl.queued != blocked-c.want {
+			t.Fatalf("workers %d: %d reads blocked with %d handlers and %d queued, want %d and %d",
+				c.workers, blocked, pl.handlers, pl.queued, c.want, blocked-c.want)
+		}
+		releaseReaders(t, r, blocked)
+		r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
+			fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
+			for i := 0; i < 1000; i++ {
+				if _, err := tk.Ioctl(fd, tdNoop, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if pl.handlers != c.want || len(pl.idle) != c.want {
+			t.Fatalf("workers %d: %d handlers, %d parked after 1000 sequential ops, want %d",
+				c.workers, pl.handlers, len(pl.idle), c.want)
+		}
+		if want := uint64(blocked*3 + 1001); pl.Served != want {
+			t.Fatalf("workers %d: served %d ops, want %d", c.workers, pl.Served, want)
+		}
+	}
+}
+
+// handlerResumes counts the resumes of each CVD handler thread.
+type handlerResumes map[string]int
+
+func (handlerResumes) SchedCallback(sim.Time) {}
+
+func (h handlerResumes) SchedResume(_ sim.Time, proc string) {
+	if strings.HasPrefix(proc, "cvd-op-") {
+		h[proc]++
+	}
+}
+
+// A hand-off wakes the one handler it goes to: with four handlers parked,
+// a forwarded operation resumes exactly one of them, however often.
+func TestHandOffWakesOneHandler(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		r := newRig(t, Interrupts, kernel.Linux)
+		pl := NewPool(r.driverK, workers)
+		pl.Join(r.be)
+		blockReaders(t, r, 4)
+		releaseReaders(t, r, 4)
+		if len(pl.idle) != 4 {
+			t.Fatalf("workers %d: %d handlers parked, want 4", workers, len(pl.idle))
+		}
+		resumed := handlerResumes{}
+		r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
+			fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
+			r.env.Observer = resumed
+			if _, err := tk.Ioctl(fd, tdNoop, 0); err != nil {
+				t.Fatal(err)
+			}
+			r.env.Observer = nil
+		})
+		if len(resumed) != 1 {
+			t.Fatalf("workers %d: one operation resumed handlers %v, want one", workers, resumed)
+		}
+	}
+}
+
+// Two operations of one channel reach a set at its cap of two, with one
+// handler parked and the other finishing at that very instant, after them:
+// the first wakes the parked handler, and the finisher runs before it. The
+// second must not start before the first.
+func TestQueuedOpsStartInPostOrder(t *testing.T) {
+	r := newRig(t, Interrupts, kernel.Linux)
+	pl := NewPool(r.driverK, 2)
+	pl.Join(r.be)
+	blockReaders(t, r, 2)
+	releaseReaders(t, r, 2)
+	var started []uint32
+	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
+		fd, _ := tk.Open("/dev/testdev", devfile.ORdWr)
+		pl.onServe = func(b *Backend, req request) {
+			started = append(started, req.seq)
+			if len(started) > 1 {
+				return
+			}
+			// The ioctl below just started; its handler finishes after the
+			// dispatch, completion and response-interrupt charges.
+			r.env.Spawn("arrivals", func(p *sim.Proc) {
+				p.Sleep(perf.CostPost + perf.CostComplete + perf.CostHypercall)
+				for seq := uint32(1001); seq <= 1002; seq++ {
+					pl.enqueue(b, request{slot: slotCount - 1 - int(seq%2), seq: seq, op: opIoctl})
+				}
+				if len(pl.idle) != 0 || pl.queued != 2 {
+					t.Errorf("arrivals: %d handlers parked and %d ops queued, want 0 and 2", len(pl.idle), pl.queued)
+				}
+			})
+		}
+		if _, err := tk.Ioctl(fd, tdNoop, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(started) != 3 || started[1] != 1001 || started[2] != 1002 {
+		t.Fatalf("start order %v, want the ioctl, then 1001, then 1002", started)
 	}
 }

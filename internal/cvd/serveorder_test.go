@@ -48,16 +48,16 @@ const serveSettle = 20 * sim.Microsecond
 // serveStates are the state words the guest writes, hostile ones included.
 var serveStates = []uint32{slotPosted, slotPosted, slotPosted, slotFree, slotDone, slotClaimed, 7, 0xFFFFFFFF}
 
-// checkServeOrder runs steps against a backend whose one pooled worker
-// records the slots in the order the dispatcher took them. After each turn
-// the slots the dispatcher took since the guest's previous turn must be a
-// prefix of the reference order of the slots posted then, all of it once a
-// doorbell has had time to settle, and the worker's record must be those
-// prefixes in turn. The guest never writes a running slot, whose handler
+// checkServeOrder runs steps against a backend whose handler set (capped at
+// workers, 0 for uncapped) records the slots in the order its handlers start
+// them. After each turn the slots the dispatcher took since the guest's
+// previous turn must be a prefix of the reference order of the slots posted
+// then, all of it once a doorbell has had time to settle, and the handlers'
+// record must be those prefixes in turn. The guest never writes a running slot, whose handler
 // owns it until the response lands.
-func checkServeOrder(t *testing.T, mode Mode, steps []serveStep) error {
+func checkServeOrder(t *testing.T, mode Mode, workers int, steps []serveStep) error {
 	r := newRig(t, mode, kernel.Linux)
-	pl := NewPool(r.driverK, 1)
+	pl := NewPool(r.driverK, workers)
 	pl.Join(r.be)
 	var served []int
 	pl.onServe = func(_ *Backend, req request) { served = append(served, req.slot) }
@@ -159,16 +159,18 @@ func randomServeSteps(rng *rand.Rand) []serveStep {
 }
 
 func TestDispatcherServeOrderProperty(t *testing.T) {
-	for _, mode := range []Mode{Polling, Interrupts, Adaptive} {
-		f := func(seed int64) bool {
-			if err := checkServeOrder(t, mode, randomServeSteps(rand.New(rand.NewSource(seed)))); err != nil {
-				t.Logf("%v seed %d: %v", mode, seed, err)
-				return false
+	for _, workers := range []int{1, 0} {
+		for _, mode := range []Mode{Polling, Interrupts, Adaptive} {
+			f := func(seed int64) bool {
+				if err := checkServeOrder(t, mode, workers, randomServeSteps(rand.New(rand.NewSource(seed)))); err != nil {
+					t.Logf("%v, %d workers, seed %d: %v", mode, workers, seed, err)
+					return false
+				}
+				return true
 			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -219,7 +221,7 @@ func FuzzDispatcherServeOrder(f *testing.F) {
 		}
 		steps = append(steps, st)
 		for _, mode := range []Mode{Polling, Interrupts} {
-			if err := checkServeOrder(t, mode, steps); err != nil {
+			if err := checkServeOrder(t, mode, 1, steps); err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
 		}

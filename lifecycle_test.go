@@ -5,6 +5,11 @@ import (
 	"testing"
 
 	"paradice"
+	"paradice/internal/cvd"
+	"paradice/internal/devfile"
+	"paradice/internal/kernel"
+	"paradice/internal/load"
+	"paradice/internal/sim"
 	"paradice/internal/workload"
 )
 
@@ -47,5 +52,64 @@ func TestMachineCloseCycles(t *testing.T) {
 	}
 	if grew := int64(heapInuse()) - int64(warm); grew > 8<<20 {
 		t.Fatalf("live heap grew %d KiB over %d closed machines", grew>>10, cycles-10)
+	}
+}
+
+// TestRetiredHandlerSetsServeNothing replaces the driver VM by a crash
+// restart and then by a planned handover, capped and uncapped: each
+// successor's operations run on its own shard's handler set, none on a
+// retired one, and closing the machine leaves no coroutine behind.
+func TestRetiredHandlerSetsServeNothing(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		base := runtime.NumGoroutine()
+		m, g := sinkMachine(t, paradice.Config{Workers: workers})
+		// serve runs one open, ten ioctls and a close: 12 forwarded ops.
+		serve := func() {
+			app, err := g.K.NewProcess("app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.SpawnTask("main", func(tk *kernel.Task) {
+				fd, err := tk.Open(load.SinkPath, devfile.ORdWr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				buf, _ := app.Alloc(64)
+				for i := 0; i < 10; i++ {
+					if _, err := tk.Ioctl(fd, load.Cmd(64), buf); err != nil {
+						t.Error(err)
+					}
+				}
+				tk.Close(fd)
+			})
+			m.Run()
+		}
+		var sets []*cvd.Pool
+		for _, replace := range []func() error{
+			func() error { return nil },
+			m.RestartDriverVM,
+			func() (err error) {
+				m.Env.Spawn("handover", func(*sim.Proc) { err = m.HandoverDriverVM() })
+				m.Run()
+				return err
+			},
+		} {
+			if err := replace(); err != nil {
+				t.Fatal(err)
+			}
+			serve()
+			sets = append(sets, m.Shards()[0].Pool)
+			for i, pl := range sets {
+				if pl.Served != 12 || i < len(sets)-1 && pl == sets[len(sets)-1] {
+					t.Fatalf("workers %d, generation %d: handler set %d served %d ops, want 12 and its own set",
+						workers, len(sets)-1, i, pl.Served)
+				}
+			}
+		}
+		m.Close()
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("workers %d: %d goroutines after Close, baseline %d", workers, got, base)
+		}
 	}
 }

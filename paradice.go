@@ -156,11 +156,11 @@ type Config struct {
 	// over independently, so one shard's outage leaves the other shards'
 	// guests undisturbed. Paradice machines only; the baselines always run 1.
 	DriverShards int
-	// Workers sizes each driver-VM shard's shared backend worker pool
-	// (cvd.Pool): per-channel dispatchers enqueue forwarded operations into
-	// per-channel FIFO queues drained round-robin by this many worker
-	// threads, bounding driver-VM thread count and isolating quiet guests
-	// from a hot one. Zero keeps the paper's thread-per-operation behavior.
+	// Workers caps each driver-VM shard's handler set (cvd.Pool), the threads
+	// that run forwarded operations. Zero means uncapped: one thread per
+	// operation in flight, the paper's behavior. At the cap, operations wait
+	// in per-channel FIFO queues drained round-robin, which bounds driver-VM
+	// threads and isolates quiet guests from a hot one.
 	Workers int
 }
 
@@ -199,8 +199,8 @@ const (
 var standardPaths = []string{PathGPU, PathNetmap, PathMouse, PathKeyboard, PathCamera, PathAudio}
 
 // DriverShard is one driver VM of a (possibly sharded) machine: its VM and
-// kernel, and — when Config.Workers > 0 — the worker pool shared by every
-// CVD backend in it. A restart or handover of the shard replaces VM, K, and
+// kernel, and the handler set shared by every CVD backend in it (capped at
+// Config.Workers). A restart or handover of the shard replaces VM, K, and
 // Pool in place; the DriverShard pointer itself is stable for the machine's
 // lifetime.
 type DriverShard struct {
@@ -363,8 +363,8 @@ func build(kind Kind, cfg Config) (*Machine, error) {
 }
 
 // bootShard boots a driver VM and kernel for shard i, replays the
-// OnDriverVMBoot hooks, and (when Config.Workers > 0) starts its worker
-// pool. With attach it first assigns the shard's devices to the new VM and
+// OnDriverVMBoot hooks, and makes its handler set, which spawns threads on
+// demand. With attach it first assigns the shard's devices to the new VM and
 // attaches their drivers (machine construction, a crash restart); a planned
 // handover boots without, side-by-side with the predecessor that still owns
 // the devices, and attaches at its switch. Shard 0 keeps the seed's "driver"
@@ -395,9 +395,7 @@ func (m *Machine) bootShard(i int, attach bool) (DriverShard, error) {
 			return sh, err
 		}
 	}
-	if m.cfg.Workers > 0 && m.Kind == KindParadice {
-		sh.Pool = cvd.NewPool(sh.K, m.cfg.Workers)
-	}
+	sh.Pool = cvd.NewPool(sh.K, m.cfg.Workers)
 	return sh, nil
 }
 

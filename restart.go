@@ -128,7 +128,7 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 		}
 		pred := *sh
 		// retire stops the predecessor's backend dispatchers, then its
-		// worker pool. Channel order, not the map: each Stop drops that
+		// handler set. Channel order, not the map: each Stop drops that
 		// backend's map cache, charging CostMapPage per cached page in this
 		// proc's context, so the instant each later backend's stopped flag
 		// latches — and therefore which racing in-flight operations
@@ -139,12 +139,10 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 					be.Stop()
 				}
 			}
-			if pred.Pool != nil {
-				pred.Pool.Stop()
-			}
+			pred.Pool.Stop()
 		}
 		// bind attaches each channel's successor backend, which joins the
-		// shard's current worker pool and takes over what lived on the old
+		// shard's current handler set and takes over what lived on the old
 		// backend.
 		bind := func(successor func(j int) (*cvd.Backend, error)) error {
 			for j, c := range chs {
@@ -225,14 +223,11 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 				Abort: func() {
 					// Discard in prepare order: deterministic unmap charges.
 					// Preps that were bound have nothing left to discard. The
-					// booted successor VM's RAM (and its idle worker pool) is
-					// leaked — the hypervisor has no DestroyVM, same as an
+					// booted successor VM's RAM is leaked (its handler set never
+					// spawned) — the hypervisor has no DestroyVM, same as an
 					// abandoned pre-restart driver VM.
 					for _, prep := range preps {
 						prep.Discard()
-					}
-					if succ.Pool != nil {
-						succ.Pool.Stop()
 					}
 				},
 			})
