@@ -42,3 +42,40 @@ func BenchmarkSelfResume(b *testing.B) {
 		b.StopTimer()
 	})
 }
+
+// BenchmarkProcRing measures one hop of a token passed around a ring of 32
+// processes while 128 sleepers wait far in the future, about the calendar
+// size of the multi-guest workload: every wake-up is due at the instant it
+// is scheduled, beside a full calendar.
+func BenchmarkProcRing(b *testing.B) {
+	const ring, sleepers = 32, 128
+	e := NewEnv()
+	defer e.Close()
+	for i := 0; i < sleepers; i++ {
+		e.Spawn("sleeper", func(p *Proc) { p.Sleep(Second + Duration(i)) })
+	}
+	token := make([]*Event, ring)
+	for i := range token {
+		token[i] = e.NewEvent("token")
+	}
+	hops := 0
+	for i := 0; i < ring; i++ {
+		e.Spawn("ring", func(p *Proc) {
+			for {
+				p.Wait(token[i])
+				token[i].Reset()
+				if hops == b.N {
+					b.StopTimer()
+					return
+				}
+				hops++
+				token[(i+1)%ring].Trigger()
+			}
+		})
+	}
+	e.Spawn("start", func(p *Proc) {
+		b.ResetTimer()
+		token[0].Trigger()
+	})
+	e.Run()
+}

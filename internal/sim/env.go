@@ -7,9 +7,10 @@ import (
 
 // Env is a simulation environment: a virtual clock plus an event calendar.
 // An Env is not safe for concurrent use. Exactly one process body or the Run
-// caller executes at a time: each process runs on its own coroutine, and Run
-// resumes the next process due, which runs until it blocks (see Proc.block)
-// or finishes, so all mutation is serialized without locks.
+// caller executes at a time: each process runs on its own coroutine, resumed
+// when it is due by Run or by the process that blocked before it (see
+// Proc.block), and runs until it blocks or finishes, so all mutation is
+// serialized without locks.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -86,12 +87,26 @@ func (a *item) before(b *item) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// calendar is a binary min-heap of items in before order.
-type calendar []item
+// calendar holds the scheduled items in before order, in two parts. An item
+// due at the instant it is scheduled goes to the due-now queue, which is
+// already in before order since seqs only grow; every other item goes to a
+// binary min-heap. The queue holds only items due now, and now moves only
+// once it has drained (an item due later cannot be earlier than its head), so
+// a same-instant wake-up never sifts through the heap. The earliest item is
+// whichever head comes first.
+type calendar struct {
+	due  FIFO[item]
+	heap []item
+}
 
-// push adds it, sifting the hole it fills up from the bottom.
-func (c *calendar) push(it item) {
-	h := append(*c, it)
+// push adds it to the due-now queue when it is due at now, else to the heap,
+// sifting the hole it fills up from the bottom.
+func (c *calendar) push(it item, now Time) {
+	if it.at == now {
+		c.due.Push(it)
+		return
+	}
+	h := append(c.heap, it)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -102,12 +117,32 @@ func (c *calendar) push(it item) {
 		i = parent
 	}
 	h[i] = it
-	*c = h
+	c.heap = h
 }
 
-// pop removes the earliest item, sifting the last one down from the root.
-func (c *calendar) pop() {
-	h := *c
+// top returns the earliest item, or nil when the calendar is empty, and
+// whether it heads the due-now queue (what pop takes).
+func (c *calendar) top() (it *item, due bool) {
+	if c.due.Len() > 0 {
+		it = &c.due.buf[c.due.head]
+		if len(c.heap) == 0 || it.before(&c.heap[0]) {
+			return it, true
+		}
+	}
+	if len(c.heap) == 0 {
+		return nil, false
+	}
+	return &c.heap[0], false
+}
+
+// pop removes the earliest item, which top reported as heading the due-now
+// queue or not. Off the heap, it sifts the last item down from the root.
+func (c *calendar) pop(due bool) {
+	if due {
+		c.due.Pop()
+		return
+	}
+	h := c.heap
 	n := len(h) - 1
 	last := h[n]
 	h[n] = item{} // drop the callback and process references
@@ -130,7 +165,7 @@ func (c *calendar) pop() {
 		}
 		h[i] = last
 	}
-	*c = h
+	c.heap = h
 }
 
 func (e *Env) schedule(it item) {
@@ -139,7 +174,7 @@ func (e *Env) schedule(it item) {
 	}
 	it.seq = e.seq
 	e.seq++
-	e.cal.push(it)
+	e.cal.push(it, e.now)
 }
 
 // At schedules fn to run at absolute time t in scheduler context.
@@ -175,11 +210,12 @@ func (e *Env) RunUntil(limit Time) {
 	defer func() { e.running = false }()
 	e.limit = limit
 	e.stack = nil
-	// Resume each process due in turn; it runs until it blocks or finishes,
-	// then yields the next process due, or nil when nothing is due by the
-	// limit or a panic needs re-raising here.
+	// Resume the next process due; it and the processes it resumes in turn
+	// run until one yields down the next process due that nothing above
+	// could resume (after a body finished), or nil when nothing is due by
+	// the limit or a panic needs re-raising here.
 	for q := e.next(); q != nil; {
-		q, _ = q.t.resume()
+		q = q.t.enter()
 	}
 	if f := e.fault; f != nil {
 		e.fault = nil
@@ -202,18 +238,22 @@ func (e *Env) FaultStack() []byte { return e.stack }
 // due. It runs with no process current, on the Run caller or on the
 // coroutine of the process that just blocked or finished.
 func (e *Env) next() *Proc {
-	for len(e.cal) > 0 {
-		it := e.cal[0]
+	for {
+		top, due := e.cal.top()
+		if top == nil {
+			break
+		}
+		it := *top
 		if it.p != nil && (it.p.finished || it.gen != it.p.resumeGen) {
 			// Stale resume (dead process or superseded wake-up): discard
 			// without letting it advance the clock.
-			e.cal.pop()
+			e.cal.pop(due)
 			continue
 		}
 		if it.at > e.limit {
 			break
 		}
-		e.cal.pop()
+		e.cal.pop(due)
 		e.now = it.at
 		if it.fn != nil {
 			if e.Observer != nil {
@@ -277,7 +317,7 @@ func (e *Env) Close() {
 	for _, t := range e.idle {
 		t.stop()
 	}
-	e.cal, e.procs, e.nprocs, e.idle = nil, nil, 0, nil
+	e.cal, e.procs, e.nprocs, e.idle = calendar{}, nil, 0, nil
 }
 
 // ProcPanic is the value re-panicked on the goroutine driving Run when a

@@ -15,8 +15,10 @@ import (
 // It passes virtual time only by Sleep, Wait, WaitTimeout or Resource.Acquire.
 //
 // A body that leaves through runtime.Goexit (a t.FailNow in a test's process
-// body) ends its coroutine, and the Goexit carries on in the goroutine that
-// called Run, which then exits too; the Env stays usable.
+// body) ends its coroutine, and the Goexit carries on down the chain of
+// coroutines that resumed it (see thread): each process beneath it that
+// handed off to it ends too, running its deferred calls, and so does the
+// goroutine that called Run. The Env stays usable.
 type Proc struct {
 	env       *Env
 	name      string
@@ -66,19 +68,37 @@ func (c closedError) Error() string { return "sim: " + c.proc + " blocked after 
 // a run that spawns a process per request starts a coroutine only per
 // concurrently live process. Between bodies it is parked on Env.idle with p
 // and fn nil; Spawn hands it the next body.
+//
+// The coroutines up (running, or resuming another) form one chain from the
+// Run caller to the one running: a process that blocks resumes the next
+// process due itself when that one's coroutine is parked, and stays up
+// beneath it. A coroutine that cannot resume the next process due (it is
+// nil, or up beneath) yields it down the chain, and each coroutine it
+// reaches either is that process or passes it further down.
 type thread struct {
 	p  *Proc
 	fn func(*Proc)
+	up bool // running or resuming another thread; false while parked
 
-	resume func() (*Proc, bool) // run until the thread yields the next process due
+	resume func() (*Proc, bool) // run until the thread yields a process down
 	stop   func()               // end the thread; returns once its goroutine has exited
-	yield  func(*Proc) bool     // back to the Run caller; false once stop is called
+	yield  func(*Proc) bool     // down to the resumer; false once stop is called
+}
+
+// enter resumes t and returns what t yields down once it parks again: nil,
+// a process whose coroutine is up beneath t, or, after a body finished on t,
+// the next process due.
+func (t *thread) enter() *Proc {
+	t.up = true
+	q, _ := t.resume()
+	t.up = false
+	return q
 }
 
 // loop runs the body of t's process, runs the calendar loop on to the next
-// process due, and yields that process to the Run caller, or runs it at once
-// when a callback spawned it onto t. It repeats when Run resumes t with the
-// next body, and returns once Close stops t.
+// process due, and yields that process down to its resumer, or runs it at
+// once when a callback spawned it onto t. It repeats when t is resumed with
+// the next body, and returns once Close stops t.
 func (t *thread) loop(yield func(*Proc) bool) {
 	t.yield = yield
 	for {
@@ -91,7 +111,7 @@ func (t *thread) loop(yield func(*Proc) bool) {
 // run runs p's body on t, then returns the next process due. That tail is
 // deferred so it also happens when the body panics. A body that leaves through
 // runtime.Goexit takes t with it: the tail only marks p finished, and the
-// Goexit then ends the Run caller too.
+// Goexit then ends every coroutine beneath t and the Run caller too.
 func (p *Proc) run(t *thread) (q *Proc) {
 	e, fn := p.env, t.fn
 	t.p, t.fn = nil, nil // pin neither this process nor its closure once done
@@ -175,22 +195,42 @@ func (p *Proc) check() {
 }
 
 // block suspends p until it is resumed. The calendar loop runs right here on
-// p's coroutine: if p itself is the next process due it just returns;
-// otherwise p yields the next one (or nil) to the Run caller and parks.
+// p's coroutine. If p itself is the next process due it just returns. If the
+// next one's coroutine is parked, p resumes it directly, in one coroutine
+// switch, and takes over whatever comes back down. Otherwise p yields the
+// next process (or nil) down and parks.
 func (p *Proc) block() {
-	if q := p.env.dispatch(nil); q != p && !p.t.yield(q) {
-		panic(closedError{p.name})
+	for q := p.env.dispatch(nil); q != p; q = q.t.enter() {
+		if q == nil || q.t.up {
+			if !p.t.yield(q) {
+				panic(closedError{p.name})
+			}
+			return
+		}
 	}
 }
 
 // Sleep suspends the process for d of simulated time while other processes
 // and callbacks run; Sleep(0) lets the work already due now run first. Work
 // that models a cost sleeps through perf.Spend, which records its layer.
+//
+// When nothing else is due by then and the run's limit allows it, p would be
+// the next process due: the clock moves on and Sleep returns without touching
+// the calendar, reporting the resume to the observer all the same.
 func (p *Proc) Sleep(d Duration) {
 	p.check()
 	if d < 0 {
 		d = 0
 	}
-	p.scheduleResume(p.env.now.Add(d))
+	e := p.env
+	at := e.now.Add(d)
+	if top, _ := e.cal.top(); at <= e.limit && (top == nil || at < top.at) {
+		e.now = at
+		if e.Observer != nil {
+			e.Observer.SchedResume(at, p.name)
+		}
+		return
+	}
+	p.scheduleResume(at)
 	p.block()
 }

@@ -715,54 +715,83 @@ func TestManyProcsDrain(t *testing.T) {
 }
 
 // The calendar pops items in (at, seq) order under any interleaving of
-// pushes and pops, including many items due at the same instant.
+// pushes and pops, including many items due at the same instant and due-now
+// pushes queued behind heap items due at that instant with a lower seq.
 func TestCalendarPopsInOrder(t *testing.T) {
+	type entry struct {
+		it  item
+		due bool // pushed at the instant it is due
+	}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var c calendar
 		var seq uint64
+		var now Time // the time of the last pop, as Env.next sets it
+		var pending []entry
 		var last item
-		popped := 0
+		popped, behind := 0, 0
 		for op := 0; op < 2000; op++ {
-			if len(c) == 0 || rng.Intn(3) > 0 {
-				// Never earlier than the last pop, as Env.schedule enforces.
-				c.push(item{at: last.at + Time(rng.Intn(8)), seq: seq})
+			top, due := c.top()
+			if top == nil || rng.Intn(3) > 0 {
+				// Never earlier than now, as Env.schedule enforces.
+				it := item{at: now + Time(rng.Intn(8)), seq: seq}
 				seq++
+				if it.at == now && len(c.heap) > 0 && c.heap[0].at == now {
+					behind++
+				}
+				c.push(it, now)
+				pending = append(pending, entry{it, it.at == now})
 				continue
 			}
-			top := c[0]
-			for i := range c {
-				if c[i].before(&top) {
-					t.Fatalf("seed %d: top %+v is not the earliest, %+v is", seed, top, c[i])
+			earliest := 0
+			for i := range pending {
+				if pending[i].it.before(&pending[earliest].it) {
+					earliest = i
 				}
 			}
-			c.pop()
-			if popped > 0 && !last.before(&top) {
-				t.Fatalf("seed %d: popped %+v after %+v", seed, top, last)
+			if e := pending[earliest]; e.it.at != top.at || e.it.seq != top.seq || e.due != due {
+				t.Fatalf("seed %d: top %+v (due-now %v) is not the earliest, %+v is", seed, *top, due, e)
 			}
-			last = top
+			pending = append(pending[:earliest], pending[earliest+1:]...)
+			it := *top
+			c.pop(due)
+			if popped > 0 && !last.before(&it) {
+				t.Fatalf("seed %d: popped %+v after %+v", seed, it, last)
+			}
+			last, now = it, it.at
 			popped++
+		}
+		if behind == 0 {
+			t.Fatalf("seed %d: no due-now push went behind a heap item due at the same instant", seed)
 		}
 	}
 }
 
 // Steady-state scheduling allocates nothing: a callback scheduled and
-// dispatched, and a process sleeping and being resumed.
+// dispatched, later or at the same instant, a process sleeping with nothing
+// else due (the skipped Sleep) or behind a same-instant callback, a wake-up,
+// and a hop to another process and back.
 func TestSchedulingAllocatesNothing(t *testing.T) {
 	e := NewEnv()
 	fn := func() {}
-	if n := testing.AllocsPerRun(1000, func() {
-		e.After(Microsecond, fn)
-		e.Run()
-	}); n != 0 {
-		t.Errorf("After + dispatch: %v allocs, want 0", n)
+	for _, d := range []Duration{Microsecond, 0} {
+		if n := testing.AllocsPerRun(1000, func() {
+			e.After(d, fn)
+			e.Run()
+		}); n != 0 {
+			t.Errorf("After(%v) + dispatch: %v allocs, want 0", d, n)
+		}
 	}
-	var sleeps float64
+	var skipped, sleeps float64
 	e.RunFunc("sleeper", func(p *Proc) {
-		sleeps = testing.AllocsPerRun(1000, func() { p.Sleep(Microsecond) })
+		skipped = testing.AllocsPerRun(1000, func() { p.Sleep(Microsecond) })
+		sleeps = testing.AllocsPerRun(1000, func() {
+			e.After(0, fn)
+			p.Sleep(Microsecond)
+		})
 	})
-	if sleeps != 0 {
-		t.Errorf("Sleep resume: %v allocs, want 0", sleeps)
+	if skipped != 0 || sleeps != 0 {
+		t.Errorf("skipped Sleep: %v allocs; Sleep behind a same-instant callback: %v allocs; want 0", skipped, sleeps)
 	}
 	ev := e.NewEvent("ev")
 	trigger := ev.Trigger
@@ -884,19 +913,31 @@ func TestCallbackSpawnsOntoFinishedGoroutine(t *testing.T) {
 }
 
 // A body that leaves through runtime.Goexit ends its coroutine, and the
-// Goexit carries on in the goroutine that called Run: RunFunc does not
-// return. The Env stays usable, the next process runs on another thread,
-// and Close leaves no goroutine behind.
+// Goexit carries on down the chain of coroutines that resumed it: the
+// process that handed off to it ends too, running its deferred calls, and so
+// does the goroutine that called Run, so RunFunc does not return. The Env
+// stays usable, the next process runs on another thread, and Close leaves no
+// goroutine behind.
 func TestGoexitGoroutineNotReused(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
 	e.RunFunc("first", func(p *Proc) {})
-	var exit *Proc
-	returned := false
+	var under, exit *Proc
+	returned, unwound := false, false
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		// under blocks while exit's start is due, so under's coroutine
+		// resumes exit's and sits beneath it on the chain.
+		under = e.Spawn("under", func(p *Proc) {
+			defer func() { unwound = true }()
+			p.Sleep(Microsecond)
+			t.Error("under resumed after the process it handed off to called Goexit")
+		})
 		e.RunFunc("exit", func(p *Proc) {
+			if !under.t.up {
+				t.Error("exit was not resumed by under's coroutine")
+			}
 			exit = p
 			runtime.Goexit()
 		})
@@ -905,6 +946,9 @@ func TestGoexitGoroutineNotReused(t *testing.T) {
 	<-done
 	if returned {
 		t.Fatal("RunFunc returned normally after its process body called Goexit")
+	}
+	if !unwound || !under.finished {
+		t.Fatalf("the process beneath the Goexit: deferred calls ran=%v, finished=%v", unwound, under.finished)
 	}
 	if len(e.idle) != 0 || e.Deadlocked() != nil {
 		t.Fatalf("after Goexit: %d idle threads, deadlocked %v", len(e.idle), e.Deadlocked())
@@ -915,13 +959,179 @@ func TestGoexitGoroutineNotReused(t *testing.T) {
 		ran = true
 	})
 	e.Run()
-	if !ran || next.t == exit.t {
-		t.Fatalf("next ran=%v, on the exited thread=%v", ran, next.t == exit.t)
+	if !ran || next.t == exit.t || next.t == under.t {
+		t.Fatalf("next ran=%v, on an exited thread=%v", ran, next.t == exit.t || next.t == under.t)
+	}
+	e.Close()
+	if got := goroutinesAfterExit(base); got > base {
+		t.Fatalf("%d goroutines left after Close, want %d", got, base)
+	}
+}
+
+// goroutinesAfterExit returns the goroutine count once it is back at base,
+// or after a second. A goroutine that closed a channel from a deferred call
+// during its runtime.Goexit has not exited yet when the receiver wakes.
+func goroutinesAfterExit(base int) int {
+	for deadline := time.Now().Add(time.Second); ; runtime.Gosched() {
+		if n := runtime.NumGoroutine(); n <= base || time.Now().After(deadline) {
+			return n
+		}
+	}
+}
+
+// upThreads counts the coroutines on the chain from the Run caller: those
+// running or resuming another.
+func upThreads(e *Env) int {
+	n := 0
+	for _, p := range e.procs {
+		if !p.finished && p.t.up {
+			n++
+		}
+	}
+	return n
+}
+
+// Each of 256 processes wakes the next and blocks, so each coroutine resumes
+// the next one directly and the chain grows 256 deep; then they wake one
+// another in reverse, unwinding it, with skipped sleeps in between. The
+// resumes happen at the times and in the order the calendar dictates.
+func TestHandOffChainDepth(t *testing.T) {
+	const n = 256
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	var got []string
+	e.Observer = resumeLog{&got}
+	fwd, back := make([]*Event, n), make([]*Event, n)
+	for i := range fwd {
+		fwd[i], back[i] = e.NewEvent("fwd"), e.NewEvent("back")
+	}
+	depth := 0
+	for i := 0; i < n; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			if i == 0 {
+				p.Sleep(Microsecond) // the others start and wait first
+			} else {
+				p.Wait(fwd[i])
+			}
+			if i < n-1 {
+				fwd[i+1].Trigger()
+				p.Wait(back[i])
+			} else {
+				depth = upThreads(e)
+			}
+			p.Sleep(Microsecond)
+			if i > 0 {
+				back[i-1].Trigger()
+			}
+		})
+	}
+	e.Run()
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, fmt.Sprintf("%v p%d", Time(0), i))
+	}
+	for i := 0; i < n; i++ {
+		want = append(want, fmt.Sprintf("%v p%d", Time(Microsecond), i))
+	}
+	for i := n - 1; i >= 0; i-- {
+		if i < n-1 {
+			want = append(want, fmt.Sprintf("%v p%d", Time(n-i)*Time(Microsecond), i))
+		}
+		want = append(want, fmt.Sprintf("%v p%d", Time(n+1-i)*Time(Microsecond), i))
+	}
+	for i := range max(len(got), len(want)) {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			t.Fatalf("%d resumes, want %d; from resume %d on got %v, want %v",
+				len(got), len(want), i, got[min(i, len(got)):], want[min(i, len(want)):])
+		}
+	}
+	if depth != n {
+		t.Fatalf("chain %d deep at its deepest, want %d", depth, n)
+	}
+	if dl := e.Deadlocked(); dl != nil {
+		t.Fatalf("deadlocked: %v", dl)
 	}
 	e.Close()
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
+}
+
+// resumeLog records each process resume as "<time> <name>".
+type resumeLog struct{ log *[]string }
+
+func (resumeLog) SchedCallback(Time) {}
+
+func (l resumeLog) SchedResume(at Time, proc string) {
+	*l.log = append(*l.log, fmt.Sprintf("%v %s", at, proc))
+}
+
+// A panic in a process resumed by another process's coroutine, consumed by
+// OnProcPanic, leaves the run going: the process beneath it on the chain
+// resumes at its due time, and the panicked one's thread goes idle.
+func TestNestedPanicConsumed(t *testing.T) {
+	e := NewEnv()
+	var caught []string
+	e.OnProcPanic = func(pp *ProcPanic) bool {
+		caught = append(caught, fmt.Sprintf("%s:%v", pp.Proc, pp.Value))
+		return true
+	}
+	var woke, later Time = -1, -1
+	under := e.Spawn("under", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		woke = p.Now()
+	})
+	e.Spawn("bomb", func(p *Proc) {
+		if !under.t.up {
+			t.Error("bomb was not resumed by under's coroutine")
+		}
+		panic("oops")
+	})
+	e.Spawn("later", func(p *Proc) {
+		p.Sleep(2 * Microsecond)
+		later = p.Now()
+	})
+	runWithin(t, e)
+	if len(caught) != 1 || caught[0] != "bomb:oops" {
+		t.Fatalf("OnProcPanic saw %v, want [bomb:oops]", caught)
+	}
+	if woke != Time(5*Microsecond) || later != Time(2*Microsecond) {
+		t.Fatalf("under woke at %v (want 5µs), later at %v (want 2µs)", woke, later)
+	}
+	if e.Deadlocked() != nil || len(e.idle) != 3 {
+		t.Fatalf("deadlocked %v, %d idle threads (want 3)", e.Deadlocked(), len(e.idle))
+	}
+	e.Close()
+}
+
+// A Sleep with nothing else due by its end returns without touching the
+// calendar, yet reports the resume at the same time as one that went through
+// it. A Sleep past RunUntil's limit still parks until the next Run.
+func TestSkippedSleepReportsResume(t *testing.T) {
+	e := NewEnv()
+	var got []string
+	e.Observer = resumeLog{&got}
+	var skipped []bool
+	e.Spawn("a", func(p *Proc) {
+		for _, d := range []Duration{Microsecond, 0, 2 * Microsecond, 10 * Microsecond} {
+			seq := e.seq
+			p.Sleep(d)
+			skipped = append(skipped, e.seq == seq)
+		}
+	})
+	e.RunUntil(Time(5 * Microsecond))
+	want := []string{"0ns a", "1.000µs a", "1.000µs a", "3.000µs a"}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(skipped, []bool{true, true, true}) {
+		t.Fatalf("resumes %v, skipped %v; want %v, three skipped", got, skipped, want)
+	}
+	if e.Now() != Time(5*Microsecond) || e.Deadlocked() != nil {
+		t.Fatalf("after RunUntil: now %v, deadlocked %v; want 5µs and a parked with a pending resume", e.Now(), e.Deadlocked())
+	}
+	e.Run()
+	if want = append(want, "13.000µs a"); !reflect.DeepEqual(got, want) || len(skipped) != 4 || skipped[3] {
+		t.Fatalf("resumes %v, skipped %v; want %v, the last Sleep parked", got, skipped, want)
+	}
+	e.Close()
 }
 
 // A thread whose process panicked, with the panic consumed by OnProcPanic,

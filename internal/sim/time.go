@@ -7,9 +7,11 @@
 // inputs always produce identical timings.
 //
 // The kernel follows the classic process-interaction style (as in SimPy):
-// processes are coroutines (iter.Pull) that run one at a time, each resumed
-// by the scheduler when it is due, and yield by sleeping, waiting on events,
-// or acquiring resources.
+// processes are coroutines (iter.Pull) that run one at a time, and yield by
+// sleeping, waiting on events, or acquiring resources. A process that blocks
+// runs the scheduler itself and resumes the next process due directly, so a
+// hop from one process to another is usually one coroutine switch; a process
+// that is itself next due just keeps running.
 package sim
 
 import "fmt"
