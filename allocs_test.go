@@ -76,3 +76,50 @@ func forwardedIoctlAllocs(t *testing.T, cfg paradice.Config) float64 {
 	t.Logf("%.1f allocations per forwarded ioctl", perOp)
 	return perOp
 }
+
+// TestMachineBuildAllocs caps the host bytes one machine build allocates: a
+// default machine, one guest with the GPU paravirtualized, then Close. A
+// build touches only what it uses, so fresh guest frames stay unbacked and
+// the DRM ioctl analysis is shared, not redone.
+func TestMachineBuildAllocs(t *testing.T) {
+	const builds = 20
+	buildMachine(t) // the process-wide DRM analysis runs here, once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		buildMachine(t)
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := float64(after.TotalAlloc-before.TotalAlloc) / builds / 1024
+	t.Logf("%.0f KiB allocated per machine build", perBuild)
+	// The cap sits just above the reading of 44 KiB. Writing zeros into
+	// every fresh frame adds over 1 MiB a build; analyzing the DRM ioctls
+	// per build, or naming every event, adds 7 KiB or more each.
+	const maxKiB = 48
+	if perBuild > maxKiB {
+		t.Fatalf("%.0f KiB allocated per machine build, want at most %d", perBuild, maxKiB)
+	}
+}
+
+// BenchmarkMachineBuild times the build TestMachineBuildAllocs measures.
+func BenchmarkMachineBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buildMachine(b)
+	}
+}
+
+func buildMachine(t testing.TB) {
+	m, err := paradice.New(paradice.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	g, err := m.AddGuest("guest", paradice.Linux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Paravirtualize(paradice.PathGPU); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -30,7 +30,7 @@ func (g *Guest) Foreground() bool { return g.M.foreground == g }
 func (g *Guest) WaitForeground(t *kernel.Task) {
 	for !g.Foreground() {
 		if g.fgEvent == nil {
-			g.fgEvent = g.M.Env.NewEvent("vt-" + g.K.Name)
+			g.fgEvent = g.M.Env.NewEvent()
 		}
 		t.Sim().Wait(g.fgEvent)
 	}

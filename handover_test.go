@@ -264,7 +264,7 @@ func TestHandoverDrainDeadlineAborts(t *testing.T) {
 	sink := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
 	var gens []*wedgeDev
 	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
-		w := &wedgeDev{Sink: sink, never: m.Env.NewEvent("never")}
+		w := &wedgeDev{Sink: sink, never: m.Env.NewEvent()}
 		gens = append(gens, w)
 		k.RegisterDevice(path, w, w)
 		return nil

@@ -166,7 +166,7 @@ func burstWriters(m *paradice.Machine, k *kernel.Kernel, n int) error {
 	if err != nil {
 		return err
 	}
-	opened := m.Env.NewEvent("bulk-opened")
+	opened := m.Env.NewEvent()
 	var fd int
 	tasks := []*kernel.Task{p.Go("opener", func(t *kernel.Task) (err error) {
 		if fd, err = t.Open(bulkPath, 2); err != nil {

@@ -22,7 +22,7 @@ import (
 func TestAdaptiveSwitchesToPollUnderLoadAndBack(t *testing.T) {
 	r := newRig(t, Adaptive, kernel.Linux)
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.ORdWr)
@@ -111,7 +111,7 @@ func TestCompletionBatchingSharesResponseIRQ(t *testing.T) {
 		c.CoalesceWindow = 50 * sim.Microsecond
 	})
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.OWrOnly)

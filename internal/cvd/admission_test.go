@@ -18,7 +18,7 @@ func TestAdmissionShedsLimitedClass(t *testing.T) {
 		c.Admission = map[uint8]int{2: limit}
 	})
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.ORdOnly)

@@ -232,7 +232,7 @@ func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM
 		ring:     page{acc: &grant.GuestAccessor{Space: driverVM.Space, GPA: ringGPA}},
 		proc:     proc,
 		policy:   pol,
-		doorbell: driverK.Env.NewEvent("cvd-doorbell-" + guestVM.Name),
+		doorbell: driverK.Env.NewEvent(),
 		files:    make(map[uint16]*kernel.File),
 		vmas:     make(map[uint16]map[mem.GuestVirt]*kernel.VMA),
 		vecResp:  vecResp,

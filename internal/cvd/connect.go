@@ -106,12 +106,12 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		ring:       page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
 		specs:      cfg.Specs,
 		ringGPA:    ringGPA,
-		pollWQ:     cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.DevicePath),
+		pollWQ:     cfg.GuestK.NewWaitQueue(),
 		policy:     policy{mode: cfg.Mode, window: cfg.PollWindow, coalesce: cfg.CoalesceWindow},
 		deadline:   cfg.RequestDeadline,
 		mapCache:   cfg.MapCache,
-		hbEvent:    cfg.HV.Env.NewEvent("cvd-hb-" + cfg.DevicePath),
-		drainEvent: cfg.HV.Env.NewEvent("cvd-drain-" + cfg.DevicePath),
+		hbEvent:    cfg.HV.Env.NewEvent(),
+		drainEvent: cfg.HV.Env.NewEvent(),
 		path:       cfg.DevicePath,
 		vm:         cfg.GuestVM.Name,
 		m:          newFeMetricNames(cfg.GuestVM.Name, cfg.DevicePath),
@@ -131,7 +131,7 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 	}
 
 	for i := range fe.respEvents {
-		fe.respEvents[i] = cfg.HV.Env.NewEvent(fmt.Sprintf("cvd-resp-%s-%d", cfg.DevicePath, i))
+		fe.respEvents[i] = cfg.HV.Env.NewEvent()
 	}
 	fe.SetAdmission(cfg.Admission)
 	if fe.mapCache {

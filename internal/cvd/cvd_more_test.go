@@ -80,7 +80,7 @@ func TestNotifyGateDropsNotifications(t *testing.T) {
 func TestConcurrentOpsDistinctResponses(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.ORdWr)

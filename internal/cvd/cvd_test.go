@@ -219,7 +219,7 @@ func newRig(t testing.TB, mode Mode, guestFlavor kernel.Flavor, opts ...func(*Co
 	}
 	guestK := kernel.New("guest", guestFlavor, env, guestVM.Space, guestVM.RAM)
 
-	drv := &testDriver{k: driverK, wq: driverK.NewWaitQueue("testdrv")}
+	drv := &testDriver{k: driverK, wq: driverK.NewWaitQueue()}
 	for i := 0; i < 4; i++ {
 		pg, err := driverK.AllocFrame()
 		if err != nil {
@@ -564,7 +564,7 @@ func TestQueueCapRejectsFlood(t *testing.T) {
 	// A malicious guest floods the queue from many threads; the 100-slot
 	// cap (§5.1) bounds it and the 101st concurrent post fails with EBUSY.
 	app, _ := r.guestK.NewProcess("flooder")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.ORdOnly)
@@ -649,7 +649,7 @@ func TestPollingModeStillCorrect(t *testing.T) {
 func TestFIFOOrdering(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.OWrOnly)

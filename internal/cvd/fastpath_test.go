@@ -215,7 +215,7 @@ func TestMapCacheColdAfterReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
-	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
+	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue()}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 	be2, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev")
 	if err != nil {
@@ -252,7 +252,7 @@ func TestCoalescedDoorbellSharesOneIRQ(t *testing.T) {
 		c.CoalesceWindow = 50 * sim.Microsecond
 	})
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		fd, _ = tk.Open("/dev/testdev", devfile.OWrOnly)
@@ -317,7 +317,7 @@ func TestCoalescedFlushAfterBackendDeathIsDropped(t *testing.T) {
 	})
 	r.fe.SetDeadline(2 * sim.Millisecond)
 	app, _ := r.guestK.NewProcess("app")
-	openDone := r.env.NewEvent("open-done")
+	openDone := r.env.NewEvent()
 	var werr error
 	app.SpawnTask("main", func(tk *kernel.Task) {
 		fd, err := tk.Open("/dev/testdev", devfile.OWrOnly)
@@ -365,7 +365,7 @@ func TestCoalescedFlushAcrossHandoverDrainIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
-	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
+	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue()}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 
 	var irqsAtDrain uint64

@@ -144,7 +144,7 @@ func (pl *Pool) enqueue(b *Backend, req request) {
 	} else if pl.cap == 0 || pl.handlers < pl.cap {
 		name := "cvd-op-" + strconv.Itoa(pl.handlers) + "@" + pl.driverK.Name
 		pl.handlers++
-		h := &handler{wake: pl.driverK.Env.NewEvent(name), b: b, req: req}
+		h := &handler{wake: pl.driverK.Env.NewEvent(), b: b, req: req}
 		pl.driverK.Env.Spawn(name, func(sp *sim.Proc) { pl.serve(sp, h) })
 	}
 }

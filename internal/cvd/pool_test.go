@@ -35,7 +35,7 @@ func newPoolRig(t *testing.T, workers int) *poolRig {
 		t.Fatal(err)
 	}
 	driverK := kernel.New("driver", kernel.Linux, env, driverVM.Space, driverVM.RAM)
-	drv := &testDriver{k: driverK, wq: driverK.NewWaitQueue("testdrv")}
+	drv := &testDriver{k: driverK, wq: driverK.NewWaitQueue()}
 	driverK.RegisterDevice("/dev/testdev", drv, drv)
 	pool := NewPool(driverK, workers)
 

@@ -24,7 +24,7 @@ func TestDriverVMDeathUnderLoadThenReconnect(t *testing.T) {
 
 	const nReaders = 12
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	app.SpawnTask("opener", func(tk *kernel.Task) {
 		var err error
@@ -66,7 +66,7 @@ func TestDriverVMDeathUnderLoadThenReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	driverK2 := kernel.New("driver-restarted", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
-	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
+	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue()}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 	r.be.Stop()
 	if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
@@ -155,7 +155,7 @@ func TestReconnectRecoversDroppedResponseIRQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	driverK2 := kernel.New("driver-restarted", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
-	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
+	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue()}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 	r.be.Stop()
 	if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
@@ -204,7 +204,7 @@ func TestReconnectToFullKernelLeavesEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := kernel.New(name, kernel.Linux, r.env, vm.Space, ram)
-		drv := &testDriver{k: k, wq: k.NewWaitQueue(name)}
+		drv := &testDriver{k: k, wq: k.NewWaitQueue()}
 		k.RegisterDevice("/dev/testdev", drv, drv)
 		_, err = Reconnect(r.fe, r.h, vm, k, "/dev/testdev")
 		return err

@@ -95,7 +95,7 @@ func TestReconnectSweepScrubsTraceRIDFromAbandonedSlots(t *testing.T) {
 	r.fe.SetDeadline(sim.Millisecond)
 
 	app, _ := r.guestK.NewProcess("app")
-	opened := r.env.NewEvent("opened")
+	opened := r.env.NewEvent()
 	var fd int
 	var err1, err2 error
 	app.SpawnTask("opener", func(tk *kernel.Task) {
@@ -129,7 +129,7 @@ func TestReconnectSweepScrubsTraceRIDFromAbandonedSlots(t *testing.T) {
 			return
 		}
 		driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
-		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
+		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue()}
 		driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
 			t.Error(err)
@@ -168,7 +168,7 @@ func TestEpochGuardDiscardsWedgedBackendLateResponse(t *testing.T) {
 	r.fe.SetDeadline(sim.Millisecond)
 
 	app, _ := r.guestK.NewProcess("app")
-	reposted := r.env.NewEvent("reposted")
+	reposted := r.env.NewEvent()
 	var readErr, werr error
 	var wn int
 	app.SpawnTask("main", func(tk *kernel.Task) {
@@ -191,7 +191,7 @@ func TestEpochGuardDiscardsWedgedBackendLateResponse(t *testing.T) {
 			return
 		}
 		driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
-		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
+		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue()}
 		driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
 			t.Error(err)

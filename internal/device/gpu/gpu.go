@@ -122,7 +122,7 @@ func New(env *sim.Env, phys *mem.PhysMem, vramBase mem.SysPhys, vramSize uint64)
 		vramBase: vramBase,
 		vramSize: vramSize,
 		mcHigh:   vramSize,
-		kick:     env.NewEvent("gpu-kick"),
+		kick:     env.NewEvent(),
 	}
 	phys.AddRange("gpu-vram", vramBase, vramSize)
 	env.Spawn("gpu-engine", g.engine)

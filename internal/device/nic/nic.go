@@ -62,7 +62,7 @@ type NIC struct {
 
 // New creates the adapter.
 func New(env *sim.Env) *NIC {
-	n := &NIC{env: env, kick: env.NewEvent("nic-kick")}
+	n := &NIC{env: env, kick: env.NewEvent()}
 	env.Spawn("nic-tx", n.txEngine)
 	return n
 }

@@ -124,7 +124,7 @@ func AttachModel(k *kernel.Kernel, g *gpu.GPU, model Model, vramGPA mem.GuestPhy
 		GPU:     g,
 		model:   model,
 		vramGPA: vramGPA,
-		fenceWQ: k.NewWaitQueue("drm-fence"),
+		fenceWQ: k.NewWaitQueue(),
 		vramEnd: g.VRAMSize(),
 	}
 	reason, err := k.AllocFrame()

@@ -1,6 +1,8 @@
 package drm
 
 import (
+	"sync"
+
 	"paradice/internal/devfile"
 	"paradice/internal/ioctlan"
 )
@@ -98,9 +100,12 @@ func IoctlIR() []*ioctlan.Prog {
 	}
 }
 
-// AnalyzedSpecs runs the analyzer over the driver's IR and returns the spec
-// table the CVD frontend consumes.
-func AnalyzedSpecs() (map[devfile.IoctlCmd]*ioctlan.CmdSpec, error) {
+// AnalyzedSpecs returns the spec table the CVD frontend consumes: the
+// analyzer's output over the driver's IR. The analysis runs once per
+// process, and every caller (each machine build) shares its result, so the
+// table and its specs are read-only: the frontend only looks specs up, and
+// just-in-time slice execution reads a spec's Slice without writing it.
+var AnalyzedSpecs = sync.OnceValues(func() (map[devfile.IoctlCmd]*ioctlan.CmdSpec, error) {
 	out := make(map[devfile.IoctlCmd]*ioctlan.CmdSpec)
 	for _, p := range IoctlIR() {
 		spec, err := ioctlan.Analyze(p)
@@ -110,4 +115,4 @@ func AnalyzedSpecs() (map[devfile.IoctlCmd]*ioctlan.CmdSpec, error) {
 		out[p.Cmd] = spec
 	}
 	return out, nil
-}
+})

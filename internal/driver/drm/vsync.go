@@ -32,7 +32,7 @@ func (d *Driver) EnableSoftVSync(hz int) {
 	d.vsyncOn = true
 	d.vsyncPeriod = sim.Duration(int64(sim.Second) / int64(hz))
 	if d.vsyncWQ == nil {
-		d.vsyncWQ = d.K.NewWaitQueue("drm-vsync")
+		d.vsyncWQ = d.K.NewWaitQueue()
 	}
 }
 

@@ -39,7 +39,7 @@ const maxQueued = 256
 
 // Attach registers the device file (e.g. /dev/input/event0).
 func Attach(k *kernel.Kernel, dev *input.Device, path string) *Driver {
-	d := &Driver{K: k, Dev: dev, wq: k.NewWaitQueue("evdev-" + path)}
+	d := &Driver{K: k, Dev: dev, wq: k.NewWaitQueue()}
 	dev.OnReport(d.report)
 	k.RegisterDevice(path, d, d)
 	return d

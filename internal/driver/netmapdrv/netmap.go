@@ -71,7 +71,7 @@ type Driver struct {
 
 // Attach allocates the shared memory area and registers /dev/netmap.
 func Attach(k *kernel.Kernel, n *nic.NIC) (*Driver, error) {
-	d := &Driver{K: k, NIC: n, txWQ: k.NewWaitQueue("netmap-tx"), rxWQ: k.NewWaitQueue("netmap-rx")}
+	d := &Driver{K: k, NIC: n, txWQ: k.NewWaitQueue(), rxWQ: k.NewWaitQueue()}
 	for i := 0; i < memPages; i++ {
 		pg, err := k.AllocFrame()
 		if err != nil {

@@ -37,7 +37,7 @@ type Driver struct {
 
 // Attach allocates the DMA ring and registers the device file.
 func Attach(k *kernel.Kernel, dev *audio.Device, path string) (*Driver, error) {
-	d := &Driver{K: k, Dev: dev, wq: k.NewWaitQueue("pcm")}
+	d := &Driver{K: k, Dev: dev, wq: k.NewWaitQueue()}
 	chunks := make([]iommu.BusAddr, ringPages)
 	for i := 0; i < ringPages; i++ {
 		pg, err := k.AllocFrame()

@@ -56,7 +56,7 @@ type Driver struct {
 
 // Attach registers /dev/video0.
 func Attach(k *kernel.Kernel, cam *camera.Device, path string) *Driver {
-	d := &Driver{K: k, Cam: cam, wq: k.NewWaitQueue("uvc"), seqs: make(map[int]uint32)}
+	d := &Driver{K: k, Cam: cam, wq: k.NewWaitQueue(), seqs: make(map[int]uint32)}
 	cam.OnFrame(func(index int, seq uint32) {
 		d.done = append(d.done, uint32(index))
 		d.seqs[index] = seq

@@ -246,7 +246,7 @@ func (d *stressDriver) Fault(c *kernel.FopCtx, v *kernel.VMA, va mem.GuestVirt) 
 }
 
 func newStressDriver(k *kernel.Kernel, evilVA mem.GuestVirt) (*stressDriver, error) {
-	d := &stressDriver{env: k.Env, wq: k.NewWaitQueue("stressdrv"), evilVA: evilVA}
+	d := &stressDriver{env: k.Env, wq: k.NewWaitQueue(), evilVA: evilVA}
 	for i := 0; i < 2; i++ {
 		pg, err := k.AllocFrame()
 		if err != nil {

@@ -92,29 +92,29 @@ func New(name string, flavor Flavor, env *sim.Env, space *mem.GuestSpace, ramSiz
 	}
 }
 
-// AllocFrame returns a zeroed guest-physical page frame.
+// AllocFrame returns a zeroed guest-physical page frame: a recycled one from
+// the free list, or the next never-used one. Either is cleared before it is
+// handed out, since a freed or otherwise dirtied frame may hold another
+// owner's bytes (§5.3). A frame whose host page was never backed already
+// reads as zero and stays unbacked (GuestSpace.ZeroPage), so a fresh frame
+// costs no host memory until it is first written.
 func (k *Kernel) AllocFrame() (mem.GuestPhys, error) {
 	if n := len(k.freeList); n > 0 {
 		gpa := k.freeList[n-1]
 		k.freeList = k.freeList[:n-1]
-		return gpa, k.zeroFrame(gpa)
+		return gpa, k.Space.ZeroPage(gpa)
 	}
 	if uint64(k.nextFrame)+mem.PageSize > k.ramSize {
 		return 0, fmt.Errorf("%s: out of memory (%d bytes RAM)", k.Name, k.ramSize)
 	}
 	gpa := k.nextFrame
 	k.nextFrame += mem.PageSize
-	return gpa, k.zeroFrame(gpa)
+	return gpa, k.Space.ZeroPage(gpa)
 }
 
 // FreeFrame returns a frame to the kernel's free list.
 func (k *Kernel) FreeFrame(gpa mem.GuestPhys) {
 	k.freeList = append(k.freeList, gpa)
-}
-
-func (k *Kernel) zeroFrame(gpa mem.GuestPhys) error {
-	var zero [mem.PageSize]byte
-	return k.Space.Write(gpa, zero[:])
 }
 
 // RegisterDevice creates a device file in devfs. drv is the driver state

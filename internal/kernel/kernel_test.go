@@ -146,7 +146,7 @@ func installEcho(t testing.TB, k *Kernel) *echoDriver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &echoDriver{wq: k.NewWaitQueue("echo"), devPage: page}
+	d := &echoDriver{wq: k.NewWaitQueue(), devPage: page}
 	k.RegisterDevice("/dev/echo", d, d)
 	return d
 }
@@ -466,6 +466,38 @@ func TestAllocFrameReuse(t *testing.T) {
 	}
 }
 
+// A fresh frame costs no host memory when it is handed out: its host page
+// was never backed, so it already reads as zero. A frame dirtied before it
+// was handed out is still cleared.
+func TestAllocFrameLeavesFreshFramesUnbacked(t *testing.T) {
+	k := newTestKernel(t, Linux)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := k.AllocFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AllocFrame of a fresh frame made %.0f host allocations, want 0", n)
+	}
+	next := k.nextFrame
+	if err := k.Space.Write(next+8, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := k.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != next {
+		t.Fatalf("AllocFrame = %v, want the next fresh frame %v", f, next)
+	}
+	var b [mem.PageSize]byte
+	if err := k.Space.Read(f, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	if b != [mem.PageSize]byte{} {
+		t.Fatal("a frame dirtied before it was handed out was not zeroed")
+	}
+}
+
 func TestSysInfo(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	k.SetSysInfo("gpu/vendor", "0x1002")
@@ -569,7 +601,7 @@ func TestRunTaskReportsUnfinishedTask(t *testing.T) {
 	k := newTestKernel(t, Linux)
 	defer k.Env.Close()
 	p, _ := k.NewProcess("app")
-	never := k.Env.NewEvent("never")
+	never := k.Env.NewEvent()
 	err := p.RunTask("stuck", func(tk *Task) error {
 		tk.Sim().Wait(never)
 		return nil

@@ -14,14 +14,13 @@ import (
 // operation queue.
 type WaitQueue struct {
 	env     *sim.Env
-	name    string
 	waiters []*sim.Event
 	pollers []*sim.Event
 }
 
 // NewWaitQueue returns an empty wait queue on the kernel's clock.
-func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
-	return &WaitQueue{env: k.Env, name: name}
+func (k *Kernel) NewWaitQueue() *WaitQueue {
+	return &WaitQueue{env: k.Env}
 }
 
 // Wake makes all current waiters runnable (after the scheduler wake-up
@@ -40,7 +39,7 @@ func (wq *WaitQueue) Wake() {
 // Wait blocks the task until the queue is woken, then charges the wake-up
 // latency.
 func (wq *WaitQueue) Wait(t *Task) {
-	ev := wq.env.NewEvent(wq.name + "-wait")
+	ev := wq.env.NewEvent()
 	wq.waiters = append(wq.waiters, ev)
 	t.sp.Wait(ev)
 	perf.Spend(t.Proc.K.Env, t.Proc.K.Name, trace.LayerSched, "wakeup", perf.CostWakeup+t.Proc.K.WakePenalty)
@@ -58,7 +57,7 @@ type PollTable struct {
 
 // NewPollTable returns a fresh poll table.
 func (k *Kernel) NewPollTable() *PollTable {
-	return &PollTable{ev: k.Env.NewEvent("polltable")}
+	return &PollTable{ev: k.Env.NewEvent()}
 }
 
 // Register hooks the table onto a wait queue; the driver's poll handler

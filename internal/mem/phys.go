@@ -65,6 +65,15 @@ func (r *frameRange) frame(i uint64, populate bool) *[PageSize]byte {
 	return fr
 }
 
+// backed returns the range's i-th frame if it is backed, or nil; unlike
+// frame, it never backs one.
+func (r *frameRange) backed(i uint64) *[PageSize]byte {
+	if leaf := r.leaves[i>>leafShift]; leaf != nil {
+		return leaf[i&(leafFrames-1)]
+	}
+	return nil
+}
+
 // NewPhysMem returns empty physical memory.
 func NewPhysMem() *PhysMem { return &PhysMem{} }
 
@@ -206,11 +215,32 @@ func accessOp(write bool) string {
 	return "read"
 }
 
-// Zero clears n bytes starting at pa. Used by the hypervisor when recycling
-// protected-region pages (§5.3: "the hypervisor zeros out the pages before
-// unmapping").
+// Zero clears n bytes starting at pa, in place: a backed frame is cleared,
+// and an unbacked frame of an allocator's handed-out prefix is left unbacked,
+// since it already reads as zero. It is the one zeroing path: the hypervisor
+// recycling protected-region pages (§5.3: "the hypervisor zeros out the pages
+// before unmapping") and GuestSpace.ZeroPage both use it. Any other unbacked
+// page is a BusError, reported after the pages before it were cleared, as
+// Write would.
 func (m *PhysMem) Zero(pa SysPhys, n uint64) error {
-	return m.Write(pa, make([]byte, n))
+	for addr, end := uint64(pa), uint64(pa)+n; addr < end; {
+		f := Frame(addr)
+		r := m.lookup(f)
+		var fr *[PageSize]byte
+		if r != nil {
+			fr = r.backed(f - r.first)
+		}
+		if fr == nil && (r == nil || f-r.first >= r.handed) {
+			return &BusError{Addr: SysPhys(addr), Op: "write"}
+		}
+		off := PageOffset(addr)
+		k := min(PageSize-off, end-addr)
+		if fr != nil {
+			clear(fr[off : off+k])
+		}
+		addr += k
+	}
+	return nil
 }
 
 // Allocator hands out frames from a physical range, bump-style.

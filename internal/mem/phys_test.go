@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -179,6 +180,63 @@ func TestZero(t *testing.T) {
 		if b != want {
 			t.Fatalf("byte %d = %#x, want %#x", i, b, want)
 		}
+	}
+}
+
+// ZeroPage clears a backed frame in place, leaves an untouched handed-out
+// frame unbacked (it already reads as zero), and fails exactly as a
+// page-sized Write does where the EPT forbids writing or no frame can exist.
+func TestZeroPage(t *testing.T) {
+	phys := NewPhysMem()
+	ram := phys.NewAllocator("ram", 0, 4*PageSize)
+	spa, _ := ram.AllocPages(2)
+	// A range with nothing handed out: its frames can only be populated.
+	phys.AddRange("bar", 0x10_0000, PageSize)
+	ept := NewEPT()
+	for _, m := range []struct {
+		gpa  GuestPhys
+		spa  SysPhys
+		perm Perm
+	}{{0x1000, spa, PermRW}, {0x2000, spa + PageSize, PermRW}, {0x3000, spa + PageSize, PermRead}, {0x4000, 0x10_0000, PermRW}} {
+		if err := ept.Map(m.gpa, m.spa, m.perm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := &GuestSpace{Phys: phys, EPT: ept}
+	page, zero := make([]byte, PageSize), make([]byte, PageSize)
+
+	t.Run("untouched", func(t *testing.T) {
+		if err := s.ZeroPage(0x1000); err != nil {
+			t.Fatal(err)
+		}
+		if n := backedFrames(phys); n != 0 {
+			t.Fatalf("%d frames backed after zeroing an untouched page, want 0", n)
+		}
+		if err := s.Read(0x1000, page); err != nil || !bytes.Equal(page, zero) {
+			t.Fatalf("untouched page after ZeroPage: err %v, reads zero %v", err, bytes.Equal(page, zero))
+		}
+	})
+	t.Run("dirty", func(t *testing.T) {
+		if err := s.Write(0x2000, bytes.Repeat([]byte{0xAA}, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ZeroPage(0x2000 + 123); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Read(0x2000, page); err != nil || !bytes.Equal(page, zero) {
+			t.Fatalf("dirty page after ZeroPage: err %v, reads zero %v", err, bytes.Equal(page, zero))
+		}
+	})
+	for _, c := range []struct {
+		name string
+		gpa  GuestPhys
+	}{{"read-only", 0x3000}, {"unmapped", 0x5000}, {"unbacked", 0x4000}} {
+		t.Run(c.name, func(t *testing.T) {
+			err, want := s.ZeroPage(c.gpa), s.Write(c.gpa, zero)
+			if want == nil || !reflect.DeepEqual(err, want) {
+				t.Fatalf("ZeroPage(%v) = %v, want Write's %v", c.gpa, err, want)
+			}
+		})
 	}
 }
 

@@ -33,6 +33,19 @@ func (s *GuestSpace) Write(gpa GuestPhys, data []byte) error {
 	return s.access(gpa, data, PermWrite)
 }
 
+// ZeroPage clears the guest-physical page containing gpa through the EPT,
+// which must allow writing it; its errors are those of a page-sized Write at
+// the page's base. A frame that was never backed stays unbacked: it cannot
+// hold any bytes, so clearing it would only spend host memory on zeros
+// (PhysMem.Zero).
+func (s *GuestSpace) ZeroPage(gpa GuestPhys) error {
+	spa, err := s.EPT.Translate(GuestPhys(PageBase(uint64(gpa))), PermWrite)
+	if err != nil {
+		return err
+	}
+	return s.Phys.Zero(spa, PageSize)
+}
+
 func (s *GuestSpace) access(gpa GuestPhys, buf []byte, perm Perm) error {
 	_, err := s.Phys.CopyPages(uint64(gpa), buf, perm == PermWrite, func(addr uint64) (SysPhys, error) {
 		return s.EPT.Translate(GuestPhys(addr), perm)

@@ -9,7 +9,7 @@ import "testing"
 func BenchmarkProcHop(b *testing.B) {
 	e := NewEnv()
 	defer e.Close()
-	ping, pong := e.NewEvent("ping"), e.NewEvent("pong")
+	ping, pong := e.NewEvent(), e.NewEvent()
 	e.Spawn("pong", func(p *Proc) {
 		for {
 			p.Wait(ping)
@@ -56,7 +56,7 @@ func BenchmarkProcRing(b *testing.B) {
 	}
 	token := make([]*Event, ring)
 	for i := range token {
-		token[i] = e.NewEvent("token")
+		token[i] = e.NewEvent()
 	}
 	hops := 0
 	for i := 0; i < ring; i++ {

@@ -6,15 +6,14 @@ package sim
 // kernels build on).
 type Event struct {
 	env       *Env
-	name      string
 	fired     bool
 	waiters   []*Proc
 	callbacks []func()
 }
 
 // NewEvent returns an un-fired event.
-func (e *Env) NewEvent(name string) *Event {
-	return &Event{env: e, name: name}
+func (e *Env) NewEvent() *Event {
+	return &Event{env: e}
 }
 
 // Trigger fires the event now, waking all waiters at the current time.

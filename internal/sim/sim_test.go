@@ -87,7 +87,7 @@ func TestTwoProcessesInterleave(t *testing.T) {
 
 func TestEventWakesWaiters(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent("ready")
+	ev := e.NewEvent()
 	var woke []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("waiter", func(p *Proc) {
@@ -112,7 +112,7 @@ func TestEventWakesWaiters(t *testing.T) {
 
 func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent("done")
+	ev := e.NewEvent()
 	ev.Trigger()
 	var at Time = -1
 	e.RunFunc("late", func(p *Proc) {
@@ -126,7 +126,7 @@ func TestWaitOnFiredEventReturnsImmediately(t *testing.T) {
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent("never")
+	ev := e.NewEvent()
 	var fired bool
 	var at Time
 	e.RunFunc("w", func(p *Proc) {
@@ -143,7 +143,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 
 func TestWaitTimeoutEventWins(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent("soon")
+	ev := e.NewEvent()
 	var fired bool
 	var at Time
 	e.Spawn("w", func(p *Proc) {
@@ -165,8 +165,8 @@ func TestWaitTimeoutEventWins(t *testing.T) {
 // generation-counter logic.
 func TestStaleTimeoutResumeIsIgnored(t *testing.T) {
 	e := NewEnv()
-	ev1 := e.NewEvent("first")
-	ev2 := e.NewEvent("second")
+	ev1 := e.NewEvent()
+	ev2 := e.NewEvent()
 	var stages []Time
 	e.Spawn("w", func(p *Proc) {
 		if !p.WaitTimeout(ev1, 100*Microsecond) {
@@ -189,7 +189,7 @@ func TestStaleTimeoutResumeIsIgnored(t *testing.T) {
 
 func TestEventResetReuse(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent("tick")
+	ev := e.NewEvent()
 	var wakes []Time
 	e.Spawn("w", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -258,7 +258,7 @@ func TestResourceCapacityTwo(t *testing.T) {
 
 func TestDeadlockedReportsBlockedProc(t *testing.T) {
 	e := NewEnv()
-	ev := e.NewEvent("never")
+	ev := e.NewEvent()
 	e.Spawn("stuck", func(p *Proc) { p.Wait(ev) })
 	e.Run()
 	d := e.Deadlocked()
@@ -391,7 +391,7 @@ func mixedWorkload(obs SchedObserver) []string {
 	e := NewEnv()
 	e.Observer = obs
 	var log []string
-	ev := e.NewEvent("mixed")
+	ev := e.NewEvent()
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
@@ -577,7 +577,7 @@ func TestBlockOnWrongProcLeavesNoWakeup(t *testing.T) {
 			caught = append(caught, fmt.Sprint(pp.Value))
 			return true
 		}
-		ready, other := e.NewEvent("ready"), e.NewEvent("other")
+		ready, other := e.NewEvent(), e.NewEvent()
 		r := e.NewResource("r", 1)
 		var woke Time = -1
 		victim := e.Spawn("victim", func(p *Proc) {
@@ -613,7 +613,7 @@ func TestBlockOnWrongProcLeavesNoWakeup(t *testing.T) {
 func TestCloseUnwindsParkedProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
-	never := e.NewEvent("never")
+	never := e.NewEvent()
 	r := e.NewResource("r", 1)
 	var unwound []string
 	e.Spawn("holder", func(p *Proc) {
@@ -655,7 +655,7 @@ func TestCloseCyclesLeaveNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
 		e := NewEnv()
-		never := e.NewEvent("never")
+		never := e.NewEvent()
 		e.Spawn("parked", func(p *Proc) { p.Wait(never) })
 		e.Spawn("done", func(p *Proc) { p.Sleep(Microsecond) })
 		e.Run()
@@ -793,7 +793,7 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	if skipped != 0 || sleeps != 0 {
 		t.Errorf("skipped Sleep: %v allocs; Sleep behind a same-instant callback: %v allocs; want 0", skipped, sleeps)
 	}
-	ev := e.NewEvent("ev")
+	ev := e.NewEvent()
 	trigger := ev.Trigger
 	var waits float64
 	e.RunFunc("waiter", func(p *Proc) {
@@ -806,7 +806,7 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	if waits != 0 {
 		t.Errorf("Wait + Trigger + Reset: %v allocs, want 0", waits)
 	}
-	ping, pong := e.NewEvent("ping"), e.NewEvent("pong")
+	ping, pong := e.NewEvent(), e.NewEvent()
 	e.Spawn("pong", func(p *Proc) {
 		for {
 			p.Wait(ping)
@@ -833,7 +833,7 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 func TestFinishedProcsDropped(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
-	never := e.NewEvent("never")
+	never := e.NewEvent()
 	var blocked, unwound []string
 	block := func(name string) {
 		blocked = append(blocked, name)
@@ -1003,7 +1003,7 @@ func TestHandOffChainDepth(t *testing.T) {
 	e.Observer = resumeLog{&got}
 	fwd, back := make([]*Event, n), make([]*Event, n)
 	for i := range fwd {
-		fwd[i], back[i] = e.NewEvent("fwd"), e.NewEvent("back")
+		fwd[i], back[i] = e.NewEvent(), e.NewEvent()
 	}
 	depth := 0
 	for i := 0; i < n; i++ {

@@ -191,7 +191,7 @@ func Start(env *sim.Env, target Target, cfg Config) *Supervisor {
 		env:    env,
 		cfg:    cfg.withDefaults(),
 		target: target,
-		kick:   env.NewEvent("supervisor-kick"),
+		kick:   env.NewEvent(),
 		misses: make(map[string]int),
 	}
 	s.rearmDeath()

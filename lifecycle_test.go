@@ -2,6 +2,7 @@ package paradice_test
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"paradice"
@@ -53,6 +54,43 @@ func TestMachineCloseCycles(t *testing.T) {
 	if grew := int64(heapInuse()) - int64(warm); grew > 8<<20 {
 		t.Fatalf("live heap grew %d KiB over %d closed machines", grew>>10, cycles-10)
 	}
+}
+
+// TestMachinesInParallel runs machines on several goroutines at once. They
+// share the process's one DRM spec table, which the GPU frontend reads for
+// every ioctl and JIT-executes for each command submission; under -race this
+// shows that no machine writes it.
+func TestMachinesInParallel(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				m, err := paradice.New(paradice.Config{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				g, err := m.AddGuest("guest1", paradice.Linux)
+				if err == nil {
+					err = g.Paravirtualize(paradice.PathGPU)
+				}
+				if err != nil {
+					m.Close()
+					t.Error(err)
+					return
+				}
+				res, err := workload.RunMatmul(m.Env, g.K, 8, int64(w*10+i))
+				m.Close()
+				if err != nil || !res.Correct {
+					t.Errorf("worker %d build %d: matmul correct=%v err=%v", w, i, res.Correct, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestRetiredHandlerSetsServeNothing replaces the driver VM by a crash

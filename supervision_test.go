@@ -309,7 +309,7 @@ func TestSupervisedRequestDeadline(t *testing.T) {
 		}
 		sink := load.NewSink(m.Env, 2*sim.Microsecond, sim.Microsecond)
 		if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
-			w := &wedgeDev{Sink: sink, never: m.Env.NewEvent("never")}
+			w := &wedgeDev{Sink: sink, never: m.Env.NewEvent()}
 			k.RegisterDevice(path, w, w)
 			return nil
 		}); err != nil {
