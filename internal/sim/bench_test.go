@@ -79,3 +79,45 @@ func BenchmarkProcRing(b *testing.B) {
 	})
 	e.Run()
 }
+
+// BenchmarkSpinWake measures one spin wake-up shaped like the serve-mixed
+// workload's polling waits: a token passes around 64 processes that each
+// WaitTimeout 200µs for it and pass it on 1µs after it comes, beside 128
+// sleepers far in the future. Every wait is woken long before its deadline,
+// so each op files a deadline that the event then supersedes.
+func BenchmarkSpinWake(b *testing.B) {
+	const spinners, sleepers = 64, 128
+	e := NewEnv()
+	defer e.Close()
+	for i := 0; i < sleepers; i++ {
+		e.Spawn("sleeper", func(p *Proc) { p.Sleep(Second + Duration(i)) })
+	}
+	token := make([]*Event, spinners)
+	for i := range token {
+		token[i] = e.NewEvent()
+	}
+	wakes := 0
+	for i := 0; i < spinners; i++ {
+		e.Spawn("spinner", func(p *Proc) {
+			for {
+				fired := p.WaitTimeout(token[i], 200*Microsecond)
+				if wakes == b.N {
+					b.StopTimer()
+					return
+				}
+				if !fired {
+					continue
+				}
+				token[i].Reset()
+				wakes++
+				p.Sleep(Microsecond)
+				token[(i+1)%spinners].Trigger()
+			}
+		})
+	}
+	e.Spawn("start", func(p *Proc) {
+		b.ResetTimer()
+		token[0].Trigger()
+	})
+	e.Run()
+}

@@ -87,25 +87,58 @@ func (a *item) before(b *item) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// calendar holds the scheduled items in before order, in two parts. An item
-// due at the instant it is scheduled goes to the due-now queue, which is
+// stale reports a resume its process no longer waits for: the process has
+// finished or a later wake-up superseded this one. Staleness is permanent.
+func (it *item) stale() bool {
+	return it.p != nil && (it.p.finished || it.gen != it.p.resumeGen)
+}
+
+// calendar holds the scheduled items in before order, in three parts. An
+// item due at the instant it is scheduled goes to the due-now queue, which is
 // already in before order since seqs only grow; every other item goes to a
 // binary min-heap. The queue holds only items due now, and now moves only
 // once it has drained (an item due later cannot be earlier than its head), so
 // a same-instant wake-up never sifts through the heap. The earliest item is
 // whichever head comes first.
+//
+// A WaitTimeout deadline, which the event it waits on almost always
+// supersedes, may instead join the deadline queue: it does when it sorts at
+// or after the queue's tail, so the queue too is in before order. Only the
+// queue's head is also in the heap. When the heap pops it, the queue drops it
+// and every stale entry behind it, and the next live entry goes into the heap
+// with its own (at, seq), so a superseded deadline behind the head never
+// sifts through the heap. Stale items never move the clock, so holding them
+// back changes no pop of a live item.
 type calendar struct {
 	due  FIFO[item]
 	heap []item
+	tmo  FIFO[item]
 }
 
-// push adds it to the due-now queue when it is due at now, else to the heap,
-// sifting the hole it fills up from the bottom.
+// push adds it to the due-now queue when it is due at now, else to the heap.
 func (c *calendar) push(it item, now Time) {
 	if it.at == now {
 		c.due.Push(it)
 		return
 	}
+	c.heapPush(it)
+}
+
+// deadline adds a WaitTimeout deadline, due after now: to the deadline queue
+// and the heap when the queue is empty, to the queue alone when it sorts at
+// or after the queue's tail, and to the heap alone when it sorts before it.
+func (c *calendar) deadline(it item) {
+	if c.tmo.Len() == 0 {
+		c.tmo.Push(it)
+	} else if it.at >= c.tmo.buf[len(c.tmo.buf)-1].at {
+		c.tmo.Push(it)
+		return
+	}
+	c.heapPush(it)
+}
+
+// heapPush adds it to the heap, sifting the hole it fills up from the bottom.
+func (c *calendar) heapPush(it item) {
 	h := append(c.heap, it)
 	i := len(h) - 1
 	for i > 0 {
@@ -136,13 +169,16 @@ func (c *calendar) top() (it *item, due bool) {
 }
 
 // pop removes the earliest item, which top reported as heading the due-now
-// queue or not. Off the heap, it sifts the last item down from the root.
+// queue or not. Off the heap, it sifts the last item down from the root; if
+// the root headed the deadline queue, the queue's next live entry takes its
+// place in the heap.
 func (c *calendar) pop(due bool) {
 	if due {
 		c.due.Pop()
 		return
 	}
 	h := c.heap
+	root := h[0].seq
 	n := len(h) - 1
 	last := h[n]
 	h[n] = item{} // drop the callback and process references
@@ -166,21 +202,45 @@ func (c *calendar) pop(due bool) {
 		h[i] = last
 	}
 	c.heap = h
+	if c.tmo.Len() > 0 && c.tmo.buf[c.tmo.head].seq == root {
+		c.promote()
+	}
 }
 
-func (e *Env) schedule(it item) {
+// promote drops the deadline queue's head, which the heap just popped, and
+// every stale entry behind it, then puts the next live entry into the heap.
+// It goes into the heap even when it is due now: the due-now queue's items
+// have newer seqs, and the heap orders it among them by its own.
+func (c *calendar) promote() {
+	c.tmo.Pop()
+	for c.tmo.Len() > 0 {
+		if it := &c.tmo.buf[c.tmo.head]; !it.stale() {
+			c.heapPush(*it)
+			return
+		}
+		c.tmo.Pop()
+	}
+}
+
+// schedule files it in the calendar under the next seq: in the deadline queue
+// when it is a WaitTimeout deadline (see calendar), else by push.
+func (e *Env) schedule(it item, deadline bool) {
 	if it.at < e.now {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < %v", it.at, e.now))
 	}
 	it.seq = e.seq
 	e.seq++
-	e.cal.push(it, e.now)
+	if deadline {
+		e.cal.deadline(it)
+	} else {
+		e.cal.push(it, e.now)
+	}
 }
 
 // At schedules fn to run at absolute time t in scheduler context.
 // fn must not block or advance time; to do timed work, spawn a process.
 func (e *Env) At(t Time, fn func()) {
-	e.schedule(item{at: t, fn: fn})
+	e.schedule(item{at: t, fn: fn}, false)
 }
 
 // After schedules fn to run d from now in scheduler context.
@@ -244,7 +304,7 @@ func (e *Env) next() *Proc {
 			break
 		}
 		it := *top
-		if it.p != nil && (it.p.finished || it.gen != it.p.resumeGen) {
+		if it.stale() {
 			// Stale resume (dead process or superseded wake-up): discard
 			// without letting it advance the clock.
 			e.cal.pop(due)

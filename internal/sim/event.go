@@ -24,7 +24,7 @@ func (ev *Event) Trigger() {
 	}
 	ev.fired = true
 	for _, p := range ev.waiters {
-		p.scheduleResume(ev.env.now)
+		p.scheduleResume(ev.env.now, false)
 	}
 	// Keep the slice for the next round of waiters; no process runs here,
 	// so nothing can append to it meanwhile.
@@ -61,14 +61,17 @@ func (p *Proc) Wait(ev *Event) {
 
 // WaitTimeout suspends p until the event fires or d elapses, whichever comes
 // first. It reports whether the event fired (true) or the wait timed out.
+//
+// A deadline d > 0 is filed as a calendar deadline (see calendar): a polling
+// wait expects its event to fire first, and a superseded deadline queued
+// behind the deadline queue's head never reaches the heap.
 func (p *Proc) WaitTimeout(ev *Event, d Duration) bool {
 	if ev.fired {
 		return true
 	}
 	p.check()
-	deadline := p.env.now.Add(d)
 	ev.waiters = append(ev.waiters, p)
-	p.scheduleResume(deadline)
+	p.scheduleResume(p.env.now.Add(d), d > 0)
 	p.block()
 	if ev.fired {
 		return true

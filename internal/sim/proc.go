@@ -54,7 +54,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	e.nprocs++
 	e.procs = append(e.procs, p)
-	p.scheduleResume(e.now)
+	p.scheduleResume(e.now, false)
 	return p
 }
 
@@ -176,10 +176,12 @@ func (p *Proc) SetRID(rid uint64) {
 	}
 }
 
-func (p *Proc) scheduleResume(at Time) {
+// scheduleResume schedules p's resume at time at, superseding any pending
+// one; deadline marks a WaitTimeout deadline.
+func (p *Proc) scheduleResume(at Time, deadline bool) {
 	p.queued = true
 	p.resumeGen++
-	p.env.schedule(item{at: at, p: p, gen: p.resumeGen})
+	p.env.schedule(item{at: at, p: p, gen: p.resumeGen}, deadline)
 }
 
 // check panics unless p may block now: its Env is open and p is the process
@@ -231,6 +233,6 @@ func (p *Proc) Sleep(d Duration) {
 		}
 		return
 	}
-	p.scheduleResume(at)
+	p.scheduleResume(at, false)
 	p.block()
 }

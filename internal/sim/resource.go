@@ -40,7 +40,7 @@ func (r *Resource) Release() {
 	if r.waiters.Len() > 0 {
 		next := r.waiters.Pop()
 		// The unit transfers directly: inUse stays constant.
-		next.scheduleResume(r.env.now)
+		next.scheduleResume(r.env.now, false)
 		return
 	}
 	r.inUse--

@@ -466,6 +466,121 @@ func TestMixedWorkloadDeterminism(t *testing.T) {
 	}
 }
 
+// mixedTimeouts drives every way the calendar files a WaitTimeout deadline
+// and returns each wait's "<time> <name> <fired>":
+//   - four spinners each wait 200µs on their own response event, which a
+//     device process mostly triggers a few µs later and sometimes lets time
+//     out;
+//   - a 1ms timeout filed behind queued 200µs deadlines, so the 200µs
+//     deadlines filed after it, and a 50µs one, sort before the queue's tail;
+//   - WaitTimeout(ev, 0), with nothing due and behind a same-instant trigger;
+//   - a trigger at exactly a pending deadline's instant, scheduled before the
+//     wait (the event wins) and after it (the deadline wins);
+//   - a process that finishes while its superseded deadline is still queued.
+func mixedTimeouts() []string {
+	e := NewEnv()
+	defer e.Close()
+	var log []string
+	note := func(p *Proc, fired bool) {
+		log = append(log, fmt.Sprintf("%v %s %v", p.Now(), p.Name(), fired))
+	}
+	resp := make([]*Event, 4)
+	for i := range resp {
+		resp[i] = e.NewEvent()
+		e.Spawn(fmt.Sprintf("spin%d", i), func(p *Proc) {
+			for round := 0; round < 6; round++ {
+				note(p, p.WaitTimeout(resp[i], 200*Microsecond))
+				resp[i].Reset()
+				p.Sleep(Duration(i) * Microsecond)
+			}
+		})
+	}
+	e.Spawn("device", func(p *Proc) {
+		for k, gap := range []Duration{1, 2, 1, 3, 250, 1, 1, 2, 5, 1, 300, 2, 1, 1, 4, 1, 2, 1, 1, 3} {
+			p.Sleep(gap * Microsecond)
+			resp[k%len(resp)].Trigger()
+		}
+	})
+	quit := e.NewEvent()
+	e.Spawn("quit", func(p *Proc) {
+		p.Sleep(3 * Microsecond)
+		e.After(4*Microsecond, quit.Trigger)
+		note(p, p.WaitTimeout(quit, 200*Microsecond))
+	})
+	edge := e.NewEvent()
+	e.Spawn("edge", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		e.After(200*Microsecond, edge.Trigger)
+		note(p, p.WaitTimeout(edge, 200*Microsecond))
+		edge.Reset()
+		e.After(0, func() { e.After(200*Microsecond, edge.Trigger) })
+		note(p, p.WaitTimeout(edge, 200*Microsecond))
+	})
+	never := e.NewEvent()
+	e.Spawn("long", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		note(p, p.WaitTimeout(never, Millisecond))
+		note(p, p.WaitTimeout(never, 200*Microsecond))
+	})
+	e.Spawn("short", func(p *Proc) {
+		p.Sleep(20 * Microsecond)
+		note(p, p.WaitTimeout(never, 50*Microsecond))
+	})
+	zero := e.NewEvent()
+	e.Spawn("zero", func(p *Proc) {
+		p.Sleep(30 * Microsecond)
+		note(p, p.WaitTimeout(zero, 0))
+		e.At(p.Now(), zero.Trigger)
+		note(p, p.WaitTimeout(zero, 0))
+	})
+	e.Run()
+	return log
+}
+
+// mixedTimeoutsLog is mixedTimeouts' log, recorded when every deadline still
+// went into the heap: filing deadlines in the deadline queue must not move a
+// single wake-up or change which of a deadline and its event wins.
+var mixedTimeoutsLog = []string{
+	"1.000µs spin0 true",
+	"3.000µs spin1 true",
+	"4.000µs spin2 true",
+	"7.000µs quit true",
+	"7.000µs spin3 true",
+	"30.000µs zero false",
+	"30.000µs zero true",
+	"70.000µs short false",
+	"201.000µs spin0 false",
+	"204.000µs spin1 false",
+	"205.000µs edge true",
+	"206.000µs spin2 false",
+	"210.000µs spin3 false",
+	"257.000µs spin0 true",
+	"258.000µs spin1 true",
+	"259.000µs spin2 true",
+	"261.000µs spin3 true",
+	"266.000µs spin0 true",
+	"267.000µs spin1 true",
+	"405.000µs edge false",
+	"461.000µs spin2 false",
+	"464.000µs spin3 false",
+	"466.000µs spin0 false",
+	"468.000µs spin1 false",
+	"567.000µs spin2 true",
+	"569.000µs spin3 true",
+	"570.000µs spin0 true",
+	"571.000µs spin1 true",
+	"575.000µs spin2 true",
+	"576.000µs spin3 true",
+	"1.010ms long false",
+	"1.210ms long false",
+}
+
+func TestMixedTimeoutsResumeLog(t *testing.T) {
+	if got := mixedTimeouts(); !reflect.DeepEqual(got, mixedTimeoutsLog) {
+		t.Fatalf("WaitTimeout log changed:\n got %q\nwant %q", got, mixedTimeoutsLog)
+	}
+}
+
 // runPanic runs fn and returns what it panicked with, or nil.
 func runPanic(fn func()) (r any) {
 	defer func() { r = recover() }()
@@ -770,7 +885,8 @@ func TestCalendarPopsInOrder(t *testing.T) {
 // Steady-state scheduling allocates nothing: a callback scheduled and
 // dispatched, later or at the same instant, a process sleeping with nothing
 // else due (the skipped Sleep) or behind a same-instant callback, a wake-up,
-// and a hop to another process and back.
+// a WaitTimeout woken before its deadline or timing out, and a hop to another
+// process and back.
 func TestSchedulingAllocatesNothing(t *testing.T) {
 	e := NewEnv()
 	fn := func() {}
@@ -805,6 +921,31 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	})
 	if waits != 0 {
 		t.Errorf("Wait + Trigger + Reset: %v allocs, want 0", waits)
+	}
+	never := e.NewEvent()
+	var woken, timedOut float64
+	e.RunFunc("spinner", func(p *Proc) {
+		spin := func() {
+			ev.Reset()
+			e.After(Microsecond, trigger)
+			if !p.WaitTimeout(ev, 200*Microsecond) {
+				t.Error("spin timed out before its event fired")
+			}
+		}
+		// Fill the deadline queue with superseded deadlines up to its
+		// steady length, about 200.
+		for i := 0; i < 1000; i++ {
+			spin()
+		}
+		woken = testing.AllocsPerRun(1000, spin)
+		timedOut = testing.AllocsPerRun(1000, func() {
+			if p.WaitTimeout(never, Microsecond) {
+				t.Error("wait on an event that never fires reported it fired")
+			}
+		})
+	})
+	if woken != 0 || timedOut != 0 {
+		t.Errorf("WaitTimeout woken before its deadline: %v allocs; timed out: %v allocs; want 0", woken, timedOut)
 	}
 	ping, pong := e.NewEvent(), e.NewEvent()
 	e.Spawn("pong", func(p *Proc) {
