@@ -175,19 +175,3 @@ func exprDeps(e Expr) []string {
 		return nil
 	}
 }
-
-// dynamic reports whether an expression depends on user data (LoadField) or
-// on a local bound from user data — decided after slicing by propagating
-// through Lets and loop variables with data-dependent bounds.
-func exprDynamic(e Expr, dyn map[string]bool) bool {
-	switch e := e.(type) {
-	case LoadField:
-		return true
-	case Local:
-		return dyn[string(e)]
-	case Bin:
-		return exprDynamic(e.L, dyn) || exprDynamic(e.R, dyn)
-	default:
-		return false
-	}
-}

@@ -43,6 +43,28 @@ func BenchmarkSelfResume(b *testing.B) {
 	})
 }
 
+// BenchmarkSpawn measures spawning a process and running it to the end: a
+// fresh coroutine, its start and its exit. Every 1024 processes the Env is
+// closed and replaced, off the clock, so the finished processes it holds
+// until Close stay few.
+func BenchmarkSpawn(b *testing.B) {
+	const batch = 1024
+	body := func(*Proc) {}
+	e := NewEnv()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%batch == batch-1 {
+			b.StopTimer()
+			e.Close()
+			e = NewEnv()
+			b.StartTimer()
+		}
+		e.Spawn("op", body)
+		e.Run()
+	}
+	e.Close()
+}
+
 // BenchmarkProcRing measures one hop of a token passed around a ring of 32
 // processes while 128 sleepers wait far in the future, about the calendar
 // size of the multi-guest workload: every wake-up is due at the instant it

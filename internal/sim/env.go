@@ -22,9 +22,7 @@ type Env struct {
 	stack   []byte // where fault was raised, for FaultStack
 	running bool
 	closed  bool
-	nprocs  int       // live (not yet finished) processes
-	procs   []*Proc   // in spawn order, for Deadlocked and Close; Spawn drops finished ones
-	idle    []*thread // parked coroutines Spawn reuses, last parked first
+	procs   []*Proc // every process spawned, in spawn order, for Deadlocked and Close
 
 	// Observer, when non-nil, receives a structured event per scheduling
 	// decision (callback dispatch, process resume) with its virtual
@@ -271,11 +269,11 @@ func (e *Env) RunUntil(limit Time) {
 	e.limit = limit
 	e.stack = nil
 	// Resume the next process due; it and the processes it resumes in turn
-	// run until one yields down the next process due that nothing above
-	// could resume (after a body finished), or nil when nothing is due by
-	// the limit or a panic needs re-raising here.
+	// run until the next process due comes back down to here (a body
+	// finished and nothing above could resume it), or nil when nothing is
+	// due by the limit or a panic needs re-raising here.
 	for q := e.next(); q != nil; {
-		q = q.t.enter()
+		q = q.enter()
 	}
 	if f := e.fault; f != nil {
 		e.fault = nil
@@ -358,9 +356,10 @@ func (e *Env) dispatch(trap *ProcPanic) (q *Proc) {
 // Close unwinds every unfinished process so its coroutine exits and no
 // longer pins the environment. A parked process panics a kill token out of
 // the call that blocked it, running its deferred calls; a process that never
-// started just exits, and so does every idle coroutine. Each coroutine has
-// exited by the time Close returns. Close must not be called during Run;
-// afterwards Run, Spawn and any blocking call panic. Closing twice is a no-op.
+// started just exits. A finished process's coroutine ended with its body, so
+// each coroutine has exited by the time Close returns. Close must not be
+// called during Run; afterwards Run, Spawn and any blocking call panic.
+// Closing twice is a no-op.
 func (e *Env) Close() {
 	if e.running {
 		panic("sim: Close during Run")
@@ -371,13 +370,10 @@ func (e *Env) Close() {
 	e.closed = true
 	for _, p := range e.procs {
 		if !p.finished {
-			p.t.stop()
+			p.stop()
 		}
 	}
-	for _, t := range e.idle {
-		t.stop()
-	}
-	e.cal, e.procs, e.nprocs, e.idle = calendar{}, nil, 0, nil
+	e.cal, e.procs = calendar{}, nil
 }
 
 // ProcPanic is the value re-panicked on the goroutine driving Run when a
@@ -399,9 +395,6 @@ func (pp *ProcPanic) String() string { return pp.Error() }
 // pending calendar entry — i.e. they are waiting on events that will never
 // fire. Useful in tests after Run returns.
 func (e *Env) Deadlocked() []string {
-	if e.nprocs == 0 {
-		return nil
-	}
 	var names []string
 	for _, p := range e.procs {
 		if !p.finished && !p.queued {

@@ -6,27 +6,40 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"slices"
 )
 
-// Proc is a simulation process: a body that runs on a coroutine, only while
-// the scheduler has resumed it. At most one Proc executes at any instant, so
-// process bodies may freely mutate shared simulation state without locks.
-// It passes virtual time only by Sleep, Wait, WaitTimeout or Resource.Acquire.
+// Proc is a simulation process: a body that runs on a coroutine of its own,
+// only while the scheduler has resumed it. At most one Proc executes at any
+// instant, so process bodies may freely mutate shared simulation state without
+// locks. It passes virtual time only by Sleep, Wait, WaitTimeout or
+// Resource.Acquire.
+//
+// The coroutines up (running, or resuming another) form one chain from the
+// Run caller to the one running: a process that blocks resumes the next
+// process due itself when that one's coroutine is parked, and stays up
+// beneath it. A process that cannot resume the next process due (it is nil,
+// or up beneath) yields it down the chain, and each coroutine it reaches
+// either is that process or passes it further down. A body that finishes
+// ends its coroutine, which leaves the next process due to its resumer.
 //
 // A body that leaves through runtime.Goexit (a t.FailNow in a test's process
-// body) ends its coroutine, and the Goexit carries on down the chain of
-// coroutines that resumed it (see thread): each process beneath it that
-// handed off to it ends too, running its deferred calls, and so does the
-// goroutine that called Run. The Env stays usable.
+// body) ends its coroutine, and the Goexit carries on down the chain: each
+// process beneath it that handed off to it ends too, running its deferred
+// calls, and so does the goroutine that called Run. The Env stays usable.
 type Proc struct {
 	env       *Env
 	name      string
-	t         *thread // the coroutine it runs on
+	fn        func(*Proc) // the body; nil once it has started
+	up        bool        // running or resuming another process: set by enter, cleared as p parks
 	finished  bool
 	queued    bool   // has a pending calendar resume entry
 	resumeGen uint64 // bumped per scheduled resume; stale entries are skipped
 	rid       uint64 // request the process serves; 0 for background work
+	next      *Proc  // the next process due, left by the finished body
+
+	resume func() (*Proc, bool) // run until the coroutine yields a process down or ends
+	stop   func()               // end the coroutine; returns once its goroutine has exited
+	yield  func(*Proc) bool     // down to the resumer; false once stop is called
 }
 
 // Spawn creates a process running fn, scheduled to start now.
@@ -35,24 +48,8 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn after Close")
 	}
-	var t *thread
-	if n := len(e.idle); n > 0 {
-		t = e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-	} else {
-		t = new(thread)
-		t.resume, t.stop = iter.Pull(t.loop)
-	}
-	p := &Proc{env: e, name: name, t: t}
-	t.p, t.fn = p, fn
-	if len(e.procs) == cap(e.procs) && e.nprocs <= len(e.procs)/2 {
-		// At least half the list has finished: drop those instead of
-		// growing, so a run that spawns a process per request keeps only
-		// the live ones. The survivors stay in spawn order.
-		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.finished })
-	}
-	e.nprocs++
+	p := &Proc{env: e, name: name, fn: fn}
+	p.resume, p.stop = iter.Pull(p.run)
 	e.procs = append(e.procs, p)
 	p.scheduleResume(e.now, false)
 	return p
@@ -64,57 +61,28 @@ type closedError struct{ proc string }
 
 func (c closedError) Error() string { return "sim: " + c.proc + " blocked after Close" }
 
-// thread is a process coroutine. It runs one process body after another, so
-// a run that spawns a process per request starts a coroutine only per
-// concurrently live process. Between bodies it is parked on Env.idle with p
-// and fn nil; Spawn hands it the next body.
-//
-// The coroutines up (running, or resuming another) form one chain from the
-// Run caller to the one running: a process that blocks resumes the next
-// process due itself when that one's coroutine is parked, and stays up
-// beneath it. A coroutine that cannot resume the next process due (it is
-// nil, or up beneath) yields it down the chain, and each coroutine it
-// reaches either is that process or passes it further down.
-type thread struct {
-	p  *Proc
-	fn func(*Proc)
-	up bool // running or resuming another thread; false while parked
-
-	resume func() (*Proc, bool) // run until the thread yields a process down
-	stop   func()               // end the thread; returns once its goroutine has exited
-	yield  func(*Proc) bool     // down to the resumer; false once stop is called
-}
-
-// enter resumes t and returns what t yields down once it parks again: nil,
-// a process whose coroutine is up beneath t, or, after a body finished on t,
-// the next process due.
-func (t *thread) enter() *Proc {
-	t.up = true
-	q, _ := t.resume()
-	t.up = false
+// enter resumes p and returns what p yields down once it parks again (nil or
+// a process whose coroutine is up beneath p) or, once its body has finished,
+// the next process due. p clears up itself when it parks, which keeps enter
+// within the inliner's budget (cost 80 of 80): both calendar loops inline it,
+// and a call would add about 5% to every hop.
+func (p *Proc) enter() *Proc {
+	p.up = true
+	q, ok := p.resume()
+	if !ok {
+		q = p.next
+	}
 	return q
 }
 
-// loop runs the body of t's process, runs the calendar loop on to the next
-// process due, and yields that process down to its resumer, or runs it at
-// once when a callback spawned it onto t. It repeats when t is resumed with
-// the next body, and returns once Close stops t.
-func (t *thread) loop(yield func(*Proc) bool) {
-	t.yield = yield
-	for {
-		if q := t.p.run(t); (q == nil || q.t != t) && !yield(q) {
-			return
-		}
-	}
-}
-
-// run runs p's body on t, then returns the next process due. That tail is
-// deferred so it also happens when the body panics. A body that leaves through
-// runtime.Goexit takes t with it: the tail only marks p finished, and the
-// Goexit then ends every coroutine beneath t and the Run caller too.
-func (p *Proc) run(t *thread) (q *Proc) {
-	e, fn := p.env, t.fn
-	t.p, t.fn = nil, nil // pin neither this process nor its closure once done
+// run is p's coroutine: it runs p's body, then leaves the next process due in
+// p.next. That tail is deferred so it also happens when the body panics. A
+// body that leaves through runtime.Goexit takes the coroutine with it: the
+// tail only marks p finished, and the Goexit then ends every coroutine
+// beneath it and the Run caller too.
+func (p *Proc) run(yield func(*Proc) bool) {
+	e, fn := p.env, p.fn
+	p.yield, p.fn = yield, nil // a finished process must not pin its closure
 	returned := false
 	defer func() {
 		// While the Env is closing, a panic (the kill token or anything the
@@ -126,20 +94,18 @@ func (p *Proc) run(t *thread) (q *Proc) {
 			trap = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 		p.finished = true
+		p.resume, p.stop, p.yield = nil, nil, nil // nor its coroutine's
 		if e.closed {
 			return
 		}
-		e.nprocs--
 		if !returned && r == nil {
 			e.current = nil
 			return
 		}
-		e.idle = append(e.idle, t)
-		q = e.dispatch(trap)
+		p.next = e.dispatch(trap)
 	}()
 	fn(p)
 	returned = true
-	return nil
 }
 
 // RunFunc spawns fn as a process and runs the environment until the calendar
@@ -199,12 +165,14 @@ func (p *Proc) check() {
 // block suspends p until it is resumed. The calendar loop runs right here on
 // p's coroutine. If p itself is the next process due it just returns. If the
 // next one's coroutine is parked, p resumes it directly, in one coroutine
-// switch, and takes over whatever comes back down. Otherwise p yields the
-// next process (or nil) down and parks.
+// switch, and takes over whatever comes back down: what that one yields when
+// it parks, or the next process due once its body has finished. Otherwise p
+// yields the next process (or nil) down and parks.
 func (p *Proc) block() {
-	for q := p.env.dispatch(nil); q != p; q = q.t.enter() {
-		if q == nil || q.t.up {
-			if !p.t.yield(q) {
+	for q := p.env.dispatch(nil); q != p; q = q.enter() {
+		if q == nil || q.up {
+			p.up = false
+			if !p.yield(q) {
 				panic(closedError{p.name})
 			}
 			return

@@ -765,7 +765,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 }
 
 // Close has ended every coroutine by the time it returns, cycle after cycle:
-// parked, never-started and idle processes alike leave no goroutine behind.
+// parked, never-started and finished processes alike leave no goroutine behind.
 func TestCloseCyclesLeaveNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
@@ -969,9 +969,9 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	e.Close()
 }
 
-// Finished processes are dropped from the process list, but Deadlocked still
-// names the blocked ones in spawn order and Close still unwinds them.
-func TestFinishedProcsDropped(t *testing.T) {
+// Among thousands of finished processes, Deadlocked names the blocked ones in
+// spawn order and Close unwinds them.
+func TestDeadlockedAmongFinishedProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
 	never := e.NewEvent()
@@ -995,10 +995,6 @@ func TestFinishedProcsDropped(t *testing.T) {
 	}
 	block("last")
 	e.Run()
-	// At most about 106 processes were ever live at once.
-	if len(e.procs) > 256 {
-		t.Errorf("%d processes kept after 10000 finished, %d live", len(e.procs), e.nprocs)
-	}
 	if got := e.Deadlocked(); !reflect.DeepEqual(got, blocked) {
 		t.Fatalf("Deadlocked() = %v, want %v", got, blocked)
 	}
@@ -1027,43 +1023,16 @@ func runWithin(t *testing.T, e *Env) {
 	}
 }
 
-// A callback dispatched after a process finishes may spawn onto the
-// coroutine that process just parked; the new process is then the next due
-// and runs right there, without a switch through the Run caller.
-func TestCallbackSpawnsOntoFinishedGoroutine(t *testing.T) {
-	e := NewEnv()
-	var a, b *Proc
-	var ran []string
-	a = e.Spawn("a", func(p *Proc) {
-		p.Env().After(0, func() {
-			b = e.Spawn("b", func(p *Proc) { ran = append(ran, "b") })
-		})
-		ran = append(ran, "a")
-	})
-	runWithin(t, e)
-	if !reflect.DeepEqual(ran, []string{"a", "b"}) {
-		t.Fatalf("ran %v, want [a b]", ran)
-	}
-	if b == nil || b.t != a.t {
-		t.Fatal("b did not run on the thread a finished on")
-	}
-	if len(e.idle) != 1 {
-		t.Fatalf("%d idle threads, want 1", len(e.idle))
-	}
-	e.Close()
-}
-
 // A body that leaves through runtime.Goexit ends its coroutine, and the
 // Goexit carries on down the chain of coroutines that resumed it: the
 // process that handed off to it ends too, running its deferred calls, and so
 // does the goroutine that called Run, so RunFunc does not return. The Env
-// stays usable, the next process runs on another thread, and Close leaves no
-// goroutine behind.
-func TestGoexitGoroutineNotReused(t *testing.T) {
+// stays usable, and Close leaves no goroutine behind.
+func TestGoexitEndsChain(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
 	e.RunFunc("first", func(p *Proc) {})
-	var under, exit *Proc
+	var under *Proc
 	returned, unwound := false, false
 	done := make(chan struct{})
 	go func() {
@@ -1076,10 +1045,9 @@ func TestGoexitGoroutineNotReused(t *testing.T) {
 			t.Error("under resumed after the process it handed off to called Goexit")
 		})
 		e.RunFunc("exit", func(p *Proc) {
-			if !under.t.up {
+			if !under.up {
 				t.Error("exit was not resumed by under's coroutine")
 			}
-			exit = p
 			runtime.Goexit()
 		})
 		returned = true
@@ -1091,17 +1059,17 @@ func TestGoexitGoroutineNotReused(t *testing.T) {
 	if !unwound || !under.finished {
 		t.Fatalf("the process beneath the Goexit: deferred calls ran=%v, finished=%v", unwound, under.finished)
 	}
-	if len(e.idle) != 0 || e.Deadlocked() != nil {
-		t.Fatalf("after Goexit: %d idle threads, deadlocked %v", len(e.idle), e.Deadlocked())
+	if e.Deadlocked() != nil {
+		t.Fatalf("after Goexit: deadlocked %v", e.Deadlocked())
 	}
 	ran := false
-	next := e.Spawn("next", func(p *Proc) {
+	e.Spawn("next", func(p *Proc) {
 		p.Sleep(Microsecond)
 		ran = true
 	})
 	e.Run()
-	if !ran || next.t == exit.t || next.t == under.t {
-		t.Fatalf("next ran=%v, on an exited thread=%v", ran, next.t == exit.t || next.t == under.t)
+	if !ran {
+		t.Fatal("next did not run after the Goexit")
 	}
 	e.Close()
 	if got := goroutinesAfterExit(base); got > base {
@@ -1120,12 +1088,12 @@ func goroutinesAfterExit(base int) int {
 	}
 }
 
-// upThreads counts the coroutines on the chain from the Run caller: those
+// upProcs counts the coroutines on the chain from the Run caller: those
 // running or resuming another.
-func upThreads(e *Env) int {
+func upProcs(e *Env) int {
 	n := 0
 	for _, p := range e.procs {
-		if !p.finished && p.t.up {
+		if !p.finished && p.up {
 			n++
 		}
 	}
@@ -1158,7 +1126,7 @@ func TestHandOffChainDepth(t *testing.T) {
 				fwd[i+1].Trigger()
 				p.Wait(back[i])
 			} else {
-				depth = upThreads(e)
+				depth = upProcs(e)
 			}
 			p.Sleep(Microsecond)
 			if i > 0 {
@@ -1209,7 +1177,7 @@ func (l resumeLog) SchedResume(at Time, proc string) {
 
 // A panic in a process resumed by another process's coroutine, consumed by
 // OnProcPanic, leaves the run going: the process beneath it on the chain
-// resumes at its due time, and the panicked one's thread goes idle.
+// resumes at its due time.
 func TestNestedPanicConsumed(t *testing.T) {
 	e := NewEnv()
 	var caught []string
@@ -1223,7 +1191,7 @@ func TestNestedPanicConsumed(t *testing.T) {
 		woke = p.Now()
 	})
 	e.Spawn("bomb", func(p *Proc) {
-		if !under.t.up {
+		if !under.up {
 			t.Error("bomb was not resumed by under's coroutine")
 		}
 		panic("oops")
@@ -1239,8 +1207,8 @@ func TestNestedPanicConsumed(t *testing.T) {
 	if woke != Time(5*Microsecond) || later != Time(2*Microsecond) {
 		t.Fatalf("under woke at %v (want 5µs), later at %v (want 2µs)", woke, later)
 	}
-	if e.Deadlocked() != nil || len(e.idle) != 3 {
-		t.Fatalf("deadlocked %v, %d idle threads (want 3)", e.Deadlocked(), len(e.idle))
+	if e.Deadlocked() != nil {
+		t.Fatalf("deadlocked %v", e.Deadlocked())
 	}
 	e.Close()
 }
@@ -1275,44 +1243,9 @@ func TestSkippedSleepReportsResume(t *testing.T) {
 	e.Close()
 }
 
-// A thread whose process panicked, with the panic consumed by OnProcPanic,
-// goes back to the idle list and runs the next process.
-func TestConsumedPanicGoroutineReused(t *testing.T) {
-	e := NewEnv()
-	e.OnProcPanic = func(*ProcPanic) bool { return true }
-	bomb := e.Spawn("bomb", func(p *Proc) { panic("oops") })
-	e.Run()
-	if len(e.idle) != 1 {
-		t.Fatalf("%d idle threads after a consumed panic, want 1", len(e.idle))
-	}
-	ran := false
-	next := e.Spawn("next", func(p *Proc) { ran = true })
-	runWithin(t, e)
-	if !ran || next.t != bomb.t {
-		t.Fatalf("next ran=%v, on the panicked process's thread=%v", ran, next.t == bomb.t)
-	}
-	e.Close()
-}
-
-// Close releases the idle coroutines along with the parked processes.
-func TestCloseReleasesIdleGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := NewEnv()
-	for i := 0; i < 8; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Sleep(Microsecond) })
-	}
-	e.Run()
-	if len(e.idle) != 8 {
-		t.Fatalf("%d idle threads, want 8", len(e.idle))
-	}
-	e.Close()
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines left after Close, want %d", got, base)
-	}
-}
-
 // A run that spawns a process per request keeps one coroutine per
-// concurrently live process, not one per process ever spawned.
+// concurrently live process, not one per process ever spawned, and none once
+// they have all finished.
 func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
@@ -1324,7 +1257,7 @@ func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 				p.Sleep(Duration(1+rng.Intn(20)) * Microsecond)
 				served++
 			})
-			peakLive = max(peakLive, e.nprocs)
+			peakLive = max(peakLive, liveProcs(e))
 			peakGoroutines = max(peakGoroutines, runtime.NumGoroutine()-base)
 			p.Sleep(Duration(rng.Intn(3)) * Microsecond)
 		}
@@ -1336,22 +1269,22 @@ func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 	if peakGoroutines > peakLive+2 {
 		t.Fatalf("up to %d goroutines for at most %d live processes", peakGoroutines, peakLive)
 	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines left once every process finished, want %d", got, base)
+	}
 	e.Close()
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines left after Close, want %d", got, base)
 	}
 }
 
-// Spawning a process onto an idle coroutine and running it to the end
-// allocates only the Proc itself.
-func TestSpawnReuseAllocs(t *testing.T) {
-	e := NewEnv()
-	body := func(p *Proc) { p.Sleep(Microsecond) }
-	if n := testing.AllocsPerRun(1000, func() {
-		e.Spawn("op", body)
-		e.Run()
-	}); n > 1 {
-		t.Errorf("spawn + run to the end: %v allocs, want at most 1", n)
+// liveProcs counts the processes that have not finished.
+func liveProcs(e *Env) int {
+	n := 0
+	for _, p := range e.procs {
+		if !p.finished {
+			n++
+		}
 	}
-	e.Close()
+	return n
 }
