@@ -1,8 +1,9 @@
-// Command paradice-inspect boots a machine, optionally exercises it, and
-// dumps its architectural state: the system-physical memory map, each VM's
-// EPT footprint, the IOMMU domain contents, the devfs of every kernel, and
-// the device info the guests see. Useful for understanding how the pieces
-// of the paper's Figure 1(c) fit together.
+// Command paradice-inspect boots a machine, exercises it with a small
+// workload (a 32×32 GPU matmul, then 2000 netmap packets), and dumps its
+// architectural state: the system-physical memory map, each VM's EPT
+// footprint, the IOMMU domain contents, the devfs of every kernel, and the
+// device info the guests see. Useful for understanding how the pieces of the
+// paper's Figure 1(c) fit together.
 //
 // With -trace FILE the exercise workload runs under the cross-layer tracer
 // and its Chrome trace_event JSON is written to FILE (load in Perfetto);
@@ -23,7 +24,6 @@ import (
 
 func main() {
 	di := flag.Bool("di", false, "enable device data isolation")
-	exercise := flag.Bool("exercise", true, "run a small workload before dumping")
 	traceOut := flag.String("trace", "", "write a Chrome trace of the exercise workload to this file")
 	jsonOut := flag.Bool("json", false, "dump machine state as JSON instead of text")
 	flag.Parse()
@@ -42,13 +42,11 @@ func main() {
 	if *traceOut != "" {
 		m.StartTrace()
 	}
-	if *exercise {
-		if _, err := workload.RunMatmul(m.Env, g.K, 32, 1); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := workload.RunPktGen(m.Env, g.K, 16, 2000, 64); err != nil {
-			log.Fatal(err)
-		}
+	if _, err := workload.RunMatmul(m.Env, g.K, 32, 1); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := workload.RunPktGen(m.Env, g.K, 16, 2000, 64); err != nil {
+		log.Fatal(err)
 	}
 	if *traceOut != "" {
 		tr := m.StopTrace()
@@ -106,8 +104,8 @@ func dumpText(m *paradice.Machine, g *paradice.Guest) {
 	}
 
 	fmt.Println("\n=== channel statistics ===")
-	for _, p := range backendPaths(g) {
-		be := g.Backends[p]
+	for _, p := range channelPaths(g) {
+		be := g.Frontends[p].Backend()
 		fmt.Printf("  %-22s ops=%d notifs=%d dropped=%d wake-irqs=%d polled=%d\n",
 			p, be.OpsHandled, be.NotifsSent, be.NotifsDropped, be.WakeIRQs, be.PolledPosts)
 	}
@@ -159,8 +157,8 @@ func dumpJSON(m *paradice.Machine, g *paradice.Guest) {
 	for _, vm := range m.HV.VMs() {
 		out.VMs = append(out.VMs, vmInfo{Name: vm.Name, ID: int(vm.ID), RAMMiB: vm.RAM >> 20, EPTEntries: vm.EPT.Count()})
 	}
-	for _, p := range backendPaths(g) {
-		be := g.Backends[p]
+	for _, p := range channelPaths(g) {
+		be := g.Frontends[p].Backend()
 		out.Channels = append(out.Channels, channelInfo{
 			Path: p, Ops: be.OpsHandled, Notifs: be.NotifsSent, NotifsDropped: be.NotifsDropped,
 			WakeIRQs: be.WakeIRQs, PolledPosts: be.PolledPosts,
@@ -173,11 +171,11 @@ func dumpJSON(m *paradice.Machine, g *paradice.Guest) {
 	}
 }
 
-// backendPaths returns the paths of g's backends, sorted, so the dump is the
+// channelPaths returns the paths of g's channels, sorted, so the dump is the
 // same on every run.
-func backendPaths(g *paradice.Guest) []string {
-	paths := make([]string, 0, len(g.Backends))
-	for p := range g.Backends {
+func channelPaths(g *paradice.Guest) []string {
+	paths := make([]string, 0, len(g.Frontends))
+	for p := range g.Frontends {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)

@@ -6,16 +6,18 @@
 // reconciled against the end-to-end latency; it exits non-zero, after
 // writing every output, when the spans do not add up to that latency.
 //
+// Every run traces 8 forwarded no-ops, then a 16×16 GPU matmul.
+//
 // Usage:
 //
-//	paradice-trace                          # interrupts, 8 no-ops + matmul
+//	paradice-trace                          # interrupts
 //	paradice-trace -mode polling            # polled transport
 //	paradice-trace -out t.json -metrics m.txt
 //	paradice-trace -sched                   # include scheduler events
 //	paradice-trace -outliers                # arm the flight recorder and
 //	                                        # dump digests, per-class
-//	                                        # attribution, and exemplar
-//	                                        # outlier span trees
+//	                                        # attribution, and the span
+//	                                        # trees of requests over 20 µs
 package main
 
 import (
@@ -24,7 +26,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"paradice"
 	"paradice/internal/driver/drm"
@@ -34,15 +35,21 @@ import (
 	"paradice/internal/workload"
 )
 
+// The traced workload: noopOps forwarded no-op ioctls, then a GPU matmul of
+// order matmulOrder. With -outliers, a request slower than outlierThreshold
+// keeps its full span tree.
+const (
+	noopOps          = 8
+	matmulOrder      = 16
+	outlierThreshold = 20 * sim.Microsecond
+)
+
 func main() {
 	modeFlag := flag.String("mode", "interrupts", `CVD transport: "interrupts" or "polling"`)
 	out := flag.String("out", "trace.json", "Chrome trace_event output file (empty = skip)")
 	metricsOut := flag.String("metrics", "", "metrics dump output file (default stdout)")
-	ops := flag.Int("ops", 8, "forwarded no-op ioctls to trace")
-	matmul := flag.Int("matmul", 16, "matrix order for the GPU workload (0 = skip)")
 	sched := flag.Bool("sched", false, "include scheduler events in the trace")
 	outliers := flag.Bool("outliers", false, "arm the flight recorder; dump digests, attribution, and outlier trees")
-	outlierThreshold := flag.Duration("outlier-threshold", 20*time.Microsecond, "latency above which a request's full span tree is retained (with -outliers)")
 	flag.Parse()
 
 	var mode paradice.Mode
@@ -73,7 +80,7 @@ func main() {
 	var fr *trace.FlightRecorder
 	if *outliers {
 		fr = tr.ArmFlightRecorder(trace.FlightConfig{
-			Threshold: sim.Duration(*outlierThreshold),
+			Threshold: outlierThreshold,
 		})
 	}
 
@@ -92,7 +99,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < *ops; i++ {
+		for i := 0; i < noopOps; i++ {
 			if _, err := t.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
 				return err
 			}
@@ -108,10 +115,8 @@ func main() {
 	// workload appends its own (non-no-op) ioctls to the trace.
 	reconciled := printBreakdown(tr, *modeFlag)
 
-	if *matmul > 0 {
-		if _, err := workload.RunMatmul(m.Env, g.K, *matmul, 1); err != nil {
-			log.Fatal(err)
-		}
+	if _, err := workload.RunMatmul(m.Env, g.K, matmulOrder, 1); err != nil {
+		log.Fatal(err)
 	}
 
 	// The flight-recorder dump: ring digests (hops tiling each request's

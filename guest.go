@@ -16,7 +16,8 @@ import (
 
 // Guest is one guest VM on a Paradice machine: its own kernel, its grant
 // table (one page per guest VM, shared by all of its CVD frontends), and
-// the virtual device files it has paravirtualized.
+// the virtual device files it has paravirtualized. A channel's current
+// backend is its frontend's Backend().
 type Guest struct {
 	M  *Machine
 	VM *hv.VM
@@ -24,7 +25,6 @@ type Guest struct {
 
 	Grants    *grant.Table
 	Frontends map[string]*cvd.Frontend
-	Backends  map[string]*cvd.Backend
 
 	index   int
 	fgEvent *sim.Event
@@ -49,7 +49,6 @@ func (m *Machine) AddGuest(name string, flavor kernel.Flavor) (*Guest, error) {
 	g := &Guest{
 		M: m, VM: vm, K: k, Grants: grants,
 		Frontends: make(map[string]*cvd.Frontend),
-		Backends:  make(map[string]*cvd.Backend),
 		index:     len(m.guests),
 	}
 	devinfo.InstallVirtualPCIBus(k)
@@ -116,7 +115,6 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 // a supervisor had given up on its predecessor).
 func (g *Guest) attach(path string, be *cvd.Backend) {
 	g.M.ShardFor(path).Pool.Join(be)
-	g.Backends[path] = be
 	g.Frontends[path].SetDegraded(false)
 	if isGatedInputPath(path) {
 		be.SetNotifyGate(func() bool { return g.Foreground() })

@@ -162,7 +162,7 @@ func TestHandoverZeroLossUnderLoad(t *testing.T) {
 	if fe.QueuedPosts == 0 {
 		t.Fatal("no posts parked during the drain — the quiesce stage never saw traffic")
 	}
-	be := g.Backends[load.SinkPath]
+	be := g.Frontends[load.SinkPath].Backend()
 	hits, _, _ := be.MapCacheStats()
 	if hits == 0 {
 		t.Fatal("successor map cache has zero hits — the warm transfer did not take")
@@ -278,7 +278,7 @@ func TestHandoverDrainDeadlineAborts(t *testing.T) {
 	if err := g.Paravirtualize(path); err != nil {
 		t.Fatal(err)
 	}
-	pred := g.Backends[path]
+	pred := g.Frontends[path].Backend()
 
 	// The handover starts at kick; its prepare stage boots the successor
 	// for CostDriverVMRestart, then the drain begins.
@@ -339,7 +339,7 @@ func TestHandoverDrainDeadlineAborts(t *testing.T) {
 	if fmt.Sprint(served) != "[1 0]" {
 		t.Fatalf("writes served per driver-VM generation = %v, want [1 0] (predecessor, successor)", served)
 	}
-	if g.Backends[path] != pred {
+	if g.Frontends[path].Backend() != pred {
 		t.Fatal("aborted handover replaced the predecessor backend")
 	}
 	if m.RestartEpoch() != 0 {

@@ -108,7 +108,8 @@ func adaptiveLevel(cfg paradice.Config, rate float64, quick bool) (adaptiveOutco
 	if err != nil {
 		return adaptiveOutcome{}, err
 	}
-	fe, be := g.Frontends[load.SinkPath], g.Backends[load.SinkPath]
+	fe := g.Frontends[load.SinkPath]
+	be := fe.Backend()
 	ok := res.OK()
 	if ok == 0 {
 		return adaptiveOutcome{}, fmt.Errorf("adaptive: no completions at %.0f/s", rate)

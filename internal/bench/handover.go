@@ -187,7 +187,7 @@ func RunHandover(quick bool) ([]Row, error) {
 	if ho.witnessErrs != 0 {
 		return nil, fmt.Errorf("handover: %d witness writes failed (last: %v)", ho.witnessErrs, ho.witnessLastErr)
 	}
-	be := ho.g.Backends[load.SinkPath]
+	be := ho.g.Frontends[load.SinkPath].Backend()
 	warmHits, _, _ := be.MapCacheStats()
 	queued := ho.g.Frontends[load.SinkPath].QueuedPosts
 

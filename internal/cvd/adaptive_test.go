@@ -21,6 +21,7 @@ import (
 // it back to interrupts.
 func TestAdaptiveSwitchesToPollUnderLoadAndBack(t *testing.T) {
 	r := newRig(t, Adaptive, kernel.Linux)
+	r.traced()
 	app, _ := r.guestK.NewProcess("app")
 	opened := r.env.NewEvent()
 	var fd int
@@ -44,13 +45,13 @@ func TestAdaptiveSwitchesToPollUnderLoadAndBack(t *testing.T) {
 	if !r.fe.stance {
 		t.Fatal("frontend never entered poll stance under 8-way closed-loop load")
 	}
-	if r.fe.ModeSwitches == 0 {
-		t.Fatal("ModeSwitches = 0, want >= 1")
+	if r.count(t, "cvd.adaptive.switches") == 0 {
+		t.Fatal("cvd.adaptive.switches = 0, want >= 1")
 	}
 	if r.be.PolledPosts == 0 {
 		t.Fatal("no post was ever observed by the spinning backend: poll stance never engaged the polled path")
 	}
-	switchesUnderLoad := r.fe.ModeSwitches
+	switchesUnderLoad := r.count(t, "cvd.adaptive.switches")
 
 	// One sparse post after a long idle gap: the capped gap yanks the EWMA
 	// back above the threshold and the channel re-arms interrupts BEFORE
@@ -65,9 +66,9 @@ func TestAdaptiveSwitchesToPollUnderLoadAndBack(t *testing.T) {
 	if r.fe.stance {
 		t.Fatal("frontend still in poll stance after a 5 ms idle gap")
 	}
-	if r.fe.ModeSwitches <= switchesUnderLoad {
-		t.Fatalf("ModeSwitches = %d, want > %d (the idle gap must flip the stance back)",
-			r.fe.ModeSwitches, switchesUnderLoad)
+	if n := r.count(t, "cvd.adaptive.switches"); n <= switchesUnderLoad {
+		t.Fatalf("cvd.adaptive.switches = %d, want > %d (the idle gap must flip the stance back)",
+			n, switchesUnderLoad)
 	}
 }
 
@@ -110,6 +111,7 @@ func TestCompletionBatchingSharesResponseIRQ(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 50 * sim.Microsecond
 	})
+	r.traced()
 	app, _ := r.guestK.NewProcess("app")
 	opened := r.env.NewEvent()
 	var fd int
@@ -130,8 +132,8 @@ func TestCompletionBatchingSharesResponseIRQ(t *testing.T) {
 	r.env.Run()
 	// The open's completion flushes alone at the deadline; the 8 writes'
 	// completions hit the size trigger and share one more response IRQ.
-	if r.be.RespFlushes != 2 {
-		t.Fatalf("RespFlushes = %d, want 2 (open solo + one full write batch)", r.be.RespFlushes)
+	if n := r.count(t, "cvd.backend.resp.flushes"); n != 2 {
+		t.Fatalf("cvd.backend.resp.flushes = %d, want 2 (open solo + one full write batch)", n)
 	}
 	if string(r.drv.data) != "ABCDEFGH" {
 		t.Fatalf("driver saw order %q, want ABCDEFGH", r.drv.data)
@@ -148,6 +150,7 @@ func TestHeartbeatBypassesCompletionBatch(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 500 * sim.Microsecond
 	})
+	r.traced()
 	ok := false
 	r.env.Spawn("watchdog", func(p *sim.Proc) {
 		ok = r.fe.Heartbeat(p, 200*sim.Microsecond)
@@ -156,7 +159,7 @@ func TestHeartbeatBypassesCompletionBatch(t *testing.T) {
 	if !ok {
 		t.Fatal("heartbeat missed its 200 µs budget under a 500 µs batch window: acks must bypass the batch")
 	}
-	if r.be.RespFlushes != 0 {
-		t.Fatalf("RespFlushes = %d for a heartbeat-only run, want 0", r.be.RespFlushes)
+	if n := r.count(t, "cvd.backend.resp.flushes"); n != 0 {
+		t.Fatalf("cvd.backend.resp.flushes = %d for a heartbeat-only run, want 0", n)
 	}
 }

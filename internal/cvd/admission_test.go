@@ -17,6 +17,7 @@ func TestAdmissionShedsLimitedClass(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.Admission = map[uint8]int{2: limit}
 	})
+	r.traced()
 	app, _ := r.guestK.NewProcess("app")
 	opened := r.env.NewEvent()
 	var fd int
@@ -54,8 +55,8 @@ func TestAdmissionShedsLimitedClass(t *testing.T) {
 	if highErr != nil {
 		t.Fatalf("unlimited class got %v, want success past the limit", highErr)
 	}
-	if r.fe.Throttled != 1 {
-		t.Fatalf("Throttled = %d, want 1", r.fe.Throttled)
+	if n := r.count(t, r.fe.m.throttled); n != 1 {
+		t.Fatalf("%s = %d, want 1", r.fe.m.throttled, n)
 	}
 	if r.fe.Rejected != 0 {
 		t.Fatalf("Rejected = %d, want 0 (admission must shed before slot claim)", r.fe.Rejected)

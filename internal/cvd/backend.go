@@ -62,8 +62,11 @@ type Backend struct {
 	doorbell *sim.Event
 	files    map[uint16]*kernel.File
 	vmas     map[uint16]map[mem.GuestVirt]*kernel.VMA // fileID -> start -> VMA
-	vecResp  int
-	vecNotif int
+	// vecToBackend is the doorbell vector in the driver VM that the
+	// frontend's kicks raise; vecResp and vecNotif are the guest's.
+	vecToBackend int
+	vecResp      int
+	vecNotif     int
 	// frontendDoorbell, installed by bind, is the simulation's
 	// stand-in for a spinning requester's load of the shared page (the
 	// response data itself still travels through the page); observe is the
@@ -125,10 +128,7 @@ type Backend struct {
 	NotifsDropped uint64
 	WakeIRQs      uint64 // doorbell interrupts received while sleeping
 	PolledPosts   uint64 // posts observed while spinning
-	HbAcked       uint64 // watchdog heartbeats echoed
-	HbDropped     uint64 // heartbeat acks swallowed by fault injection
 	WarmReopens   uint64 // predecessor files lazily re-opened after a handover
-	RespFlushes   uint64 // response IRQ flushes sent (each covers >= 1 completions)
 }
 
 // SetNotifyGate installs a predicate consulted before notifications are
@@ -224,19 +224,20 @@ func newBackend(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM
 	driverK *kernel.Kernel, node *kernel.DeviceNode, ringGPA mem.GuestPhys,
 	pol policy, vecToBackend, vecResp, vecNotif int) *Backend {
 	b := &Backend{
-		hv:       h,
-		driverVM: driverVM,
-		guestVM:  guestVM,
-		driverK:  driverK,
-		node:     node,
-		ring:     page{acc: &grant.GuestAccessor{Space: driverVM.Space, GPA: ringGPA}},
-		proc:     proc,
-		policy:   pol,
-		doorbell: driverK.Env.NewEvent(),
-		files:    make(map[uint16]*kernel.File),
-		vmas:     make(map[uint16]map[mem.GuestVirt]*kernel.VMA),
-		vecResp:  vecResp,
-		vecNotif: vecNotif,
+		hv:           h,
+		driverVM:     driverVM,
+		guestVM:      guestVM,
+		driverK:      driverK,
+		node:         node,
+		ring:         page{acc: &grant.GuestAccessor{Space: driverVM.Space, GPA: ringGPA}},
+		proc:         proc,
+		policy:       pol,
+		doorbell:     driverK.Env.NewEvent(),
+		files:        make(map[uint16]*kernel.File),
+		vmas:         make(map[uint16]map[mem.GuestVirt]*kernel.VMA),
+		vecToBackend: vecToBackend,
+		vecResp:      vecResp,
+		vecNotif:     vecNotif,
 	}
 	b.observe = b.doorbell.Trigger
 	// A successor backend inherits the ring's heartbeat state: starting from
@@ -451,7 +452,6 @@ func (b *Backend) serviceHeartbeat() {
 	}
 	b.hbSeen = req
 	if faults.Point(b.driverK.Env, "cvd.heartbeat.drop") != nil {
-		b.HbDropped++
 		trace.Get(b.driverK.Env).Add("cvd.heartbeat.dropped", 1)
 		return
 	}
@@ -471,7 +471,6 @@ func (b *Backend) serviceHeartbeat() {
 // completes toward the frontend.
 func (b *Backend) ackHeartbeat(req uint32) {
 	b.ring.writeU32(hdrHbAck, req)
-	b.HbAcked++
 	trace.Get(b.driverK.Env).Add("cvd.heartbeat.acked", 1)
 	b.complete(0, true)
 }
@@ -604,7 +603,6 @@ func (b *Backend) flushResp() {
 	if n == 0 || !b.ringCurrent() {
 		return
 	}
-	b.RespFlushes++
 	tr := trace.Get(b.hv.Env)
 	tr.Add("cvd.backend.resp.flushes", 1)
 	if n > 1 {

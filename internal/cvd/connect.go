@@ -105,7 +105,6 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 		guestK:     cfg.GuestK,
 		ring:       page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
 		specs:      cfg.Specs,
-		ringGPA:    ringGPA,
 		pollWQ:     cfg.GuestK.NewWaitQueue(),
 		policy:     policy{mode: cfg.Mode, window: cfg.PollWindow, coalesce: cfg.CoalesceWindow},
 		deadline:   cfg.RequestDeadline,

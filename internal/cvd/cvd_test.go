@@ -12,6 +12,7 @@ import (
 	"paradice/internal/kernel"
 	"paradice/internal/mem"
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // ---- test device driver (lives in the driver VM) ----
@@ -258,6 +259,25 @@ func (r *rig) runApp(t testing.TB, fn func(p *kernel.Process, tk *kernel.Task)) 
 	}
 	p.SpawnTask("main", func(tk *kernel.Task) { fn(p, tk) })
 	r.env.Run()
+}
+
+// traced installs a tracer on the rig, so the metrics registry counts the
+// channel's events from here on.
+func (r *rig) traced() *trace.Tracer {
+	tr := trace.New()
+	trace.Install(r.env, tr)
+	return tr
+}
+
+// count reads counter name from the rig's metrics registry. traced must have
+// installed one: without it every count would read a vacuous 0.
+func (r *rig) count(t testing.TB, name string) uint64 {
+	t.Helper()
+	tr := trace.Get(r.env)
+	if tr == nil {
+		t.Fatalf("counter %s read with no tracer installed", name)
+	}
+	return tr.Metrics().Counter(name)
 }
 
 // ---- tests ----

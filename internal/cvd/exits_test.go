@@ -43,8 +43,8 @@ func pathCounters(t *testing.T, tr *trace.Tracer) map[string]uint64 {
 	return out
 }
 
-// Each failure exit of a round trip moves exactly one frontend stat and one
-// per-path counter (admission also moves its class's eagain counter), so no
+// Each failure exit of a round trip moves exactly one per-path counter, by
+// exactly one (admission also moves its class's eagain counter), so no
 // counter restates another.
 func TestFailureExitsMoveOneCounter(t *testing.T) {
 	for _, c := range []struct {
@@ -52,24 +52,19 @@ func TestFailureExitsMoveOneCounter(t *testing.T) {
 		mode  Mode
 		errno kernel.Errno
 		want  []string
-		stat  func(fe *Frontend) uint64
 		// arm sets the exit up once the file is open, on the probing task.
 		arm func(r *rig, app *kernel.Process, tk *kernel.Task, fd int)
 	}{
 		{"degraded", Interrupts, kernel.ENODEV, []string{"errno.ENODEV"},
-			func(fe *Frontend) uint64 { return fe.FastFailed },
 			func(r *rig, _ *kernel.Process, _ *kernel.Task, _ int) { r.fe.SetDegraded(true) }},
 		{"dead backend", Interrupts, kernel.EREMOTE, []string{"errno.EREMOTE"},
-			func(fe *Frontend) uint64 { return fe.FastFailed },
 			func(r *rig, _ *kernel.Process, _ *kernel.Task, _ int) { r.be.Stop() }},
 		{"admission", Interrupts, kernel.EAGAIN, []string{"eagain.class2", "throttled"},
-			func(fe *Frontend) uint64 { return fe.Throttled },
 			func(r *rig, _ *kernel.Process, tk *kernel.Task, _ int) {
 				r.fe.SetAdmission(map[uint8]int{2: 0})
 				tk.QoS = 2
 			}},
 		{"ring full", Interrupts, kernel.EBUSY, []string{"rejected"},
-			func(fe *Frontend) uint64 { return fe.Rejected },
 			func(r *rig, app *kernel.Process, tk *kernel.Task, fd int) {
 				// Blocking reads (nothing is written) hold every slot.
 				for i := 0; i < slotCount; i++ {
@@ -81,15 +76,12 @@ func TestFailureExitsMoveOneCounter(t *testing.T) {
 				tk.Sim().Sleep(5 * sim.Millisecond)
 			}},
 		{"deadline", Interrupts, kernel.ETIMEDOUT, []string{"timedout"},
-			func(fe *Frontend) uint64 { return fe.TimedOut },
 			func(r *rig, _ *kernel.Process, _ *kernel.Task, _ int) { r.fe.SetDeadline(sim.Millisecond) }},
 		// Polled, a deadline longer than the spin window ends in a sleep for
 		// the remainder; a shorter one ends with the spin.
 		{"deadline polled", Polling, kernel.ETIMEDOUT, []string{"timedout"},
-			func(fe *Frontend) uint64 { return fe.TimedOut },
 			func(r *rig, _ *kernel.Process, _ *kernel.Task, _ int) { r.fe.SetDeadline(sim.Millisecond) }},
 		{"deadline within spin", Polling, kernel.ETIMEDOUT, []string{"timedout"},
-			func(fe *Frontend) uint64 { return fe.TimedOut },
 			func(r *rig, _ *kernel.Process, _ *kernel.Task, _ int) { r.fe.SetDeadline(50 * sim.Microsecond) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,7 +93,6 @@ func TestFailureExitsMoveOneCounter(t *testing.T) {
 				t.Fatal(err)
 			}
 			var before, after map[string]uint64
-			var stats [2]uint64
 			var callErr error
 			var took sim.Duration
 			app.SpawnTask("probe", func(tk *kernel.Task) {
@@ -112,28 +103,34 @@ func TestFailureExitsMoveOneCounter(t *testing.T) {
 				}
 				dst, _ := app.Alloc(8)
 				c.arm(r, app, tk, fd)
-				before, stats[0] = pathCounters(t, tr), c.stat(r.fe)
+				before = pathCounters(t, tr)
 				start := tk.Sim().Now()
 				_, callErr = tk.Read(fd, dst, 8)
 				took = tk.Sim().Now().Sub(start)
-				after, stats[1] = pathCounters(t, tr), c.stat(r.fe)
+				after = pathCounters(t, tr)
 			})
 			r.env.RunUntil(sim.Time(50 * sim.Millisecond))
 			if !kernel.IsErrno(callErr, c.errno) {
 				t.Fatalf("read = %v, want %v", callErr, c.errno)
 			}
-			if stats[1] != stats[0]+1 {
-				t.Errorf("exit stat moved %d -> %d, want +1", stats[0], stats[1])
-			}
 			var moved []string
 			for name, v := range after {
-				if v != before[name] {
-					moved = append(moved, name)
+				if v == before[name] {
+					continue
+				}
+				moved = append(moved, name)
+				if v != before[name]+1 {
+					t.Errorf("%s moved %d -> %d, want +1", name, before[name], v)
 				}
 			}
 			slices.Sort(moved)
 			if !slices.Equal(moved, c.want) {
 				t.Errorf("per-path counters moved %v, want %v", moved, c.want)
+			}
+			// The ring-full exit also keeps the frontend's Rejected stat,
+			// which paradice-inspect prints.
+			if c.errno == kernel.EBUSY && r.fe.Rejected != 1 {
+				t.Errorf("Rejected = %d, want 1", r.fe.Rejected)
 			}
 			if c.errno == kernel.ETIMEDOUT && took < r.fe.deadline {
 				t.Errorf("timed out after %v, before the %v deadline", took, r.fe.deadline)

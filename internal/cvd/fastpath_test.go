@@ -156,7 +156,7 @@ func TestMapCacheRevokedWhileMappedFaults(t *testing.T) {
 		// Grab the live mapping the first write established, then revoke its
 		// grant out from under the cache (a malicious or confused guest can
 		// revoke whenever it likes).
-		key := mapKey{fileID: 0, kind: grant.KindCopyFrom}
+		key := bulkKey{fileID: 0, kind: grant.KindCopyFrom}
 		m := r.be.mapc.entries[key]
 		if m == nil {
 			t.Fatal("no cached mapping after the first hinted write")
@@ -251,6 +251,7 @@ func TestCoalescedDoorbellSharesOneIRQ(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 50 * sim.Microsecond
 	})
+	r.traced()
 	app, _ := r.guestK.NewProcess("app")
 	opened := r.env.NewEvent()
 	var fd int
@@ -275,8 +276,8 @@ func TestCoalescedDoorbellSharesOneIRQ(t *testing.T) {
 	if r.fe.DoorbellIRQs != 2 {
 		t.Fatalf("DoorbellIRQs = %d, want 2 (open + one coalesced flush)", r.fe.DoorbellIRQs)
 	}
-	if r.fe.CoalescedKicks != writers-1 {
-		t.Fatalf("CoalescedKicks = %d, want %d", r.fe.CoalescedKicks, writers-1)
+	if n := r.count(t, "cvd.doorbell.coalesced"); n != writers-1 {
+		t.Fatalf("cvd.doorbell.coalesced = %d, want %d", n, writers-1)
 	}
 	if r.be.WakeIRQs != 2 {
 		t.Fatalf("backend WakeIRQs = %d, want 2", r.be.WakeIRQs)
@@ -291,6 +292,7 @@ func TestCoalescingLeavesPollingPathAlone(t *testing.T) {
 	r := newRig(t, Polling, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 50 * sim.Microsecond
 	})
+	r.traced()
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		fd, _ := tk.Open("/dev/testdev", devfile.OWrOnly)
 		src, _ := p.AllocBytes([]byte("poll"))
@@ -300,8 +302,8 @@ func TestCoalescingLeavesPollingPathAlone(t *testing.T) {
 			}
 		}
 	})
-	if r.fe.CoalescedKicks != 0 {
-		t.Fatalf("CoalescedKicks = %d in polling mode, want 0", r.fe.CoalescedKicks)
+	if n := r.count(t, "cvd.doorbell.coalesced"); n != 0 {
+		t.Fatalf("cvd.doorbell.coalesced = %d in polling mode, want 0", n)
 	}
 	if r.be.PolledPosts == 0 {
 		t.Fatal("polling mode never hit the polled fast path under coalescing config")

@@ -1,6 +1,7 @@
 package cvd
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -22,24 +23,21 @@ import (
 // operations in the guest's grant table and forwarding the operation through
 // the shared ring page to the backend.
 type Frontend struct {
-	hv       *hv.Hypervisor
-	guestVM  *hv.VM
-	driverVM *hv.VM
-	guestK   *kernel.Kernel
-	ring     page
-	grants   *grant.Table
-	specs    map[devfile.IoctlCmd]*ioctlan.CmdSpec
+	hv      *hv.Hypervisor
+	guestVM *hv.VM
+	guestK  *kernel.Kernel
+	ring    page
+	grants  *grant.Table
+	specs   map[devfile.IoctlCmd]*ioctlan.CmdSpec
 
-	respEvents   [slotCount]*sim.Event
-	nextFileID   uint16
-	nextSeq      uint32
-	ringGPA      mem.GuestPhys
-	vecToBackend int
-	vecResp      int
-	vecNotif     int
-	pollWQ       *kernel.WaitQueue
-	fasyncFiles  []*kernel.File
-	backend      *Backend
+	respEvents  [slotCount]*sim.Event
+	nextFileID  uint16
+	nextSeq     uint32
+	vecResp     int
+	vecNotif    int
+	pollWQ      *kernel.WaitQueue
+	fasyncFiles []*kernel.File
+	backend     *Backend
 
 	// policy is the transport policy: mode, poll window, adaptive stance
 	// (fed by posts), submission batching and SpinTime, the virtual time
@@ -110,17 +108,12 @@ type Frontend struct {
 	hbSeq   uint32
 	hbEvent *sim.Event
 
-	// Stats for tests and benches.
-	RoundTrips     uint64
-	Rejected       uint64 // posts rejected because the queue was full
-	Throttled      uint64 // posts refused by QoS admission control (EAGAIN)
-	TimedOut       uint64 // requests failed by the per-request deadline
-	FastFailed     uint64 // requests refused outright (dead backend / degraded)
-	DoorbellIRQs   uint64 // doorbell inter-VM IRQs actually sent
-	CoalescedKicks uint64 // posts that shared a flushed doorbell (batch size - 1 per flush)
-	QueuedPosts    uint64 // posts parked at the frontend during a drain
-	BatchFlushes   uint64 // doorbell flushes sent (each covers >= 1 posted slots)
-	ModeSwitches   uint64 // adaptive stance flips, either direction
+	// Stats for tests and benches. Every other event count is a metrics
+	// registry counter (feMetricNames, cvd.doorbell.*, cvd.adaptive.*).
+	RoundTrips   uint64
+	Rejected     uint64 // posts rejected because the queue was full
+	DoorbellIRQs uint64 // doorbell inter-VM IRQs actually sent
+	QueuedPosts  uint64 // posts parked at the frontend during a drain
 
 	// path is the guest-visible device path; vm the guest kernel's name.
 	// m holds the per-path metric names, precomputed at Connect so the hot
@@ -188,7 +181,7 @@ func (fe *Frontend) fileID(c *kernel.FopCtx) uint16 {
 // the crossing's trace span (0 for heartbeats and other unattributed kicks).
 func (fe *Frontend) kickBackend(rid uint64) {
 	be := fe.backend
-	if cross(fe.hv, rid, fe.ring.readU32(hdrBackendPoll) == 1, fe.driverVM, fe.vecToBackend, be.observe) {
+	if cross(fe.hv, rid, fe.ring.readU32(hdrBackendPoll) == 1, be.driverVM, be.vecToBackend, be.observe) {
 		be.PolledPosts++
 	} else {
 		fe.DoorbellIRQs++
@@ -259,15 +252,13 @@ func (fe *Frontend) flushPending(be *Backend) {
 		return
 	}
 	fe.ring.writeU32(hdrSubCount, fe.ring.readU32(hdrSubCount)+uint32(posted))
-	fe.BatchFlushes++
+	tr := trace.Get(fe.hv.Env)
 	if posted > 1 {
 		// Per-flush accounting: every member beyond the one that pays for
 		// the kick shared the IRQ. Counted here — not per-post — so the
-		// stat agrees with what the flush actually sent.
-		fe.CoalescedKicks += uint64(posted - 1)
-		trace.Get(fe.hv.Env).Add("cvd.doorbell.coalesced", uint64(posted-1))
+		// counter agrees with what the flush actually sent.
+		tr.Add("cvd.doorbell.coalesced", uint64(posted-1))
 	}
-	tr := trace.Get(fe.hv.Env)
 	tr.Add("cvd.doorbell.flushes", 1)
 	tr.ObserveCount("cvd.doorbell.batch", uint64(posted))
 	fe.kickBackend(firstRID)
@@ -369,10 +360,10 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		t.Sim().WaitTimeout(fe.drainEvent, DefaultDrainBound)
 	}
 	if fe.degraded {
-		return fail(tr, &fe.FastFailed, fe.m.errNoDev, kernel.ENODEV)
+		return fail(tr, fe.m.errNoDev, kernel.ENODEV)
 	}
 	if fe.backend == nil || fe.backend.stopped {
-		return fail(tr, &fe.FastFailed, fe.m.errRemote, kernel.EREMOTE)
+		return fail(tr, fe.m.errRemote, kernel.EREMOTE)
 	}
 	if lim, limited := fe.admission[t.QoS]; limited && !parked &&
 		r.op != opOpen && r.op != opRelease && fe.Occupancy() >= lim {
@@ -383,7 +374,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		// release would leak the backend file, and neither adds load worth
 		// shedding.
 		tr.Add(fe.admitNames[t.QoS], 1)
-		return fail(tr, &fe.Throttled, fe.m.throttled, kernel.EAGAIN)
+		return fail(tr, fe.m.throttled, kernel.EAGAIN)
 	}
 	slot, ok := fe.allocSlot()
 	if !ok && parked {
@@ -399,7 +390,8 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	}
 	if !ok {
 		// All 100 queue slots in use: the DoS cap of §5.1.
-		return fail(tr, &fe.Rejected, fe.m.rejected, kernel.EBUSY)
+		fe.Rejected++
+		return fail(tr, fe.m.rejected, kernel.EBUSY)
 	}
 	// Queue-depth gauges: the depth after this claim, and its high-water
 	// mark. The scan is O(slotCount) but only runs under an installed
@@ -420,7 +412,6 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	ev.Reset()
 	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "post", perf.CostPost)
 	if fe.arrive(fe.hv.Env.Now()) {
-		fe.ModeSwitches++
 		var poll uint64
 		if fe.stance {
 			poll = 1
@@ -436,7 +427,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		// executing the operation, so the slot cannot be freed; mark it
 		// abandoned and let scanDone (or a Reconnect sweep) reclaim it.
 		fe.abandoned[slot] = true
-		return fail(tr, &fe.TimedOut, fe.m.timedOut, kernel.ETIMEDOUT)
+		return fail(tr, fe.m.timedOut, kernel.ETIMEDOUT)
 	}
 	perf.Spend(fe.guestK.Env, fe.vm, trace.LayerFE, "complete", perf.CostComplete)
 	ret, errno := fe.ring.readResponse(slot)
@@ -449,10 +440,9 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 	return ret, kernel.Errno(errno)
 }
 
-// fail ends a round trip at one of its failure exits: the exit's stat and
-// its per-path counter move, and the caller gets errno.
-func fail(tr *trace.Tracer, stat *uint64, counter string, errno kernel.Errno) (int32, kernel.Errno) {
-	*stat++
+// fail ends a round trip at one of its failure exits: the exit's per-path
+// counter moves, and the caller gets errno.
+func fail(tr *trace.Tracer, counter string, errno kernel.Errno) (int32, kernel.Errno) {
 	tr.Add(counter, 1)
 	return -1, errno
 }
@@ -493,6 +483,10 @@ func (fe *Frontend) await(p *sim.Proc, ev *sim.Event) bool {
 	}
 	return p.WaitTimeout(ev, left)
 }
+
+// Backend returns the channel's current backend: the first one Connect
+// attached, or the successor the latest restart or handover bound.
+func (fe *Frontend) Backend() *Backend { return fe.backend }
 
 // SetDeadline installs the per-request deadline for subsequent operations
 // (0 or less disables). Supervision enables this so a request stuck behind a dead
@@ -613,11 +607,18 @@ func (fe *Frontend) declare(c *kernel.FopCtx, ops []grant.Op) (uint32, error) {
 	return fe.grants.Declare(c.Task.Proc.PT.Root(), ops)
 }
 
-// bulkKey identifies one bulk grant: a file's read buffer and write buffer
-// are tracked independently.
+// bulkKey identifies one bulk grant, and the backend's cached mapping of
+// it: a file's read buffer and write buffer are tracked independently, so a
+// device that streams both ways does not thrash a single entry.
 type bulkKey struct {
 	fileID uint16
 	kind   grant.Kind
+}
+
+// compare orders keys by file, then direction: the one deterministic order
+// for walking either map.
+func (k bulkKey) compare(o bulkKey) int {
+	return cmp.Or(cmp.Compare(k.fileID, o.fileID), cmp.Compare(k.kind, o.kind))
 }
 
 // bulkGrant is one live long-lived data-buffer grant backing the map cache.

@@ -96,7 +96,7 @@ func FuzzRingHostileGuestBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newRig(t, Interrupts, kernel.Linux)
 		scribble(r, data)
-		r.h.SendInterrupt(r.driverVM, r.fe.vecToBackend)
+		r.h.SendInterrupt(r.driverVM, r.be.vecToBackend)
 		r.env.Run()
 		probe(r, t)
 	})
@@ -191,7 +191,7 @@ func FuzzBatchDescriptorHostileWords(f *testing.F) {
 		})
 		scribble(r, data)
 		// Drive both descriptor consumers against the scribbled words.
-		r.h.SendInterrupt(r.driverVM, r.fe.vecToBackend)
+		r.h.SendInterrupt(r.driverVM, r.be.vecToBackend)
 		r.fe.scanDone()
 		r.env.Run()
 		probe(r, t)

@@ -25,7 +25,7 @@ func hostilePost(r *rig, slot int, op uint8, fileID uint16, ref uint32, a0, a1, 
 		seq: r.fe.nextSeq, arg0: a0, arg1: a1, arg2: a2,
 	})
 	r.fe.nextSeq++
-	r.h.SendInterrupt(r.driverVM, r.fe.vecToBackend)
+	r.h.SendInterrupt(r.driverVM, r.be.vecToBackend)
 }
 
 func TestHostileRingGarbageSurvives(t *testing.T) {
@@ -130,7 +130,7 @@ func TestHostileRandomRingCorruption(t *testing.T) {
 		if err := r.fe.ring.acc.WriteAt(off, buf); err != nil {
 			t.Fatal(err)
 		}
-		r.h.SendInterrupt(r.driverVM, r.fe.vecToBackend)
+		r.h.SendInterrupt(r.driverVM, r.be.vecToBackend)
 		r.env.RunUntil(r.env.Now().Add(200 * sim.Microsecond))
 	}
 	r.env.RunUntil(r.env.Now().Add(5 * sim.Millisecond))

@@ -1,7 +1,7 @@
 package cvd
 
 import (
-	"sort"
+	"slices"
 
 	"paradice/internal/grant"
 	"paradice/internal/hv"
@@ -37,18 +37,11 @@ import (
 // attempted access — so misusing a cached mapping faults exactly as a fresh
 // map (or a fresh assisted copy) would.
 
-// mapKey identifies one cached mapping: a file's read buffer and write
-// buffer cache independently, so a device that streams both ways does not
-// thrash a single entry.
-type mapKey struct {
-	fileID uint16
-	kind   grant.Kind
-}
-
-// mapCache is one backend's cache of established guest-buffer mappings.
+// mapCache is one backend's cache of established guest-buffer mappings,
+// keyed like the frontend's bulk grants.
 type mapCache struct {
 	b       *Backend
-	entries map[mapKey]*hv.GuestMapping
+	entries map[bulkKey]*hv.GuestMapping
 
 	// Stats observable by tests and the bench harness.
 	Hits          uint64
@@ -62,7 +55,7 @@ type mapCache struct {
 // unsubscribe, deliberately — determinism over bookkeeping); a dead backend's
 // callback finds an empty cache and does nothing.
 func (b *Backend) enableMapCache(t *grant.Table) {
-	mc := &mapCache{b: b, entries: make(map[mapKey]*hv.GuestMapping)}
+	mc := &mapCache{b: b, entries: make(map[bulkKey]*hv.GuestMapping)}
 	b.mapc = mc
 	t.OnRevoke(mc.invalidateRef)
 }
@@ -86,7 +79,7 @@ func (mc *mapCache) access(fileID uint16, ref uint32, kind grant.Kind,
 	bufVA mem.GuestVirt, bufLen uint64, va mem.GuestVirt, buf []byte, write bool) error {
 	b := mc.b
 	tr := trace.Get(b.hv.Env)
-	key := mapKey{fileID: fileID, kind: kind}
+	key := bulkKey{fileID: fileID, kind: kind}
 	if m := mc.entries[key]; m != nil && m.Covers(ref, kind, va, uint64(len(buf))) {
 		mc.Hits++
 		tr.Add("cvd.mapcache.hits", 1)
@@ -130,7 +123,7 @@ func (mc *mapCache) invalidateRef(ref uint32) {
 // the file's release).
 func (mc *mapCache) release(fileID uint16) {
 	for _, kind := range []grant.Kind{grant.KindCopyTo, grant.KindCopyFrom} {
-		key := mapKey{fileID: fileID, kind: kind}
+		key := bulkKey{fileID: fileID, kind: kind}
 		if m := mc.entries[key]; m != nil {
 			mc.Invalidations++
 			trace.Get(mc.b.hv.Env).Add("cvd.mapcache.invalidations", 1)
@@ -154,16 +147,11 @@ func (mc *mapCache) dropAll() {
 
 // sortedKeys returns the cache keys in a deterministic order, so teardown
 // charges and trace spans are reproducible run to run.
-func (mc *mapCache) sortedKeys() []mapKey {
-	keys := make([]mapKey, 0, len(mc.entries))
+func (mc *mapCache) sortedKeys() []bulkKey {
+	keys := make([]bulkKey, 0, len(mc.entries))
 	for k := range mc.entries {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].fileID != keys[j].fileID {
-			return keys[i].fileID < keys[j].fileID
-		}
-		return keys[i].kind < keys[j].kind
-	})
+	slices.SortFunc(keys, bulkKey.compare)
 	return keys
 }

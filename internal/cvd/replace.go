@@ -29,9 +29,9 @@ import (
 // bulk-grant mappings carry over.
 
 // warmMap is one guest data buffer pre-mapped into the successor driver VM
-// during prepare, keyed like the map-cache entry it will seed.
+// during prepare, keyed by the bulk grant it maps.
 type warmMap struct {
-	key mapKey
+	key bulkKey
 	m   *hv.GuestMapping
 }
 
@@ -85,7 +85,7 @@ func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm b
 			return nil, d.Error()
 		}
 	}
-	beGPA, err := h.SharePage(fe.guestVM, fe.ringGPA, vm)
+	beGPA, err := h.SharePage(fe.guestVM, fe.ring.acc.GPA, vm)
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +104,7 @@ func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm b
 		for key := range fe.bulk {
 			keys = append(keys, key)
 		}
-		slices.SortFunc(keys, func(a, b bulkKey) int {
-			return cmp.Or(cmp.Compare(a.fileID, b.fileID), cmp.Compare(a.kind, b.kind))
-		})
+		slices.SortFunc(keys, bulkKey.compare)
 		for _, key := range keys {
 			bg := fe.bulk[key]
 			m, err := h.MapGuestBuffer(fe.guestVM, bg.ref, key.kind, bg.va, bg.n, vm)
@@ -114,7 +112,7 @@ func prepare(fe *Frontend, h *hv.Hypervisor, vm *hv.VM, k *kernel.Kernel, warm b
 				prep.release()
 				return nil, err
 			}
-			prep.maps = append(prep.maps, warmMap{key: mapKey{fileID: key.fileID, kind: key.kind}, m: m})
+			prep.maps = append(prep.maps, warmMap{key: key, m: m})
 		}
 	}
 	trace.Get(h.Env).Add("cvd.handover.prewarmed_maps", uint64(len(prep.maps)))
@@ -165,14 +163,13 @@ func (p *HandoverPrep) bind(node *kernel.DeviceNode) *Backend {
 		// and reposted in the new epoch. A fresh ring stays in epoch 0.
 		fe.ring.writeU32(hdrEpoch, fe.ring.readU32(hdrEpoch)+1)
 	}
-	vecToBackend := p.vm.AllocVector()
 	// The successor takes the frontend's transport settings, with a fresh
 	// stance: the frontend keeps its mode and keeps flushing submission
 	// descriptors, so the new backend must keep polling, consuming and
 	// completion-batching alike.
 	pol := policy{mode: fe.mode, window: fe.window, coalesce: fe.coalesce}
 	be := newBackend(p.proc, fe.hv, p.vm, fe.guestVM, p.k, node,
-		p.beGPA, pol, vecToBackend, fe.vecResp, fe.vecNotif)
+		p.beGPA, pol, p.vm.AllocVector(), fe.vecResp, fe.vecNotif)
 	if fe.mapCache {
 		be.enableMapCache(fe.grants)
 		// Seed the pre-established mappings (none on the cold path, where
@@ -182,7 +179,7 @@ func (p *HandoverPrep) bind(node *kernel.DeviceNode) *Backend {
 		// during the drain revoked the grant, and a mapping under a revoked
 		// grant must not serve anything.
 		for _, wm := range p.maps {
-			bg, live := fe.bulk[bulkKey{fileID: wm.key.fileID, kind: wm.key.kind}]
+			bg, live := fe.bulk[wm.key]
 			if !live || bg.ref != wm.m.Ref || wm.m.Dead() {
 				wm.m.Unmap()
 				continue
@@ -198,8 +195,6 @@ func (p *HandoverPrep) bind(node *kernel.DeviceNode) *Backend {
 		be.warmFiles, be.warmVMAs = fe.backend.openFiles()
 	}
 	be.frontendDoorbell = fe.scanDone
-	fe.driverVM = p.vm
-	fe.vecToBackend = vecToBackend
 	fe.backend = be
 	if !p.warm {
 		fe.failInflight()

@@ -43,6 +43,7 @@ func TestPollingTimeoutRespectsDeadlineExactly(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, Polling, kernel.Linux)
+			r.traced()
 			r.fe.SetDeadline(tc.deadline)
 			var took sim.Duration
 			r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
@@ -74,8 +75,8 @@ func TestPollingTimeoutRespectsDeadlineExactly(t *testing.T) {
 			if w := r.fe.ring.readU32(hdrFrontendPoll); w != 0 {
 				t.Fatalf("hdrFrontendPoll = %d after the timeout, want 0", w)
 			}
-			if r.fe.TimedOut != 1 {
-				t.Fatalf("TimedOut = %d, want 1", r.fe.TimedOut)
+			if n := r.count(t, r.fe.m.timedOut); n != 1 {
+				t.Fatalf("%s = %d, want 1", r.fe.m.timedOut, n)
 			}
 		})
 	}
@@ -249,6 +250,7 @@ func TestOrphanedCoalescedFlushDoesNotRing(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux, func(c *Config) {
 		c.CoalesceWindow = 50 * sim.Microsecond
 	})
+	r.traced()
 	r.env.Spawn("whitebox", func(p *sim.Proc) {
 		slot, ok := r.fe.allocSlot()
 		if !ok {
@@ -268,8 +270,8 @@ func TestOrphanedCoalescedFlushDoesNotRing(t *testing.T) {
 	if r.fe.DoorbellIRQs != 0 {
 		t.Fatalf("DoorbellIRQs = %d, want 0: the flush's only slot retired inside the window", r.fe.DoorbellIRQs)
 	}
-	if r.fe.BatchFlushes != 0 {
-		t.Fatalf("BatchFlushes = %d, want 0", r.fe.BatchFlushes)
+	if n := r.count(t, "cvd.doorbell.flushes"); n != 0 {
+		t.Fatalf("cvd.doorbell.flushes = %d, want 0", n)
 	}
 	// Nothing may have been scribbled into the submission descriptor either.
 	if n := r.fe.ring.readU32(hdrSubCount); n != 0 {
@@ -309,8 +311,8 @@ func TestCoalescedFlushAttributesCurrentRID(t *testing.T) {
 		p.Sleep(200 * sim.Microsecond)
 	})
 	r.env.RunUntil(sim.Time(sim.Millisecond))
-	if r.fe.BatchFlushes != 1 {
-		t.Fatalf("BatchFlushes = %d, want 1 (the reposted slot is live)", r.fe.BatchFlushes)
+	if n := r.count(t, "cvd.doorbell.flushes"); n != 1 {
+		t.Fatalf("cvd.doorbell.flushes = %d, want 1 (the reposted slot is live)", n)
 	}
 	var kicks []uint64
 	for _, e := range tr.Events() {

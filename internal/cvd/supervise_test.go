@@ -18,6 +18,7 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	for _, mode := range []Mode{Interrupts, Polling} {
 		t.Run(mode.String(), func(t *testing.T) {
 			r := newRig(t, mode, kernel.Linux)
+			r.traced()
 			acks := 0
 			r.env.Spawn("watchdog", func(p *sim.Proc) {
 				for i := 0; i < 3; i++ {
@@ -31,8 +32,8 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 			if acks != 3 {
 				t.Fatalf("acked %d/3 heartbeats", acks)
 			}
-			if r.be.HbAcked != 3 {
-				t.Fatalf("backend HbAcked = %d, want 3", r.be.HbAcked)
+			if n := r.count(t, "cvd.heartbeat.acked"); n != 3 {
+				t.Fatalf("cvd.heartbeat.acked = %d, want 3", n)
 			}
 			// The probe is a ring no-op: no request slot, no round trip.
 			if r.fe.RoundTrips != 0 {
@@ -68,6 +69,7 @@ func TestHeartbeatDeadBackendFailsFast(t *testing.T) {
 
 func TestHeartbeatDropFault(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
+	r.traced()
 	plan := faults.New(1).FailAt("cvd.heartbeat.drop", 1)
 	faults.Install(r.env, plan)
 	defer faults.Uninstall(r.env)
@@ -83,8 +85,8 @@ func TestHeartbeatDropFault(t *testing.T) {
 	if !second {
 		t.Fatal("heartbeat after the dropped one did not recover")
 	}
-	if r.be.HbDropped != 1 || r.be.HbAcked != 1 {
-		t.Fatalf("HbDropped=%d HbAcked=%d, want 1/1", r.be.HbDropped, r.be.HbAcked)
+	if dropped, acked := r.count(t, "cvd.heartbeat.dropped"), r.count(t, "cvd.heartbeat.acked"); dropped != 1 || acked != 1 {
+		t.Fatalf("cvd.heartbeat.dropped=%d acked=%d, want 1/1", dropped, acked)
 	}
 }
 
@@ -143,6 +145,7 @@ func TestOrderlyStopDoesNotFireDeathNotification(t *testing.T) {
 
 func TestFastFailEREMOTEWhenBackendDead(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
+	r.traced()
 	r.be.Stop()
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		start := tk.Sim().Now()
@@ -154,13 +157,14 @@ func TestFastFailEREMOTEWhenBackendDead(t *testing.T) {
 			t.Fatalf("fast-fail took %v; it must not enqueue and wait", took)
 		}
 	})
-	if r.fe.FastFailed == 0 {
-		t.Fatal("FastFailed stat not incremented")
+	if r.count(t, r.fe.m.errRemote) == 0 {
+		t.Fatalf("%s not incremented", r.fe.m.errRemote)
 	}
 }
 
 func TestDegradedFailsFastENODEV(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
+	r.traced()
 	r.fe.SetDegraded(true)
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
 		if _, err := tk.Open("/dev/testdev", devfile.ORdWr); !kernel.IsErrno(err, kernel.ENODEV) {
@@ -176,15 +180,14 @@ func TestDegradedFailsFastENODEV(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !kernelStatOK(r.fe.FastFailed, 1) {
-		t.Fatalf("FastFailed = %d, want >= 1", r.fe.FastFailed)
+	if n := r.count(t, r.fe.m.errNoDev); n < 1 {
+		t.Fatalf("%s = %d, want >= 1", r.fe.m.errNoDev, n)
 	}
 }
 
-func kernelStatOK(got uint64, min uint64) bool { return got >= min }
-
 func TestRequestDeadlineTimesOutAndReclaims(t *testing.T) {
 	r := newRig(t, Interrupts, kernel.Linux)
+	r.traced()
 	const deadline = 2 * sim.Millisecond
 	r.fe.SetDeadline(deadline)
 	r.runApp(t, func(p *kernel.Process, tk *kernel.Task) {
@@ -230,8 +233,8 @@ func TestRequestDeadlineTimesOutAndReclaims(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if r.fe.TimedOut != 1 {
-		t.Fatalf("TimedOut = %d, want 1", r.fe.TimedOut)
+	if n := r.count(t, r.fe.m.timedOut); n != 1 {
+		t.Fatalf("%s = %d, want 1", r.fe.m.timedOut, n)
 	}
 	// No slot leaked: everything is back to free.
 	for s := 0; s < slotCount; s++ {

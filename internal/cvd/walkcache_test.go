@@ -136,7 +136,7 @@ func TestWalkcacheRevokedWhileMappedFaults(t *testing.T) {
 		if _, err := tk.Write(fd, src, n); err != nil {
 			t.Fatal(err)
 		}
-		key := mapKey{fileID: 0, kind: grant.KindCopyFrom}
+		key := bulkKey{fileID: 0, kind: grant.KindCopyFrom}
 		m := r.be.mapc.entries[key]
 		if m == nil {
 			t.Fatal("no cached mapping after the first hinted write")

@@ -89,20 +89,28 @@ func (h *Hypervisor) MapGuestBuffer(guest *VM, ref uint32, kind grant.Kind, va m
 		perf.Spend(h.Env, "hv", trace.LayerHV, "map-buffer", sim.Duration(npages)*perf.CostMapPage)
 	}
 	trace.Get(h.Env).Add("hv.map.pages", uint64(npages))
+	// Every page resolves before the window is reserved. Armed, each page is
+	// charged as it resolves, so a cached translation replaces exactly the
+	// walk share of the establishment cost and a cold establishment (all
+	// misses) costs the dormant npages·CostMapPage; those charges yield, and
+	// a window reserved before them could be reserved again by another
+	// handler thread mapping meanwhile. Reserving and mapping in one instant
+	// also leaves nothing to roll back when a walk faults.
+	spas := make([]mem.SysPhys, 0, npages)
+	for i := 0; i < npages; i++ {
+		pva := mem.GuestVirt(mem.PageBase(uint64(va))) + mem.GuestVirt(i)*mem.PageSize
+		spa, err := h.pageSPA(guest, &pt, pva, walkAccess, "map-buffer", perf.CostMapPage-perf.CostCopyPerPage+perf.CostTLBHit, perf.CostMapPage)
+		if err != nil {
+			return nil, err
+		}
+		spas = append(spas, spa)
+	}
 	base, err := driver.EPT.FindUnusedRange(mapWindowLo, mapWindowHi, npages)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < npages; i++ {
-		// Armed, each page is charged as it resolves, so a cached translation
-		// replaces exactly the walk share of the establishment cost and a cold
-		// establishment (all misses) costs the dormant npages·CostMapPage.
-		pva := mem.GuestVirt(mem.PageBase(uint64(va))) + mem.GuestVirt(i)*mem.PageSize
-		spa, err := h.pageSPA(guest, &pt, pva, walkAccess, "map-buffer", perf.CostMapPage-perf.CostCopyPerPage+perf.CostTLBHit, perf.CostMapPage)
-		if err == nil {
-			err = driver.EPT.Map(base+mem.GuestPhys(i)*mem.PageSize, spa, perm)
-		}
-		if err != nil {
+	for i, spa := range spas {
+		if err := driver.EPT.Map(base+mem.GuestPhys(i)*mem.PageSize, spa, perm); err != nil {
 			unmapPages(driver, base, i)
 			return nil, err
 		}

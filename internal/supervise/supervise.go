@@ -178,11 +178,6 @@ type Supervisor struct {
 	// failed.
 	episodeOpen  bool
 	episodeStart sim.Time
-
-	// Stats observable by tests and experiments.
-	HeartbeatsSent   uint64
-	HeartbeatsMissed uint64
-	Restarts         uint64 // total restart attempts over the lifetime
 }
 
 // Start creates the supervisor and spawns its watchdog proc on env.
@@ -380,13 +375,11 @@ func (s *Supervisor) sweep(p *sim.Proc) string {
 		if !ch.Alive() {
 			return "backend dead: " + id
 		}
-		s.HeartbeatsSent++
 		trace.Get(s.env).Add("supervise.heartbeats.sent", 1)
 		if ch.Heartbeat(p, s.cfg.HeartbeatTimeout) {
 			s.misses[id] = 0
 			continue
 		}
-		s.HeartbeatsMissed++
 		trace.Get(s.env).Add("supervise.heartbeats.missed", 1)
 		s.misses[id]++
 		if s.misses[id] >= s.cfg.Misses {
@@ -407,7 +400,6 @@ func (s *Supervisor) heal(p *sim.Proc, reason string) {
 		backoff := s.backoff(s.restarts)
 		s.setState(StateRestarting, reason)
 		s.restarts++
-		s.Restarts++
 		trace.Get(s.env).Add("supervise.restarts", 1)
 		p.Sleep(backoff)
 		if s.stopped {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"paradice/internal/sim"
+	"paradice/internal/trace"
 )
 
 // fakeChannel mimics a CVD connection. Heartbeat consumes virtual time the
@@ -91,8 +92,11 @@ func (t *fakeTarget) Restart() error {
 	return nil
 }
 
+// newFakeRig builds a target of n healthy channels on an Env whose metrics
+// registry counts the supervisor's events.
 func newFakeRig(n int) (*sim.Env, *fakeTarget) {
 	env := sim.NewEnv()
+	trace.Install(env, trace.New())
 	tgt := &fakeTarget{}
 	for i := 0; i < n; i++ {
 		tgt.chans = append(tgt.chans, &fakeChannel{
@@ -102,6 +106,9 @@ func newFakeRig(n int) (*sim.Env, *fakeTarget) {
 	}
 	return env, tgt
 }
+
+// counter reads a supervisor counter from env's metrics registry.
+func counter(env *sim.Env, name string) uint64 { return trace.Get(env).Metrics().Counter(name) }
 
 var testCfg = Config{
 	HeartbeatEvery:   sim.Millisecond,
@@ -127,11 +134,11 @@ func TestHealthyChannelsNeverRestart(t *testing.T) {
 		t.Fatalf("healthy machine logged state changes: %v", s.Changes())
 	}
 	// ~50 sweeps x 3 channels.
-	if s.HeartbeatsSent < 100 {
-		t.Fatalf("HeartbeatsSent = %d, want >= 100", s.HeartbeatsSent)
+	if n := counter(env, "supervise.heartbeats.sent"); n < 100 {
+		t.Fatalf("supervise.heartbeats.sent = %d, want >= 100", n)
 	}
-	if s.HeartbeatsMissed != 0 {
-		t.Fatalf("HeartbeatsMissed = %d, want 0", s.HeartbeatsMissed)
+	if n := counter(env, "supervise.heartbeats.missed"); n != 0 {
+		t.Fatalf("supervise.heartbeats.missed = %d, want 0", n)
 	}
 	s.Stop()
 	env.Run()
@@ -155,8 +162,8 @@ func TestKMissDetectionHealsAndLogsMTTR(t *testing.T) {
 		t.Fatalf("change log = %+v, want [restarting, healthy]", chg)
 	}
 	// Detection needed exactly Misses consecutive missed beats.
-	if s.HeartbeatsMissed != uint64(testCfg.Misses) {
-		t.Fatalf("HeartbeatsMissed = %d, want %d", s.HeartbeatsMissed, testCfg.Misses)
+	if n := counter(env, "supervise.heartbeats.missed"); n != uint64(testCfg.Misses) {
+		t.Fatalf("supervise.heartbeats.missed = %d, want %d", n, testCfg.Misses)
 	}
 	if mttr := s.MTTR(); mttr <= 0 {
 		t.Fatalf("MTTR = %v, want > 0", mttr)

@@ -122,7 +122,7 @@ func TestWithReopenExhaustsAttempts(t *testing.T) {
 	_, g := newGuestRig(t)
 	// The backend is dead and nobody restarts it: every open fast-fails
 	// EREMOTE until the attempt budget runs out.
-	g.Backends[paradice.PathGPU].Kill()
+	g.Frontends[paradice.PathGPU].Backend().Kill()
 	attempts := 0
 	var opErr error
 	p, err := g.NewProcess("app")

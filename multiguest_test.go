@@ -4,7 +4,7 @@ package paradice_test
 //
 // TestRestartTeardownDeterministic pins the fix for a single-guest
 // assumption in the restart path: the backend-stop loop in RestartDriverVM
-// used to iterate the guest's Backends map directly, so with more than one
+// used to iterate a map of the guest's backends directly, so with more than one
 // channel per guest the STOP ORDER varied run to run (Go map iteration).
 // Stop order is observable: dropping each backend's map cache charges
 // CostMapPage per cached page in the supervisor's proc context, so the
@@ -473,7 +473,7 @@ func TestShardRoutingPinsOnly(t *testing.T) {
 		if got := m.ShardFor(path).Index; got != want {
 			t.Errorf("ShardFor(%q) = shard %d, want %d", path, got, want)
 		}
-		if k := g.Backends[path].Proc().K; k != m.Shards()[want].K {
+		if k := g.Frontends[path].Backend().Proc().K; k != m.Shards()[want].K {
 			t.Errorf("%s is served by driver kernel %s, want shard %d's %s", path, k.Name, want, m.Shards()[want].K.Name)
 		}
 	}

@@ -124,7 +124,8 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 		preds := make([]*cvd.Backend, len(chs))
 		fes := make([]*cvd.Frontend, len(chs))
 		for j, c := range chs {
-			preds[j], fes[j] = c.g.Backends[c.path], c.g.Frontends[c.path]
+			fes[j] = c.g.Frontends[c.path]
+			preds[j] = fes[j].Backend()
 		}
 		pred := *sh
 		// retire stops the predecessor's backend dispatchers, then its

@@ -34,7 +34,7 @@ func TestDriverVMRestartColdMapCache(t *testing.T) {
 	if err != nil || res.Bytes != 3*16384 {
 		t.Fatalf("pre-restart audio: %+v %v", res, err)
 	}
-	be1 := g.Backends[paradice.PathAudio]
+	be1 := g.Frontends[paradice.PathAudio].Backend()
 	warmHits, misses, _ := be1.MapCacheStats()
 	if misses != 1 || warmHits == 0 {
 		t.Fatalf("warm cache stats = %d hits / %d misses, want 1 miss and >0 hits", warmHits, misses)
@@ -43,7 +43,7 @@ func TestDriverVMRestartColdMapCache(t *testing.T) {
 	if err := m.RestartDriverVM(); err != nil {
 		t.Fatal(err)
 	}
-	be2 := g.Backends[paradice.PathAudio]
+	be2 := g.Frontends[paradice.PathAudio].Backend()
 	if be2 == be1 {
 		t.Fatal("restart did not replace the backend")
 	}

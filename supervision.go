@@ -58,16 +58,9 @@ func (c machineChannel) Heartbeat(p *sim.Proc, timeout sim.Duration) bool {
 	return fe.Heartbeat(p, timeout)
 }
 
-func (c machineChannel) Alive() bool {
-	be := c.g.Backends[c.path]
-	return be != nil && be.Alive()
-}
+func (c machineChannel) Alive() bool { return c.g.Frontends[c.path].Backend().Alive() }
 
-func (c machineChannel) OnDeath(fn func()) {
-	if be := c.g.Backends[c.path]; be != nil {
-		be.OnDeath(fn)
-	}
-}
+func (c machineChannel) OnDeath(fn func()) { c.g.Frontends[c.path].Backend().OnDeath(fn) }
 
 func (c machineChannel) SetDegraded(on bool) {
 	if fe := c.g.Frontends[c.path]; fe != nil {

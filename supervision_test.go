@@ -108,7 +108,7 @@ func TestSupervisionHealsKilledBackend(t *testing.T) {
 		}
 	})
 
-	m.Env.After(50*sim.Millisecond, func() { g.Backends[paradice.PathGPU].Kill() })
+	m.Env.After(50*sim.Millisecond, func() { g.Frontends[paradice.PathGPU].Backend().Kill() })
 	m.RunUntil(m.Env.Now().Add(2 * sim.Second))
 
 	if firstErr == nil {
@@ -147,6 +147,7 @@ func TestSupervisionCrashLoopLandsDegraded(t *testing.T) {
 		},
 	}
 	m, g := newSupervisedMachine(t, cfg)
+	tr := m.StartTrace()
 	plan := faults.New(1).Probability("cvd.backend.die", 1.0)
 	faults.Install(m.Env, plan)
 	defer faults.Uninstall(m.Env)
@@ -160,7 +161,7 @@ func TestSupervisionCrashLoopLandsDegraded(t *testing.T) {
 	if !sup.Stopped() {
 		t.Fatal("degraded supervisor should have stopped")
 	}
-	if got := int(sup.Restarts); got != cfg.Supervise.MaxRestarts {
+	if got := int(tr.Metrics().Counter("supervise.restarts")); got != cfg.Supervise.MaxRestarts {
 		t.Fatalf("restart attempts = %d, want the full budget %d", got, cfg.Supervise.MaxRestarts)
 	}
 	chg := sup.Changes()
@@ -200,7 +201,7 @@ func TestSupervisionBackoffScheduleAndSelectiveDegrade(t *testing.T) {
 	plan := faults.New(1).Probability("machine.restart.fail", 1.0)
 	faults.Install(m.Env, plan)
 	defer faults.Uninstall(m.Env)
-	m.Env.After(10*sim.Millisecond, func() { g.Backends[paradice.PathGPU].Kill() })
+	m.Env.After(10*sim.Millisecond, func() { g.Frontends[paradice.PathGPU].Backend().Kill() })
 
 	m.RunUntil(m.Env.Now().Add(sim.Second))
 
@@ -262,6 +263,7 @@ func TestSupervisionNoFalsePositiveOnSlowDriver(t *testing.T) {
 		},
 	}
 	m, _ := newSupervisedMachine(t, cfg)
+	tr := m.StartTrace()
 	// Sustained latency just under the deadline on every heartbeat of the
 	// run (two channels x ~25 sweeps).
 	plan := faults.New(1)
@@ -283,8 +285,8 @@ func TestSupervisionNoFalsePositiveOnSlowDriver(t *testing.T) {
 	if len(sup.Changes()) != 0 {
 		t.Fatalf("state changes on a healthy machine: %+v", sup.Changes())
 	}
-	if sup.HeartbeatsMissed != 0 {
-		t.Fatalf("%d heartbeats missed; delays were inside the timeout", sup.HeartbeatsMissed)
+	if n := tr.Metrics().Counter("supervise.heartbeats.missed"); n != 0 {
+		t.Fatalf("%d heartbeats missed; delays were inside the timeout", n)
 	}
 	if plan.Injected("cvd.heartbeat.delay") == 0 {
 		t.Fatal("delay faults never fired; the test exercised nothing")

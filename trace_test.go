@@ -253,7 +253,7 @@ func TestSingleIssuerLeafSpans(t *testing.T) {
 			if *runErr != nil {
 				t.Fatal(*runErr)
 			}
-			hits, misses, _ := g.Backends[load.SinkPath].MapCacheStats()
+			hits, misses, _ := g.Frontends[load.SinkPath].Backend().MapCacheStats()
 			if hits != 1 || misses != 1 {
 				t.Fatalf("map cache hits/misses = %d/%d, want 1/1", hits, misses)
 			}
