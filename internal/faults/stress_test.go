@@ -1,21 +1,28 @@
 package faults_test
 
 // The seeded randomized stress harness of the fault-injection layer: each
-// seed builds a tiny Paradice deployment (hypervisor, driver VM, guest VM,
-// one paravirtualized device file), arms a randomized fault plan, runs a
-// randomized guest workload through the device-file boundary while faults
-// fire, then — if anything is still blocked once the fault window closes —
-// performs the §8 recovery (driver VM restart + Reconnect) and checks the
-// invariants that must survive ANY fault schedule:
+// seed builds a full deployment through the public API — paradice.New, a
+// guest VM from AddGuest, the stress device installed in every driver-VM
+// generation by OnDriverVMBoot, one paravirtualized device file — arms a
+// randomized fault plan, and runs a randomized guest workload through the
+// device-file boundary while faults fire. It recovers only through the
+// Machine's own lifecycle calls: Config.Supervise heals under fire, the
+// handover arm migrates with HandoverDriverVM (RequestHandover on a
+// supervised seed), and if anything is still blocked once the fault window
+// closes, RestartDriverVM performs the §8 recovery. The invariants that
+// must survive ANY fault schedule:
 //
 //   - liveness: every guest task eventually unblocks;
 //   - honest errors: whatever a task observed is a real errno, never a
 //     Go-level failure leaking across the VM boundary;
 //   - isolation: guest memory the guest never granted (the canary) is
-//     byte-identical after the run, even though the driver was actively
-//     trying to scribble on it ("driver.evil");
-//   - no backend panic: a sim process panicking is trapped and reported;
-//   - monotone virtual clock.
+//     byte-identical after the run, even though the driver of every
+//     driver-VM generation was actively trying to scribble on it
+//     ("driver.evil");
+//   - no process panic, including one a supervisor absorbed as a driver
+//     oops;
+//   - monotone virtual clock;
+//   - honest handover episodes and an honest load generator.
 //
 // Every 4th seed additionally arms one optional subsystem (driver-VM
 // supervision, the bulk-transfer fast path, the translation caches, or the
@@ -26,7 +33,8 @@ package faults_test
 // -stress.arms=flightrec): its digests, attribution, and outlier captures
 // are part of the byte-identical replay contract, and on invariant failure
 // a forensics replay writes them to a temp artifact directory. The arm
-// table (stressArms) holds every arming rule.
+// table (stressArms) holds every arming rule, and
+// TestStressArmsReachTheirPaths checks that each arm reaches what it arms.
 //
 // With -stress.arms=multivm, every seed additionally hosts two extra guest
 // VMs — own kernels, own processes, own ungranted canaries — whose channels
@@ -39,6 +47,7 @@ package faults_test
 // simulation.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
@@ -49,14 +58,14 @@ import (
 	"strings"
 	"testing"
 
-	"paradice/internal/cvd"
+	"paradice"
 	"paradice/internal/devfile"
 	"paradice/internal/faults"
 	"paradice/internal/handover"
-	"paradice/internal/hv"
 	"paradice/internal/kernel"
 	"paradice/internal/load"
 	"paradice/internal/mem"
+	"paradice/internal/perf"
 	"paradice/internal/sim"
 	"paradice/internal/supervise"
 	"paradice/internal/trace"
@@ -132,8 +141,6 @@ func (s armSet) force(list string) error {
 }
 
 // armedArms resolves the arm table for one seed under the forced set.
-// Supervised seeds never hand over: the harness-level handover and the
-// supervisor would be two lifecycle managers fighting over one channel.
 func armedArms(seed int64, forced armSet) armSet {
 	on := armSet{}
 	for _, a := range stressArms {
@@ -141,16 +148,67 @@ func armedArms(seed int64, forced armSet) armSet {
 			on[a.name] = true
 		}
 	}
-	if on["supervised"] {
-		delete(on, "handover")
-	}
 	return on
 }
 
 const (
 	stressPath = "/dev/stressdev"
-	vmRAM      = 4 << 20
+	// vmRAM is each guest VM's memory.
+	vmRAM = 4 << 20
+	// driverVMRAM is what each driver VM a Machine boots takes from host RAM.
+	driverVMRAM = 64 << 20
+	// chanDeadline is the per-request deadline of every channel that relies
+	// on deadlines to stay live under fire: the sink's and the extra
+	// guests', which phase 2 only restarts when the main tasks are stuck,
+	// and on a supervised seed the stress channel's.
+	chanDeadline = 5 * sim.Millisecond
 )
+
+// The supervised arm's watchdog: 2 ms heartbeats and a three-restart
+// budget on a short backoff, so a seed can climb the whole schedule to
+// degraded mode inside its run.
+const (
+	backoffCap  = 8 * sim.Millisecond
+	maxRestarts = 3
+)
+
+var stressSupervise = supervise.Config{
+	HeartbeatEvery: 2 * sim.Millisecond,
+	BackoffBase:    sim.Millisecond,
+	BackoffCap:     backoffCap,
+	MaxRestarts:    maxRestarts,
+	StableAfter:    20 * sim.Millisecond,
+}
+
+// A seed's timeline, sized from the recovery costs. Phase 1 is the fault
+// window: 50 ms is far beyond what the workload needs when nothing is
+// stuck. A handover seed starts its workload handoverLead before the
+// successor's perf.CostDriverVMRestart boot ends, so the drain lands in the
+// open-loop flood. A supervised seed extends phase 1 by its supervisor's
+// whole restart budget, each attempt at most healAttempt, so a recovery
+// begun in the fault window plays out under fire; it then stops the
+// supervisor and settles for one more healAttempt, the longest a stopped
+// watchdog can still be rebooting, so phase 2's RestartDriverVM never meets
+// ErrRestartInProgress.
+const (
+	faultWindow  = 50 * sim.Millisecond
+	handoverLead = 200 * sim.Microsecond
+	// healAttempt is one restart attempt: the capped backoff, the reboot,
+	// and the sweep that verifies it (a few channels × the 200 µs default
+	// heartbeat timeout).
+	healAttempt = backoffCap + perf.CostDriverVMRestart + sim.Millisecond
+	// longestRun is when the latest seed's phase 1 ends, settle included.
+	longestRun = perf.CostDriverVMRestart - handoverLead + faultWindow + (maxRestarts+1)*healAttempt
+)
+
+// hostRAM holds every driver VM one seed can boot, plus the guests (three
+// at most). A replaced driver VM keeps its memory because the hypervisor
+// has no DestroyVM; once it has one, drop this and take the Machine's
+// default. Two boots are fixed, the first driver VM and phase 2's restart.
+// Every other one, a supervised restart or a handover successor, holds a
+// process for perf.CostDriverVMRestart, so there are at most
+// longestRun/CostDriverVMRestart = 5 more: 7 driver VMs in all.
+const hostRAM = (2+uint64(longestRun/perf.CostDriverVMRestart))*driverVMRAM + 3*vmRAM
 
 var (
 	sdNoop = devfile.IO('S', 0)
@@ -258,68 +316,6 @@ func newStressDriver(k *kernel.Kernel, evilVA mem.GuestVirt) (*stressDriver, err
 	return d, nil
 }
 
-// stressTarget adapts the bare cvd rig to internal/supervise: the one
-// supervised channel is the rig's frontend/backend pair, and Restart is the
-// §8 recovery (fresh driver VM + Reconnect) performed automatically under
-// fire. Restart here is instantaneous on the virtual clock — the stress
-// harness probes correctness under fault schedules, not recovery latency
-// (the root package's MTTR tests charge the real reboot cost).
-type stressTarget struct {
-	env      *sim.Env
-	h        *hv.Hypervisor
-	fe       *cvd.Frontend
-	be       *cvd.Backend
-	canaryVA mem.GuestVirt
-	drivers  []*stressDriver
-	gen      int
-}
-
-func (st *stressTarget) Channels() []supervise.Channel { return []supervise.Channel{st} }
-func (st *stressTarget) ID() string                    { return "guest:" + stressPath }
-func (st *stressTarget) Alive() bool                   { return st.be.Alive() }
-func (st *stressTarget) OnDeath(fn func())             { st.be.OnDeath(fn) }
-func (st *stressTarget) SetDegraded(on bool)           { st.fe.SetDegraded(on) }
-func (st *stressTarget) Heartbeat(p *sim.Proc, timeout sim.Duration) bool {
-	return st.fe.Heartbeat(p, timeout)
-}
-
-func (st *stressTarget) Restart() error {
-	if d := faults.Point(st.env, "machine.restart.fail"); d != nil {
-		// The replacement driver VM fails to boot; the supervisor counts
-		// the attempt against its backoff budget.
-		return d.Error()
-	}
-	st.be.Stop()
-	st.gen++
-	name := fmt.Sprintf("driver-r%d", st.gen)
-	vm, err := st.h.CreateVM(name, vmRAM)
-	if err != nil {
-		return err
-	}
-	k := kernel.New(name, kernel.Linux, st.env, vm.Space, vm.RAM)
-	drv, err := newStressDriver(k, st.canaryVA)
-	if err != nil {
-		return err
-	}
-	st.drivers = append(st.drivers, drv)
-	be, err := cvd.Reconnect(st.fe, st.h, vm, k, stressPath)
-	if err != nil {
-		return err
-	}
-	st.be = be
-	return nil
-}
-
-// evilTotals sums the compromised-driver probe counters across the original
-// driver and every supervised-restart replacement.
-func (st *stressTarget) evilTotals() (allowed, denied int) {
-	for _, d := range st.drivers {
-		allowed += d.evilAllowed
-		denied += d.evilDenied
-	}
-	return
-}
-
 // isErrnoOrNil reports whether a task-visible error is an honest errno (or
 // no error at all) — the only outcomes a fault schedule is allowed to
 // produce at the syscall boundary.
@@ -342,73 +338,140 @@ const (
 	opKinds
 )
 
+// stressTask is the record of one guest task of the workload.
+type stressTask struct {
+	done bool  // returned from every system call
+	viol error // the non-errno failure that ended it, if any
+	ok   int   // operations that succeeded
+}
+
+// spawnStressTask allocates a task's buffers in app and spawns it: it opens
+// the stress device, issues ops, and closes it. When the driver VM restarts
+// under it (EREMOTE, EINVAL) or a request outlives its deadline
+// (ETIMEDOUT), the fd is stale, exactly as §8 describes: it reopens and
+// carries on.
+func spawnStressTask(app *kernel.Process, name, payload string, ops []stressOp) (*stressTask, error) {
+	wbuf := []byte(payload)
+	wVA, err := app.AllocBytes(wbuf)
+	if err != nil {
+		return nil, err
+	}
+	rVA, err := app.Alloc(64)
+	if err != nil {
+		return nil, err
+	}
+	xVA, err := app.AllocBytes(make([]byte, 32))
+	if err != nil {
+		return nil, err
+	}
+	st := &stressTask{}
+	app.SpawnTask(name, func(tk *kernel.Task) {
+		flags := devfile.ORdWr | devfile.ONonblock
+		fd, err := tk.Open(stressPath, flags)
+		if err != nil {
+			if !isErrnoOrNil(err) {
+				st.viol = fmt.Errorf("open leaked non-errno error: %w", err)
+			}
+			st.done = true
+			return
+		}
+		for _, op := range ops {
+			var err error
+			switch op {
+			case opWrite:
+				_, err = tk.Write(fd, wVA, len(wbuf))
+			case opRead:
+				_, err = tk.Read(fd, rVA, 64)
+			case opXor:
+				_, err = tk.Ioctl(fd, sdXor, xVA)
+			case opNoop:
+				_, err = tk.Ioctl(fd, sdNoop, 0)
+			case opMmapCycle:
+				var va mem.GuestVirt
+				va, err = tk.Mmap(fd, mem.PageSize, 0)
+				if err == nil {
+					// Touching may fail under injected map faults; the
+					// invariant is only that it neither panics nor hangs.
+					var b [4]byte
+					_ = app.UserRead(tk, va, b[:])
+					_ = tk.Munmap(va, mem.PageSize)
+				}
+			}
+			if err == nil {
+				st.ok++
+				continue
+			}
+			if !isErrnoOrNil(err) {
+				st.viol = fmt.Errorf("op %d leaked non-errno error: %w", op, err)
+				break
+			}
+			if kernel.IsErrno(err, kernel.EREMOTE) || kernel.IsErrno(err, kernel.EINVAL) ||
+				kernel.IsErrno(err, kernel.ETIMEDOUT) {
+				if fd2, err2 := tk.Open(stressPath, flags); err2 == nil {
+					fd = fd2
+				} else if !isErrnoOrNil(err2) {
+					st.viol = fmt.Errorf("reopen leaked non-errno error: %w", err2)
+					break
+				}
+			}
+		}
+		if err := tk.Close(fd); err != nil && !isErrnoOrNil(err) {
+			st.viol = fmt.Errorf("close leaked non-errno error: %w", err)
+		}
+		st.done = true
+	})
+	return st, nil
+}
+
+// stillBlocked counts the tasks that have not returned.
+func stillBlocked(tasks []*stressTask) int {
+	n := 0
+	for _, st := range tasks {
+		if !st.done {
+			n++
+		}
+	}
+	return n
+}
+
 // traceCapture, when passed to runOne, runs the whole simulation under the
 // observability layer and receives its exported Chrome trace, metrics dump,
 // and flight-recorder dump — the byte strings the determinism invariant
-// compares across replays. forceFlight arms the flight recorder regardless
-// of the seed's residue (the recorder is a pure observer — arming it never
-// advances the virtual clock — so a forensics replay stays exact).
+// compares across replays — plus the two outcomes no counter records.
+// forceFlight arms the flight recorder regardless of the seed's residue
+// (the recorder is a pure observer — arming it never advances the virtual
+// clock — so a forensics replay stays exact).
 type traceCapture struct {
 	trace       []byte
 	metrics     []byte
 	flight      []byte
 	forceFlight bool
+
+	offered  uint64 // arrivals the open-loop generator scheduled
+	xguestOK int    // operations the extra guests completed
 }
 
-// runOne executes one seeded stress simulation and returns nil if every
-// invariant held. With weaken set, the run instead arms the deliberately
-// broken grant check ("grant.validate.skip") plus one scripted evil driver
-// copy — the harness must then DETECT the isolation violation and return an
-// error naming the canary; that self-test is what makes the green runs
+// runOne executes one seeded stress simulation with the arms the table
+// gives seed under forced, and returns nil if every invariant held. With
+// weaken set, the run instead arms nothing but the deliberately broken
+// grant check ("grant.validate.skip") plus one scripted evil driver copy —
+// the harness must then DETECT the isolation violation and return an error
+// naming the canary; that self-test is what makes the green runs
 // trustworthy.
-func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
-	env := sim.NewEnv()
-	defer func() {
-		if r := recover(); r != nil {
-			// A sim process panicking anywhere (backend included) is itself
-			// an invariant violation; sim traps it to this goroutine, and
-			// FaultStack keeps the panic site when it was a process's.
-			retErr = fmt.Errorf("invariant: simulation panicked: %v\n%s", r, env.FaultStack())
-		}
-	}()
-
+func runOne(seed int64, forced armSet, weaken bool, cap *traceCapture) (retErr error) {
 	plan := faults.New(seed)
 	rng := plan.Rand()
-	defer env.Close()
-	var fr *trace.FlightRecorder
-	if cap != nil {
-		tr := trace.New()
-		trace.Install(env, tr)
-		defer func() {
-			trace.Uninstall(env)
-			var tb, mb bytes.Buffer
-			if err := tr.WriteChrome(&tb); err != nil && retErr == nil {
-				retErr = err
-			}
-			if err := tr.WriteMetrics(&mb); err != nil && retErr == nil {
-				retErr = err
-			}
-			cap.trace, cap.metrics = tb.Bytes(), mb.Bytes()
-			if fr != nil {
-				var fb bytes.Buffer
-				if err := fr.WriteDump(&fb); err != nil && retErr == nil {
-					retErr = err
-				}
-				cap.flight = fb.Bytes()
-			}
-		}()
-	}
 
 	// The weakened run arms nothing: its point is the evil copy slipping
 	// past a broken grant check, which every arm would obscure.
 	arms := armSet{}
 	if !weaken {
-		arms = armedArms(seed, forcedArms)
+		arms = armedArms(seed, forced)
 	}
 
-	// The supervised arm runs with the driver-VM supervisor: deaths the plan
-	// injects are then healed automatically, under fire, while the workload
-	// keeps issuing operations.
+	// The supervised arm runs the Machine's driver-VM supervisor: deaths
+	// the plan injects are healed automatically, under fire, while the
+	// workload keeps issuing operations.
 	supervised := arms["supervised"]
 
 	// The fastpath arm enables the bulk-transfer fast path: the grant-map
@@ -429,37 +492,25 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	// The openloop arm starts the open-loop load generator: a second
 	// paravirtualized device (the load sink) shares the same guest and
 	// driver VMs, and a seeded open-loop client mix — two QoS classes, the
-	// bulk class admission-limited — floods it while the fault plan fires
-	// on both channels. The sink channel is deliberately NOT part of the
-	// phase-2 recovery: its per-request deadline is what must keep the
-	// generator's clients live when the plan kills that backend, and every
-	// outcome the clients observe must still be an honest errno.
+	// bulk class admission-limited so that a backed-up ring sheds it —
+	// floods it while the fault plan fires on both channels. Its per-request
+	// deadline must keep the generator's clients live when the plan kills
+	// that backend (phase 2 only restarts when the main tasks are stuck),
+	// and every outcome the clients observe must still be an honest errno.
 	openloop := arms["openloop"]
 
 	// The flightrec arm (or a forensics replay) arms the flight recorder:
 	// always-on digests over the very runs that flood the ring, with the
 	// injected errnos, sheds, and restart episodes landing as tail-based
 	// outlier captures. On a plain sweep (no traceCapture) a retention-free
-	// tracer carries the digests so a 4 ms flood stays O(ring capacity); a
+	// tracer carries the digests so a flood stays O(ring capacity); a
 	// capturing run reuses its full tracer, and the dump joins the
 	// byte-identical replay contract.
 	flightrec := !weaken && (arms["flightrec"] || (cap != nil && cap.forceFlight))
-	if flightrec {
-		tr := trace.Get(env)
-		if tr == nil {
-			tr = trace.New()
-			tr.SetEventRetention(false)
-			trace.Install(env, tr)
-			defer trace.Uninstall(env)
-		}
-		fr = tr.ArmFlightRecorder(trace.FlightConfig{
-			Threshold: 2 * sim.Millisecond,
-		})
-	}
 
-	// The handover arm performs a planned driver-VM handover mid-run, with
-	// the handover's own fault points armed so the sweep exercises every
-	// abort path.
+	// The handover arm performs a planned driver-VM handover of every
+	// channel mid-run, with the handover's own fault points armed so the
+	// sweep exercises every abort path.
 	handoverArmed := arms["handover"]
 
 	// The multivm arm: two extra guest VMs join the deployment, each with
@@ -467,28 +518,105 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	// stress device in the shared driver VM. Their workloads are derived
 	// from the seed by plain arithmetic, not the plan's rng, so arming it
 	// changes NOTHING in the base run's random sequence — the same seed
-	// produces the same fault schedule with or without the extra guests. The invariants become per-guest: every
-	// extra guest's tasks stay live on per-request deadlines alone (their
-	// channels are deliberately left out of the phase-2 recovery, like the
-	// sink channel), they observe only honest errnos, and each guest's canary
-	// — memory no operation from ANY guest ever granted — is byte-identical
-	// after the run, however the shared driver VM died, restarted, or
-	// scribbled.
+	// produces the same fault schedule with or without the extra guests.
+	// The invariants become per-guest: every extra guest's tasks stay live
+	// (on per-request deadlines, or phase 2's restart), they observe only
+	// honest errnos, and each guest's canary — memory no operation from ANY
+	// guest ever granted — is byte-identical after the run, however the
+	// shared driver VM died, restarted, or scribbled.
 	multivm := arms["multivm"]
 
-	h := hv.New(env, 64<<20)
-	driverVM, err := h.CreateVM("driver", vmRAM)
+	// The mode is the seed's first random draw, before anything is built.
+	// The adaptive arm overrides it AFTER the draw, so the rest of the
+	// seed's random sequence — and thus its fault schedule — is identical to
+	// the static-mode run of the same seed.
+	cfg := paradice.Config{HostRAM: hostRAM, GuestRAM: vmRAM, Mode: paradice.Interrupts}
+	if !weaken && rng.Intn(2) == 1 {
+		cfg.Mode = paradice.Polling
+	}
+	if arms["adaptive"] {
+		// Batching rides the adaptive arm: multi-entry submission doorbells
+		// and shared response IRQs under every fault the plan can throw.
+		cfg.Mode = paradice.Adaptive
+		cfg.CoalesceWindow = 20 * sim.Microsecond
+	}
+	if fastpath {
+		cfg.MapCache = true
+		cfg.CoalesceWindow = 20 * sim.Microsecond
+	}
+	cfg.TLB = walkcache
+	if openloop {
+		// The eight clients keep at most eight requests in flight, plus the
+		// slots their timed-out requests abandon, so at 6 the bulk class is
+		// shed whenever the sink's ring backs up. The stress tasks and the
+		// rt class run at QoS 0, which the limit leaves alone.
+		cfg.Admission = map[uint8]int{2: 6}
+	}
+	if supervised {
+		cfg.Supervise = &stressSupervise
+	}
+	m, err := paradice.New(cfg)
 	if err != nil {
 		return err
 	}
-	driverK := kernel.New("driver", kernel.Linux, env, driverVM.Space, driverVM.RAM)
-	guestVM, err := h.CreateVM("guest", vmRAM)
-	if err != nil {
-		return err
+	env := m.Env
+	defer m.Close()
+	defer func() {
+		if r := recover(); r != nil {
+			// A sim process panicking anywhere (backend included) is itself
+			// an invariant violation; sim traps it to this goroutine, and
+			// FaultStack keeps the panic site when it was a process's.
+			retErr = fmt.Errorf("invariant: simulation panicked: %v\n%s", r, env.FaultStack())
+		}
+	}()
+	// A supervised Machine absorbs a panic on a CVD backend process as a
+	// driver oops and heals it. The seed still fails on it: no driver this
+	// harness installs may panic.
+	var absorbed []*sim.ProcPanic
+	if absorb := env.OnProcPanic; absorb != nil {
+		env.OnProcPanic = func(pp *sim.ProcPanic) bool {
+			absorbed = append(absorbed, pp)
+			return absorb(pp)
+		}
 	}
-	guestK := kernel.New("guest", kernel.Linux, env, guestVM.Space, guestVM.RAM)
 
-	app, err := guestK.NewProcess("stress-app")
+	var fr *trace.FlightRecorder
+	if cap != nil {
+		tr := m.StartTrace()
+		defer func() {
+			var tb, mb bytes.Buffer
+			if err := tr.WriteChrome(&tb); err != nil && retErr == nil {
+				retErr = err
+			}
+			if err := tr.WriteMetrics(&mb); err != nil && retErr == nil {
+				retErr = err
+			}
+			cap.trace, cap.metrics = tb.Bytes(), mb.Bytes()
+			if fr != nil {
+				var fb bytes.Buffer
+				if err := fr.WriteDump(&fb); err != nil && retErr == nil {
+					retErr = err
+				}
+				cap.flight = fb.Bytes()
+			}
+		}()
+	}
+	if flightrec {
+		tr := m.Tracer()
+		if tr == nil {
+			tr = m.StartTrace()
+			tr.SetEventRetention(false)
+		}
+		fr = tr.ArmFlightRecorder(trace.FlightConfig{
+			Threshold: 2 * sim.Millisecond,
+		})
+	}
+
+	g, err := m.AddGuest("guest", paradice.Linux)
+	if err != nil {
+		return err
+	}
+	app, err := g.NewProcess("stress-app")
 	if err != nil {
 		return err
 	}
@@ -499,74 +627,42 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	if err != nil {
 		return err
 	}
-
-	drv, err := newStressDriver(driverK, canaryVA)
-	if err != nil {
+	// Every driver-VM generation — the first, each restart replacement,
+	// each handover successor — gets its own stress driver, and the plan
+	// attacks them all; drivers keeps every one for the evil-probe totals.
+	var drivers []*stressDriver
+	var sink *load.Sink
+	if openloop {
+		sink = load.NewSink(env, 2*sim.Microsecond, sim.Microsecond)
+	}
+	if err := m.OnDriverVMBoot(func(k *kernel.Kernel) error {
+		d, err := newStressDriver(k, canaryVA)
+		if err != nil {
+			return err
+		}
+		drivers = append(drivers, d)
+		if sink != nil {
+			k.RegisterDevice(load.SinkPath, sink, sink)
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
-
-	mode := cvd.Interrupts
-	if !weaken && rng.Intn(2) == 1 {
-		mode = cvd.Polling
+	if err := g.Paravirtualize(stressPath); err != nil {
+		return err
 	}
-	// The adaptive arm overrides the transport AFTER the rng draw above, so
-	// the rest of the seed's random sequence — and thus its fault schedule —
-	// is identical to the static-mode run of the same seed.
-	adaptive := arms["adaptive"]
-	if adaptive {
-		mode = cvd.Adaptive
-	}
-	var deadline sim.Duration
 	if supervised {
-		// Supervised deployments run with per-request deadlines so an issuer
-		// stuck behind a dead backend unblocks with ETIMEDOUT.
-		deadline = 5 * sim.Millisecond
-	}
-	cfg := cvd.Config{
-		HV: h, GuestVM: guestVM, GuestK: guestK,
-		DriverVM: driverVM, DriverK: driverK,
-		DevicePath: stressPath, Mode: mode,
-		RequestDeadline: deadline,
-	}
-	if fastpath {
-		cfg.MapCache = true
-		cfg.CoalesceWindow = 20 * sim.Microsecond
-	}
-	if walkcache {
-		h.EnableTLB()
-	}
-	if adaptive {
-		// Batching rides the adaptive arm: multi-entry submission doorbells
-		// and shared response IRQs under every fault the plan can throw.
-		cfg.CoalesceWindow = 20 * sim.Microsecond
-	}
-	// One grant table per guest VM, shared by the stress and sink channels,
-	// as on a Machine: the hypervisor validates against the one table page
-	// registered for the VM.
-	if cfg.Grants, err = cvd.NewGuestGrantTable(h, guestVM, guestK); err != nil {
-		return err
-	}
-	fe, be, err := cvd.Connect(cfg)
-	if err != nil {
-		return err
+		// A stress task stuck behind a dead backend unblocks with ETIMEDOUT
+		// well inside the fault window.
+		g.Frontends[stressPath].SetDeadline(chanDeadline)
 	}
 
 	var gen *load.Generator
 	if openloop {
-		sink := load.NewSink(env, 2*sim.Microsecond, sim.Microsecond)
-		driverK.RegisterDevice(load.SinkPath, sink, sink)
-		if _, _, err := cvd.Connect(cvd.Config{
-			HV: h, GuestVM: guestVM, GuestK: guestK,
-			DriverVM: driverVM, DriverK: driverK,
-			DevicePath: load.SinkPath, Mode: mode, Grants: cfg.Grants,
-			// Liveness under fire: nothing ever reconnects this channel,
-			// so requests stranded by a killed backend must unblock with
-			// ETIMEDOUT on their own.
-			RequestDeadline: 5 * sim.Millisecond,
-			Admission:       map[uint8]int{2: 60},
-		}); err != nil {
+		if err := g.Paravirtualize(load.SinkPath); err != nil {
 			return err
 		}
+		g.Frontends[load.SinkPath].SetDeadline(chanDeadline)
 		arr := load.Poisson
 		if rng.Intn(2) == 1 {
 			arr = load.Bursty
@@ -586,9 +682,6 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		if err != nil {
 			return err
 		}
-		if err := gen.Start(guestK); err != nil {
-			return err
-		}
 	}
 
 	// The extra guests of the multi-VM arm. Setup consumes no rng: workload
@@ -598,19 +691,20 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		app      *kernel.Process
 		canary   []byte
 		canaryVA mem.GuestVirt
-		done     []bool
-		viol     []error
+		tasks    []*stressTask
 	}
 	var xguests []*xguest
 	if multivm {
 		for gi := 0; gi < 2; gi++ {
-			name := fmt.Sprintf("guest-x%d", gi)
-			vm, err := h.CreateVM(name, vmRAM)
+			xg, err := m.AddGuest(fmt.Sprintf("guest-x%d", gi), paradice.Linux)
 			if err != nil {
 				return err
 			}
-			k := kernel.New(name, kernel.Linux, env, vm.Space, vm.RAM)
-			xapp, err := k.NewProcess(name + "-app")
+			if err := xg.Paravirtualize(stressPath); err != nil {
+				return err
+			}
+			xg.Frontends[stressPath].SetDeadline(chanDeadline)
+			xapp, err := xg.NewProcess(xg.K.Name + "-app")
 			if err != nil {
 				return err
 			}
@@ -619,85 +713,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 			if err != nil {
 				return err
 			}
-			// Same transport options as the main channel; the deadline is the
-			// extra channel's only liveness mechanism (nothing ever reconnects
-			// it), exactly like the sink channel.
-			xcfg := cfg
-			xcfg.GuestVM, xcfg.GuestK, xcfg.Grants = vm, k, nil
-			xcfg.RequestDeadline = 5 * sim.Millisecond
-			if _, _, err := cvd.Connect(xcfg); err != nil {
-				return err
-			}
-			const xTasks, xOps = 2, 4
-			xg := &xguest{app: xapp, canary: xc, canaryVA: xcVA,
-				done: make([]bool, xTasks), viol: make([]error, xTasks)}
-			xguests = append(xguests, xg)
-			for ti := 0; ti < xTasks; ti++ {
-				ti := ti
-				ops := make([]stressOp, xOps)
-				for j := range ops {
-					// opWrite..opNoop, spread across guests/tasks by seed
-					// arithmetic — deterministic, rng-free.
-					ops[j] = stressOp((seed + int64(gi*7+ti*3+j)) % int64(opMmapCycle))
-				}
-				wbuf := []byte(fmt.Sprintf("xguest-%d-task-%d-payload", gi, ti))
-				wVA, err := xapp.AllocBytes(wbuf)
-				if err != nil {
-					return err
-				}
-				rVA, err := xapp.Alloc(64)
-				if err != nil {
-					return err
-				}
-				xVA, err := xapp.AllocBytes(make([]byte, 32))
-				if err != nil {
-					return err
-				}
-				xapp.SpawnTask(fmt.Sprintf("xstress-%d-%d", gi, ti), func(tk *kernel.Task) {
-					flags := devfile.ORdWr | devfile.ONonblock
-					fd, err := tk.Open(stressPath, flags)
-					if err != nil {
-						if !isErrnoOrNil(err) {
-							xg.viol[ti] = fmt.Errorf("open leaked non-errno error: %w", err)
-						}
-						xg.done[ti] = true
-						return
-					}
-					for _, op := range ops {
-						var err error
-						switch op {
-						case opWrite:
-							_, err = tk.Write(fd, wVA, len(wbuf))
-						case opRead:
-							_, err = tk.Read(fd, rVA, 64)
-						case opXor:
-							_, err = tk.Ioctl(fd, sdXor, xVA)
-						case opNoop:
-							_, err = tk.Ioctl(fd, sdNoop, 0)
-						}
-						if err == nil {
-							continue
-						}
-						if !isErrnoOrNil(err) {
-							xg.viol[ti] = fmt.Errorf("op %d leaked non-errno error: %w", op, err)
-							break
-						}
-						if kernel.IsErrno(err, kernel.EREMOTE) || kernel.IsErrno(err, kernel.EINVAL) ||
-							kernel.IsErrno(err, kernel.ETIMEDOUT) {
-							if fd2, err2 := tk.Open(stressPath, flags); err2 == nil {
-								fd = fd2
-							} else if !isErrnoOrNil(err2) {
-								xg.viol[ti] = fmt.Errorf("reopen leaked non-errno error: %w", err2)
-								break
-							}
-						}
-					}
-					if err := tk.Close(fd); err != nil && !isErrnoOrNil(err) {
-						xg.viol[ti] = fmt.Errorf("close leaked non-errno error: %w", err)
-					}
-					xg.done[ti] = true
-				})
-			}
+			xguests = append(xguests, &xguest{app: xapp, canary: xc, canaryVA: xcVA})
 		}
 	}
 
@@ -735,80 +751,6 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 			plan.Probability("handover.warm.fail", 0.1)
 		}
 	}
-	faults.Install(env, plan)
-	defer faults.Uninstall(env)
-
-	var sup *supervise.Supervisor
-	var st *stressTarget
-	if supervised {
-		st = &stressTarget{env: env, h: h, fe: fe, be: be,
-			canaryVA: canaryVA, drivers: []*stressDriver{drv}}
-		sup = supervise.Start(env, st, supervise.Config{
-			HeartbeatEvery: 2 * sim.Millisecond,
-			BackoffBase:    sim.Millisecond,
-			BackoffCap:     8 * sim.Millisecond,
-			MaxRestarts:    3,
-			StableAfter:    20 * sim.Millisecond,
-		})
-	}
-
-	// The planned-handover arm: a proc kicks a cvd-level handover of the
-	// stress channel at 3 ms — squarely inside the fault window and the
-	// open-loop arrival window — through the same staged engine the Machine
-	// uses. liveBE tracks the serving backend across the switch so phase 2's
-	// manual recovery stops the right one.
-	liveBE := be
-	var hoDrivers []*stressDriver
-	var hoEp handover.Episode
-	var hoErr error
-	hoRan := false
-	if handoverArmed {
-		env.Spawn("stress-handover", func(p *sim.Proc) {
-			p.Sleep(3 * sim.Millisecond)
-			var succVM *hv.VM
-			var succK *kernel.Kernel
-			var prep *cvd.HandoverPrep
-			hoEp, hoErr = handover.Run(env, []*cvd.Frontend{fe}, handover.Hooks{
-				Prepare: func() error {
-					vm, err := h.CreateVM(fmt.Sprintf("driver-h%d", seed), vmRAM)
-					if err != nil {
-						return err
-					}
-					k := kernel.New(vm.Name, kernel.Linux, env, vm.Space, vm.RAM)
-					d2, err := newStressDriver(k, canaryVA)
-					if err != nil {
-						return err
-					}
-					hoDrivers = append(hoDrivers, d2)
-					succVM, succK = vm, k
-					return nil
-				},
-				Switch: func() error {
-					pr, err := cvd.PrepareHandover(fe, h, succVM, succK)
-					if err != nil {
-						return err
-					}
-					prep = pr
-					pred := liveBE
-					be2, err := prep.Bind(stressPath)
-					if err != nil {
-						return err
-					}
-					liveBE = be2
-					if pred != nil {
-						pred.Stop()
-					}
-					return nil
-				},
-				Abort: func() {
-					if prep != nil {
-						prep.Discard()
-					}
-				},
-			})
-			hoRan = true
-		})
-	}
 
 	// Randomized workload: a few tasks, each issuing a few operations.
 	// Everything is drawn from the plan's rng before the simulation starts,
@@ -830,163 +772,111 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		}
 	}
 
-	done := make([]bool, nTasks)
-	violations := make([]error, nTasks)
-	for i := 0; i < nTasks; i++ {
-		i := i
-		wbuf := []byte(fmt.Sprintf("task-%02d-payload-bytes", i))
-		wVA, err := app.AllocBytes(wbuf)
-		if err != nil {
+	faults.Install(env, plan)
+
+	// The planned handover starts at once. Its successor boots for
+	// perf.CostDriverVMRestart while the predecessor serves, and the
+	// workload starts handoverLead before that boot ends, so the drain
+	// parks the stress tasks' and the generator's posts and the switch
+	// carries their open files over. A supervised seed asks its supervisor
+	// to run the handover on the watchdog, serialized with the heartbeat
+	// sweeps; hoErrs is each attempt's outcome as its caller saw it.
+	var hoErrs []error
+	var start sim.Time
+	if handoverArmed {
+		if supervised {
+			if err := m.RequestHandover(); err != nil {
+				return err
+			}
+		} else {
+			env.Spawn("stress-handover", func(*sim.Proc) {
+				hoErrs = append(hoErrs, m.HandoverDriverVM())
+			})
+		}
+		start = start.Add(perf.CostDriverVMRestart - handoverLead)
+		m.RunUntil(start)
+	}
+
+	tasks := make([]*stressTask, nTasks)
+	for i, ops := range taskOps {
+		if tasks[i], err = spawnStressTask(app, fmt.Sprintf("stress-%d", i),
+			fmt.Sprintf("task-%02d-payload-bytes", i), ops); err != nil {
 			return err
 		}
-		rVA, err := app.Alloc(64)
-		if err != nil {
+	}
+	if gen != nil {
+		if err := gen.Start(g.K); err != nil {
 			return err
 		}
-		xVA, err := app.AllocBytes(make([]byte, 32))
-		if err != nil {
-			return err
-		}
-		app.SpawnTask(fmt.Sprintf("stress-%d", i), func(tk *kernel.Task) {
-			flags := devfile.ORdWr | devfile.ONonblock
-			fd, err := tk.Open(stressPath, flags)
+	}
+	var xtasks []*stressTask
+	for gi, x := range xguests {
+		for ti := 0; ti < 2; ti++ {
+			ops := make([]stressOp, 4)
+			for j := range ops {
+				// opWrite..opNoop, spread across guests/tasks by seed
+				// arithmetic — deterministic, rng-free.
+				ops[j] = stressOp((seed + int64(gi*7+ti*3+j)) % int64(opMmapCycle))
+			}
+			st, err := spawnStressTask(x.app, fmt.Sprintf("xstress-%d-%d", gi, ti),
+				fmt.Sprintf("xguest-%d-task-%d-payload", gi, ti), ops)
 			if err != nil {
-				if !isErrnoOrNil(err) {
-					violations[i] = fmt.Errorf("open leaked non-errno error: %w", err)
-				}
-				done[i] = true
-				return
+				return err
 			}
-			for _, op := range taskOps[i] {
-				var err error
-				switch op {
-				case opWrite:
-					_, err = tk.Write(fd, wVA, len(wbuf))
-				case opRead:
-					_, err = tk.Read(fd, rVA, 64)
-				case opXor:
-					_, err = tk.Ioctl(fd, sdXor, xVA)
-				case opNoop:
-					_, err = tk.Ioctl(fd, sdNoop, 0)
-				case opMmapCycle:
-					var va mem.GuestVirt
-					va, err = tk.Mmap(fd, mem.PageSize, 0)
-					if err == nil {
-						// Touching may fail under injected map faults; the
-						// invariant is only that it neither panics nor hangs.
-						var b [4]byte
-						_ = app.UserRead(tk, va, b[:])
-						_ = tk.Munmap(va, mem.PageSize)
-					}
-				}
-				if err == nil {
-					continue
-				}
-				if !isErrnoOrNil(err) {
-					violations[i] = fmt.Errorf("op %d leaked non-errno error: %w", op, err)
-					break
-				}
-				if kernel.IsErrno(err, kernel.EREMOTE) || kernel.IsErrno(err, kernel.EINVAL) ||
-					kernel.IsErrno(err, kernel.ETIMEDOUT) {
-					// Driver VM restarted under us (or a request outlived its
-					// deadline): the fd is stale, exactly as §8 describes.
-					// Reopen and carry on.
-					if fd2, err2 := tk.Open(stressPath, flags); err2 == nil {
-						fd = fd2
-					} else if !isErrnoOrNil(err2) {
-						violations[i] = fmt.Errorf("reopen leaked non-errno error: %w", err2)
-						break
-					}
-				}
-			}
-			if err := tk.Close(fd); err != nil && !isErrnoOrNil(err) {
-				violations[i] = fmt.Errorf("close leaked non-errno error: %w", err)
-			}
-			done[i] = true
-		})
+			x.tasks = append(x.tasks, st)
+			xtasks = append(xtasks, st)
+		}
 	}
 
-	// Phase 1: run with faults firing. 50ms of simulated time is far beyond
-	// what the workload needs when nothing is stuck. A supervisor, when
-	// armed, heals injected deaths inside this window; its watchdog keeps
-	// the calendar busy, so stop it before any full calendar drain.
-	env.RunUntil(env.Now().Add(50 * sim.Millisecond))
-	if sup != nil {
+	// Phase 1: run with faults firing. A supervised seed runs on for its
+	// restart budget, then stops the supervisor — its watchdog keeps the
+	// calendar busy, so it must stop before any full calendar drain — and
+	// settles until no restart can be in progress.
+	end := start.Add(faultWindow)
+	if sup := m.Supervisor(); sup != nil {
+		end = end.Add(maxRestarts * healAttempt)
+		m.RunUntil(end)
 		sup.Stop()
+		end = end.Add(healAttempt)
 	}
+	m.RunUntil(end)
 	t1 := env.Now()
-
-	allDone := func() bool {
-		for _, d := range done {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}
-	xAllDone := func() bool {
-		for _, xg := range xguests {
-			for _, d := range xg.done {
-				if !d {
-					return false
-				}
-			}
-		}
-		return true
-	}
 
 	// Phase 2: the fault window closes. If anything is still blocked — the
 	// driver VM died, or a doorbell/response interrupt was dropped with no
-	// later traffic to re-scan the ring — run the paper's recovery: restart
-	// the driver VM and reconnect the frontend. The open-loop sink channel
-	// is deliberately left out of the recovery: its clients must drain on
-	// per-request deadlines alone, so phase 2 only removes the fault plan
-	// and lets the calendar run dry for them.
-	if !allDone() || (gen != nil && !gen.Done()) || !xAllDone() {
+	// later traffic to re-scan the ring — remove the fault plan and let the
+	// calendar run dry. If the main tasks are among the blocked, first run
+	// the paper's recovery: the operator restarts the driver VM, which
+	// reconnects every channel (sink and extra guests included) and lifts
+	// any degraded-mode verdict a budget-exhausted supervisor left behind.
+	// Blocked clients and extra guests alone must drain on their
+	// per-request deadlines.
+	if stillBlocked(tasks) > 0 || (gen != nil && !gen.Done()) || stillBlocked(xtasks) > 0 {
 		faults.Uninstall(env)
-		if !allDone() {
-			cur := liveBE // a committed handover may have replaced the backend
-			if st != nil {
-				cur = st.be // the supervisor may have replaced the backend
+		if stillBlocked(tasks) > 0 {
+			if err := m.RestartDriverVM(); err != nil {
+				return fmt.Errorf("phase-2 restart: %w", err)
 			}
-			cur.Stop()
-			driverVM2, err := h.CreateVM("driver-restarted", vmRAM)
-			if err != nil {
-				return err
-			}
-			driverK2 := kernel.New("driver-restarted", kernel.Linux, env, driverVM2.Space, driverVM2.RAM)
-			if _, err := newStressDriver(driverK2, canaryVA); err != nil {
-				return err
-			}
-			if _, err := cvd.Reconnect(fe, h, driverVM2, driverK2, stressPath); err != nil {
-				return err
-			}
-			// The manual operator restart also lifts any degraded-mode
-			// verdict a budget-exhausted supervisor left behind, as
-			// Machine.RestartDriverVM does.
-			fe.SetDegraded(false)
 		}
-		env.Run()
+		m.Run()
 	}
 	if env.Now() < t1 {
 		return fmt.Errorf("invariant: virtual clock ran backwards (%v -> %v)", t1, env.Now())
 	}
 
+	// Invariant: no process panicked, even where a supervisor absorbed it.
+	if len(absorbed) > 0 {
+		return fmt.Errorf("invariant: process %s panicked (absorbed as a driver oops): %v\n%s",
+			absorbed[0].Proc, absorbed[0].Value, absorbed[0].Stack)
+	}
 	// Invariant: liveness. Every task has returned from every syscall.
-	if !allDone() {
-		blocked := 0
-		for _, d := range done {
-			if !d {
-				blocked++
-			}
-		}
+	if n := stillBlocked(tasks); n > 0 {
 		return fmt.Errorf("invariant: %d/%d tasks still blocked after recovery (deadlocked: %v; %v)",
-			blocked, nTasks, env.Deadlocked(), plan)
+			n, nTasks, env.Deadlocked(), plan)
 	}
 	// Invariant: open-loop liveness and honesty. The generator's clients
-	// drained despite the fault schedule (the sink channel's deadlines are
-	// the only thing unsticking them from a killed backend), and none of
-	// them saw anything but an honest errno.
+	// drained despite the fault schedule, and none of them saw anything but
+	// an honest errno.
 	if gen != nil {
 		if !gen.Done() {
 			return fmt.Errorf("invariant: open-loop clients still blocked after recovery (deadlocked: %v; %v)",
@@ -1000,35 +890,49 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		if lr.Offered == 0 {
 			return fmt.Errorf("invariant: open-loop generator scheduled no arrivals (%v)", plan)
 		}
-	}
-	// Invariant: handover honesty. The episode log must agree with the
-	// returned error — a "successful" handover that did not reach StageDone
-	// (or an abort that claims it committed) means the engine lost track of
-	// which driver VM owns the channel.
-	if hoRan {
-		if hoErr == nil && (hoEp.Aborted || hoEp.Stage != handover.StageDone) {
-			return fmt.Errorf("invariant: handover returned nil but episode %+v (%v)", hoEp, plan)
+		if cap != nil {
+			cap.offered = lr.Offered
 		}
-		if hoErr != nil && !hoEp.Aborted {
-			return fmt.Errorf("invariant: handover failed (%v) but episode not aborted: %+v (%v)", hoErr, hoEp, plan)
+	}
+	// Invariant: handover honesty. Each episode's record must agree with
+	// itself and with the outcome its caller saw — a "successful" handover
+	// that did not reach StageDone (or an abort that claims it committed)
+	// means the engine lost track of which driver VM owns the channels.
+	if handoverArmed {
+		if supervised {
+			for _, c := range m.Supervisor().Changes() {
+				if r, ok := strings.CutPrefix(c.Reason, "maintenance failed: "); ok {
+					hoErrs = append(hoErrs, errors.New(r))
+				} else if strings.HasPrefix(c.Reason, "maintenance: ") {
+					hoErrs = append(hoErrs, nil)
+				}
+			}
+		}
+		eps := m.Handovers()
+		if len(hoErrs) != 1 || len(eps) != 1 {
+			return fmt.Errorf("invariant: one handover asked for, %d outcomes and %d episodes (%v)",
+				len(hoErrs), len(eps), plan)
+		}
+		ep, hoErr := eps[0], hoErrs[0]
+		if ep.Aborted != (ep.Stage != handover.StageDone) || ep.Aborted != (ep.Cause != "") {
+			return fmt.Errorf("invariant: inconsistent handover episode %+v (%v)", ep, plan)
+		}
+		if (hoErr == nil) == ep.Aborted {
+			return fmt.Errorf("invariant: handover returned %v but episode %+v (%v)", hoErr, ep, plan)
 		}
 	}
 	// Invariant: honest errnos only.
-	for i, v := range violations {
-		if v != nil {
-			return fmt.Errorf("invariant: task %d: %v (%v)", i, v, plan)
+	for i, st := range tasks {
+		if st.viol != nil {
+			return fmt.Errorf("invariant: task %d: %v (%v)", i, st.viol, plan)
 		}
 	}
 	// Invariant: isolation. The canary was never granted; it must be intact,
 	// and no undeclared driver copy may have been allowed through — counting
-	// the replacement drivers supervised restarts installed, which the fault
-	// plan attacks just like the original.
-	evilAllowed, evilDenied := drv.evilAllowed, drv.evilDenied
-	if st != nil {
-		evilAllowed, evilDenied = st.evilTotals()
-	}
-	for _, d := range hoDrivers {
-		// Handover-successor drivers face the same evil-copy probe.
+	// the driver of every generation, which the fault plan attacks just
+	// like the first.
+	evilAllowed, evilDenied := 0, 0
+	for _, d := range drivers {
 		evilAllowed += d.evilAllowed
 		evilDenied += d.evilDenied
 	}
@@ -1044,29 +948,30 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		return fmt.Errorf("invariant: hypervisor allowed %d undeclared driver copies (%v)",
 			evilAllowed, plan)
 	}
-	// Invariants, per extra guest of the multi-VM arm: liveness on deadlines
-	// alone, honest errnos only, and an intact canary — one guest's traffic
-	// (or the shared driver VM's death) must never leak into another guest's
-	// ungranted memory.
-	for gi, xg := range xguests {
-		for ti, d := range xg.done {
-			if !d {
+	// Invariants, per extra guest of the multi-VM arm: liveness, honest
+	// errnos only, and an intact canary — one guest's traffic (or the shared
+	// driver VM's death) must never leak into another guest's ungranted
+	// memory.
+	for gi, x := range xguests {
+		for ti, st := range x.tasks {
+			if !st.done {
 				return fmt.Errorf("invariant: extra guest %d task %d still blocked after recovery (deadlocked: %v; %v)",
 					gi, ti, env.Deadlocked(), plan)
 			}
-		}
-		for ti, v := range xg.viol {
-			if v != nil {
-				return fmt.Errorf("invariant: extra guest %d task %d: %v (%v)", gi, ti, v, plan)
+			if st.viol != nil {
+				return fmt.Errorf("invariant: extra guest %d task %d: %v (%v)", gi, ti, st.viol, plan)
+			}
+			if cap != nil {
+				cap.xguestOK += st.ok
 			}
 		}
-		got := make([]byte, len(xg.canary))
-		if err := xg.app.Mem.Read(xg.canaryVA, got); err != nil {
+		got := make([]byte, len(x.canary))
+		if err := x.app.Mem.Read(x.canaryVA, got); err != nil {
 			return fmt.Errorf("extra guest %d canary readback: %v", gi, err)
 		}
-		if !bytes.Equal(got, xg.canary) {
+		if !bytes.Equal(got, x.canary) {
 			return fmt.Errorf("invariant: extra guest %d canary corrupted: %q -> %q (%v)",
-				gi, xg.canary, got, plan)
+				gi, x.canary, got, plan)
 		}
 	}
 	return nil
@@ -1083,7 +988,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 func writeForensics(t *testing.T, seed int64) string {
 	t.Helper()
 	c := traceCapture{forceFlight: true}
-	_ = runOne(seed, false, &c) // same invariant failure, now instrumented
+	_ = runOne(seed, forcedArms, false, &c) // same invariant failure, now instrumented
 	dir, err := os.MkdirTemp("", fmt.Sprintf("stress-forensics-seed%d-", seed))
 	if err != nil {
 		t.Logf("forensics: %v", err)
@@ -1107,7 +1012,7 @@ func writeForensics(t *testing.T, seed int64) string {
 // command and writing flight-recorder forensics for the failing seed.
 func TestStressSeeded(t *testing.T) {
 	if *stressSeed >= 0 {
-		if err := runOne(*stressSeed, false, nil); err != nil {
+		if err := runOne(*stressSeed, forcedArms, false, nil); err != nil {
 			t.Fatalf("seed %d: %v\nforensics: %s", *stressSeed, err, writeForensics(t, *stressSeed))
 		}
 		return
@@ -1120,7 +1025,7 @@ func TestStressSeeded(t *testing.T) {
 		n = 100
 	}
 	for seed := int64(0); seed < n; seed++ {
-		if err := runOne(seed, false, nil); err != nil {
+		if err := runOne(seed, forcedArms, false, nil); err != nil {
 			t.Fatalf("stress invariant broken at seed %d: %v\nreproduce: go test ./internal/faults -run TestStressSeeded -stress.seed=%d\nforensics: %s",
 				seed, err, seed, writeForensics(t, seed))
 		}
@@ -1149,7 +1054,7 @@ func TestStressTraceDeterministic(t *testing.T) {
 	for seed := int64(0); seed < n; seed++ {
 		run := func() (trc, met, fl []byte) {
 			var c traceCapture
-			if err := runOne(seed, false, &c); err != nil {
+			if err := runOne(seed, forcedArms, false, &c); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			return c.trace, c.metrics, c.flight
@@ -1178,7 +1083,7 @@ func TestStressTraceDeterministic(t *testing.T) {
 // check and verifies the harness catches the resulting isolation violation —
 // proof the canary invariant has teeth.
 func TestHarnessCatchesWeakenedGrantCheck(t *testing.T) {
-	err := runOne(4242, true, nil)
+	err := runOne(4242, nil, true, nil)
 	if err == nil {
 		t.Fatal("weakened grant check went undetected: the stress harness has no teeth")
 	}
@@ -1207,7 +1112,7 @@ func TestStressArmTable(t *testing.T) {
 		{"handover", [4]string{"flightrec,handover,openloop", "fastpath", "walkcache", "supervised"}},
 		{"adaptive", [4]string{"adaptive,flightrec,openloop", "adaptive,fastpath", "adaptive,walkcache", "adaptive,supervised"}},
 		{"multivm", [4]string{"flightrec,multivm,openloop", "fastpath,multivm", "multivm,walkcache", "multivm,supervised"}},
-		{"supervised,handover", [4]string{"flightrec,openloop,supervised", "fastpath,supervised", "supervised,walkcache", "supervised"}},
+		{"supervised,handover", [4]string{"flightrec,handover,openloop,supervised", "fastpath,supervised", "supervised,walkcache", "supervised"}},
 		{"walkcache,handover", [4]string{"flightrec,handover,openloop,walkcache", "fastpath,walkcache", "walkcache", "supervised,walkcache"}},
 	}
 	for _, c := range cases {
@@ -1231,6 +1136,65 @@ func TestStressArmTable(t *testing.T) {
 	for _, bad := range []string{"bogus", "fastpath,bogus", "", "fastpath,"} {
 		if err := (armSet{}).force(bad); err == nil {
 			t.Errorf("-stress.arms=%q accepted, want an unknown-arm error", bad)
+		}
+	}
+}
+
+// armSignatures lists, per arm, what the arm exists to reach: counters of
+// the subsystem it turns on, moved under fire. A "*" in a name matches any
+// run of characters (per-channel counters carry the path and the guest).
+// "generator offered" and "extra-guest ops" are outcomes no counter
+// records; runOne reports them through its traceCapture.
+var armSignatures = []struct {
+	arm  string
+	need []string
+}{
+	{"supervised", []string{"supervise.recoveries"}},
+	{"handover", []string{"machine.handover.completed", "machine.handover.aborted",
+		"cvd.*.queued", "cvd.handover.warm_reopens"}},
+	{"fastpath", []string{"cvd.mapcache.hits", "cvd.doorbell.flushes"}},
+	{"walkcache", []string{"hv.tlb.hit", "hv.grant.cache.hit"}},
+	{"adaptive", []string{"cvd.adaptive.switches"}},
+	{"openloop", []string{"generator offered", "cvd.*.eagain.class2"}},
+	{"multivm", []string{"extra-guest ops"}},
+}
+
+// TestStressArmsReachTheirPaths runs 64 traced seeds of each arm forced
+// alone and requires every entry of the arm's signature to be non-zero: an
+// arm whose subsystem the sweep never reaches guards nothing, whatever its
+// comment claims.
+func TestStressArmsReachTheirPaths(t *testing.T) {
+	if len(forcedArms) > 0 || *stressSeed >= 0 {
+		t.Skip("forces each arm itself; run it without -stress.arms or -stress.seed")
+	}
+	for _, sig := range armSignatures {
+		totals := make(map[string]uint64)
+		for seed := int64(0); seed < 64; seed++ {
+			var c traceCapture
+			if err := runOne(seed, armSet{sig.arm: true}, false, &c); err != nil {
+				t.Fatalf("arm %s, seed %d: %v", sig.arm, seed, err)
+			}
+			totals["generator offered"] += c.offered
+			totals["extra-guest ops"] += uint64(c.xguestOK)
+			sc := bufio.NewScanner(bytes.NewReader(c.metrics))
+			for sc.Scan() {
+				var name string
+				var v uint64
+				if _, err := fmt.Sscanf(sc.Text(), "counter %s %d", &name, &v); err != nil {
+					continue
+				}
+				for _, pat := range sig.need {
+					pre, suf, wild := strings.Cut(pat, "*")
+					if name == pat || wild && strings.HasPrefix(name, pre) && strings.HasSuffix(name, suf) {
+						totals[pat] += v
+					}
+				}
+			}
+		}
+		for _, pat := range sig.need {
+			if totals[pat] == 0 {
+				t.Errorf("arm %s: %s is 0 over 64 seeds", sig.arm, pat)
+			}
 		}
 	}
 }

@@ -8,9 +8,10 @@
 //
 // The package owns the staging, the frontends' drain, the drain deadline,
 // the fault points, the trace/counter emission, and the episode record. What
-// the other stages actually do is supplied through Hooks — the Paradice
-// machine wires them to successor boot and channel rebinding, and the faults
-// stress harness wires a bare single-channel rig to the same engine.
+// the other stages actually do is supplied through Hooks: the Paradice
+// machine wires them to successor boot and channel rebinding. The faults
+// stress harness reaches the engine only through the machine
+// (HandoverDriverVM, RequestHandover).
 package handover
 
 import (

@@ -35,8 +35,8 @@ import (
 )
 
 // Channel is one supervised CVD connection (one guest VM × one device
-// file). The paradice Machine adapts its frontend/backend pairs to this;
-// harnesses can supervise bare cvd rigs the same way. Identity must be
+// file). The paradice Machine adapts its frontend/backend pairs to this
+// (supervision.go); this package's tests supervise fakes. Identity must be
 // stable across driver-VM restarts (the frontend side survives; the backend
 // side is rebuilt), which is why the supervisor keys its bookkeeping on
 // ID() rather than on the value.
