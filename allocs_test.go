@@ -37,13 +37,33 @@ func TestForwardedIoctlAllocs(t *testing.T) {
 }
 
 func forwardedIoctlAllocs(t *testing.T, cfg paradice.Config) float64 {
-	const warm, ops = 200, 5000
+	const ops = 5000
+	var before, after runtime.MemStats
+	forwardedIoctls(t, cfg, ops, func() { runtime.ReadMemStats(&before) }, func() { runtime.ReadMemStats(&after) })
+	perOp := float64(after.Mallocs-before.Mallocs) / ops
+	t.Logf("%.1f allocations per forwarded ioctl", perOp)
+	return perOp
+}
+
+// BenchmarkForwardedIoctl times the steady-state forwarded no-op ioctl
+// TestForwardedIoctlAllocs counts the allocations of: host time and
+// allocations per op, the machine build and 200 warm-up ops excluded.
+func BenchmarkForwardedIoctl(b *testing.B) {
+	b.ReportAllocs()
+	forwardedIoctls(b, paradice.Config{}, b.N, b.ResetTimer, b.StopTimer)
+}
+
+// forwardedIoctls builds a machine with the GPU paravirtualized and has one
+// guest task issue 200 warm-up DRM info ioctls, then ops more between start
+// and stop. Both run inside the task's process body, where nothing else
+// runs.
+func forwardedIoctls(t testing.TB, cfg paradice.Config, ops int, start, stop func()) {
+	const warm = 200
 	m, gk := guestKernel(t, cfg, paradice.PathGPU)
 	p, err := gk.NewProcess("allocs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var perOp float64
 	var opErr error
 	p.SpawnTask("loop", func(tk *kernel.Task) {
 		fd, err := tk.Open(paradice.PathGPU, 2)
@@ -56,25 +76,21 @@ func forwardedIoctlAllocs(t *testing.T, cfg paradice.Config) float64 {
 			opErr = err
 			return
 		}
-		var before, after runtime.MemStats
 		for i := 0; i < warm+ops; i++ {
 			if i == warm {
-				runtime.ReadMemStats(&before)
+				start()
 			}
 			if _, err := tk.Ioctl(fd, drm.IoctlInfo, arg); err != nil {
 				opErr = err
 				return
 			}
 		}
-		runtime.ReadMemStats(&after)
-		perOp = float64(after.Mallocs-before.Mallocs) / ops
+		stop()
 	})
 	m.Run()
 	if opErr != nil {
 		t.Fatal(opErr)
 	}
-	t.Logf("%.1f allocations per forwarded ioctl", perOp)
-	return perOp
 }
 
 // TestMachineBuildAllocs caps the host bytes one machine build allocates: a

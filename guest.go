@@ -58,7 +58,10 @@ func (m *Machine) AddGuest(name string, flavor kernel.Flavor) (*Guest, error) {
 
 // Paravirtualize creates virtual device files in the guest for the given
 // device paths, each backed by a CVD channel to the driver VM, and installs
-// the matching device info module.
+// the matching device info module. A path whose driver-VM shard a restart or
+// handover is replacing fails with ErrRestartInProgress; the paths before it
+// are paravirtualized, and the caller retries the rest once the replacement
+// has finished.
 func (g *Guest) Paravirtualize(paths ...string) error {
 	for _, path := range paths {
 		if _, dup := g.Frontends[path]; dup {
@@ -73,8 +76,13 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 			deadline = supervisedDeadline
 		}
 		// The path's pin decides which driver-VM shard serves it; the
-		// channel connects to that shard's kernel.
+		// channel connects to that shard's kernel, which must not be in the
+		// middle of being replaced.
 		sh := g.M.ShardFor(path)
+		if sh == g.M.replacing {
+			return fmt.Errorf("%w: %s is served by driver-VM shard %d, which is being replaced",
+				ErrRestartInProgress, path, sh.Index)
+		}
 		fe, be, err := cvd.Connect(cvd.Config{
 			HV: g.M.HV, GuestVM: g.VM, GuestK: g.K,
 			DriverVM: sh.VM, DriverK: sh.K,

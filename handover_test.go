@@ -441,6 +441,80 @@ func TestLifecycleSentinels(t *testing.T) {
 	})
 }
 
+// TestParavirtualizeDuringHandover adds a guest and paravirtualizes the
+// sink 50 ms into a handover's successor boot. The handover takes the
+// shard's channel list when it starts, so a channel connected then would
+// stay on the retired predecessor, and an Open after the handover would
+// never finish.
+// Paravirtualize must refuse with ErrRestartInProgress instead; retried
+// after the handover, the channel serves from the successor.
+func TestParavirtualizeDuringHandover(t *testing.T) {
+	m, _ := sinkMachine(t, paradice.Config{})
+	defer m.Close()
+	var hoErr error
+	m.Env.Spawn("handover-driver", func(p *sim.Proc) { hoErr = m.HandoverDriverVM() })
+	var refused []error
+	var task *kernel.Task
+	m.Env.Spawn("late-guest", func(p *sim.Proc) {
+		p.Sleep(50 * sim.Millisecond)
+		g, err := m.AddGuest("late", paradice.Linux)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for {
+			err := g.Paravirtualize(load.SinkPath)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, paradice.ErrRestartInProgress) {
+				t.Error(err)
+				return
+			}
+			refused = append(refused, err)
+			p.Sleep(10 * sim.Millisecond)
+		}
+		proc, err := g.NewProcess("client")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		task = proc.Go("open", func(tk *kernel.Task) error {
+			// Open once the handover has committed and retired the
+			// predecessor.
+			tk.Sim().Sleep(sim.Time(0).Add(150 * sim.Millisecond).Sub(m.Env.Now()))
+			buf, err := proc.Alloc(64)
+			if err != nil {
+				return err
+			}
+			fd, err := tk.Open(load.SinkPath, devfile.ORdWr)
+			if err != nil {
+				return err
+			}
+			if _, err := tk.Ioctl(fd, load.Cmd(64), buf); err != nil {
+				return err
+			}
+			return tk.Close(fd)
+		})
+	})
+	m.RunUntil(m.Env.Now().Add(400 * sim.Millisecond))
+	if hoErr != nil {
+		t.Fatalf("handover: %v", hoErr)
+	}
+	if task == nil {
+		t.Fatal("the late guest never paravirtualized the sink")
+	}
+	if err := task.Err(); err != nil {
+		t.Fatalf("late guest's first op: %v", err)
+	}
+	if len(refused) == 0 {
+		t.Fatal("Paravirtualize during the successor boot was not refused")
+	}
+	if be := m.Guests()[1].Frontends[load.SinkPath].Backend(); be == nil || be.Proc().K != m.DriverK {
+		t.Fatal("the late guest's channel is not served by the successor driver VM")
+	}
+}
+
 // TestWithReopenAcrossHandover races a WithReopen client loop against a
 // planned handover on both transports: every operation must land — on the
 // predecessor, parked through the drain, or on the successor — without a

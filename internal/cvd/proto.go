@@ -99,9 +99,7 @@ const (
 
 // page wraps one side's view of the shared frame — a guest-physical
 // accessor through that VM's EPT — with typed field access. All channel
-// state crosses the VM boundary through these bytes and nothing else. The
-// accessor is concrete, not a grant.Accessor, so the small buffers of
-// writeU32 and writeU64 stay on the stack.
+// state crosses the VM boundary through these bytes and nothing else.
 type page struct {
 	acc *grant.GuestAccessor
 }
@@ -129,23 +127,26 @@ func (v view) u64(off int) uint64 { return binary.LittleEndian.Uint64(v.b[off:])
 
 func (v view) slotState(slot int) uint32 { return v.u32(slotOff(slot) + sState) }
 
+// window is one record's write-only window onto the ring page: one
+// write-checked access, then plain stores. The same rules as for a view
+// hold: take one per record and never hold it across a yield. Reads go
+// through a view, which checks read access.
+type window struct{ b *[mem.PageSize]byte }
+
+func (p page) window() window {
+	b, err := p.acc.WritePage()
+	if err != nil {
+		panic("cvd: ring page inaccessible: " + err.Error())
+	}
+	return window{b}
+}
+
+func (w window) u32(off int, v uint32) { binary.LittleEndian.PutUint32(w.b[off:], v) }
+func (w window) u64(off int, v uint64) { binary.LittleEndian.PutUint64(w.b[off:], v) }
+
 func (p page) readU32(off int) uint32 { return p.view().u32(off) }
 
-func (p page) writeU32(off int, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	if err := p.acc.WriteAt(off, b[:]); err != nil {
-		panic("cvd: ring page inaccessible: " + err.Error())
-	}
-}
-
-func (p page) writeU64(off int, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	if err := p.acc.WriteAt(off, b[:]); err != nil {
-		panic("cvd: ring page inaccessible: " + err.Error())
-	}
-}
+func (p page) writeU32(off int, v uint32) { p.window().u32(off, v) }
 
 func slotOff(slot int) int { return hdrSize + slot*slotSize }
 
@@ -164,19 +165,19 @@ type request struct {
 }
 
 func (p page) writeRequest(slot int, r request) {
-	base := slotOff(slot)
-	p.writeU32(base+sOp, uint32(r.op)|uint32(r.flags)<<8|uint32(r.fileID)<<16)
-	p.writeU32(base+sRef, r.ref)
-	p.writeU32(base+sSeq, r.seq)
-	p.writeU64(base+sArg0, r.arg0)
-	p.writeU64(base+sArg1, r.arg1)
-	p.writeU32(base+sRet, uint32(r.arg2))
+	w, base := p.window(), slotOff(slot)
+	w.u32(base+sOp, uint32(r.op)|uint32(r.flags)<<8|uint32(r.fileID)<<16)
+	w.u32(base+sRef, r.ref)
+	w.u32(base+sSeq, r.seq)
+	w.u64(base+sArg0, r.arg0)
+	w.u64(base+sArg1, r.arg1)
+	w.u32(base+sRet, uint32(r.arg2))
 	// The errno word carries the trace request ID frontend -> backend; the
 	// response overwrites it. The ring page is exactly full (96-byte header
 	// + 100×40-byte slots), so tracing reuses dead request-direction bytes
 	// rather than growing the slot.
-	p.writeU32(base+sErrno, r.rid)
-	p.writeU32(base+sState, slotPosted)
+	w.u32(base+sErrno, r.rid)
+	w.u32(base+sState, slotPosted)
 }
 
 func (p page) readRequest(slot int) request {
@@ -197,15 +198,15 @@ func (p page) readRequest(slot int) request {
 }
 
 func (p page) writeResponse(slot int, ret int32, errno int32) {
-	base := slotOff(slot)
-	p.writeU32(base+sRet, uint32(ret))
-	p.writeU32(base+sErrno, uint32(errno))
-	p.writeU32(base+sState, slotDone)
+	w, base := p.window(), slotOff(slot)
+	w.u32(base+sRet, uint32(ret))
+	w.u32(base+sErrno, uint32(errno))
+	w.u32(base+sState, slotDone)
 	// Publish a completion descriptor so the frontend's scan is O(batch):
 	// set the slot's done bit. The bitmap is advisory — the scan re-validates
 	// against slot state — so a hostile peer clearing it degrades to a
 	// deadline, never to corruption.
-	p.setDoneBit(slot)
+	p.setDoneBit(w, slot)
 }
 
 // postedRID reads the trace request ID a posted slot carries (the sErrno
@@ -225,10 +226,10 @@ func (p page) readResponse(slot int) (ret int32, errno int32) {
 // otherwise leave a stale RID where the next reader expects an errno. Every
 // path that frees a slot without reading a response must come through here.
 func (p page) recycleSlot(slot int) {
-	base := slotOff(slot)
-	p.writeU32(base+sRet, 0)
-	p.writeU32(base+sErrno, 0)
-	p.writeU32(base+sState, slotFree)
+	w, base := p.window(), slotOff(slot)
+	w.u32(base+sRet, 0)
+	w.u32(base+sErrno, 0)
+	w.u32(base+sState, slotFree)
 }
 
 func (p page) slotState(slot int) uint32 { return p.view().slotState(slot) }
@@ -236,15 +237,16 @@ func (p page) setSlotState(slot int, st uint32) {
 	p.writeU32(slotOff(slot)+sState, st)
 }
 
-// setDoneBit ORs slot's bit into the completion bitmap (hdrDoneBits).
-// Out-of-range slots are ignored — the bitmap is advisory and must never
-// become a way to write outside its words.
-func (p page) setDoneBit(slot int) {
+// setDoneBit ORs slot's bit into the completion bitmap (hdrDoneBits),
+// storing through the record's window w. Out-of-range slots are ignored —
+// the bitmap is advisory and must never become a way to write outside its
+// words.
+func (p page) setDoneBit(w window, slot int) {
 	if slot < 0 || slot >= bitmapWords*32 {
 		return
 	}
 	off := hdrDoneBits + 4*(slot/32)
-	p.writeU32(off, p.readU32(off)|1<<uint(slot%32))
+	w.u32(off, p.readU32(off)|1<<uint(slot%32))
 }
 
 // takeDoneBits reads and clears the completion bitmap. The caller validates
@@ -252,10 +254,10 @@ func (p page) setDoneBit(slot int) {
 // cross the VM boundary and are untrusted.
 func (p page) takeDoneBits() [bitmapWords]uint32 {
 	var bits [bitmapWords]uint32
-	for w := 0; w < bitmapWords; w++ {
+	v := p.view()
+	for w := range bits {
 		off := hdrDoneBits + 4*w
-		bits[w] = p.readU32(off)
-		if bits[w] != 0 {
+		if bits[w] = v.u32(off); bits[w] != 0 {
 			p.writeU32(off, 0)
 		}
 	}

@@ -437,16 +437,19 @@ func stillBlocked(tasks []*stressTask) int {
 // traceCapture, when passed to runOne, runs the whole simulation under the
 // observability layer and receives its exported Chrome trace, metrics dump,
 // and flight-recorder dump — the byte strings the determinism invariant
-// compares across replays — plus the two outcomes no counter records.
-// forceFlight arms the flight recorder regardless of the seed's residue
-// (the recorder is a pure observer — arming it never advances the virtual
-// clock — so a forensics replay stays exact).
+// compares across replays. forceFlight arms the flight recorder regardless
+// of the seed's residue (the recorder is a pure observer — arming it never
+// advances the virtual clock — so a forensics replay stays exact).
 type traceCapture struct {
 	trace       []byte
 	metrics     []byte
 	flight      []byte
 	forceFlight bool
+}
 
+// seedOutcome, when passed to runOne, receives the two outcomes of a seed
+// no counter records. It arms no observer.
+type seedOutcome struct {
 	offered  uint64 // arrivals the open-loop generator scheduled
 	xguestOK int    // operations the extra guests completed
 }
@@ -458,7 +461,7 @@ type traceCapture struct {
 // the harness must then DETECT the isolation violation and return an error
 // naming the canary; that self-test is what makes the green runs
 // trustworthy.
-func runOne(seed int64, forced armSet, weaken bool, cap *traceCapture) (retErr error) {
+func runOne(seed int64, forced armSet, weaken bool, cap *traceCapture, out *seedOutcome) (retErr error) {
 	plan := faults.New(seed)
 	rng := plan.Rand()
 
@@ -887,11 +890,23 @@ func runOne(seed int64, forced armSet, weaken bool, cap *traceCapture) (retErr e
 			return fmt.Errorf("invariant: open-loop generator: %d violations, first: %s (%v)",
 				len(lr.Violations), lr.Violations[0], plan)
 		}
-		if lr.Offered == 0 {
-			return fmt.Errorf("invariant: open-loop generator scheduled no arrivals (%v)", plan)
+		// Every scheduled arrival ran and ended in exactly one outcome. A
+		// seed may schedule none (a quiet bursty window); TestStressSeeded
+		// checks that the sweep as a whole offered arrivals.
+		var issued uint64
+		for _, c := range lr.Classes {
+			if c.OK+c.Throttled+c.Rejected+c.Errors != c.Issued {
+				return fmt.Errorf("invariant: open-loop class %s issued %d requests but recorded %d outcomes (%v)",
+					c.Class.Name, c.Issued, c.OK+c.Throttled+c.Rejected+c.Errors, plan)
+			}
+			issued += c.Issued
 		}
-		if cap != nil {
-			cap.offered = lr.Offered
+		if issued != lr.Offered {
+			return fmt.Errorf("invariant: open-loop generator issued %d of %d scheduled arrivals (%v)",
+				issued, lr.Offered, plan)
+		}
+		if out != nil {
+			out.offered = lr.Offered
 		}
 	}
 	// Invariant: handover honesty. Each episode's record must agree with
@@ -961,8 +976,8 @@ func runOne(seed int64, forced armSet, weaken bool, cap *traceCapture) (retErr e
 			if st.viol != nil {
 				return fmt.Errorf("invariant: extra guest %d task %d: %v (%v)", gi, ti, st.viol, plan)
 			}
-			if cap != nil {
-				cap.xguestOK += st.ok
+			if out != nil {
+				out.xguestOK += st.ok
 			}
 		}
 		got := make([]byte, len(x.canary))
@@ -988,7 +1003,7 @@ func runOne(seed int64, forced armSet, weaken bool, cap *traceCapture) (retErr e
 func writeForensics(t *testing.T, seed int64) string {
 	t.Helper()
 	c := traceCapture{forceFlight: true}
-	_ = runOne(seed, forcedArms, false, &c) // same invariant failure, now instrumented
+	_ = runOne(seed, forcedArms, false, &c, nil) // same invariant failure, now instrumented
 	dir, err := os.MkdirTemp("", fmt.Sprintf("stress-forensics-seed%d-", seed))
 	if err != nil {
 		t.Logf("forensics: %v", err)
@@ -1012,7 +1027,7 @@ func writeForensics(t *testing.T, seed int64) string {
 // command and writing flight-recorder forensics for the failing seed.
 func TestStressSeeded(t *testing.T) {
 	if *stressSeed >= 0 {
-		if err := runOne(*stressSeed, forcedArms, false, nil); err != nil {
+		if err := runOne(*stressSeed, forcedArms, false, nil, nil); err != nil {
 			t.Fatalf("seed %d: %v\nforensics: %s", *stressSeed, err, writeForensics(t, *stressSeed))
 		}
 		return
@@ -1024,11 +1039,23 @@ func TestStressSeeded(t *testing.T) {
 		// plain run.
 		n = 100
 	}
+	// Per seed, runOne checks that every arrival the open-loop generator
+	// scheduled was accounted for; a seed may schedule none. Across the
+	// sweep, the seeds that armed the generator must have offered some.
+	openloopSeeds, offered := 0, uint64(0)
 	for seed := int64(0); seed < n; seed++ {
-		if err := runOne(seed, forcedArms, false, nil); err != nil {
+		var out seedOutcome
+		if err := runOne(seed, forcedArms, false, nil, &out); err != nil {
 			t.Fatalf("stress invariant broken at seed %d: %v\nreproduce: go test ./internal/faults -run TestStressSeeded -stress.seed=%d\nforensics: %s",
 				seed, err, seed, writeForensics(t, seed))
 		}
+		if armedArms(seed, forcedArms)["openloop"] {
+			openloopSeeds++
+			offered += out.offered
+		}
+	}
+	if openloopSeeds > 0 && offered == 0 {
+		t.Fatalf("the open-loop generator offered no arrivals over the %d seeds that armed it", openloopSeeds)
 	}
 }
 
@@ -1054,7 +1081,7 @@ func TestStressTraceDeterministic(t *testing.T) {
 	for seed := int64(0); seed < n; seed++ {
 		run := func() (trc, met, fl []byte) {
 			var c traceCapture
-			if err := runOne(seed, forcedArms, false, &c); err != nil {
+			if err := runOne(seed, forcedArms, false, &c, nil); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			return c.trace, c.metrics, c.flight
@@ -1083,7 +1110,7 @@ func TestStressTraceDeterministic(t *testing.T) {
 // check and verifies the harness catches the resulting isolation violation —
 // proof the canary invariant has teeth.
 func TestHarnessCatchesWeakenedGrantCheck(t *testing.T) {
-	err := runOne(4242, nil, true, nil)
+	err := runOne(4242, nil, true, nil, nil)
 	if err == nil {
 		t.Fatal("weakened grant check went undetected: the stress harness has no teeth")
 	}
@@ -1144,7 +1171,7 @@ func TestStressArmTable(t *testing.T) {
 // the subsystem it turns on, moved under fire. A "*" in a name matches any
 // run of characters (per-channel counters carry the path and the guest).
 // "generator offered" and "extra-guest ops" are outcomes no counter
-// records; runOne reports them through its traceCapture.
+// records; runOne reports them through its seedOutcome.
 var armSignatures = []struct {
 	arm  string
 	need []string
@@ -1171,11 +1198,12 @@ func TestStressArmsReachTheirPaths(t *testing.T) {
 		totals := make(map[string]uint64)
 		for seed := int64(0); seed < 64; seed++ {
 			var c traceCapture
-			if err := runOne(seed, armSet{sig.arm: true}, false, &c); err != nil {
+			var out seedOutcome
+			if err := runOne(seed, armSet{sig.arm: true}, false, &c, &out); err != nil {
 				t.Fatalf("arm %s, seed %d: %v", sig.arm, seed, err)
 			}
-			totals["generator offered"] += c.offered
-			totals["extra-guest ops"] += uint64(c.xguestOK)
+			totals["generator offered"] += out.offered
+			totals["extra-guest ops"] += uint64(out.xguestOK)
 			sc := bufio.NewScanner(bytes.NewReader(c.metrics))
 			for sc.Scan() {
 				var name string

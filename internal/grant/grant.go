@@ -14,6 +14,7 @@ package grant
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"paradice/internal/mem"
 )
@@ -167,6 +168,28 @@ func (a *GuestAccessor) WriteAt(off int, b []byte) error {
 	return nil
 }
 
+// WritePage is Page's write twin: it returns the whole page for writing,
+// checked and translated once, with the errors a WriteAt at offset 0
+// returns — the EPT must grant the VM write access and the frame must be
+// backed. Hold the window only within one record's stores, never across a
+// Sleep, perf.Spend or Wait, and never read through it: reads go through
+// Page, which checks read access.
+func (a *GuestAccessor) WritePage() (*[mem.PageSize]byte, error) {
+	if f := a.cached(mem.PermWrite); f != nil {
+		return f, nil
+	}
+	spa, err := a.Space.EPT.Translate(a.GPA, mem.PermWrite)
+	if err != nil {
+		return nil, err
+	}
+	f := a.Space.Phys.FrameBytes(spa)
+	if f == nil {
+		return nil, &mem.BusError{Addr: spa, Op: "write"}
+	}
+	a.remember()
+	return f, nil
+}
+
 // PhysAccessor accesses the page through its system-physical address — the
 // hypervisor's view. SPA is the page's base. Once the frame is backed it is
 // kept: a backed frame never moves or unbacks.
@@ -210,6 +233,14 @@ func slotRef(pg *[mem.PageSize]byte, slot int) uint32 {
 type Table struct {
 	acc     Accessor
 	nextRef uint32
+	// used is the page's occupancy bitmap: bit s is set when slot s holds a
+	// nonzero reference (slotCount is a multiple of 64). A declaration finds
+	// free slots, and a revocation its own, without scanning all of them. It
+	// is read from the page on first use (loaded); from then on Declare and
+	// revoke, the page's only writers, keep it current. The hypervisor never
+	// sees it: Validate and FindRef scan the page's bytes.
+	used   [slotCount / 64]uint64
+	loaded bool
 	// slot is where writeSlot encodes an entry. A buffer on the stack would
 	// escape through the Accessor interface and cost an allocation per entry.
 	slot [slotSize]byte
@@ -250,23 +281,23 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 	if t.nextRef == 0 { // refs must stay nonzero
 		t.nextRef = 1
 	}
-	pg, err := t.acc.Page()
-	if err != nil {
+	if _, err := t.page(); err != nil {
 		return 0, err
 	}
 	written := 0
-	for slot := 0; slot < slotCount && written < len(ops); slot++ {
-		if slotRef(pg, slot) != 0 {
-			continue
+	for w := 0; w < len(t.used) && written < len(ops); w++ {
+		for free := ^t.used[w]; free != 0 && written < len(ops); free &= free - 1 {
+			slot := w*64 + bits.TrailingZeros64(free)
+			if err := t.writeSlot(slot, ref, ptRoot, ops[written]); err != nil {
+				return 0, err
+			}
+			t.used[w] |= 1 << (slot % 64)
+			written++
 		}
-		if err := t.writeSlot(slot, ref, ptRoot, ops[written]); err != nil {
-			return 0, err
-		}
-		written++
 	}
 	if written < len(ops) {
 		// Roll back what we wrote: the table page is full.
-		_ = revoke(t.acc, ref)
+		_ = t.revoke(ref)
 		return 0, fmt.Errorf("grant: table full (%d slots)", slotCount)
 	}
 	if len(t.onDeclare) > 0 {
@@ -282,7 +313,7 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 // subscribers so cached state keyed on the reference (grant-map cache
 // entries) is invalidated in the same instant.
 func (t *Table) Revoke(ref uint32) error {
-	if err := revoke(t.acc, ref); err != nil {
+	if err := t.revoke(ref); err != nil {
 		return err
 	}
 	if ref != 0 {
@@ -322,16 +353,43 @@ func (t *Table) writeSlot(slot int, ref uint32, ptRoot mem.GuestPhys, op Op) err
 // write does not allocate.
 var zeroSlot [slotSize]byte
 
-func revoke(acc Accessor, ref uint32) error {
-	pg, err := acc.Page()
+// page returns the table page, loading the occupancy bitmap from it on the
+// first successful access.
+func (t *Table) page() (*[mem.PageSize]byte, error) {
+	pg, err := t.acc.Page()
+	if err != nil || t.loaded {
+		return pg, err
+	}
+	for slot := 0; slot < slotCount; slot++ {
+		if slotRef(pg, slot) != 0 {
+			t.used[slot/64] |= 1 << (slot % 64)
+		}
+	}
+	t.loaded = true
+	return pg, nil
+}
+
+// revoke zeroes every slot whose reference is ref. A nonzero ref visits only
+// the occupied slots; ref 0 names the free ones, which it zeroes whole.
+func (t *Table) revoke(ref uint32) error {
+	pg, err := t.page()
 	if err != nil {
 		return err
 	}
-	for slot := 0; slot < slotCount; slot++ {
-		if slotRef(pg, slot) == ref {
-			if err := acc.WriteAt(slot*slotSize, zeroSlot[:]); err != nil {
+	for w := range t.used {
+		set := t.used[w]
+		if ref == 0 {
+			set = ^set
+		}
+		for ; set != 0; set &= set - 1 {
+			slot := w*64 + bits.TrailingZeros64(set)
+			if slotRef(pg, slot) != ref {
+				continue
+			}
+			if err := t.acc.WriteAt(slot*slotSize, zeroSlot[:]); err != nil {
 				return err
 			}
+			t.used[w] &^= 1 << (slot % 64)
 		}
 	}
 	return nil

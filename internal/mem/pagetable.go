@@ -10,8 +10,9 @@ import (
 // words inside those frames, so the structure can be walked both by the
 // guest kernel that owns it and — through the guest's EPT — by the
 // hypervisor performing the software walk of §5.2. Each entry access
-// translates its table page through the EPT and then loads or stores the
-// word in the backing frame directly.
+// resolves its table page through the EPT and then loads or stores the word
+// in the backing frame directly; a read keeps the frame it resolved for the
+// next walk at the same level (GuestSpace.walk).
 //
 // Virtual address layout (32-bit PAE):
 //
@@ -59,37 +60,26 @@ func LoadPageTable(space *GuestSpace, root GuestPhys) PageTable {
 // Root returns the guest-physical address of the PDPT page.
 func (pt *PageTable) Root() GuestPhys { return pt.root }
 
-// entry returns the 8 bytes of the entry at gpa inside its table frame. The
-// table page is translated through the EPT with the given access, exactly as
-// a guest-physical access of that kind would be.
-func (pt *PageTable) entry(gpa GuestPhys, access Perm) ([]byte, error) {
-	spa, err := pt.space.EPT.Translate(gpa, access)
-	if err != nil {
-		return nil, err
-	}
-	fr := pt.space.Phys.FrameBytes(spa)
-	if fr == nil {
-		return nil, &BusError{Addr: spa, Op: accessOp(access == PermWrite)}
-	}
-	off := PageOffset(uint64(spa))
-	return fr[off : off+8], nil
-}
-
 // straddles reports whether the entry at gpa crosses a page boundary, which
 // only an entry of a misaligned root can. Such an entry goes through the
 // guest-physical path, which resolves each page in turn.
 func straddles(gpa GuestPhys) bool { return PageOffset(uint64(gpa)) > PageSize-8 }
 
-func (pt *PageTable) readEntry(table GuestPhys, index uint64) (uint64, error) {
+// readEntry loads the entry at index of the level-th table of a walk (0 the
+// PDPT, 1 a page directory, 2 a page table). Its table page resolves through
+// the space's slot for that level, so a walk that stays on the same table
+// pages translates none of them again while the EPT is unchanged; the entry
+// word itself is loaded from the frame every time.
+func (pt *PageTable) readEntry(level int, table GuestPhys, index uint64) (uint64, error) {
 	gpa := table + GuestPhys(index*8)
 	if straddles(gpa) {
 		return pt.space.ReadU64(gpa)
 	}
-	b, err := pt.entry(gpa, PermRead)
+	fr, err := pt.space.walk[level].resolve(pt.space, gpa)
 	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(fr[PageOffset(uint64(gpa)):]), nil
 }
 
 func (pt *PageTable) writeEntry(table GuestPhys, index uint64, v uint64) error {
@@ -97,18 +87,20 @@ func (pt *PageTable) writeEntry(table GuestPhys, index uint64, v uint64) error {
 	if straddles(gpa) {
 		return pt.space.WriteU64(gpa, v)
 	}
-	b, err := pt.entry(gpa, PermWrite)
+	// A store always takes the write-checked translation.
+	fr, err := pt.space.tableFrame(gpa, PermWrite)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(b, v)
+	binary.LittleEndian.PutUint64(fr[PageOffset(uint64(gpa)):], v)
 	return nil
 }
 
-// nextLevel returns the table page an entry points at, allocating and
-// installing a fresh one if create is set and the entry is empty.
-func (pt *PageTable) nextLevel(table GuestPhys, index uint64, create bool) (GuestPhys, error) {
-	ent, err := pt.readEntry(table, index)
+// nextLevel returns the table page an entry of the level-th table points
+// at, allocating and installing a fresh one if create is set and the entry
+// is empty.
+func (pt *PageTable) nextLevel(level int, table GuestPhys, index uint64, create bool) (GuestPhys, error) {
+	ent, err := pt.readEntry(level, table, index)
 	if err != nil {
 		return 0, err
 	}
@@ -137,11 +129,11 @@ var errNotPresent = fmt.Errorf("mem: entry not present")
 // leaf entry itself. The CVD frontend uses this before forwarding mmap, so
 // the hypervisor only ever has to fix the last level (§5.2).
 func (pt *PageTable) EnsureIntermediates(va GuestVirt) error {
-	pd, err := pt.nextLevel(pt.root, pdptIndex(va), true)
+	pd, err := pt.nextLevel(0, pt.root, pdptIndex(va), true)
 	if err != nil {
 		return err
 	}
-	_, err = pt.nextLevel(pd, pdIndex(va), true)
+	_, err = pt.nextLevel(1, pd, pdIndex(va), true)
 	return err
 }
 
@@ -149,11 +141,11 @@ func (pt *PageTable) EnsureIntermediates(va GuestVirt) error {
 // anything. Returns errNotPresent wrapped in a PageFault if a level is
 // missing.
 func (pt *PageTable) leafTable(va GuestVirt) (GuestPhys, error) {
-	pd, err := pt.nextLevel(pt.root, pdptIndex(va), false)
+	pd, err := pt.nextLevel(0, pt.root, pdptIndex(va), false)
 	if err != nil {
 		return 0, err
 	}
-	return pt.nextLevel(pd, pdIndex(va), false)
+	return pt.nextLevel(1, pd, pdIndex(va), false)
 }
 
 // Map installs a leaf translation va -> gpa with the given permissions,
@@ -179,7 +171,7 @@ func (pt *PageTable) SetLeaf(va GuestVirt, gpa GuestPhys, perm Perm) error {
 		}
 		return err
 	}
-	ent, err := pt.readEntry(leaf, ptIndex(va))
+	ent, err := pt.readEntry(2, leaf, ptIndex(va))
 	if err != nil {
 		return err
 	}
@@ -208,7 +200,7 @@ func (pt *PageTable) Unmap(va GuestVirt) error {
 		}
 		return err
 	}
-	ent, err := pt.readEntry(leaf, ptIndex(va))
+	ent, err := pt.readEntry(2, leaf, ptIndex(va))
 	if err != nil {
 		return err
 	}
@@ -235,7 +227,7 @@ func (pt *PageTable) Walk(va GuestVirt, access Perm) (GuestPhys, error) {
 		}
 		return 0, err
 	}
-	ent, err := pt.readEntry(leaf, ptIndex(va))
+	ent, err := pt.readEntry(2, leaf, ptIndex(va))
 	if err != nil {
 		return 0, err
 	}

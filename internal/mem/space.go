@@ -21,6 +21,58 @@ type GuestSpace struct {
 	// remapped or unmapped page is invalidated in the same instant the PTE
 	// word changes; nil (the default) costs nothing.
 	OnPTEdit func(root GuestPhys, va GuestVirt)
+
+	// walk holds, per page-table level, the table page a read of that
+	// level's entries last resolved (PageTable.readEntry).
+	walk [walkLevels]tableSlot
+}
+
+// walkLevels is the depth of a PageTable walk: PDPT, page directory, page
+// table.
+const walkLevels = 3
+
+// tableSlot remembers one table page's frame together with the EPT and the
+// generation it was resolved under. It is valid while the space holds the
+// same EPT at the same generation: a backed frame never moves or unbacks,
+// so an unchanged EPT means an unchanged frame and an unchanged read
+// permission. It keeps the frame, never an entry, so every walk still loads
+// every entry word and sees a PTE edit at once.
+type tableSlot struct {
+	page  GuestPhys // base of the table page
+	ept   *EPT
+	gen   uint64
+	frame *[PageSize]byte // nil: nothing resolved
+}
+
+// resolve returns the frame of the table page holding gpa, checked for read
+// access. A miss takes the full path and returns its exact error; only a
+// success is remembered.
+func (t *tableSlot) resolve(s *GuestSpace, gpa GuestPhys) (*[PageSize]byte, error) {
+	page := GuestPhys(PageBase(uint64(gpa)))
+	if t.frame != nil && t.page == page && t.ept == s.EPT && t.gen == s.EPT.Generation() {
+		return t.frame, nil
+	}
+	fr, err := s.tableFrame(gpa, PermRead)
+	if err != nil {
+		return nil, err
+	}
+	*t = tableSlot{page: page, ept: s.EPT, gen: s.EPT.Generation(), frame: fr}
+	return fr, nil
+}
+
+// tableFrame translates the table page holding gpa through the EPT with the
+// given access and returns its frame, or the bus error the access raises
+// when the frame is unbacked.
+func (s *GuestSpace) tableFrame(gpa GuestPhys, access Perm) (*[PageSize]byte, error) {
+	spa, err := s.EPT.Translate(gpa, access)
+	if err != nil {
+		return nil, err
+	}
+	fr := s.Phys.FrameBytes(spa)
+	if fr == nil {
+		return nil, &BusError{Addr: spa, Op: accessOp(access == PermWrite)}
+	}
+	return fr, nil
 }
 
 // Read copies len(buf) bytes from guest-physical gpa, page by page.

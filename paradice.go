@@ -250,9 +250,12 @@ type Machine struct {
 	shards []*DriverShard
 	pins   map[string]int
 
-	// Driver-VM restart/supervision state: one supervisor per shard, in
-	// shard order, or none when the machine is unsupervised.
-	restarting   bool
+	// Driver-VM restart/supervision state. replacing is the shard a
+	// restart or handover is replacing, nil when none runs: it is the
+	// lifecycle lock, and Paravirtualize refuses that shard's devices. One
+	// supervisor per shard, in shard order, or none when the machine is
+	// unsupervised.
+	replacing    *DriverShard
 	restartEpoch uint64
 	supervisors  []*supervise.Supervisor
 	// handovers is the machine's planned-handover episode log (committed and

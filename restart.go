@@ -24,7 +24,8 @@ var (
 	// need migrating to the new driver VM's EPT).
 	ErrDataIsolationRestart = errors.New("paradice: driver VM restart with data isolation is not supported")
 	// ErrRestartInProgress: another restart or handover holds the machine's
-	// lifecycle lock.
+	// lifecycle lock, or is replacing the driver-VM shard a device to be
+	// paravirtualized would connect to. Retry once it has finished.
 	ErrRestartInProgress = errors.New("paradice: driver VM restart already in progress")
 	// ErrRestartFailed: the replacement driver VM failed to come up (includes
 	// the injected "machine.restart.fail" fault). The machine is untouched.
@@ -105,7 +106,7 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 	if m.cfg.DataIsolation {
 		return ErrDataIsolationRestart
 	}
-	if m.restarting {
+	if m.replacing != nil {
 		return fmt.Errorf("%w (epoch %d)", ErrRestartInProgress, m.restartEpoch)
 	}
 	if lo < 0 || hi > len(m.shards) {
@@ -116,10 +117,13 @@ func (m *Machine) replaceShards(lo, hi int, warm bool) error {
 			return fmt.Errorf("%w: %v", ErrRestartFailed, d.Error())
 		}
 	}
-	m.restarting = true
-	defer func() { m.restarting = false }()
+	defer func() { m.replacing = nil }()
 	for i := lo; i < hi; i++ {
 		sh := m.shards[i]
+		// The channel list is taken once, here: a channel connected to this
+		// shard before it is replaced would stay on the retired driver VM,
+		// so Paravirtualize refuses the shard's devices until then.
+		m.replacing = sh
 		chs := m.shardChannels(i)
 		preds := make([]*cvd.Backend, len(chs))
 		fes := make([]*cvd.Frontend, len(chs))
